@@ -861,11 +861,11 @@ func batchExec(party int, sess *comm.MuxSession, shape batchShape, members []*ba
 			in := members[j].in
 			lr0, lr1 := ov0-j*m, ov1-j*m
 			eSl := eBand.SliceRowsInto(&eSlice, ov0-lo, ov1-lo)
-			dSl := dBuf.SliceRowsInto(&dSlice, ov0-lo, ov1-lo)
-			if party == 1 {
-				tensor.Sub(dSl, in.A.SliceRowsInto(&aView, lr0, lr1), eSl)
-			} else {
-				dSl.CopyFrom(in.A.SliceRowsInto(&aView, lr0, lr1))
+			dSl := in.A.SliceRowsInto(&aView, lr0, lr1) // party 0: D is A_i itself
+			if party == 1 {                             // party 1: D = A_i − E
+				aSl := dSl
+				dSl = dBuf.SliceRowsInto(&dSlice, ov0-lo, ov1-lo)
+				tensor.Sub(dSl, aSl, eSl)
 			}
 			cSl := cstack.SliceRowsInto(&cView, ov0, ov1)
 			fj := fpub.SliceRowsInto(&fView, j*k, (j+1)*k)

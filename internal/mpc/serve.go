@@ -836,6 +836,15 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg S
 			reqBuf = shrinkScratch(reqBuf, len(frame))
 			continue
 		}
+		// From here the request lives in its decoded copy. A frame past the
+		// high-water cap is released now rather than held beside that copy
+		// through the exchange and the idle time after it: at 256³ the two
+		// are 2.5 MB per session, and holding both set the process's peak
+		// heap.
+		if cap(reqBuf) > bufShrinkCap {
+			metrics.bufShrinks.Inc()
+			reqBuf = nil
+		}
 		var ci *tensor.Matrix
 		var release func()
 		handled := false
@@ -907,7 +916,6 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg S
 			return err
 		}
 		h.ObserveSince(start)
-		reqBuf = shrinkScratch(reqBuf, len(frame))
 		outBuf = shrinkScratch(outBuf, len(outBuf))
 	}
 }

@@ -272,11 +272,11 @@ func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fP
 		tensor.Add(eBand, ei.SliceRowsInto(&w.eiView, lo, hi), pb)
 		t1 := time.Now()
 		reconDur += t1.Sub(t0)
-		dBand := dBandBuf.SliceRowsInto(&w.dView, 0, rows)
-		if w.party == 1 {
-			tensor.Sub(dBand, a.SliceRowsInto(&w.aView, lo, hi), eBand)
-		} else {
-			dBand.CopyFrom(a.SliceRowsInto(&w.aView, lo, hi))
+		dBand := a.SliceRowsInto(&w.aView, lo, hi) // party 0: D is A_i itself
+		if w.party == 1 {                          // party 1: D = A_i − E
+			aBand := dBand
+			dBand = dBandBuf.SliceRowsInto(&w.dView, 0, rows)
+			tensor.Sub(dBand, aBand, eBand)
 		}
 		cBand := c.SliceRowsInto(&w.cView, lo, hi)
 		tensor.Gemm(cBand, dBand, f, 1, 0)                         // D×F

@@ -22,8 +22,9 @@ func getAcc(n int) *[]float64 {
 
 func putAcc(p *[]float64) { accPool.Put(p) }
 
-// GEMM kernels. Mul is the workhorse behind every triplet multiplication:
-// a cache-blocked i-k-j loop parallelized over row bands. MulNaive is the
+// GEMM kernels. Gemm is the workhorse behind every triplet multiplication
+// and MulATB behind every weight gradient; both run the 4-row strip
+// kernel below, parallelized over bands of dst rows. MulNaive is the
 // obviously-correct reference oracle used by the tests.
 
 func mustMulShapes(dst, a, b *Matrix) {
@@ -35,7 +36,7 @@ func mustMulShapes(dst, a, b *Matrix) {
 	}
 }
 
-// Mul computes dst = a × b using the parallel blocked kernel. dst must not
+// Mul computes dst = a × b using the parallel strip kernel. dst must not
 // alias a or b.
 func Mul(dst, a, b *Matrix) {
 	Gemm(dst, a, b, 1, 0)
@@ -48,70 +49,136 @@ func MulTo(a, b *Matrix) *Matrix {
 	return dst
 }
 
-// Gemm computes dst = alpha·(a × b) + beta·dst. dst must not alias a or b.
-// The i-k-j loop order streams rows of b while a row of dst stays hot in
-// cache; parallelism is across bands of dst rows, so no two goroutines
-// write the same row.
-// gemmSerialWork is the m·k·n multiply count below which Gemm runs
-// single-threaded: goroutine fan-out costs more than the arithmetic for
-// band-sized operands, and the wire serving hot path (many small per-band
-// GEMMs per request) must not allocate a closure per call. Each dst row
-// is accumulated independently, so the cutoff never changes results.
-const gemmSerialWork = 1 << 16
+// gemmSerialWork is the m·k·n multiply count at or below which the
+// kernel runs on the calling goroutine: goroutine fan-out costs more than
+// the arithmetic for small operands, and the wire serving hot path (many
+// small GEMMs per request) must not allocate a closure per call. Each dst
+// row is accumulated independently, so the cutoff never changes results.
+//
+// Measured with the strip kernel on a 2-vCPU Xeon (serial vs 2 workers,
+// 5 runs each): fan-out adds 15–25 µs (16×64×64: 12 → 26 µs), so two
+// workers lose at 2^18 multiplies (64³: 41–55 → 54–74 µs) and at 2^19
+// (32×128×128: 65–91 → 107–116 µs), and first win at 2^20–2^21
+// (64×128×128: 165–199 → 149–179 µs; 128³: 342–374 → 249–266 µs). The
+// scalar loop this replaced broke even near 2^16; the kernel is 5–7×
+// faster and the cutoff moved with it.
+const gemmSerialWork = 1 << 19
 
+// gemmStripRows is the number of dst rows one strip accumulates together;
+// worker chunks are aligned to it so only a band's last strip is partial.
+const gemmStripRows = 4
+
+// Gemm computes dst = alpha·(a × b) + beta·dst. dst must not alias a or b.
+//
+// Every dst element is the float32 rounding of a float64 sum built in
+// p = 0..k-1 order, one IEEE multiply then one add per term and never a
+// fused multiply-add, from float64(alpha·a[i][p]) · float64(b[p][j]). A
+// row's result therefore does not depend on which rows it is grouped,
+// banded or scheduled with, nor on whether the AVX2 or the portable strip
+// ran — the property the batched ≡ per-session ≡ serial contracts rest on.
+//
+// Terms whose a-value is zero are skipped only when the whole strip's
+// four a-values are zero for that p (lone tail rows skip their own). For
+// finite operands that is invisible (+0 + ±0 = +0); a zero in a against
+// an Inf or NaN in b yields NaN unless the term happened to be skipped.
 func Gemm(dst, a, b *Matrix, alpha, beta float32) {
 	mustMulShapes(dst, a, b)
+	gemmStrided(dst, a.Data, a.Cols, 1, a.Cols, b, alpha, beta)
+}
+
+// gemmStrided computes dst = alpha·(A × b) + beta·dst where A[i][p] is
+// a[i*rs+p*ps] for p < k, splitting dst rows across workers in whole
+// strips.
+func gemmStrided(dst *Matrix, a []float32, rs, ps, k int, b *Matrix, alpha, beta float32) {
 	if !ComputeEnabled() {
 		return
 	}
-	if a.Rows*a.Cols*b.Cols <= gemmSerialWork {
-		gemmRows(dst, a, b, alpha, beta, 0, a.Rows)
+	if dst.Rows*k*dst.Cols <= gemmSerialWork {
+		gemmRows(dst, a, rs, ps, k, b, alpha, beta, 0, dst.Rows)
 		return
 	}
-	parallelFor(a.Rows, 1, func(lo, hi int) {
-		gemmRows(dst, a, b, alpha, beta, lo, hi)
+	parallelFor(dst.Rows, gemmStripRows, func(lo, hi int) {
+		gemmRows(dst, a, rs, ps, k, b, alpha, beta, lo, hi)
 	})
 }
 
-// gemmRows runs the blocked i-k-j kernel over dst rows [lo, hi).
-func gemmRows(dst, a, b *Matrix, alpha, beta float32, lo, hi int) {
-	k, cols := a.Cols, b.Cols
-	// Accumulate each destination row in float64: secret-shared
-	// operands carry masks that inflate magnitudes, and FP32
-	// accumulation error over long inner dimensions would rival the
-	// gradient signal during secure training.
-	accp := getAcc(cols)
+// gemmRows runs the strip kernel over dst rows [lo, hi). Each destination
+// row is accumulated in float64: secret-shared operands carry masks that
+// inflate magnitudes, and FP32 accumulation error over long inner
+// dimensions would rival the gradient signal during secure training.
+func gemmRows(dst *Matrix, a []float32, rs, ps, k int, b *Matrix, alpha, beta float32, lo, hi int) {
+	n := dst.Cols
+	accp := getAcc(gemmStripRows * n)
 	defer putAcc(accp)
-	acc := *accp
-	for i := lo; i < hi; i++ {
-		drow := dst.Row(i)
-		for j := range acc {
-			acc[j] = 0
-		}
-		arow := a.Row(i)
-		for p := 0; p < k; p++ {
-			av := float64(alpha * arow[p])
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*cols : (p+1)*cols]
-			for j, bv := range brow {
-				acc[j] += av * float64(bv)
+	for i := lo; i < hi; i += gemmStripRows {
+		rows := min(gemmStripRows, hi-i)
+		acc := (*accp)[:rows*n]
+		clear(acc)
+		if k > 0 && n > 0 {
+			if rows == gemmStripRows {
+				gemmStrip(acc, a[i*rs:], rs, ps, b.Data, k, n, alpha)
+			} else {
+				for r := 0; r < rows; r++ {
+					gemmRow(acc[r*n:(r+1)*n], a[(i+r)*rs:], ps, b.Data, k, alpha)
+				}
 			}
 		}
+		drows := dst.Data[i*n : (i+rows)*n]
 		switch beta {
 		case 0:
-			for j := range drow {
-				drow[j] = float32(acc[j])
+			for j, v := range acc {
+				drows[j] = float32(v)
 			}
 		case 1:
-			for j := range drow {
-				drow[j] += float32(acc[j])
+			for j, v := range acc {
+				drows[j] += float32(v)
 			}
 		default:
-			for j := range drow {
-				drow[j] = beta*drow[j] + float32(acc[j])
+			for j, v := range acc {
+				drows[j] = beta*drows[j] + float32(v)
 			}
+		}
+	}
+}
+
+// gemmStripGo is the portable strip: it folds rows p < k of b, columns
+// [j0, n), into the four float64 accumulator rows of acc (row stride n).
+// The strip's a-values are a[r*rs+p*ps]; alpha is applied in float32
+// before the widening. The explicit float64 conversion of each product
+// forbids the compiler a fused multiply-add (arm64, GOAMD64=v3), so every
+// GOARCH produces the bits the AVX2 strip does.
+func gemmStripGo(acc []float64, a []float32, rs, ps int, b []float32, k, n, j0 int, alpha float32) {
+	acc0, acc1, acc2, acc3 := acc[j0:n], acc[n+j0:2*n], acc[2*n+j0:3*n], acc[3*n+j0:4*n]
+	for p := 0; p < k; p++ {
+		ap := a[p*ps:]
+		av0, av1 := float64(alpha*ap[0]), float64(alpha*ap[rs])
+		av2, av3 := float64(alpha*ap[2*rs]), float64(alpha*ap[3*rs])
+		if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
+			continue
+		}
+		brow := b[p*n+j0 : (p+1)*n]
+		acc1, acc2, acc3 := acc1[:len(brow)], acc2[:len(brow)], acc3[:len(brow)]
+		for j, bv := range brow {
+			bv := float64(bv)
+			acc0[j] += float64(av0 * bv)
+			acc1[j] += float64(av1 * bv)
+			acc2[j] += float64(av2 * bv)
+			acc3[j] += float64(av3 * bv)
+		}
+	}
+}
+
+// gemmRow is the one-row form of gemmStripGo for the rows % 4 tail of a
+// band: acc has len n and a's values are a[p*ps].
+func gemmRow(acc []float64, a []float32, ps int, b []float32, k int, alpha float32) {
+	n := len(acc)
+	for p := 0; p < k; p++ {
+		av := float64(alpha * a[p*ps])
+		if av == 0 {
+			continue
+		}
+		for j, bv := range b[p*n : (p+1)*n] {
+			acc[j] += float64(av * float64(bv))
 		}
 	}
 }
@@ -176,8 +243,8 @@ func MulABT(dst, a, b *Matrix) {
 }
 
 // MulATB computes dst = aᵀ × b without materializing the transpose
-// (the backward-pass weight gradient dW = Xᵀ × dY). Parallelism is across
-// bands of dst rows (columns of a), so writes never race.
+// (the backward-pass weight gradient dW = Xᵀ × dY). It is Gemm's kernel
+// reading a at stride a.Cols, so it shares Gemm's arithmetic contract.
 func MulATB(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MulATB inner dimension mismatch (%dx%d)T * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -185,33 +252,7 @@ func MulATB(dst, a, b *Matrix) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MulATB destination %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	if !ComputeEnabled() {
-		return
-	}
-	parallelFor(a.Cols, 1, func(lo, hi int) {
-		accp := getAcc(b.Cols)
-		defer putAcc(accp)
-		acc := *accp
-		for i := lo; i < hi; i++ {
-			for j := range acc {
-				acc[j] = 0
-			}
-			for p := 0; p < a.Rows; p++ {
-				av := float64(a.At(p, i))
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(p)
-				for j, bv := range brow {
-					acc[j] += av * float64(bv)
-				}
-			}
-			drow := dst.Row(i)
-			for j := range drow {
-				drow[j] = float32(acc[j])
-			}
-		}
-	})
+	gemmStrided(dst, a.Data, 1, a.Cols, a.Rows, b, 1, 0)
 }
 
 // GemmFLOPs returns the floating-point operation count of an m×k × k×n

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -178,8 +180,8 @@ func TestGemmFLOPs(t *testing.T) {
 
 func TestMulSingleWorkerEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
-	a := randomMatrix(r, 33, 47)
-	b := randomMatrix(r, 47, 29)
+	a := randomMatrix(r, 97, 83) // above gemmSerialWork, not a multiple of the strip
+	b := randomMatrix(r, 83, 71)
 	par := MulTo(a, b)
 	prev := SetMaxWorkers(1)
 	ser := MulTo(a, b)
@@ -215,4 +217,236 @@ func BenchmarkAdd1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Add(dst, x, y)
 	}
+}
+
+// gemmRowsRef is the scalar i-k-j loop Gemm ran before the strip kernel,
+// kept verbatim as the frozen oracle: the strip kernel must reproduce its
+// bits for all finite operands, which is what lets the serving stack's
+// bit-identity contracts and checkpoint goldens survive a kernel change.
+func gemmRowsRef(dst, a, b *Matrix, alpha, beta float32, lo, hi int) {
+	k, cols := a.Cols, b.Cols
+	// Accumulate each destination row in float64: secret-shared
+	// operands carry masks that inflate magnitudes, and FP32
+	// accumulation error over long inner dimensions would rival the
+	// gradient signal during secure training.
+	accp := getAcc(cols)
+	defer putAcc(accp)
+	acc := *accp
+	for i := lo; i < hi; i++ {
+		drow := dst.Row(i)
+		for j := range acc {
+			acc[j] = 0
+		}
+		arow := a.Row(i)
+		for p := 0; p < k; p++ {
+			av := float64(alpha * arow[p])
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[p*cols : (p+1)*cols]
+			for j, bv := range brow {
+				acc[j] += av * float64(bv)
+			}
+		}
+		switch beta {
+		case 0:
+			for j := range drow {
+				drow[j] = float32(acc[j])
+			}
+		case 1:
+			for j := range drow {
+				drow[j] += float32(acc[j])
+			}
+		default:
+			for j := range drow {
+				drow[j] = beta*drow[j] + float32(acc[j])
+			}
+		}
+	}
+}
+
+// The oracle is only an oracle where the compiler leaves its
+// `acc += av * bv` unfused (amd64 at the default GOAMD64). Where it fuses
+// (arm64, GOAMD64=v3) the oracle's own bits change and the kernel, which
+// forbids fusion, is right to differ from it.
+var fmaX, fmaY, fmaZ = 1 + 0x1p-30, 1 - 0x1p-30, -1.0
+
+func skipIfOracleFuses(t testing.TB) {
+	if fmaX*fmaY+fmaZ != float64(fmaX*fmaY)+fmaZ {
+		t.Skip("compiler fuses multiply-add in gemmRowsRef on this target")
+	}
+}
+
+// withPortableStrip runs fn with the portable strip forced, where the
+// platform has another to force it over (see gemm_amd64_test.go).
+var withPortableStrip = func(fn func()) { fn() }
+
+// firstBitDiff returns the index of the first element whose bit patterns
+// differ (Equal would call -0 == +0 and NaN != NaN), or -1.
+func firstBitDiff(x, y *Matrix) int {
+	for i := range x.Data {
+		if math.Float32bits(x.Data[i]) != math.Float32bits(y.Data[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sprinkle overwrites about one element in ten with a value from vals.
+func sprinkle(r *rand.Rand, m *Matrix, vals ...float32) *Matrix {
+	for i := range m.Data {
+		if r.Intn(10) == 0 {
+			m.Data[i] = vals[r.Intn(len(vals))]
+		}
+	}
+	return m
+}
+
+func checkGemmMatchesRef(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	operands := map[string]func(r *rand.Rand, m *Matrix) *Matrix{
+		"zeros": func(r *rand.Rand, m *Matrix) *Matrix { return sprinkle(r, m, 0, negZero) },
+		// Denormals, and normals small enough that 0.37·a is denormal.
+		"denormal": func(r *rand.Rand, m *Matrix) *Matrix { return sprinkle(r, m, 1e-40, -3e-45, 2e-38, 0) },
+	}
+	shapes := [][3]int{
+		{1, 1, 1}, {4, 4, 4}, {3, 5, 2}, {5, 1, 7}, {7, 0, 5}, {8, 9, 3}, {6, 17, 8},
+		{13, 21, 33}, {32, 32, 32}, {8, 64, 64}, {70, 90, 101}, // the last fans out
+	}
+	for name, dress := range operands {
+		r := rand.New(rand.NewSource(31))
+		for _, s := range shapes {
+			a := dress(r, randomMatrix(r, s[0], s[1]))
+			b := dress(r, randomMatrix(r, s[1], s[2]))
+			c0 := dress(r, randomMatrix(r, s[0], s[2]))
+			for _, alpha := range []float32{1, -1, 0.37} {
+				for _, beta := range []float32{0, 1, 0.5} {
+					want, got := c0.Clone(), c0.Clone()
+					gemmRowsRef(want, a, b, alpha, beta, 0, s[0])
+					Gemm(got, a, b, alpha, beta)
+					if i := firstBitDiff(got, want); i >= 0 {
+						t.Fatalf("%s %v alpha=%v beta=%v: element %d = %x, oracle %x", name, s, alpha, beta,
+							i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestGemmMatchesRef(t *testing.T) {
+	skipIfOracleFuses(t)
+	checkGemmMatchesRef(t)
+	withPortableStrip(func() { checkGemmMatchesRef(t) })
+}
+
+// MulATB runs the same strip with a read at stride a.Cols, so it must
+// reproduce the oracle applied to the materialized transpose.
+func TestMulATBMatchesRef(t *testing.T) {
+	skipIfOracleFuses(t)
+	r := rand.New(rand.NewSource(32))
+	for _, s := range [][3]int{{1, 1, 1}, {11, 7, 5}, {9, 4, 8}, {90, 70, 101}} { // the last fans out
+		a := sprinkle(r, randomMatrix(r, s[0], s[1]), 0)
+		b := sprinkle(r, randomMatrix(r, s[0], s[2]), 0)
+		want, got := New(s[1], s[2]), New(s[1], s[2])
+		gemmRowsRef(want, a.Transpose(), b, 1, 0, 0, s[1])
+		MulATB(got, a, b)
+		if i := firstBitDiff(got, want); i >= 0 {
+			t.Fatalf("MulATB %v: element %d differs from the oracle", s, i)
+		}
+	}
+}
+
+// Banding invariance: Gemm over any row slice equals those rows of the
+// whole-matrix Gemm, whatever the slice's alignment to the 4-row strip.
+// The wire pipeline's row bands, the batcher's stacked members and the
+// serial path all slice differently; batched ≡ per-session ≡ serial rests
+// on this and nothing else in the kernel.
+func TestGemmBandingInvariance(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	const m, k, n = 13, 9, 7
+	a := sprinkle(r, randomMatrix(r, m, k), 0)
+	b := sprinkle(r, randomMatrix(r, k, n), 0)
+	c0 := randomMatrix(r, m, n)
+	whole := c0.Clone()
+	Gemm(whole, a, b, 0.37, 0.5)
+	for lo := 0; lo < m; lo++ {
+		for hi := lo + 1; hi <= m; hi++ {
+			band := c0.SliceRows(lo, hi).Clone()
+			Gemm(band, a.SliceRows(lo, hi), b, 0.37, 0.5)
+			if i := firstBitDiff(band, whole.SliceRows(lo, hi)); i >= 0 {
+				t.Fatalf("rows [%d,%d): element %d differs from the whole-matrix product", lo, hi, i)
+			}
+		}
+	}
+}
+
+// The one documented divergence from the oracle: a zero in a against an
+// Inf in b. The oracle skipped every zero a-value; a strip skips a p only
+// when all four of its a-values are zero, a lone tail row when its own is.
+func TestGemmZeroTimesInf(t *testing.T) {
+	inf := float32(math.Inf(1))
+	b := FromSlice(1, 1, []float32{inf})
+	for _, c := range []struct {
+		a    []float32
+		want string
+	}{
+		{[]float32{0, 0, 0, 0}, "[0 0 0 0]"},          // whole strip zero: skipped
+		{[]float32{0, 1, 0, 0}, "[NaN +Inf NaN NaN]"}, // oracle: [0 +Inf 0 0]
+		{[]float32{0, 1, 0}, "[0 +Inf 0]"},            // tail rows skip their own
+	} {
+		dst := New(len(c.a), 1)
+		Gemm(dst, FromSlice(len(c.a), 1, c.a), b, 1, 0)
+		if got := fmt.Sprint(dst.Data); got != c.want {
+			t.Errorf("a=%v × [Inf] = %s, want %s", c.a, got, c.want)
+		}
+	}
+}
+
+// FuzzGemmStrip drives Gemm with random small shapes and raw float bits.
+// Finite operands must match the oracle bit for bit on every strip the
+// platform has; non-finite ones must only not panic.
+func FuzzGemmStrip(f *testing.F) {
+	f.Add(uint8(4), uint8(4), uint8(4), uint32(0x3f800000), uint32(0), []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x40})
+	f.Add(uint8(7), uint8(3), uint8(9), uint32(0xbf800000), uint32(0x3f000000), []byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0xcd, 0xcc, 0x4c, 0x3e})
+	f.Add(uint8(5), uint8(0), uint8(6), uint32(0x3ebd70a4), uint32(0x3f800000), []byte{})
+	f.Add(uint8(9), uint8(2), uint8(5), uint32(0x3f800000), uint32(0), []byte{0, 0, 0x80, 0x7f, 0, 0, 0, 0, 0, 0, 0xc0, 0x7f})
+	f.Fuzz(func(t *testing.T, m8, k8, n8 uint8, alphaBits, betaBits uint32, data []byte) {
+		m, k, n := int(m8%12)+1, int(k8%12), int(n8%12)+1
+		alpha, beta := math.Float32frombits(alphaBits), math.Float32frombits(betaBits)
+		at := 0
+		finite := !math.IsNaN(float64(beta)) && !math.IsInf(float64(beta), 0)
+		fill := func(rows, cols int, scale float32) *Matrix {
+			mat := New(rows, cols)
+			for i := range mat.Data {
+				var bits uint32
+				for s := 0; s < 32 && len(data) > 0; s += 8 {
+					bits |= uint32(data[at%len(data)]) << s
+					at++
+				}
+				mat.Data[i] = math.Float32frombits(bits)
+				if v := float64(scale * mat.Data[i]); math.IsNaN(v) || math.IsInf(v, 0) {
+					finite = false
+				}
+			}
+			return mat
+		}
+		a, b, c0 := fill(m, k, alpha), fill(k, n, 1), fill(m, n, 1)
+		check := func() {
+			got := c0.Clone()
+			Gemm(got, a, b, alpha, beta)
+			if !finite {
+				return
+			}
+			skipIfOracleFuses(t)
+			want := c0.Clone()
+			gemmRowsRef(want, a, b, alpha, beta, 0, m)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("%dx%dx%d alpha=%v beta=%v: element %d = %x, oracle %x", m, k, n, alpha, beta,
+					i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+			}
+		}
+		check()
+		withPortableStrip(check)
+	})
 }
