@@ -56,9 +56,9 @@ func main() {
 	peerMissBudget := flag.Int("peer-miss-budget", 3, "missed heartbeat intervals before the peer link is declared dead")
 	peerReconnectAttempts := flag.Int("peer-reconnect-attempts", 10, "max connect attempts per peer-link (re)establishment before giving up")
 	peerReconnectBackoff := flag.Duration("peer-reconnect-backoff", 100*time.Millisecond, "initial backoff between peer connect attempts (doubles with jitter, capped at 2s)")
-	wirePipeline := flag.Bool("wire-pipeline", false, "serve with the banded double pipeline on the peer link (both servers must agree, including -wire-chunk-rows)")
-	wireChunkRows := flag.Int("wire-chunk-rows", 0, "row-band height of the pipelined E exchange; 0 streams whole matrices (requires -wire-pipeline)")
-	wireCodec := flag.String("wire-codec", "raw", "wire compression for revealed E/F tensors: auto (FP16+CSR, cost-model picked), raw, fp16 or csr; negotiated with the peer, so an old peer degrades to raw (requires -wire-pipeline)")
+	flag.Bool("wire-pipeline", false, "accepted and ignored: every exchange runs the one banded engine. Kept only until the benchmark's workloads stop passing it")
+	wireChunkRows := flag.Int("wire-chunk-rows", 0, "row-band height this server streams its E exchange in; 0 sends whole matrices (one frame each way). Sender-local: the peer need not match")
+	wireCodec := flag.String("wire-codec", "raw", "wire compression for revealed E/F tensors: auto (FP16+CSR, cost-model picked), raw, fp16 or csr; negotiated with the peer, so an old peer degrades to raw")
 	batchWindow := flag.Duration("batch-window", 0, "coalesce same-shape requests arriving within this window into one stacked peer exchange (0 disables unless -planner; both servers must agree)")
 	batchMaxRows := flag.Int("batch-max-rows", 0, "cap on a batch's stacked E rows; reaching it dispatches immediately (0 selects the default; requires batching)")
 	planner := flag.Bool("planner", false, "drive the batch window and band height from the hw cost models plus measured exchange costs instead of static values (enables batching)")
@@ -80,15 +80,9 @@ func main() {
 	if (*peerListen == "") == (*peerDial == "") {
 		log.Fatalf("exactly one of -peer-listen / -peer-dial is required")
 	}
-	if *wireChunkRows != 0 && !*wirePipeline {
-		log.Fatalf("-wire-chunk-rows requires -wire-pipeline")
-	}
 	codecSet, err := mpc.ParseWireCodecName(*wireCodec)
 	if err != nil {
 		log.Fatalf("%v", err)
-	}
-	if codecSet != 0 && !*wirePipeline {
-		log.Fatalf("-wire-codec=%s requires -wire-pipeline", *wireCodec)
 	}
 	if *batchMaxRows != 0 && *batchWindow <= 0 && !*planner {
 		log.Fatalf("-batch-max-rows requires -batch-window or -planner")
@@ -271,17 +265,13 @@ func main() {
 		drainMu.Unlock()
 		log.Printf("party %d: registered replica %q with router %s", *party, *replicaName, *routerRegister)
 	}
-	if *wirePipeline {
-		cfg.Wire = &mpc.WireConfig{ChunkRows: *wireChunkRows}
-		if codecSet != 0 {
-			// Negotiated: stays raw until (unless) the peer advertises its
-			// own codec set, so mixed-version server pairs keep working.
-			cfg.Wire.Codec = &mpc.WireCodec{Enabled: codecSet, HW: hw.Paper(), Negotiate: true}
-			log.Printf("party %d: wire double pipeline enabled (chunk rows %d, codec %s)", *party, *wireChunkRows, *wireCodec)
-		} else {
-			log.Printf("party %d: wire double pipeline enabled (chunk rows %d)", *party, *wireChunkRows)
-		}
+	cfg.Wire = &mpc.WireConfig{ChunkRows: *wireChunkRows}
+	if codecSet != 0 {
+		// Negotiated: stays raw until (unless) the peer advertises its
+		// own codec set, so mixed-version server pairs keep working.
+		cfg.Wire.Codec = &mpc.WireCodec{Enabled: codecSet, HW: hw.Paper(), Negotiate: true}
 	}
+	log.Printf("party %d: exchange engine: chunk rows %d, codec %s", *party, *wireChunkRows, *wireCodec)
 	if *batchWindow > 0 || *planner {
 		cfg.Batch = &mpc.BatchConfig{Window: *batchWindow, MaxRows: *batchMaxRows}
 		if *planner {

@@ -59,6 +59,46 @@ func TestRouterTypedNoReplicas(t *testing.T) {
 	}
 }
 
+// TestRouterDuplicateIDKeepsReplica is the regression for a re-sent
+// request id (benchmark/README.md Finding 1): the pair has already served
+// id X, so X again is the CLIENT's error. It must come back as a typed,
+// non-retryable frame in-band — not as a torn-down backend session, which
+// the router reads as a replica failure and, the second time, answers by
+// evicting the healthy pair.
+func TestRouterDuplicateIDKeepsReplica(t *testing.T) {
+	reg := NewRegistry(0)
+	addr, kill := startReplicaPair(t)
+	defer kill()
+	if err := reg.Join(Replica{Name: "pair-a", Addr: addr}); err != nil {
+		t.Fatal(err)
+	}
+	face := startRouter(t, reg)
+	c0, c1 := dialFaces(t, face)
+	defer c0.Close()
+	defer c1.Close()
+	p := rng.NewPool(5)
+
+	if err := routedRequest(t, p, c0, c1, 41); err != nil {
+		t.Fatal(err)
+	}
+	for resend := 0; resend < 2; resend++ { // the second failure used to evict
+		err := routedRequest(t, p, c0, c1, 41)
+		var re *mpc.RouteError
+		if !errors.As(err, &re) || re.Code != mpc.RouteDuplicateID {
+			t.Fatalf("re-sent id: got %v, want a %s RouteError", err, mpc.RouteDuplicateID)
+		}
+		if re.Retryable() {
+			t.Fatal("duplicate id reported as retryable")
+		}
+	}
+	if _, ok := reg.Pick(41); !ok {
+		t.Fatal("the healthy replica was evicted over a client's duplicate id")
+	}
+	if err := routedRequest(t, p, c0, c1, 42); err != nil {
+		t.Fatalf("session did not survive the duplicate id: %v", err)
+	}
+}
+
 // TestRouterClientRetry drives mpc.RequestMulRetry against a fleet that
 // starts empty and gains a replica mid-retry: the client rides the
 // typed retryable errors (same request id each attempt) until the join

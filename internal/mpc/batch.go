@@ -21,13 +21,14 @@ import (
 // shares to a (B·k)×n stack, one frame sequence moves each way, and each
 // member's slice of the fused banded GEMM is computed with exactly the
 // per-session op sequence — so results are bit-identical to serving the
-// requests one by one (every dst row of the GEMM accumulates independently;
-// see tensor.Gemm).
+// requests one by one. The exchange itself is the one engine's
+// (wireMul.exchange): a batch is its ordinary case and a lone request the
+// batch of one; this file only agrees WHO is in the batch.
 //
 // Coordination: the two parties see the same request ids but not in the
 // same order or at the same time, so batch membership must be agreed, not
 // assumed. Party 0 leads: it collects, then sends a proposal (batch id,
-// shape, band height, member ids) on a reserved mux control session. Party
+// shape, member ids) on a reserved mux control session. Party
 // 1 claims each proposed id from its own arrivals — waiting JoinWait for
 // stragglers still in flight — and acks the subset it holds. Both sides
 // execute the acked subset in proposal order over a fresh mux session keyed
@@ -36,9 +37,10 @@ import (
 // from the exec, the follower remembers them as dropped), so one slow or
 // dead client never wedges its co-tenants.
 //
-// Both parties must enable batching together (ServeConfig.Batch), like the
-// wire pipeline: a leader whose peer never opens the control session sees
-// every proposal go unanswered and pays the ack timeout per batch.
+// Both parties must enable batching together (ServeConfig.Batch): a leader
+// whose peer never opens the control session sees every proposal go
+// unanswered and pays the ack timeout per batch. The band height each
+// party streams its stack in is its own choice (stackBand).
 
 // batchCtlID is the reserved mux session carrying batch proposals and
 // acks ("psmlbch1"). Request ids start from a random 64-bit base, so a
@@ -47,10 +49,10 @@ const batchCtlID uint64 = 0x70736d6c62636831
 
 // Batch control frame layout (little-endian):
 //
-//	propose: ver kind=1 | u64 batchID | u32 m k n stackBand | u32 count | count × u64 ids
+//	propose: ver kind=1 | u64 batchID | u32 m k n | u32 count | count × u64 ids
 //	ack:     ver kind=2 | u64 batchID | u32 count | count × u64 ids (subset, proposal order)
 const (
-	batchCtlVersion  byte = 1
+	batchCtlVersion  byte = 2
 	batchKindPropose byte = 1
 	batchKindAck     byte = 2
 )
@@ -118,25 +120,20 @@ type batcher interface {
 }
 
 // newBatcher wires the party's side of the batch protocol onto the mux.
-// codec, when non-nil, compresses the stacked E/F exchanges exactly like
-// the per-request wire path (rounding is elementwise, so a stacked FP16
-// round equals rounding each member individually).
-func newBatcher(party int, mux *comm.Mux, cfg BatchConfig, pool *tensor.Pool, codec *WireCodec) (batcher, error) {
+// wire supplies the pool (non-nil) and the codec of the stacked exchanges —
+// the same ones the per-request path uses.
+func newBatcher(party int, mux *comm.Mux, cfg BatchConfig, wire WireConfig) (batcher, error) {
 	ctl, err := mux.Open(batchCtlID)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: batch control session: %w", err)
 	}
 	cfg = cfg.withDefaults()
-	if pool == nil {
-		pool = tensor.NewPool()
-	}
 	if party == 0 {
 		l := &batchLeader{
 			cfg:     cfg,
 			mux:     mux,
 			ctl:     ctl,
-			pool:    pool,
-			codec:   codec,
+			wire:    wire,
 			pending: make(map[batchShape]*pendingBatch),
 			acks:    make(map[uint64]chan batchAck),
 			done:    make(chan struct{}),
@@ -148,8 +145,7 @@ func newBatcher(party int, mux *comm.Mux, cfg BatchConfig, pool *tensor.Pool, co
 		cfg:     cfg,
 		mux:     mux,
 		ctl:     ctl,
-		pool:    pool,
-		codec:   codec,
+		wire:    wire,
 		waiting: make(map[uint64]*batchMember),
 		expect:  make(map[uint64]chan *batchMember),
 		dropped: make(map[uint64]struct{}),
@@ -184,7 +180,7 @@ type batchMember struct {
 }
 
 // shapeOf returns the request's batch key; ok=false for degenerate
-// geometry the stacking math cannot handle (batchExec divides by m).
+// geometry, which gains nothing from stacking.
 func shapeOf(in Shares) (batchShape, bool) {
 	s := batchShape{m: in.A.Rows, k: in.A.Cols, n: in.B.Cols}
 	return s, s.m > 0 && s.k > 0 && s.n > 0
@@ -201,24 +197,57 @@ func fallbackAll(members []*batchMember) {
 	}
 }
 
-func errAll(members []*batchMember, err error) {
-	for _, mem := range members {
-		mem.out <- batchOutcome{err: err}
+// stackBand is the band height this party streams a batch's E stack in:
+// the planner's, or the whole stack (one frame, minimal fixed cost).
+func (c BatchConfig) stackBand(s batchShape, stackRows int) int {
+	if c.Planner != nil {
+		return c.Planner.Plan(s.m, s.k, s.n, stackRows).stackBand
 	}
+	return 0
 }
 
-// distributeBatch hands each member its row view of the stacked result.
-// The backing store returns to the pool when the last member releases.
-func distributeBatch(members []*batchMember, cstack *tensor.Matrix, m int, pool *tensor.Pool) {
+// exchangeBatch runs the agreed members as one stacked exchange on a fresh
+// mux session keyed by the batch id, and hands each member its row view of
+// the result (the backing store returns to the pool when the last member
+// releases). Every member receives exactly one outcome.
+func exchangeBatch(party int, mux *comm.Mux, id uint64, members []*batchMember, cfg BatchConfig, wire WireConfig) {
+	shape := members[0].shape
+	fail := func(err error) {
+		for _, mem := range members {
+			mem.out <- batchOutcome{err: fmt.Errorf("mpc: batch %016x: %w", id, err)}
+		}
+	}
+	sess, err := mux.Open(id)
+	if err != nil {
+		fail(err)
+		return
+	}
+	shares := make([]Shares, len(members))
+	for j, mem := range members {
+		shares[j] = mem.in
+	}
+	w := newWireMul(party, wire)
+	defer w.close()
+	start := time.Now()
+	cstack, err := w.exchange(sess, shares, cfg.stackBand(shape, len(members)*shape.m), nil, nil)
+	metrics.batchExec.ObserveSince(start)
+	if err != nil {
+		// Kill the session so the peer's half fails fast and our sender's
+		// writes unblock.
+		sess.Abort()
+		fail(err)
+		return
+	}
+	sess.Close()
 	refs := new(atomic.Int32)
 	refs.Store(int32(len(members)))
 	release := func() {
 		if refs.Add(-1) == 0 {
-			pool.Put(cstack)
+			wire.Pool.Put(cstack)
 		}
 	}
 	for j, mem := range members {
-		mem.out <- batchOutcome{ci: cstack.SliceRows(j*m, (j+1)*m), release: release}
+		mem.out <- batchOutcome{ci: cstack.SliceRows(j*shape.m, (j+1)*shape.m), release: release}
 	}
 }
 
@@ -235,11 +264,10 @@ type pendingBatch struct {
 }
 
 type batchLeader struct {
-	cfg   BatchConfig
-	mux   *comm.Mux
-	ctl   *comm.MuxSession
-	pool  *tensor.Pool
-	codec *WireCodec
+	cfg  BatchConfig
+	mux  *comm.Mux
+	ctl  *comm.MuxSession
+	wire WireConfig // pool and codec of the stacked exchanges
 
 	mu      sync.Mutex
 	closed  bool
@@ -255,13 +283,6 @@ func (l *batchLeader) window(s batchShape) time.Duration {
 		return p.Plan(s.m, s.k, s.n, s.m).window
 	}
 	return l.cfg.Window
-}
-
-func (l *batchLeader) stackBand(s batchShape, stackRows int) int {
-	if p := l.cfg.Planner; p != nil {
-		return p.Plan(s.m, s.k, s.n, stackRows).stackBand
-	}
-	return 0 // whole stack: one E frame, minimal fixed cost
 }
 
 func (l *batchLeader) do(id uint64, in Shares) (*tensor.Matrix, func(), bool, error) {
@@ -370,7 +391,7 @@ func (l *batchLeader) run(pb *pendingBatch) {
 	for i, mem := range members {
 		ids[i] = mem.id
 	}
-	prop := batchProposal{id: batchID, shape: pb.shape, stackBand: l.stackBand(pb.shape, len(members)*pb.shape.m), ids: ids}
+	prop := batchProposal{id: batchID, shape: pb.shape, ids: ids}
 	if err := l.ctl.WriteFrame(appendProposal(nil, prop)); err != nil {
 		fallbackAll(members)
 		return
@@ -408,21 +429,7 @@ func (l *batchLeader) run(pb *pendingBatch) {
 		return
 	}
 
-	sess, err := l.mux.Open(batchID)
-	if err != nil {
-		errAll(accepted, fmt.Errorf("mpc: batch %016x: %w", batchID, err))
-		return
-	}
-	start := time.Now()
-	cstack, err := batchExec(0, sess, pb.shape, accepted, prop.stackBand, l.pool, l.codec)
-	metrics.batchExec.ObserveSince(start)
-	if err != nil {
-		sess.Abort()
-		errAll(accepted, fmt.Errorf("mpc: batch %016x: %w", batchID, err))
-		return
-	}
-	sess.Close()
-	distributeBatch(accepted, cstack, pb.shape.m, l.pool)
+	exchangeBatch(0, l.mux, batchID, accepted, l.cfg, l.wire)
 }
 
 // ackLoop owns the control session's read side on the leader.
@@ -485,8 +492,7 @@ type batchFollower struct {
 	cfg          BatchConfig
 	mux          *comm.Mux
 	ctl          *comm.MuxSession
-	pool         *tensor.Pool
-	codec        *WireCodec
+	wire         WireConfig // pool and codec of the stacked exchanges
 	proposalWait time.Duration
 
 	mu       sync.Mutex
@@ -676,21 +682,7 @@ func (f *batchFollower) runBatch(prop batchProposal) {
 	metrics.batches.Inc()
 	metrics.batchRequests.Add(uint64(len(members)))
 
-	sess, err := f.mux.Open(prop.id)
-	if err != nil {
-		errAll(members, fmt.Errorf("mpc: batch %016x: %w", prop.id, err))
-		return
-	}
-	start := time.Now()
-	cstack, err := batchExec(1, sess, prop.shape, members, prop.stackBand, f.pool, f.codec)
-	metrics.batchExec.ObserveSince(start)
-	if err != nil {
-		sess.Abort()
-		errAll(members, fmt.Errorf("mpc: batch %016x: %w", prop.id, err))
-		return
-	}
-	sess.Close()
-	distributeBatch(members, cstack, prop.shape.m, f.pool)
+	exchangeBatch(1, f.mux, prop.id, members, f.cfg, f.wire)
 }
 
 func (f *batchFollower) close() {
@@ -706,197 +698,12 @@ func (f *batchFollower) close() {
 	})
 }
 
-// ---- stacked execution ----
-
-// sendStacked streams this party's half of a batch exchange: the stacked F
-// share as one head frame (encoded under fKind), then the stacked E share
-// in bands (encoded under eKind; locally dense CSR bands fall back to raw
-// per band). Returns the total bytes shipped for the codec's bandwidth
-// feedback.
-func sendStacked(conn comm.Framer, fstack, estack *tensor.Matrix, band int, fKind, eKind wireCodecKind) (int, error) {
-	var view tensor.Matrix
-	sent := 0
-	buf := appendWireTensor(nil, fstack, fKind)
-	sent += len(buf)
-	if err := conn.WriteFrame(buf); err != nil {
-		return sent, err
-	}
-	for lo := 0; lo < estack.Rows; lo += band {
-		hi := min(lo+band, estack.Rows)
-		buf = appendWireTensor(buf[:0], estack.SliceRowsInto(&view, lo, hi), eKind)
-		sent += len(buf)
-		if err := conn.WriteFrame(buf); err != nil {
-			return sent, err
-		}
-	}
-	return sent, nil
-}
-
-// batchExec runs this party's side of one batched exchange over sess: B
-// members of identical m×k × k×n geometry, row-stacked. The wire protocol
-// is the pipelined exchange's, applied to the stacks: one (B·k)×n F frame,
-// then the (B·m)×k E stack in bands of stackBand rows, full duplex. Each
-// member's rows run exactly the per-session op sequence (Eqs. 4, 5, 8) —
-// every dst row of the fused GEMM accumulates independently, so the
-// result is bit-identical to B individual exchanges (under codec, to B
-// individual exchanges with the same picks: FP16 rounding is elementwise
-// and the retained stack is rounded in place before use, like wireMul).
-// Returns the pooled (B·m)×n stacked result; the caller distributes row
-// views and releases.
-func batchExec(party int, sess *comm.MuxSession, shape batchShape, members []*batchMember, stackBand int, pool *tensor.Pool, codec *WireCodec) (*tensor.Matrix, error) {
-	m, k, n := shape.m, shape.k, shape.n
-	B := len(members)
-	stackRows := B * m
-	if stackBand <= 0 || stackBand > stackRows {
-		stackBand = stackRows
-	}
-
-	// Local stacked shares (Eq. 4): E = A − U, F = B − V, member by member.
-	estack := pool.Get(stackRows, k)
-	fstack := pool.Get(B*k, n)
-	var jView tensor.Matrix
-	for j, mem := range members {
-		tensor.Sub(estack.SliceRowsInto(&jView, j*m, (j+1)*m), mem.in.A, mem.in.T.U)
-	}
-	for j, mem := range members {
-		tensor.Sub(fstack.SliceRowsInto(&jView, j*k, (j+1)*k), mem.in.B, mem.in.T.V)
-	}
-	eKind, fKind := codecRaw, codecRaw
-	if codec != nil {
-		eKind = codec.pick(estack, tensorE)
-		if eKind == codecFP16 {
-			tensor.RoundMatrixFloat16InPlace(estack)
-		}
-		fKind = codec.pick(fstack, tensorF)
-		if fKind == codecFP16 {
-			tensor.RoundMatrixFloat16InPlace(fstack)
-		}
-	}
-
-	sendDone := make(chan error, 1)
-	sentBytes := make(chan int, 1)
-	go func() {
-		sent, err := sendStacked(sess, fstack, estack, stackBand, fKind, eKind)
-		sentBytes <- sent
-		sendDone <- err
-	}()
-	drained := false
-	defer func() {
-		if !drained {
-			// The reader failed first: kill the session so the sender's
-			// writes unblock before its buffers go back to the pool.
-			sess.Abort()
-			<-sendDone
-		}
-		pool.Put(estack)
-		pool.Put(fstack)
-	}()
-
-	var exchDur, reconDur, gemmDur time.Duration
-	var recvBuf []byte
-
-	// Public stacked F (Eq. 5).
-	t0 := time.Now()
-	frame, err := readFrameInto(sess, recvBuf)
-	exchDur += time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: batch recv F: %w", err)
-	}
-	recvBuf = frame
-	peerF := pool.Get(B*k, n)
-	defer pool.Put(peerF)
-	if _, err := tensor.DecodeAnyInto(peerF, frame); err != nil {
-		return nil, fmt.Errorf("mpc: batch decode F: %w", err)
-	}
-	t0 = time.Now()
-	fpub := pool.Get(B*k, n)
-	defer pool.Put(fpub)
-	tensor.Add(fpub, fstack, peerF)
-	reconDur += time.Since(t0)
-
-	cstack := pool.Get(stackRows, n)
-	ok := false
-	defer func() {
-		if !ok {
-			pool.Put(cstack)
-		}
-	}()
-
-	peerBand := pool.Get(stackBand, k)
-	epubBuf := pool.Get(stackBand, k)
-	dBuf := pool.Get(stackBand, k)
-	defer func() {
-		pool.Put(peerBand)
-		pool.Put(epubBuf)
-		pool.Put(dBuf)
-	}()
-
-	var pbView, eView, esView, eSlice, dSlice, aView, cView, fView, zView tensor.Matrix
-	for lo := 0; lo < stackRows; lo += stackBand {
-		hi := min(lo+stackBand, stackRows)
-		rows := hi - lo
-		t0 := time.Now()
-		frame, err := readFrameInto(sess, recvBuf)
-		exchDur += time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: batch recv E band %d: %w", lo/stackBand, err)
-		}
-		recvBuf = frame
-		pb := peerBand.SliceRowsInto(&pbView, 0, rows)
-		if _, err := tensor.DecodeAnyInto(pb, frame); err != nil {
-			return nil, fmt.Errorf("mpc: batch decode E band %d: %w", lo/stackBand, err)
-		}
-		// Reconstruct the stacked public E band, then fuse each member's
-		// overlap with the per-session op sequence (Eqs. 5, 8).
-		t0 = time.Now()
-		eBand := epubBuf.SliceRowsInto(&eView, 0, rows)
-		tensor.Add(eBand, estack.SliceRowsInto(&esView, lo, hi), pb)
-		t1 := time.Now()
-		reconDur += t1.Sub(t0)
-		for j := lo / m; j < B && j*m < hi; j++ {
-			ov0, ov1 := max(j*m, lo), min((j+1)*m, hi)
-			if ov0 >= ov1 {
-				continue
-			}
-			in := members[j].in
-			lr0, lr1 := ov0-j*m, ov1-j*m
-			eSl := eBand.SliceRowsInto(&eSlice, ov0-lo, ov1-lo)
-			dSl := in.A.SliceRowsInto(&aView, lr0, lr1) // party 0: D is A_i itself
-			if party == 1 {                             // party 1: D = A_i − E
-				aSl := dSl
-				dSl = dBuf.SliceRowsInto(&dSlice, ov0-lo, ov1-lo)
-				tensor.Sub(dSl, aSl, eSl)
-			}
-			cSl := cstack.SliceRowsInto(&cView, ov0, ov1)
-			fj := fpub.SliceRowsInto(&fView, j*k, (j+1)*k)
-			tensor.Gemm(cSl, dSl, fj, 1, 0)                             // D×F
-			tensor.Gemm(cSl, eSl, in.B, 1, 1)                           // += E×B_i
-			tensor.AXPY(cSl, 1, in.T.Z.SliceRowsInto(&zView, lr0, lr1)) // += Z_i
-		}
-		gemmDur += time.Since(t1)
-	}
-	t0 = time.Now()
-	sendErr := <-sendDone
-	drained = true
-	exchDur += time.Since(t0)
-	if sendErr != nil {
-		return nil, fmt.Errorf("mpc: batch send E/F: %w", sendErr)
-	}
-	codec.ObserveLink(<-sentBytes, exchDur)
-	metrics.phaseExchange.Observe(exchDur)
-	metrics.phaseReconstruct.Observe(reconDur)
-	metrics.phaseGemm.Observe(gemmDur)
-	ok = true
-	return cstack, nil
-}
-
 // ---- control frame codec ----
 
 type batchProposal struct {
-	id        uint64
-	shape     batchShape
-	stackBand int
-	ids       []uint64
+	id    uint64
+	shape batchShape
+	ids   []uint64
 }
 
 type batchAck struct {
@@ -910,7 +717,6 @@ func appendProposal(buf []byte, p batchProposal) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.shape.m))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.shape.k))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.shape.n))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.stackBand))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.ids)))
 	for _, id := range p.ids {
 		buf = binary.LittleEndian.AppendUint64(buf, id)
@@ -920,21 +726,20 @@ func appendProposal(buf []byte, p batchProposal) []byte {
 
 func parseProposal(frame []byte) (batchProposal, error) {
 	var p batchProposal
-	if len(frame) < 30 || frame[0] != batchCtlVersion || frame[1] != batchKindPropose {
+	if len(frame) < 26 || frame[0] != batchCtlVersion || frame[1] != batchKindPropose {
 		return p, fmt.Errorf("mpc: bad batch proposal frame")
 	}
 	p.id = binary.LittleEndian.Uint64(frame[2:])
 	p.shape.m = int(binary.LittleEndian.Uint32(frame[10:]))
 	p.shape.k = int(binary.LittleEndian.Uint32(frame[14:]))
 	p.shape.n = int(binary.LittleEndian.Uint32(frame[18:]))
-	p.stackBand = int(binary.LittleEndian.Uint32(frame[22:]))
-	count := int(binary.LittleEndian.Uint32(frame[26:]))
-	if count > maxBatchCtlIDs || len(frame) != 30+8*count {
+	count := int(binary.LittleEndian.Uint32(frame[22:]))
+	if count > maxBatchCtlIDs || len(frame) != 26+8*count {
 		return p, fmt.Errorf("mpc: batch proposal length mismatch")
 	}
 	p.ids = make([]uint64, count) // copy: the frame buffer is reused
 	for i := range p.ids {
-		p.ids[i] = binary.LittleEndian.Uint64(frame[30+8*i:])
+		p.ids[i] = binary.LittleEndian.Uint64(frame[26+8*i:])
 	}
 	return p, nil
 }

@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"context"
 	"net"
 	"sync"
 	"testing"
@@ -32,11 +31,12 @@ func startServePairPeerDelay(tb testing.TB, cfg ServeConfig, delay time.Duration
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ln0, err := comm.Listen("127.0.0.1:0")
+	defer peerLn.Close()
+	raw1, err := net.Dial("tcp", peerLn.Addr().String())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ln1, err := comm.Listen("127.0.0.1:0")
+	raw0, err := peerLn.Accept()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,40 +45,7 @@ func startServePairPeerDelay(tb testing.TB, cfg ServeConfig, delay time.Duration
 		fc.WriteDelay = delay
 		return comm.Wrap(fc)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		raw, err := peerLn.Accept()
-		peerLn.Close()
-		if err != nil {
-			tb.Errorf("peer accept: %v", err)
-			return
-		}
-		peer := delayed(raw)
-		defer peer.Close()
-		if err := ServeClients(ctx, 0, ln0, peer, cfg); err != nil {
-			tb.Errorf("server 0: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		raw, err := net.Dial("tcp", peerLn.Addr().String())
-		if err != nil {
-			tb.Errorf("peer dial: %v", err)
-			return
-		}
-		peer := delayed(raw)
-		defer peer.Close()
-		if err := ServeClients(ctx, 1, ln1, peer, cfg); err != nil {
-			tb.Errorf("server 1: %v", err)
-		}
-	}()
-	return ln0.Addr().String(), ln1.Addr().String(), func() {
-		cancel()
-		wg.Wait()
-	}
+	return startServePairOn(tb, delayed(raw0), delayed(raw1), cfg, cfg)
 }
 
 // benchBatchConfig is the batched arm's scheduler setup: a window wide

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"parsecureml/internal/hw"
+	"parsecureml/internal/tensor"
 )
 
 // Request envelopes: optional fixed-size extensions riding between the
@@ -47,6 +48,10 @@ const (
 	// RouteDraining: the replica is draining and accepts no new work;
 	// retryable against a re-picked replica.
 	RouteDraining RouteErrorCode = 4
+	// RouteDuplicateID: the request's id is already in flight, or was
+	// already served, on this pair — ids must be unique for the pair's
+	// lifetime. The client's error; not retryable under the same id.
+	RouteDuplicateID RouteErrorCode = 5
 )
 
 func (c RouteErrorCode) String() string {
@@ -59,6 +64,8 @@ func (c RouteErrorCode) String() string {
 		return "deadline_exceeded"
 	case RouteDraining:
 		return "draining"
+	case RouteDuplicateID:
+		return "duplicate_id"
 	}
 	return fmt.Sprintf("code_%d", uint32(c))
 }
@@ -175,19 +182,15 @@ func PeekRequestShape(frame []byte) (m, k, n int, ok bool) {
 // peekMatrixHeader reads one encoded matrix's geometry and total wire
 // size without touching its element data.
 func peekMatrixHeader(p []byte) (rows, cols, size int, ok bool) {
-	if len(p) < 9 {
-		return 0, 0, 0, false
-	}
-	rows = int(binary.LittleEndian.Uint32(p[1:]))
-	cols = int(binary.LittleEndian.Uint32(p[5:]))
-	if rows <= 0 || cols <= 0 {
+	rows, cols, err := tensor.PeekShape(p)
+	if err != nil || rows <= 0 || cols <= 0 {
 		return 0, 0, 0, false
 	}
 	switch p[0] {
 	case 'D':
-		size = 9 + 4*rows*cols
+		size = tensor.EncodedSizeDense(rows, cols)
 	case 'H':
-		size = 9 + 2*rows*cols
+		size = tensor.EncodedSizeFP16(rows, cols)
 	default:
 		return 0, 0, 0, false
 	}

@@ -39,7 +39,7 @@ type TripletFeed interface {
 // ready triplet from its feed and announces the sequence number; party
 // 1 reads the announcement and takes the matching triplet from its own
 // feed. The announcement frame is the session's first, so the exchange
-// protocols above (serial or banded) start cleanly after it.
+// starts cleanly after it.
 func feedTriplet(party int, feed TripletFeed, sess comm.Framer, m, k, n int) (TripletShares, error) {
 	if party == 0 {
 		seq, t, err := feed.Next(m, k, n)

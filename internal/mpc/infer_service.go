@@ -3,7 +3,6 @@ package mpc
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/tensor"
@@ -97,116 +96,9 @@ func DecodeInferSession(frame []byte) ([]InferLayer, error) {
 	return layers, nil
 }
 
-// remoteActivation runs the reveal-based activation between the two
-// parties over their peer link: exchange pre-activation shares (fixed
-// order), evaluate f on the reconstruction, re-share with party 0's mask.
-func remoteActivation(party int, peer *comm.Conn, kind ActivationKind, yi *tensor.Matrix, mask *tensor.Matrix) (*tensor.Matrix, error) {
-	exchT0 := time.Now()
-	frame := tensor.EncodeMatrix(make([]byte, 0, tensor.EncodedSize(yi)), yi)
-	var peerFrame []byte
-	var err error
-	if party == 0 {
-		if err = peer.WriteFrame(frame); err != nil {
-			return nil, err
-		}
-		if peerFrame, err = peer.ReadFrame(); err != nil {
-			return nil, err
-		}
-	} else {
-		if peerFrame, err = peer.ReadFrame(); err != nil {
-			return nil, err
-		}
-		if err = peer.WriteFrame(frame); err != nil {
-			return nil, err
-		}
-	}
-	metrics.phaseExchange.ObserveSince(exchT0)
-	peerY, _, err := tensor.DecodeMatrix(peerFrame)
-	if err != nil {
-		return nil, err
-	}
-	reconT0 := time.Now()
-	y := tensor.AddTo(yi, peerY)
-	fy := tensor.New(y.Rows, y.Cols)
-	tensor.Apply(fy, y, kind.Apply)
-	metrics.phaseReconstruct.ObserveSince(reconT0)
-	if party == 0 {
-		// share = f(y) − R; ship R to party 1.
-		share := tensor.SubTo(fy, mask)
-		if err := peer.WriteFrame(tensor.EncodeMatrix(make([]byte, 0, tensor.EncodedSize(mask)), mask)); err != nil {
-			return nil, err
-		}
-		return share, nil
-	}
-	rFrame, err := peer.ReadFrame()
-	if err != nil {
-		return nil, err
-	}
-	r, _, err := tensor.DecodeMatrix(rFrame)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// ServeInference handles one inference session on the client connection:
-// read the session frame, then answer input-share requests until the
-// client disconnects. maskSeed derives party 0's activation re-sharing
-// masks (party 1's value is unused).
-func ServeInference(party int, client, peer *comm.Conn, maskPool interface {
-	NewUniform(rows, cols int, lo, hi float32) *tensor.Matrix
-}) error {
-	setup, err := client.ReadFrame()
-	if err != nil {
-		return err
-	}
-	layers, err := DecodeInferSession(setup)
-	if err != nil {
-		return err
-	}
-	for {
-		req, err := client.ReadFrame()
-		if err != nil {
-			return err // EOF-family: session over (caller classifies)
-		}
-		x, _, err := tensor.DecodeMatrix(req)
-		if err != nil {
-			return err
-		}
-		for _, l := range layers {
-			in := Shares{A: x, B: l.W, T: l.T}
-			y, err := RemoteParty(party, peer, in)
-			if err != nil {
-				return err
-			}
-			// Bias: share-local row broadcast.
-			for r := 0; r < y.Rows; r++ {
-				row := y.Row(r)
-				for c := range row {
-					row[c] += l.B.Data[c]
-				}
-			}
-			if l.HasAct {
-				var mask *tensor.Matrix
-				if party == 0 {
-					mask = maskPool.NewUniform(y.Rows, y.Cols, -ShareRange, ShareRange)
-				}
-				y, err = remoteActivation(party, peer, l.Act, y, mask)
-				if err != nil {
-					return err
-				}
-			}
-			x = y
-		}
-		if err := client.WriteFrame(tensor.EncodeMatrix(make([]byte, 0, tensor.EncodedSize(x)), x)); err != nil {
-			return err
-		}
-	}
-}
-
 // BuildInferSession prepares both parties' session material from a
 // plaintext MLP described as (W, B, act) dense layers, for a fixed batch
-// size. The client-side counterpart of ServeInference.
+// size. The client-side counterpart of ServeInferenceWire.
 func BuildInferSession(c *Client, batch int, weights []*tensor.Matrix, biases []*tensor.Matrix,
 	acts []ActivationKind, hasActs []bool) (p0, p1 []InferLayer) {
 

@@ -57,11 +57,11 @@ func TestServeInferenceEndToEnd(t *testing.T) {
 	var err0, err1 error
 	go func() {
 		defer wg.Done()
-		err0 = ServeInference(0, client0b, peerA, maskPool)
+		err0 = ServeInferenceWire(0, client0b, peerA, maskPool, WireConfig{})
 	}()
 	go func() {
 		defer wg.Done()
-		err1 = ServeInference(1, client1b, peerB, rng.NewPool(0))
+		err1 = ServeInferenceWire(1, client1b, peerB, rng.NewPool(0), WireConfig{})
 	}()
 
 	// Session setup.

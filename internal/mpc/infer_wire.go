@@ -8,9 +8,7 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// Pipelined inference serving: ServeInference's session semantics on the
-// wire double pipeline. Differences from the serial loop, in protocol
-// order:
+// Inference serving on the exchange engine. In protocol order:
 //
 //   - Session setup reconstructs every layer's public F = W − V once, with
 //     one concurrent frame each way (the weights' masks never change within
@@ -18,27 +16,26 @@ import (
 //     is then the banded E stream plus one frame per activation.
 //
 //   - Each layer's multiplication streams E in row bands that overlap the
-//     fused Eq. 8 GEMM (wireMul.mul), writing pre-activations into a
-//     session-owned buffer.
+//     fused Eq. 8 GEMM (wireMul.mul against the cached F), writing
+//     pre-activations into a session-owned buffer.
 //
-//   - The activation reveal is two concurrent frames instead of three
-//     dependent ones: party 1 ships its pre-activation share while party 0
-//     ships the re-sharing mask R it drew ahead of time. Party 0 alone
-//     reconstructs and evaluates f; party 1's post-activation share IS R.
-//     Predictions stay bit-identical to the serial path because party 0
-//     draws the same mask sequence and reconstructs in the same order.
+//   - The activation reveal is two concurrent frames: party 1 ships its
+//     pre-activation share while party 0 ships the re-sharing mask R it
+//     drew ahead of time. Party 0 alone reconstructs and evaluates f;
+//     party 1's post-activation share IS R. Predictions are bit-identical
+//     to the straight-line three-frame protocol (the tests' reference)
+//     because party 0 draws the same mask sequence and reconstructs in the
+//     same order.
 //
 //   - Every per-request matrix and frame buffer is preallocated at session
 //     setup or pooled, so the steady-state request loop allocates (nearly)
 //     nothing.
 //
-// The two serving parties must run the same path (both ServeInference or
-// both ServeInferenceWire with equal ChunkRows): the peer framing differs.
-// The client protocol is unchanged — RequestInference works against either.
+// Band height is each party's own choice (WireConfig.ChunkRows).
 
 // MaskFiller generates party 0's activation re-sharing masks in place.
-// *rng.Pool implements it; the fill sequence must match what the serial
-// path's NewUniform would draw for output parity across the two paths.
+// *rng.Pool implements it; its fill sequence is what NewUniform would
+// draw, which is what keeps predictions identical to the reference.
 type MaskFiller interface {
 	FillUniform(m *tensor.Matrix, lo, hi float32)
 }
@@ -211,8 +208,8 @@ func (s *wireInferSession) serveRequest(client, peer comm.Framer, masks MaskFill
 					metrics.requestErrors.Inc()
 					return fmt.Errorf("mpc: layer %d activation: %w", i, err)
 				}
-				// share := f(y0 + y1) − R, reconstructed in the serial
-				// path's order so predictions match it bit for bit.
+				// share := f(y0 + y1) − R, reconstructed in the reference
+				// protocol's order so predictions match it bit for bit.
 				reconT0 := time.Now()
 				tensor.Add(y, y, s.peerYs[i])
 				tensor.Apply(y, y, s.acts[i])
@@ -239,12 +236,12 @@ func (s *wireInferSession) serveRequest(client, peer comm.Framer, masks MaskFill
 	return nil
 }
 
-// ServeInferenceWire handles one inference session like ServeInference,
-// but on the wire double pipeline: session-cached F, banded E streams
+// ServeInferenceWire handles one inference session on the client
+// connection: read the session frame, then answer input-share requests
+// until the client disconnects — session-cached F, banded E streams
 // overlapping the layer GEMMs, concurrent activation frames, and pooled /
-// preallocated buffers throughout the request loop. Both serving parties
-// must use it with the same cfg.ChunkRows. masks is party 0's re-sharing
-// mask source (party 1's value is unused).
+// preallocated buffers throughout the request loop. masks is party 0's
+// re-sharing mask source (party 1's value is unused).
 func ServeInferenceWire(party int, client, peer comm.Framer, masks MaskFiller, cfg WireConfig) error {
 	setup, err := client.ReadFrame()
 	if err != nil {

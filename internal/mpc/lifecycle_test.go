@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,25 +19,15 @@ import (
 // frames on the client<->server conns, the unbounded-shutdown path in
 // ServeClients, and the unbounded role handshake.
 
-// startServePipes runs both parties' serial serving loops over in-memory
-// pipes and returns the client-facing conn ends.
+// startServePipes runs a serving pair and returns one client's conn ends.
 func startServePipes(t *testing.T) (c0, c1 *comm.Conn, shutdown func()) {
 	t.Helper()
-	c0, s0 := comm.Pipe()
-	c1, s1 := comm.Pipe()
-	p0, p1 := comm.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); ServeLoop(0, s0, p0) }()
-	go func() { defer wg.Done(); ServeLoop(1, s1, p1) }()
+	addr0, addr1, stop := startServePair(t, ServeConfig{})
+	c0, c1 = dialPair(t, addr0, addr1)
 	return c0, c1, func() {
 		c0.Close()
 		c1.Close()
-		wg.Wait()
-		s0.Close()
-		s1.Close()
-		p0.Close()
-		p1.Close()
+		stop()
 	}
 }
 

@@ -2,7 +2,6 @@ package mpc
 
 import (
 	"fmt"
-	"time"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/tensor"
@@ -20,68 +19,28 @@ import (
 // conn, which must be connected to the other party running the same
 // function with the complementary index. Blocking (bounded by conn's
 // deadlines, if any); returns this party's share C_i. conn is any framed
-// transport — a raw comm.Conn, or the serving layer's request-tagged
-// wrapper.
+// transport — a raw comm.Conn or a mux session.
+//
+// It is RemotePartyPipelined with a zero WireConfig — one whole-matrix
+// frame each way — and exists beside it only because benchmark/ladder.go
+// calls both names.
 func RemoteParty(party int, conn comm.Framer, in Shares) (*tensor.Matrix, error) {
+	return RemotePartyPipelined(party, conn, in, WireConfig{})
+}
+
+// RemotePartyPipelined is the one-shot form of the exchange engine (see
+// wire_pipeline.go): it starts an engine, runs party i of one
+// multiplication with this party's E stream in bands of cfg.ChunkRows,
+// and retires it. Serving loops keep one engine per session instead; the
+// one-shot wrappers stay for benchmark/ladder.go and the tests.
+func RemotePartyPipelined(party int, conn comm.Framer, in Shares, cfg WireConfig) (*tensor.Matrix, error) {
 	if party != 0 && party != 1 {
 		return nil, fmt.Errorf("mpc: remote party index %d", party)
 	}
-	// Local E_i = A_i − U_i, F_i = B_i − V_i (Eq. 4).
-	ei := tensor.SubTo(in.A, in.T.U)
-	fi := tensor.SubTo(in.B, in.T.V)
-
-	// Exchange. Party 0 sends first, then receives; party 1 mirrors —
-	// a deadlock-free fixed order on one duplex connection. The whole
-	// round is the transfer phase the paper's profiling isolates.
-	exchT0 := time.Now()
-	frame := make([]byte, 0, tensor.EncodedSize(ei)+tensor.EncodedSize(fi))
-	frame = tensor.EncodeMatrix(frame, ei)
-	frame = tensor.EncodeMatrix(frame, fi)
-	var peerFrame []byte
-	var err error
-	if party == 0 {
-		if err = conn.WriteFrame(frame); err != nil {
-			return nil, fmt.Errorf("mpc: send E/F: %w", err)
-		}
-		if peerFrame, err = conn.ReadFrame(); err != nil {
-			return nil, fmt.Errorf("mpc: recv E/F: %w", err)
-		}
-	} else {
-		if peerFrame, err = conn.ReadFrame(); err != nil {
-			return nil, fmt.Errorf("mpc: recv E/F: %w", err)
-		}
-		if err = conn.WriteFrame(frame); err != nil {
-			return nil, fmt.Errorf("mpc: send E/F: %w", err)
-		}
-	}
-	metrics.phaseExchange.ObserveSince(exchT0)
-	peerE, n, err := tensor.DecodeMatrix(peerFrame)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: decode peer E: %w", err)
-	}
-	peerF, _, err := tensor.DecodeMatrix(peerFrame[n:])
-	if err != nil {
-		return nil, fmt.Errorf("mpc: decode peer F: %w", err)
-	}
-
-	// Reconstruct the public masks (Eq. 5).
-	reconT0 := time.Now()
-	e := tensor.AddTo(ei, peerE)
-	f := tensor.AddTo(fi, peerF)
-	metrics.phaseReconstruct.ObserveSince(reconT0)
-
-	// C_i = ((−i)·E + A_i)×F + E×B_i + Z_i (Eq. 8).
-	gemmT0 := time.Now()
-	d := in.A.Clone()
-	if party == 1 {
-		tensor.AXPY(d, -1, e)
-	}
-	c := tensor.MulTo(d, f)
-	eb := tensor.MulTo(e, in.B)
-	tensor.Add(c, c, eb)
-	tensor.Add(c, c, in.T.Z)
-	metrics.phaseGemm.ObserveSince(gemmT0)
-	return c, nil
+	w := newWireMul(party, cfg)
+	defer w.close()
+	// The result leaves the pool with the caller.
+	return w.mul(conn, in.A, in.B, in.T, nil, nil)
 }
 
 // RemoteClientSplit prepares both parties' inputs for one remote

@@ -25,13 +25,13 @@ import (
 // Fig. 1b with TCP standing in for MPI.
 //
 // Failure awareness: every request carries a client-chosen 64-bit id, and
-// the servers tag their peer-exchange frames with it. A client that dies
-// after uploading to only one server leaves that server's E/F frame
-// orphaned on the peer link; with per-frame deadlines the stuck party
-// times out instead of blocking forever, and on the next request the
-// other party recognizes the orphaned frame as stale (wrong id) and
-// discards it — one misbehaving client can neither wedge nor desync the
-// inter-server link.
+// the servers key the request's peer exchange by it — one mux sub-stream
+// per in-flight request. A client that dies after uploading to only one
+// server leaves that server's half of the exchange unanswered; with
+// per-frame deadlines the stuck party times out instead of blocking
+// forever and aborts the sub-stream, so one misbehaving client can neither
+// wedge nor desync the inter-server link. Result frames echo the id, so a
+// client sheds replies orphaned by its own earlier failed call.
 
 // sharesSize is the exact wire size of a shares payload, so encode
 // buffers never append-grow through multi-MB reallocations.
@@ -154,78 +154,13 @@ func init() {
 
 func newRequestID() uint64 { return reqCounter.Add(1) }
 
-// maxStaleFrames bounds how many orphaned peer frames one read will
-// discard before declaring the link desynchronized.
+// maxStaleFrames bounds how many orphaned result frames one client read
+// will discard before declaring the connection desynchronized.
 const maxStaleFrames = 32
 
-// ErrPeerDesync reports a peer link delivering nothing but frames from
+// ErrPeerDesync reports a connection delivering nothing but frames from
 // other requests.
 var ErrPeerDesync = errors.New("mpc: peer link desynchronized")
-
-// taggedConn scopes peer-exchange frames to one request: writes prefix
-// the id, reads discard frames whose id differs (orphans of rounds that
-// died on the other party before it consumed them). It is reusable across
-// requests (setID) and keeps its own receive scratch, so a serving loop's
-// steady state neither copies frames for tagging (vectored writes put the
-// id prefix on the wire directly) nor allocates to receive them. One
-// writer and one reader at a time, as with the underlying link.
-type taggedConn struct {
-	c     comm.Framer
-	id    uint64
-	idbuf [requestIDBytes]byte
-	rbuf  []byte
-	used  int // high-water frame size of the current request
-}
-
-// setID scopes subsequent frames to a new request. Request boundaries are
-// where receive scratch grown by one oversized exchange is let go: a
-// long-lived session must not pin the largest frame it ever saw.
-func (t *taggedConn) setID(id uint64) {
-	t.id = id
-	t.rbuf = shrinkScratch(t.rbuf, t.used)
-	t.used = 0
-}
-
-func (t *taggedConn) WriteFrame(b []byte) error {
-	binary.LittleEndian.PutUint64(t.idbuf[:], t.id)
-	if vf, ok := t.c.(comm.VecFramer); ok {
-		return vf.WriteFrameVec(t.idbuf[:], b)
-	}
-	f := make([]byte, requestIDBytes+len(b))
-	copy(f, t.idbuf[:])
-	copy(f[requestIDBytes:], b)
-	return t.c.WriteFrame(f)
-}
-
-func (t *taggedConn) ReadFrame() ([]byte, error) {
-	for i := 0; i < maxStaleFrames; i++ {
-		f, err := readFrameInto(t.c, t.rbuf)
-		if err != nil {
-			return nil, err
-		}
-		t.rbuf = f // keep the grown buffer, id prefix included
-		if len(f) > t.used {
-			t.used = len(f)
-		}
-		if len(f) < requestIDBytes {
-			return nil, fmt.Errorf("mpc: peer frame of %d bytes has no request id", len(f))
-		}
-		if binary.LittleEndian.Uint64(f) == t.id {
-			return f[requestIDBytes:], nil
-		}
-		// Stale frame from an aborted round: drop and keep reading.
-		metrics.staleFrames.Inc()
-	}
-	metrics.desyncs.Inc()
-	return nil, ErrPeerDesync
-}
-
-// ReadFrameInto implements comm.FramerInto. The tagged receive path
-// already reuses t's own scratch (the id prefix must stay out of the
-// caller's view), so buf is ignored.
-func (t *taggedConn) ReadFrameInto(buf []byte) ([]byte, error) {
-	return t.ReadFrame()
-}
 
 // bufShrinkCap is the high-water mark for serving-loop scratch buffers:
 // scratch grown past it by one oversized frame is released at the next
@@ -245,107 +180,9 @@ func shrinkScratch(buf []byte, used int) []byte {
 	return buf
 }
 
-// ServeTriplet handles one multiplication request: read the client's
-// request frame, run the party's protocol against the peer under the
-// request's id, return C_i to the client. The reply frame echoes the
-// request id ahead of the result matrix, so a client whose earlier
-// request died mid-read can recognize the orphaned result and discard
-// it instead of silently desyncing. io.EOF from the client ends a
-// serving loop cleanly.
-func ServeTriplet(party int, client, peer comm.Framer) error {
-	frame, err := client.ReadFrame()
-	if err != nil {
-		return err // including io.EOF: client done
-	}
-	span := metrics.reqSerial.Start()
-	// Failed requests must record too: incident-time latency histograms
-	// that only see successes under-report exactly when it matters.
-	defer span.Stop()
-	metrics.requests.Inc()
-	id, in, err := DecodeRequest(frame)
-	if err != nil {
-		metrics.requestErrors.Inc()
-		return err
-	}
-	tc := &taggedConn{c: peer}
-	tc.setID(id)
-	ci, err := RemoteParty(party, tc, in)
-	if err != nil {
-		metrics.requestErrors.Inc()
-		return fmt.Errorf("mpc: request %016x: %w", id, err)
-	}
-	out := binary.LittleEndian.AppendUint64(make([]byte, 0, requestIDBytes+tensor.EncodedSize(ci)), id)
-	out = tensor.EncodeMatrix(out, ci)
-	return client.WriteFrame(out)
-}
-
 // isSessionEnd reports an error that means "client done", not a failure.
 func isSessionEnd(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed)
-}
-
-// ServeLoop runs ServeTriplet until the client disconnects.
-func ServeLoop(party int, client, peer comm.Framer) error {
-	for {
-		if err := ServeTriplet(party, client, peer); err != nil {
-			if isSessionEnd(err) {
-				return nil // client done
-			}
-			return err
-		}
-	}
-}
-
-// ServeLoopWire is ServeLoop on the wire double pipeline: the peer
-// exchange runs banded and full-duplex (RemotePartyPipelined's protocol),
-// and the loop's steady state reuses one wireMul, one tagged peer wrapper,
-// and its request/reply frame buffers, with result matrices drawn from and
-// returned to the configured pool. Both parties must run the same path
-// with equal cfg.ChunkRows — the wire framing is not compatible with
-// ServeLoop's.
-func ServeLoopWire(party int, client, peer comm.Framer, cfg WireConfig) error {
-	w := newWireMul(party, cfg)
-	defer w.close()
-	tc := &taggedConn{c: peer}
-	var reqBuf, outBuf []byte
-	for {
-		frame, err := readFrameInto(client, reqBuf)
-		if err != nil {
-			if isSessionEnd(err) {
-				return nil // client done
-			}
-			return err
-		}
-		reqBuf = frame
-		// Explicit start time instead of a Span: the duration must be
-		// observed on the error returns too, not only the success path.
-		start := time.Now()
-		metrics.requests.Inc()
-		id, in, err := DecodeRequest(frame)
-		if err != nil {
-			metrics.requestErrors.Inc()
-			metrics.reqWire.ObserveSince(start)
-			return err
-		}
-		tc.setID(id)
-		ci, err := w.mul(tc, in.A, in.B, in.T, nil, nil)
-		if err != nil {
-			metrics.requestErrors.Inc()
-			metrics.reqWire.ObserveSince(start)
-			return fmt.Errorf("mpc: request %016x: %w", id, err)
-		}
-		outBuf = binary.LittleEndian.AppendUint64(outBuf[:0], id)
-		outBuf = tensor.EncodeMatrix(outBuf, ci)
-		w.put(ci)
-		if err := client.WriteFrame(outBuf); err != nil {
-			metrics.requestErrors.Inc()
-			metrics.reqWire.ObserveSince(start)
-			return err
-		}
-		metrics.reqWire.ObserveSince(start)
-		reqBuf = shrinkScratch(reqBuf, len(frame))
-		outBuf = shrinkScratch(outBuf, len(outBuf))
-	}
 }
 
 // ServerError is RequestMul's typed failure: which server, which step.
@@ -539,9 +376,10 @@ type ServeConfig struct {
 	// the bound on how long a party blocks when the complementary request
 	// never arrives at its peer. 0 disables (and restores the wedge).
 	PeerTimeout time.Duration
-	// Wire, when non-nil, serves sessions on the wire double pipeline
-	// (ServeLoopWire) instead of the serial per-request protocol. Both
-	// parties must configure it identically — the peer framings differ.
+	// Wire tunes the exchange engine every request runs on; nil means the
+	// zero WireConfig (one whole-matrix band each way, raw frames). Every
+	// field is this party's own choice — band height and codec are
+	// sender-local — so the two parties need not configure it alike.
 	Wire *WireConfig
 	// Batch, when non-nil, coalesces compatible same-shape requests across
 	// sessions into single stacked exchanges (see batch.go) — bit-identical
@@ -633,17 +471,16 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 		tombstones = comm.DefaultTombstoneIDs
 	}
 	mux := comm.NewMux(peer, comm.MuxConfig{ReadTimeout: cfg.PeerTimeout, TombstoneIDs: tombstones})
-	// Concurrent wire sessions share one result-matrix pool (a private
-	// pool per session would defeat recycling across requests).
-	if cfg.Wire != nil && cfg.Wire.Pool == nil {
-		w := *cfg.Wire
-		w.Pool = tensor.NewPool()
-		cfg.Wire = &w
-	}
-	var codec *WireCodec
+	// Concurrent sessions share one result-matrix pool (a private pool per
+	// session would defeat recycling across requests).
+	var wire WireConfig
 	if cfg.Wire != nil {
-		codec = cfg.Wire.Codec
+		wire = *cfg.Wire
 	}
+	if wire.Pool == nil {
+		wire.Pool = tensor.NewPool()
+	}
+	codec := wire.Codec
 	// A reconnected supervised link is a different network path: the
 	// bandwidth EWMA measured on the dead incarnation must not keep the
 	// codec selector pinned to a throttle (or a fast path) that no longer
@@ -667,11 +504,7 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 	}
 	var bt batcher
 	if cfg.Batch != nil {
-		var pool *tensor.Pool
-		if cfg.Wire != nil {
-			pool = cfg.Wire.Pool
-		}
-		b, err := newBatcher(party, mux, *cfg.Batch, pool, codec)
+		b, err := newBatcher(party, mux, *cfg.Batch, wire)
 		if err != nil {
 			mux.Close()
 			return fmt.Errorf("mpc: party %d: %w", party, err)
@@ -756,7 +589,7 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 		wg.Add(1)
 		go func(client *comm.Conn) {
 			defer wg.Done()
-			serveMuxSession(party, client, mux, bt, cfg)
+			serveMuxSession(party, client, mux, bt, wire, cfg)
 			mu.Lock()
 			delete(active, client)
 			mu.Unlock()
@@ -768,14 +601,14 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 
 // serveMuxSession runs one client session's request loop with its
 // lifecycle metrics and logging.
-func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg ServeConfig) {
+func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire WireConfig, cfg ServeConfig) {
 	if cfg.ClientTimeout > 0 {
 		client.SetTimeouts(cfg.ClientTimeout, cfg.ClientTimeout)
 	}
 	metrics.sessions.Inc()
 	metrics.sessionsActive.Add(1)
 	cfg.Log.Event("session_start", "party", party)
-	err := serveMuxLoop(party, client, mux, bt, cfg)
+	err := serveMuxLoop(party, client, mux, bt, wire, cfg)
 	if err != nil && !isSessionEnd(err) {
 		metrics.sessionErrors.Inc()
 		cfg.Log.Error("session", err, "party", party)
@@ -786,23 +619,18 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cf
 }
 
 // serveMuxLoop serves one client's requests until it disconnects, each
-// request's peer exchange running on its own mux sub-stream keyed by the
-// request id. The exchange itself is exactly ServeLoop's (serial) or
-// ServeLoopWire's (banded double pipeline) protocol — the mux session
-// replaces the dedicated tagged connection, so results stay bit-identical
-// to the single-session paths. With bt non-nil each request is first
-// offered to the batch scheduler; requests it cannot place (degenerate
-// shapes, members dropped by the peer) run the individual path unchanged.
+// request's peer exchange running the session's engine on its own mux
+// sub-stream keyed by the request id. With bt non-nil each request is
+// first offered to the batch scheduler; requests it cannot place
+// (degenerate shapes, members dropped by the peer) run the individual path
+// unchanged.
 //
 // The request latency histogram for the taken path is observed on EVERY
 // exit, error returns included — an explicit start time instead of a Span
 // so failures record too.
-func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg ServeConfig) error {
-	var w *wireMul
-	if cfg.Wire != nil {
-		w = newWireMul(party, *cfg.Wire)
-		defer w.close()
-	}
+func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire WireConfig, cfg ServeConfig) error {
+	w := newWireMul(party, wire)
+	defer w.close()
 	var reqBuf, outBuf []byte
 	for {
 		frame, err := readFrameInto(client, reqBuf)
@@ -811,10 +639,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg S
 		}
 		reqBuf = frame
 		start := time.Now()
-		h := metrics.reqSerial
-		if w != nil {
-			h = metrics.reqWire
-		}
+		h := metrics.reqWire
 		metrics.requests.Inc()
 		id, in, err := DecodeRequest(frame)
 		if err != nil {
@@ -865,6 +690,19 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg S
 		}
 		if !handled {
 			sess, err := mux.Open(id)
+			if errors.Is(err, comm.ErrMuxSessionDup) || errors.Is(err, comm.ErrMuxSessionClosed) {
+				// The id is in flight or already retired on this pair (served,
+				// or aborted by the peer's half): the client's error, not this
+				// replica's. Refuse it in-band and
+				// keep the session — tearing it down reads as a backend
+				// failure to a router, which would evict a healthy pair.
+				metrics.requestErrors.Inc()
+				h.ObserveSince(start)
+				if err := client.WriteFrame(EncodeRouteError(id, RouteDuplicateID, 0)); err != nil {
+					return err
+				}
+				continue
+			}
 			if err != nil {
 				metrics.requestErrors.Inc()
 				h.ObserveSince(start)
@@ -887,11 +725,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg S
 					return fmt.Errorf("mpc: request %016x: %w", id, err)
 				}
 			}
-			if w != nil {
-				ci, err = w.mul(sess, in.A, in.B, in.T, nil, nil)
-			} else {
-				ci, err = RemoteParty(party, sess, in)
-			}
+			ci, err = w.mul(sess, in.A, in.B, in.T, nil, nil)
 			if err != nil {
 				// Notify the peer's half so it fails fast instead of waiting
 				// out its read deadline on frames that will never come.
@@ -904,10 +738,9 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg S
 		}
 		outBuf = binary.LittleEndian.AppendUint64(outBuf[:0], id)
 		outBuf = tensor.EncodeMatrix(outBuf, ci)
-		switch {
-		case release != nil:
+		if handled {
 			release() // last member out returns the stacked result
-		case w != nil && !handled:
+		} else {
 			w.put(ci)
 		}
 		if err := client.WriteFrame(outBuf); err != nil {

@@ -231,16 +231,15 @@ func TestBatchedSurvivesClientKill(t *testing.T) {
 // must agree on, and that hostile frames fail cleanly.
 func TestBatchCtlCodecRoundTrip(t *testing.T) {
 	prop := batchProposal{
-		id:        0xdeadbeefcafef00d,
-		shape:     batchShape{m: 24, k: 16, n: 20},
-		stackBand: 48,
-		ids:       []uint64{1, 2, 3},
+		id:    0xdeadbeefcafef00d,
+		shape: batchShape{m: 24, k: 16, n: 20},
+		ids:   []uint64{1, 2, 3},
 	}
 	got, err := parseProposal(appendProposal(nil, prop))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.id != prop.id || got.shape != prop.shape || got.stackBand != prop.stackBand || len(got.ids) != 3 || got.ids[2] != 3 {
+	if got.id != prop.id || got.shape != prop.shape || len(got.ids) != 3 || got.ids[2] != 3 {
 		t.Fatalf("proposal round trip: %+v", got)
 	}
 

@@ -12,51 +12,59 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// startServePair is servePair for any testing.TB (benchmarks included):
-// both parties as concurrent accept loops over a real TCP peer link.
+// startServePair boots both parties as concurrent ServeClients accept
+// loops under one config over a real TCP peer link, for any testing.TB
+// (benchmarks included).
 func startServePair(tb testing.TB, cfg ServeConfig) (addr0, addr1 string, shutdown func()) {
+	return startServePairCfgs(tb, cfg, cfg)
+}
+
+// startServePairCfgs is startServePair with per-party configs: mixed
+// pairs (one codec-capable server and one without, unequal band heights).
+func startServePairCfgs(tb testing.TB, cfg0, cfg1 ServeConfig) (addr0, addr1 string, shutdown func()) {
 	tb.Helper()
 	peerLn, err := comm.Listen("127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ln0, err := comm.Listen("127.0.0.1:0")
+	defer peerLn.Close()
+	peer1, err := comm.Dial(peerLn.Addr().String())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ln1, err := comm.Listen("127.0.0.1:0")
+	peer0, err := comm.Accept(peerLn)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return startServePairOn(tb, peer0, peer1, cfg0, cfg1)
+}
+
+// startServePairOn runs the pair over the given peer-link ends (which
+// ServeClients owns and closes) and returns the client-facing addresses.
+func startServePairOn(tb testing.TB, peer0, peer1 comm.Framer, cfg0, cfg1 ServeConfig) (addr0, addr1 string, shutdown func()) {
+	tb.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		peer, err := comm.Accept(peerLn)
-		peerLn.Close()
+	var addrs [2]string
+	for party, peer := range []comm.Framer{peer0, peer1} {
+		ln, err := comm.Listen("127.0.0.1:0")
 		if err != nil {
-			tb.Errorf("peer accept: %v", err)
-			return
+			tb.Fatal(err)
 		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 0, ln0, peer, cfg); err != nil {
-			tb.Errorf("server 0: %v", err)
+		addrs[party] = ln.Addr().String()
+		cfg := cfg0
+		if party == 1 {
+			cfg = cfg1
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		peer, err := comm.DialRetry(peerLn.Addr().String(), comm.RetryConfig{Attempts: 10, BaseDelay: 10 * time.Millisecond})
-		if err != nil {
-			tb.Errorf("peer dial: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 1, ln1, peer, cfg); err != nil {
-			tb.Errorf("server 1: %v", err)
-		}
-	}()
-	return ln0.Addr().String(), ln1.Addr().String(), func() {
+		wg.Add(1)
+		go func(party int, peer comm.Framer) {
+			defer wg.Done()
+			if err := ServeClients(ctx, party, ln, peer, cfg); err != nil {
+				tb.Errorf("server %d: %v", party, err)
+			}
+		}(party, peer)
+	}
+	return addrs[0], addrs[1], func() {
 		cancel()
 		wg.Wait()
 	}
@@ -79,33 +87,18 @@ func dialPair(tb testing.TB, addr0, addr1 string) (c0, c1 *comm.Conn) {
 	return c0, c1
 }
 
-// serialReference computes the ground truth for one request the way the
-// pre-mux serving stack did: ServeLoop on both ends of dedicated pipes.
+// serialReference computes the ground truth for one request: both parties
+// of the straight-line reference protocol on a dedicated pipe, merged.
 func serialReference(tb testing.TB, in0, in1 Shares) *tensor.Matrix {
 	tb.Helper()
-	client0a, client0b := comm.Pipe()
-	client1a, client1b := comm.Pipe()
-	peerA, peerB := comm.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); ServeLoop(0, client0b, peerA) }()
-	go func() { defer wg.Done(); ServeLoop(1, client1b, peerB) }()
-	want, err := RequestMul(client0a, client1a, in0, in1)
-	if err != nil {
-		tb.Fatalf("serial reference: %v", err)
-	}
-	client0a.Close()
-	client1a.Close()
-	wg.Wait()
-	peerA.Close()
-	peerB.Close()
-	return want
+	r0, r1 := serialShares(tb, in0, in1)
+	return RemoteCombine(r0, r1)
 }
 
-// TestConcurrentServeMatchesSerial pins the tentpole's correctness bar:
-// a request served through the multiplexed concurrent stack returns a
-// result bit-identical to the dedicated-connection serial path, on both
-// the serial and the wire-pipelined peer protocols.
+// TestConcurrentServeMatchesSerial pins the serving stack's correctness
+// bar: a request served through the multiplexed concurrent stack returns a
+// result bit-identical to the serial reference, with ServeConfig.Wire nil
+// ("serial": one whole-matrix band) and banded ("wire").
 func TestConcurrentServeMatchesSerial(t *testing.T) {
 	p := rng.NewPool(123)
 	a := p.NewUniform(24, 16, -1, 1)

@@ -17,45 +17,36 @@ import (
 // TestErroredRequestStillObservesLatency: a request that fails
 // mid-protocol must still land a sample in the request-latency histogram.
 // Before the fix the spans were only stopped on the success path, so
-// incident-time scrapes under-reported exactly the failing traffic.
+// incident-time scrapes under-reported exactly the failing traffic. Both
+// ServeConfig.Wire settings — nil ("serial", the zero WireConfig) and set —
+// run the one serving loop and record on the one mul_wire histogram.
 func TestErroredRequestStillObservesLatency(t *testing.T) {
 	garbage := append(make([]byte, requestIDBytes), "not a shares payload"...)
-
-	t.Run("serial", func(t *testing.T) {
-		ca, cb := comm.Pipe()
-		defer ca.Close()
-		defer cb.Close()
-		before := metrics.reqSerial.Count()
-		wrote := make(chan error, 1)
-		go func() { wrote <- ca.WriteFrame(garbage) }()
-		if err := ServeTriplet(0, cb, nil); err == nil {
-			t.Fatal("ServeTriplet accepted a malformed request")
-		}
-		if err := <-wrote; err != nil {
-			t.Fatal(err)
-		}
-		if got := metrics.reqSerial.Count(); got != before+1 {
-			t.Fatalf("reqSerial samples %d, want %d: failed request left no latency sample", got, before+1)
-		}
-	})
-
-	t.Run("wire", func(t *testing.T) {
-		ca, cb := comm.Pipe()
-		defer ca.Close()
-		defer cb.Close()
-		before := metrics.reqWire.Count()
-		wrote := make(chan error, 1)
-		go func() { wrote <- ca.WriteFrame(garbage) }()
-		if err := ServeLoopWire(0, cb, nil, WireConfig{}); err == nil {
-			t.Fatal("ServeLoopWire accepted a malformed request")
-		}
-		if err := <-wrote; err != nil {
-			t.Fatal(err)
-		}
-		if got := metrics.reqWire.Count(); got != before+1 {
-			t.Fatalf("reqWire samples %d, want %d: failed request left no latency sample", got, before+1)
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		wire *WireConfig
+	}{{"serial", nil}, {"wire", &WireConfig{ChunkRows: 4}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr0, _, shutdown := startServePair(t, ServeConfig{Wire: tc.wire})
+			defer shutdown()
+			c, err := comm.Dial(addr0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetTimeouts(5*time.Second, 5*time.Second)
+			before := metrics.reqWire.Count()
+			if err := c.WriteFrame(garbage); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.ReadFrame(); err == nil {
+				t.Fatal("server answered a malformed request")
+			}
+			if got := metrics.reqWire.Count(); got != before+1 {
+				t.Fatalf("reqWire samples %d, want %d: failed request left no latency sample", got, before+1)
+			}
+		})
+	}
 }
 
 // validGeomShares builds a mutually consistent shares payload:
@@ -151,26 +142,6 @@ func TestShrinkScratch(t *testing.T) {
 	}
 	if got := metrics.bufShrinks.Value(); got != before+1 {
 		t.Errorf("psml_buf_shrinks_total moved by %d, want 1", got-before)
-	}
-}
-
-// TestTaggedConnReleasesScratchAtRequestBoundary: the per-request peer
-// wrapper lets go of receive scratch grown by one oversized exchange when
-// the next request starts small.
-func TestTaggedConnReleasesScratchAtRequestBoundary(t *testing.T) {
-	cold := &taggedConn{rbuf: make([]byte, 2*bufShrinkCap), used: 100}
-	cold.setID(1)
-	if cold.rbuf != nil {
-		t.Error("oversized receive scratch survived the request boundary")
-	}
-	if cold.used != 0 {
-		t.Error("high-water mark not reset at the request boundary")
-	}
-	hot := &taggedConn{rbuf: make([]byte, 2*bufShrinkCap)}
-	hot.used = cap(hot.rbuf)
-	hot.setID(2)
-	if hot.rbuf == nil {
-		t.Error("receive scratch the last request filled was dropped")
 	}
 }
 

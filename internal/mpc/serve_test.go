@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"sync"
 	"testing"
 
 	"parsecureml/internal/comm"
@@ -49,24 +48,14 @@ func TestDecodeSharesErrors(t *testing.T) {
 }
 
 // Full service topology in-process: a client drives two serving parties
-// that exchange between themselves, over three pipe pairs, for several
-// multiplications on one session.
+// that exchange between themselves, for several multiplications on one
+// session.
 func TestServeLoopEndToEnd(t *testing.T) {
-	client0a, client0b := comm.Pipe() // client <-> server0
-	client1a, client1b := comm.Pipe() // client <-> server1
-	peerA, peerB := comm.Pipe()       // server0 <-> server1
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var err0, err1 error
-	go func() {
-		defer wg.Done()
-		err0 = ServeLoop(0, client0b, peerA)
-	}()
-	go func() {
-		defer wg.Done()
-		err1 = ServeLoop(1, client1b, peerB)
-	}()
+	addr0, addr1, shutdown := startServePair(t, ServeConfig{})
+	defer shutdown()
+	c0, c1 := dialPair(t, addr0, addr1)
+	defer c0.Close()
+	defer c1.Close()
 
 	client := newRemoteClient()
 	p := rng.NewPool(3)
@@ -74,7 +63,7 @@ func TestServeLoopEndToEnd(t *testing.T) {
 		a := p.NewUniform(7+round, 9, -1, 1)
 		b := p.NewUniform(9, 5, -1, 1)
 		in0, in1 := RemoteClientSplit(a, b, client)
-		got, err := RequestMul(client0a, client1a, in0, in1)
+		got, err := RequestMul(c0, c1, in0, in1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +71,6 @@ func TestServeLoopEndToEnd(t *testing.T) {
 			t.Fatalf("round %d: served product off by %v", round, got.MaxAbsDiff(tensor.MulNaive(a, b)))
 		}
 	}
-	client0a.Close()
-	client1a.Close()
-	wg.Wait()
-	if err0 != nil || err1 != nil {
-		t.Fatalf("server loops: %v / %v", err0, err1)
-	}
-	peerA.Close()
-	peerB.Close()
 }
 
 func TestHelloHandshake(t *testing.T) {

@@ -13,13 +13,15 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// Wall-clock benchmarks for the wire double pipeline. The latency pair
-// runs on a bandwidth-throttled link (FaultConn.WriteBytesPerSec), the
-// regime Fig. 5 targets: both paths pay the same total serialization
-// delay, so any gap is genuine transfer/compute overlap, not an artifact
-// of fewer sleep calls. The serving pair measures allocations per
-// steady-state inference request through a buffer-reusing client, so the
-// reported allocs/op isolate the two server paths.
+// Wall-clock benchmarks for the exchange engine. Each "serial" arm is the
+// straight-line reference oracle (ref_test.go), kept as the yardstick the
+// engine's overlap and allocation claims are measured against. The latency
+// pair runs on a bandwidth-throttled link (FaultConn.WriteBytesPerSec), the
+// regime Fig. 5 targets: both arms pay the same total serialization delay,
+// so any gap is genuine transfer/compute overlap, not an artifact of fewer
+// sleep calls. The serving pair measures allocations per steady-state
+// inference request through a buffer-reusing client, so the reported
+// allocs/op isolate the two servers.
 //
 // TestEmitWireBenchBaseline records both pairs to a JSON baseline when
 // BENCH_WIRE_OUT is set (CI writes BENCH_wire.json with it).
@@ -71,7 +73,7 @@ func benchRemoteMulThrottled(b *testing.B, pipelined bool) {
 				}
 				e0 = err
 			} else {
-				_, e0 = RemoteParty(0, c0, in0)
+				_, e0 = remotePartyRef(0, c0, in0)
 			}
 		}()
 		go func() {
@@ -83,7 +85,7 @@ func benchRemoteMulThrottled(b *testing.B, pipelined bool) {
 				}
 				e1 = err
 			} else {
-				_, e1 = RemoteParty(1, c1, in1)
+				_, e1 = remotePartyRef(1, c1, in1)
 			}
 		}()
 		wg.Wait()
@@ -267,7 +269,7 @@ func benchInferRequest(b *testing.B, wire, codec bool) {
 		if wire {
 			ServeInferenceWire(0, client0b, peerA, rng.NewPool(77), cfg)
 		} else {
-			ServeInference(0, client0b, peerA, rng.NewPool(77))
+			serveInferenceRef(0, client0b, peerA, rng.NewPool(77))
 		}
 	}()
 	go func() {
@@ -275,7 +277,7 @@ func benchInferRequest(b *testing.B, wire, codec bool) {
 		if wire {
 			ServeInferenceWire(1, client1b, peerB, rng.NewPool(0), cfg)
 		} else {
-			ServeInference(1, client1b, peerB, rng.NewPool(0))
+			serveInferenceRef(1, client1b, peerB, rng.NewPool(0))
 		}
 	}()
 	if err := client0a.WriteFrame(EncodeInferSession(s0)); err != nil {
@@ -371,7 +373,7 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	trNsRatio := float64(codecTr.NsPerOp) / float64(rawTr.NsPerOp)
 
 	baseline := map[string]any{
-		"description": "serving-path baseline: throttled-link remote mul (ns/op), steady-state inference request (allocs/op), concurrent-session scaling, and cross-session batched throughput",
+		"description": "serving-path baseline: throttled-link remote mul (ns/op), steady-state inference request (allocs/op), concurrent-session scaling, and cross-session batched throughput. remote_mul_throttled.serial and infer_request.serial are measured on the test-only reference oracles (remotePartyRef, serveInferenceRef), not on a program path",
 		"remote_mul_throttled": map[string]any{
 			"dim":                           benchMulDim,
 			"chunk_rows":                    32,
@@ -673,7 +675,7 @@ func TestBatchedThroughputBaseline(t *testing.T) {
 
 // benchTransformerInfer drives one full WireTransformer block (3
 // projections, per-head score and context products, output projection,
-// two FF layers — 14 RequestMuls) through a ServeLoopWire pair whose
+// two FF layers — 14 RequestMuls) through a ServeClients pair whose
 // peer link is bandwidth-throttled and byte-counted. One op = one
 // 16-token sequence, so ns/op converts to tokens/s and the counted
 // peer traffic to bytes/token. With codec=true the adaptive selector
@@ -681,9 +683,7 @@ func TestBatchedThroughputBaseline(t *testing.T) {
 // the dense revealed E/F frames.
 func benchTransformerInfer(b *testing.B, codec bool) {
 	blk, x := wireTransformerFixture(53)
-	client0a, client0b := comm.Pipe()
-	client1a, client1b := comm.Pipe()
-	peerA, peerB, p0, p1, closePeer := newCountingThrottledPipe(benchThrottleBps)
+	peerA, peerB, p0, p1, _ := newCountingThrottledPipe(benchThrottleBps)
 	cfg := WireConfig{ChunkRows: 8}
 	if codec {
 		cfg.Codec = &WireCodec{
@@ -692,16 +692,12 @@ func benchTransformerInfer(b *testing.B, codec bool) {
 			Link:    hw.LinkModel{Bandwidth: benchThrottleBps},
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		ServeLoopWire(0, client0b, peerA, cfg)
-	}()
-	go func() {
-		defer wg.Done()
-		ServeLoopWire(1, client1b, peerB, cfg)
-	}()
+	scfg := ServeConfig{Wire: &cfg}
+	addr0, addr1, shutdown := startServePairOn(b, peerA, peerB, scfg, scfg)
+	defer shutdown()
+	client0a, client1a := dialPair(b, addr0, addr1)
+	defer client0a.Close()
+	defer client1a.Close()
 	wt := NewWireTransformer(blk, 60)
 	run := func() {
 		if _, err := wt.Infer(client0a, client1a, x); err != nil {
@@ -720,10 +716,6 @@ func benchTransformerInfer(b *testing.B, codec bool) {
 	wire := p0.Stats().BytesWritten + p1.Stats().BytesWritten - start
 	b.ReportMetric(float64(wire)/float64(b.N), "wireB/op")
 	b.ReportMetric(float64(wire)/float64(b.N)/float64(x.Rows), "wireB/tok")
-	client0a.Close()
-	client1a.Close()
-	wg.Wait()
-	closePeer()
 }
 
 func BenchmarkTransformerInfer(b *testing.B) {
@@ -794,24 +786,17 @@ func TestTransformerInferBaseline(t *testing.T) {
 	// documented FP16 tolerance of the plaintext block (DESIGN.md).
 	blk, x := wireTransformerFixture(53)
 	want := blk.Forward(x)
-	client0a, client0b := comm.Pipe()
-	client1a, client1b := comm.Pipe()
-	peerA, peerB := comm.Pipe()
-	cfg := WireConfig{ChunkRows: 8, Codec: &WireCodec{
+	scfg := ServeConfig{Wire: &WireConfig{ChunkRows: 8, Codec: &WireCodec{
 		Enabled: CodecFP16 | CodecCSR,
 		HW:      hw.Paper(),
 		Link:    hw.LinkModel{Bandwidth: benchThrottleBps},
-	}}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); ServeLoopWire(0, client0b, peerA, cfg) }()
-	go func() { defer wg.Done(); ServeLoopWire(1, client1b, peerB, cfg) }()
+	}}}
+	addr0, addr1, shutdown := startServePair(t, scfg)
+	defer shutdown()
+	client0a, client1a := dialPair(t, addr0, addr1)
+	defer client0a.Close()
+	defer client1a.Close()
 	got, err := NewWireTransformer(blk, 61).Infer(client0a, client1a, x)
-	client0a.Close()
-	client1a.Close()
-	wg.Wait()
-	peerA.Close()
-	peerB.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

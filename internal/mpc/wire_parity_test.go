@@ -11,9 +11,10 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// The wire double pipeline must be a pure transport optimization: every
-// share it produces is bit-identical to the serial protocol's, over
-// in-memory pipes, real TCP, and a fault-injected link.
+// Banding and full-duplex streaming must be pure transport choices: every
+// share the engine produces is bit-identical to the straight-line reference
+// protocol's (ref_test.go), over in-memory pipes, real TCP, and a
+// fault-injected link.
 
 // runPipelinedPair executes both pipelined parties concurrently and
 // returns their shares.
@@ -38,28 +39,23 @@ func runPipelinedPair(t *testing.T, c0, c1 comm.Framer, in0, in1 Shares, cfg Wir
 	return r0, r1
 }
 
-// serialShares runs the serial protocol over a fresh pipe and returns both
-// parties' shares (runRemotePair merges them; parity needs them raw).
-func serialShares(t *testing.T, in0, in1 Shares) (*tensor.Matrix, *tensor.Matrix) {
+// serialShares runs the reference protocol over a fresh pipe and returns
+// both parties' shares.
+func serialShares(t testing.TB, in0, in1 Shares) (*tensor.Matrix, *tensor.Matrix) {
 	t.Helper()
 	c0, c1 := comm.Pipe()
 	defer c0.Close()
 	defer c1.Close()
-	var wg sync.WaitGroup
-	var r0, r1 *tensor.Matrix
-	var e0, e1 error
-	wg.Add(2)
+	var r1 *tensor.Matrix
+	e1 := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		r0, e0 = RemoteParty(0, c0, in0)
+		var err error
+		r1, err = remotePartyRef(1, c1, in1)
+		e1 <- err
 	}()
-	go func() {
-		defer wg.Done()
-		r1, e1 = RemoteParty(1, c1, in1)
-	}()
-	wg.Wait()
-	if e0 != nil || e1 != nil {
-		t.Fatalf("serial parties failed: %v / %v", e0, e1)
+	r0, err := remotePartyRef(0, c0, in0)
+	if err1 := <-e1; err != nil || err1 != nil {
+		t.Fatalf("reference parties failed: %v / %v", err, err1)
 	}
 	return r0, r1
 }
@@ -148,19 +144,20 @@ func TestWirePipelineParityUnderFaultDelays(t *testing.T) {
 	}
 }
 
-// The pipelined multiplication must also hold its own against tagged
-// request framing plus pooled reuse across sequential requests — the
-// serving loop's steady-state shape.
+// The engine must also hold its own against request-keyed framing plus
+// pooled reuse across sequential requests — the serving loop's steady-state
+// shape: one wireMul per party, one mux sub-stream per request id.
 func TestWirePipelineTaggedPooledReuse(t *testing.T) {
 	client := newRemoteClient()
 	p := rng.NewPool(44)
 	peer0, peer1 := comm.Pipe()
-	defer peer0.Close()
-	defer peer1.Close()
+	mux0, mux1 := comm.NewMux(peer0, comm.MuxConfig{}), comm.NewMux(peer1, comm.MuxConfig{})
+	defer mux0.Close()
+	defer mux1.Close()
 	w0 := newWireMul(0, WireConfig{ChunkRows: 4})
 	w1 := newWireMul(1, WireConfig{ChunkRows: 4})
-	tc0 := &taggedConn{c: peer0}
-	tc1 := &taggedConn{c: peer1}
+	defer w0.close()
+	defer w1.close()
 
 	for round := 0; round < 4; round++ {
 		a := p.NewUniform(9+round, 6, -1, 1)
@@ -168,27 +165,32 @@ func TestWirePipelineTaggedPooledReuse(t *testing.T) {
 		in0, in1 := RemoteClientSplit(a, b, client)
 		want0, want1 := serialShares(t, in0, in1)
 		id := uint64(round + 100)
-		tc0.setID(id)
-		tc1.setID(id)
+		s0, err0 := mux0.Open(id)
+		s1, err1 := mux1.Open(id)
+		if err0 != nil || err1 != nil {
+			t.Fatalf("round %d: open: %v / %v", round, err0, err1)
+		}
 		var wg sync.WaitGroup
 		var r0, r1 *tensor.Matrix
 		var e0, e1 error
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r0, e0 = w0.mul(tc0, in0.A, in0.B, in0.T, nil, nil)
+			r0, e0 = w0.mul(s0, in0.A, in0.B, in0.T, nil, nil)
 		}()
 		go func() {
 			defer wg.Done()
-			r1, e1 = w1.mul(tc1, in1.A, in1.B, in1.T, nil, nil)
+			r1, e1 = w1.mul(s1, in1.A, in1.B, in1.T, nil, nil)
 		}()
 		wg.Wait()
 		if e0 != nil || e1 != nil {
 			t.Fatalf("round %d: %v / %v", round, e0, e1)
 		}
 		if !r0.Equal(want0) || !r1.Equal(want1) {
-			t.Fatalf("round %d: tagged pooled shares differ from serial", round)
+			t.Fatalf("round %d: pooled shares differ from the reference", round)
 		}
+		s0.Close()
+		s1.Close()
 		w0.put(r0)
 		w1.put(r1)
 	}
@@ -225,7 +227,8 @@ func buildInferFixture(t *testing.T, rounds int) *inferSessionFixture {
 }
 
 // runInferService drives one full session through the given serving
-// function and returns the merged predictions per round.
+// function (per party, so the two may differ) and returns the merged
+// predictions per round.
 func runInferService(t *testing.T, fx *inferSessionFixture,
 	serve func(party int, client, peer *comm.Conn, masks *rng.Pool) error) []*tensor.Matrix {
 	t.Helper()
@@ -268,32 +271,31 @@ func runInferService(t *testing.T, fx *inferSessionFixture,
 	return preds
 }
 
-// A whole inference session served on the wire pipeline must return
-// predictions bit-identical to the serial service: same session material,
-// same request shares, same mask seed.
+// A whole inference session served on the engine must return predictions
+// bit-identical to the reference service: same session material, same
+// request shares, same mask seed — whatever band height each party picks,
+// including two different ones.
 func TestServeInferenceWireMatchesSerial(t *testing.T) {
 	const rounds = 3
 	fx := buildInferFixture(t, rounds)
 
 	serialPreds := runInferService(t, fx, func(party int, client, peer *comm.Conn, masks *rng.Pool) error {
-		return ServeInference(party, client, peer, masks)
+		return serveInferenceRef(party, client, peer, masks)
 	})
-	for _, chunk := range []int{0, 3, 8} {
-		cfg := WireConfig{ChunkRows: chunk}
+	for _, chunks := range [][2]int{{0, 0}, {3, 3}, {8, 8}, {3, 0}, {1, 5}} {
 		wirePreds := runInferService(t, fx, func(party int, client, peer *comm.Conn, masks *rng.Pool) error {
-			return ServeInferenceWire(party, client, peer, masks, cfg)
+			return ServeInferenceWire(party, client, peer, masks, WireConfig{ChunkRows: chunks[party]})
 		})
 		for i := range serialPreds {
 			if !wirePreds[i].Equal(serialPreds[i]) {
-				t.Fatalf("ChunkRows=%d round %d: wire prediction differs from serial", chunk, i)
+				t.Fatalf("ChunkRows=%v round %d: wire prediction differs from the reference", chunks, i)
 			}
 		}
 	}
 }
 
-// ServeLoopWire end to end: a client's RequestMul against two pipelined
-// serving loops must merge to the true product and bit-match the serial
-// serving loops.
+// ServeClients end to end: a client's RequestMul against a banded pair
+// must merge to the true product and bit-match the serial reference.
 func TestServeLoopWireEndToEnd(t *testing.T) {
 	p := rng.NewPool(45)
 	client := newRemoteClient()
@@ -301,44 +303,21 @@ func TestServeLoopWireEndToEnd(t *testing.T) {
 	b := p.NewUniform(14, 6, -1, 1)
 	in0, in1 := RemoteClientSplit(a, b, client)
 
-	run := func(loop func(party int, cl, peer comm.Framer) error) *tensor.Matrix {
-		t.Helper()
-		cl0a, cl0b := comm.Pipe()
-		cl1a, cl1b := comm.Pipe()
-		peerA, peerB := comm.Pipe()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		var e0, e1 error
-		go func() { defer wg.Done(); e0 = loop(0, cl0b, peerA) }()
-		go func() { defer wg.Done(); e1 = loop(1, cl1b, peerB) }()
-		got, err := RequestMul(cl0a, cl1a, in0, in1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl0a.Close()
-		cl1a.Close()
-		wg.Wait()
-		if e0 != nil || e1 != nil {
-			t.Fatalf("serving loops: %v / %v", e0, e1)
-		}
-		peerA.Close()
-		peerB.Close()
-		return got
+	addr0, addr1, shutdown := startServePair(t, ServeConfig{Wire: &WireConfig{ChunkRows: 6}})
+	defer shutdown()
+	c0, c1 := dialPair(t, addr0, addr1)
+	defer c0.Close()
+	defer c1.Close()
+	wire, err := RequestMul(c0, c1, in0, in1)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	serial := run(func(party int, cl, peer comm.Framer) error {
-		return ServeLoop(party, cl, peer)
-	})
-	cfg := WireConfig{ChunkRows: 6}
-	wire := run(func(party int, cl, peer comm.Framer) error {
-		return ServeLoopWire(party, cl, peer, cfg)
-	})
 	want := tensor.MulNaive(a, b)
 	if !wire.ApproxEqual(want, 1e-3) {
 		t.Fatalf("wire served product off by %v", wire.MaxAbsDiff(want))
 	}
-	if !wire.Equal(serial) {
-		t.Fatal("wire served product differs bitwise from serial")
+	if !wire.Equal(serialReference(t, in0, in1)) {
+		t.Fatal("wire served product differs bitwise from the serial reference")
 	}
 }
 

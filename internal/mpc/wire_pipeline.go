@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,40 +9,48 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// Wire double pipeline: the paper's transfer/compute overlap (Figs. 5/6)
-// carried onto the real networked path. The virtual-time scheduler in
-// internal/pipeline models the overlap; this file makes it happen on the
-// wall clock between two genuinely concurrent parties:
+// The online exchange engine: the one implementation of the paper's online
+// protocol (Eqs. 4, 5, 8) between two genuinely concurrent parties, with
+// the transfer/compute overlap of Figs. 5/6 happening on the wall clock
+// (internal/pipeline only models it in virtual time).
 //
-//   - Intra-op (Fig. 5 analogue): one triplet multiplication splits the
-//     E exchange into row bands. A dedicated sender goroutine streams this
-//     party's bands to the peer while the main goroutine folds each
-//     arriving peer band into the fused Eq. 8 GEMM — the network transfer
-//     of band k overlaps the compute of band k−1, and the two directions
-//     of the duplex link run simultaneously instead of in the serial
-//     path's fixed send-then-receive order.
+//   - One exchange serves a list of same-shape members. Their E shares
+//     stack to (B·m)×k and their F shares to (B·k)×n; a lone request is a
+//     batch of one, whose "stack" is just its own E and F.
+//
+//   - Intra-op (Fig. 5 analogue): a dedicated sender goroutine streams the
+//     E stack in row bands while the main goroutine folds each arriving
+//     peer band into the fused Eq. 8 GEMM of every member it overlaps —
+//     the transfer of band k overlaps the compute of band k−1, and both
+//     directions of the duplex link run at once.
+//
+//   - Peer framing: the frame that carries E band 0 also carries the F
+//     stack ahead of it — [F ‖ E₀] [E₁] … — so a single whole-stack band is
+//     one frame each way. Every tensor is self-describing (tag, rows,
+//     cols), so the receiver takes each band's height from the frame and
+//     reads until B·m rows have arrived: band height, like the codec, is
+//     the sender's own choice and the two parties need not agree on it.
+//     Any banding is bit-identical because every dst row of tensor.Gemm
+//     accumulates independently.
 //
 //   - Cross-layer (Fig. 6 analogue): within an inference session F = W−V
 //     comes entirely from the session-fixed weights and triplets, so the
 //     public F of every layer is reconstructed once at session setup and
-//     cached; per-request traffic is the E stream only. The activation
-//     reveal collapses from three dependent frames to one concurrent
-//     frame each way (party 1's post-activation share is just the mask R,
-//     which party 0 can generate and ship before the pre-activation
-//     exchange completes).
+//     passed in as fPub; per-request traffic is the E stream only. The
+//     activation reveal is one concurrent frame each way (swap).
 //
 // All per-request matrices come from a tensor.Pool and all frame buffers
 // are session-scoped scratch, so the steady-state serving path does
 // near-zero allocations per request.
 
-// WireConfig tunes the networked double pipeline. The zero value selects
-// whole-matrix bands (full-duplex exchange, no intra-op banding) and a
-// private pool per serving loop.
+// WireConfig tunes the exchange engine. The zero value selects
+// whole-matrix bands (one frame each way per exchange) and a private pool
+// per serving loop.
 type WireConfig struct {
-	// ChunkRows is the row-band height of the streamed E exchange: party
-	// i ships band k while fusing band k−1 into the GEMM. <= 0 uses one
-	// whole-matrix band. Both parties must agree on the value — band
-	// boundaries are part of the wire protocol.
+	// ChunkRows is the row-band height this party SENDS the E stream in:
+	// it ships band k while fusing the peer's band k−1 into the GEMM. <= 0
+	// uses one whole-matrix band. Sender-local — the peer reads each band's
+	// height off the frame, so the two parties may differ.
 	ChunkRows int
 	// Pool recycles per-request matrices. nil lets each serving loop
 	// create its own.
@@ -54,18 +63,6 @@ type WireConfig struct {
 	Codec *WireCodec
 }
 
-// bandRows clamps the configured band height to [1, m].
-func (c WireConfig) bandRows(m int) int {
-	b := c.ChunkRows
-	if b <= 0 || b > m {
-		b = m
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
 // readFrameInto reads a frame, reusing buf when the transport supports it.
 func readFrameInto(conn comm.Framer, buf []byte) ([]byte, error) {
 	if ri, ok := conn.(comm.FramerInto); ok {
@@ -74,12 +71,12 @@ func readFrameInto(conn comm.Framer, buf []byte) ([]byte, error) {
 	return conn.ReadFrame()
 }
 
-// wireMul is the reusable state for pipelined exchanges over one peer
-// link: encode/decode scratch, pooled band buffers, and the sender
-// goroutine's arguments. One wireMul serves a whole session; it is not
-// safe for concurrent use, and after any method returns an error it is
-// poisoned — the sender goroutine may still hold its scratch until the
-// connection closes — so the session must be torn down, not reused.
+// wireMul is the reusable state for exchanges over one peer link:
+// encode/decode scratch, pooled band buffers, and the sender goroutine's
+// arguments. One wireMul serves a whole session; it is not safe for
+// concurrent use, and after any method returns an error it is poisoned —
+// the sender goroutine may still hold its scratch until the connection
+// closes — so the session must be torn down, not reused.
 type wireMul struct {
 	party int
 	cfg   WireConfig
@@ -89,12 +86,13 @@ type wireMul struct {
 	kick    chan struct{} // arms the persistent sender goroutine; closed by close()
 	done    chan error    // sender completion, buffered so senders never leak
 
-	// Sender arguments, set before the kick. sHead (optional) goes out
-	// first as one whole frame; sE (optional) follows as row bands. The
-	// per-tensor codec kinds are picked by the main goroutine before the
-	// kick (any FP16 rounding of the retained share happens there too, so
-	// both parties use what they ship). sentBytes is written by the
-	// sender and read by the main goroutine only after draining done.
+	// Sender arguments, set before the kick. sHead (optional) rides at the
+	// front of the first frame; sE (optional) follows as row bands, band 0
+	// in that same frame. The per-tensor codec kinds are picked by the main
+	// goroutine before the kick (any FP16 rounding of the retained share
+	// happens there too, so both parties use what they ship). sentBytes is
+	// written by the sender and read by the main goroutine only after
+	// draining done.
 	sconn     comm.Framer
 	sHead     *tensor.Matrix
 	sE        *tensor.Matrix
@@ -104,9 +102,13 @@ type wireMul struct {
 	sentBytes int
 	sView     tensor.Matrix // sender-side band view (sender goroutine only)
 
-	// Persistent band-view headers (main goroutine only): retargeted with
-	// SliceRowsInto each band instead of allocating a header per band.
-	pbView, eView, dView, cView, aView, eiView, zView tensor.Matrix
+	// one is mul's member list: a lone request is a batch of one, and the
+	// per-request path must not allocate a slice to say so.
+	one [1]Shares
+
+	// Persistent view headers (main goroutine only): retargeted with
+	// SliceRowsInto per member and per band instead of allocating a header.
+	jView, pbView, eiView, eView, dView, aView, cView, fView, zView tensor.Matrix
 }
 
 func newWireMul(party int, cfg WireConfig) *wireMul {
@@ -135,26 +137,30 @@ func (w *wireMul) senderLoop() {
 	}
 }
 
+// runSender writes [head ‖ band 0] [band 1] …; with nothing to send (a
+// zero-row E stack against a cached F) it writes nothing.
 func (w *wireMul) runSender() error {
 	w.sentBytes = 0
+	rows := 0
+	if w.sE != nil {
+		rows = w.sE.Rows
+	}
+	buf := w.sendBuf[:0]
 	if w.sHead != nil {
-		w.sendBuf = appendWireTensor(w.sendBuf[:0], w.sHead, w.sHeadKind)
-		w.sentBytes += len(w.sendBuf)
-		if err := w.sconn.WriteFrame(w.sendBuf); err != nil {
+		buf = appendWireTensor(buf, w.sHead, w.sHeadKind)
+	}
+	for lo := 0; lo < rows || len(buf) > 0; {
+		if lo < rows {
+			hi := min(lo+w.sBand, rows)
+			buf = appendWireTensor(buf, w.sE.SliceRowsInto(&w.sView, lo, hi), w.sEKind)
+			lo = hi
+		}
+		w.sendBuf = buf
+		w.sentBytes += len(buf)
+		if err := w.sconn.WriteFrame(buf); err != nil {
 			return err
 		}
-	}
-	if w.sE == nil {
-		return nil
-	}
-	rows := w.sE.Rows
-	for lo := 0; lo < rows; lo += w.sBand {
-		hi := min(lo+w.sBand, rows)
-		w.sendBuf = appendWireTensor(w.sendBuf[:0], w.sE.SliceRowsInto(&w.sView, lo, hi), w.sEKind)
-		w.sentBytes += len(w.sendBuf)
-		if err := w.sconn.WriteFrame(w.sendBuf); err != nil {
-			return err
-		}
+		buf = buf[:0]
 	}
 	return nil
 }
@@ -167,35 +173,87 @@ func (w *wireMul) launch(conn comm.Framer, head, bands *tensor.Matrix, bandRows 
 	w.kick <- struct{}{}
 }
 
-// mul executes this party's side of one banded triplet multiplication
-// C_i = ((−i)·E + A_i)×F + E×B_i + Z_i over conn. This party's E share
-// streams to the peer band by band while the peer's arriving bands are
-// fused into the Eq. 8 GEMM — transfer and compute overlap inside one
-// multiplication. The result is bit-identical to the serial RemoteParty.
+// errBandFrame marks a peer E band whose self-describing header does not
+// fit the exchange: wrong width, no rows, more rows than are still owed,
+// or bytes left over behind it.
+var errBandFrame = errors.New("malformed band frame")
+
+// peekBand validates an arriving band's header against the exchange
+// geometry BEFORE anything is sized by it, and returns the band's height.
+func peekBand(frame []byte, k, owed int) (int, error) {
+	rows, cols, err := tensor.PeekShape(frame)
+	if err != nil {
+		return 0, err
+	}
+	if cols != k || rows < 1 || rows > owed {
+		return 0, fmt.Errorf("%w: %dx%d with %d rows of width %d owed", errBandFrame, rows, cols, owed, k)
+	}
+	return rows, nil
+}
+
+// recv reads the next peer frame into the session's receive scratch,
+// adding the time it blocked to *waited.
+func (w *wireMul) recv(conn comm.Framer, waited *time.Duration) ([]byte, error) {
+	t0 := time.Now()
+	frame, err := readFrameInto(conn, w.recvBuf)
+	*waited += time.Since(t0)
+	if err == nil {
+		w.recvBuf = frame
+	}
+	return frame, err
+}
+
+// mul is exchange for a lone request sent in bands of cfg.ChunkRows.
+func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
+	w.one[0] = Shares{A: a, B: b, T: t}
+	c, err := w.exchange(conn, w.one[:], w.cfg.ChunkRows, fPub, dst)
+	w.one[0] = Shares{} // an idle session must not pin its last request
+	return c, err
+}
+
+// exchange executes this party's side of one Beaver exchange over conn
+// for members of identical m×k × k×n geometry, row-stacked: member j's
+// share C_j = ((−i)·E_j + A_j)×F_j + E_j×B_j + Z_j lands in rows
+// [j·m, (j+1)·m) of the returned (B·m)×n stack. This party's E stack
+// streams to the peer in bands of `band` rows (<= 0: one band) while the
+// peer's arriving bands — of whatever height the peer chose — are fused
+// into the Eq. 8 GEMM of each member they overlap, so transfer and compute
+// overlap inside one exchange. Each member's rows run exactly the op
+// sequence of a lone exchange, so a batch is bit-identical to serving its
+// members one by one, and any banding to the one-band protocol.
 //
-// fPub, when non-nil, is the session-cached public F and no F frames move
-// (the inference fast path); when nil the F shares are exchanged ahead of
-// the E bands. dst, when non-nil, receives the result (a.Rows×b.Cols);
-// when nil a pooled matrix is returned — callers give it back with
-// ReleaseTo or keep it.
+// fPub, when non-nil, is the session-cached public F of a lone member and
+// no F moves (the inference fast path); when nil the F stack rides ahead
+// of E band 0. dst, when non-nil, receives the result; when nil a pooled
+// matrix is returned — callers give it back with put or keep it.
 //
 // With cfg.Codec nil (or picking raw) the result is bit-identical to the
-// serial RemoteParty. A lossy (FP16) pick perturbs only the REVEALED E/F
-// difference shares — the retained copy is rounded in place before the
-// sender starts, so both parties reconstruct the same public tensors and
-// the result carries the documented reveal-only tolerance instead of a
-// protocol desync.
-func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	band := w.cfg.bandRows(m)
+// straight-line protocol. A lossy (FP16) pick perturbs only the REVEALED
+// E/F difference shares — the retained copy is rounded in place before the
+// sender starts (rounding is elementwise, so a stacked round equals
+// rounding each member alone), so both parties reconstruct the same public
+// tensors and the result carries the documented reveal-only tolerance
+// instead of a protocol desync.
+func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
+	m, k, n := members[0].A.Rows, members[0].A.Cols, members[0].B.Cols
+	stackRows := len(members) * m
+	if band <= 0 || band > stackRows {
+		band = stackRows
+	}
 
-	// Local shares (Eq. 4): E_i = A_i − U_i, F_i = B_i − V_i.
-	ei := w.get(m, k)
-	tensor.Sub(ei, a, t.U)
+	// Local shares (Eq. 4): E_i = A_i − U_i, F_i = B_i − V_i, member by
+	// member into the stacks.
+	ei := w.get(stackRows, k)
 	var fi *tensor.Matrix
 	if fPub == nil {
-		fi = w.get(k, n)
-		tensor.Sub(fi, b, t.V)
+		fi = w.get(len(members)*k, n)
+	}
+	for j := range members {
+		in := &members[j]
+		tensor.Sub(ei.SliceRowsInto(&w.jView, j*m, (j+1)*m), in.A, in.T.U)
+		if fi != nil {
+			tensor.Sub(fi.SliceRowsInto(&w.jView, j*k, (j+1)*k), in.B, in.T.V)
+		}
 	}
 	// Codec election, then use-what-you-ship: an FP16 pick rounds the
 	// retained share in place BEFORE the sender goroutine starts, so the
@@ -218,28 +276,30 @@ func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fP
 
 	// Per-phase accumulators: the banded loop interleaves transfer waits,
 	// Eq. 5 reconstruction, and Eq. 8 compute, so each is summed across
-	// bands and observed once per multiplication (cheap monotonic-clock
-	// reads, no allocation).
+	// bands and observed once per exchange (cheap monotonic-clock reads,
+	// no allocation).
 	var exchDur, reconDur, gemmDur time.Duration
 
-	// Public F (Eq. 5) — from cache, or the head frame of each stream.
+	// Public F (Eq. 5) — from cache, or the head of the peer's first frame.
+	// rest is what remains of the frame in hand; the E loop reads a new
+	// frame whenever it is empty.
 	f := fPub
+	var rest []byte
 	if f == nil {
-		t0 := time.Now()
-		frame, err := readFrameInto(conn, w.recvBuf)
-		exchDur += time.Since(t0)
+		frame, err := w.recv(conn, &exchDur)
 		if err != nil {
 			return nil, fmt.Errorf("mpc: recv F: %w", err)
 		}
-		w.recvBuf = frame
-		peerF := w.get(k, n)
+		peerF := w.get(fi.Rows, n)
 		// Tag-dispatched: the peer's codec choice is sender-local, the
 		// frame says what it is (raw senders emit plain 'D' frames).
-		if _, err := tensor.DecodeAnyInto(peerF, frame); err != nil {
+		used, err := tensor.DecodeAnyInto(peerF, frame)
+		if err != nil {
 			return nil, fmt.Errorf("mpc: decode peer F: %w", err)
 		}
-		t0 = time.Now()
-		f = w.get(k, n)
+		rest = frame[used:]
+		t0 := time.Now()
+		f = w.get(fi.Rows, n)
 		tensor.Add(f, fi, peerF)
 		reconDur += time.Since(t0)
 		w.put(peerF)
@@ -247,42 +307,66 @@ func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fP
 
 	c := dst
 	if c == nil {
-		c = w.get(m, n)
+		c = w.get(stackRows, n)
 	}
-	peerBand := w.get(band, k)
-	eBandBuf := w.get(band, k)
-	dBandBuf := w.get(band, k)
-	for lo := 0; lo < m; lo += band {
-		hi := min(lo+band, m)
-		rows := hi - lo
-		t0 := time.Now()
-		frame, err := readFrameInto(conn, w.recvBuf)
-		exchDur += time.Since(t0)
+	// Band scratch, grown to the tallest band the peer sends (a validated
+	// height, never more than the stack): eBuf holds the peer band and then
+	// the public E band in place, dBuf party 1's D band.
+	var eBuf, dBuf *tensor.Matrix
+	for lo, bandNo := 0, 0; lo < stackRows; bandNo++ {
+		if len(rest) == 0 {
+			frame, err := w.recv(conn, &exchDur)
+			if err != nil {
+				return nil, fmt.Errorf("mpc: recv E band %d: %w", bandNo, err)
+			}
+			rest = frame
+		}
+		rows, err := peekBand(rest, k, stackRows-lo)
 		if err != nil {
-			return nil, fmt.Errorf("mpc: recv E band %d: %w", lo/band, err)
+			return nil, fmt.Errorf("mpc: E band %d: %w", bandNo, err)
 		}
-		w.recvBuf = frame
-		pb := peerBand.SliceRowsInto(&w.pbView, 0, rows)
-		if _, err := tensor.DecodeAnyInto(pb, frame); err != nil {
-			return nil, fmt.Errorf("mpc: decode E band %d: %w", lo/band, err)
+		if eBuf == nil || rows > eBuf.Rows {
+			w.put(eBuf)
+			w.put(dBuf)
+			eBuf = w.get(rows, k)
+			if w.party == 1 {
+				dBuf = w.get(rows, k)
+			}
 		}
-		// Reconstruct the band of the public E and fuse it (Eqs. 5, 8).
-		t0 = time.Now()
-		eBand := eBandBuf.SliceRowsInto(&w.eView, 0, rows)
-		tensor.Add(eBand, ei.SliceRowsInto(&w.eiView, lo, hi), pb)
+		hi := lo + rows
+		eBand := eBuf.SliceRowsInto(&w.pbView, 0, rows)
+		if used, err := tensor.DecodeAnyInto(eBand, rest); err != nil {
+			return nil, fmt.Errorf("mpc: decode E band %d: %w", bandNo, err)
+		} else if used != len(rest) {
+			return nil, fmt.Errorf("mpc: E band %d: %w: %d trailing bytes", bandNo, errBandFrame, len(rest)-used)
+		}
+		rest = nil
+		// Reconstruct the band of the public E stack, then fuse each member
+		// it overlaps (Eqs. 5, 8).
+		t0 := time.Now()
+		tensor.Add(eBand, ei.SliceRowsInto(&w.eiView, lo, hi), eBand)
 		t1 := time.Now()
 		reconDur += t1.Sub(t0)
-		dBand := a.SliceRowsInto(&w.aView, lo, hi) // party 0: D is A_i itself
-		if w.party == 1 {                          // party 1: D = A_i − E
-			aBand := dBand
-			dBand = dBandBuf.SliceRowsInto(&w.dView, 0, rows)
-			tensor.Sub(dBand, aBand, eBand)
+		for j := lo / m; j*m < hi; j++ {
+			in := &members[j]
+			ov0, ov1 := max(j*m, lo), min((j+1)*m, hi) // member j's stack rows in this band
+			eSl := eBand.SliceRowsInto(&w.eView, ov0-lo, ov1-lo)
+			dSl := in.A.SliceRowsInto(&w.aView, ov0-j*m, ov1-j*m) // party 0: D is A_i itself
+			if w.party == 1 {                                     // party 1: D = A_i − E
+				aSl := dSl
+				dSl = dBuf.SliceRowsInto(&w.dView, ov0-lo, ov1-lo)
+				tensor.Sub(dSl, aSl, eSl)
+			}
+			cSl := c.SliceRowsInto(&w.cView, ov0, ov1)
+			tensor.Gemm(cSl, dSl, f.SliceRowsInto(&w.fView, j*k, (j+1)*k), 1, 0)  // D×F
+			tensor.Gemm(cSl, eSl, in.B, 1, 1)                                     // += E×B_i
+			tensor.AXPY(cSl, 1, in.T.Z.SliceRowsInto(&w.zView, ov0-j*m, ov1-j*m)) // += Z_i
 		}
-		cBand := c.SliceRowsInto(&w.cView, lo, hi)
-		tensor.Gemm(cBand, dBand, f, 1, 0)                         // D×F
-		tensor.Gemm(cBand, eBand, b, 1, 1)                         // += E×B_i
-		tensor.AXPY(cBand, 1, t.Z.SliceRowsInto(&w.zView, lo, hi)) // += Z_i
 		gemmDur += time.Since(t1)
+		lo = hi
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("mpc: F frame: %w: %d trailing bytes", errBandFrame, len(rest))
 	}
 	// The peer's reader consumes our bands symmetrically, so the sender
 	// drains; a peer that died instead surfaces here as its write error
@@ -290,9 +374,11 @@ func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fP
 	t0 := time.Now()
 	sendErr := <-w.done
 	exchDur += time.Since(t0)
-	w.put(peerBand)
-	w.put(eBandBuf)
-	w.put(dBandBuf)
+	// The views into the members' own A and Z would pin those matrices for
+	// as long as the session idles before its next request; let them go.
+	w.aView, w.zView = tensor.Matrix{}, tensor.Matrix{}
+	w.put(eBuf)
+	w.put(dBuf)
 	w.put(ei)
 	if fPub == nil {
 		w.put(fi)
@@ -337,24 +423,4 @@ func (w *wireMul) swap(conn comm.Framer, send, recvDst *tensor.Matrix) error {
 	span.Stop()
 	_, err = tensor.DecodeMatrixInto(recvDst, frame)
 	return err
-}
-
-// RemotePartyPipelined executes party i of one triplet multiplication
-// like RemoteParty, but with the wire double pipeline: full-duplex F
-// exchange followed by a banded E stream that overlaps the Eq. 8 compute.
-// Both parties must call it with the same WireConfig.ChunkRows — the band
-// layout is part of the wire protocol, and the serial RemoteParty framing
-// is not compatible. The returned share is bit-identical to RemoteParty's.
-func RemotePartyPipelined(party int, conn comm.Framer, in Shares, cfg WireConfig) (*tensor.Matrix, error) {
-	if party != 0 && party != 1 {
-		return nil, fmt.Errorf("mpc: remote party index %d", party)
-	}
-	w := newWireMul(party, cfg)
-	defer w.close()
-	c, err := w.mul(conn, in.A, in.B, in.T, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Detach the result from the pool: the caller owns it.
-	return c, nil
 }

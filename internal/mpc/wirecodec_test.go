@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -281,56 +280,6 @@ func TestWireMulCodecFP16Tolerance(t *testing.T) {
 	if !got.ApproxEqual(tensor.MulNaive(a, b), 0.04*k) {
 		t.Fatalf("FP16-coded result off the plaintext product by %v",
 			got.MaxAbsDiff(tensor.MulNaive(a, b)))
-	}
-}
-
-// startServePairCfgs is startServePair with per-party configs, for
-// mixed-version pairs (one codec-capable server, one without).
-func startServePairCfgs(tb testing.TB, cfg0, cfg1 ServeConfig) (addr0, addr1 string, shutdown func()) {
-	tb.Helper()
-	peerLn, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ln0, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ln1, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		peer, err := comm.Accept(peerLn)
-		peerLn.Close()
-		if err != nil {
-			tb.Errorf("peer accept: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 0, ln0, peer, cfg0); err != nil {
-			tb.Errorf("server 0: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		peer, err := comm.DialRetry(peerLn.Addr().String(), comm.RetryConfig{Attempts: 10, BaseDelay: 10 * time.Millisecond})
-		if err != nil {
-			tb.Errorf("peer dial: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 1, ln1, peer, cfg1); err != nil {
-			tb.Errorf("server 1: %v", err)
-		}
-	}()
-	return ln0.Addr().String(), ln1.Addr().String(), func() {
-		cancel()
-		wg.Wait()
 	}
 }
 

@@ -264,6 +264,21 @@ func DecodeCSRInto(dst *Matrix, buf []byte) (int, error) {
 	return need, nil
 }
 
+// PeekShape reads the rows×cols header every format shares (bytes 1–8
+// after the tag) without touching the payload, so a receiver that learns a
+// tensor's height from the frame itself can validate it against what it
+// expects before choosing a destination for DecodeAnyInto.
+func PeekShape(buf []byte) (rows, cols int, err error) {
+	if len(buf) < 9 {
+		return 0, 0, ErrCodecShort
+	}
+	switch buf[0] {
+	case tagDense, tagFP16, tagCSR:
+		return int(binary.LittleEndian.Uint32(buf[1:])), int(binary.LittleEndian.Uint32(buf[5:])), nil
+	}
+	return 0, 0, fmt.Errorf("%w: 0x%02x", ErrCodecTag, buf[0])
+}
+
 // DecodeAnyInto decodes whichever self-describing format buf carries —
 // dense, FP16-dense or CSR — into dst's existing storage, returning the
 // bytes consumed. This is the receive side of the adaptive wire codec: the

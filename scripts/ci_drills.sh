@@ -34,8 +34,9 @@ concurrent)
 batching)
   # Same-shape clients coalesced into stacked exchanges must stay
   # bit-identical to the per-session path, keep distinct shapes apart,
-  # and survive a client dying mid-batch.
-  drill_test ./internal/mpc/ 'TestBatchedBitIdentical|TestBatchedMixedShapes|TestBatchedSurvivesClientKill'
+  # and survive a client dying mid-batch; the engine must match the
+  # reference for every batch size with unequal band heights per party.
+  drill_test ./internal/mpc/ 'TestBatchedBitIdentical|TestBatchedMixedShapes|TestBatchedSurvivesClientKill|TestExchangeMatchesRef|TestServeClientsMismatchedBands'
   ;;
 chaos-link)
   # The inter-server link dies twice at deterministic frame boundaries
@@ -46,8 +47,9 @@ chaos-link)
 codec)
   # Capability negotiation upgrades matching servers, mixed-version pairs
   # stay raw forever, and both lossless CSR identity and the FP16 error
-  # bound hold on the wire.
-  drill_test ./internal/mpc/ 'TestServeCodecNegotiationUpgrades|TestServeCodecMixedVersion|TestWireMulCodecCSRBitIdentical|TestWireMulCodecFP16Tolerance'
+  # bound hold on the wire — on the one engine, whose raw-codec contract
+  # (any batch, any two band heights == the reference) runs here too.
+  drill_test ./internal/mpc/ 'TestServeCodecNegotiationUpgrades|TestServeCodecMixedVersion|TestWireMulCodecCSRBitIdentical|TestWireMulCodecFP16Tolerance|TestExchangeMatchesRef|TestServeClientsMismatchedBands'
   ;;
 checkpoint)
   # An interrupted training run (-die-after-epoch exits with code 3 after
