@@ -3,13 +3,14 @@
 // the two computation parties run as genuinely concurrent TCP services on
 // localhost. Every GEMM in the block — Q/K/V projections, each head's
 // QKᵀ score product and score·V context product, the output projection,
-// and the two feed-forward layers — executes as one Beaver-triplet
-// RequestMul through the serving stack, so the traffic rides the session
-// mux, the cross-session batcher, and the negotiated FP16/CSR wire
-// codecs unchanged. The softmax runs client-side on the recombined
-// scores with the same polynomial approximation as the secure training
-// path: no server ever sees scores, probabilities, tokens, or weights —
-// only shares and masked E/F frames.
+// and the two feed-forward layers — is a Beaver-triplet product served
+// by the pair, and products that do not depend on each other travel
+// together as one grouped request: the block's 14 products take six
+// round trips. The traffic rides the session mux and the negotiated
+// FP16/CSR wire codecs unchanged. The softmax runs client-side on the
+// recombined scores with the same polynomial approximation as the secure
+// training path: no server ever sees scores, probabilities, tokens, or
+// weights — only shares and masked E/F frames.
 //
 // The demo drives -clients concurrent data owners through one server
 // pair, verifies every output against the plaintext reference within the
@@ -158,8 +159,8 @@ func main() {
 					worst = diff
 				}
 				mu.Unlock()
-				fmt.Printf("  client %d round %d: %d GEMMs on the wire, max error %.3g\n",
-					i, round, wt.Muls(), diff)
+				fmt.Printf("  client %d round %d: %d GEMMs on the wire in %d round trips, max error %.3g\n",
+					i, round, wt.Muls(), wt.RoundTrips(), diff)
 			}
 		}(i)
 	}

@@ -12,6 +12,7 @@ import (
 	"parsecureml/internal/mpc"
 	"parsecureml/internal/obs"
 	"parsecureml/internal/rng"
+	"parsecureml/internal/tensor"
 )
 
 // TestRouterTypedNoReplicas is the regression for the no-replica path:
@@ -96,6 +97,95 @@ func TestRouterDuplicateIDKeepsReplica(t *testing.T) {
 	}
 	if err := routedRequest(t, p, c0, c1, 42); err != nil {
 		t.Fatalf("session did not survive the duplicate id: %v", err)
+	}
+}
+
+// TestRouterMalformedRequestKeepsReplica: a request frame the pair cannot
+// decode — garbage behind the id, or a grouped frame whose stacks disagree
+// with its member count — is the CLIENT's error. The pair answers it
+// in-band with a typed, non-retryable bad_request; before that it tore the
+// backend session down, which the router read as a replica failure,
+// re-sent the same bad frame, and on the second failure evicted a healthy
+// pair for every session.
+func TestRouterMalformedRequestKeepsReplica(t *testing.T) {
+	reg := NewRegistry(0)
+	addr, kill := startReplicaPair(t)
+	defer kill()
+	if err := reg.Join(Replica{Name: "pair-a", Addr: addr}); err != nil {
+		t.Fatal(err)
+	}
+	face := startRouter(t, reg)
+	c0, c1 := dialFaces(t, face)
+	defer c0.Close()
+	defer c1.Close()
+	p := rng.NewPool(6)
+
+	const id = uint64(51)
+	garbage := append(mpc.EncodeRequest(id, mpc.Shares{A: tensor.New(1, 1), B: tensor.New(1, 1)})[:8], "not a shares payload"...)
+	g0, _, _ := groupedShares(p, 3, 5, 6, 4)
+	g0.T.Z = tensor.New(5, 4) // one member's Z under a three-member envelope
+	retriesBefore := routerRetries.Value()
+	for i, frame := range [][]byte{garbage, mpc.EncodeRequest(id, g0)} {
+		for leg, c := range []*comm.Conn{c0, c1} {
+			if err := c.WriteFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := c.ReadFrame()
+			if err != nil {
+				t.Fatalf("frame %d leg %d: %v", i, leg, err)
+			}
+			gotID, re, ok := mpc.DecodeRouteError(reply)
+			if !ok || gotID != id || re.Code != mpc.RouteBadRequest || re.Retryable() {
+				t.Fatalf("frame %d leg %d: answered %x, want a non-retryable %s for id %d", i, leg, reply, mpc.RouteBadRequest, id)
+			}
+		}
+	}
+	if got := routerRetries.Value(); got != retriesBefore {
+		t.Fatalf("the router re-sent a malformed frame %d times", got-retriesBefore)
+	}
+	if _, ok := reg.Pick(id); !ok {
+		t.Fatal("the healthy replica was evicted over a client's malformed request")
+	}
+	if err := routedRequest(t, p, c0, c1, id); err != nil {
+		t.Fatalf("session did not survive the malformed requests: %v", err)
+	}
+}
+
+// TestRouterRelaysGroupedRequest: a grouped request is one frame in and
+// one frame out like any other, so the relay carries it untouched — every
+// member of the reply is its own product.
+func TestRouterRelaysGroupedRequest(t *testing.T) {
+	reg := NewRegistry(0)
+	addr, kill := startReplicaPair(t)
+	defer kill()
+	if err := reg.Join(Replica{Name: "pair-a", Addr: addr}); err != nil {
+		t.Fatal(err)
+	}
+	face := startRouter(t, reg)
+	c0, c1 := dialFaces(t, face)
+	defer c0.Close()
+	defer c1.Close()
+	p := rng.NewPool(7)
+
+	for i, c := range []int{1, 3, 4} {
+		in0, in1, want := groupedShares(p, c, 5, 6, 4)
+		got, err := mpc.RequestMulID(uint64(61+i), c0, c1, in0, in1)
+		if err != nil {
+			t.Fatalf("group of %d: %v", c, err)
+		}
+		// Bit-identical to the same shares sent straight to the pair.
+		d0, d1 := dialFaces(t, addr)
+		direct, err := mpc.RequestMulID(uint64(71+i), d0, d1, in0, in1)
+		d0.Close()
+		d1.Close()
+		if err != nil || !got.Equal(direct) {
+			t.Fatalf("group of %d: relayed reply differs from the direct one (%v)", c, err)
+		}
+		for j, w := range want {
+			if member := got.SliceRows(j*5, (j+1)*5); !member.ApproxEqual(w, 1e-3) {
+				t.Fatalf("group of %d, member %d off by %v", c, j, member.MaxAbsDiff(w))
+			}
+		}
 	}
 }
 
@@ -217,6 +307,23 @@ func TestRouterDeadlineShed(t *testing.T) {
 	}
 	if got := routerDeadlineShed.Value(); got != before+2 {
 		t.Fatalf("deadline sheds counted %d, want %d", got-before, 2)
+	}
+	// The floor prices what the frame stacks: 10µs covers one 64³ member's
+	// ~7µs exchange but not the ~15µs of a group of four, so the group is
+	// shed here however promptly the relay runs.
+	g0, _, _ := groupedShares(p, 4, 64, 64, 64)
+	if lone, group := mpc.DeadlineEstimate(64, 64, 64), mpc.DeadlineEstimate(4*64, 64, 4*64); !(lone < 10*time.Microsecond && 10*time.Microsecond < group) {
+		t.Fatalf("10µs does not separate the lone floor %v from the group floor %v", lone, group)
+	}
+	if err := c0.WriteFrame(mpc.EncodeRequestBudget(id+1, 10*time.Microsecond, g0)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c0.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, re, ok := mpc.DecodeRouteError(f); !ok || re.Code != mpc.RouteDeadlineExceeded {
+		t.Fatalf("group under its stacked floor got %d bytes back, want %s", len(f), mpc.RouteDeadlineExceeded)
 	}
 	if h0, h1 := hits0.Load(), hits1.Load(); h0 != 0 || h1 != 0 {
 		t.Fatalf("expired request reached a backend (dials: %d, %d), want none", h0, h1)

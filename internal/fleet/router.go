@@ -211,8 +211,8 @@ func (s *session) relay(frame, respBuf []byte) ([]byte, *mpc.RouteError) {
 	budget, hasBudget := mpc.PeekBudget(frame)
 	var floor time.Duration
 	if hasBudget {
-		if m, k, n, ok := mpc.PeekRequestShape(frame); ok {
-			floor = mpc.DeadlineEstimate(m, k, n)
+		if m, k, n, c, ok := mpc.PeekRequestShape(frame); ok {
+			floor = mpc.DeadlineEstimate(c*m, k, c*n) // what the frame stacks
 		}
 	}
 	redialed := false

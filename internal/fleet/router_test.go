@@ -119,6 +119,35 @@ func routedRequest(t *testing.T, p *rng.Pool, c0, c1 *comm.Conn, id uint64) erro
 	return nil
 }
 
+// groupedShares builds both parties' shares of a grouped request: c
+// independent m×k×n products row-stacked (mpc.Shares.Members), each member
+// with its own inputs and Beaver triplet. It returns the plaintext
+// products alongside.
+func groupedShares(p *rng.Pool, c, m, k, n int) (in0, in1 mpc.Shares, want []*tensor.Matrix) {
+	in := [2]mpc.Shares{
+		{Members: c, A: tensor.New(c*m, k), B: tensor.New(c*k, n),
+			T: mpc.TripletShares{U: tensor.New(c*m, k), V: tensor.New(c*k, n), Z: tensor.New(c*m, n)}},
+		{Members: c, A: tensor.New(c*m, k), B: tensor.New(c*k, n),
+			T: mpc.TripletShares{U: tensor.New(c*m, k), V: tensor.New(c*k, n), Z: tensor.New(c*m, n)}},
+	}
+	for j := 0; j < c; j++ {
+		a, b := p.NewUniform(m, k, -1, 1), p.NewUniform(k, n, -1, 1)
+		want = append(want, tensor.MulNaive(a, b))
+		var mem [2]mpc.Shares
+		mem[0].A, mem[1].A = mpc.SplitRand(p, a)
+		mem[0].B, mem[1].B = mpc.SplitRand(p, b)
+		mem[0].T, mem[1].T = mpc.GenGemmTripletShares(p, m, k, n)
+		for i := range in {
+			in[i].A.SliceRows(j*m, (j+1)*m).CopyFrom(mem[i].A)
+			in[i].B.SliceRows(j*k, (j+1)*k).CopyFrom(mem[i].B)
+			in[i].T.U.SliceRows(j*m, (j+1)*m).CopyFrom(mem[i].T.U)
+			in[i].T.V.SliceRows(j*k, (j+1)*k).CopyFrom(mem[i].T.V)
+			in[i].T.Z.SliceRows(j*m, (j+1)*m).CopyFrom(mem[i].T.Z)
+		}
+	}
+	return in[0], in[1], want
+}
+
 func dialFaces(t *testing.T, face [2]string) (c0, c1 *comm.Conn) {
 	t.Helper()
 	c0, err := comm.DialRetry(face[0], comm.RetryConfig{Attempts: 20, BaseDelay: 10 * time.Millisecond})

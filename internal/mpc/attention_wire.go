@@ -13,15 +13,19 @@ import (
 // Wire-path transformer inference: the client (who owns both the model
 // and the data, Fig. 1b) drives one multi-head attention block — plus an
 // optional feed-forward stack — through the two-server serving stack.
-// Every GEMM (Q/K/V projections, each head's QKᵀ score product and
-// score·V context product, the output projection, the FF layers) is one
-// RequestMul, so the traffic rides the session mux, the cross-session
-// batcher, and the adaptive wire codecs unchanged. The softmax runs
+// On dependent small products latency is round trips, not FLOPs (Fig. 6),
+// so the block's 3 + 2·heads + 3 GEMMs travel as six dependent stages —
+// Q/K/V projections (3 members), per-head scores (heads), per-head
+// contexts (heads), output projection, FF1, FF2 — each one grouped request
+// (Shares.Members): one frame out, one exchange between the servers, one
+// reply. A stage's members need only earlier stages, never each other.
+// The traffic rides the session mux and the adaptive wire codecs (the
+// three lone stages the cross-session batcher too). The softmax runs
 // client-side on the recombined scores with ml.ApproxSoftmax — the same
 // approximation (and DESIGN.md error contract) as the secure training
-// path, but strictly less leaky than the server-side reveal: on the
-// wire path no server ever sees scores or probabilities, only shares
-// and masked E/F frames.
+// path, but strictly less leaky than the server-side reveal: on the wire
+// path no server ever sees scores or probabilities, only shares and masked
+// E/F frames.
 type WireTransformer struct {
 	Heads  int
 	Causal bool
@@ -36,8 +40,8 @@ type WireTransformer struct {
 	FF1HasAct              bool
 	HasFF                  bool
 
-	pool *rng.Pool
-	muls int
+	pool        *rng.Pool
+	muls, trips int
 }
 
 // NewWireAttention wraps a plaintext attention block for wire-path
@@ -76,31 +80,66 @@ func wireActOf(a ml.Activation) (ActivationKind, bool) {
 	}
 }
 
-// Muls reports how many RequestMul round trips the last Infer issued.
+// Muls reports how many secure products the last Infer ran.
 func (t *WireTransformer) Muls() int { return t.muls }
 
-// mul splits one product's inputs (serial pool draws keep runs
-// bit-stable) and executes it as a RequestMul over both servers.
-func (t *WireTransformer) mul(s0, s1 comm.Framer, a, b *tensor.Matrix) (*tensor.Matrix, error) {
-	a0, a1 := SplitRand(t.pool, a)
-	b0, b1 := SplitRand(t.pool, b)
-	tr0, tr1 := GenGemmTripletShares(t.pool, a.Rows, a.Cols, b.Cols)
-	t.muls++
-	return RequestMul(s0, s1, Shares{A: a0, B: b0, T: tr0}, Shares{A: a1, B: b1, T: tr1})
-}
+// RoundTrips reports how many dependent requests carried them.
+func (t *WireTransformer) RoundTrips() int { return t.trips }
 
-func (t *WireTransformer) proj(s0, s1 comm.Framer, x, w, b *tensor.Matrix) (*tensor.Matrix, error) {
-	out, err := t.mul(s0, s1, x, w)
+// stage runs the independent same-shape products as[j]×bs[j] as one
+// grouped request and returns each product's rows of the reply. Inputs and
+// triplets are drawn as stacks — two input splits plus one stacked
+// triplet, seven pool fills whatever the member count — and serially, so
+// identically seeded runs issue bit-identical requests.
+func (t *WireTransformer) stage(s0, s1 comm.Framer, as, bs []*tensor.Matrix) ([]*tensor.Matrix, error) {
+	c, m := len(as), as[0].Rows
+	a0, a1 := SplitRand(t.pool, stackRows(as))
+	b0, b1 := SplitRand(t.pool, stackRows(bs))
+	tr0, tr1 := genGemmTriplets(t.pool, c, m, as[0].Cols, bs[0].Cols)
+	t.muls += c
+	t.trips++
+	prod, err := RequestMul(s0, s1, Shares{A: a0, B: b0, T: tr0, Members: c}, Shares{A: a1, B: b1, T: tr1, Members: c})
 	if err != nil {
 		return nil, err
 	}
-	for r := 0; r < out.Rows; r++ {
-		row := out.Row(r)
+	out := make([]*tensor.Matrix, c)
+	for j := range out {
+		out[j] = prod.SliceRows(j*m, (j+1)*m)
+	}
+	return out, nil
+}
+
+// proj is a stage of one, x×w, plus the bias row.
+func (t *WireTransformer) proj(s0, s1 comm.Framer, x, w, b *tensor.Matrix) (*tensor.Matrix, error) {
+	out, err := t.stage(s0, s1, []*tensor.Matrix{x}, []*tensor.Matrix{w})
+	if err != nil {
+		return nil, err
+	}
+	return addBias(out[0], b), nil
+}
+
+func addBias(m, b *tensor.Matrix) *tensor.Matrix {
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
 		for c := range row {
 			row[c] += b.Data[c]
 		}
 	}
-	return out, nil
+	return m
+}
+
+// stackRows copies same-width matrices one under the other.
+func stackRows(ms []*tensor.Matrix) *tensor.Matrix {
+	rows := 0
+	for _, m := range ms {
+		rows += m.Rows
+	}
+	out := tensor.New(rows, ms[0].Cols)
+	off := 0
+	for _, m := range ms {
+		off += copy(out.Data[off:], m.Data)
+	}
+	return out
 }
 
 func wireSliceCols(m *tensor.Matrix, lo, hi int) *tensor.Matrix {
@@ -121,40 +160,37 @@ func (t *WireTransformer) Infer(s0, s1 comm.Framer, x *tensor.Matrix) (*tensor.M
 	if t.Heads <= 0 || d%t.Heads != 0 {
 		return nil, fmt.Errorf("mpc: wire transformer width %d for %d heads", d, t.Heads)
 	}
-	t.muls = 0
-	q, err := t.proj(s0, s1, x, t.Wq, t.Bq)
+	t.muls, t.trips = 0, 0
+	qkv, err := t.stage(s0, s1, []*tensor.Matrix{x, x, x}, []*tensor.Matrix{t.Wq, t.Wk, t.Wv})
 	if err != nil {
-		return nil, fmt.Errorf("mpc: Q projection: %w", err)
+		return nil, fmt.Errorf("mpc: Q/K/V projections: %w", err)
 	}
-	k, err := t.proj(s0, s1, x, t.Wk, t.Bk)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: K projection: %w", err)
-	}
-	v, err := t.proj(s0, s1, x, t.Wv, t.Bv)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: V projection: %w", err)
-	}
+	q, k, v := addBias(qkv[0], t.Bq), addBias(qkv[1], t.Bk), addBias(qkv[2], t.Bv)
 	dh := d / t.Heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ctx := tensor.New(x.Rows, d)
-	for h := 0; h < t.Heads; h++ {
+	qs, kts, vs := make([]*tensor.Matrix, t.Heads), make([]*tensor.Matrix, t.Heads), make([]*tensor.Matrix, t.Heads)
+	for h := range qs {
 		lo := h * dh
-		qh := wireSliceCols(q, lo, lo+dh)
-		kh := wireSliceCols(k, lo, lo+dh)
-		vh := wireSliceCols(v, lo, lo+dh)
-		s, err := t.mul(s0, s1, qh, kh.Transpose())
-		if err != nil {
-			return nil, fmt.Errorf("mpc: head %d scores: %w", h, err)
-		}
+		qs[h] = wireSliceCols(q, lo, lo+dh)
+		kts[h] = wireSliceCols(k, lo, lo+dh).Transpose()
+		vs[h] = wireSliceCols(v, lo, lo+dh)
+	}
+	ps, err := t.stage(s0, s1, qs, kts) // scores, turned into probabilities in place
+	if err != nil {
+		return nil, fmt.Errorf("mpc: head scores: %w", err)
+	}
+	scale := float32(1 / math.Sqrt(float64(dh)))
+	for _, s := range ps {
 		tensor.Scale(s, s, scale)
-		p := tensor.New(s.Rows, s.Cols)
-		ml.ApproxSoftmax(p, s, t.Causal)
-		ch, err := t.mul(s0, s1, p, vh)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: head %d context: %w", h, err)
-		}
+		ml.ApproxSoftmax(s, s, t.Causal) // reads each entry before it writes it
+	}
+	chs, err := t.stage(s0, s1, ps, vs)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: head contexts: %w", err)
+	}
+	ctx := tensor.New(x.Rows, d)
+	for h, ch := range chs {
 		for r := 0; r < ch.Rows; r++ {
-			copy(ctx.Row(r)[lo:lo+dh], ch.Row(r))
+			copy(ctx.Row(r)[h*dh:(h+1)*dh], ch.Row(r))
 		}
 	}
 	out, err := t.proj(s0, s1, ctx, t.Wo, t.Bo)

@@ -56,9 +56,10 @@ func TestWireTransformerMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 3 projections + per-head (scores, context) + output + 2 FF
-		if wantMuls := 3 + 2*blk.Att.Heads + 1 + 2; wt.Muls() != wantMuls {
-			t.Fatalf("issued %d RequestMuls, want %d", wt.Muls(), wantMuls)
+		// 3 projections + per-head (scores, context) + output + 2 FF, in
+		// six dependent stages.
+		if wt.Muls() != 14 || wt.RoundTrips() != 6 {
+			t.Fatalf("%d products in %d round trips, want 14 in 6", wt.Muls(), wt.RoundTrips())
 		}
 		return got
 	}
@@ -99,12 +100,20 @@ func TestWireAttentionOnlyMatchesPlain(t *testing.T) {
 	defer c0.Close()
 	defer c1.Close()
 
-	got, err := NewWireAttention(att, 5).Infer(c0, c1, x)
+	wa := NewWireAttention(att, 5)
+	got, err := wa.Infer(c0, c1, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.ApproxEqual(want, wireTransformerTol) {
 		t.Fatalf("wire attention off plaintext by %v", got.MaxAbsDiff(want))
+	}
+	// 3 projections + 2 heads × (scores, context) + output, no FF stages.
+	if wa.Muls() != 8 || wa.RoundTrips() != 4 {
+		t.Fatalf("%d products in %d round trips, want 8 in 4", wa.Muls(), wa.RoundTrips())
+	}
+	if again, err := NewWireAttention(att, 5).Infer(c0, c1, x); err != nil || !again.Equal(got) {
+		t.Fatalf("same seed not bit-stable across runs: %v", err)
 	}
 }
 

@@ -18,7 +18,15 @@ type TripletShares struct {
 type Shares struct {
 	A, B *tensor.Matrix
 	T    TripletShares
+	// Members > 1 makes this a group of that many independent same-shape
+	// products, row-stacked (A, U: (c·m)×k; B, V: (c·k)×n; Z: (c·m)×n, with
+	// Z_j = U_j×V_j per member): one request frame, one exchange, one
+	// (c·m)×n reply. 0 and 1 both mean a lone product.
+	Members int
 }
+
+// members is the number of products in holds.
+func (in Shares) members() int { return max(in.Members, 1) }
 
 // Client is the data owner: it splits inputs into shares and prepares
 // triplets during the offline phase. Its GPU (if present) accelerates the

@@ -10,26 +10,35 @@ import (
 )
 
 // Request envelopes: optional fixed-size extensions riding between the
-// 8-byte request id and the shares payload, so deadline metadata crosses
+// 8-byte request id and the shares payload, so request metadata crosses
 // every hop (client → router → replica) inside the one frame the hops
-// already relay. Both are distinguished from legacy frames by a 4-byte
-// magic at offset 8 — legacy payloads start with a tensor codec tag
-// ('D'/'H'/'S'), which no magic's leading byte collides with, so old
-// clients and new servers interoperate in both directions.
+// already relay. Each is distinguished from legacy frames by a 4-byte
+// magic — legacy payloads start with a tensor codec tag ('D'/'H'/'S'),
+// which no magic's leading byte collides with, so old clients and new
+// servers interoperate in both directions.
 //
-//	deadline: [id u64] "PSDL" [budget-micros u32] [shares...]
-//	error:    [id u64] "PSER" [code u32] [retry-after-micros u32]
+//	request: [id u64] ["PSDL" budget-micros u32] ["PSGR" members u32] [shares...]
+//	error:   [id u64] "PSER" [code u32] [retry-after-micros u32]
 //
-// The budget is RELATIVE (time remaining), not an absolute deadline:
-// hops subtract their own elapsed time before forwarding, so the scheme
-// needs no clock synchronization between client, router, and replicas.
+// Both request envelopes are optional and ride in that order. The budget
+// is RELATIVE (time remaining), not an absolute deadline: hops subtract
+// their own elapsed time before forwarding, so the scheme needs no clock
+// synchronization between client, router, and replicas. The group envelope
+// makes the matrices behind it row-stacks of that many products
+// (Shares.Members).
 
 const (
 	deadlineMagic  = 0x5053444C // "PSDL"
+	groupMagic     = 0x50534752 // "PSGR"
 	routeErrMagic  = 0x50534552 // "PSER"
-	envelopeBytes  = 8          // magic + one u32, either envelope kind
+	envelopeBytes  = 8          // magic + one u32, any envelope kind
 	routeErrFrameB = requestIDBytes + envelopeBytes + 4
 )
+
+// MaxGroupMembers caps a group envelope's member count: far above any
+// layer's independent products (an attention block has one per head), and
+// a bound on what a hostile count can make a server size.
+const MaxGroupMembers = 256
 
 // RouteErrorCode classifies a typed protocol error frame.
 type RouteErrorCode uint32
@@ -52,6 +61,10 @@ const (
 	// already served, on this pair — ids must be unique for the pair's
 	// lifetime. The client's error; not retryable under the same id.
 	RouteDuplicateID RouteErrorCode = 5
+	// RouteBadRequest: the request frame does not decode — a malformed
+	// payload or envelope, or geometry the multiplication cannot run. The
+	// client's error, and the same bytes fail anywhere: not retryable.
+	RouteBadRequest RouteErrorCode = 6
 )
 
 func (c RouteErrorCode) String() string {
@@ -66,6 +79,8 @@ func (c RouteErrorCode) String() string {
 		return "draining"
 	case RouteDuplicateID:
 		return "duplicate_id"
+	case RouteBadRequest:
+		return "bad_request"
 	}
 	return fmt.Sprintf("code_%d", uint32(c))
 }
@@ -110,22 +125,35 @@ func budgetMicros(d time.Duration) uint32 {
 	return uint32(us)
 }
 
+// EncodeRequest serializes one multiplication request: the request id,
+// a group envelope when in is a group, and the shares payload.
+func EncodeRequest(id uint64, in Shares) []byte { return encodeRequest(id, false, 0, in) }
+
 // EncodeRequestBudget is EncodeRequest with a deadline envelope: the
 // request carries its remaining time budget, which each hop decrements
 // and checks against the cost model before doing work.
 func EncodeRequestBudget(id uint64, budget time.Duration, in Shares) []byte {
-	frame := make([]byte, 0, requestIDBytes+envelopeBytes+sharesSize(in))
+	return encodeRequest(id, true, budget, in)
+}
+
+func encodeRequest(id uint64, deadline bool, budget time.Duration, in Shares) []byte {
+	frame := make([]byte, 0, requestIDBytes+2*envelopeBytes+sharesSize(in))
 	frame = binary.LittleEndian.AppendUint64(frame, id)
-	frame = binary.LittleEndian.AppendUint32(frame, deadlineMagic)
-	frame = binary.LittleEndian.AppendUint32(frame, budgetMicros(budget))
+	if deadline {
+		frame = binary.LittleEndian.AppendUint32(frame, deadlineMagic)
+		frame = binary.LittleEndian.AppendUint32(frame, budgetMicros(budget))
+	}
+	if in.Members > 1 {
+		frame = binary.LittleEndian.AppendUint32(frame, groupMagic)
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(in.Members))
+	}
 	return appendShares(frame, in)
 }
 
 // PeekBudget reads a request frame's deadline envelope without decoding
 // the payload. ok is false on legacy frames (no envelope).
 func PeekBudget(frame []byte) (budget time.Duration, ok bool) {
-	if len(frame) < requestIDBytes+envelopeBytes ||
-		binary.LittleEndian.Uint32(frame[requestIDBytes:]) != deadlineMagic {
+	if len(frame) < requestIDBytes || !hasEnvelope(frame[requestIDBytes:], deadlineMagic) {
 		return 0, false
 	}
 	us := binary.LittleEndian.Uint32(frame[requestIDBytes+4:])
@@ -136,47 +164,54 @@ func PeekBudget(frame []byte) (budget time.Duration, ok bool) {
 // hop's "subtract my elapsed time" step, touching none of the payload.
 // Reports false if the frame carries no envelope.
 func SetBudget(frame []byte, budget time.Duration) bool {
-	if len(frame) < requestIDBytes+envelopeBytes ||
-		binary.LittleEndian.Uint32(frame[requestIDBytes:]) != deadlineMagic {
+	if len(frame) < requestIDBytes || !hasEnvelope(frame[requestIDBytes:], deadlineMagic) {
 		return false
 	}
 	binary.LittleEndian.PutUint32(frame[requestIDBytes+4:], budgetMicros(budget))
 	return true
 }
 
-// stripEnvelope returns the shares payload of a request frame, skipping
-// a deadline envelope when present. Frames too short to carry an id
-// yield an empty payload rather than a panic.
-func stripEnvelope(frame []byte) []byte {
-	if len(frame) < requestIDBytes {
-		return nil
-	}
-	if len(frame) >= requestIDBytes+envelopeBytes &&
-		binary.LittleEndian.Uint32(frame[requestIDBytes:]) == deadlineMagic {
-		return frame[requestIDBytes+envelopeBytes:]
-	}
-	return frame[requestIDBytes:]
+// hasEnvelope reports whether p starts with an envelope of the given magic.
+func hasEnvelope(p []byte, magic uint32) bool {
+	return len(p) >= envelopeBytes && binary.LittleEndian.Uint32(p) == magic
 }
 
-// PeekRequestShape reads the multiplication geometry (m, k, n) off a
-// request frame from the matrix headers alone — no payload decode, so a
-// router can run the cost model on frames it only relays. ok is false
-// when the frame is too short or not a dense/FP16 request.
-func PeekRequestShape(frame []byte) (m, k, n int, ok bool) {
-	p := stripEnvelope(frame)
-	rows, cols, size, ok := peekMatrixHeader(p)
-	if !ok {
-		return 0, 0, 0, false
+// requestBody returns what follows a request frame's id and envelopes: the
+// shares payload, and the member count a group envelope declares for it
+// (1 without one; not yet range-checked). Frames too short to carry an id
+// yield an empty payload rather than a panic.
+func requestBody(frame []byte) (payload []byte, members int) {
+	if len(frame) < requestIDBytes {
+		return nil, 1
 	}
-	m, k = rows, cols
-	if size > len(p) {
-		return 0, 0, 0, false
+	p := frame[requestIDBytes:]
+	if hasEnvelope(p, deadlineMagic) {
+		p = p[envelopeBytes:]
 	}
-	brows, bcols, _, ok := peekMatrixHeader(p[size:])
-	if !ok || brows != k {
-		return 0, 0, 0, false
+	if hasEnvelope(p, groupMagic) {
+		return p[envelopeBytes:], int(binary.LittleEndian.Uint32(p[4:]))
 	}
-	return m, k, bcols, true
+	return p, 1
+}
+
+// PeekRequestShape reads a request's geometry off its frame from the
+// envelopes and matrix headers alone — each member's (m, k, n) and how
+// many members the frame stacks — with no payload decode, so a router can
+// run the cost model on frames it only relays. ok is false when the frame
+// is too short or not a dense/FP16 request. A group of c moves
+// c·(m·k + k·n) elements each way, so its exchange floor is
+// DeadlineEstimate(c·m, k, c·n).
+func PeekRequestShape(frame []byte) (m, k, n, members int, ok bool) {
+	p, members := requestBody(frame)
+	rows, k, size, ok := peekMatrixHeader(p)
+	if !ok || members < 1 || members > MaxGroupMembers || rows%members != 0 || size > len(p) {
+		return 0, 0, 0, 0, false
+	}
+	brows, n, _, ok := peekMatrixHeader(p[size:])
+	if !ok || brows != members*k {
+		return 0, 0, 0, 0, false
+	}
+	return rows / members, k, n, members, true
 }
 
 // peekMatrixHeader reads one encoded matrix's geometry and total wire

@@ -83,26 +83,57 @@ func TestSetBudget(t *testing.T) {
 	}
 }
 
+// envelopeGroup stacks three 5×6×4 products into one party's grouped
+// request shares.
+func envelopeGroup(seed uint64) Shares {
+	p := rng.NewPool(seed)
+	a0, _ := SplitRand(p, p.NewUniform(15, 6, -1, 1))
+	b0, _ := SplitRand(p, p.NewUniform(18, 4, -1, 1))
+	t0, _ := genGemmTriplets(p, 3, 5, 6, 4)
+	return Shares{A: a0, B: b0, T: t0, Members: 3}
+}
+
 // TestPeekRequestShape checks the router's header-only geometry read on
-// both frame forms, and that non-request frames are refused.
+// every frame form — lone and grouped, with and without a deadline
+// envelope — and that non-request frames are refused.
 func TestPeekRequestShape(t *testing.T) {
-	in := envelopeShares(33)
-	for _, frame := range [][]byte{
-		EncodeRequest(5, in),
-		EncodeRequestBudget(5, time.Millisecond, in),
+	in, grp := envelopeShares(33), envelopeGroup(34)
+	for _, tc := range []struct {
+		frame   []byte
+		members int
+	}{
+		{EncodeRequest(5, in), 1},
+		{EncodeRequestBudget(5, time.Millisecond, in), 1},
+		{EncodeRequest(5, grp), 3},
+		{EncodeRequestBudget(5, time.Millisecond, grp), 3},
 	} {
-		m, k, n, ok := PeekRequestShape(frame)
-		if !ok || m != 5 || k != 6 || n != 4 {
-			t.Fatalf("PeekRequestShape = (%d,%d,%d) ok=%v, want (5,6,4)", m, k, n, ok)
+		m, k, n, c, ok := PeekRequestShape(tc.frame)
+		if !ok || m != 5 || k != 6 || n != 4 || c != tc.members {
+			t.Fatalf("PeekRequestShape = (%d,%d,%d)×%d ok=%v, want (5,6,4)×%d", m, k, n, c, ok, tc.members)
 		}
 	}
+	// The envelopes compose: budget peek and in-place rewrite see through
+	// to a grouped frame, whose payload still decodes as the group.
+	frame := EncodeRequestBudget(5, time.Millisecond, grp)
+	if !SetBudget(frame, 300*time.Microsecond) {
+		t.Fatal("SetBudget refused a grouped enveloped frame")
+	}
+	if got, ok := PeekBudget(frame); !ok || got != 300*time.Microsecond {
+		t.Fatalf("grouped frame budget = %v ok=%v, want 300µs", got, ok)
+	}
+	if id, dec, err := DecodeRequest(frame); err != nil || id != 5 || dec.Members != 3 || !dec.T.Z.Equal(grp.T.Z) {
+		t.Fatalf("grouped enveloped frame decoded to id %d, %d members: %v", id, dec.Members, err)
+	}
+	badCount := EncodeRequest(5, grp)
+	badCount[requestIDBytes+4] = 4 // 15 rows do not divide into 4 members
 	for _, bad := range [][]byte{
 		nil,
 		{1, 2, 3},
 		EncodeRequest(5, in)[:12],
 		EncodeRouteError(5, RouteNoReplicas, 0),
+		badCount,
 	} {
-		if _, _, _, ok := PeekRequestShape(bad); ok {
+		if _, _, _, _, ok := PeekRequestShape(bad); ok {
 			t.Fatalf("PeekRequestShape accepted a non-request frame of %d bytes", len(bad))
 		}
 	}
@@ -204,6 +235,33 @@ func TestServeDeadlineShed(t *testing.T) {
 	}
 	if !got.ApproxEqual(tensor.MulNaive(a, b), 1e-3) {
 		t.Fatal("post-shed request returned a wrong product")
+	}
+
+	// Admission prices what the frame stacks: a budget one member's
+	// exchange floor fits under, but the group's does not, sheds the group
+	// on both parties and serves the member alone.
+	const c, dim = 4, 64
+	budget := 10 * time.Microsecond
+	if lone, group := DeadlineEstimate(dim, dim, dim), DeadlineEstimate(c*dim, dim, c*dim); !(lone < budget && budget < group) {
+		t.Fatalf("budget %v does not separate the lone floor %v from the group floor %v", budget, lone, group)
+	}
+	jobs := makeBatchJobs(t, p, c, dim, dim, dim)
+	g0, g1 := stackJobs(jobs)
+	before = metrics.deadlineShed.Value()
+	_, err = requestMulFrames(id+2, c0, c1, EncodeRequestBudget(id+2, budget, g0), EncodeRequestBudget(id+2, budget, g1))
+	if !errors.As(err, &re) || re.Code != RouteDeadlineExceeded {
+		t.Fatalf("group under its stacked floor: got %v, want %s", err, RouteDeadlineExceeded)
+	}
+	if got := metrics.deadlineShed.Value(); got != before+2 {
+		t.Fatalf("server sheds counted %d for the group, want 2", got-before)
+	}
+	got, err = requestMulFrames(id+3, c0, c1,
+		EncodeRequestBudget(id+3, budget, jobs[0].in0), EncodeRequestBudget(id+3, budget, jobs[0].in1))
+	if err != nil || !got.Equal(jobs[0].want) {
+		t.Fatalf("one member under the same budget: %v", err)
+	}
+	if got, err = RequestMulID(id+4, c0, c1, g0, g1); err != nil || !got.SliceRows(0, dim).Equal(jobs[0].want) {
+		t.Fatalf("session did not serve the group after shedding it: %v", err)
 	}
 }
 

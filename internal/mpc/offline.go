@@ -30,13 +30,27 @@ func SplitRand(rp *rng.Pool, secret *tensor.Matrix) (s0, s1 *tensor.Matrix) {
 // Each call consumes exactly gemmTripletFills rng.Pool fills — the
 // invariant SkipGemmTriplets relies on to fast-forward a stream in O(1).
 func GenGemmTripletShares(rp *rng.Pool, m, k, n int) (p0, p1 TripletShares) {
+	return genGemmTriplets(rp, 1, m, k, n)
+}
+
+// genGemmTriplets is GenGemmTripletShares for c same-shape products at
+// once, as the row stacks a grouped request ships (Shares.Members): U is
+// (c·m)×k, V is (c·k)×n and member j's Z_j = U_j×V_j sits in rows
+// [j·m, (j+1)·m) of Z. Still gemmTripletFills fills whatever c is — every
+// fill seeds an MT19937 block stream, a fixed cost that dwarfs drawing a
+// few hundred elements, so c small triplets drawn as stacks cost about
+// what one does.
+func genGemmTriplets(rp *rng.Pool, c, m, k, n int) (p0, p1 TripletShares) {
 	defer metrics.phaseTriplet.Start().Stop()
-	u := rp.NewUniform(m, k, -1, 1) // fill 1
-	v := rp.NewUniform(k, n, -1, 1) // fill 2
-	z := tensor.MulTo(u, v)         // pure compute, no fill
-	u0, u1 := SplitRand(rp, u)      // fill 3
-	v0, v1 := SplitRand(rp, v)      // fill 4
-	z0, z1 := SplitRand(rp, z)      // fill 5
+	u := rp.NewUniform(c*m, k, -1, 1) // fill 1
+	v := rp.NewUniform(c*k, n, -1, 1) // fill 2
+	z := tensor.New(c*m, n)           // pure compute, no fill
+	for j := 0; j < c; j++ {
+		tensor.Mul(z.SliceRows(j*m, (j+1)*m), u.SliceRows(j*m, (j+1)*m), v.SliceRows(j*k, (j+1)*k))
+	}
+	u0, u1 := SplitRand(rp, u) // fill 3
+	v0, v1 := SplitRand(rp, v) // fill 4
+	z0, z1 := SplitRand(rp, z) // fill 5
 	return TripletShares{U: u0, V: v0, Z: z0}, TripletShares{U: u1, V: v1, Z: z1}
 }
 

@@ -66,8 +66,12 @@ func appendShares(frame []byte, in Shares) []byte {
 // DecodeShares parses a payload produced by EncodeShares: either the
 // full five-matrix form (A, B, U, V, Z) or the two-matrix dealer-fed
 // form (A, B with out.T zero) — the payload length after B decides.
-func DecodeShares(frame []byte) (Shares, error) {
-	var out Shares
+func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1) }
+
+// decodeShares is DecodeShares for a payload declared to stack members
+// products (a group envelope's count; 1 for a lone request).
+func decodeShares(frame []byte, members int) (Shares, error) {
+	out := Shares{Members: members}
 	var mats [5]*tensor.Matrix
 	off, count := 0, 0
 	for count < len(mats) && off < len(frame) {
@@ -94,25 +98,28 @@ func DecodeShares(frame []byte) (Shares, error) {
 
 // validateShares rejects geometry the multiplication cannot run: the
 // kernels index by A and B's dimensions, so a malformed request whose
-// matrices decoded fine individually but disagree with each other would
-// otherwise panic the serving goroutine mid-GEMM instead of failing the
-// decode.
+// matrices decoded fine individually but disagree with each other (or with
+// the member count they are declared to stack) would otherwise panic the
+// serving goroutine mid-GEMM instead of failing the decode.
 func validateShares(in Shares) error {
-	m, k := in.A.Rows, in.A.Cols
-	n := in.B.Cols
-	if in.B.Rows != k {
-		return fmt.Errorf("mpc: shares geometry: A is %dx%d but B is %dx%d", m, k, in.B.Rows, n)
-	}
-	if in.T.U == nil {
-		return nil // dealer-fed form: the triplet geometry is the feed's to honor
-	}
+	c, k, n := in.Members, in.A.Cols, in.B.Cols
 	switch {
-	case in.T.U.Rows != m || in.T.U.Cols != k:
-		return fmt.Errorf("mpc: shares geometry: U is %dx%d, want %dx%d", in.T.U.Rows, in.T.U.Cols, m, k)
-	case in.T.V.Rows != k || in.T.V.Cols != n:
-		return fmt.Errorf("mpc: shares geometry: V is %dx%d, want %dx%d", in.T.V.Rows, in.T.V.Cols, k, n)
-	case in.T.Z.Rows != m || in.T.Z.Cols != n:
-		return fmt.Errorf("mpc: shares geometry: Z is %dx%d, want %dx%d", in.T.Z.Rows, in.T.Z.Cols, m, n)
+	case c < 1 || c > MaxGroupMembers:
+		return fmt.Errorf("mpc: shares geometry: group of %d members, want 1..%d", c, MaxGroupMembers)
+	case in.A.Rows%c != 0:
+		return fmt.Errorf("mpc: shares geometry: A stack of %d rows does not divide into %d members", in.A.Rows, c)
+	case in.B.Rows != c*k:
+		return fmt.Errorf("mpc: shares geometry: A is %dx%d ×%d but B is %dx%d", in.A.Rows/c, k, c, in.B.Rows, n)
+	case in.T.U == nil && c == 1:
+		return nil // dealer-fed form: the triplet geometry is the feed's to honor
+	case in.T.U == nil:
+		return fmt.Errorf("mpc: shares geometry: dealer-fed group of %d members (a group ships its triplets)", c)
+	case !in.T.U.SameShape(in.A):
+		return fmt.Errorf("mpc: shares geometry: U is %dx%d, want %dx%d", in.T.U.Rows, in.T.U.Cols, in.A.Rows, k)
+	case !in.T.V.SameShape(in.B):
+		return fmt.Errorf("mpc: shares geometry: V is %dx%d, want %dx%d", in.T.V.Rows, in.T.V.Cols, in.B.Rows, n)
+	case in.T.Z.Rows != in.A.Rows || in.T.Z.Cols != n:
+		return fmt.Errorf("mpc: shares geometry: Z is %dx%d, want %dx%d", in.T.Z.Rows, in.T.Z.Cols, in.A.Rows, n)
 	}
 	return nil
 }
@@ -121,24 +128,17 @@ func validateShares(in Shares) error {
 // frame of the session protocol.
 const requestIDBytes = 8
 
-// EncodeRequest serializes one multiplication request: the request id
-// followed by the shares payload.
-func EncodeRequest(id uint64, in Shares) []byte {
-	frame := make([]byte, 0, requestIDBytes+sharesSize(in))
-	frame = binary.LittleEndian.AppendUint64(frame, id)
-	return appendShares(frame, in)
-}
-
 // DecodeRequest parses a frame produced by EncodeRequest or
-// EncodeRequestBudget — a deadline envelope, when present, is skipped
-// transparently (read it with PeekBudget).
+// EncodeRequestBudget. A group envelope sets the returned Shares' Members
+// (1 without one) and is checked against the stacks; a deadline envelope
+// is skipped transparently (read it with PeekBudget). The id is valid
+// whenever the frame is long enough to carry one, decode error or not.
 func DecodeRequest(frame []byte) (uint64, Shares, error) {
 	if len(frame) < requestIDBytes {
 		return 0, Shares{}, fmt.Errorf("mpc: request frame of %d bytes has no id", len(frame))
 	}
-	id := binary.LittleEndian.Uint64(frame)
-	in, err := DecodeShares(stripEnvelope(frame))
-	return id, in, err
+	in, err := decodeShares(requestBody(frame))
+	return binary.LittleEndian.Uint64(frame), in, err
 }
 
 // reqCounter hands out process-unique request ids, starting from a
@@ -620,10 +620,17 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wi
 
 // serveMuxLoop serves one client's requests until it disconnects, each
 // request's peer exchange running the session's engine on its own mux
-// sub-stream keyed by the request id. With bt non-nil each request is
+// sub-stream keyed by the request id. With bt non-nil each lone request is
 // first offered to the batch scheduler; requests it cannot place
 // (degenerate shapes, members dropped by the peer) run the individual path
 // unchanged.
+//
+// A request this party will not run — undecodable, past its deadline, a
+// re-used id — is the client's error: it is refused in-band with a typed
+// error frame and the session continues (framing is length-prefixed, so
+// the next frame is intact). A torn-down session reads as a backend
+// failure to a router, which re-sends the frame and then evicts a healthy
+// pair. Only a frame too short to carry the id to echo ends the session.
 //
 // The request latency histogram for the taken path is observed on EVERY
 // exit, error returns included — an explicit start time instead of a Span
@@ -632,6 +639,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire 
 	w := newWireMul(party, wire)
 	defer w.close()
 	var reqBuf, outBuf []byte
+	badLogged := false
 	for {
 		frame, err := readFrameInto(client, reqBuf)
 		if err != nil {
@@ -642,23 +650,44 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire 
 		h := metrics.reqWire
 		metrics.requests.Inc()
 		id, in, err := DecodeRequest(frame)
-		if err != nil {
+		// fail is the error the session ends on; refuse answers the request
+		// with a typed error frame instead, and the session goes on unless
+		// that write fails.
+		fail := func(err error) error {
 			metrics.requestErrors.Inc()
 			h.ObserveSince(start)
-			return err
+			return fmt.Errorf("mpc: request %016x: %w", id, err)
+		}
+		refuse := func(code RouteErrorCode) error {
+			h.ObserveSince(start)
+			reqBuf = shrinkScratch(reqBuf, len(frame))
+			return client.WriteFrame(EncodeRouteError(id, code, 0))
+		}
+		if err != nil {
+			if len(frame) < requestIDBytes {
+				return fail(err)
+			}
+			metrics.requestErrors.Inc()
+			if !badLogged { // one line per session; the counter has the rest
+				badLogged = true
+				cfg.Log.Event("bad_request", "party", party, "id", fmt.Sprintf("%016x", id), "err", err)
+			}
+			if err := refuse(RouteBadRequest); err != nil {
+				return err
+			}
+			continue
 		}
 		// Deadline admission: a budget-enveloped request whose remaining
-		// time cannot cover the cost model's exchange floor is refused
-		// in-band and the session continues — the refusal is deterministic
-		// in (budget, shape), so both parties of a pair decide identically.
-		if budget, ok := PeekBudget(frame); ok && budget < DeadlineEstimate(in.A.Rows, in.A.Cols, in.B.Cols) {
+		// time cannot cover the cost model's exchange floor for what it
+		// stacks is refused — deterministic in (budget, shape), so both
+		// parties of a pair decide identically.
+		c := in.members()
+		if budget, ok := PeekBudget(frame); ok && budget < DeadlineEstimate(in.A.Rows, in.A.Cols, c*in.B.Cols) {
 			metrics.deadlineShed.Inc()
-			h.ObserveSince(start)
-			if err := client.WriteFrame(EncodeRouteError(id, RouteDeadlineExceeded, 0)); err != nil {
+			if err := refuse(RouteDeadlineExceeded); err != nil {
 				metrics.requestErrors.Inc()
 				return err
 			}
-			reqBuf = shrinkScratch(reqBuf, len(frame))
 			continue
 		}
 		// From here the request lives in its decoded copy. A frame past the
@@ -673,18 +702,16 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire 
 		var ci *tensor.Matrix
 		var release func()
 		handled := false
-		// Dealer-fed requests (nil triplet) skip the batcher: the stacked
-		// exchange ships member triplets inside the proposal, which the
-		// short request form deliberately does not carry.
-		if bt != nil && in.T.U != nil {
+		// Only lone client-dealt requests batch: the stacked exchange ships
+		// member triplets inside the proposal, which the dealer-fed form does
+		// not carry, and a group is already a stack of its own.
+		if bt != nil && in.T.U != nil && c == 1 {
 			var berr error
 			ci, release, handled, berr = bt.do(id, in)
 			if handled {
 				h = metrics.reqBatched
 				if berr != nil {
-					metrics.requestErrors.Inc()
-					h.ObserveSince(start)
-					return fmt.Errorf("mpc: request %016x: %w", id, berr)
+					return fail(berr)
 				}
 			}
 		}
@@ -692,47 +719,35 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire 
 			sess, err := mux.Open(id)
 			if errors.Is(err, comm.ErrMuxSessionDup) || errors.Is(err, comm.ErrMuxSessionClosed) {
 				// The id is in flight or already retired on this pair (served,
-				// or aborted by the peer's half): the client's error, not this
-				// replica's. Refuse it in-band and
-				// keep the session — tearing it down reads as a backend
-				// failure to a router, which would evict a healthy pair.
+				// or aborted by the peer's half).
 				metrics.requestErrors.Inc()
-				h.ObserveSince(start)
-				if err := client.WriteFrame(EncodeRouteError(id, RouteDuplicateID, 0)); err != nil {
+				if err := refuse(RouteDuplicateID); err != nil {
 					return err
 				}
 				continue
 			}
 			if err != nil {
-				metrics.requestErrors.Inc()
-				h.ObserveSince(start)
-				return fmt.Errorf("mpc: request %016x: %w", id, err)
+				return fail(err)
 			}
 			if in.T.U == nil {
 				if cfg.Feed == nil {
 					sess.Abort()
-					metrics.requestErrors.Inc()
-					h.ObserveSince(start)
-					return fmt.Errorf("mpc: request %016x: dealer-fed request on a party with no triplet feed", id)
+					return fail(errors.New("dealer-fed request on a party with no triplet feed"))
 				}
 				tspan := metrics.phaseTriplet.Start()
 				in.T, err = feedTriplet(party, cfg.Feed, sess, in.A.Rows, in.A.Cols, in.B.Cols)
 				tspan.Stop()
 				if err != nil {
 					sess.Abort()
-					metrics.requestErrors.Inc()
-					h.ObserveSince(start)
-					return fmt.Errorf("mpc: request %016x: %w", id, err)
+					return fail(err)
 				}
 			}
-			ci, err = w.mul(sess, in.A, in.B, in.T, nil, nil)
+			ci, err = w.run(sess, in, nil, nil)
 			if err != nil {
 				// Notify the peer's half so it fails fast instead of waiting
 				// out its read deadline on frames that will never come.
 				sess.Abort()
-				metrics.requestErrors.Inc()
-				h.ObserveSince(start)
-				return fmt.Errorf("mpc: request %016x: %w", id, err)
+				return fail(err)
 			}
 			sess.Close()
 		}

@@ -14,8 +14,9 @@ import (
 // spans on error paths, unvalidated share geometry, and scratch buffers
 // pinned at their high-water mark.
 
-// TestErroredRequestStillObservesLatency: a request that fails
-// mid-protocol must still land a sample in the request-latency histogram.
+// TestErroredRequestStillObservesLatency: a request that fails (here:
+// refused in-band as undecodable) must still land a sample in the
+// request-latency histogram.
 // Before the fix the spans were only stopped on the success path, so
 // incident-time scrapes under-reported exactly the failing traffic. Both
 // ServeConfig.Wire settings — nil ("serial", the zero WireConfig) and set —
@@ -39,8 +40,12 @@ func TestErroredRequestStillObservesLatency(t *testing.T) {
 			if err := c.WriteFrame(garbage); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.ReadFrame(); err == nil {
-				t.Fatal("server answered a malformed request")
+			reply, err := c.ReadFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, re, ok := DecodeRouteError(reply); !ok || re.Code != RouteBadRequest {
+				t.Fatalf("malformed request answered with %x, want a bad_request error frame", reply)
 			}
 			if got := metrics.reqWire.Count(); got != before+1 {
 				t.Fatalf("reqWire samples %d, want %d: failed request left no latency sample", got, before+1)
@@ -94,30 +99,57 @@ func TestDecodeSharesValidatesGeometry(t *testing.T) {
 }
 
 // FuzzDecodeShares: any payload that decodes cleanly must be safe to
-// multiply. The committed corpus entry (testdata/fuzz/FuzzDecodeShares)
-// is the pre-fix panic reproducer: five individually well-formed matrices
-// whose U disagrees with A.
+// multiply — as a bare shares payload and as a whole request frame, whose
+// group envelope makes the five matrices stacks of several members. The
+// committed corpus entry (testdata/fuzz/FuzzDecodeShares) is the pre-fix
+// panic reproducer: five individually well-formed matrices whose U
+// disagrees with A.
 func FuzzDecodeShares(f *testing.F) {
 	f.Add(EncodeShares(validGeomShares()))
 	bad := validGeomShares()
 	bad.T.U = tensor.New(3, 3)
 	f.Add(EncodeShares(bad))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in, err := DecodeShares(data)
-		if err != nil {
-			return
+	f.Add(EncodeRequest(7, validGeomShares()))
+	for _, frame := range hostileGroupFrames(7) {
+		f.Add(frame)
+	}
+	f.Add(EncodeRequestBudget(7, time.Second, validGroupShares()))
+	for _, d := range [][3]int{{4, 0, 3}, {0, 3, 4}, {4, 3, 0}} { // a zero dimension is well-formed
+		m, k, n := d[0], d[1], d[2]
+		f.Add(EncodeRequest(7, Shares{A: tensor.New(m, k), B: tensor.New(k, n),
+			T: TripletShares{U: tensor.New(m, k), V: tensor.New(k, n), Z: tensor.New(m, n)}}))
+	}
+	// multiply serves the decoded shares as both parties of a pair would —
+	// through run, so the band floor and the member views see them too, one
+	// party banding and one not. Pre-fix this panicked on geometry that
+	// decoded fine.
+	multiply := func(t *testing.T, in Shares) {
+		if in.T.U == nil {
+			return // dealer-fed form: the triplet is the feed's
 		}
-		// Re-run the Eq. (8) index arithmetic the serving path performs;
-		// pre-fix this panicked on geometry that decoded fine.
-		m, k, n := in.A.Rows, in.A.Cols, in.B.Cols
-		e := tensor.New(m, k)
-		tensor.Sub(e, in.A, in.T.U)
-		fm := tensor.New(k, n)
-		tensor.Sub(fm, in.B, in.T.V)
-		c := tensor.New(m, n)
-		tensor.Gemm(c, in.A, fm, 1, 0)
-		tensor.Gemm(c, e, in.B, 1, 1)
-		tensor.AXPY(c, 1, in.T.Z)
+		p0, p1 := comm.Pipe()
+		defer p0.Close()
+		defer p1.Close()
+		w0, w1 := newWireMul(0, WireConfig{ChunkRows: 8}), newWireMul(1, WireConfig{})
+		defer w0.close()
+		defer w1.close()
+		e1 := make(chan error, 1)
+		go func() {
+			_, err := w1.run(p1, in, nil, nil)
+			e1 <- err
+		}()
+		_, err := w0.run(p0, in, nil, nil)
+		if err1 := <-e1; err != nil || err1 != nil {
+			t.Fatalf("shares that decoded cleanly failed the exchange: %v / %v", err, err1)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if in, err := DecodeShares(data); err == nil {
+			multiply(t, in)
+		}
+		if _, in, err := DecodeRequest(data); err == nil {
+			multiply(t, in)
+		}
 	})
 }
 

@@ -359,8 +359,9 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	codecWireB := codecCmpRes.Extra["wireB/op"]
 	byteRatio := codecWireB / rawWireB
 	nsRatio := float64(codecCmp.NsPerOp) / float64(rawCmp.NsPerOp)
-	// Transformer inference pair: one attention block (14 RequestMuls) per
-	// op over the same throttled peer link, raw vs negotiated codecs.
+	// Transformer inference pair: one attention block (14 products in six
+	// grouped round trips) per op over the same throttled peer link, raw vs
+	// negotiated codecs.
 	rawTrRes := testing.Benchmark(func(b *testing.B) { benchTransformerInfer(b, false) })
 	codecTrRes := testing.Benchmark(func(b *testing.B) { benchTransformerInfer(b, true) })
 	rawTr, codecTr := record(rawTrRes), record(codecTrRes)
@@ -373,7 +374,7 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	trNsRatio := float64(codecTr.NsPerOp) / float64(rawTr.NsPerOp)
 
 	baseline := map[string]any{
-		"description": "serving-path baseline: throttled-link remote mul (ns/op), steady-state inference request (allocs/op), concurrent-session scaling, and cross-session batched throughput. remote_mul_throttled.serial and infer_request.serial are measured on the test-only reference oracles (remotePartyRef, serveInferenceRef), not on a program path",
+		"description": "serving-path baseline: throttled-link remote mul (ns/op), steady-state inference request (allocs/op), concurrent-session scaling, and cross-session batched throughput. remote_mul_throttled.serial and infer_request.serial are measured on the test-only reference oracles (remotePartyRef, serveInferenceRef), not on a program path. transformer_infer ns/op is six grouped round trips (round_trips) on the throttled pipe carrying the block's 14 products (request_muls), where it used to be 14 round trips",
 		"remote_mul_throttled": map[string]any{
 			"dim":                           benchMulDim,
 			"chunk_rows":                    32,
@@ -411,6 +412,7 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 			"d_model":               trDModel,
 			"heads":                 trHeads,
 			"request_muls":          14,
+			"round_trips":           6,
 			"chunk_rows":            8,
 			"throttle_bps":          int64(benchThrottleBps),
 			"raw":                   rawTr,
@@ -675,7 +677,8 @@ func TestBatchedThroughputBaseline(t *testing.T) {
 
 // benchTransformerInfer drives one full WireTransformer block (3
 // projections, per-head score and context products, output projection,
-// two FF layers — 14 RequestMuls) through a ServeClients pair whose
+// two FF layers — 14 products in six grouped requests) through a
+// ServeClients pair whose
 // peer link is bandwidth-throttled and byte-counted. One op = one
 // 16-token sequence, so ns/op converts to tokens/s and the counted
 // peer traffic to bytes/token. With codec=true the adaptive selector
@@ -730,7 +733,7 @@ func BenchmarkTransformerInfer(b *testing.B) {
 const transformerByteRatioBar = 0.75
 
 // transformerNsRatioBar bounds the codec's wall-clock cost on the
-// transformer pair. Unlike the single 256-cubed mul, this workload is 14
+// transformer pair. Unlike the single 256-cubed mul, this workload is six
 // sequential small round trips, so op time is pipe-latency-dominated and
 // halving the bytes moves only a sliver of it; the bar guards against
 // encode work becoming material, not for a bandwidth win.

@@ -50,7 +50,8 @@ type WireConfig struct {
 	// ChunkRows is the row-band height this party SENDS the E stream in:
 	// it ships band k while fusing the peer's band k−1 into the GEMM. <= 0
 	// uses one whole-matrix band. Sender-local — the peer reads each band's
-	// height off the frame, so the two parties may differ.
+	// height off the frame, so the two parties may differ. Raised where
+	// needed so no band is under minBandBytes (see chunkBand).
 	ChunkRows int
 	// Pool recycles per-request matrices. nil lets each serving loop
 	// create its own.
@@ -102,9 +103,11 @@ type wireMul struct {
 	sentBytes int
 	sView     tensor.Matrix // sender-side band view (sender goroutine only)
 
-	// one is mul's member list: a lone request is a batch of one, and the
-	// per-request path must not allocate a slice to say so.
-	one [1]Shares
+	// run's member list and the row-view headers behind it (five per
+	// member), kept across requests so the per-request path allocates
+	// neither.
+	members []Shares
+	views   []tensor.Matrix
 
 	// Persistent view headers (main goroutine only): retargeted with
 	// SliceRowsInto per member and per band instead of allocating a header.
@@ -203,12 +206,57 @@ func (w *wireMul) recv(conn comm.Framer, waited *time.Duration) ([]byte, error) 
 	return frame, err
 }
 
-// mul is exchange for a lone request sent in bands of cfg.ChunkRows.
+// minBandBytes floors the E bands of the ChunkRows path. A peer frame costs
+// ~10 µs of mux and link work before its first payload byte (ladder rung
+// comm.mux.frame_us) — what ~35 KB take at loopback bulk rate — so a band
+// far under that is mostly frame: an attention block's 64×8 E stack at
+// ChunkRows 8 left as eight 256-byte frames. 16 KiB keeps stacks that small
+// whole and leaves bands already over it (32 rows × 256 columns) as set.
+const minBandBytes = 16 << 10
+
+// chunkBand is the band height a request's E stack of width k is sent in:
+// cfg.ChunkRows, raised so that no full band is under minBandBytes (a
+// zero-width stack has no bytes to band and goes whole).
+func (w *wireMul) chunkBand(k int) int {
+	if w.cfg.ChunkRows <= 0 || k == 0 {
+		return 0
+	}
+	return max(w.cfg.ChunkRows, (minBandBytes+4*k-1)/(4*k))
+}
+
+// mul is run for a lone product.
 func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
-	w.one[0] = Shares{A: a, B: b, T: t}
-	c, err := w.exchange(conn, w.one[:], w.cfg.ChunkRows, fPub, dst)
-	w.one[0] = Shares{} // an idle session must not pin its last request
-	return c, err
+	return w.run(conn, Shares{A: a, B: b, T: t}, fPub, dst)
+}
+
+// run is exchange for one request — a lone product or a row-stacked group
+// (Shares.Members) — sent in bands of chunkBand rows. The member list is
+// row views of in's stacks; a lone request is a list of one whole-matrix
+// view, so both take the same path through the engine.
+func (w *wireMul) run(conn comm.Framer, in Shares, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
+	c := in.members()
+	m, k := in.A.Rows/c, in.A.Cols
+	if cap(w.members) < c {
+		w.members, w.views = make([]Shares, c), make([]tensor.Matrix, 5*c)
+	}
+	members, views := w.members[:c], w.views[:5*c]
+	for j := range members {
+		v := views[5*j:]
+		members[j] = Shares{
+			A: in.A.SliceRowsInto(&v[0], j*m, (j+1)*m),
+			B: in.B.SliceRowsInto(&v[1], j*k, (j+1)*k),
+			T: TripletShares{
+				U: in.T.U.SliceRowsInto(&v[2], j*m, (j+1)*m),
+				V: in.T.V.SliceRowsInto(&v[3], j*k, (j+1)*k),
+				Z: in.T.Z.SliceRowsInto(&v[4], j*m, (j+1)*m),
+			},
+		}
+	}
+	out, err := w.exchange(conn, members, w.chunkBand(k), fPub, dst)
+	// An idle session must not pin its last request through the views.
+	clear(members)
+	clear(views)
+	return out, err
 }
 
 // exchange executes this party's side of one Beaver exchange over conn

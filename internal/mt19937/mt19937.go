@@ -44,11 +44,15 @@ func (mt *MT19937) Seed(seed uint32) {
 	mt.index = n
 }
 
+// seedBase is the state init_by_array starts from: init_genrand(19650218),
+// the same for every key, so SeedSlice copies it instead of re-deriving it.
+var seedBase = New(19650218).state
+
 // SeedSlice initializes the state from a key array, mirroring
 // init_by_array from the reference implementation. It allows seeding with
 // more than 32 bits of entropy (used to decorrelate per-worker generators).
 func (mt *MT19937) SeedSlice(key []uint32) {
-	mt.Seed(19650218)
+	mt.state = seedBase
 	i, j := 1, 0
 	k := len(key)
 	if n > k {
@@ -78,16 +82,27 @@ func (mt *MT19937) SeedSlice(key []uint32) {
 	mt.index = n
 }
 
-// twist regenerates the full state block.
+// twistWord is one step of the state recurrence: the new word from the
+// (upper bit of cur, lower bits of next) pair and the word m ahead.
+func twistWord(cur, next, ahead uint32) uint32 {
+	y := (cur & upperMask) | (next & lowerMask)
+	// -(y&1) is all ones exactly when y is odd: a branch-free matrixA select.
+	return ahead ^ (y >> 1) ^ (-(y & 1) & matrixA)
+}
+
+// twist regenerates the full state block. The three loops are the
+// reference genrand_int32's: they split the index range where i+1 and i+m
+// wrap, so no word pays a modulo.
 func (mt *MT19937) twist() {
-	for i := 0; i < n; i++ {
-		y := (mt.state[i] & upperMask) | (mt.state[(i+1)%n] & lowerMask)
-		next := mt.state[(i+m)%n] ^ (y >> 1)
-		if y&1 != 0 {
-			next ^= matrixA
-		}
-		mt.state[i] = next
+	s := &mt.state
+	i := 0
+	for ; i < n-m; i++ {
+		s[i] = twistWord(s[i], s[i+1], s[i+m])
 	}
+	for ; i < n-1; i++ {
+		s[i] = twistWord(s[i], s[i+1], s[i+m-n])
+	}
+	s[n-1] = twistWord(s[n-1], s[0], s[m-1])
 	mt.index = 0
 }
 

@@ -223,3 +223,103 @@ func BenchmarkMT19937Float32(b *testing.B) {
 		_ = mt.Float32()
 	}
 }
+
+// seedSliceRef and twistRef are SeedSlice and twist as they stood before
+// the precomputed base state and the modulo-free three-loop twist, frozen
+// here as the references the faster forms are held bit-identical to.
+func seedSliceRef(mt *MT19937, key []uint32) {
+	mt.Seed(19650218)
+	i, j := 1, 0
+	k := len(key)
+	if n > k {
+		k = n
+	}
+	for ; k > 0; k-- {
+		mt.state[i] = (mt.state[i] ^ ((mt.state[i-1] ^ (mt.state[i-1] >> 30)) * 1664525)) + key[j] + uint32(j)
+		i++
+		j++
+		if i >= n {
+			mt.state[0] = mt.state[n-1]
+			i = 1
+		}
+		if j >= len(key) {
+			j = 0
+		}
+	}
+	for k = n - 1; k > 0; k-- {
+		mt.state[i] = (mt.state[i] ^ ((mt.state[i-1] ^ (mt.state[i-1] >> 30)) * 1566083941)) - uint32(i)
+		i++
+		if i >= n {
+			mt.state[0] = mt.state[n-1]
+			i = 1
+		}
+	}
+	mt.state[0] = 0x80000000
+	mt.index = n
+}
+
+func twistRef(mt *MT19937) {
+	for i := 0; i < n; i++ {
+		y := (mt.state[i] & upperMask) | (mt.state[(i+1)%n] & lowerMask)
+		next := mt.state[(i+m)%n] ^ (y >> 1)
+		if y&1 != 0 {
+			next ^= matrixA
+		}
+		mt.state[i] = next
+	}
+	mt.index = 0
+}
+
+// TestSeedSliceMatchesRef: over random keys of every length rng uses (and
+// longer than the state, which wraps the key loop), the seeded state is
+// the reference's word for word.
+func TestSeedSliceMatchesRef(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		key := make([]uint32, 1+r.Intn(8))
+		if trial%50 == 49 {
+			key = make([]uint32, n+1+r.Intn(100))
+		}
+		for i := range key {
+			key[i] = r.Uint32()
+		}
+		var got, want MT19937
+		got.SeedSlice(key)
+		seedSliceRef(&want, key)
+		if got != want {
+			t.Fatalf("trial %d (key of %d words): seeded state differs from the reference", trial, len(key))
+		}
+	}
+}
+
+// TestTwistMatchesRef: from random seeded states, several consecutive
+// twists each leave the reference's state.
+func TestTwistMatchesRef(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 50; trial++ {
+		var got MT19937
+		got.SeedSlice([]uint32{r.Uint32(), r.Uint32(), r.Uint32(), 0x9e3779b9})
+		want := got
+		for tw := 0; tw < 4; tw++ {
+			got.twist()
+			twistRef(&want)
+			if got != want {
+				t.Fatalf("trial %d: state differs from the reference after twist %d", trial, tw+1)
+			}
+		}
+	}
+}
+
+// BenchmarkSeedFirstBlock is one rng block stream's fixed cost: seed from a
+// key array and produce the first state block.
+func BenchmarkSeedFirstBlock(b *testing.B) {
+	var mt MT19937
+	key := []uint32{1, 2, 3, 0x9e3779b9}
+	for i := 0; i < b.N; i++ {
+		key[2] = uint32(i)
+		mt.SeedSlice(key)
+		sinkU32 = mt.Uint32()
+	}
+}
+
+var sinkU32 uint32

@@ -35,8 +35,12 @@ batching)
   # Same-shape clients coalesced into stacked exchanges must stay
   # bit-identical to the per-session path, keep distinct shapes apart,
   # and survive a client dying mid-batch; the engine must match the
-  # reference for every batch size with unequal band heights per party.
-  drill_test ./internal/mpc/ 'TestBatchedBitIdentical|TestBatchedMixedShapes|TestBatchedSurvivesClientKill|TestExchangeMatchesRef|TestServeClientsMismatchedBands'
+  # reference for every batch size with unequal band heights per party,
+  # a grouped request (one session's own member list) must match its
+  # members sent alone and refuse hostile group frames in-band, and the
+  # 16 KiB band floor must hold on the ChunkRows path and leave a batch's
+  # planner-chosen band alone.
+  drill_test ./internal/mpc/ 'TestBatchedBitIdentical|TestBatchedMixedShapes|TestBatchedSurvivesClientKill|TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor'
   ;;
 chaos-link)
   # The inter-server link dies twice at deterministic frame boundaries
@@ -66,16 +70,21 @@ checkpoint)
 fleet)
   # Router + dealer + two dealer-fed server pairs as separate processes;
   # one pair SIGKILLed mid-run; surviving and re-routed sessions must
-  # stay bit-identical to the in-process reference.
+  # stay bit-identical to the in-process reference. First, in process:
+  # neither a client's malformed request nor a grouped one may cost the
+  # router a healthy replica.
+  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica'
   SESSIONS=$((64 * SCALE)) scripts/fleet_drill.sh -race
   ;;
 transformer)
   # Secure multi-head attention end to end: the wire-path block must
-  # match plaintext within the documented tolerance, stay bit-stable
-  # across runs, and hold up through cross-session batching plus the
-  # negotiated FP16/CSR codecs; the simtime path must track plaintext
-  # training and survive a checkpoint round trip.
-  drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerBatchedCodecStable'
+  # match plaintext within the documented tolerance in six grouped round
+  # trips (four without the feed-forward stack), stay bit-stable across
+  # runs, and hold up through cross-session batching plus the negotiated
+  # FP16/CSR codecs; a group must equal its members sent alone; the
+  # simtime path must track plaintext training and survive a checkpoint
+  # round trip.
+  drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerBatchedCodecStable|TestGroupMatchesLone'
   drill_test ./internal/secureml/ 'TestSecureTransformer|TestSecureAttentionForwardMatchesPlaintext|TestTransformerCheckpointRoundTrip'
   ;;
 dealer-chaos)
