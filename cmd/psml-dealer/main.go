@@ -32,7 +32,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":9400", "address where computation parties connect")
 	seed := flag.Uint64("seed", 0, "base seed of the deterministic per-shape triplet streams; 0 draws a random base (production)")
-	maxInflight := flag.Int("max-inflight", 64, "per pair and shape, triplets generated ahead of the slower party (memory bound and backpressure)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
 	flag.Parse()
 
@@ -53,11 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	dealer := tripletpool.NewDealer(tripletpool.DealerConfig{
-		Seed:        *seed,
-		MaxInflight: *maxInflight,
-		Log:         logger,
-	})
+	dealer := tripletpool.NewDealer(tripletpool.DealerConfig{Seed: *seed, Log: logger})
 	fmt.Printf("psml-dealer serving triplet streams on %s\n", *listen)
 	if err := dealer.Serve(ctx, ln); err != nil {
 		log.Fatalf("dealer: %v", err)

@@ -34,17 +34,16 @@ import (
 	"parsecureml/internal/obs"
 )
 
+// clientTimeout is the per-frame deadline on client connections and the
+// session idle timeout — the same 30 s psml-server gives its clients.
+const clientTimeout = 30 * time.Second
+
 func main() {
 	listen0 := flag.String("listen0", ":9300", "client-facing address for party 0 legs")
 	listen1 := flag.String("listen1", ":9301", "client-facing address for party 1 legs")
 	healthListen := flag.String("health-listen", ":9350", "address where replicas register and keep their health links")
-	clientTimeout := flag.Duration("client-timeout", 30*time.Second, "per-frame deadline on client connections; also the session idle timeout (0 disables)")
 	backendTimeout := flag.Duration("backend-timeout", 30*time.Second, "per-frame deadline on replica connections; must exceed a replica's worst-case request time")
-	maxAttempts := flag.Int("max-attempts", 4, "backends one request may be offered to before the request fails with a typed retryable error")
-	retryAfter := flag.Duration("retry-after", 50*time.Millisecond, "retry hint carried on retryable error frames (no replicas, exhausted attempts)")
-	vnodes := flag.Int("vnodes", fleet.DefaultVnodes, "virtual nodes per replica on the consistent-hash ring")
-	heartbeat := flag.Duration("health-heartbeat", 500*time.Millisecond, "heartbeat interval on replica health links")
-	missBudget := flag.Int("health-miss-budget", 3, "missed heartbeat intervals before a replica is declared dead")
+	heartbeat := flag.Duration("health-heartbeat", 500*time.Millisecond, "heartbeat interval on replica health links; a silent replica is declared dead after four")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
 	flag.Parse()
 
@@ -61,11 +60,10 @@ func main() {
 		log.Printf("router: debug endpoints on http://%s", bound)
 	}
 
-	reg := fleet.NewRegistry(*vnodes)
+	reg := fleet.NewRegistry(fleet.DefaultVnodes)
 	health := fleet.NewHealthServer(reg, fleet.HealthConfig{
 		Sup: comm.SupervisorConfig{
 			HeartbeatInterval: *heartbeat,
-			MissBudget:        *missBudget,
 			// A replica that lost its link dials back within a heartbeat
 			// or two; don't hold dead entries longer than that.
 			ReconnectAttempts: 3,
@@ -85,12 +83,12 @@ func main() {
 		log.Fatalf("face 1 listen: %v", err)
 	}
 
+	// The attempt ladder (4 backends per request) and the 50 ms retry-after
+	// hint are fleet.RouterConfig's defaults.
 	router := fleet.NewRouter(fleet.RouterConfig{
 		Registry:       reg,
-		ClientTimeout:  *clientTimeout,
+		ClientTimeout:  clientTimeout,
 		BackendTimeout: *backendTimeout,
-		MaxAttempts:    *maxAttempts,
-		RetryAfter:     *retryAfter,
 		Log:            logger,
 	})
 

@@ -14,14 +14,18 @@
 // the client's data.
 //
 // Failure behavior: the peer link is supervised — heartbeats detect a
-// dead peer within -peer-heartbeat × (-peer-miss-budget + 1), the link
-// reconnects with jittered exponential backoff (so start order doesn't
-// matter and a peer restart or fabric blip is survived), and in-flight
-// exchange frames are replayed after the resync handshake, so client
-// sessions see a link loss only as latency. Per-frame deadlines bound
-// every protocol step (so a client killed mid-request times out instead
-// of wedging the peer link), a failed session never takes the process
-// down, and SIGINT/SIGTERM drain into a graceful shutdown.
+// dead peer within four -peer-heartbeat intervals, the link reconnects
+// with jittered exponential backoff (so start order doesn't matter and a
+// fabric blip is survived), and in-flight exchange frames are replayed
+// after the resync handshake, so client sessions see a link loss only as
+// latency. Per-frame deadlines bound every protocol step (so a client
+// killed mid-request times out instead of wedging the peer link), a failed
+// session never takes the process down, and SIGINT/SIGTERM drain into a
+// graceful shutdown.
+//
+// Nothing the two servers must agree on is a flag: codec, batching
+// (-planner) and the dealer feed (-dealer-dial) are each used when both
+// servers turned them on, settled by one capability exchange at link-up.
 package main
 
 import (
@@ -44,30 +48,33 @@ import (
 	"parsecureml/internal/obs"
 )
 
+// Deadlines no deployment of this repo sets differently. peerTimeout bounds
+// how long a session waits out a peer-link outage, so it must comfortably
+// exceed the supervisor's worst-case detect + reconnect + resync time.
+const (
+	clientTimeout = 30 * time.Second // per client frame; also the session idle timeout
+	peerTimeout   = 10 * time.Second // per inter-server frame
+	drainTimeout  = 30 * time.Second // in-flight sessions after the first signal
+	// dealerReconnectAttempts outlasts a dealer restart (the peer link keeps
+	// comm's default budget).
+	dealerReconnectAttempts = 60
+)
+
 func main() {
 	party := flag.Int("party", 0, "party index: 0 or 1")
 	listen := flag.String("listen", ":9100", "address for client connections")
 	peerListen := flag.String("peer-listen", "", "listen for the peer server on this address")
 	peerDial := flag.String("peer-dial", "", "connect to the peer server at this address")
 	maxSessions := flag.Int("max-sessions", mpc.DefaultMaxSessions, "max concurrent client sessions; further accepts are shed (closed immediately and counted on psml_sessions_shed_total)")
-	clientTimeout := flag.Duration("client-timeout", 30*time.Second, "per-frame deadline on client connections; also the session idle timeout (0 disables)")
-	peerTimeout := flag.Duration("peer-timeout", 10*time.Second, "per-frame deadline on the inter-server link (0 disables)")
-	peerHeartbeat := flag.Duration("peer-heartbeat", 500*time.Millisecond, "heartbeat interval on the inter-server link (0 disables heartbeats)")
-	peerMissBudget := flag.Int("peer-miss-budget", 3, "missed heartbeat intervals before the peer link is declared dead")
-	peerReconnectAttempts := flag.Int("peer-reconnect-attempts", 10, "max connect attempts per peer-link (re)establishment before giving up")
-	peerReconnectBackoff := flag.Duration("peer-reconnect-backoff", 100*time.Millisecond, "initial backoff between peer connect attempts (doubles with jitter, capped at 2s)")
+	peerHeartbeat := flag.Duration("peer-heartbeat", 500*time.Millisecond, "heartbeat interval on the inter-server link and the router health link; a silent peer is declared dead after four (0 disables heartbeats)")
 	flag.Bool("wire-pipeline", false, "accepted and ignored: every exchange runs the one banded engine. Kept only until the benchmark's workloads stop passing it")
 	wireChunkRows := flag.Int("wire-chunk-rows", 0, "row-band height this server streams its E exchange in; 0 sends whole matrices (one frame each way). Sender-local: the peer need not match")
-	wireCodec := flag.String("wire-codec", "raw", "wire compression for revealed E/F tensors: auto (FP16+CSR, cost-model picked), raw, fp16 or csr; negotiated with the peer, so an old peer degrades to raw")
-	batchWindow := flag.Duration("batch-window", 0, "coalesce same-shape requests arriving within this window into one stacked peer exchange (0 disables unless -planner; both servers must agree)")
-	batchMaxRows := flag.Int("batch-max-rows", 0, "cap on a batch's stacked E rows; reaching it dispatches immediately (0 selects the default; requires batching)")
-	planner := flag.Bool("planner", false, "drive the batch window and band height from the hw cost models plus measured exchange costs instead of static values (enables batching)")
+	wireCodec := flag.String("wire-codec", "raw", "wire compression for revealed E/F tensors: auto (FP16+CSR, cost-model picked), raw, fp16 or csr; only codecs the peer enabled too are emitted")
+	planner := flag.Bool("planner", false, "coalesce same-shape requests across sessions into stacked peer exchanges, window and band height driven by the hw cost models plus measured exchange costs; used when the peer runs -planner too, otherwise the pair serves unbatched")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
-	dealerDial := flag.String("dealer-dial", "", "dial a psml-dealer here and serve dealer-fed (two-matrix) requests from its triplet streams (requires -pair-id; both parties of the pair must configure it)")
-	pairID := flag.Uint64("pair-id", 0, "this server pair's identity at the dealer; both parties must agree (requires -dealer-dial)")
+	dealerDial := flag.String("dealer-dial", "", "dial a psml-dealer here and serve dealer-fed (two-matrix) requests from its triplet streams (requires -pair-id); used when the peer has a feed too, otherwise both servers refuse the two-matrix form in-band")
+	pairID := flag.Uint64("pair-id", 0, "this server pair's identity at the dealer, the same on both servers of the pair (requires -dealer-dial)")
 	feedDepth := flag.Int("triplet-feed-depth", 8, "per-shape credit headroom kept with the dealer (requires -dealer-dial)")
-	dealerReconnectAttempts := flag.Int("dealer-reconnect-attempts", 60, "max connect attempts per dealer-link (re)establishment — sized to outlast a dealer restart (requires -dealer-dial)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on the first SIGINT/SIGTERM: announce DRAIN to the router (if registered), stop accepting clients, and give in-flight sessions this long to finish; a second signal (or the timeout) stops hard")
 	routerRegister := flag.String("router-register", "", "register this server pair with the psml-router health listener at this address (run on ONE party per pair; requires the -advertise flags)")
 	replicaName := flag.String("replica-name", "", "this pair's stable identity on the router's consistent-hash ring (requires -router-register)")
 	advertise0 := flag.String("advertise-party0", "", "party 0's client address as the router should dial it (requires -router-register)")
@@ -84,9 +91,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("%v", err)
 	}
-	if *batchMaxRows != 0 && *batchWindow <= 0 && !*planner {
-		log.Fatalf("-batch-max-rows requires -batch-window or -planner")
-	}
 	if (*dealerDial == "") != (*pairID == 0) {
 		log.Fatalf("-dealer-dial and -pair-id go together")
 	}
@@ -96,7 +100,7 @@ func main() {
 
 	// Two-phase shutdown: the first signal drains (DRAIN announced to the
 	// router, client listener closed, in-flight sessions finish), the
-	// second — or the drain timeout — cancels ctx and stops hard. The
+	// second — or drainTimeout — cancels ctx and stops hard. The
 	// drain goroutine is armed below, once the listener and the fleet
 	// agent exist.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -122,7 +126,7 @@ func main() {
 			cancel() // not serving yet: nothing to drain
 			return
 		}
-		log.Printf("party %d: draining (no new sessions; in-flight get %v; signal again to stop hard)", *party, *drainTimeout)
+		log.Printf("party %d: draining (no new sessions; in-flight get %v; signal again to stop hard)", *party, drainTimeout)
 		if agent != nil {
 			if err := fleet.SendDrain(agent); err != nil {
 				logger.Error("drain_announce", err)
@@ -131,7 +135,7 @@ func main() {
 		ln.Close() // ServeClients finishes in-flight sessions and returns
 		select {
 		case <-sigs:
-		case <-time.After(*drainTimeout):
+		case <-time.After(drainTimeout):
 		case <-ctx.Done():
 			return
 		}
@@ -154,12 +158,9 @@ func main() {
 	// each incarnation, and unacknowledged frames are replayed after the
 	// resync. The listening side keeps its listener open for the life of
 	// the process so a restarted or disconnected peer can come back.
-	supCfg := comm.SupervisorConfig{
-		HeartbeatInterval: *peerHeartbeat,
-		MissBudget:        *peerMissBudget,
-		ReconnectAttempts: *peerReconnectAttempts,
-		ReconnectBase:     *peerReconnectBackoff,
-	}
+	// The peer link's supervision profile: the heartbeat is the flag's,
+	// every other number is comm.SupervisorConfig's default.
+	supCfg := comm.SupervisorConfig{HeartbeatInterval: *peerHeartbeat}
 	if *peerHeartbeat <= 0 {
 		supCfg.HeartbeatInterval = -1 // 0 means "default" in the config; the flag's 0 means off
 	}
@@ -177,7 +178,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			c.SetTimeouts(0, *peerTimeout)
+			c.SetTimeouts(0, peerTimeout)
 			return c, nil
 		}
 	} else {
@@ -186,7 +187,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			c.SetTimeouts(0, *peerTimeout)
+			c.SetTimeouts(0, peerTimeout)
 			return c, nil
 		}
 	}
@@ -210,8 +211,8 @@ func main() {
 	drainMu.Unlock()
 	cfg := mpc.ServeConfig{
 		MaxSessions:   *maxSessions,
-		ClientTimeout: *clientTimeout,
-		PeerTimeout:   *peerTimeout,
+		ClientTimeout: clientTimeout,
+		PeerTimeout:   peerTimeout,
 		Log:           logger,
 	}
 
@@ -231,10 +232,8 @@ func main() {
 			c.SetTimeouts(0, 10*time.Second)
 			return c, nil
 		}, *party, *pairID, tripletpool.FeedConfig{
-			Depth: *feedDepth,
-			Supervisor: comm.SupervisorConfig{
-				ReconnectAttempts: *dealerReconnectAttempts,
-			},
+			Depth:      *feedDepth,
+			Supervisor: comm.SupervisorConfig{ReconnectAttempts: dealerReconnectAttempts},
 		})
 		if err != nil {
 			log.Fatalf("dealer feed: %v", err)
@@ -253,7 +252,6 @@ func main() {
 			Addr: [2]string{*advertise0, *advertise1},
 		}, comm.SupervisorConfig{
 			HeartbeatInterval: *peerHeartbeat,
-			MissBudget:        *peerMissBudget,
 			ReconnectAttempts: 30, // outlast a router restart
 		}, logger)
 		if err != nil {
@@ -268,18 +266,13 @@ func main() {
 	cfg.Wire = &mpc.WireConfig{ChunkRows: *wireChunkRows}
 	if codecSet != 0 {
 		// Negotiated: stays raw until (unless) the peer advertises its
-		// own codec set, so mixed-version server pairs keep working.
+		// own codec set.
 		cfg.Wire.Codec = &mpc.WireCodec{Enabled: codecSet, HW: hw.Paper(), Negotiate: true}
 	}
 	log.Printf("party %d: exchange engine: chunk rows %d, codec %s", *party, *wireChunkRows, *wireCodec)
-	if *batchWindow > 0 || *planner {
-		cfg.Batch = &mpc.BatchConfig{Window: *batchWindow, MaxRows: *batchMaxRows}
-		if *planner {
-			cfg.Batch.Planner = mpc.NewPlanner(hw.Paper())
-			log.Printf("party %d: cross-session batching enabled (planner-driven window)", *party)
-		} else {
-			log.Printf("party %d: cross-session batching enabled (window %v)", *party, *batchWindow)
-		}
+	if *planner {
+		cfg.Batch = &mpc.BatchConfig{Planner: mpc.NewPlanner(hw.Paper())}
+		log.Printf("party %d: cross-session batching offered (planner-driven window)", *party)
 	}
 	fmt.Printf("psml-server party %d serving clients on %s\n", *party, *listen)
 	err = mpc.ServeClients(ctx, *party, ln, peer, cfg)

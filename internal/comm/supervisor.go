@@ -214,6 +214,36 @@ func jitterDuration(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * (1 - f + 2*f*rand.Float64()))
 }
 
+// backoff is this package's one retry schedule (DialRetry, reconnect): it
+// calls try up to attempts times, sleeping a jittered delay between calls
+// that starts at base and doubles up to max. try returns retry=false to end
+// the loop with its error as is (nil on success); when the attempts run out
+// its last error comes back wrapped, naming what was retried. A closed stop
+// channel — nil never closes — ends it with ErrLinkClosed.
+func backoff(what string, attempts int, base, max time.Duration, jitter float64, stop <-chan struct{}, try func() (retry bool, err error)) error {
+	var err error
+	for attempt, delay := 0, base; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-stop:
+				return ErrLinkClosed
+			case <-time.After(jitterDuration(delay, jitter)):
+			}
+			delay = min(2*delay, max)
+		}
+		select {
+		case <-stop:
+			return ErrLinkClosed
+		default:
+		}
+		var retry bool
+		if retry, err = try(); !retry {
+			return err
+		}
+	}
+	return fmt.Errorf("comm: %s: %d attempts exhausted: %w", what, attempts, err)
+}
+
 // deadliner is the optional deadline surface of a connect result (*Conn
 // implements it); the resync handshake uses it to bound its read.
 type deadliner interface {
@@ -475,44 +505,25 @@ func (s *SupervisedLink) supervise(sc *supConn) {
 // reconnect runs the jittered-backoff connect/resync cycle and returns
 // the installed incarnation.
 func (s *SupervisedLink) reconnect() (*supConn, error) {
-	delay := s.cfg.ReconnectBase
-	var lastErr error
-	for attempt := 0; attempt < s.cfg.ReconnectAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-s.done:
-				return nil, ErrLinkClosed
-			case <-time.After(jitterDuration(delay, s.cfg.Jitter)):
-			}
-			delay *= 2
-			if delay > s.cfg.ReconnectMax {
-				delay = s.cfg.ReconnectMax
-			}
-		}
-		select {
-		case <-s.done:
-			return nil, ErrLinkClosed
-		default:
-		}
+	var sc *supConn
+	err := backoff("supervised link reconnect", s.cfg.ReconnectAttempts, s.cfg.ReconnectBase, s.cfg.ReconnectMax, s.cfg.Jitter, s.done, func() (bool, error) {
 		c, err := s.connect()
 		if err != nil {
-			lastErr = err
-			continue
+			return true, err
 		}
-		sc, err := s.resync(c)
-		if err != nil {
+		if sc, err = s.resync(c); err != nil {
 			if cl, ok := c.(io.Closer); ok {
 				cl.Close()
 			}
-			if errors.Is(err, ErrPeerStateLost) || errors.Is(err, ErrReplayGap) {
-				return nil, err // unrecoverable: retrying cannot help
-			}
-			lastErr = err
-			continue
+			// Lost peer state or a replay gap: retrying cannot help.
+			return !errors.Is(err, ErrPeerStateLost) && !errors.Is(err, ErrReplayGap), err
 		}
-		return sc, nil
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("comm: supervised link: %d reconnect attempts exhausted: %w", s.cfg.ReconnectAttempts, lastErr)
+	return sc, nil
 }
 
 // resync runs the re-handshake on a fresh connection: exchange RESYNC

@@ -499,16 +499,22 @@ func TestFaultConnDropAfterFrames(t *testing.T) {
 	w := Wrap(fc)
 	r := Wrap(right)
 
-	read := make(chan []byte, 3)
-	readErr := make(chan error, 1)
+	// One channel for frames and the final error, so the test sees them in
+	// the order the reader did: with two channels a select could pick the
+	// error while both frames were already queued.
+	type result struct {
+		frame []byte
+		err   error
+	}
+	results := make(chan result, 4) // two frames, the error, one spare for a stray frame
 	go func() {
 		for {
 			f, err := r.ReadFrame()
 			if err != nil {
-				readErr <- err
+				results <- result{err: err}
 				return
 			}
-			read <- append([]byte(nil), f...)
+			results <- result{frame: append([]byte(nil), f...)}
 		}
 	}()
 
@@ -527,23 +533,22 @@ func TestFaultConnDropAfterFrames(t *testing.T) {
 	}
 	for i, want := range []string{"first", "second"} {
 		select {
-		case f := <-read:
-			if string(f) != want {
-				t.Fatalf("frame %d: got %q want %q", i, f, want)
+		case res := <-results:
+			if res.err != nil {
+				t.Fatalf("reader failed before frame %d: %v", i, res.err)
 			}
-		case err := <-readErr:
-			t.Fatalf("reader failed before frame %d: %v", i, err)
+			if string(res.frame) != want {
+				t.Fatalf("frame %d: got %q want %q", i, res.frame, want)
+			}
 		case <-time.After(2 * time.Second):
 			t.Fatalf("frame %d never arrived", i)
 		}
 	}
 	select {
-	case err := <-readErr:
-		if err == nil {
-			t.Fatalf("reader got nil error after the drop")
+	case res := <-results:
+		if res.err == nil {
+			t.Fatalf("unexpected frame after the drop: %q", res.frame)
 		}
-	case f := <-read:
-		t.Fatalf("unexpected frame after the drop: %q", f)
 	case <-time.After(2 * time.Second):
 		t.Fatalf("reader never observed the drop")
 	}
@@ -630,8 +635,13 @@ func TestSupervisedLinkOnReconnectHook(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if fired.Load() < 1 {
-		t.Fatal("OnReconnect callback did not fire across a reconnect")
+	// Traffic resumes when the resync installs the new connection; the hooks
+	// run right after, on the supervisor's goroutine — so all fifty frames
+	// can be here before the callback is. Wait for the event.
+	for deadline := time.Now().Add(2 * time.Second); fired.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("OnReconnect callback did not fire across a reconnect")
+		}
 	}
 }
 

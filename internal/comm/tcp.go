@@ -338,21 +338,13 @@ func (c RetryConfig) withDefaults() RetryConfig {
 // refusals are absorbed instead of being fatal.
 func DialRetry(addr string, cfg RetryConfig) (*Conn, error) {
 	cfg = cfg.withDefaults()
-	delay := cfg.BaseDelay
-	var lastErr error
-	for attempt := 0; attempt < cfg.Attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(jitterDuration(delay, cfg.Jitter))
-			delay *= 2
-			if delay > cfg.MaxDelay {
-				delay = cfg.MaxDelay
-			}
-		}
-		c, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
-		if err == nil {
-			return newConn(c), nil
-		}
-		lastErr = err
+	var c net.Conn
+	err := backoff("dial "+addr, cfg.Attempts, cfg.BaseDelay, cfg.MaxDelay, cfg.Jitter, nil, func() (retry bool, err error) {
+		c, err = net.DialTimeout("tcp", addr, cfg.DialTimeout)
+		return err != nil, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("comm: dial %s: %d attempts exhausted: %w", addr, cfg.Attempts, lastErr)
+	return newConn(c), nil
 }

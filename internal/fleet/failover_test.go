@@ -102,7 +102,8 @@ func TestRouterDuplicateIDKeepsReplica(t *testing.T) {
 
 // TestRouterMalformedRequestKeepsReplica: a request frame the pair cannot
 // decode — garbage behind the id, or a grouped frame whose stacks disagree
-// with its member count — is the CLIENT's error. The pair answers it
+// with its member count — or will not run — the dealer-fed two-matrix form
+// on a pair with no triplet feed — is the CLIENT's error. The pair answers it
 // in-band with a typed, non-retryable bad_request; before that it tore the
 // backend session down, which the router read as a replica failure,
 // re-sent the same bad frame, and on the second failure evicted a healthy
@@ -124,8 +125,9 @@ func TestRouterMalformedRequestKeepsReplica(t *testing.T) {
 	garbage := append(mpc.EncodeRequest(id, mpc.Shares{A: tensor.New(1, 1), B: tensor.New(1, 1)})[:8], "not a shares payload"...)
 	g0, _, _ := groupedShares(p, 3, 5, 6, 4)
 	g0.T.Z = tensor.New(5, 4) // one member's Z under a three-member envelope
+	dealerFed := mpc.EncodeRequest(id, mpc.Shares{A: tensor.New(5, 6), B: tensor.New(6, 4)})
 	retriesBefore := routerRetries.Value()
-	for i, frame := range [][]byte{garbage, mpc.EncodeRequest(id, g0)} {
+	for i, frame := range [][]byte{garbage, mpc.EncodeRequest(id, g0), dealerFed} {
 		for leg, c := range []*comm.Conn{c0, c1} {
 			if err := c.WriteFrame(frame); err != nil {
 				t.Fatal(err)

@@ -28,7 +28,7 @@ import (
 // Coordination: the two parties see the same request ids but not in the
 // same order or at the same time, so batch membership must be agreed, not
 // assumed. Party 0 leads: it collects, then sends a proposal (batch id,
-// shape, member ids) on a reserved mux control session. Party
+// shape, member ids) on the pair's control session (pairCtl). Party
 // 1 claims each proposed id from its own arrivals — waiting JoinWait for
 // stragglers still in flight — and acks the subset it holds. Both sides
 // execute the acked subset in proposal order over a fresh mux session keyed
@@ -37,17 +37,12 @@ import (
 // from the exec, the follower remembers them as dropped), so one slow or
 // dead client never wedges its co-tenants.
 //
-// Both parties must enable batching together (ServeConfig.Batch): a leader
-// whose peer never opens the control session sees every proposal go
-// unanswered and pays the ack timeout per batch. The band height each
-// party streams its stack in is its own choice (stackBand).
+// A batcher exists only on a pair whose capability handshake settled
+// batching, so a proposal always has a follower to answer it. The band
+// height each party streams its stack in is its own choice (stackBand).
 
-// batchCtlID is the reserved mux session carrying batch proposals and
-// acks ("psmlbch1"). Request ids start from a random 64-bit base, so a
-// collision with a live request id is as likely as any other id reuse.
-const batchCtlID uint64 = 0x70736d6c62636831
-
-// Batch control frame layout (little-endian):
+// Batch control frame layout (little-endian); the version byte is also what
+// tells these frames from a capability frame on the control session:
 //
 //	propose: ver kind=1 | u64 batchID | u32 m k n | u32 count | count × u64 ids
 //	ack:     ver kind=2 | u64 batchID | u32 count | count × u64 ids (subset, proposal order)
@@ -62,7 +57,8 @@ const (
 const maxBatchCtlIDs = 1 << 12
 
 // BatchConfig enables and tunes cross-session request batching on
-// ServeClients. Both parties must configure it together.
+// ServeClients. The pair batches when both parties set one; each party's
+// values are its own.
 type BatchConfig struct {
 	// Window is how long the collector holds the first request of a batch
 	// for more same-shape arrivals. <= 0 selects the default (500µs) unless
@@ -72,9 +68,6 @@ type BatchConfig struct {
 	// MaxBatch caps the members of one batch; a full batch dispatches
 	// immediately. <= 0 selects 16.
 	MaxBatch int
-	// MaxRows caps the stacked E rows of one batch (members × m); reaching
-	// it dispatches immediately. <= 0 selects 4096.
-	MaxRows int
 	// JoinWait is how long the follower waits for a proposed member whose
 	// request has not reached it yet before dropping that member from the
 	// batch. <= 0 selects 150ms.
@@ -85,10 +78,10 @@ type BatchConfig struct {
 }
 
 const (
-	defaultBatchWindow  = 500 * time.Microsecond
-	defaultBatchMax     = 16
-	defaultBatchMaxRows = 4096
-	defaultJoinWait     = 150 * time.Millisecond
+	defaultBatchWindow = 500 * time.Microsecond
+	defaultBatchMax    = 16
+	defaultJoinWait    = 150 * time.Millisecond
+	batchMaxRows       = 4096 // stacked E rows (members × m) at which a batch dispatches at once
 )
 
 func (c BatchConfig) withDefaults() BatchConfig {
@@ -97,9 +90,6 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = defaultBatchMax
-	}
-	if c.MaxRows <= 0 {
-		c.MaxRows = defaultBatchMaxRows
 	}
 	if c.JoinWait <= 0 {
 		c.JoinWait = defaultJoinWait
@@ -114,22 +104,22 @@ func (c BatchConfig) withDefaults() BatchConfig {
 // batch exchange: the request failed, like a per-request exchange error.
 // On success, ci is a row view into the shared stacked result; release
 // returns the backing store to the pool once the caller has encoded it.
+// control takes one frame off the pair's control session — an ack on the
+// leader, a proposal on the follower — without blocking or keeping it.
 type batcher interface {
 	do(id uint64, in Shares) (ci *tensor.Matrix, release func(), handled bool, err error)
+	control(frame []byte)
 	close()
 }
 
-// newBatcher wires the party's side of the batch protocol onto the mux.
-// wire supplies the pool (non-nil) and the codec of the stacked exchanges —
-// the same ones the per-request path uses.
-func newBatcher(party int, mux *comm.Mux, cfg BatchConfig, wire WireConfig) (batcher, error) {
-	ctl, err := mux.Open(batchCtlID)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: batch control session: %w", err)
-	}
+// newBatcher wires the party's side of the batch protocol onto the mux; ctl
+// is the pair's control session, which the batcher only writes. wire
+// supplies the pool (non-nil) and the codec of the stacked exchanges — the
+// same ones the per-request path uses.
+func newBatcher(party int, mux *comm.Mux, ctl *comm.MuxSession, cfg BatchConfig, wire WireConfig) batcher {
 	cfg = cfg.withDefaults()
 	if party == 0 {
-		l := &batchLeader{
+		return &batchLeader{
 			cfg:     cfg,
 			mux:     mux,
 			ctl:     ctl,
@@ -138,8 +128,6 @@ func newBatcher(party int, mux *comm.Mux, cfg BatchConfig, wire WireConfig) (bat
 			acks:    make(map[uint64]chan batchAck),
 			done:    make(chan struct{}),
 		}
-		go l.ackLoop()
-		return l, nil
 	}
 	f := &batchFollower{
 		cfg:     cfg,
@@ -159,8 +147,7 @@ func newBatcher(party int, mux *comm.Mux, cfg BatchConfig, wire WireConfig) (bat
 		maxWindow = defaultMaxWindow
 	}
 	f.proposalWait = 2*cfg.JoinWait + maxWindow + 250*time.Millisecond
-	go f.proposalLoop()
-	return f, nil
+	return f
 }
 
 // batchOutcome is the collector's answer to one parked request.
@@ -309,7 +296,7 @@ func (l *batchLeader) do(id uint64, in Shares) (*tensor.Matrix, func(), bool, er
 		}
 		pb.members = append(pb.members, mem)
 		pb.ids[id] = struct{}{}
-		full := len(pb.members) >= l.cfg.MaxBatch || len(pb.members)*shape.m >= l.cfg.MaxRows
+		full := len(pb.members) >= l.cfg.MaxBatch || len(pb.members)*shape.m >= batchMaxRows
 		l.mu.Unlock()
 		if full {
 			l.dispatch(shape, pb)
@@ -432,29 +419,18 @@ func (l *batchLeader) run(pb *pendingBatch) {
 	exchangeBatch(0, l.mux, batchID, accepted, l.cfg, l.wire)
 }
 
-// ackLoop owns the control session's read side on the leader.
-func (l *batchLeader) ackLoop() {
-	var buf []byte
-	for {
-		frame, err := readFrameInto(l.ctl, buf)
-		if err != nil {
-			if comm.IsTimeout(err) {
-				continue // idle control session; keep listening
-			}
-			return // mux dead or batcher closed
-		}
-		buf = frame
-		ack, err := parseAck(frame)
-		if err != nil {
-			continue
-		}
-		l.mu.Lock()
-		ch := l.acks[ack.id]
-		delete(l.acks, ack.id)
-		l.mu.Unlock()
-		if ch != nil {
-			ch <- ack
-		}
+// control hands the follower's ack to the batch waiting on it.
+func (l *batchLeader) control(frame []byte) {
+	ack, err := parseAck(frame)
+	if err != nil {
+		return
+	}
+	l.mu.Lock()
+	ch := l.acks[ack.id]
+	delete(l.acks, ack.id)
+	l.mu.Unlock()
+	if ch != nil {
+		ch <- ack // buffered 1, one ack per batch id: never blocks
 	}
 }
 
@@ -466,7 +442,6 @@ func (l *batchLeader) close() {
 		l.pending = map[batchShape]*pendingBatch{}
 		l.mu.Unlock()
 		close(l.done)
-		l.ctl.Close()
 		for _, pb := range pend {
 			if pb.timer != nil {
 				pb.timer.Stop()
@@ -563,8 +538,8 @@ func (f *batchFollower) do(id uint64, in Shares) (*tensor.Matrix, func(), bool, 
 	}
 	f.mu.Lock()
 	if _, still := f.waiting[id]; still {
-		// No proposal claimed us in time (the leader may not be batching,
-		// or its half never arrived): withdraw to the individual path.
+		// No proposal claimed us in time (the leader's half never arrived):
+		// withdraw to the individual path.
 		delete(f.waiting, id)
 		f.mu.Unlock()
 		metrics.batchFallbacks.Inc()
@@ -588,22 +563,9 @@ func (f *batchFollower) resolve(out batchOutcome) (*tensor.Matrix, func(), bool,
 	return out.ci, out.release, true, out.err
 }
 
-// proposalLoop owns the control session's read side on the follower.
-func (f *batchFollower) proposalLoop() {
-	var buf []byte
-	for {
-		frame, err := readFrameInto(f.ctl, buf)
-		if err != nil {
-			if comm.IsTimeout(err) {
-				continue
-			}
-			return
-		}
-		buf = frame
-		prop, err := parseProposal(frame)
-		if err != nil {
-			continue
-		}
+// control starts the leader's proposed batch.
+func (f *batchFollower) control(frame []byte) {
+	if prop, err := parseProposal(frame); err == nil {
 		go f.runBatch(prop)
 	}
 }
@@ -691,7 +653,6 @@ func (f *batchFollower) close() {
 		f.closed = true
 		f.mu.Unlock()
 		close(f.done)
-		f.ctl.Close()
 		// Members parked in do() observe f.done and withdraw themselves;
 		// members claimed by in-flight batches get their outcome from the
 		// batch goroutine, whose mux reads are deadline-bounded.

@@ -166,8 +166,9 @@ func TestGroupRejectsHostileFrames(t *testing.T) {
 	}
 }
 
-// TestServeBadRequestKeepsSession: a frame the decoder refuses is the
-// client's error — answered in-band, the SAME session then serves a valid
+// TestServeBadRequestKeepsSession: a frame the decoder refuses — or the
+// dealer-fed two-matrix form on a pair that settled no feed — is the
+// client's error, answered in-band; the SAME session then serves a valid
 // request. Only a frame too short to carry the id a refusal must echo ends
 // the session.
 func TestServeBadRequestKeepsSession(t *testing.T) {
@@ -181,7 +182,8 @@ func TestServeBadRequestKeepsSession(t *testing.T) {
 	errsBefore := metrics.sessionErrors.Value()
 	const id = uint64(0x1603 << 16)
 	garbage := append(binary.LittleEndian.AppendUint64(nil, id), "not a shares payload"...)
-	for i, frame := range [][]byte{garbage, hostileGroupFrames(id)["Z stack shape"]} {
+	dealerFed := EncodeRequest(id, Shares{A: tensor.New(4, 5), B: tensor.New(5, 3)})
+	for i, frame := range [][]byte{garbage, hostileGroupFrames(id)["Z stack shape"], dealerFed} {
 		for leg, c := range []*comm.Conn{c0, c1} {
 			if err := c.WriteFrame(frame); err != nil {
 				t.Fatal(err)

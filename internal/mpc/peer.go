@@ -14,10 +14,9 @@ import (
 // Heartbeat RTT samples land on psml_link_heartbeat_rtt_seconds unless
 // cfg.ObserveRTT is already set.
 //
-// The returned link slots directly into ServeClients' peer parameter.
-// Both parties must run one (the supervised frame protocol is
-// symmetric); mixing a supervised and a bare peer fails the first
-// resync handshake.
+// The returned link slots directly into ServeClients' peer parameter. The
+// supervised frame protocol is symmetric: a supervised end paired with a
+// bare one fails its first resync handshake, at link-up.
 func SupervisePeer(party int, connect func() (*comm.Conn, error), cfg comm.SupervisorConfig) (*comm.SupervisedLink, error) {
 	if cfg.ObserveRTT == nil {
 		cfg.ObserveRTT = metrics.linkRTT.Observe

@@ -383,10 +383,9 @@ type ServeConfig struct {
 	Wire *WireConfig
 	// Batch, when non-nil, coalesces compatible same-shape requests across
 	// sessions into single stacked exchanges (see batch.go) — bit-identical
-	// results, one peer round per batch instead of one per request. Both
-	// parties must enable it together: a peer without batching never
-	// answers proposals, and every batch pays the ack timeout before
-	// falling back.
+	// results, one peer round per batch instead of one per request. Used
+	// when the peer advertises batching too; against one that does not, the
+	// pair serves unbatched.
 	Batch *BatchConfig
 	// Log receives structured serving events (session lifecycle, accept
 	// failures); nil silences them. Metrics are recorded regardless — the
@@ -398,15 +397,16 @@ type ServeConfig struct {
 	// loudly instead of stacking invisible latency. <= 0 selects
 	// DefaultMaxSessions.
 	MaxSessions int
-	// Feed, when non-nil, serves dealer-fed requests (the two-matrix A, B
-	// form): the triplet comes from this party's feed instead of the
-	// client. Party 0 draws the next ready triplet for the request's shape
-	// and tells party 1 its stream sequence number over the request's mux
-	// session (the first frame, ahead of the Beaver exchange), so both
-	// parties always hold complementary halves of the same triplet no
-	// matter how concurrent sessions interleave. Full five-matrix requests
-	// are still honored — a pair can serve classic and dealer-fed clients
-	// at once. Both parties must configure a Feed together.
+	// Feed, when non-nil and the peer advertises one too, serves dealer-fed
+	// requests (the two-matrix A, B form): the triplet comes from this
+	// party's feed instead of the client. Party 0 draws the next ready
+	// triplet for the request's shape and tells party 1 its stream sequence
+	// number over the request's mux session (the first frame, ahead of the
+	// Beaver exchange), so both parties always hold complementary halves of
+	// the same triplet no matter how concurrent sessions interleave. Full
+	// five-matrix requests are still honored — a pair can serve classic and
+	// dealer-fed clients at once. With a feed on one side only, both
+	// parties refuse the two-matrix form in-band (RouteBadRequest).
 	Feed TripletFeed
 }
 
@@ -480,37 +480,26 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 	if wire.Pool == nil {
 		wire.Pool = tensor.NewPool()
 	}
-	codec := wire.Codec
 	// A reconnected supervised link is a different network path: the
 	// bandwidth EWMA measured on the dead incarnation must not keep the
 	// codec selector pinned to a throttle (or a fast path) that no longer
-	// exists. Reset it; fresh exchanges re-measure within a few requests.
-	if codec != nil {
-		if sl, ok := peer.(*comm.SupervisedLink); ok {
-			sl.OnReconnect(codec.ResetLink)
-		}
+	// exists. Reset it (a no-op without a codec); fresh exchanges re-measure
+	// within a few requests.
+	if sl, ok := peer.(*comm.SupervisedLink); ok {
+		sl.OnReconnect(wire.Codec.ResetLink)
 	}
-	// Codec capability handshake: advertise once on the reserved control
-	// session and upgrade when the peer's advertisement arrives. Until
-	// then (or forever, against an old peer that never answers) every
-	// send stays raw — no timeout in the startup path.
-	if codec != nil && codec.Negotiate {
-		ctl, err := mux.Open(wireCtlID)
-		if err != nil {
-			mux.Close()
-			return fmt.Errorf("mpc: party %d: codec control session: %w", party, err)
+	// Pair capability handshake: what the pair batches, feeds and compresses
+	// is what BOTH parties advertise.
+	ctl := startPairCtl(party, mux, cfg, wire)
+	var wg sync.WaitGroup
+	defer func() {
+		wg.Wait()
+		mux.Close() // also ends the control reader
+		<-ctl.done
+		if ctl.bt != nil {
+			ctl.bt.close() // idempotent: the AfterFunc may have run already
 		}
-		go runCodecNegotiation(ctl, codec, cfg.Log)
-	}
-	var bt batcher
-	if cfg.Batch != nil {
-		b, err := newBatcher(party, mux, *cfg.Batch, wire)
-		if err != nil {
-			mux.Close()
-			return fmt.Errorf("mpc: party %d: %w", party, err)
-		}
-		bt = b
-	}
+	}()
 
 	// Cancelling ctx closes the listener (unblocking Accept) and every
 	// tracked session conn (unblocking their frame reads). The mutex
@@ -528,23 +517,24 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 		for c := range active {
 			c.Close()
 		}
-		if bt != nil {
+		if ctl.common.Load()&capBatch != 0 {
 			// Unpark collecting batches immediately: their members fall
 			// back and then fail on their (now closing) client conns.
-			bt.close()
+			ctl.bt.close()
 		}
 	})
 	defer stop()
 
-	var wg sync.WaitGroup
-	defer func() {
-		wg.Wait()
-		if bt != nil {
-			bt.close() // idempotent: the AfterFunc may have run already
-		}
-		mux.Close()
-	}()
-
+	// Settle before the first accept, so the first requests do not start
+	// featureless. The wait is bounded, not a decision: a capability frame
+	// that arrives later still applies.
+	select {
+	case <-ctl.settled:
+	case <-ctl.done: // the link is dead; sessions will find out on their own
+	case <-ctx.Done(): // the accept below fails at once
+	case <-time.After(helloTimeout):
+		cfg.Log.Event("peer_caps_silent", "party", party, "waited", helloTimeout)
+	}
 	sem := make(chan struct{}, maxSessions)
 	failures := 0
 	for {
@@ -589,7 +579,7 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 		wg.Add(1)
 		go func(client *comm.Conn) {
 			defer wg.Done()
-			serveMuxSession(party, client, mux, bt, wire, cfg)
+			serveMuxSession(party, client, mux, ctl, wire, cfg)
 			mu.Lock()
 			delete(active, client)
 			mu.Unlock()
@@ -601,14 +591,14 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 
 // serveMuxSession runs one client session's request loop with its
 // lifecycle metrics and logging.
-func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire WireConfig, cfg ServeConfig) {
+func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wire WireConfig, cfg ServeConfig) {
 	if cfg.ClientTimeout > 0 {
 		client.SetTimeouts(cfg.ClientTimeout, cfg.ClientTimeout)
 	}
 	metrics.sessions.Inc()
 	metrics.sessionsActive.Add(1)
 	cfg.Log.Event("session_start", "party", party)
-	err := serveMuxLoop(party, client, mux, bt, wire, cfg)
+	err := serveMuxLoop(party, client, mux, ctl, wire, cfg)
 	if err != nil && !isSessionEnd(err) {
 		metrics.sessionErrors.Inc()
 		cfg.Log.Error("session", err, "party", party)
@@ -620,22 +610,23 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wi
 
 // serveMuxLoop serves one client's requests until it disconnects, each
 // request's peer exchange running the session's engine on its own mux
-// sub-stream keyed by the request id. With bt non-nil each lone request is
-// first offered to the batch scheduler; requests it cannot place
-// (degenerate shapes, members dropped by the peer) run the individual path
-// unchanged.
+// sub-stream keyed by the request id. On a pair that settled batching each
+// lone request is first offered to the batch scheduler; requests it cannot
+// place (degenerate shapes, members dropped by the peer) run the individual
+// path unchanged.
 //
-// A request this party will not run — undecodable, past its deadline, a
-// re-used id — is the client's error: it is refused in-band with a typed
-// error frame and the session continues (framing is length-prefixed, so
-// the next frame is intact). A torn-down session reads as a backend
-// failure to a router, which re-sends the frame and then evicts a healthy
-// pair. Only a frame too short to carry the id to echo ends the session.
+// A request this party will not run — undecodable, dealer-fed on a pair
+// with no feed, past its deadline, a re-used id — is the client's error: it
+// is refused in-band with a typed error frame and the session continues
+// (framing is length-prefixed, so the next frame is intact). A torn-down
+// session reads as a backend failure to a router, which re-sends the frame
+// and then evicts a healthy pair. Only a frame too short to carry the id
+// to echo ends the session.
 //
 // The request latency histogram for the taken path is observed on EVERY
 // exit, error returns included — an explicit start time instead of a Span
 // so failures record too.
-func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire WireConfig, cfg ServeConfig) error {
+func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wire WireConfig, cfg ServeConfig) error {
 	w := newWireMul(party, wire)
 	defer w.close()
 	var reqBuf, outBuf []byte
@@ -650,6 +641,12 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire 
 		h := metrics.reqWire
 		metrics.requests.Inc()
 		id, in, err := DecodeRequest(frame)
+		caps := ctl.common.Load() // what the pair has settled so far
+		if err == nil && in.T.U == nil && caps&capFeed == 0 {
+			// The client's error like a frame that does not decode, and
+			// refused the same way by both parties.
+			err = errors.New("mpc: dealer-fed request on a pair with no settled triplet feed")
+		}
 		// fail is the error the session ends on; refuse answers the request
 		// with a typed error frame instead, and the session goes on unless
 		// that write fails.
@@ -702,12 +699,12 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire 
 		var ci *tensor.Matrix
 		var release func()
 		handled := false
-		// Only lone client-dealt requests batch: the stacked exchange ships
-		// member triplets inside the proposal, which the dealer-fed form does
-		// not carry, and a group is already a stack of its own.
-		if bt != nil && in.T.U != nil && c == 1 {
+		// Only lone client-dealt requests batch: a proposal carries member ids
+		// and a shape, no triplets, and the dealer-fed form draws its triplet
+		// per request; a group is already a stack of its own.
+		if caps&capBatch != 0 && in.T.U != nil && c == 1 {
 			var berr error
-			ci, release, handled, berr = bt.do(id, in)
+			ci, release, handled, berr = ctl.bt.do(id, in)
 			if handled {
 				h = metrics.reqBatched
 				if berr != nil {
@@ -730,10 +727,6 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire 
 				return fail(err)
 			}
 			if in.T.U == nil {
-				if cfg.Feed == nil {
-					sess.Abort()
-					return fail(errors.New("dealer-fed request on a party with no triplet feed"))
-				}
 				tspan := metrics.phaseTriplet.Start()
 				in.T, err = feedTriplet(party, cfg.Feed, sess, in.A.Rows, in.A.Cols, in.B.Cols)
 				tspan.Stop()
@@ -768,15 +761,112 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, wire 
 	}
 }
 
+// ---- pair control session ----
+
+// ctlID is the one reserved mux session of a serving pair ("psmlcdc1").
+// Request ids start from a random 64-bit base, so a collision with a live
+// request id is as likely as any other id reuse.
+const ctlID uint64 = 0x70736d6c63646331
+
+// The capability frame each party sends first on the control session
+// carries its codec set in the low bits (CodecSet), batching and feed above.
+const (
+	capsMagic   uint32 = 0x43444350 // "PCDC"
+	capsVersion byte   = 2
+	capBatch    uint32 = 1 << 8
+	capFeed     uint32 = 1 << 9
+)
+
+// pairCtl is what one party's control-session reader settles: a feature is
+// on iff both parties advertise it, and a peer that never answers leaves
+// everything optional off.
+type pairCtl struct {
+	settled chan struct{} // closed once the peer's capabilities are applied
+	done    chan struct{} // closed when the reader has exited
+	// common is what both parties advertised, 0 until the peer's frame
+	// arrives. bt is written once, before common gains capBatch, and read
+	// only behind that bit (or after done).
+	common atomic.Uint32
+	bt     batcher
+}
+
+// startPairCtl opens the control session, advertises this party's
+// capabilities and starts the session's only reader, which settles the
+// common set when the peer's frame arrives and from then on hands batch
+// proposals and acks — told from a capability frame by their leading
+// version byte — to the batcher. A party calls this before it accepts a
+// client, so on the ordered session its capabilities precede any proposal
+// it makes, and the batcher a proposal needs is always there.
+func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *pairCtl {
+	p := &pairCtl{settled: make(chan struct{}), done: make(chan struct{})}
+	var mine uint32
+	if wire.Codec != nil {
+		mine = uint32(wire.Codec.Enabled & codecMask)
+	}
+	if cfg.Batch != nil {
+		mine |= capBatch
+	}
+	if cfg.Feed != nil {
+		mine |= capFeed
+	}
+	sess, err := mux.Open(ctlID)
+	settle := func(peer comm.CapabilityFrame) {
+		wire.Codec.setPeer(peer.Caps)
+		common := mine & peer.Caps
+		cfg.Log.Event("caps_settled", "party", party, "peer_version", int(peer.Version), "common", common)
+		for _, f := range []struct {
+			name string
+			mask uint32
+		}{{"codec", uint32(codecMask)}, {"batching", capBatch}, {"feed", capFeed}} {
+			if l, r := mine&f.mask, peer.Caps&f.mask; l != r {
+				cfg.Log.Event("feature_disabled", "party", party, "feature", f.name, "local", l, "peer", r)
+			}
+		}
+		if common&capBatch != 0 {
+			p.bt = newBatcher(party, mux, sess, *cfg.Batch, wire)
+		}
+		p.common.Store(common)
+		close(p.settled)
+	}
+	go func() {
+		defer close(p.done)
+		caps := comm.CapabilityFrame{Version: capsVersion, Caps: mine}
+		if err != nil || sess.WriteFrame(comm.AppendCapabilityFrame(nil, capsMagic, caps)) != nil {
+			return // the link is already dead
+		}
+		var buf []byte
+		for applied := false; ; {
+			f, err := readFrameInto(sess, buf)
+			if comm.IsTimeout(err) {
+				continue // idle control session; keep listening
+			} else if err != nil {
+				return // mux dead or shutdown
+			}
+			buf = f
+			if len(f) > 0 && f[0] == batchCtlVersion {
+				if p.bt != nil {
+					p.bt.control(f)
+				}
+			} else if cf, err := comm.ParseCapabilityFrame(f, capsMagic); err != nil {
+				cfg.Log.Error("pair_ctl_frame", err, "party", party)
+			} else if !applied { // once per link
+				applied = true
+				settle(cf)
+			}
+		}
+	}()
+	return p
+}
+
 // handshake tags so two psml-server processes can agree on who they are.
 const (
 	helloMagic = 0x50534d4c // "PSML"
 )
 
-// helloTimeout bounds each half of the role handshake. Without it the
-// hello runs with whatever deadlines the connection already has — often
-// none on a freshly dialed conn — and a silent or wedged peer blocks
-// server startup indefinitely. A var so tests can shrink it.
+// helloTimeout bounds each half of the role handshake and ServeClients' wait
+// for the peer's capabilities. Without it the hello runs with the deadlines
+// the connection already has — often none on a freshly dialed conn — and a
+// silent or wedged peer blocks startup forever. A var so tests can shrink it.
 var helloTimeout = 10 * time.Second
 
 // WriteHello sends a role handshake (party index) on a fresh connection.

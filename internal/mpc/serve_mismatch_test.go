@@ -1,0 +1,245 @@
+package mpc
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"parsecureml/internal/comm"
+	"parsecureml/internal/hw"
+	"parsecureml/internal/obs"
+	"parsecureml/internal/rng"
+	"parsecureml/internal/tensor"
+)
+
+// unusedFeed is a TripletFeed on a pair that never settles one: a draw
+// from it means a party served the two-matrix form on its own.
+type unusedFeed struct{ t *testing.T }
+
+func (f unusedFeed) Next(m, k, n int) (uint64, TripletShares, error) {
+	f.t.Error("a party drew from a feed its peer does not have")
+	return 0, TripletShares{}, errors.New("unused feed")
+}
+
+func (f unusedFeed) Take(m, k, n int, seq uint64) (TripletShares, error) {
+	_, t, err := f.Next(m, k, n)
+	return t, err
+}
+
+// countEvents returns a logger that counts the lines it is given by event
+// name (every line carries its party already).
+func countEvents(t *testing.T, counts map[string]*atomic.Int32) *obs.Logger {
+	return obs.LogfLogger(func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		for event, n := range counts {
+			if strings.Contains(line, "event="+event+" ") {
+				n.Add(1)
+			}
+		}
+		t.Log(line)
+	})
+}
+
+// TestServeMismatchedPairSettles is the misconfiguration drill: a feature
+// turned on at one party only is not a failure mode. The capability
+// handshake leaves it off on both, each party says so once, and the pair
+// serves at full speed — bit-identical to the serial reference, no batch
+// ever proposed, every request far under a second — or, for the two-matrix
+// form on a pair with half a feed, refuses in-band on both parties with the
+// session intact. Before the handshake, batching on party 0 only cost every
+// request the 2 s + JoinWait ack timeout, on party 1 only parked it
+// 2·JoinWait + 250 ms, and a one-sided feed tore the session down.
+func TestServeMismatchedPairSettles(t *testing.T) {
+	p := rng.NewPool(1701)
+	a := p.NewUniform(24, 16, -1, 1)
+	b := p.NewUniform(16, 20, -1, 1)
+	t0, t1 := GenGemmTripletShares(p, 24, 16, 20)
+	a0, a1 := SplitRand(p, a)
+	b0, b1 := SplitRand(p, b)
+	in0 := Shares{A: a0, B: b0, T: t0}
+	in1 := Shares{A: a1, B: b1, T: t1}
+	want := serialReference(t, in0, in1)
+	const bound = time.Second
+
+	features := []struct {
+		name   string
+		enable func(t *testing.T, cfg *ServeConfig)
+	}{
+		// JoinWait at 1 s puts a request parked on either side well over
+		// the bound (at the 150 ms default the follower parks ~550 ms).
+		{"batching", func(t *testing.T, cfg *ServeConfig) {
+			cfg.Batch = &BatchConfig{Planner: NewPlanner(hw.Paper()), JoinWait: time.Second}
+		}},
+		{"feed", func(t *testing.T, cfg *ServeConfig) { cfg.Feed = unusedFeed{t} }},
+		{"codec", func(t *testing.T, cfg *ServeConfig) {
+			cfg.Wire.Codec = &WireCodec{Enabled: CodecFP16 | CodecCSR, HW: hw.Paper(), Negotiate: true}
+		}},
+	}
+	for _, f := range features {
+		for side := 0; side < 2; side++ {
+			f, side := f, side
+			t.Run(fmt.Sprintf("%s on party %d only", f.name, side), func(t *testing.T) {
+				var events [2]atomic.Int32
+				var cfgs [2]ServeConfig
+				for party := range cfgs {
+					cfgs[party] = ServeConfig{
+						ClientTimeout: 10 * time.Second,
+						PeerTimeout:   10 * time.Second,
+						Wire:          &WireConfig{ChunkRows: 8},
+						Log:           countEvents(t, map[string]*atomic.Int32{"feature_disabled": &events[party]}),
+					}
+				}
+				f.enable(t, &cfgs[side])
+				batchesBefore := metrics.batches.Value()
+				addr0, addr1, shutdown := startServePairCfgs(t, cfgs[0], cfgs[1])
+				defer shutdown()
+				c0, c1 := dialPair(t, addr0, addr1)
+				defer c0.Close()
+				defer c1.Close()
+
+				classic := func() {
+					t.Helper()
+					start := time.Now()
+					got, err := RequestMul(c0, c1, in0, in1)
+					if el := time.Since(start); el > bound {
+						t.Errorf("request took %v, want under %v", el, bound)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("result differs from the serial reference by %v", got.MaxAbsDiff(want))
+					}
+				}
+				for i := 0; i < 3; i++ {
+					classic()
+				}
+				if f.name == "feed" {
+					const id = uint64(0x1701 << 16)
+					frame := EncodeRequest(id, Shares{A: tensor.New(4, 5), B: tensor.New(5, 3)})
+					for leg, c := range []*comm.Conn{c0, c1} {
+						start := time.Now()
+						if err := c.WriteFrame(frame); err != nil {
+							t.Fatal(err)
+						}
+						reply, err := c.ReadFrame()
+						if err != nil {
+							t.Fatalf("leg %d: session torn down over a two-matrix request: %v", leg, err)
+						}
+						if gotID, re, ok := DecodeRouteError(reply); !ok || gotID != id || re.Code != RouteBadRequest {
+							t.Fatalf("leg %d: answered %x, want bad_request", leg, reply)
+						}
+						if el := time.Since(start); el > bound {
+							t.Errorf("leg %d: refusal took %v, want under %v", leg, el, bound)
+						}
+					}
+					classic() // the session lives on
+				}
+				if f.name == "codec" {
+					if got := cfgs[side].Wire.Codec.usable(); got != 0 {
+						t.Errorf("codec upgraded to %b against a peer with none", got)
+					}
+				}
+				if got := metrics.batches.Value() - batchesBefore; got != 0 {
+					t.Errorf("psml_batch_batches_total moved by %d on a pair that settled no batching", got)
+				}
+				for party := range events {
+					if got := events[party].Load(); got != 1 {
+						t.Errorf("party %d logged %d feature_disabled events, want 1", party, got)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestServeLatePeerStillSettles: the wait before the first accept is
+// bounded, not a decision. A party whose peer shows up after it started
+// serving featureless applies the peer's capability frame when it does
+// arrive, so the pair ends up with everything both sides turned on.
+func TestServeLatePeerStillSettles(t *testing.T) {
+	old := helloTimeout
+	helloTimeout = 50 * time.Millisecond
+	defer func() { helloTimeout = old }()
+
+	const clients = 4
+	p := rng.NewPool(1702)
+	jobs := makeBatchJobs(t, p, clients, 24, 16, 20)
+	var silent, settled atomic.Int32
+	cfg := ServeConfig{
+		ClientTimeout: 10 * time.Second,
+		PeerTimeout:   10 * time.Second,
+		MaxSessions:   clients,
+		Batch:         &BatchConfig{Window: 50 * time.Millisecond, MaxBatch: clients, JoinWait: 2 * time.Second},
+		Log:           countEvents(t, map[string]*atomic.Int32{"peer_caps_silent": &silent, "caps_settled": &settled}),
+	}
+	peer0, peer1 := comm.Pipe()
+	late := &lateFramer{Framer: peer1, release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(late.release) })
+	addr0, addr1, shutdown := startServePairOn(t, peer0, late, cfg, cfg)
+	defer shutdown()
+	defer release()
+	waitFor := func(n *atomic.Int32, what string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); n.Load() < 2; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s on %d of 2 parties", what, n.Load())
+			}
+		}
+	}
+	waitFor(&silent, "gave up waiting for the peer's capabilities")
+	release()
+	waitFor(&settled, "settled the late capabilities")
+
+	batchesBefore := metrics.batches.Value()
+	errs := make(chan error, clients)
+	for _, j := range jobs {
+		go func(j batchJob) {
+			c0, c1 := dialPair(t, addr0, addr1)
+			defer c0.Close()
+			defer c1.Close()
+			got, err := RequestMul(c0, c1, j.in0, j.in1)
+			if err == nil && !got.Equal(j.want) {
+				err = fmt.Errorf("result differs from the serial reference by %v", got.MaxAbsDiff(j.want))
+			}
+			errs <- err
+		}(j)
+	}
+	for range jobs {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if metrics.batches.Value() == batchesBefore {
+		t.Error("the pair never batched after the late peer's capabilities arrived")
+	}
+}
+
+// lateFramer holds every frame of one link end back until release closes:
+// a peer whose process is up but has not reached ServeClients yet.
+type lateFramer struct {
+	comm.Framer
+	release chan struct{}
+}
+
+func (l *lateFramer) ReadFrame() ([]byte, error) {
+	<-l.release
+	return l.Framer.ReadFrame()
+}
+
+func (l *lateFramer) WriteFrame(frame []byte) error {
+	<-l.release
+	return l.Framer.WriteFrame(frame)
+}
+
+func (l *lateFramer) Close() error {
+	if c, ok := l.Framer.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}

@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parsecureml/internal/comm"
 	"parsecureml/internal/hw"
-	"parsecureml/internal/obs"
 	"parsecureml/internal/tensor"
 )
 
@@ -40,11 +38,10 @@ import (
 //
 // Frames are self-describing (tensor.DecodeAnyInto follows the tag), so
 // the receive path is codec-oblivious; negotiation only gates what a
-// sender may EMIT. Each party advertises its codec capabilities once on
-// a reserved mux control session; until the peer's frame arrives the
-// sender stays raw, so a new server paired with an old one (which never
-// opens the session and never replies) degrades to raw forever instead
-// of desyncing — no timeout, no version probe.
+// sender may EMIT. The codec set is the low bits of the capability frame
+// the pair exchanges at link-up (pairCtl in serve.go); until the peer's
+// frame arrives the sender stays raw, so a server paired with one that
+// never answers degrades to raw forever instead of desyncing.
 
 // CodecSet is a bitmask of optional wire codecs, as advertised in the
 // capability handshake.
@@ -86,20 +83,6 @@ const (
 // drawn in ShareRange pass trivially; adversarially scaled inputs fall
 // back to raw instead of rounding to ±Inf.
 const fp16SafeMax = 1 << 14
-
-// wireCtlID is the reserved mux session carrying the codec capability
-// handshake ("psmlcdc1"), like batchCtlID for batching. An old peer never
-// opens it; its mux parks our single small frame in the bounded pending
-// buffer and the sender simply never upgrades.
-const wireCtlID uint64 = 0x70736d6c63646331
-
-// wireCodecMagic tags codec capability frames on the control session.
-const wireCodecMagic uint32 = 0x43444350 // "PCDC"
-
-// wireCodecCapVersion is this build's capability frame version. Parsers
-// accept newer versions (fixed fields never move), so bumping it does not
-// break old peers.
-const wireCodecCapVersion byte = 1
 
 // WireCodec is the per-link codec selector: which codecs may be emitted,
 // the hw cost model for the crossover, and the live link-bandwidth
@@ -145,8 +128,11 @@ func (wc *WireCodec) usable() CodecSet {
 	return wc.Enabled & CodecSet(n-1)
 }
 
-// setPeer records the peer's advertised capability set.
+// setPeer records the peer's advertised capability set (its codec bits).
 func (wc *WireCodec) setPeer(caps uint32) {
+	if wc == nil {
+		return
+	}
 	masked := caps & uint32(codecMask)
 	wc.negotiated.Store(masked + 1)
 	metrics.wireCodecNegotiated.Set(int64(masked))
@@ -290,42 +276,6 @@ func appendWireTensor(buf []byte, m *tensor.Matrix, kind wireCodecKind) []byte {
 		metrics.wireBytesSaved.Add(uint64(saved))
 	}
 	return buf
-}
-
-// runCodecNegotiation advertises wc.Enabled on the reserved control
-// session and upgrades wc when the peer's advertisement arrives.
-// Timeout-free by design: an old peer never answers and the selector
-// just stays raw. Runs until the mux dies; safe as a fire-and-forget
-// goroutine (ServeClients spawns it when Negotiate is set).
-func runCodecNegotiation(ctl *comm.MuxSession, wc *WireCodec, log *obs.Logger) {
-	frame := comm.AppendCapabilityFrame(nil, wireCodecMagic, comm.CapabilityFrame{
-		Version: wireCodecCapVersion,
-		Caps:    uint32(wc.Enabled & codecMask),
-	})
-	if err := ctl.WriteFrame(frame); err != nil {
-		log.Error("codec_negotiate_send", err)
-		return
-	}
-	var buf []byte
-	for {
-		f, err := readFrameInto(ctl, buf)
-		if err != nil {
-			if comm.IsTimeout(err) {
-				continue // idle control session; keep listening
-			}
-			return // mux dead or shutdown
-		}
-		buf = f
-		cf, err := comm.ParseCapabilityFrame(f, wireCodecMagic)
-		if err != nil {
-			log.Error("codec_negotiate_frame", err)
-			continue
-		}
-		wc.setPeer(cf.Caps)
-		log.Event("codec_negotiated", "peer_version", int(cf.Version), "peer_caps", int(cf.Caps))
-		// Keep reading: a peer re-advertisement (e.g. after its restart on a
-		// supervised link) re-applies idempotently.
-	}
 }
 
 // ParseWireCodecName maps a -wire-codec flag value to the codec set it

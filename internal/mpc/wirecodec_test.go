@@ -296,7 +296,7 @@ func codecServeConfig(set CodecSet) ServeConfig {
 }
 
 // TestServeCodecNegotiationUpgrades: two codec-capable servers exchange
-// capability frames on the reserved control session and upgrade to the
+// capability frames on the pair's control session and upgrade to the
 // full set, and a request through the negotiated stack still matches the
 // serial reference exactly (on a fast local link every pick stays raw —
 // the hw crossover says compression doesn't pay there).
@@ -337,11 +337,11 @@ func TestServeCodecNegotiationUpgrades(t *testing.T) {
 	}
 }
 
-// TestServeCodecMixedVersion is the backward-compatibility proof: a
-// codec-capable server paired with an old (codec-less) one serves
-// requests bit-identically to the serial path and NEVER upgrades — the
-// old peer never answers on the control session, so the new sender stays
-// raw forever instead of emitting frames the handshake didn't clear.
+// TestServeCodecMixedVersion is the mixed-pair proof: a codec-capable
+// server paired with a codec-less one serves requests bit-identically to
+// the serial path and NEVER upgrades — the peer's capability frame
+// advertises an empty codec set, so the sender stays raw forever instead
+// of emitting frames the handshake didn't clear.
 func TestServeCodecMixedVersion(t *testing.T) {
 	p := rng.NewPool(78)
 	a := p.NewUniform(24, 16, -1, 1)
@@ -353,8 +353,8 @@ func TestServeCodecMixedVersion(t *testing.T) {
 	in1 := Shares{A: a1, B: b1, T: t1}
 	want := serialReference(t, in0, in1)
 
-	cfg0 := codecServeConfig(CodecFP16 | CodecCSR) // new server
-	cfg1 := codecServeConfig(0)                    // old server: no codec at all
+	cfg0 := codecServeConfig(CodecFP16 | CodecCSR) // codec-capable
+	cfg1 := codecServeConfig(0)                    // advertises no codec at all
 	addr0, addr1, shutdown := startServePairCfgs(t, cfg0, cfg1)
 	defer shutdown()
 	c0, c1 := dialPair(t, addr0, addr1)

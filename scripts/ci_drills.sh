@@ -13,6 +13,7 @@
 #   fleet        multi-process router+dealer fleet, one pair SIGKILLed
 #   transformer  secure attention block: wire path vs plaintext, batched+codec
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
+#   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -39,8 +40,10 @@ batching)
   # a grouped request (one session's own member list) must match its
   # members sent alone and refuse hostile group frames in-band, and the
   # 16 KiB band floor must hold on the ChunkRows path and leave a batch's
-  # planner-chosen band alone.
-  drill_test ./internal/mpc/ 'TestBatchedBitIdentical|TestBatchedMixedShapes|TestBatchedSurvivesClientKill|TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor'
+  # planner-chosen band alone. A pair with batching (or a feed, or codecs)
+  # on one party only must settle on serving without it — at full speed,
+  # one log line each — and a peer that answers late must still settle.
+  drill_test ./internal/mpc/ 'TestBatchedBitIdentical|TestBatchedMixedShapes|TestBatchedSurvivesClientKill|TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles'
   ;;
 chaos-link)
   # The inter-server link dies twice at deterministic frame boundaries
@@ -49,11 +52,12 @@ chaos-link)
   drill_test ./internal/mpc/ 'TestConcurrentSessionsSurviveLinkDrops|TestSupervisePeerStartupOrder'
   ;;
 codec)
-  # Capability negotiation upgrades matching servers, mixed-version pairs
-  # stay raw forever, and both lossless CSR identity and the FP16 error
+  # Capability negotiation upgrades matching servers, mismatched pairs
+  # (codec, batching or feed on one party only) stay on the common subset
+  # forever, and both lossless CSR identity and the FP16 error
   # bound hold on the wire — on the one engine, whose raw-codec contract
   # (any batch, any two band heights == the reference) runs here too.
-  drill_test ./internal/mpc/ 'TestServeCodecNegotiationUpgrades|TestServeCodecMixedVersion|TestWireMulCodecCSRBitIdentical|TestWireMulCodecFP16Tolerance|TestExchangeMatchesRef|TestServeClientsMismatchedBands'
+  drill_test ./internal/mpc/ 'TestServeCodecNegotiationUpgrades|TestServeCodecMixedVersion|TestServeMismatchedPairSettles|TestWireMulCodecCSRBitIdentical|TestWireMulCodecFP16Tolerance|TestExchangeMatchesRef|TestServeClientsMismatchedBands'
   ;;
 checkpoint)
   # An interrupted training run (-die-after-epoch exits with code 3 after
@@ -94,8 +98,41 @@ dealer-chaos)
   # session stays bit-identical to the uninterrupted reference.
   SESSIONS=$((64 * SCALE)) scripts/dealer_chaos_drill.sh -race
   ;;
+flags)
+  # The flag surface is a contract: each binary's -h and its README table
+  # list the same flags, and the counts stay where the "nothing a pair
+  # must agree on is a flag" pass left them. A new flag needs a README row
+  # and — past the cap — a deletion; see README "Flags" for what qualifies.
+  work="$(mktemp -d)"
+  trap 'rm -rf "$work"' EXIT
+  fail=0
+  for spec in psml-server:18 psml-router:6 psml-dealer:3; do
+    bin="${spec%%:*}" max="${spec##*:}"
+    go build -o "$work/$bin" "./cmd/$bin"
+    have="$( ("$work/$bin" -h 2>&1 || true) | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' | sort -u)"
+    doc="$(awk -v h="### \`$bin\`" '$0 == h {on = 1; next} /^##/ {on = 0} on' README.md |
+      sed -n 's/^| `-\([a-z0-9-]*\)`.*/\1/p' | sort -u)"
+    n="$(grep -c . <<<"$have" || true)"
+    echo "$bin: $n flags (cap $max)"
+    if [ "$n" -eq 0 ] || [ "$n" -gt "$max" ]; then
+      echo "  $bin -h lists $n flags, want 1..$max" >&2
+      fail=1
+    fi
+    undocumented="$(comm -23 <(echo "$have") <(echo "$doc"))"
+    stale="$(comm -13 <(echo "$have") <(echo "$doc"))"
+    if [ -n "$undocumented" ]; then
+      echo "  flags missing from README's $bin table:" $undocumented >&2
+      fail=1
+    fi
+    if [ -n "$stale" ]; then
+      echo "  README's $bin table documents flags that no longer exist:" $stale >&2
+      fail=1
+    fi
+  done
+  exit "$fail"
+  ;;
 *)
-  echo "usage: $0 {concurrent|batching|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos}" >&2
+  echo "usage: $0 {concurrent|batching|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|flags}" >&2
   exit 2
   ;;
 esac

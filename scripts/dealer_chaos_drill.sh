@@ -50,7 +50,8 @@ echo "== starting dealer + one dealer-fed pair"
 spawn dealer "$WORK/psml-dealer" -listen "$DEALER" -seed "$SEED"
 DEALER_PID=${PIDS[-1]}
 # Fast heartbeats so the feed links notice the dead dealer promptly;
-# -dealer-reconnect-attempts (default 60) outlasts the restart gap.
+# psml-server's 60 connect attempts per dealer-link outage outlast the
+# restart gap.
 spawn pairA-0 "$WORK/psml-server" -party 0 -listen "$A0" -peer-listen "$APEER" \
   -dealer-dial "$DEALER" -pair-id 1 -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2
 spawn pairA-1 "$WORK/psml-server" -party 1 -listen "$A1" -peer-dial "$APEER" \
