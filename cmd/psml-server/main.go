@@ -23,9 +23,9 @@
 // session never takes the process down, and SIGINT/SIGTERM drain into a
 // graceful shutdown.
 //
-// Nothing the two servers must agree on is a flag: codec, batching
-// (-planner) and the dealer feed (-dealer-dial) are each used when both
-// servers turned them on, settled by one capability exchange at link-up.
+// Nothing the two servers must agree on is a flag: the codec set and the
+// dealer feed (-dealer-dial) are each used when both servers turned them
+// on, settled by one capability exchange at link-up.
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 	flag.Bool("wire-pipeline", false, "accepted and ignored: every exchange runs the one banded engine. Kept only until the benchmark's workloads stop passing it")
 	wireChunkRows := flag.Int("wire-chunk-rows", 0, "row-band height this server streams its E exchange in; 0 sends whole matrices (one frame each way). Sender-local: the peer need not match")
 	wireCodec := flag.String("wire-codec", "raw", "wire compression for revealed E/F tensors: auto (FP16+CSR, cost-model picked), raw, fp16 or csr; only codecs the peer enabled too are emitted")
-	planner := flag.Bool("planner", false, "coalesce same-shape requests across sessions into stacked peer exchanges, window and band height driven by the hw cost models plus measured exchange costs; used when the peer runs -planner too, otherwise the pair serves unbatched")
+	flag.Bool("planner", false, "accepted and ignored: every request runs its own exchange (cross-session batching was removed). Kept only until the benchmark's workloads stop passing it")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
 	dealerDial := flag.String("dealer-dial", "", "dial a psml-dealer here and serve dealer-fed (two-matrix) requests from its triplet streams (requires -pair-id); used when the peer has a feed too, otherwise both servers refuse the two-matrix form in-band")
 	pairID := flag.Uint64("pair-id", 0, "this server pair's identity at the dealer, the same on both servers of the pair (requires -dealer-dial)")
@@ -270,10 +270,6 @@ func main() {
 		cfg.Wire.Codec = &mpc.WireCodec{Enabled: codecSet, HW: hw.Paper(), Negotiate: true}
 	}
 	log.Printf("party %d: exchange engine: chunk rows %d, codec %s", *party, *wireChunkRows, *wireCodec)
-	if *planner {
-		cfg.Batch = &mpc.BatchConfig{Planner: mpc.NewPlanner(hw.Paper())}
-		log.Printf("party %d: cross-session batching offered (planner-driven window)", *party)
-	}
 	fmt.Printf("psml-server party %d serving clients on %s\n", *party, *listen)
 	err = mpc.ServeClients(ctx, *party, ln, peer, cfg)
 	if err != nil {

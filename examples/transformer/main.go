@@ -68,9 +68,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Full serving stack: wire double pipeline, cross-session batching
-	// (same-shape requests from concurrent clients stack into one peer
-	// exchange), and codec negotiation.
+	// Full serving stack: wire double pipeline and codec negotiation.
 	mkCfg := func() mpc.ServeConfig {
 		return mpc.ServeConfig{
 			ClientTimeout: 10 * time.Second,
@@ -80,11 +78,6 @@ func main() {
 				HW:        hw.Paper(),
 				Negotiate: true,
 			}},
-			Batch: &mpc.BatchConfig{
-				Window:   20 * time.Millisecond,
-				MaxBatch: *clients,
-				JoinWait: time.Second,
-			},
 		}
 	}
 

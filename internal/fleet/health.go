@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -148,24 +147,12 @@ func NewHealthServer(reg *Registry, cfg HealthConfig) *HealthServer {
 // Serve accepts replica connections until ctx is cancelled or the
 // listener dies.
 func (h *HealthServer) Serve(ctx context.Context, ln net.Listener) error {
-	stop := context.AfterFunc(ctx, func() { ln.Close() })
-	defer stop()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := comm.Accept(ln)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("fleet: health accept: %w", err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.handle(ctx, conn)
-		}()
+	err := comm.ServeConns(ctx, ln, func(conn *comm.Conn) { h.handle(ctx, conn) },
+		func(err error, failures int) { h.cfg.Log.Error("accept", err, "failures", failures) })
+	if err != nil {
+		return fmt.Errorf("fleet: health %w", err)
 	}
+	return nil
 }
 
 // handle reads one connection's JOIN and either feeds an existing link

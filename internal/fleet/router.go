@@ -3,10 +3,8 @@ package fleet
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"parsecureml/internal/comm"
@@ -82,47 +80,16 @@ func NewRouter(cfg RouterConfig) *Router {
 // listener dies: every accepted client connection is proxied on its own
 // goroutine. face is the party index this listener fronts.
 func (r *Router) ServeFace(ctx context.Context, ln net.Listener, face int) error {
-	var mu sync.Mutex
-	active := make(map[*comm.Conn]struct{})
-	stopping := false
-	stop := context.AfterFunc(ctx, func() {
-		mu.Lock()
-		defer mu.Unlock()
-		stopping = true
-		ln.Close()
-		for c := range active {
-			c.Close()
-		}
+	err := comm.ServeConns(ctx, ln, func(client *comm.Conn) {
+		r.serveConn(client, face)
+		client.Close()
+	}, func(err error, failures int) {
+		r.cfg.Log.Error("accept", err, "face", face, "failures", failures)
 	})
-	defer stop()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		client, err := comm.Accept(ln)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("fleet: face %d accept: %w", face, err)
-		}
-		mu.Lock()
-		if stopping {
-			mu.Unlock()
-			client.Close()
-			return nil
-		}
-		active[client] = struct{}{}
-		mu.Unlock()
-		wg.Add(1)
-		go func(client *comm.Conn) {
-			defer wg.Done()
-			r.serveConn(client, face)
-			mu.Lock()
-			delete(active, client)
-			mu.Unlock()
-			client.Close()
-		}(client)
+	if err != nil {
+		return fmt.Errorf("fleet: face %d %w", face, err)
 	}
+	return nil
 }
 
 // session is one proxied client connection's routing state.

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,5 +258,70 @@ func TestRouterNoReplicas(t *testing.T) {
 	}
 	if routerNoReplicas.Value() == before {
 		t.Fatal("empty-fleet failure not counted")
+	}
+}
+
+// flakyListener fails its first `fails` Accepts the way a process out of
+// file descriptors does, then works.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeFaceSurvivesTransientAcceptErrors: a face whose listener fails
+// Accept twice keeps serving — the next connection is relayed (here to an
+// empty fleet, which answers in-band) — instead of ending for good.
+func TestServeFaceSurvivesTransientAcceptErrors(t *testing.T) {
+	inner, err := comm.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &flakyListener{Listener: inner}
+	ln.fails.Store(2)
+	r := NewRouter(RouterConfig{Registry: NewRegistry(0), ClientTimeout: 10 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- r.ServeFace(ctx, ln, 0) }()
+
+	c, err := comm.Dial(inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetTimeouts(5*time.Second, 5*time.Second)
+	const id = 0xacce97
+	if err := c.WriteFrame(mpc.EncodeRequest(id, mpc.Shares{A: tensor.New(2, 2), B: tensor.New(2, 2)})); err != nil {
+		t.Fatal(err)
+	}
+	reply := make(chan error, 1)
+	go func() {
+		f, err := c.ReadFrame()
+		if gotID, re, ok := mpc.DecodeRouteError(f); err == nil && (!ok || gotID != id || re.Code != mpc.RouteNoReplicas) {
+			err = fmt.Errorf("face answered %x, want no_replicas for %x", f, id)
+		}
+		reply <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("face stopped serving after a transient accept error: %v", err)
+	case err := <-reply:
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left := ln.fails.Load(); left >= 0 {
+		t.Fatalf("listener still had %d failures to inject; the test exercised nothing", left+1)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("face shutdown: %v", err)
 	}
 }

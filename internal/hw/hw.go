@@ -149,18 +149,11 @@ type Platform struct {
 	Net  LinkModel // server<->server
 }
 
-// Batch-crossover queries: the cost-model side of the serving layer's
-// cross-session request batching (internal/mpc's planner). One online
-// Beaver exchange moves E (m×k) and F (k×n) each way; its cost splits into
-// a size-dependent transfer term and a fixed per-round term (per-frame
-// link latency, syscalls, scheduler handoffs) that does NOT shrink with
-// the payload. Coalescing B same-shape exchanges into one pays the
-// transfer term once per byte either way, but pays the fixed term once
-// instead of B times — so "how long is it worth holding a request to
-// merge one more tenant" is exactly the fixed term, and the crossover is
-// a computed quantity rather than a tuned constant. The runtime planner
-// blends these model figures with measured phase histograms; the model
-// alone gives the floor an idle server starts from.
+// Exchange cost queries: the cost-model side of the serving layer's
+// deadline admission (internal/mpc's DeadlineEstimate). One online Beaver
+// exchange moves E (m×k) and F (k×n) each way; its cost splits into a
+// size-dependent transfer term and a fixed per-frame term (link latency,
+// syscalls, scheduler handoffs) that does NOT shrink with the payload.
 
 // MulExchangeBytes returns the bytes one party ships per direction in one
 // m×k × k×n online exchange: the E share (m×k) plus the F share (k×n),
@@ -169,8 +162,7 @@ func MulExchangeBytes(m, k, n int) int { return 4 * (m*k + k*n) }
 
 // ExchangeFixedCost returns the modeled fixed overhead of one online
 // exchange carried in frames frames per direction: the per-frame latency
-// floor that coalescing amortizes. Merging B exchanges into one saves
-// (B−1) of these.
+// floor.
 func (p Platform) ExchangeFixedCost(frames int) float64 {
 	if frames < 1 {
 		frames = 1
@@ -180,57 +172,17 @@ func (p Platform) ExchangeFixedCost(frames int) float64 {
 
 // ExchangeTransferTime returns the modeled size-dependent transfer time of
 // one m×k × k×n exchange (one direction; the duplex link carries both
-// concurrently). This term is NOT amortized by batching — it scales with
-// payload bytes regardless of how requests are framed.
+// concurrently). It scales with payload bytes however they are framed.
 func (p Platform) ExchangeTransferTime(m, k, n int) float64 {
 	return float64(MulExchangeBytes(m, k, n)) / p.Net.Bandwidth
-}
-
-// BatchWindow returns the modeled crossover for holding a request to
-// coalesce it with one more same-shape arrival: the fixed exchange
-// overhead the merge would save (one F frame + one E frame per
-// direction). Holding a request longer than this costs it more latency
-// than the merge recovers, so it is the floor a planner should wait when
-// the expected inter-arrival gap is unknown.
-func (p Platform) BatchWindow() float64 {
-	return p.ExchangeFixedCost(2)
-}
-
-// BatchBandRows returns the row-band height for streaming a stacked
-// stackRows×k E matrix whose bands feed k×n member GEMMs: the smallest
-// band whose compute time covers the next band's transfer, so the stream
-// stays pipelined without paying the per-frame latency on needlessly tiny
-// frames. When the link outruns the GEMM (compute can never hide
-// transfer) it returns stackRows — one whole-matrix frame minimizes the
-// fixed cost. The result is clamped to [1, stackRows].
-func (p Platform) BatchBandRows(stackRows, k, n int) int {
-	if stackRows <= 1 {
-		return 1
-	}
-	perRowXfer := 4 * float64(k) / p.Net.Bandwidth
-	gemmRate := p.CPU.GemmFlopsPerCore * float64(p.CPU.Cores) * p.CPU.ParallelEff
-	perRowGemm := 2 * float64(k) * float64(n) / gemmRate
-	if perRowGemm <= perRowXfer {
-		return stackRows
-	}
-	rows := int(p.Net.Latency/(perRowGemm-perRowXfer)) + 1
-	if rows < 1 {
-		rows = 1
-	}
-	if rows > stackRows {
-		rows = stackRows
-	}
-	return rows
 }
 
 // Wire-codec crossover queries: the cost-model side of the serving layer's
 // adaptive per-tensor compression (internal/mpc's wirecodec). Re-encoding
 // a tensor trades CPU passes for wire bytes; whether that pays is purely a
 // function of the codec's streaming rate against the link's effective
-// bandwidth, so — like the batch window — it is a computed quantity, not a
-// tuned constant. Entry points follow the Exchange*/Batch* naming of the
-// batching queries above: CodecTime is the per-pass cost model,
-// CodecWorthwhile the crossover.
+// bandwidth, so it is a computed quantity, not a tuned constant. CodecTime
+// is the per-pass cost model, CodecWorthwhile the crossover.
 
 // CodecTime returns the modeled single-core time of one streaming codec
 // pass over n FP32 elements (encode or decode). The pass is memory-bound —

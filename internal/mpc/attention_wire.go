@@ -19,13 +19,12 @@ import (
 // contexts (heads), output projection, FF1, FF2 — each one grouped request
 // (Shares.Members): one frame out, one exchange between the servers, one
 // reply. A stage's members need only earlier stages, never each other.
-// The traffic rides the session mux and the adaptive wire codecs (the
-// three lone stages the cross-session batcher too). The softmax runs
-// client-side on the recombined scores with ml.ApproxSoftmax — the same
-// approximation (and DESIGN.md error contract) as the secure training
-// path, but strictly less leaky than the server-side reveal: on the wire
-// path no server ever sees scores or probabilities, only shares and masked
-// E/F frames.
+// The traffic rides the session mux and the adaptive wire codecs. The
+// softmax runs client-side on the recombined scores with ml.ApproxSoftmax —
+// the same approximation (and DESIGN.md error contract) as the secure
+// training path, but strictly less leaky than the server-side reveal: on
+// the wire path no server ever sees scores or probabilities, only shares
+// and masked E/F frames.
 type WireTransformer struct {
 	Heads  int
 	Causal bool

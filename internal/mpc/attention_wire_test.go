@@ -117,13 +117,13 @@ func TestWireAttentionOnlyMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestWireTransformerBatchedCodecStable is the drill's hard mode:
-// concurrent same-shape transformer clients flow through cross-session
-// batching AND the negotiated FP16/CSR codecs on a modeled-throttled
-// link. Every client must stay within the documented FP16 tolerance of
-// the plaintext reference, and a second identically-seeded round must
-// be bit-identical to the first.
-func TestWireTransformerBatchedCodecStable(t *testing.T) {
+// TestWireTransformerConcurrentCodecStable is the drill's hard mode:
+// concurrent same-shape transformer clients share one peer link under the
+// negotiated FP16/CSR codecs on a modeled-throttled link. Every client
+// must stay within the documented FP16 tolerance of the plaintext
+// reference, and a second identically-seeded round must be bit-identical
+// to the first.
+func TestWireTransformerConcurrentCodecStable(t *testing.T) {
 	const clients = 4
 	blk, x := wireTransformerFixture(33)
 	want := blk.Forward(x)
@@ -145,11 +145,6 @@ func TestWireTransformerBatchedCodecStable(t *testing.T) {
 		ClientTimeout: 15 * time.Second,
 		PeerTimeout:   15 * time.Second,
 		Wire:          &WireConfig{ChunkRows: 8, Codec: mkCodec()},
-		Batch: &BatchConfig{
-			Window:   30 * time.Millisecond,
-			MaxBatch: clients,
-			JoinWait: 1 * time.Second,
-		},
 	}
 	cfg1 := cfg0
 	cfg1.Wire = &WireConfig{ChunkRows: 8, Codec: mkCodec()}
@@ -206,7 +201,7 @@ func TestWireTransformerBatchedCodecStable(t *testing.T) {
 	}
 	for i := range second {
 		if !second[i].Equal(first[i]) {
-			t.Fatalf("client %d not bit-stable across batched+codec rounds: differs by %v",
+			t.Fatalf("client %d not bit-stable across concurrent codec rounds: differs by %v",
 				i, second[i].MaxAbsDiff(first[i]))
 		}
 	}

@@ -3,7 +3,6 @@ package mpc
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,15 +10,37 @@ import (
 	"time"
 
 	"parsecureml/internal/comm"
-	"parsecureml/internal/hw"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
 
-// The engine's contract, stated once: whatever the batch size, and
-// whatever band height EACH party picks for its own stream, every
-// member's share is bit-identical to the straight-line reference run on
-// that member alone.
+// The engine's contract, stated once: however many members one exchange
+// stacks, and whatever band height EACH party picks for its own stream,
+// every member's share is bit-identical to the straight-line reference run
+// on that member alone.
+
+// batchJob is one client's inputs plus its serial-path ground truth.
+type batchJob struct {
+	in0, in1 Shares
+	want     *tensor.Matrix
+}
+
+// makeBatchJobs builds `clients` independent requests of one shared
+// geometry, each with its serial reference result.
+func makeBatchJobs(t *testing.T, p *rng.Pool, clients, m, k, n int) []batchJob {
+	t.Helper()
+	jobs := make([]batchJob, clients)
+	for i := range jobs {
+		a := p.NewUniform(m, k, -1, 1)
+		b := p.NewUniform(k, n, -1, 1)
+		t0, t1 := GenGemmTripletShares(p, m, k, n)
+		a0, a1 := SplitRand(p, a)
+		b0, b1 := SplitRand(p, b)
+		jobs[i] = batchJob{in0: Shares{A: a0, B: b0, T: t0}, in1: Shares{A: a1, B: b1, T: t1}}
+		jobs[i].want = serialReference(t, jobs[i].in0, jobs[i].in1)
+	}
+	return jobs
+}
 
 // runExchangePair runs both parties' engines over a pipe, party i
 // streaming in bands of bands[i], and returns the two result stacks.
@@ -85,57 +106,36 @@ func TestExchangeMatchesRef(t *testing.T) {
 
 // TestServeClientsMismatchedBands is the misconfiguration that used to hang
 // until -peer-timeout — the two servers set different -wire-chunk-rows —
-// end to end: lone requests, and batches whose two planners stream the
-// stack in their own bands. Everything stays bit-identical to the reference.
+// end to end: six same-shape sessions at once, each party streaming its
+// own bands. Everything stays bit-identical to the reference.
 func TestServeClientsMismatchedBands(t *testing.T) {
 	const clients = 6
 	p := rng.NewPool(1502)
-	// plat non-nil turns batching on under that platform's planner; the two
-	// models size the stack's bands differently (Paper bands it, SlowNet's
-	// link never hides under the GEMM so it sends one frame).
-	cfg := func(chunk int, plat *hw.Platform) ServeConfig {
-		c := ServeConfig{ClientTimeout: 10 * time.Second, PeerTimeout: 10 * time.Second,
+	cfg := func(chunk int) ServeConfig {
+		return ServeConfig{ClientTimeout: 10 * time.Second, PeerTimeout: 10 * time.Second,
 			MaxSessions: clients, Wire: &WireConfig{ChunkRows: chunk}}
-		if plat != nil {
-			c.Batch = &BatchConfig{Planner: &Planner{HW: *plat, MinWindow: 50 * time.Millisecond}, JoinWait: 2 * time.Second}
+	}
+	t.Run("batch=false", func(t *testing.T) {
+		jobs := makeBatchJobs(t, p, clients, 21, 64, 64)
+		addr0, addr1, shutdown := startServePairCfgs(t, cfg(8), cfg(0))
+		defer shutdown()
+		var wg sync.WaitGroup
+		for _, j := range jobs {
+			wg.Add(1)
+			go func(j batchJob) {
+				defer wg.Done()
+				c0, c1 := dialPair(t, addr0, addr1)
+				defer c0.Close()
+				defer c1.Close()
+				if got, err := RequestMul(c0, c1, j.in0, j.in1); err != nil {
+					t.Error(err)
+				} else if !got.Equal(j.want) {
+					t.Errorf("result differs from the reference by %v", got.MaxAbsDiff(j.want))
+				}
+			}(j)
 		}
-		return c
-	}
-	slow, paper := hw.SlowNet(), hw.Paper()
-	if b0, b1 := slow.BatchBandRows(clients*21, 64, 64), paper.BatchBandRows(clients*21, 64, 64); b0 == b1 {
-		t.Fatalf("both planners band the stack at %d rows; the test needs them to differ", b0)
-	}
-	for _, batch := range []bool{false, true} {
-		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
-			var plat0, plat1 *hw.Platform
-			if batch {
-				plat0, plat1 = &slow, &paper
-			}
-			jobs := makeBatchJobs(t, p, clients, 21, 64, 64)
-			batched := metrics.batchRequests.Value()
-			addr0, addr1, shutdown := startServePairCfgs(t, cfg(8, plat0), cfg(0, plat1))
-			defer shutdown()
-			var wg sync.WaitGroup
-			for _, j := range jobs {
-				wg.Add(1)
-				go func(j batchJob) {
-					defer wg.Done()
-					c0, c1 := dialPair(t, addr0, addr1)
-					defer c0.Close()
-					defer c1.Close()
-					if got, err := RequestMul(c0, c1, j.in0, j.in1); err != nil {
-						t.Error(err)
-					} else if !got.Equal(j.want) {
-						t.Errorf("result differs from the reference by %v", got.MaxAbsDiff(j.want))
-					}
-				}(j)
-			}
-			wg.Wait()
-			if batch && metrics.batchRequests.Value() == batched {
-				t.Error("no request travelled the stacked path")
-			}
-		})
-	}
+		wg.Wait()
+	})
 }
 
 // ---- hostile peer frames ----

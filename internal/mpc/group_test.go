@@ -239,8 +239,7 @@ func (f *frameCounter) WriteFrame(frame []byte) error {
 // TestChunkRowsFloor: on the ChunkRows path (lone and grouped requests) no
 // band leaves under minBandBytes, so small E stacks are one frame whatever
 // -wire-chunk-rows says and bands already over the floor are left alone;
-// the engine itself — which is what a batch's planner-chosen stackBand
-// reaches — cuts exactly the bands it is told to.
+// the engine itself cuts exactly the bands it is told to.
 func TestChunkRowsFloor(t *testing.T) {
 	p := rng.NewPool(1604)
 	// frames returns how many peer frames party 0 sends for one exchange of
@@ -289,7 +288,7 @@ func TestChunkRowsFloor(t *testing.T) {
 				tc.c, tc.m, tc.k, tc.chunkRows, got, tc.want)
 		}
 	}
-	// A batch hands the engine its planner's band directly: not floored.
+	// A band handed straight to the engine is not floored.
 	if got := frames(1, 64, 8, 0, 8); got != 8 {
 		t.Errorf("engine asked for 8-row bands of a 64×8 stack sent %d frames, want 8", got)
 	}

@@ -23,18 +23,7 @@ var metrics = struct {
 	phaseReconstruct *obs.Histogram
 
 	// Whole-request latency per serving path.
-	reqWire, reqBatched, reqInferWire *obs.Histogram
-
-	// Cross-session batching (batch.go): batches executed, requests they
-	// carried, requests that fell back to the individual path, members the
-	// peer dropped from a proposal, collector hold time, and stacked
-	// exchange time.
-	batches        *obs.Counter
-	batchRequests  *obs.Counter
-	batchFallbacks *obs.Counter
-	batchDropped   *obs.Counter
-	batchWait      *obs.Histogram
-	batchExec      *obs.Histogram
+	reqWire, reqInferWire *obs.Histogram
 
 	// Adaptive wire compression (wirecodec.go): per-tensor codec picks
 	// indexed [tensorE|tensorF][codecRaw|codecFP16|codecCSR], dense bytes
@@ -75,15 +64,7 @@ var metrics = struct {
 	phaseReconstruct: obs.Default.Histogram(`psml_phase_seconds{phase="reconstruct"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
 
 	reqWire:      obs.Default.Histogram(`psml_request_seconds{path="mul_wire"}`, "Whole-request serving latency per path."),
-	reqBatched:   obs.Default.Histogram(`psml_request_seconds{path="mul_batched"}`, "Whole-request serving latency per path."),
 	reqInferWire: obs.Default.Histogram(`psml_request_seconds{path="infer_wire"}`, "Whole-request serving latency per path."),
-
-	batches:        obs.Default.Counter("psml_batch_batches_total", "Cross-session batches executed as stacked exchanges."),
-	batchRequests:  obs.Default.Counter("psml_batch_requests_total", "Requests served inside cross-session batches."),
-	batchFallbacks: obs.Default.Counter("psml_batch_fallbacks_total", "Requests offered to the batcher that fell back to the individual path."),
-	batchDropped:   obs.Default.Counter("psml_batch_dropped_members_total", "Proposed batch members the peer dropped (their half never arrived in time)."),
-	batchWait:      obs.Default.Histogram("psml_batch_wait_seconds", "Collector hold time from a batch's first request to dispatch."),
-	batchExec:      obs.Default.Histogram("psml_batch_exec_seconds", "Stacked batch exchange execution time."),
 
 	wireCodecPicks: [2][3]*obs.Counter{
 		{
@@ -167,8 +148,8 @@ func init() {
 	obs.Default.FuncCounter("psml_mux_tombstone_wraps_total", "Stale-id tombstones evicted by ring wraparound; a late frame for a wrapped-out id is no longer recognized as stale.", func() float64 {
 		return float64(comm.MuxTotals().TombstoneWraps)
 	})
-	// Mux frame accounting: what batching amortizes. Fewer frames out per
-	// served request is the direct signature of coalesced exchanges.
+	// Mux frame accounting: frames out per served request is what grouped
+	// requests and whole-stack bands bring down.
 	obs.Default.FuncCounter("psml_mux_frames_in_total", "Mux frames routed off peer links (data + control).", func() float64 {
 		return float64(comm.MuxTotals().FramesIn)
 	})

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -381,12 +380,6 @@ type ServeConfig struct {
 	// field is this party's own choice — band height and codec are
 	// sender-local — so the two parties need not configure it alike.
 	Wire *WireConfig
-	// Batch, when non-nil, coalesces compatible same-shape requests across
-	// sessions into single stacked exchanges (see batch.go) — bit-identical
-	// results, one peer round per batch instead of one per request. Used
-	// when the peer advertises batching too; against one that does not, the
-	// pair serves unbatched.
-	Batch *BatchConfig
 	// Log receives structured serving events (session lifecycle, accept
 	// failures); nil silences them. Metrics are recorded regardless — the
 	// event stream and /metrics share the same call sites.
@@ -408,15 +401,13 @@ type ServeConfig struct {
 	// dealer-fed clients at once. With a feed on one side only, both
 	// parties refuse the two-matrix form in-band (RouteBadRequest).
 	Feed TripletFeed
+
+	ignoredServeConfig // batch_shell.go
 }
 
 // DefaultMaxSessions is the concurrent-session bound when
 // ServeConfig.MaxSessions is unset.
 const DefaultMaxSessions = 16
-
-// maxAcceptFailures bounds consecutive listener failures before
-// ServeClients gives up (a closed or broken listener, not a bad client).
-const maxAcceptFailures = 5
 
 // ServeClients is the failure-contained accept loop of one computation
 // party: serve up to cfg.MaxSessions client sessions concurrently over
@@ -488,42 +479,13 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 	if sl, ok := peer.(*comm.SupervisedLink); ok {
 		sl.OnReconnect(wire.Codec.ResetLink)
 	}
-	// Pair capability handshake: what the pair batches, feeds and compresses
-	// is what BOTH parties advertise.
+	// Pair capability handshake: what the pair feeds and compresses is what
+	// BOTH parties advertise.
 	ctl := startPairCtl(party, mux, cfg, wire)
-	var wg sync.WaitGroup
 	defer func() {
-		wg.Wait()
 		mux.Close() // also ends the control reader
 		<-ctl.done
-		if ctl.bt != nil {
-			ctl.bt.close() // idempotent: the AfterFunc may have run already
-		}
 	}()
-
-	// Cancelling ctx closes the listener (unblocking Accept) and every
-	// tracked session conn (unblocking their frame reads). The mutex
-	// closes the race where ctx fires between Accept returning a conn and
-	// the loop recording it: whichever side runs second sees the other's
-	// state and closes the conn.
-	var mu sync.Mutex
-	active := make(map[*comm.Conn]struct{})
-	stopping := false
-	stop := context.AfterFunc(ctx, func() {
-		mu.Lock()
-		defer mu.Unlock()
-		stopping = true
-		ln.Close()
-		for c := range active {
-			c.Close()
-		}
-		if ctl.common.Load()&capBatch != 0 {
-			// Unpark collecting batches immediately: their members fall
-			// back and then fail on their (now closing) client conns.
-			ctl.bt.close()
-		}
-	})
-	defer stop()
 
 	// Settle before the first accept, so the first requests do not start
 	// featureless. The wait is bounded, not a decision: a capability frame
@@ -536,57 +498,26 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 		cfg.Log.Event("peer_caps_silent", "party", party, "waited", helloTimeout)
 	}
 	sem := make(chan struct{}, maxSessions)
-	failures := 0
-	for {
-		client, err := comm.Accept(ln)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			failures++
-			if failures >= maxAcceptFailures {
-				return fmt.Errorf("mpc: party %d accept: %w", party, err)
-			}
-			cfg.Log.Error("accept", err, "party", party, "failures", failures, "max", maxAcceptFailures)
-			// Backoff, but never outlive a cancelled context.
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(time.Duration(failures) * 10 * time.Millisecond):
-			}
-			continue
-		}
-		failures = 0
+	err := comm.ServeConns(ctx, ln, func(client *comm.Conn) {
 		select {
 		case sem <- struct{}{}:
+			serveMuxSession(party, client, mux, ctl, wire, cfg)
+			client.Close()
+			<-sem
 		default:
 			// Overload: shed the connection instead of queueing it behind
 			// an unbounded backlog.
 			metrics.sessionsShed.Inc()
 			cfg.Log.Event("session_shed", "party", party, "max_sessions", maxSessions)
 			client.Close()
-			continue
 		}
-		mu.Lock()
-		if stopping {
-			mu.Unlock()
-			client.Close()
-			<-sem
-			return nil
-		}
-		active[client] = struct{}{}
-		mu.Unlock()
-		wg.Add(1)
-		go func(client *comm.Conn) {
-			defer wg.Done()
-			serveMuxSession(party, client, mux, ctl, wire, cfg)
-			mu.Lock()
-			delete(active, client)
-			mu.Unlock()
-			client.Close()
-			<-sem
-		}(client)
+	}, func(err error, failures int) {
+		cfg.Log.Error("accept", err, "party", party, "failures", failures)
+	})
+	if err != nil {
+		return fmt.Errorf("mpc: party %d %w", party, err)
 	}
+	return nil
 }
 
 // serveMuxSession runs one client session's request loop with its
@@ -610,10 +541,7 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, 
 
 // serveMuxLoop serves one client's requests until it disconnects, each
 // request's peer exchange running the session's engine on its own mux
-// sub-stream keyed by the request id. On a pair that settled batching each
-// lone request is first offered to the batch scheduler; requests it cannot
-// place (degenerate shapes, members dropped by the peer) run the individual
-// path unchanged.
+// sub-stream keyed by the request id.
 //
 // A request this party will not run — undecodable, dealer-fed on a pair
 // with no feed, past its deadline, a re-used id — is the client's error: it
@@ -623,9 +551,9 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, 
 // and then evicts a healthy pair. Only a frame too short to carry the id
 // to echo ends the session.
 //
-// The request latency histogram for the taken path is observed on EVERY
-// exit, error returns included — an explicit start time instead of a Span
-// so failures record too.
+// The request latency histogram is observed on EVERY exit, error returns
+// included — an explicit start time instead of a Span so failures record
+// too.
 func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wire WireConfig, cfg ServeConfig) error {
 	w := newWireMul(party, wire)
 	defer w.close()
@@ -638,11 +566,10 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		}
 		reqBuf = frame
 		start := time.Now()
-		h := metrics.reqWire
 		metrics.requests.Inc()
 		id, in, err := DecodeRequest(frame)
-		caps := ctl.common.Load() // what the pair has settled so far
-		if err == nil && in.T.U == nil && caps&capFeed == 0 {
+		// What the pair has settled so far decides the two-matrix form.
+		if err == nil && in.T.U == nil && ctl.common.Load()&capFeed == 0 {
 			// The client's error like a frame that does not decode, and
 			// refused the same way by both parties.
 			err = errors.New("mpc: dealer-fed request on a pair with no settled triplet feed")
@@ -652,11 +579,11 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		// that write fails.
 		fail := func(err error) error {
 			metrics.requestErrors.Inc()
-			h.ObserveSince(start)
+			metrics.reqWire.ObserveSince(start)
 			return fmt.Errorf("mpc: request %016x: %w", id, err)
 		}
 		refuse := func(code RouteErrorCode) error {
-			h.ObserveSince(start)
+			metrics.reqWire.ObserveSince(start)
 			reqBuf = shrinkScratch(reqBuf, len(frame))
 			return client.WriteFrame(EncodeRouteError(id, code, 0))
 		}
@@ -696,67 +623,45 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			metrics.bufShrinks.Inc()
 			reqBuf = nil
 		}
-		var ci *tensor.Matrix
-		var release func()
-		handled := false
-		// Only lone client-dealt requests batch: a proposal carries member ids
-		// and a shape, no triplets, and the dealer-fed form draws its triplet
-		// per request; a group is already a stack of its own.
-		if caps&capBatch != 0 && in.T.U != nil && c == 1 {
-			var berr error
-			ci, release, handled, berr = ctl.bt.do(id, in)
-			if handled {
-				h = metrics.reqBatched
-				if berr != nil {
-					return fail(berr)
-				}
+		sess, err := mux.Open(id)
+		if errors.Is(err, comm.ErrMuxSessionDup) || errors.Is(err, comm.ErrMuxSessionClosed) {
+			// The id is in flight or already retired on this pair (served,
+			// or aborted by the peer's half).
+			metrics.requestErrors.Inc()
+			if err := refuse(RouteDuplicateID); err != nil {
+				return err
 			}
+			continue
 		}
-		if !handled {
-			sess, err := mux.Open(id)
-			if errors.Is(err, comm.ErrMuxSessionDup) || errors.Is(err, comm.ErrMuxSessionClosed) {
-				// The id is in flight or already retired on this pair (served,
-				// or aborted by the peer's half).
-				metrics.requestErrors.Inc()
-				if err := refuse(RouteDuplicateID); err != nil {
-					return err
-				}
-				continue
-			}
+		if err != nil {
+			return fail(err)
+		}
+		if in.T.U == nil {
+			tspan := metrics.phaseTriplet.Start()
+			in.T, err = feedTriplet(party, cfg.Feed, sess, in.A.Rows, in.A.Cols, in.B.Cols)
+			tspan.Stop()
 			if err != nil {
-				return fail(err)
-			}
-			if in.T.U == nil {
-				tspan := metrics.phaseTriplet.Start()
-				in.T, err = feedTriplet(party, cfg.Feed, sess, in.A.Rows, in.A.Cols, in.B.Cols)
-				tspan.Stop()
-				if err != nil {
-					sess.Abort()
-					return fail(err)
-				}
-			}
-			ci, err = w.run(sess, in, nil, nil)
-			if err != nil {
-				// Notify the peer's half so it fails fast instead of waiting
-				// out its read deadline on frames that will never come.
 				sess.Abort()
 				return fail(err)
 			}
-			sess.Close()
 		}
+		ci, err := w.run(sess, in, nil, nil)
+		if err != nil {
+			// Notify the peer's half so it fails fast instead of waiting
+			// out its read deadline on frames that will never come.
+			sess.Abort()
+			return fail(err)
+		}
+		sess.Close()
 		outBuf = binary.LittleEndian.AppendUint64(outBuf[:0], id)
 		outBuf = tensor.EncodeMatrix(outBuf, ci)
-		if handled {
-			release() // last member out returns the stacked result
-		} else {
-			w.put(ci)
-		}
+		w.put(ci)
 		if err := client.WriteFrame(outBuf); err != nil {
 			metrics.requestErrors.Inc()
-			h.ObserveSince(start)
+			metrics.reqWire.ObserveSince(start)
 			return err
 		}
-		h.ObserveSince(start)
+		metrics.reqWire.ObserveSince(start)
 		outBuf = shrinkScratch(outBuf, len(outBuf))
 	}
 }
@@ -769,11 +674,10 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 const ctlID uint64 = 0x70736d6c63646331
 
 // The capability frame each party sends first on the control session
-// carries its codec set in the low bits (CodecSet), batching and feed above.
+// carries its codec set in the low bits (CodecSet) and the feed above.
 const (
 	capsMagic   uint32 = 0x43444350 // "PCDC"
 	capsVersion byte   = 2
-	capBatch    uint32 = 1 << 8
 	capFeed     uint32 = 1 << 9
 )
 
@@ -784,27 +688,20 @@ type pairCtl struct {
 	settled chan struct{} // closed once the peer's capabilities are applied
 	done    chan struct{} // closed when the reader has exited
 	// common is what both parties advertised, 0 until the peer's frame
-	// arrives. bt is written once, before common gains capBatch, and read
-	// only behind that bit (or after done).
+	// arrives.
 	common atomic.Uint32
-	bt     batcher
 }
 
 // startPairCtl opens the control session, advertises this party's
 // capabilities and starts the session's only reader, which settles the
-// common set when the peer's frame arrives and from then on hands batch
-// proposals and acks — told from a capability frame by their leading
-// version byte — to the batcher. A party calls this before it accepts a
-// client, so on the ordered session its capabilities precede any proposal
-// it makes, and the batcher a proposal needs is always there.
+// common set on the peer's first valid capability frame — whenever it
+// arrives. Nothing else belongs on the session: any other frame is logged,
+// once, and dropped.
 func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *pairCtl {
 	p := &pairCtl{settled: make(chan struct{}), done: make(chan struct{})}
 	var mine uint32
 	if wire.Codec != nil {
 		mine = uint32(wire.Codec.Enabled & codecMask)
-	}
-	if cfg.Batch != nil {
-		mine |= capBatch
 	}
 	if cfg.Feed != nil {
 		mine |= capFeed
@@ -817,13 +714,10 @@ func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *p
 		for _, f := range []struct {
 			name string
 			mask uint32
-		}{{"codec", uint32(codecMask)}, {"batching", capBatch}, {"feed", capFeed}} {
+		}{{"codec", uint32(codecMask)}, {"feed", capFeed}} {
 			if l, r := mine&f.mask, peer.Caps&f.mask; l != r {
 				cfg.Log.Event("feature_disabled", "party", party, "feature", f.name, "local", l, "peer", r)
 			}
-		}
-		if common&capBatch != 0 {
-			p.bt = newBatcher(party, mux, sess, *cfg.Batch, wire)
 		}
 		p.common.Store(common)
 		close(p.settled)
@@ -835,7 +729,7 @@ func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *p
 			return // the link is already dead
 		}
 		var buf []byte
-		for applied := false; ; {
+		for applied, logged := false, false; ; {
 			f, err := readFrameInto(sess, buf)
 			if comm.IsTimeout(err) {
 				continue // idle control session; keep listening
@@ -843,15 +737,15 @@ func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *p
 				return // mux dead or shutdown
 			}
 			buf = f
-			if len(f) > 0 && f[0] == batchCtlVersion {
-				if p.bt != nil {
-					p.bt.control(f)
-				}
-			} else if cf, err := comm.ParseCapabilityFrame(f, capsMagic); err != nil {
-				cfg.Log.Error("pair_ctl_frame", err, "party", party)
-			} else if !applied { // once per link
+			if cf, err := comm.ParseCapabilityFrame(f, capsMagic); err == nil && !applied { // once per link
 				applied = true
 				settle(cf)
+			} else if !logged {
+				logged = true
+				if err == nil {
+					err = errors.New("mpc: capability frame after the pair settled")
+				}
+				cfg.Log.Error("pair_ctl_frame", err, "party", party)
 			}
 		}
 	}()

@@ -48,12 +48,10 @@ func countEvents(t *testing.T, counts map[string]*atomic.Int32) *obs.Logger {
 // TestServeMismatchedPairSettles is the misconfiguration drill: a feature
 // turned on at one party only is not a failure mode. The capability
 // handshake leaves it off on both, each party says so once, and the pair
-// serves at full speed — bit-identical to the serial reference, no batch
-// ever proposed, every request far under a second — or, for the two-matrix
-// form on a pair with half a feed, refuses in-band on both parties with the
-// session intact. Before the handshake, batching on party 0 only cost every
-// request the 2 s + JoinWait ack timeout, on party 1 only parked it
-// 2·JoinWait + 250 ms, and a one-sided feed tore the session down.
+// serves at full speed — bit-identical to the serial reference, every
+// request far under a second — or, for the two-matrix form on a pair with
+// half a feed, refuses in-band on both parties with the session intact.
+// Before the handshake a one-sided feed tore the session down.
 func TestServeMismatchedPairSettles(t *testing.T) {
 	p := rng.NewPool(1701)
 	a := p.NewUniform(24, 16, -1, 1)
@@ -70,11 +68,6 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 		name   string
 		enable func(t *testing.T, cfg *ServeConfig)
 	}{
-		// JoinWait at 1 s puts a request parked on either side well over
-		// the bound (at the 150 ms default the follower parks ~550 ms).
-		{"batching", func(t *testing.T, cfg *ServeConfig) {
-			cfg.Batch = &BatchConfig{Planner: NewPlanner(hw.Paper()), JoinWait: time.Second}
-		}},
 		{"feed", func(t *testing.T, cfg *ServeConfig) { cfg.Feed = unusedFeed{t} }},
 		{"codec", func(t *testing.T, cfg *ServeConfig) {
 			cfg.Wire.Codec = &WireCodec{Enabled: CodecFP16 | CodecCSR, HW: hw.Paper(), Negotiate: true}
@@ -95,7 +88,6 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 					}
 				}
 				f.enable(t, &cfgs[side])
-				batchesBefore := metrics.batches.Value()
 				addr0, addr1, shutdown := startServePairCfgs(t, cfgs[0], cfgs[1])
 				defer shutdown()
 				c0, c1 := dialPair(t, addr0, addr1)
@@ -145,9 +137,6 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 						t.Errorf("codec upgraded to %b against a peer with none", got)
 					}
 				}
-				if got := metrics.batches.Value() - batchesBefore; got != 0 {
-					t.Errorf("psml_batch_batches_total moved by %d on a pair that settled no batching", got)
-				}
 				for party := range events {
 					if got := events[party].Load(); got != 1 {
 						t.Errorf("party %d logged %d feature_disabled events, want 1", party, got)
@@ -161,7 +150,8 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 // TestServeLatePeerStillSettles: the wait before the first accept is
 // bounded, not a decision. A party whose peer shows up after it started
 // serving featureless applies the peer's capability frame when it does
-// arrive, so the pair ends up with everything both sides turned on.
+// arrive, so the pair ends up with everything both sides turned on — here
+// the (lossless) CSR codec, so results stay comparable bit for bit.
 func TestServeLatePeerStillSettles(t *testing.T) {
 	old := helloTimeout
 	helloTimeout = 50 * time.Millisecond
@@ -171,17 +161,20 @@ func TestServeLatePeerStillSettles(t *testing.T) {
 	p := rng.NewPool(1702)
 	jobs := makeBatchJobs(t, p, clients, 24, 16, 20)
 	var silent, settled atomic.Int32
-	cfg := ServeConfig{
-		ClientTimeout: 10 * time.Second,
-		PeerTimeout:   10 * time.Second,
-		MaxSessions:   clients,
-		Batch:         &BatchConfig{Window: 50 * time.Millisecond, MaxBatch: clients, JoinWait: 2 * time.Second},
-		Log:           countEvents(t, map[string]*atomic.Int32{"peer_caps_silent": &silent, "caps_settled": &settled}),
+	var cfgs [2]ServeConfig
+	for party := range cfgs {
+		cfgs[party] = ServeConfig{
+			ClientTimeout: 10 * time.Second,
+			PeerTimeout:   10 * time.Second,
+			MaxSessions:   clients,
+			Wire:          &WireConfig{Codec: &WireCodec{Enabled: CodecCSR, HW: hw.Paper(), Negotiate: true}},
+			Log:           countEvents(t, map[string]*atomic.Int32{"peer_caps_silent": &silent, "caps_settled": &settled}),
+		}
 	}
 	peer0, peer1 := comm.Pipe()
 	late := &lateFramer{Framer: peer1, release: make(chan struct{})}
 	release := sync.OnceFunc(func() { close(late.release) })
-	addr0, addr1, shutdown := startServePairOn(t, peer0, late, cfg, cfg)
+	addr0, addr1, shutdown := startServePairOn(t, peer0, late, cfgs[0], cfgs[1])
 	defer shutdown()
 	defer release()
 	waitFor := func(n *atomic.Int32, what string) {
@@ -192,11 +185,20 @@ func TestServeLatePeerStillSettles(t *testing.T) {
 			}
 		}
 	}
+	usable := func(want CodecSet, when string) {
+		t.Helper()
+		for party := range cfgs {
+			if got := cfgs[party].Wire.Codec.usable(); got != want {
+				t.Errorf("party %d may emit codec set %b %s, want %b", party, got, when, want)
+			}
+		}
+	}
 	waitFor(&silent, "gave up waiting for the peer's capabilities")
+	usable(0, "before the peer's capabilities arrived")
 	release()
 	waitFor(&settled, "settled the late capabilities")
+	usable(CodecCSR, "after the late peer's capabilities arrived")
 
-	batchesBefore := metrics.batches.Value()
 	errs := make(chan error, clients)
 	for _, j := range jobs {
 		go func(j batchJob) {
@@ -214,9 +216,6 @@ func TestServeLatePeerStillSettles(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
-	}
-	if metrics.batches.Value() == batchesBefore {
-		t.Error("the pair never batched after the late peer's capabilities arrived")
 	}
 }
 

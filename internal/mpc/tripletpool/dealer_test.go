@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -284,5 +286,80 @@ func TestDealerProtoCodecs(t *testing.T) {
 	// Geometry mismatch between header and payload is rejected.
 	if _, _, _, err := decodeFeedFrame(appendFeedFrame(nil, shape{3, 3, 4}, 9, p0)); err == nil {
 		t.Fatal("FEED frame with mismatched header geometry accepted")
+	}
+}
+
+// flakyListener fails its first `fails` Accepts the way a process out of
+// file descriptors does, then works.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestDealerSurvivesTransientAcceptErrors: a dealer whose listener fails
+// Accept twice still takes the pair's feeds and deals them a triplet,
+// instead of ending for good on the first failure.
+func TestDealerSurvivesTransientAcceptErrors(t *testing.T) {
+	inner, err := comm.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &flakyListener{Listener: inner}
+	ln.fails.Store(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- NewDealer(DealerConfig{Seed: 7}).Serve(ctx, ln) }()
+
+	// Connecting is what blocks on a dealer that stopped accepting, so it
+	// runs beside the wait for Serve's return.
+	var feeds [2]*DealerClient
+	connected := make(chan error, 1)
+	go func() {
+		for party := range feeds {
+			c, err := NewDealerClient(feedConnect(inner.Addr().String()), party, 1, FeedConfig{})
+			if err != nil {
+				connected <- err
+				return
+			}
+			feeds[party] = c
+		}
+		connected <- nil
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("dealer stopped serving after a transient accept error: %v", err)
+	case err = <-connected:
+	}
+	for _, c := range feeds {
+		if c != nil {
+			defer c.Close()
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, t0, err := feeds[0].Next(3, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, err := feeds[1].Take(3, 4, 5, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTriplet(t, t0, t1, 3, 4, 5)
+	if left := ln.fails.Load(); left >= 0 {
+		t.Fatalf("listener still had %d failures to inject; the test exercised nothing", left+1)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("dealer shutdown: %v", err)
 	}
 }

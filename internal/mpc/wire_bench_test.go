@@ -347,10 +347,6 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	conc8 := record(testing.Benchmark(func(b *testing.B) { benchConcurrentMul(b, 8) }))
 	// One concurrent op completes 8 requests, one single op completes 1.
 	scaling := float64(conc1.NsPerOp) * 8 / float64(conc8.NsPerOp)
-	// Same geometry for both batching arms: one op = 64 clients × 1 request.
-	perSess := record(testing.Benchmark(func(b *testing.B) { benchBatchedMul(b, 64, nil) }))
-	batched := record(testing.Benchmark(func(b *testing.B) { benchBatchedMul(b, 64, benchBatchConfig()) }))
-	batchGain := float64(perSess.NsPerOp) / float64(batched.NsPerOp)
 	// Compressed-wire pair: same throttled link, sparse-E/dense-F shares.
 	rawCmpRes := testing.Benchmark(func(b *testing.B) { benchRemoteMulCompressed(b, false) })
 	codecCmpRes := testing.Benchmark(func(b *testing.B) { benchRemoteMulCompressed(b, true) })
@@ -374,7 +370,7 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	trNsRatio := float64(codecTr.NsPerOp) / float64(rawTr.NsPerOp)
 
 	baseline := map[string]any{
-		"description": "serving-path baseline: throttled-link remote mul (ns/op), steady-state inference request (allocs/op), concurrent-session scaling, and cross-session batched throughput. remote_mul_throttled.serial and infer_request.serial are measured on the test-only reference oracles (remotePartyRef, serveInferenceRef), not on a program path. transformer_infer ns/op is six grouped round trips (round_trips) on the throttled pipe carrying the block's 14 products (request_muls), where it used to be 14 round trips",
+		"description": "serving-path baseline: throttled-link remote mul (ns/op), steady-state inference request (allocs/op), and concurrent-session scaling. remote_mul_throttled.serial and infer_request.serial are measured on the test-only reference oracles (remotePartyRef, serveInferenceRef), not on a program path. transformer_infer ns/op is six grouped round trips (round_trips) on the throttled pipe carrying the block's 14 products (request_muls), where it used to be 14 round trips",
 		"remote_mul_throttled": map[string]any{
 			"dim":                           benchMulDim,
 			"chunk_rows":                    32,
@@ -398,14 +394,6 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 			"single":                conc1,
 			"concurrent":            conc8,
 			"throughput_scaling":    scaling,
-		},
-		"batched_throughput": map[string]any{
-			"clients":             64,
-			"dim":                 benchBatchDim,
-			"peer_frame_delay_us": benchPeerFrameDelay.Microseconds(),
-			"per_session":         perSess,
-			"batched":             batched,
-			"throughput_gain":     batchGain,
 		},
 		"transformer_infer": map[string]any{
 			"tokens":                trTokens,
@@ -453,12 +441,6 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	if scaling < 3.0 {
 		t.Errorf("concurrent throughput scaling %.2fx below the 3x bar (single %d ns/op, 8 clients %d ns/op)",
 			scaling, conc1.NsPerOp, conc8.NsPerOp)
-	}
-	// The batching scheduler's claim: 64 same-shape clients served as
-	// stacked exchanges must beat the per-session path outright.
-	if batchGain <= 1.0 {
-		t.Errorf("batched throughput gain %.2fx not above 1x (per-session %d ns/op, batched %d ns/op)",
-			batchGain, perSess.NsPerOp, batched.NsPerOp)
 	}
 	// The codec's claim (ISSUE 7): on the throttled link the adaptive
 	// selector must at least halve the bytes on the wire for the sparse-E
@@ -632,46 +614,6 @@ func TestConcurrentScalingBaseline(t *testing.T) {
 	} else {
 		t.Logf("concurrent throughput scaling: %.2fx (baseline %.2fx)",
 			scaling, baseline.ConcurrentSessions.ThroughputScaling)
-	}
-}
-
-// TestBatchedThroughputBaseline re-runs the 64-client batching pair and
-// fails if the batched path no longer beats per-session serving — the
-// regression guard on the cross-session batching scheduler, gated on
-// BENCH_WIRE_BASELINE like the other baseline tests. The committed
-// baseline must itself record a winning gain, so a regressed baseline
-// can't be silently committed either.
-func TestBatchedThroughputBaseline(t *testing.T) {
-	path := os.Getenv("BENCH_WIRE_BASELINE")
-	if path == "" {
-		t.Skip("BENCH_WIRE_BASELINE not set")
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseline struct {
-		BatchedThroughput struct {
-			Clients        int     `json:"clients"`
-			ThroughputGain float64 `json:"throughput_gain"`
-		} `json:"batched_throughput"`
-	}
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		t.Fatal(err)
-	}
-	if baseline.BatchedThroughput.ThroughputGain <= 1.0 {
-		t.Fatalf("baseline %s records batched throughput gain %.2fx, not above 1x",
-			path, baseline.BatchedThroughput.ThroughputGain)
-	}
-	perSess := testing.Benchmark(func(b *testing.B) { benchBatchedMul(b, 64, nil) })
-	batched := testing.Benchmark(func(b *testing.B) { benchBatchedMul(b, 64, benchBatchConfig()) })
-	gain := float64(perSess.NsPerOp()) / float64(batched.NsPerOp())
-	if gain <= 1.0 {
-		t.Errorf("batched serving regressed to %.2fx of per-session (baseline %.2fx; per-session %d ns/op, batched %d ns/op)",
-			gain, baseline.BatchedThroughput.ThroughputGain, perSess.NsPerOp(), batched.NsPerOp())
-	} else {
-		t.Logf("batched throughput gain: %.2fx (baseline %.2fx)",
-			gain, baseline.BatchedThroughput.ThroughputGain)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 //
 //   - One exchange serves a list of same-shape members. Their E shares
 //     stack to (B·m)×k and their F shares to (B·k)×n; a lone request is a
-//     batch of one, whose "stack" is just its own E and F.
+//     list of one, whose "stack" is just its own E and F.
 //
 //   - Intra-op (Fig. 5 analogue): a dedicated sender goroutine streams the
 //     E stack in row bands while the main goroutine folds each arriving
@@ -267,7 +267,7 @@ func (w *wireMul) run(conn comm.Framer, in Shares, fPub, dst *tensor.Matrix) (*t
 // peer's arriving bands — of whatever height the peer chose — are fused
 // into the Eq. 8 GEMM of each member they overlap, so transfer and compute
 // overlap inside one exchange. Each member's rows run exactly the op
-// sequence of a lone exchange, so a batch is bit-identical to serving its
+// sequence of a lone exchange, so a group is bit-identical to serving its
 // members one by one, and any banding to the one-band protocol.
 //
 // fPub, when non-nil, is the session-cached public F of a lone member and

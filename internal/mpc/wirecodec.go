@@ -11,15 +11,15 @@ import (
 )
 
 // Adaptive per-tensor wire compression for the online exchange. The
-// revealed tensors of the Beaver protocol — the E and F difference shares
-// and the stacked batch variants — are the bulk of per-request traffic,
-// and on a bandwidth-bound link encoding them smaller buys wall-clock
-// even though it costs CPU. Each send picks raw ('D'), FP16 ('H'), or
-// CSR ('S') per tensor from three inputs: a cheap sampled density
-// estimate, the link byte budget (the static hw model overridden by a
-// live bandwidth measurement, the planner's blend in miniature), and the
-// hw crossover hw.Platform.CodecWorthwhile — bytes must be worth more
-// than the encode+decode memory passes. On the paper's 100 Gb/s fabric
+// revealed tensors of the Beaver protocol — the E and F difference shares,
+// lone or stacked by a grouped request — are the bulk of per-request
+// traffic, and on a bandwidth-bound link encoding them smaller buys
+// wall-clock even though it costs CPU. Each send picks raw ('D'), FP16
+// ('H'), or CSR ('S') per tensor from three inputs: a cheap sampled density
+// estimate, the link byte budget (the static hw model overridden by a live
+// bandwidth measurement), and the hw crossover
+// hw.Platform.CodecWorthwhile — bytes must be worth more than the
+// encode+decode memory passes. On the paper's 100 Gb/s fabric
 // nothing ever pays and every send stays raw; on a throttled WAN-class
 // link CSR and FP16 cut the dominant term.
 //
@@ -171,7 +171,7 @@ func (wc *WireCodec) ObserveLink(bytes int, dur time.Duration) {
 // underlying transport path may have changed — a SupervisedLink
 // reconnect lands on a new TCP connection (possibly a new route), and
 // a throttled estimate from the dead incarnation must not keep pinning
-// the codec and batch planners against a link that no longer exists.
+// the codec selector against a link that no longer exists.
 func (wc *WireCodec) ResetLink() {
 	if wc == nil {
 		return

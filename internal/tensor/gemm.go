@@ -75,7 +75,7 @@ const gemmStripRows = 4
 // fused multiply-add, from float64(alpha·a[i][p]) · float64(b[p][j]). A
 // row's result therefore does not depend on which rows it is grouped,
 // banded or scheduled with, nor on whether the AVX2 or the portable strip
-// ran — the property the batched ≡ per-session ≡ serial contracts rest on.
+// ran — the property the grouped ≡ lone ≡ serial contracts rest on.
 //
 // Terms whose a-value is zero are skipped only when the whole strip's
 // four a-values are zero for that p (lone tail rows skip their own). For

@@ -359,9 +359,9 @@ func TestMulATBMatchesRef(t *testing.T) {
 
 // Banding invariance: Gemm over any row slice equals those rows of the
 // whole-matrix Gemm, whatever the slice's alignment to the 4-row strip.
-// The wire pipeline's row bands, the batcher's stacked members and the
-// serial path all slice differently; batched ≡ per-session ≡ serial rests
-// on this and nothing else in the kernel.
+// The wire pipeline's row bands, a grouped request's stacked members and
+// the serial path all slice differently; grouped ≡ lone ≡ serial rests on
+// this and nothing else in the kernel.
 func TestGemmBandingInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	const m, k, n = 13, 9, 7

@@ -6,12 +6,12 @@
 #
 # Usage: scripts/ci_drills.sh <drill>
 #   concurrent   concurrent sessions survive a client kill, bit-identical
-#   batching     cross-session batching: stacked == per-session, mid-batch kill
+#   engine       one exchange engine: any member count and band heights == reference
 #   chaos-link   peer link killed mid-flight; supervised reconnect + replay
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
 #   checkpoint   kill-and-resume training: resumed run byte-identical
 #   fleet        multi-process router+dealer fleet, one pair SIGKILLed
-#   transformer  secure attention block: wire path vs plaintext, batched+codec
+#   transformer  secure attention block: wire path vs plaintext, concurrent+codec
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
 #
@@ -32,18 +32,17 @@ concurrent)
   # must stay bit-identical to the serial reference.
   drill_test ./internal/mpc/ 'TestConcurrentSessionsSurviveClientKill|TestConcurrentSessionsBitIdentical'
   ;;
-batching)
-  # Same-shape clients coalesced into stacked exchanges must stay
-  # bit-identical to the per-session path, keep distinct shapes apart,
-  # and survive a client dying mid-batch; the engine must match the
-  # reference for every batch size with unequal band heights per party,
-  # a grouped request (one session's own member list) must match its
-  # members sent alone and refuse hostile group frames in-band, and the
-  # 16 KiB band floor must hold on the ChunkRows path and leave a batch's
-  # planner-chosen band alone. A pair with batching (or a feed, or codecs)
-  # on one party only must settle on serving without it — at full speed,
-  # one log line each — and a peer that answers late must still settle.
-  drill_test ./internal/mpc/ 'TestBatchedBitIdentical|TestBatchedMixedShapes|TestBatchedSurvivesClientKill|TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles'
+engine)
+  # The engine must match the reference for every member count with
+  # unequal band heights per party, end to end across a burst of
+  # same-shape sessions too; a grouped request (one session's own member
+  # list) must match its members sent alone and refuse hostile group
+  # frames in-band, and the 16 KiB band floor must hold on the ChunkRows
+  # path and leave a band handed straight to the engine alone. A pair with
+  # a feed or codecs on one party only must settle on serving without
+  # them — at full speed, one log line each — and a peer that answers late
+  # must still settle.
+  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles'
   ;;
 chaos-link)
   # The inter-server link dies twice at deterministic frame boundaries
@@ -53,10 +52,10 @@ chaos-link)
   ;;
 codec)
   # Capability negotiation upgrades matching servers, mismatched pairs
-  # (codec, batching or feed on one party only) stay on the common subset
+  # (codec or feed on one party only) stay on the common subset
   # forever, and both lossless CSR identity and the FP16 error
   # bound hold on the wire — on the one engine, whose raw-codec contract
-  # (any batch, any two band heights == the reference) runs here too.
+  # (any member count, any two band heights == the reference) runs here too.
   drill_test ./internal/mpc/ 'TestServeCodecNegotiationUpgrades|TestServeCodecMixedVersion|TestServeMismatchedPairSettles|TestWireMulCodecCSRBitIdentical|TestWireMulCodecFP16Tolerance|TestExchangeMatchesRef|TestServeClientsMismatchedBands'
   ;;
 checkpoint)
@@ -84,11 +83,11 @@ transformer)
   # Secure multi-head attention end to end: the wire-path block must
   # match plaintext within the documented tolerance in six grouped round
   # trips (four without the feed-forward stack), stay bit-stable across
-  # runs, and hold up through cross-session batching plus the negotiated
+  # runs, and hold up under concurrent clients plus the negotiated
   # FP16/CSR codecs; a group must equal its members sent alone; the
   # simtime path must track plaintext training and survive a checkpoint
   # round trip.
-  drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerBatchedCodecStable|TestGroupMatchesLone'
+  drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerConcurrentCodecStable|TestGroupMatchesLone'
   drill_test ./internal/secureml/ 'TestSecureTransformer|TestSecureAttentionForwardMatchesPlaintext|TestTransformerCheckpointRoundTrip'
   ;;
 dealer-chaos)
@@ -132,7 +131,7 @@ flags)
   exit "$fail"
   ;;
 *)
-  echo "usage: $0 {concurrent|batching|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|flags}" >&2
+  echo "usage: $0 {concurrent|engine|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|flags}" >&2
   exit 2
   ;;
 esac
