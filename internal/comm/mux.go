@@ -682,23 +682,24 @@ func (s *MuxSession) WriteFrame(frame []byte) error {
 	case err := <-s.ack:
 		return err
 	case <-s.done:
-		// The session was retired with our frame possibly still queued —
-		// the writer will never visit a retired session again. Reclaim it
-		// if the writer hasn't taken it; if it has, the ack is guaranteed.
+	case <-s.m.done:
+	}
+	// The session was retired, or the mux died, with our frame possibly
+	// still queued — the writer will never visit the session again. Reclaim
+	// the frame if the writer hasn't taken it. If it has, it is reading the
+	// caller's buffer right now and acks when the write returns: wait for
+	// that, or the caller reuses the buffer under the write.
+	select {
+	case <-s.out:
 		select {
-		case <-s.out:
+		case <-s.done:
 			return s.reason()
 		default:
-		}
-		select {
-		case err := <-s.ack:
-			return err
-		case <-s.m.done:
 			return s.m.Err()
 		}
-	case <-s.m.done:
-		return s.m.Err()
+	default:
 	}
+	return <-s.ack
 }
 
 // readRaw pops the next whole frame (header included) from the inbox,

@@ -57,6 +57,13 @@ var metrics = struct {
 	// Supervised peer link: heartbeat round-trip time, observed once per
 	// acknowledged heartbeat (SupervisePeer wires it in).
 	linkRTT *obs.Histogram
+
+	// Dealer-fed triplet agreement (feed.go): requests that started with the
+	// triplet already agreed (a lease) against those that announced inside
+	// the request, indexed [agreeAhead|agreeAnnounce], and agreements the two
+	// parties turned out not to share.
+	feedAgree         [2]*obs.Counter
+	feedLeaseMismatch *obs.Counter
 }{
 	phaseTriplet:     obs.Default.Histogram(`psml_phase_seconds{phase="triplet_gen"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
 	phaseExchange:    obs.Default.Histogram(`psml_phase_seconds{phase="exchange"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
@@ -97,7 +104,18 @@ var metrics = struct {
 	clientRetries: obs.Default.Counter("psml_client_retries_total", "RequestMulRetry attempts re-sent after a retryable route error."),
 
 	linkRTT: obs.Default.Histogram("psml_link_heartbeat_rtt_seconds", "Supervised peer-link heartbeat round-trip time."),
+
+	feedAgree: [2]*obs.Counter{
+		obs.Default.Counter(`psml_feed_agree_total{how="ahead"}`, "Dealer-fed requests by how the pair agreed on the triplet: a request ahead (lease) or announced inside the request."),
+		obs.Default.Counter(`psml_feed_agree_total{how="announce"}`, "Dealer-fed requests by how the pair agreed on the triplet: a request ahead (lease) or announced inside the request."),
+	},
+	feedLeaseMismatch: obs.Default.Counter("psml_feed_lease_mismatch_total", "Dealer-fed requests failed because the two parties held different triplet agreements."),
 }
+
+const (
+	agreeAhead = iota
+	agreeAnnounce
+)
 
 func init() {
 	// Transport and pool accounting live in packages that must not

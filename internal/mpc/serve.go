@@ -392,14 +392,15 @@ type ServeConfig struct {
 	MaxSessions int
 	// Feed, when non-nil and the peer advertises one too, serves dealer-fed
 	// requests (the two-matrix A, B form): the triplet comes from this
-	// party's feed instead of the client. Party 0 draws the next ready
-	// triplet for the request's shape and tells party 1 its stream sequence
-	// number over the request's mux session (the first frame, ahead of the
-	// Beaver exchange), so both parties always hold complementary halves of
-	// the same triplet no matter how concurrent sessions interleave. Full
-	// five-matrix requests are still honored — a pair can serve classic and
-	// dealer-fed clients at once. With a feed on one side only, both
-	// parties refuse the two-matrix form in-band (RouteBadRequest).
+	// party's feed instead of the client. Party 0 draws the triplets and
+	// tells party 1 their stream sequence numbers over the request's mux
+	// session — a request ahead on a session that repeats a shape, in a
+	// frame ahead of the Beaver exchange otherwise (feedLease) — so both
+	// parties always hold complementary halves of the same triplet no matter
+	// how concurrent sessions interleave. Full five-matrix requests are
+	// still honored — a pair can serve classic and dealer-fed clients at
+	// once. With a feed on one side only, both parties refuse the two-matrix
+	// form in-band (RouteBadRequest).
 	Feed TripletFeed
 
 	ignoredServeConfig // batch_shell.go
@@ -557,6 +558,7 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, 
 func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wire WireConfig, cfg ServeConfig) error {
 	w := newWireMul(party, wire)
 	defer w.close()
+	lease := &feedLease{party: party, feed: cfg.Feed, log: cfg.Log}
 	var reqBuf, outBuf []byte
 	badLogged := false
 	for {
@@ -636,16 +638,20 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		if err != nil {
 			return fail(err)
 		}
-		if in.T.U == nil {
+		// A dealer-fed request runs its exchange through the session's lease,
+		// which carries the triplet agreement on the exchange's own frames.
+		conn, fed := comm.Framer(sess), in.T.U == nil
+		if fed {
 			tspan := metrics.phaseTriplet.Start()
-			in.T, err = feedTriplet(party, cfg.Feed, sess, in.A.Rows, in.A.Cols, in.B.Cols)
+			in.T, err = lease.begin(sess, id, in.A.Rows, in.A.Cols, in.B.Cols)
 			tspan.Stop()
 			if err != nil {
 				sess.Abort()
 				return fail(err)
 			}
+			conn = lease
 		}
-		ci, err := w.run(sess, in, nil, nil)
+		ci, err := w.run(conn, in, nil, nil)
 		if err != nil {
 			// Notify the peer's half so it fails fast instead of waiting
 			// out its read deadline on frames that will never come.
@@ -663,6 +669,11 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		}
 		metrics.reqWire.ObserveSince(start)
 		outBuf = shrinkScratch(outBuf, len(outBuf))
+		if fed {
+			if err := lease.settle(); err != nil {
+				return fmt.Errorf("mpc: after request %016x: %w", id, err)
+			}
+		}
 	}
 }
 
@@ -674,11 +685,14 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 const ctlID uint64 = 0x70736d6c63646331
 
 // The capability frame each party sends first on the control session
-// carries its codec set in the low bits (CodecSet) and the feed above.
+// carries its codec set in the low bits (CodecSet) and the feed above. The
+// feed bit names the agreement framing, not just the feed: it moved off bit
+// 9 with the lease trailer, so a pair of mixed builds settles on "no feed"
+// and refuses the two-matrix form in-band instead of mis-framing it.
 const (
 	capsMagic   uint32 = 0x43444350 // "PCDC"
 	capsVersion byte   = 2
-	capFeed     uint32 = 1 << 9
+	capFeed     uint32 = 1 << 10
 )
 
 // pairCtl is what one party's control-session reader settles: a feature is

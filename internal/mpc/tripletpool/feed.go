@@ -15,9 +15,9 @@ import (
 // cmd/psml-dealer. It receives only THIS party's triplet halves — the
 // share-separation invariant holds on the wire, not just in process
 // memory. Credits (WANT frames) are issued lazily per shape, keeping
-// Depth triplets of headroom beyond what has been consumed, so the
-// dealer's generation follows observed demand instead of guessing
-// shapes up front.
+// between Depth/2 and Depth triplets of headroom beyond what has been
+// consumed, so the dealer's generation follows observed demand instead
+// of guessing shapes up front.
 //
 // The connection runs under comm.SupervisedLink with AllowPeerRestart:
 // a dealer crash (or standby takeover) is an outage, not a failure.
@@ -79,7 +79,8 @@ func (fs *feedShape) consume(seq uint64) {
 // FeedConfig tunes a DealerClient. The zero value selects the defaults.
 type FeedConfig struct {
 	// Depth is the per-shape credit headroom kept beyond consumption —
-	// the feed-side analogue of Config.Depth. Default 8.
+	// the feed-side analogue of Config.Depth — topped up in one WANT
+	// whenever less than half of it is left. Default 8.
 	Depth int
 	// Supervisor tunes the underlying supervised link (reconnect budget,
 	// heartbeat cadence). AllowPeerRestart is forced on — dealer
@@ -237,12 +238,18 @@ func (c *DealerClient) shape(s shape) *feedShape {
 	return fs
 }
 
-// ensureCredit tops the shape's outstanding credits up to cover seq
-// `need` plus the configured headroom. On a stream the current link
+// ensureCredit keeps the shape's outstanding credits covering seq `need`
+// plus headroom: when fewer than half of Depth (rounded up, so depth 1
+// still asks one ahead) remain beyond `need` it tops them up to Depth in
+// one WANT. On a stream the current link
 // incarnation has not opened yet (first use, or after a dealer restart)
 // it sends a RESUME carrying the consume cursor instead of a plain
-// WANT. Caller holds c.mu; the writes happen without dropping it (mux
-// writes only enqueue, and the supervised link buffers while down).
+// WANT. Caller holds c.mu, and the write happens without dropping it:
+// MuxSession.WriteFrame returns only once the frame is on the wire (25–37 µs
+// on loopback; longer while the supervised link is down and buffering), and
+// every Next/Take of the feed queues behind it. Granting in batches is what
+// makes that tolerable — at the default depth one draw in five pays it, not
+// every one.
 func (c *DealerClient) ensureCredit(s shape, fs *feedShape, need uint64) error {
 	target := need + 1 + uint64(c.depth)
 	if !fs.resumed {
@@ -263,8 +270,8 @@ func (c *DealerClient) ensureCredit(s shape, fs *feedShape, need uint64) error {
 		fs.requested = target
 		return nil
 	}
-	if fs.requested >= target {
-		return nil
+	if fs.requested >= need+1+uint64((c.depth+1)/2) {
+		return nil // at least half the headroom left
 	}
 	grant := target - fs.requested
 	if err := c.ctl.WriteFrame(encodeWant(s, int(grant))); err != nil {
@@ -286,7 +293,8 @@ func (c *DealerClient) Next(m, k, n int) (uint64, mpc.TripletShares, error) {
 	fs := c.shape(s)
 	seq := fs.next
 	fs.next++
-	return seq, c.waitLocked(s, fs, seq), c.err
+	t, err := c.waitLocked(s, fs, seq)
+	return seq, t, err
 }
 
 // Take implements mpc.TripletFeed: the share of triplet seq of s's
@@ -301,31 +309,34 @@ func (c *DealerClient) Take(m, k, n int, seq uint64) (mpc.TripletShares, error) 
 	if seq >= fs.next {
 		fs.next = seq + 1
 	}
-	return c.waitLocked(s, fs, seq), c.err
+	return c.waitLocked(s, fs, seq)
 }
 
 // waitLocked blocks until triplet seq of shape s arrives (issuing
 // credits to cover it) and pops it. An unconsumed seq pins the shape's
 // consumption floor at or below it, so a dealer restart mid-wait
-// re-delivers exactly this seq via the RESUME. On feed failure it
-// returns the zero value and leaves the error in c.err for the caller
-// to surface.
-func (c *DealerClient) waitLocked(s shape, fs *feedShape, seq uint64) mpc.TripletShares {
+// re-delivers exactly this seq via the RESUME. A seq that was already
+// consumed — before the call or by a concurrent one while it waited — fails
+// with mpc.ErrTripletConsumed: readLoop drops its re-delivery as a
+// duplicate, so waiting for it would never end. A feed failure is sticky
+// (c.err) and fails every caller.
+func (c *DealerClient) waitLocked(s shape, fs *feedShape, seq uint64) (mpc.TripletShares, error) {
 	for {
 		if c.err != nil {
-			return mpc.TripletShares{}
+			return mpc.TripletShares{}, c.err
+		}
+		if _, consumed := fs.done[seq]; consumed || seq < fs.floor {
+			return mpc.TripletShares{}, fmt.Errorf("tripletpool: %dx%dx%d seq %d: %w", s.M, s.K, s.N, seq, mpc.ErrTripletConsumed)
 		}
 		if err := c.ensureCredit(s, fs, seq); err != nil {
-			if c.err == nil {
-				c.err = err
-			}
-			return mpc.TripletShares{}
+			c.err = err
+			return mpc.TripletShares{}, err
 		}
 		if t, ok := fs.buf[seq]; ok {
 			delete(fs.buf, seq)
 			feedBuffered.Add(-1)
 			fs.consume(seq)
-			return t
+			return t, nil
 		}
 		c.cond.Wait()
 	}

@@ -2,10 +2,12 @@ package mpc
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/hw"
@@ -368,9 +370,22 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	codecTrBTok := codecTrRes.Extra["wireB/tok"]
 	trByteRatio := codecTrRes.Extra["wireB/op"] / rawTrRes.Extra["wireB/op"]
 	trNsRatio := float64(codecTr.NsPerOp) / float64(rawTr.NsPerOp)
+	// Dealer-fed hop pair: the same steady single-shape request with the
+	// triplet shipped by the client and drawn from a feed, over a peer link
+	// that charges every frame a fixed delay.
+	dealtHops := record(testing.Benchmark(func(b *testing.B) { benchDealerFedHops(b, false) }))
+	fedHops := record(testing.Benchmark(func(b *testing.B) { benchDealerFedHops(b, true) }))
+	hopsRatio := float64(fedHops.NsPerOp) / float64(dealtHops.NsPerOp)
 
 	baseline := map[string]any{
-		"description": "serving-path baseline: throttled-link remote mul (ns/op), steady-state inference request (allocs/op), and concurrent-session scaling. remote_mul_throttled.serial and infer_request.serial are measured on the test-only reference oracles (remotePartyRef, serveInferenceRef), not on a program path. transformer_infer ns/op is six grouped round trips (round_trips) on the throttled pipe carrying the block's 14 products (request_muls), where it used to be 14 round trips",
+		"description": "serving-path baseline: throttled-link remote mul (ns/op), steady-state inference request (allocs/op), and concurrent-session scaling. remote_mul_throttled.serial and infer_request.serial are measured on the test-only reference oracles (remotePartyRef, serveInferenceRef), not on a program path. transformer_infer ns/op is six grouped round trips (round_trips) on the throttled pipe carrying the block's 14 products (request_muls), where it used to be 14 round trips. dealer_fed_hops is a hop count read as a time ratio: the peer link sleeps frame_delay_ms before every frame, so dealer_fed ÷ client_dealt ns/op is the serial peer hops a dealer-fed request runs per hop of a client-dealt one",
+		"dealer_fed_hops": map[string]any{
+			"dim":            benchHopsDim,
+			"frame_delay_ms": benchHopsDelay.Milliseconds(),
+			"client_dealt":   dealtHops,
+			"dealer_fed":     fedHops,
+			"ns_ratio":       hopsRatio,
+		},
 		"remote_mul_throttled": map[string]any{
 			"dim":                           benchMulDim,
 			"chunk_rows":                    32,
@@ -471,6 +486,13 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	if trNsRatio > transformerNsRatioBar {
 		t.Errorf("transformer codec %d ns/op is %.2fx of raw %d ns/op, above the %.2fx bar",
 			codecTr.NsPerOp, trNsRatio, rawTr.NsPerOp, transformerNsRatioBar)
+	}
+	// The lease's claim (ISSUE 20): a steady dealer-fed session agrees on its
+	// triplets a request ahead, so it runs the one peer hop of a client-dealt
+	// request, not an announce hop and then the exchange's.
+	if hopsRatio > dealerFedHopsBar {
+		t.Errorf("dealer-fed request %d ns/op is %.2fx the client-dealt %d ns/op on the delayed link, above the %.1fx bar",
+			fedHops.NsPerOp, hopsRatio, dealtHops.NsPerOp, dealerFedHopsBar)
 	}
 	enc, err := json.MarshalIndent(baseline, "", "  ")
 	if err != nil {
@@ -748,5 +770,121 @@ func TestTransformerInferBaseline(t *testing.T) {
 	if !got.ApproxEqual(want, wireTransformerFP16Tol) {
 		t.Errorf("codec-path transformer off plaintext by %v (FP16 tolerance %v)",
 			got.MaxAbsDiff(want), wireTransformerFP16Tol)
+	}
+}
+
+// delayedFramer charges every frame written a fixed delay: a link whose cost
+// is per hop, not per byte. It is a Framer and nothing more, so the mux
+// above writes each frame in one call — one sleep per frame, where a
+// FaultConn under a vectored write sleeps once per part.
+type delayedFramer struct {
+	comm.Framer
+	delay time.Duration
+}
+
+func (d delayedFramer) WriteFrame(frame []byte) error {
+	time.Sleep(d.delay)
+	return d.Framer.WriteFrame(frame)
+}
+
+func (d delayedFramer) Close() error {
+	if c, ok := d.Framer.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
+// The hop pair's geometry: small_routed's 32-cubed product, and a per-frame
+// delay far above this kernel's 1 ms timer tick and everything else a request
+// of that size costs, so ns/op counts serial peer hops.
+const (
+	benchHopsDim   = 32
+	benchHopsDelay = 5 * time.Millisecond
+)
+
+// dealerFedHopsBar bounds dealer-fed ÷ client-dealt ns/op on the delayed
+// link: 1.0 is one hop each, 2.0 the announce-then-exchange the lease
+// replaced. 1.3 leaves room for a noisy host, none for a second hop.
+const dealerFedHopsBar = 1.3
+
+// benchDealerFedHops times steady same-shape requests from one session
+// through a ServeClients pair whose peer link is a delayedFramer, with the
+// triplet client-dealt (five-matrix form) or drawn from in-process feeds
+// (two-matrix form; the feeds answer at once, so only the agreement's hops
+// differ).
+func benchDealerFedHops(b *testing.B, fed bool) {
+	peer0, peer1 := comm.Pipe()
+	var cfgs [2]ServeConfig
+	d := newStreamDealer(20)
+	for party := range cfgs {
+		cfgs[party] = ServeConfig{ClientTimeout: 30 * time.Second, PeerTimeout: 30 * time.Second}
+		if fed {
+			cfgs[party].Feed = partyFeed{d: d, party: party}
+		}
+	}
+	addr0, addr1, shutdown := startServePairOn(b,
+		delayedFramer{peer0, benchHopsDelay}, delayedFramer{peer1, benchHopsDelay}, cfgs[0], cfgs[1])
+	defer shutdown()
+	c0, c1 := dialPair(b, addr0, addr1)
+	defer c0.Close()
+	defer c1.Close()
+	in := newFedInput(rng.NewPool(56), [3]int{benchHopsDim, benchHopsDim, benchHopsDim})
+	if !fed {
+		in.in0.T, in.in1.T = d.triplet([3]int{benchHopsDim, benchHopsDim, benchHopsDim}, 0)
+	}
+	run := func() {
+		if _, err := RequestMul(c0, c1, in.in0, in.in1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm up past the point a steady session leases from (its third request).
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+func BenchmarkDealerFedHops(b *testing.B) {
+	b.Run("client-dealt", func(b *testing.B) { benchDealerFedHops(b, false) })
+	b.Run("dealer-fed", func(b *testing.B) { benchDealerFedHops(b, true) })
+}
+
+// TestDealerFedHopsBaseline re-runs the hop pair and fails if a steady
+// dealer-fed request costs more than dealerFedHopsBar client-dealt ones on
+// the delayed link — the regression guard behind BENCH_wire.json's
+// dealer_fed_hops section, gated on BENCH_WIRE_BASELINE like the other
+// baseline tests. The committed baseline must itself record a passing ratio.
+func TestDealerFedHopsBaseline(t *testing.T) {
+	path := os.Getenv("BENCH_WIRE_BASELINE")
+	if path == "" {
+		t.Skip("BENCH_WIRE_BASELINE not set")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseline struct {
+		DealerFedHops struct {
+			NsRatio float64 `json:"ns_ratio"`
+		} `json:"dealer_fed_hops"`
+	}
+	if err := json.Unmarshal(raw, &baseline); err != nil {
+		t.Fatal(err)
+	}
+	if r := baseline.DealerFedHops.NsRatio; r <= 0 || r > dealerFedHopsBar {
+		t.Fatalf("baseline %s records dealer_fed_hops ns_ratio %.3f, outside (0, %.1f]", path, r, dealerFedHopsBar)
+	}
+	dealt := testing.Benchmark(func(b *testing.B) { benchDealerFedHops(b, false) })
+	fed := testing.Benchmark(func(b *testing.B) { benchDealerFedHops(b, true) })
+	ratio := float64(fed.NsPerOp()) / float64(dealt.NsPerOp())
+	if ratio > dealerFedHopsBar {
+		t.Errorf("dealer-fed request costs %.2fx a client-dealt one on the delayed link (baseline %.3fx, bar %.1fx; %d vs %d ns/op)",
+			ratio, baseline.DealerFedHops.NsRatio, dealerFedHopsBar, fed.NsPerOp(), dealt.NsPerOp())
+	} else {
+		t.Logf("dealer-fed hops: %.3fx client-dealt (baseline %.3fx; %d vs %d ns/op)",
+			ratio, baseline.DealerFedHops.NsRatio, fed.NsPerOp(), dealt.NsPerOp())
 	}
 }

@@ -41,8 +41,12 @@ engine)
   # path and leave a band handed straight to the engine alone. A pair with
   # a feed or codecs on one party only must settle on serving without
   # them — at full speed, one log line each — and a peer that answers late
-  # must still settle.
-  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles'
+  # must still settle. Dealer-fed requests must run on the seq the lease
+  # rules name on both parties, fail on both with the typed mismatch when
+  # the parties' leases differ, fail at once on a consumed seq, and a burst
+  # of leasing sessions must stay inside the dealer's in-flight window.
+  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles|TestFeedLeaseAgreement|TestFeedLeaseMismatchFailsBothParties|TestFeedConsumedSeqFailsRequest'
+  drill_test ./internal/mpc/tripletpool/ 'TestDealerClientConsumedSeqFailsAtOnce|TestDealerFedBurstStaysInsideInflightWindow'
   ;;
 chaos-link)
   # The inter-server link dies twice at deterministic frame boundaries

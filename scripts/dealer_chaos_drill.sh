@@ -41,10 +41,13 @@ spawn() { # spawn NAME cmd args...
   echo "   $name pid $! ($*)"
 }
 
-mapfile -t PORTS < <(go run ./scripts/freeport 4)
-[ "${#PORTS[@]}" -eq 4 ] || { echo "freeport returned ${#PORTS[@]} ports, want 4" >&2; exit 1; }
+mapfile -t PORTS < <(go run ./scripts/freeport 7)
+[ "${#PORTS[@]}" -eq 7 ] || { echo "freeport returned ${#PORTS[@]} ports, want 7" >&2; exit 1; }
 DEALER=127.0.0.1:${PORTS[0]}
 A0=127.0.0.1:${PORTS[1]}; A1=127.0.0.1:${PORTS[2]}; APEER=127.0.0.1:${PORTS[3]}
+# /metrics of the restarted dealer and of both servers, read once the drill
+# has passed.
+DEALER_DEBUG=127.0.0.1:${PORTS[4]}; A0_DEBUG=127.0.0.1:${PORTS[5]}; A1_DEBUG=127.0.0.1:${PORTS[6]}
 
 echo "== starting dealer + one dealer-fed pair"
 spawn dealer "$WORK/psml-dealer" -listen "$DEALER" -seed "$SEED"
@@ -53,9 +56,11 @@ DEALER_PID=${PIDS[-1]}
 # psml-server's 60 connect attempts per dealer-link outage outlast the
 # restart gap.
 spawn pairA-0 "$WORK/psml-server" -party 0 -listen "$A0" -peer-listen "$APEER" \
-  -dealer-dial "$DEALER" -pair-id 1 -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2
+  -dealer-dial "$DEALER" -pair-id 1 -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2 \
+  -debug-addr "$A0_DEBUG"
 spawn pairA-1 "$WORK/psml-server" -party 1 -listen "$A1" -peer-dial "$APEER" \
-  -dealer-dial "$DEALER" -pair-id 1 -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2
+  -dealer-dial "$DEALER" -pair-id 1 -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2 \
+  -debug-addr "$A1_DEBUG"
 
 echo "== running the drill client ($SESSIONS sessions, dealer kill after round 3)"
 READY="$WORK/ready"; KILLED="$WORK/killed"
@@ -72,7 +77,7 @@ kill -9 "$DEALER_PID"
 # The port is free the moment the process dies; the restarted dealer
 # must come up listening before the barrier lifts, so the replicas'
 # reconnect attempts find it instead of burning their budget.
-spawn dealer-restarted "$WORK/psml-dealer" -listen "$DEALER" -seed "$SEED"
+spawn dealer-restarted "$WORK/psml-dealer" -listen "$DEALER" -seed "$SEED" -debug-addr "$DEALER_DEBUG"
 for _ in $(seq 1 100); do
   grep -q "serving triplet streams" "$WORK/dealer-restarted.log" && break
   sleep 0.1
@@ -84,7 +89,21 @@ grep -q "serving triplet streams" "$WORK/dealer-restarted.log" || {
 }
 touch "$KILLED"
 
+# metric ADDR SERIES prints one series' value off a process's /metrics.
+metric() { curl -sf "http://$1/metrics" | awk -v s="$2" '$1 == s {print $2}'; }
+
 if wait "$CLIENT"; then
+  # A shape per request, as in the fleet drill: no session repeats one, so
+  # no triplet may have been agreed a request ahead (and none drawn for it).
+  for addr in "$A0_DEBUG" "$A1_DEBUG"; do
+    ahead="$(metric "$addr" 'psml_feed_agree_total{how="ahead"}')"
+    announced="$(metric "$addr" 'psml_feed_agree_total{how="announce"}')"
+    if [ "$ahead" != 0 ] || [ "${announced:-0}" -lt 1 ]; then
+      echo "== dealer chaos drill FAILED: $addr agreed ahead on '$ahead' requests (want 0), announced '$announced' (want some)" >&2
+      exit 1
+    fi
+  done
+  echo "   restarted dealer generated $(metric "$DEALER_DEBUG" psml_dealer_generated_total) triplets; the pair announced every agreement"
   echo "== dealer chaos drill passed"
 else
   status=$?

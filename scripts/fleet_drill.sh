@@ -41,21 +41,24 @@ spawn() { # spawn NAME cmd args...
   echo "   $name pid $! ($*)"
 }
 
-# Free loopback ports from the kernel (scripts/freeport holds all nine
-# listeners open before printing, so the ten are distinct). Fixed port
+# Free loopback ports from the kernel (scripts/freeport holds every
+# listener open before printing, so the thirteen are distinct). Fixed port
 # lists collide when two drills — or a drill and a dev server — share a
 # machine.
-mapfile -t PORTS < <(go run ./scripts/freeport 10)
-[ "${#PORTS[@]}" -eq 10 ] || { echo "freeport returned ${#PORTS[@]} ports, want 10" >&2; exit 1; }
+mapfile -t PORTS < <(go run ./scripts/freeport 13)
+[ "${#PORTS[@]}" -eq 13 ] || { echo "freeport returned ${#PORTS[@]} ports, want 13" >&2; exit 1; }
 DEALER=127.0.0.1:${PORTS[0]}
 FACE0=127.0.0.1:${PORTS[1]}
 FACE1=127.0.0.1:${PORTS[2]}
 HEALTH=127.0.0.1:${PORTS[3]}
 A0=127.0.0.1:${PORTS[4]}; A1=127.0.0.1:${PORTS[5]}; APEER=127.0.0.1:${PORTS[6]}
 B0=127.0.0.1:${PORTS[7]}; B1=127.0.0.1:${PORTS[8]}; BPEER=127.0.0.1:${PORTS[9]}
+# /metrics of the dealer and of the pair that survives, read once the drill
+# has passed.
+DEALER_DEBUG=127.0.0.1:${PORTS[10]}; A0_DEBUG=127.0.0.1:${PORTS[11]}; A1_DEBUG=127.0.0.1:${PORTS[12]}
 
 echo "== starting the fleet"
-spawn dealer "$WORK/psml-dealer" -listen "$DEALER" -seed "$SEED"
+spawn dealer "$WORK/psml-dealer" -listen "$DEALER" -seed "$SEED" -debug-addr "$DEALER_DEBUG"
 spawn router "$WORK/psml-router" -listen0 "$FACE0" -listen1 "$FACE1" \
   -health-listen "$HEALTH" -health-heartbeat 100ms -backend-timeout 20s
 
@@ -63,9 +66,10 @@ spawn router "$WORK/psml-router" -listen0 "$FACE0" -listen1 "$FACE1" \
 spawn pairA-0 "$WORK/psml-server" -party 0 -listen "$A0" -peer-listen "$APEER" \
   -dealer-dial "$DEALER" -pair-id 1 \
   -router-register "$HEALTH" -replica-name pair-a -advertise-party0 "$A0" -advertise-party1 "$A1" \
-  -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2
+  -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2 -debug-addr "$A0_DEBUG"
 spawn pairA-1 "$WORK/psml-server" -party 1 -listen "$A1" -peer-dial "$APEER" \
-  -dealer-dial "$DEALER" -pair-id 1 -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2
+  -dealer-dial "$DEALER" -pair-id 1 -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2 \
+  -debug-addr "$A1_DEBUG"
 
 # Pair B: the victim.
 spawn pairB-0 "$WORK/psml-server" -party 0 -listen "$B0" -peer-listen "$BPEER" \
@@ -107,7 +111,23 @@ echo "== killing pair-b (pids $B_PID0 $B_PID1)"
 kill -9 "$B_PID0" "$B_PID1"
 touch "$KILLED"
 
+# metric ADDR SERIES prints one series' value off a process's /metrics.
+metric() { curl -sf "http://$1/metrics" | awk -v s="$2" '$1 == s {print $2}'; }
+
 if wait "$CLIENT"; then
+  # Every request of this drill has a shape of its own, so no session ever
+  # repeats one: the pair must have agreed on every triplet inside its
+  # request, never a request ahead — a lease here would be a triplet drawn
+  # for a request that never comes.
+  for addr in "$A0_DEBUG" "$A1_DEBUG"; do
+    ahead="$(metric "$addr" 'psml_feed_agree_total{how="ahead"}')"
+    announced="$(metric "$addr" 'psml_feed_agree_total{how="announce"}')"
+    if [ "$ahead" != 0 ] || [ "${announced:-0}" -lt 1 ]; then
+      echo "== fleet drill FAILED: $addr agreed ahead on '$ahead' requests (want 0), announced '$announced' (want some)" >&2
+      exit 1
+    fi
+  done
+  echo "   dealer generated $(metric "$DEALER_DEBUG" psml_dealer_generated_total) triplets; pair-a announced every agreement"
   echo "== fleet drill passed"
 else
   status=$?
