@@ -60,6 +60,20 @@ const (
 	dealerReconnectAttempts = 60
 )
 
+// supervision is the profile of this server's two supervised links — the
+// inter-server link and the router health link — for one -peer-heartbeat
+// value. The heartbeat is the flag's on both; its 0 means off, where
+// comm.SupervisorConfig reads 0 as "default", so it is mapped to the
+// config's "disabled" here, once, for both. Every other number is the
+// config's default, except that the health link outlasts a router restart.
+func supervision(heartbeat time.Duration) (peer, health comm.SupervisorConfig) {
+	if heartbeat <= 0 {
+		heartbeat = -1
+	}
+	return comm.SupervisorConfig{HeartbeatInterval: heartbeat},
+		comm.SupervisorConfig{HeartbeatInterval: heartbeat, ReconnectAttempts: 30}
+}
+
 func main() {
 	party := flag.Int("party", 0, "party index: 0 or 1")
 	listen := flag.String("listen", ":9100", "address for client connections")
@@ -158,12 +172,7 @@ func main() {
 	// each incarnation, and unacknowledged frames are replayed after the
 	// resync. The listening side keeps its listener open for the life of
 	// the process so a restarted or disconnected peer can come back.
-	// The peer link's supervision profile: the heartbeat is the flag's,
-	// every other number is comm.SupervisorConfig's default.
-	supCfg := comm.SupervisorConfig{HeartbeatInterval: *peerHeartbeat}
-	if *peerHeartbeat <= 0 {
-		supCfg.HeartbeatInterval = -1 // 0 means "default" in the config; the flag's 0 means off
-	}
+	peerSup, healthSup := supervision(*peerHeartbeat)
 	var connect func() (*comm.Conn, error)
 	if *peerListen != "" {
 		ln, err := comm.Listen(*peerListen)
@@ -191,7 +200,7 @@ func main() {
 			return c, nil
 		}
 	}
-	peer, err := mpc.SupervisePeer(*party, connect, supCfg)
+	peer, err := mpc.SupervisePeer(*party, connect, peerSup)
 	if err != nil {
 		if ctx.Err() != nil {
 			log.Printf("party %d: shutdown before peer connected", *party)
@@ -250,10 +259,7 @@ func main() {
 		agent, err := fleet.StartAgent(ctx, *routerRegister, fleet.Replica{
 			Name: *replicaName,
 			Addr: [2]string{*advertise0, *advertise1},
-		}, comm.SupervisorConfig{
-			HeartbeatInterval: *peerHeartbeat,
-			ReconnectAttempts: 30, // outlast a router restart
-		}, logger)
+		}, healthSup, logger)
 		if err != nil {
 			log.Fatalf("router register: %v", err)
 		}

@@ -26,8 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"parsecureml"
-
 	"parsecureml/internal/comm"
 	"parsecureml/internal/mpc"
 	"parsecureml/internal/mpc/tripletpool"
@@ -93,11 +91,10 @@ func main() {
 		}
 	}()
 
-	deployment := parsecureml.New(parsecureml.SecureMLBaselineConfig())
-	client := deployment.Deployment().Client
-	r := parsecureml.NewRand(99)
-	fill := func(m, k int) *parsecureml.Matrix {
-		x := parsecureml.NewMatrix(m, k)
+	client := rng.NewPool(1) // the data owner's share and triplet randomness
+	r := rng.NewRand(99)
+	fill := func(m, k int) *tensor.Matrix {
+		x := tensor.New(m, k)
 		for i := range x.Data {
 			x.Data[i] = r.Float32() - 0.5
 		}

@@ -5,7 +5,7 @@ import (
 
 	"parsecureml/internal/dataset"
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/secureml"
 	"parsecureml/internal/tensor"
@@ -52,10 +52,10 @@ func AblationActivation(opts Options) Table {
 			return ml.NewModel("logistic-"+act.String(), ml.MSE{},
 				ml.NewDense(spec.InDim(), 1, act, rng.NewRand(opts.Seed)))
 		}
-		cfg := mpc.DefaultConfig()
+		cfg := mpcsim.DefaultConfig()
 		cfg.TensorCores = false
 		cfg.Seed = opts.Seed
-		d := mpc.NewDeployment(cfg)
+		d := mpcsim.NewDeployment(cfg)
 		sm := secureml.FromPlain(d, mk(), secureml.MSELoss)
 		sm.Prepare(xs, ys)
 		sm.TrainEpochs(epochs, 0.4)

@@ -18,7 +18,7 @@ import (
 
 	"parsecureml/internal/dataset"
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/secureml"
 	"parsecureml/internal/tensor"
@@ -226,23 +226,23 @@ type secureRun struct {
 // runSecure schedules a full training run (1 epoch, the paper's
 // configuration) of the workload under cfg, in dry-run mode, scaling from
 // the scheduled batch subset to the full batch count.
-func runSecure(w workload, cfg mpc.Config, opts Options, inferOnly bool) secureRun {
+func runSecure(w workload, cfg mpcsim.Config, opts Options, inferOnly bool) secureRun {
 	return runSecureN(w, cfg, opts, inferOnly, 1)
 }
 
 // runSecureEpochs is runSecure with a training epoch count.
-func runSecureEpochs(w workload, cfg mpc.Config, opts Options, epochs int) secureRun {
+func runSecureEpochs(w workload, cfg mpcsim.Config, opts Options, epochs int) secureRun {
 	return runSecureN(w, cfg, opts, false, epochs)
 }
 
-func runSecureN(w workload, cfg mpc.Config, opts Options, inferOnly bool, epochs int) secureRun {
+func runSecureN(w workload, cfg mpcsim.Config, opts Options, inferOnly bool, epochs int) secureRun {
 	prev := tensor.SetCompute(false)
 	defer tensor.SetCompute(prev)
 
 	total, scheduled := batchGeometry(w.spec, opts)
 	scale := float64(total) / float64(scheduled)
 
-	d := mpc.NewDeployment(cfg)
+	d := mpcsim.NewDeployment(cfg)
 	// Dry schedules can reach millions of tasks in full mode; keep only
 	// the aggregates (makespan/kind totals stay exact).
 	d.Eng.SetRetainTasks(false)
@@ -289,16 +289,16 @@ func runSecureN(w workload, cfg mpc.Config, opts Options, inferOnly bool, epochs
 }
 
 // parSecureMLConfig is the full system (Figs. 10–13 treatment arm).
-func parSecureMLConfig(seed uint64) mpc.Config {
-	cfg := mpc.DefaultConfig()
+func parSecureMLConfig(seed uint64) mpcsim.Config {
+	cfg := mpcsim.DefaultConfig()
 	cfg.Seed = seed
 	cfg.DrySparsityHint = 0.85 // calibrated by Figure16's real-mode run
 	return cfg
 }
 
 // secureMLBaselineConfig is the paper's baseline arm.
-func secureMLBaselineConfig(seed uint64) mpc.Config {
-	cfg := mpc.SecureMLConfig()
+func secureMLBaselineConfig(seed uint64) mpcsim.Config {
+	cfg := mpcsim.SecureMLConfig()
 	cfg.Seed = seed
 	return cfg
 }

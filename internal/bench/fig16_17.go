@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"parsecureml/internal/dataset"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/secureml"
 	"parsecureml/internal/tensor"
@@ -43,7 +43,7 @@ func Figure16(opts Options) Table {
 
 			cfg := parSecureMLConfig(opts.Seed)
 			cfg.TensorCores = false
-			d := mpc.NewDeployment(cfg)
+			d := mpcsim.NewDeployment(cfg)
 			m := secureml.FromPlain(d, plain, secureml.MSELoss)
 			m.Prepare([]*tensor.Matrix{x.SliceRows(0, 32), x.SliceRows(32, 64)},
 				[]*tensor.Matrix{y.SliceRows(0, 32), y.SliceRows(32, 64)})
@@ -88,8 +88,8 @@ func Figure17(opts Options) Table {
 		// Chunk the stacked input so device buffers stay inside V100
 		// memory (4 GB of operands would not fit resident all at once).
 		const chunkRows = 1 << 20
-		run := func(cfg mpc.Config) float64 {
-			d := mpc.NewDeployment(cfg)
+		run := func(cfg mpcsim.Config) float64 {
+			d := mpcsim.NewDeployment(cfg)
 			b := tensor.New(64, 64)
 			for lo, c := 0, 0; lo < rows; lo, c = lo+chunkRows, c+1 {
 				hi := lo + chunkRows

@@ -5,7 +5,7 @@ import (
 
 	"parsecureml/internal/dataset"
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/secureml"
 	"parsecureml/internal/tensor"
@@ -20,7 +20,7 @@ func Figure2(opts Options) Table {
 	defer tensor.SetCompute(prev)
 
 	cfg := secureMLBaselineConfig(opts.Seed)
-	d := mpc.NewDeployment(cfg)
+	d := mpcsim.NewDeployment(cfg)
 	spec := dataset.MNIST
 	plain := ml.NewMLP(spec.InDim(), rng.NewRand(opts.Seed))
 	m := secureml.FromPlain(d, plain, secureml.MSELoss)

@@ -1,3 +1,11 @@
+// Package comm is the real transport of the two-server deployment: framed
+// byte streams over TCP or an in-memory pipe (Conn, Framer — the paper's MPI
+// layer, §6) and what the fleet layers on one such stream: per-request
+// sub-streams on the single inter-server link (Mux), heartbeats, reconnect
+// and replay (SupervisedLink), the accept loop under every listener
+// (ServeConns), capability frames and test fault injection (FaultConn). It
+// moves opaque frames and imports nothing else from this module; the
+// metered network of the paper-figure model is internal/mpcsim's Link.
 package comm
 
 import (
@@ -11,9 +19,8 @@ import (
 	"time"
 )
 
-// TCP transport: the same frames the modeled Link meters, moved over real
-// sockets. The paper's MPI layer plays this role; stdlib net is the
-// closest equivalent. Frames are length-prefixed (u32 little-endian).
+// TCP transport: stdlib net is the closest equivalent of the paper's MPI
+// layer. Frames are length-prefixed (u32 little-endian).
 //
 // Concurrency contract: WriteFrame and ReadFrame are each safe for
 // concurrent use — a frame is written and read atomically (never

@@ -35,8 +35,7 @@ type WireTransformer struct {
 	// Optional feed-forward stack with scaled residual (nil ⇒ attention
 	// only).
 	FF1W, FF1B, FF2W, FF2B *tensor.Matrix
-	FF1Act                 ActivationKind
-	FF1HasAct              bool
+	FF1Act                 ml.Activation
 	HasFF                  bool
 
 	pool        *rng.Pool
@@ -59,24 +58,10 @@ func NewWireAttention(a *ml.Attention, seed uint64) *WireTransformer {
 // (attention + feed-forward) for wire-path inference.
 func NewWireTransformer(b *ml.TransformerBlock, seed uint64) *WireTransformer {
 	t := NewWireAttention(b.Att, seed)
-	act, hasAct := wireActOf(b.FF1.Act)
 	t.FF1W, t.FF1B, t.FF2W, t.FF2B = b.FF1.W, b.FF1.B, b.FF2.W, b.FF2.B
-	t.FF1Act, t.FF1HasAct = act, hasAct
+	t.FF1Act = b.FF1.Act
 	t.HasFF = true
 	return t
-}
-
-func wireActOf(a ml.Activation) (ActivationKind, bool) {
-	switch a {
-	case ml.ReLU:
-		return ActReLU, true
-	case ml.Sigmoid:
-		return ActSigmoid, true
-	case ml.SigmoidTaylor:
-		return ActSigmoidTaylor, true
-	default:
-		return ActPiecewise, a == ml.Piecewise
-	}
 }
 
 // Muls reports how many secure products the last Infer ran.
@@ -206,7 +191,7 @@ func (t *WireTransformer) Infer(s0, s1 comm.Framer, x *tensor.Matrix) (*tensor.M
 	if err != nil {
 		return nil, fmt.Errorf("mpc: FF1: %w", err)
 	}
-	if t.FF1HasAct {
+	if t.FF1Act != ml.Identity {
 		tensor.Apply(h1, h1, t.FF1Act.Apply)
 	}
 	h2, err := t.proj(s0, s1, h1, t.FF2W, t.FF2B)

@@ -44,7 +44,7 @@ func makeBatchJobs(t *testing.T, p *rng.Pool, clients, m, k, n int) []batchJob {
 
 // runExchangePair runs both parties' engines over a pipe, party i
 // streaming in bands of bands[i], and returns the two result stacks.
-func runExchangePair(t *testing.T, mem0, mem1 []Shares, bands [2]int, fPub *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix) {
+func runExchangePair(t *testing.T, mem0, mem1 []Shares, bands [2]int) (*tensor.Matrix, *tensor.Matrix) {
 	t.Helper()
 	c0, c1 := comm.Pipe()
 	defer c0.Close()
@@ -56,10 +56,10 @@ func runExchangePair(t *testing.T, mem0, mem1 []Shares, bands [2]int, fPub *tens
 	e1 := make(chan error, 1)
 	go func() {
 		var err error
-		r1, err = w1.exchange(c1, mem1, bands[1], fPub, nil)
+		r1, err = w1.exchange(c1, mem1, bands[1])
 		e1 <- err
 	}()
-	r0, err := w0.exchange(c0, mem0, bands[0], fPub, nil)
+	r0, err := w0.exchange(c0, mem0, bands[0])
 	if err1 := <-e1; err != nil || err1 != nil {
 		t.Fatalf("engine parties failed: %v / %v", err, err1)
 	}
@@ -83,20 +83,12 @@ func TestExchangeMatchesRef(t *testing.T) {
 			heights := []int{0, 1, m/2 + 2, B*m + 5}
 			for _, b0 := range heights {
 				for _, b1 := range heights {
-					check := func(fPub *tensor.Matrix) {
-						t.Helper()
-						got0, got1 := runExchangePair(t, mem0, mem1, [2]int{b0, b1}, fPub)
-						for j := 0; j < B; j++ {
-							if !got0.SliceRows(j*m, (j+1)*m).Equal(want0[j]) || !got1.SliceRows(j*m, (j+1)*m).Equal(want1[j]) {
-								t.Fatalf("%dx%dx%d B=%d bands=(%d,%d) fPub=%v: member %d differs from the reference",
-									m, k, n, B, b0, b1, fPub != nil, j)
-							}
+					got0, got1 := runExchangePair(t, mem0, mem1, [2]int{b0, b1})
+					for j := 0; j < B; j++ {
+						if !got0.SliceRows(j*m, (j+1)*m).Equal(want0[j]) || !got1.SliceRows(j*m, (j+1)*m).Equal(want1[j]) {
+							t.Fatalf("%dx%dx%d B=%d bands=(%d,%d): member %d differs from the reference",
+								m, k, n, B, b0, b1, j)
 						}
-					}
-					check(nil)
-					if B == 1 { // the session-cached F is a lone-request feature
-						f0 := tensor.SubTo(mem0[0].B, mem0[0].T.V)
-						check(tensor.AddTo(f0, tensor.SubTo(mem1[0].B, mem1[0].T.V)))
 					}
 				}
 			}
@@ -150,12 +142,11 @@ func wireHeader(tag byte, rows, cols uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, cols)
 }
 
-// hostileStream is one malformed peer stream: the frames the peer sends,
-// whether the victim holds a cached F, and whether the failure must be the
-// typed band error (the rest fail in the tensor decoder).
+// hostileStream is one malformed peer stream: the frames the peer sends and
+// whether the failure must be the typed band error (the rest fail in the
+// tensor decoder).
 type hostileStream struct {
 	name   string
-	fPub   bool
 	typed  bool
 	frames [][]byte
 }
@@ -172,24 +163,24 @@ func hostileExchangeFrames() []hostileStream {
 	}
 	csr := binary.LittleEndian.AppendUint32(wireHeader('S', hostM, hostK), hostM*hostK+1)
 	return []hostileStream{
-		{"band rows=0", false, true, [][]byte{cat(f, wireHeader('D', 0, hostK))}},
-		{"band rows>owed", false, true, [][]byte{cat(f, band(hostM+1))}},
-		{"second band overruns", false, true, [][]byte{cat(f, band(hostM-1)), band(2)}},
-		{"band cols!=k", false, true, [][]byte{cat(f, tensor.EncodeMatrix(nil, tensor.New(hostM, hostK+1)))}},
-		{"band rows=2^31", false, true, [][]byte{cat(f, wireHeader('D', 1<<31, hostK))}},
-		{"band rows=2^31 fp16", true, true, [][]byte{wireHeader('H', 1<<31, hostK)}},
-		{"F missing", false, false, [][]byte{band(hostM)}},
-		{"F present but cached", true, true, [][]byte{cat(f, band(hostM))}},
-		{"trailing bytes", false, true, [][]byte{cat(f, band(hostM), []byte{0xFF})}},
-		{"CSR nnz>rows*k", true, false, [][]byte{csr}},
-		{"unknown tag", true, false, [][]byte{wireHeader('X', hostM, hostK)}},
+		{"band rows=0", true, [][]byte{cat(f, wireHeader('D', 0, hostK))}},
+		{"band rows>owed", true, [][]byte{cat(f, band(hostM+1))}},
+		{"second band overruns", true, [][]byte{cat(f, band(hostM-1)), band(2)}},
+		{"band cols!=k", true, [][]byte{cat(f, tensor.EncodeMatrix(nil, tensor.New(hostM, hostK+1)))}},
+		{"band rows=2^31", true, [][]byte{cat(f, wireHeader('D', 1<<31, hostK))}},
+		{"band rows=2^31 fp16", true, [][]byte{cat(f, wireHeader('H', 1<<31, hostK))}},
+		{"F missing", false, [][]byte{band(hostM)}},
+		{"empty first frame", false, [][]byte{{}}},
+		{"trailing bytes", true, [][]byte{cat(f, band(hostM), []byte{0xFF})}},
+		{"CSR nnz>rows*k", false, [][]byte{cat(f, csr)}},
+		{"unknown tag", false, [][]byte{cat(f, wireHeader('X', hostM, hostK))}},
 	}
 }
 
 // exchangeAgainst runs party 0 of one hostM×hostK×hostN exchange against a
 // peer that discards everything it is sent and replies with frames, then
 // hangs up.
-func exchangeAgainst(frames [][]byte, cachedF bool) error {
+func exchangeAgainst(frames [][]byte) error {
 	c, peer := comm.Pipe()
 	defer c.Close()
 	go func() {
@@ -209,13 +200,9 @@ func exchangeAgainst(frames [][]byte, cachedF bool) error {
 	}()
 	in := Shares{A: tensor.New(hostM, hostK), B: tensor.New(hostK, hostN),
 		T: TripletShares{U: tensor.New(hostM, hostK), V: tensor.New(hostK, hostN), Z: tensor.New(hostM, hostN)}}
-	var fPub *tensor.Matrix
-	if cachedF {
-		fPub = tensor.New(hostK, hostN)
-	}
 	w := newWireMul(0, WireConfig{})
 	defer w.close()
-	_, err := w.mul(c, in.A, in.B, in.T, fPub, nil)
+	_, err := w.run(c, in)
 	return err
 }
 
@@ -227,7 +214,7 @@ func TestExchangeRejectsHostileFrames(t *testing.T) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for _, tc := range hostileExchangeFrames() {
-		err := exchangeAgainst(tc.frames, tc.fPub)
+		err := exchangeAgainst(tc.frames)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -253,14 +240,13 @@ func TestExchangeRejectsHostileFrames(t *testing.T) {
 }
 
 // FuzzExchangeFrame feeds arbitrary bytes to the engine's reader as the
-// peer's first frame (with and without a cached F): it may fail, it may
-// not panic or hang.
+// peer's first frame: it may fail, it may not panic or hang.
 func FuzzExchangeFrame(f *testing.F) {
 	for _, tc := range hostileExchangeFrames() {
-		f.Add(tc.frames[0], tc.fPub)
+		f.Add(tc.frames[0])
 	}
-	f.Add(append(tensor.EncodeMatrix(nil, tensor.New(hostK, hostN)), tensor.EncodeMatrix(nil, tensor.New(hostM, hostK))...), false)
-	f.Fuzz(func(t *testing.T, frame []byte, cachedF bool) {
-		exchangeAgainst([][]byte{frame}, cachedF)
+	f.Add(append(tensor.EncodeMatrix(nil, tensor.New(hostK, hostN)), tensor.EncodeMatrix(nil, tensor.New(hostM, hostK))...))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		exchangeAgainst([][]byte{frame})
 	})
 }

@@ -15,7 +15,7 @@ import (
 
 // requestOK drives one full RequestMul against the pair and verifies the
 // product against plaintext.
-func requestOK(t *testing.T, addr0, addr1 string, client *Client, p *rng.Pool) {
+func requestOK(t *testing.T, addr0, addr1 string, client, p *rng.Pool) {
 	t.Helper()
 	c0, err := comm.DialRetry(addr0, comm.RetryConfig{Attempts: 10, BaseDelay: 10 * time.Millisecond})
 	if err != nil {
@@ -58,7 +58,7 @@ func TestKilledClientMidRequestRecovery(t *testing.T) {
 	addr0, addr1, shutdown := startServePair(t, cfg)
 	defer shutdown()
 
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	p := rng.NewPool(7)
 
 	for round, rogueAddr := range []string{addr0, addr1} {
@@ -124,7 +124,7 @@ func TestTruncatedUploadRecovery(t *testing.T) {
 	}
 	rogue.Close()
 
-	requestOK(t, addr0, addr1, newRemoteClient(), rng.NewPool(8))
+	requestOK(t, addr0, addr1, rng.NewPool(1), rng.NewPool(8))
 }
 
 func TestRequestMulTypedErrors(t *testing.T) {
@@ -141,7 +141,7 @@ func TestRequestMulTypedErrors(t *testing.T) {
 	}()
 
 	p := rng.NewPool(9)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	a := p.NewUniform(4, 4, -1, 1)
 	b := p.NewUniform(4, 4, -1, 1)
 	in0, in1 := RemoteClientSplit(a, b, client)

@@ -137,7 +137,7 @@ func TestGroupRejectsHostileFrames(t *testing.T) {
 	defer s0.Close()
 	defer s1.Close()
 	p := rng.NewPool(1602)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 
 	id := uint64(0x1602 << 16)
 	for name, frame := range hostileGroupFrames(0) {
@@ -158,7 +158,7 @@ func TestGroupRejectsHostileFrames(t *testing.T) {
 			t.Errorf("%s: answered %x, want a non-retryable bad_request for id %x", name, reply, id)
 		}
 		// The sibling session is unaffected.
-		a, b := randMat(p, 4, 5), randMat(p, 5, 3)
+		a, b := p.NewUniform(4, 5, -1, 1), p.NewUniform(5, 3, -1, 1)
 		in0, in1 := RemoteClientSplit(a, b, client)
 		if got, err := RequestMul(s0, s1, in0, in1); err != nil || !got.ApproxEqual(tensor.MulNaive(a, b), 1e-3) {
 			t.Fatalf("%s: sibling session broke: %v", name, err)
@@ -200,8 +200,8 @@ func TestServeBadRequestKeepsSession(t *testing.T) {
 	// The id was never opened on the peer link, so it is still usable —
 	// and the session that sent the garbage is the one that uses it.
 	p := rng.NewPool(1603)
-	a, b := randMat(p, 4, 5), randMat(p, 5, 3)
-	in0, in1 := RemoteClientSplit(a, b, newRemoteClient())
+	a, b := p.NewUniform(4, 5, -1, 1), p.NewUniform(5, 3, -1, 1)
+	in0, in1 := RemoteClientSplit(a, b, rng.NewPool(1))
 	got, err := RequestMulID(id, c0, c1, in0, in1)
 	if err != nil || !got.ApproxEqual(tensor.MulNaive(a, b), 1e-3) {
 		t.Fatalf("session did not survive its malformed requests: %v", err)
@@ -211,7 +211,7 @@ func TestServeBadRequestKeepsSession(t *testing.T) {
 	}
 	// A zero-width product decodes and is well-formed (0 == c·0): it is
 	// served — an all-zero 4×3 — not a divide by zero in the band floor.
-	in0, in1 = RemoteClientSplit(tensor.New(4, 0), tensor.New(0, 3), newRemoteClient())
+	in0, in1 = RemoteClientSplit(tensor.New(4, 0), tensor.New(0, 3), rng.NewPool(1))
 	if got, err = RequestMulID(id+1, c0, c1, in0, in1); err != nil || !got.Equal(tensor.New(4, 3)) {
 		t.Fatalf("4×0 · 0×3 request: %v, %v", got, err)
 	}
@@ -257,14 +257,14 @@ func TestChunkRowsFloor(t *testing.T) {
 		defer w1.close()
 		e1 := make(chan error, 1)
 		go func() {
-			_, err := w1.run(p1, in1, nil, nil)
+			_, err := w1.run(p1, in1)
 			e1 <- err
 		}()
 		var err error
 		if engineBand > 0 {
-			_, err = w0.exchange(counted, []Shares{in0}, engineBand, nil, nil)
+			_, err = w0.exchange(counted, []Shares{in0}, engineBand)
 		} else {
-			_, err = w0.run(counted, in0, nil, nil)
+			_, err = w0.run(counted, in0)
 		}
 		if err1 := <-e1; err != nil || err1 != nil {
 			t.Fatalf("exchange failed: %v / %v", err, err1)

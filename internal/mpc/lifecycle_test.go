@@ -64,7 +64,7 @@ func TestRequestMulShedsOrphanedResults(t *testing.T) {
 	defer shutdown()
 
 	p := rng.NewPool(21)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	a := p.NewUniform(6, 6, -1, 1)
 	b := p.NewUniform(6, 6, -1, 1)
 	in0, in1 := RemoteClientSplit(a, b, client)
@@ -89,7 +89,7 @@ func TestRequestMulResultDesyncBound(t *testing.T) {
 	defer shutdown()
 
 	p := rng.NewPool(22)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	a := p.NewUniform(4, 4, -1, 1)
 	b := p.NewUniform(4, 4, -1, 1)
 	in0, in1 := RemoteClientSplit(a, b, client)
@@ -122,7 +122,7 @@ func TestRequestMulSurfacesBothLegFailures(t *testing.T) {
 	defer close1()
 
 	p := rng.NewPool(23)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	a := p.NewUniform(4, 4, -1, 1)
 	b := p.NewUniform(4, 4, -1, 1)
 	in0, in1 := RemoteClientSplit(a, b, client)

@@ -9,21 +9,23 @@ import (
 // Serving-stack instrumentation, registered once on obs.Default and
 // exposed by cmd/psml-server's -debug-addr listener. The phase split
 // mirrors the paper's profiling axes — offline triplet generation
-// (§4.2), the online Eq. (8) GEMM, mask/activation reconstruction
-// (Eq. 5), and inter-node transfer — so a scrape shows the same balance
+// (§4.2), the online Eq. (8) GEMM, mask reconstruction (Eq. 5), and
+// inter-node transfer — so a scrape shows the same balance
 // the paper's Fig. 9/10 measurements do. Everything here is atomic on
 // preallocated storage: observing a phase adds nothing to the wire
 // path's allocs/op (the BENCH_wire.json baseline is enforced in CI).
 var metrics = struct {
-	// Per-phase serving time (seconds). "triplet_gen" is the client-side
-	// offline phase; the other three decompose every online request.
+	// Per-phase serving time (seconds). "triplet_gen" is the offline phase
+	// wherever this process pays it — a client or dealer generating
+	// (GenGemmTripletShares), a server waiting on its feed (feedLease.begin);
+	// the other three decompose every online request.
 	phaseTriplet     *obs.Histogram
 	phaseExchange    *obs.Histogram
 	phaseGemm        *obs.Histogram
 	phaseReconstruct *obs.Histogram
 
-	// Whole-request latency per serving path.
-	reqWire, reqInferWire *obs.Histogram
+	// Whole-request latency of the serving path.
+	reqWire *obs.Histogram
 
 	// Adaptive wire compression (wirecodec.go): per-tensor codec picks
 	// indexed [tensorE|tensorF][codecRaw|codecFP16|codecCSR], dense bytes
@@ -70,8 +72,7 @@ var metrics = struct {
 	phaseGemm:        obs.Default.Histogram(`psml_phase_seconds{phase="gemm"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
 	phaseReconstruct: obs.Default.Histogram(`psml_phase_seconds{phase="reconstruct"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
 
-	reqWire:      obs.Default.Histogram(`psml_request_seconds{path="mul_wire"}`, "Whole-request serving latency per path."),
-	reqInferWire: obs.Default.Histogram(`psml_request_seconds{path="infer_wire"}`, "Whole-request serving latency per path."),
+	reqWire: obs.Default.Histogram(`psml_request_seconds{path="mul_wire"}`, "Whole-request serving latency per path."),
 
 	wireCodecPicks: [2][3]*obs.Counter{
 		{

@@ -6,12 +6,13 @@ import (
 )
 
 // Wall-clock offline-phase primitives for the serving stack. They are
-// the same mathematics as Client.Split / Client.GenGemmTriplet but carry
-// no simulated-time accounting, so they are safe for concurrent use —
-// rng.Pool fills are thread-safe (block-seeded per-stream MT19937, §5.1)
-// and everything else is pure computation on fresh matrices. The triplet
-// precompute pool (internal/mpc/tripletpool) and concurrent client
-// drivers build on these.
+// the same mathematics as internal/mpcsim's Client.Split and
+// Client.GenGemmTriplet, bit-identical for the same seed (mpcsim's
+// TestClientMatchesServingPrimitives), but carry no simulated-time
+// accounting, so they are safe for concurrent use: rng.Pool fills are
+// thread-safe (block-seeded per-stream MT19937, §5.1) and everything else
+// is pure computation on fresh matrices. The triplet precompute pool
+// (internal/mpc/tripletpool) and concurrent client drivers build on these.
 
 // SplitRand divides secret into two float shares (secret = s0 + s1)
 // using rp's uniform masks — the §2.2 partitioning step, without the
@@ -24,8 +25,8 @@ func SplitRand(rp *rng.Pool, secret *tensor.Matrix) (s0, s1 *tensor.Matrix) {
 
 // GenGemmTripletShares prepares and splits a Beaver triplet for an
 // (m×k)·(k×n) multiplication: U, V uniform, Z = U×V, each split into two
-// shares. Observed on the offline-phase histogram like the simulated
-// generator. Safe for concurrent use with a shared rp.
+// shares. Observed on the offline-phase histogram. Safe for concurrent use
+// with a shared rp.
 //
 // Each call consumes exactly gemmTripletFills rng.Pool fills — the
 // invariant SkipGemmTriplets relies on to fast-forward a stream in O(1).

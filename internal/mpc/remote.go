@@ -4,16 +4,16 @@ import (
 	"fmt"
 
 	"parsecureml/internal/comm"
+	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
 
-// Remote execution: the same Beaver protocol run between two genuinely
+// Remote execution: the Beaver protocol run between two genuinely
 // concurrent parties over a framed byte transport (TCP or an in-memory
-// pipe). The simulated deployment above models the paper's cluster
-// timing; this path demonstrates that the protocol logic is wire-complete
-// — each party sees only its shares and the masked E/F frames, and the
-// client recovers the exact product. The paper's MPI layer plays this
-// role (§6); stdlib net is the closest substitute.
+// pipe) — each party sees only its shares and the masked E/F frames, and
+// the client recovers the exact product. The paper's MPI layer plays this
+// role (§6); stdlib net is the closest substitute. (internal/mpcsim models
+// the paper's cluster timing instead.)
 
 // RemoteParty executes party i of one triplet multiplication C = A×B over
 // conn, which must be connected to the other party running the same
@@ -40,16 +40,16 @@ func RemotePartyPipelined(party int, conn comm.Framer, in Shares, cfg WireConfig
 	w := newWireMul(party, cfg)
 	defer w.close()
 	// The result leaves the pool with the caller.
-	return w.mul(conn, in.A, in.B, in.T, nil, nil)
+	return w.run(conn, in)
 }
 
 // RemoteClientSplit prepares both parties' inputs for one remote
 // multiplication: shares of A and B plus a Beaver triplet, exactly the
-// client's offline role. pool drives all randomness.
-func RemoteClientSplit(a, b *tensor.Matrix, c *Client) (in0, in1 Shares) {
-	a0, a1, _ := c.Split(a)
-	b0, b1, _ := c.Split(b)
-	t0, t1, _ := c.GenGemmTriplet(a.Rows, a.Cols, b.Cols, false)
+// client's offline role. rp drives all randomness.
+func RemoteClientSplit(a, b *tensor.Matrix, rp *rng.Pool) (in0, in1 Shares) {
+	a0, a1 := SplitRand(rp, a)
+	b0, b1 := SplitRand(rp, b)
+	t0, t1 := GenGemmTripletShares(rp, a.Rows, a.Cols, b.Cols)
 	return Shares{A: a0, B: b0, T: t0}, Shares{A: a1, B: b1, T: t1}
 }
 

@@ -32,17 +32,12 @@ func runRemotePair(t *testing.T, c0, c1 *comm.Conn, in0, in1 Shares) *tensor.Mat
 	return RemoteCombine(r0, r1)
 }
 
-func newRemoteClient() *Client {
-	eng := NewDeployment(SecureMLConfig())
-	return eng.Client
-}
-
 func TestRemoteTripletMulOverPipe(t *testing.T) {
 	p := rng.NewPool(1)
 	a := p.NewUniform(13, 21, -1, 1)
 	b := p.NewUniform(21, 9, -1, 1)
 
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	in0, in1 := RemoteClientSplit(a, b, client)
 
 	c0, c1 := comm.Pipe()
@@ -60,7 +55,7 @@ func TestRemoteTripletMulOverTCP(t *testing.T) {
 	a := p.NewUniform(32, 48, -1, 1)
 	b := p.NewUniform(48, 16, -1, 1)
 
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	in0, in1 := RemoteClientSplit(a, b, client)
 
 	ln, err := comm.Listen("127.0.0.1:0")
@@ -112,7 +107,7 @@ func TestRemoteSharesHideInputs(t *testing.T) {
 	p := rng.NewPool(3)
 	a := p.NewUniform(8, 8, -1, 1)
 	b := p.NewUniform(8, 8, -1, 1)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	in0, _ := RemoteClientSplit(a, b, client)
 	if in0.A.ApproxEqual(a, 0.25) {
 		t.Fatal("party 0's share of A is close to A itself")

@@ -651,7 +651,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			}
 			conn = lease
 		}
-		ci, err := w.run(conn, in, nil, nil)
+		ci, err := w.run(conn, in)
 		if err != nil {
 			// Notify the peer's half so it fails fast instead of waiting
 			// out its read deadline on frames that will never come.

@@ -135,10 +135,10 @@ func FuzzDecodeShares(f *testing.F) {
 		defer w1.close()
 		e1 := make(chan error, 1)
 		go func() {
-			_, err := w1.run(p1, in, nil, nil)
+			_, err := w1.run(p1, in)
 			e1 <- err
 		}()
-		_, err := w0.run(p0, in, nil, nil)
+		_, err := w0.run(p0, in)
 		if err1 := <-e1; err != nil || err1 != nil {
 			t.Fatalf("shares that decoded cleanly failed the exchange: %v / %v", err, err1)
 		}

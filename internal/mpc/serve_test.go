@@ -57,7 +57,7 @@ func TestServeLoopEndToEnd(t *testing.T) {
 	defer c0.Close()
 	defer c1.Close()
 
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	p := rng.NewPool(3)
 	for round := 0; round < 3; round++ {
 		a := p.NewUniform(7+round, 9, -1, 1)

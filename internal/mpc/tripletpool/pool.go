@@ -391,8 +391,9 @@ func (p *Pool) GetGemm(m, k, n int) (p0, p1 mpc.TripletShares) {
 
 // Split prepares both servers' inputs for one secure multiplication of
 // a×b: input shares (§2.2) plus a pooled triplet. The complete
-// client-side request prep, safe for concurrent use — what Client.Split
-// + Client.GenGemmTriplet do for the simulator, for the serving path.
+// client-side request prep, safe for concurrent use — what mpcsim's
+// Client.Split + Client.GenGemmTriplet do for the simulator, for the
+// serving path.
 func (p *Pool) Split(a, b *tensor.Matrix) (in0, in1 mpc.Shares) {
 	a0, a1 := mpc.SplitRand(p.rng, a)
 	b0, b1 := mpc.SplitRand(p.rng, b)

@@ -64,7 +64,7 @@ func TestWirePipelineParityOverPipe(t *testing.T) {
 	p := rng.NewPool(41)
 	a := p.NewUniform(13, 21, -1, 1)
 	b := p.NewUniform(21, 9, -1, 1)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	in0, in1 := RemoteClientSplit(a, b, client)
 	want0, want1 := serialShares(t, in0, in1)
 
@@ -86,7 +86,7 @@ func TestWirePipelineParityOverTCP(t *testing.T) {
 	p := rng.NewPool(42)
 	a := p.NewUniform(37, 24, -1, 1)
 	b := p.NewUniform(24, 17, -1, 1)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	in0, in1 := RemoteClientSplit(a, b, client)
 	want0, want1 := serialShares(t, in0, in1)
 
@@ -123,7 +123,7 @@ func TestWirePipelineParityUnderFaultDelays(t *testing.T) {
 	p := rng.NewPool(43)
 	a := p.NewUniform(19, 11, -1, 1)
 	b := p.NewUniform(11, 7, -1, 1)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	in0, in1 := RemoteClientSplit(a, b, client)
 	want0, want1 := serialShares(t, in0, in1)
 
@@ -148,7 +148,7 @@ func TestWirePipelineParityUnderFaultDelays(t *testing.T) {
 // pooled reuse across sequential requests — the serving loop's steady-state
 // shape: one wireMul per party, one mux sub-stream per request id.
 func TestWirePipelineTaggedPooledReuse(t *testing.T) {
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	p := rng.NewPool(44)
 	peer0, peer1 := comm.Pipe()
 	mux0, mux1 := comm.NewMux(peer0, comm.MuxConfig{}), comm.NewMux(peer1, comm.MuxConfig{})
@@ -176,11 +176,11 @@ func TestWirePipelineTaggedPooledReuse(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r0, e0 = w0.mul(s0, in0.A, in0.B, in0.T, nil, nil)
+			r0, e0 = w0.run(s0, in0)
 		}()
 		go func() {
 			defer wg.Done()
-			r1, e1 = w1.mul(s1, in1.A, in1.B, in1.T, nil, nil)
+			r1, e1 = w1.run(s1, in1)
 		}()
 		wg.Wait()
 		if e0 != nil || e1 != nil {
@@ -196,109 +196,11 @@ func TestWirePipelineTaggedPooledReuse(t *testing.T) {
 	}
 }
 
-// inferSessionFixture builds a deterministic 2-layer session plus request
-// share batches, so the serial and pipelined services can be fed
-// identical bytes.
-type inferSessionFixture struct {
-	s0, s1 []InferLayer
-	xs     [][2]*tensor.Matrix
-	want   []*tensor.Matrix // filled by the serial run
-}
-
-func buildInferFixture(t *testing.T, rounds int) *inferSessionFixture {
-	t.Helper()
-	p := rng.NewPool(7)
-	const batch, in, hidden, out = 8, 12, 10, 4
-	w1 := p.NewUniform(in, hidden, -0.3, 0.3)
-	b1 := p.NewUniform(1, hidden, -0.1, 0.1)
-	w2 := p.NewUniform(hidden, out, -0.3, 0.3)
-	b2 := p.NewUniform(1, out, -0.1, 0.1)
-	client := newRemoteClient()
-	s0, s1 := BuildInferSession(client, batch,
-		[]*tensor.Matrix{w1, w2}, []*tensor.Matrix{b1, b2},
-		[]ActivationKind{ActReLU, ActPiecewise}, []bool{true, true})
-	fx := &inferSessionFixture{s0: s0, s1: s1}
-	for i := 0; i < rounds; i++ {
-		x := p.NewUniform(batch, in, -1, 1)
-		x0, x1, _ := client.Split(x)
-		fx.xs = append(fx.xs, [2]*tensor.Matrix{x0, x1})
-	}
-	return fx
-}
-
-// runInferService drives one full session through the given serving
-// function (per party, so the two may differ) and returns the merged
-// predictions per round.
-func runInferService(t *testing.T, fx *inferSessionFixture,
-	serve func(party int, client, peer *comm.Conn, masks *rng.Pool) error) []*tensor.Matrix {
-	t.Helper()
-	client0a, client0b := comm.Pipe()
-	client1a, client1b := comm.Pipe()
-	peerA, peerB := comm.Pipe()
-	var wg sync.WaitGroup
-	var err0, err1 error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		err0 = serve(0, client0b, peerA, rng.NewPool(77))
-	}()
-	go func() {
-		defer wg.Done()
-		err1 = serve(1, client1b, peerB, rng.NewPool(0))
-	}()
-	if err := client0a.WriteFrame(EncodeInferSession(fx.s0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := client1a.WriteFrame(EncodeInferSession(fx.s1)); err != nil {
-		t.Fatal(err)
-	}
-	var preds []*tensor.Matrix
-	for _, x := range fx.xs {
-		got, err := RequestInference(client0a, client1a, x[0], x[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		preds = append(preds, got)
-	}
-	client0a.Close()
-	client1a.Close()
-	wg.Wait()
-	if !isSessionEnd(err0) || !isSessionEnd(err1) {
-		t.Fatalf("serving loops ended badly: %v / %v", err0, err1)
-	}
-	peerA.Close()
-	peerB.Close()
-	return preds
-}
-
-// A whole inference session served on the engine must return predictions
-// bit-identical to the reference service: same session material, same
-// request shares, same mask seed — whatever band height each party picks,
-// including two different ones.
-func TestServeInferenceWireMatchesSerial(t *testing.T) {
-	const rounds = 3
-	fx := buildInferFixture(t, rounds)
-
-	serialPreds := runInferService(t, fx, func(party int, client, peer *comm.Conn, masks *rng.Pool) error {
-		return serveInferenceRef(party, client, peer, masks)
-	})
-	for _, chunks := range [][2]int{{0, 0}, {3, 3}, {8, 8}, {3, 0}, {1, 5}} {
-		wirePreds := runInferService(t, fx, func(party int, client, peer *comm.Conn, masks *rng.Pool) error {
-			return ServeInferenceWire(party, client, peer, masks, WireConfig{ChunkRows: chunks[party]})
-		})
-		for i := range serialPreds {
-			if !wirePreds[i].Equal(serialPreds[i]) {
-				t.Fatalf("ChunkRows=%v round %d: wire prediction differs from the reference", chunks, i)
-			}
-		}
-	}
-}
-
 // ServeClients end to end: a client's RequestMul against a banded pair
 // must merge to the true product and bit-match the serial reference.
 func TestServeLoopWireEndToEnd(t *testing.T) {
 	p := rng.NewPool(45)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	a := p.NewUniform(23, 14, -1, 1)
 	b := p.NewUniform(14, 6, -1, 1)
 	in0, in1 := RemoteClientSplit(a, b, client)
@@ -318,20 +220,5 @@ func TestServeLoopWireEndToEnd(t *testing.T) {
 	}
 	if !wire.Equal(serialReference(t, in0, in1)) {
 		t.Fatal("wire served product differs bitwise from the serial reference")
-	}
-}
-
-// A malformed session (triplet geometry not matching the weights) must be
-// rejected by the wire service with an error, not a kernel panic.
-func TestServeInferenceWireRejectsBadGeometry(t *testing.T) {
-	fx := buildInferFixture(t, 0)
-	bad := make([]InferLayer, len(fx.s0))
-	copy(bad, fx.s0)
-	bad[1].T.U = tensor.New(5, 3) // wrong batch and width
-	if _, err := validateInferLayers(bad); err == nil {
-		t.Fatal("bad triplet geometry must fail validation")
-	}
-	if _, err := validateInferLayers(fx.s0); err != nil {
-		t.Fatalf("valid session rejected: %v", err)
 	}
 }

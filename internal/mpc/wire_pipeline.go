@@ -11,8 +11,8 @@ import (
 
 // The online exchange engine: the one implementation of the paper's online
 // protocol (Eqs. 4, 5, 8) between two genuinely concurrent parties, with
-// the transfer/compute overlap of Figs. 5/6 happening on the wall clock
-// (internal/pipeline only models it in virtual time).
+// the transfer/compute overlap of Fig. 5 happening on the wall clock
+// (internal/mpcsim models it in virtual time).
 //
 //   - One exchange serves a list of same-shape members. Their E shares
 //     stack to (B·m)×k and their F shares to (B·k)×n; a lone request is a
@@ -32,12 +32,6 @@ import (
 //     the sender's own choice and the two parties need not agree on it.
 //     Any banding is bit-identical because every dst row of tensor.Gemm
 //     accumulates independently.
-//
-//   - Cross-layer (Fig. 6 analogue): within an inference session F = W−V
-//     comes entirely from the session-fixed weights and triplets, so the
-//     public F of every layer is reconstructed once at session setup and
-//     passed in as fPub; per-request traffic is the E stream only. The
-//     activation reveal is one concurrent frame each way (swap).
 //
 // All per-request matrices come from a tensor.Pool and all frame buffers
 // are session-scoped scratch, so the steady-state serving path does
@@ -59,8 +53,7 @@ type WireConfig struct {
 	// Codec, when non-nil, adaptively compresses the revealed E/F tensors
 	// on the wire (FP16/CSR, see wirecodec.go) when the link byte budget
 	// makes it pay. Frames are self-describing, so receivers need no
-	// matching setting; raw shares (activation reveals, session F setup)
-	// are never lossy-encoded. nil sends everything raw.
+	// matching setting. nil sends everything raw.
 	Codec *WireCodec
 }
 
@@ -87,13 +80,12 @@ type wireMul struct {
 	kick    chan struct{} // arms the persistent sender goroutine; closed by close()
 	done    chan error    // sender completion, buffered so senders never leak
 
-	// Sender arguments, set before the kick. sHead (optional) rides at the
-	// front of the first frame; sE (optional) follows as row bands, band 0
-	// in that same frame. The per-tensor codec kinds are picked by the main
-	// goroutine before the kick (any FP16 rounding of the retained share
-	// happens there too, so both parties use what they ship). sentBytes is
-	// written by the sender and read by the main goroutine only after
-	// draining done.
+	// Sender arguments, set before the kick. sHead rides at the front of the
+	// first frame; sE follows as row bands, band 0 in that same frame. The
+	// per-tensor codec kinds are picked by the main goroutine before the
+	// kick (any FP16 rounding of the retained share happens there too, so
+	// both parties use what they ship). sentBytes is written by the sender
+	// and read by the main goroutine only after draining done.
 	sconn     comm.Framer
 	sHead     *tensor.Matrix
 	sE        *tensor.Matrix
@@ -140,18 +132,12 @@ func (w *wireMul) senderLoop() {
 	}
 }
 
-// runSender writes [head ‖ band 0] [band 1] …; with nothing to send (a
-// zero-row E stack against a cached F) it writes nothing.
+// runSender writes [head ‖ band 0] [band 1] …; a zero-row E stack still
+// sends the head, alone in its frame.
 func (w *wireMul) runSender() error {
 	w.sentBytes = 0
-	rows := 0
-	if w.sE != nil {
-		rows = w.sE.Rows
-	}
-	buf := w.sendBuf[:0]
-	if w.sHead != nil {
-		buf = appendWireTensor(buf, w.sHead, w.sHeadKind)
-	}
+	rows := w.sE.Rows
+	buf := appendWireTensor(w.sendBuf[:0], w.sHead, w.sHeadKind)
 	for lo := 0; lo < rows || len(buf) > 0; {
 		if lo < rows {
 			hi := min(lo+w.sBand, rows)
@@ -224,16 +210,11 @@ func (w *wireMul) chunkBand(k int) int {
 	return max(w.cfg.ChunkRows, (minBandBytes+4*k-1)/(4*k))
 }
 
-// mul is run for a lone product.
-func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
-	return w.run(conn, Shares{A: a, B: b, T: t}, fPub, dst)
-}
-
 // run is exchange for one request — a lone product or a row-stacked group
 // (Shares.Members) — sent in bands of chunkBand rows. The member list is
 // row views of in's stacks; a lone request is a list of one whole-matrix
 // view, so both take the same path through the engine.
-func (w *wireMul) run(conn comm.Framer, in Shares, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
+func (w *wireMul) run(conn comm.Framer, in Shares) (*tensor.Matrix, error) {
 	c := in.members()
 	m, k := in.A.Rows/c, in.A.Cols
 	if cap(w.members) < c {
@@ -252,7 +233,7 @@ func (w *wireMul) run(conn comm.Framer, in Shares, fPub, dst *tensor.Matrix) (*t
 			},
 		}
 	}
-	out, err := w.exchange(conn, members, w.chunkBand(k), fPub, dst)
+	out, err := w.exchange(conn, members, w.chunkBand(k))
 	// An idle session must not pin its last request through the views.
 	clear(members)
 	clear(views)
@@ -270,10 +251,8 @@ func (w *wireMul) run(conn comm.Framer, in Shares, fPub, dst *tensor.Matrix) (*t
 // sequence of a lone exchange, so a group is bit-identical to serving its
 // members one by one, and any banding to the one-band protocol.
 //
-// fPub, when non-nil, is the session-cached public F of a lone member and
-// no F moves (the inference fast path); when nil the F stack rides ahead
-// of E band 0. dst, when non-nil, receives the result; when nil a pooled
-// matrix is returned — callers give it back with put or keep it.
+// The F stack rides ahead of E band 0. The result is a pooled matrix —
+// callers give it back with put or keep it.
 //
 // With cfg.Codec nil (or picking raw) the result is bit-identical to the
 // straight-line protocol. A lossy (FP16) pick perturbs only the REVEALED
@@ -282,7 +261,7 @@ func (w *wireMul) run(conn comm.Framer, in Shares, fPub, dst *tensor.Matrix) (*t
 // rounding each member alone), so both parties reconstruct the same public
 // tensors and the result carries the documented reveal-only tolerance
 // instead of a protocol desync.
-func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
+func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int) (*tensor.Matrix, error) {
 	m, k, n := members[0].A.Rows, members[0].A.Cols, members[0].B.Cols
 	stackRows := len(members) * m
 	if band <= 0 || band > stackRows {
@@ -292,16 +271,11 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, fPub, d
 	// Local shares (Eq. 4): E_i = A_i − U_i, F_i = B_i − V_i, member by
 	// member into the stacks.
 	ei := w.get(stackRows, k)
-	var fi *tensor.Matrix
-	if fPub == nil {
-		fi = w.get(len(members)*k, n)
-	}
+	fi := w.get(len(members)*k, n)
 	for j := range members {
 		in := &members[j]
 		tensor.Sub(ei.SliceRowsInto(&w.jView, j*m, (j+1)*m), in.A, in.T.U)
-		if fi != nil {
-			tensor.Sub(fi.SliceRowsInto(&w.jView, j*k, (j+1)*k), in.B, in.T.V)
-		}
+		tensor.Sub(fi.SliceRowsInto(&w.jView, j*k, (j+1)*k), in.B, in.T.V)
 	}
 	// Codec election, then use-what-you-ship: an FP16 pick rounds the
 	// retained share in place BEFORE the sender goroutine starts, so the
@@ -313,11 +287,9 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, fPub, d
 		if eKind == codecFP16 {
 			tensor.RoundMatrixFloat16InPlace(ei)
 		}
-		if fi != nil {
-			fKind = wc.pick(fi, tensorF)
-			if fKind == codecFP16 {
-				tensor.RoundMatrixFloat16InPlace(fi)
-			}
+		fKind = wc.pick(fi, tensorF)
+		if fKind == codecFP16 {
+			tensor.RoundMatrixFloat16InPlace(fi)
 		}
 	}
 	w.launch(conn, fi, ei, band, fKind, eKind)
@@ -328,35 +300,28 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, fPub, d
 	// no allocation).
 	var exchDur, reconDur, gemmDur time.Duration
 
-	// Public F (Eq. 5) — from cache, or the head of the peer's first frame.
-	// rest is what remains of the frame in hand; the E loop reads a new
-	// frame whenever it is empty.
-	f := fPub
-	var rest []byte
-	if f == nil {
-		frame, err := w.recv(conn, &exchDur)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: recv F: %w", err)
-		}
-		peerF := w.get(fi.Rows, n)
-		// Tag-dispatched: the peer's codec choice is sender-local, the
-		// frame says what it is (raw senders emit plain 'D' frames).
-		used, err := tensor.DecodeAnyInto(peerF, frame)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: decode peer F: %w", err)
-		}
-		rest = frame[used:]
-		t0 := time.Now()
-		f = w.get(fi.Rows, n)
-		tensor.Add(f, fi, peerF)
-		reconDur += time.Since(t0)
-		w.put(peerF)
+	// Public F (Eq. 5), from the head of the peer's first frame. rest is
+	// what remains of the frame in hand; the E loop reads a new frame
+	// whenever it is empty.
+	frame, err := w.recv(conn, &exchDur)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: recv F: %w", err)
 	}
+	peerF := w.get(fi.Rows, n)
+	// Tag-dispatched: the peer's codec choice is sender-local, the frame
+	// says what it is (raw senders emit plain 'D' frames).
+	used, err := tensor.DecodeAnyInto(peerF, frame)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: decode peer F: %w", err)
+	}
+	rest := frame[used:]
+	t0 := time.Now()
+	f := w.get(fi.Rows, n)
+	tensor.Add(f, fi, peerF)
+	reconDur += time.Since(t0)
+	w.put(peerF)
 
-	c := dst
-	if c == nil {
-		c = w.get(stackRows, n)
-	}
+	c := w.get(stackRows, n)
 	// Band scratch, grown to the tallest band the peer sends (a validated
 	// height, never more than the stack): eBuf holds the peer band and then
 	// the public E band in place, dBuf party 1's D band.
@@ -419,7 +384,7 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, fPub, d
 	// The peer's reader consumes our bands symmetrically, so the sender
 	// drains; a peer that died instead surfaces here as its write error
 	// (bounded by the connection's deadlines).
-	t0 := time.Now()
+	t0 = time.Now()
 	sendErr := <-w.done
 	exchDur += time.Since(t0)
 	// The views into the members' own A and Z would pin those matrices for
@@ -428,14 +393,10 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, fPub, d
 	w.put(eBuf)
 	w.put(dBuf)
 	w.put(ei)
-	if fPub == nil {
-		w.put(fi)
-		w.put(f)
-	}
+	w.put(fi)
+	w.put(f)
 	if sendErr != nil {
-		if dst == nil {
-			w.put(c)
-		}
+		w.put(c)
 		return nil, fmt.Errorf("mpc: send E/F: %w", sendErr)
 	}
 	// Feed the measured link rate back into the codec's byte budget: what
@@ -445,30 +406,4 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, fPub, d
 	metrics.phaseReconstruct.Observe(reconDur)
 	metrics.phaseGemm.Observe(gemmDur)
 	return c, nil
-}
-
-// swap sends one matrix and receives one, concurrently — neither party
-// waits for the other's frame before shipping its own, so a reveal or
-// re-share round costs max(two one-way transfers), not their sum. The
-// received frame is decoded into recvDst only after the sender drained,
-// so recvDst may alias the sent matrix (a share being replaced in place).
-//
-// swap carries RAW shares (activation re-shares and masks) and is
-// deliberately codec-free in both directions: lossy-encoding a share
-// would corrupt the secret sharing itself, not a revealed public value,
-// so the receive path also insists on the dense format.
-func (w *wireMul) swap(conn comm.Framer, send, recvDst *tensor.Matrix) error {
-	span := metrics.phaseExchange.Start()
-	w.launch(conn, send, nil, 0, codecRaw, codecRaw)
-	frame, err := readFrameInto(conn, w.recvBuf)
-	if err != nil {
-		return err
-	}
-	w.recvBuf = frame
-	if err := <-w.done; err != nil {
-		return err
-	}
-	span.Stop()
-	_, err = tensor.DecodeMatrixInto(recvDst, frame)
-	return err
 }

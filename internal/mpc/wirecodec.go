@@ -33,8 +33,8 @@ import (
 // C = A×B + U·γ + δ·V − δ·γ for the rounding perturbations δ, γ of E and
 // F — a bounded, documented tolerance (see DESIGN.md) paid only when a
 // lossy codec is picked, which the selector only does for revealed
-// tensors. Raw shares (the activation re-share and mask frames, session
-// F setup) are NEVER lossy-encoded: they stay on the raw dense path.
+// tensors. Raw shares — a request's A and B, a reply's C_i — are NEVER
+// lossy-encoded: the client legs carry them on the raw dense path.
 //
 // Frames are self-describing (tensor.DecodeAnyInto follows the tag), so
 // the receive path is codec-oblivious; negotiation only gates what a

@@ -185,11 +185,11 @@ func runWireMulPair(t *testing.T, cfg0, cfg1 WireConfig, in0, in1 Shares) *tenso
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		r0, e0 = w0.mul(c0, in0.A, in0.B, in0.T, nil, nil)
+		r0, e0 = w0.run(c0, in0)
 	}()
 	go func() {
 		defer wg.Done()
-		r1, e1 = w1.mul(c1, in1.A, in1.B, in1.T, nil, nil)
+		r1, e1 = w1.run(c1, in1)
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
@@ -256,7 +256,7 @@ func TestWireMulCodecFP16Tolerance(t *testing.T) {
 	p := rng.NewPool(42)
 	a := p.NewUniform(24, 16, -1, 1)
 	b := p.NewUniform(16, 20, -1, 1)
-	client := newRemoteClient()
+	client := rng.NewPool(1)
 	in0, in1 := RemoteClientSplit(a, b, client)
 	raw := WireConfig{ChunkRows: 8}
 	want := runWireMulPair(t, raw, raw, in0, in1)

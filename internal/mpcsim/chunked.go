@@ -1,7 +1,8 @@
-package mpc
+package mpcsim
 
 import (
 	"parsecureml/internal/gpu"
+	"parsecureml/internal/mpc"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
 )
@@ -19,7 +20,7 @@ func DefaultGPUMemBudget(d *gpu.Device) int64 {
 // stay resident while row bands of E, A_i and Z_i stream through the
 // device, each band's transfers overlapping the previous band's kernels —
 // the fine-grained distribution challenge 1 (§3.3) calls for.
-func (s *Server) onlineMulGPUChunked(ef EF, in Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
+func (s *Server) onlineMulGPUChunked(ef EF, in mpc.Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
 	d := s.Dev
 	m, k, n := in.A.Rows, in.A.Cols, in.B.Cols
 	pre := append([]*simtime.Task{ef.Done}, deps...)
@@ -97,7 +98,7 @@ func (s *Server) onlineMulGPUChunked(ef EF, in Shares, deps ...*simtime.Task) (*
 // Bands run on independent device/PCIe timelines, so the modeled time
 // approaches 1/G of the single-GPU kernel time plus the replicated
 // transfers.
-func (s *Server) onlineMulMultiGPU(ef EF, in Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
+func (s *Server) onlineMulMultiGPU(ef EF, in mpc.Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
 	devs := s.Devs
 	m, n := in.A.Rows, in.B.Cols
 	pre := append([]*simtime.Task{ef.Done}, deps...)

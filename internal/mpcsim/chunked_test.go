@@ -1,8 +1,9 @@
-package mpc
+package mpcsim
 
 import (
 	"testing"
 
+	"parsecureml/internal/mpc"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -23,8 +24,8 @@ func TestOnlineMulGPUChunkedCorrectness(t *testing.T) {
 	b0, b1, _ := d.Client.Split(b)
 	t0, t1, tTrip := d.Client.GenGemmTriplet(m, k, n, false)
 
-	in0 := Shares{A: a0, B: b0, T: t0}
-	in1 := Shares{A: a1, B: b1, T: t1}
+	in0 := mpc.Shares{A: a0, B: b0, T: t0}
+	in1 := mpc.Shares{A: a1, B: b1, T: t1}
 	ef0, ef1 := ReconstructEF("chunk", d.S0, d.S1, in0, in1, tTrip, tTrip, tTrip, tTrip)
 
 	c0, tc0 := d.S0.onlineMulGPUChunked(ef0, in0)
@@ -57,8 +58,8 @@ func TestOnlineMulGPUAutoChunksWhenOversized(t *testing.T) {
 	b0, b1, _ := d.Client.Split(b)
 	t0, t1, tTrip := d.Client.GenGemmTriplet(m, k, n, false)
 
-	in0 := Shares{A: a0, B: b0, T: t0}
-	in1 := Shares{A: a1, B: b1, T: t1}
+	in0 := mpc.Shares{A: a0, B: b0, T: t0}
+	in1 := mpc.Shares{A: a1, B: b1, T: t1}
 	ef0, ef1 := ReconstructEF("auto", d.S0, d.S1, in0, in1, tTrip, tTrip, tTrip, tTrip)
 
 	// Note: the dispatch plans against the default budget; with the tiny
@@ -92,8 +93,8 @@ func TestOversizedMulSchedulesDry(t *testing.T) {
 	a0, a1, _ := d.Client.Split(a)
 	b0, b1, _ := d.Client.Split(b)
 	t0, t1, tTrip := d.Client.GenGemmTriplet(m, k, n, false)
-	in0 := Shares{A: a0, B: b0, T: t0}
-	in1 := Shares{A: a1, B: b1, T: t1}
+	in0 := mpc.Shares{A: a0, B: b0, T: t0}
+	in1 := mpc.Shares{A: a1, B: b1, T: t1}
 	ef0, ef1 := ReconstructEF("big", d.S0, d.S1, in0, in1, tTrip, tTrip, tTrip, tTrip)
 	_, tc0 := d.S0.OnlineMulGPU(ef0, in0)
 	_, tc1 := d.S1.OnlineMulGPU(ef1, in1)

@@ -1,15 +1,14 @@
-// Package comm is the inter-node communication substrate. The paper's
-// deployment is a client and two servers on 100 Gb/s InfiniBand driven by
-// MPI; here a directed Link charges encoded payload bytes against a
-// simtime resource (so transfers overlap computation exactly like the
-// paper's schedules), while a separate TCP transport moves the same framed
-// byte stream over real sockets for integration tests and the examples.
+// The simulated network. The paper's deployment is a client and two servers
+// on 100 Gb/s InfiniBand driven by MPI; a directed Link charges encoded
+// payload bytes against a simtime resource, so transfers overlap
+// computation exactly like the paper's schedules.
 //
 // The compressed transmission of §4.4 is implemented by DeltaSender /
 // DeltaReceiver: between epochs only Δ = cur − prev changes E and F
 // (Eqs. 10–12), so when Δ is at least 75 % zero it is CSR-encoded. Byte
 // counts are measured on the actual encoded frames, not estimated.
-package comm
+
+package mpcsim
 
 import (
 	"fmt"
@@ -178,7 +177,7 @@ type DeltaReceiver struct {
 // (a copy safe to retain).
 func (r *DeltaReceiver) Receive(frame []byte) (*tensor.Matrix, error) {
 	if len(frame) < 1 {
-		return nil, fmt.Errorf("comm: empty frame")
+		return nil, fmt.Errorf("mpcsim: empty frame")
 	}
 	kind := frame[0]
 	dense, sparse, _, err := tensor.Decode(frame[1:])
@@ -188,13 +187,13 @@ func (r *DeltaReceiver) Receive(frame []byte) (*tensor.Matrix, error) {
 	switch kind {
 	case frameBase:
 		if dense == nil {
-			return nil, fmt.Errorf("comm: base frame must be dense")
+			return nil, fmt.Errorf("mpcsim: base frame must be dense")
 		}
 		r.cur = dense.Clone()
 		r.base = true
 	case frameDelta:
 		if !r.base {
-			return nil, fmt.Errorf("comm: delta frame before base")
+			return nil, fmt.Errorf("mpcsim: delta frame before base")
 		}
 		if dense != nil {
 			tensor.Add(r.cur, r.cur, dense)
@@ -202,7 +201,7 @@ func (r *DeltaReceiver) Receive(frame []byte) (*tensor.Matrix, error) {
 			sparse.AddInto(r.cur)
 		}
 	default:
-		return nil, fmt.Errorf("comm: unknown frame type 0x%02x", kind)
+		return nil, fmt.Errorf("mpcsim: unknown frame type 0x%02x", kind)
 	}
 	return r.cur.Clone(), nil
 }

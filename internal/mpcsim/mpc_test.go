@@ -1,9 +1,11 @@
-package mpc
+package mpcsim
 
 import (
 	"testing"
 	"testing/quick"
 
+	"parsecureml/internal/ml"
+	"parsecureml/internal/mpc"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -189,7 +191,7 @@ func TestSecureActivationCorrectness(t *testing.T) {
 	y := p.NewUniform(10, 10, -2, 2)
 	y0, y1, ts := d.Client.Split(y)
 
-	for _, kind := range []ActivationKind{ActPiecewise, ActReLU} {
+	for _, kind := range []ml.Activation{ml.Piecewise, ml.ReLU} {
 		r0, r1 := SecureActivation("act-test", d.S0, d.S1, d.MaskPool(), kind, y0, y1, ts, ts)
 		got := tensor.AddTo(r0.Share, r1.Share)
 		want := tensor.New(10, 10)
@@ -210,13 +212,13 @@ func TestSecureActivationCorrectness(t *testing.T) {
 }
 
 func TestActivationKindFunctions(t *testing.T) {
-	if ActPiecewise.Apply(0) != 0.5 || ActPiecewise.Apply(5) != 1 || ActPiecewise.Apply(-5) != 0 {
+	if ml.Piecewise.Apply(0) != 0.5 || ml.Piecewise.Apply(5) != 1 || ml.Piecewise.Apply(-5) != 0 {
 		t.Fatal("piecewise values")
 	}
-	if ActReLU.Apply(-1) != 0 || ActReLU.Apply(2) != 2 {
+	if ml.ReLU.Apply(-1) != 0 || ml.ReLU.Apply(2) != 2 {
 		t.Fatal("relu values")
 	}
-	if ActReLU.Deriv(2) != 1 || ActReLU.Deriv(-2) != 0 {
+	if ml.ReLU.Deriv(2) != 1 || ml.ReLU.Deriv(-2) != 0 {
 		t.Fatal("relu deriv")
 	}
 }
@@ -245,7 +247,7 @@ func TestOnlineMulGPUPanicsWithoutDevice(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.S0.OnlineMulGPU(EF{E: tensor.New(1, 1), F: tensor.New(1, 1)}, Shares{A: tensor.New(1, 1), B: tensor.New(1, 1), T: TripletShares{Z: tensor.New(1, 1)}})
+	d.S0.OnlineMulGPU(EF{E: tensor.New(1, 1), F: tensor.New(1, 1)}, mpc.Shares{A: tensor.New(1, 1), B: tensor.New(1, 1), T: mpc.TripletShares{Z: tensor.New(1, 1)}})
 }
 
 // Property: resharing never changes the reconstructed value, and it
@@ -262,7 +264,7 @@ func TestReshareProperty(t *testing.T) {
 		if t0 == nil || t1 == nil {
 			return false
 		}
-		if n0.MaxAbs() > ShareRange {
+		if n0.MaxAbs() > mpc.ShareRange {
 			return false // party 0's new share must be the bounded mask
 		}
 		return tensor.AddTo(n0, n1).ApproxEqual(secret, 1e-4)

@@ -1,14 +1,22 @@
-// Package mpc implements ParSecureML's two-party computation engine in the
-// float-share domain the paper's released code uses: additive FP32 secret
-// sharing, client-side Beaver-triplet generation (the offline phase, §4.2),
-// and the server-side online phase — CPU reconstruct of the public masks
-// E = A−U and F = B−V followed by the GPU triplet multiplication in the
-// fused Eq. (8) form, with the Fig. 5 transfer/compute pipeline and the
-// §4.4 compressed E/F transmission.
+// Package mpcsim is the paper-figure simulator: ParSecureML's two-party
+// computation engine in the float-share domain the paper's released code
+// uses, run on modeled hardware. Both servers and the client of a
+// Deployment live in one process on one simtime engine; every CPU pass,
+// GPU kernel, PCIe copy and network transfer is charged to a simulated
+// resource (internal/hw, internal/gpu), so makespans reproduce the paper's
+// schedules — client-side Beaver-triplet generation (the offline phase,
+// §4.2), the CPU reconstruct of E = A−U and F = B−V followed by the GPU
+// triplet multiplication in the fused Eq. (8) form, the Fig. 5
+// transfer/compute pipeline and the §4.4 compressed E/F transmission
+// (Link, DeltaSender, DeltaReceiver). internal/secureml, internal/bench and
+// the root parsecureml package build on it.
 //
-// The cryptographically faithful Z_2^64 domain lives in internal/fixed and
-// is compared against this domain by the A2 ablation bench.
-package mpc
+// The deployed two-server system is internal/mpc, from which this package
+// takes Shares, TripletShares and ShareRange — for the same seed the two
+// draw bit-identical shares and triplets. The cryptographically faithful
+// Z_2^64 domain lives in internal/fixed and is compared against this domain
+// by the A2 ablation bench.
+package mpcsim
 
 import (
 	"fmt"

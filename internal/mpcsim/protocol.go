@@ -1,11 +1,11 @@
-package mpc
+package mpcsim
 
 import (
 	"fmt"
 
-	"parsecureml/internal/comm"
 	"parsecureml/internal/hw"
 	"parsecureml/internal/ml"
+	"parsecureml/internal/mpc"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
@@ -78,9 +78,9 @@ type Deployment struct {
 	S0, S1 *Server
 	mask   *rng.Pool // server-side re-sharing masks (held by server 0)
 	sites  map[string]*mulSite
-	up0    *comm.Link // client -> server 0 (share upload)
-	up1    *comm.Link // client -> server 1
-	down   *comm.Link // servers -> client (result return)
+	up0    *Link // client -> server 0 (share upload)
+	up1    *Link // client -> server 1
+	down   *Link // servers -> client (result return)
 }
 
 // mulSite caches the per-multiplication-site state the paper holds fixed
@@ -92,7 +92,7 @@ type mulSite struct {
 	kind         string // "gemm" or "hadamard"
 	m, k, n      int
 	maskA, maskB *tensor.Matrix
-	t0, t1       TripletShares
+	t0, t1       mpc.TripletShares
 }
 
 // NewDeployment builds the topology with cfg's features.
@@ -136,9 +136,9 @@ func NewDeployment(cfg Config) *Deployment {
 		S1:     s1,
 		mask:   rng.NewPool(cfg.Seed ^ 0xa5a5a5a5),
 		sites:  make(map[string]*mulSite),
-		up0:    comm.NewLink("net.client->server0", cfg.Platform.Net, eng),
-		up1:    comm.NewLink("net.client->server1", cfg.Platform.Net, eng),
-		down:   comm.NewLink("net.servers->client", cfg.Platform.Net, eng),
+		up0:    NewLink("net.client->server0", cfg.Platform.Net, eng),
+		up1:    NewLink("net.client->server1", cfg.Platform.Net, eng),
+		down:   NewLink("net.servers->client", cfg.Platform.Net, eng),
 	}
 }
 
@@ -156,7 +156,7 @@ func (d *Deployment) Download(bytesPerServer int, deps ...*simtime.Task) *simtim
 }
 
 // UploadLinks exposes the client->server links (traffic accounting).
-func (d *Deployment) UploadLinks() (*comm.Link, *comm.Link) { return d.up0, d.up1 }
+func (d *Deployment) UploadLinks() (*Link, *Link) { return d.up0, d.up1 }
 
 // site returns the cached multiplication site for stream, creating it (and
 // charging the offline costs: mask generation + triplet) on first use.
@@ -169,7 +169,7 @@ func (d *Deployment) site(stream, kind string, m, k, n int) (*mulSite, *simtime.
 		return s, nil
 	}
 	s := &mulSite{kind: kind, m: m, k: k, n: n}
-	s.maskA = d.Client.Pool.NewUniform(m, k, -ShareRange, ShareRange)
+	s.maskA = d.Client.Pool.NewUniform(m, k, -mpc.ShareRange, mpc.ShareRange)
 	tMask := d.Client.RandTask("site.masks", m*k+func() int {
 		if kind == "hadamard" {
 			return m * k
@@ -177,10 +177,10 @@ func (d *Deployment) site(stream, kind string, m, k, n int) (*mulSite, *simtime.
 		return k * n
 	}())
 	if kind == "hadamard" {
-		s.maskB = d.Client.Pool.NewUniform(m, k, -ShareRange, ShareRange)
+		s.maskB = d.Client.Pool.NewUniform(m, k, -mpc.ShareRange, mpc.ShareRange)
 		s.t0, s.t1, tMask = d.Client.GenHadamardTriplet(m, k, d.Cfg.UseGPU, tMask)
 	} else {
-		s.maskB = d.Client.Pool.NewUniform(k, n, -ShareRange, ShareRange)
+		s.maskB = d.Client.Pool.NewUniform(k, n, -mpc.ShareRange, mpc.ShareRange)
 		s.t0, s.t1, tMask = d.Client.GenGemmTriplet(m, k, n, d.Cfg.UseGPU, tMask)
 	}
 	d.sites[stream] = s
@@ -217,8 +217,8 @@ func (d *Deployment) SecureMatMul(stream string, a, b *tensor.Matrix) (*tensor.M
 	a0, a1, tSplitA := d.splitWithMask(a, site.maskA, tOffline)
 	b0, b1, tSplitB := d.splitWithMask(b, site.maskB, tSplitA)
 
-	in0 := Shares{A: a0, B: b0, T: site.t0}
-	in1 := Shares{A: a1, B: b1, T: site.t1}
+	in0 := mpc.Shares{A: a0, B: b0, T: site.t0}
+	in1 := mpc.Shares{A: a1, B: b1, T: site.t1}
 	ef0, ef1 := ReconstructEF(stream, d.S0, d.S1, in0, in1, tSplitB, tSplitB, tSplitB, tSplitB)
 
 	var c0, c1 *tensor.Matrix
@@ -240,8 +240,8 @@ func (d *Deployment) SecureHadamard(stream string, a, b *tensor.Matrix) (*tensor
 	a0, a1, tSplitA := d.splitWithMask(a, site.maskA, tOffline)
 	b0, b1, tSplitB := d.splitWithMask(b, site.maskB, tSplitA)
 
-	in0 := Shares{A: a0, B: b0, T: site.t0}
-	in1 := Shares{A: a1, B: b1, T: site.t1}
+	in0 := mpc.Shares{A: a0, B: b0, T: site.t0}
+	in1 := mpc.Shares{A: a1, B: b1, T: site.t1}
 	ef0, ef1 := ReconstructEF(stream, d.S0, d.S1, in0, in1, tSplitB, tSplitB, tSplitB, tSplitB)
 
 	var c0, c1 *tensor.Matrix
@@ -251,7 +251,7 @@ func (d *Deployment) SecureHadamard(stream string, a, b *tensor.Matrix) (*tensor
 		c1, tc1 = d.S1.OnlineHadamardGPU(ef1, in1)
 	} else {
 		// CPU Hadamard online: D = A_i − i·E, C = D⊙F + E⊙B_i + Z_i.
-		run := func(s *Server, ef EF, in Shares) (*tensor.Matrix, *simtime.Task) {
+		run := func(s *Server, ef EF, in mpc.Shares) (*tensor.Matrix, *simtime.Task) {
 			dm := in.A.Clone()
 			if s.Party == 1 {
 				tensor.AXPY(dm, -1, ef.E)
@@ -271,47 +271,6 @@ func (d *Deployment) SecureHadamard(stream string, a, b *tensor.Matrix) (*tensor
 	return d.Client.Combine(c0, c1, tc0, tc1)
 }
 
-// ActivationKind selects the nonlinearity of SecureActivation.
-type ActivationKind int
-
-// Activation kinds: the paper's Eq. (9) piecewise-linear function (the
-// default; has an upper limit so it also serves logistic regression) and
-// ReLU (for CNN/MLP, §4.2 "Activation Function Design").
-const (
-	ActPiecewise ActivationKind = iota
-	ActReLU
-	ActSigmoid       // exact logistic (computable post-reveal)
-	ActSigmoidTaylor // 5th-order Taylor fit, the paper's rejected option
-)
-
-// Apply evaluates the activation on a public value.
-func (k ActivationKind) Apply(x float32) float32 {
-	switch k {
-	case ActReLU:
-		return ml.ReLU.Apply(x)
-	case ActSigmoid:
-		return ml.Sigmoid.Apply(x)
-	case ActSigmoidTaylor:
-		return ml.SigmoidTaylor.Apply(x)
-	default:
-		return ml.Piecewise.Apply(x)
-	}
-}
-
-// Deriv evaluates the activation derivative on a public value.
-func (k ActivationKind) Deriv(x float32) float32 {
-	switch k {
-	case ActReLU:
-		return ml.ReLU.Deriv(x)
-	case ActSigmoid:
-		return ml.Sigmoid.Deriv(x)
-	case ActSigmoidTaylor:
-		return ml.SigmoidTaylor.Deriv(x)
-	default:
-		return ml.Piecewise.Deriv(x)
-	}
-}
-
 // ActResult carries one server's post-activation share plus the public
 // pre-activation derivative mask both servers hold afterwards (used
 // linearly in the backward pass).
@@ -328,7 +287,7 @@ type ActResult struct {
 // SecureML proper evaluates comparisons under garbled circuits; this
 // substitution preserves the round/volume profile the paper measures but
 // reveals per-layer activations to the servers (documented in DESIGN.md).
-func SecureActivation(stream string, s0, s1 *Server, mask *rng.Pool, kind ActivationKind,
+func SecureActivation(stream string, s0, s1 *Server, mask *rng.Pool, kind ml.Activation,
 	y0, y1 *tensor.Matrix, dep0, dep1 *simtime.Task) (ActResult, ActResult) {
 
 	// Exchange the shares (compressed channels: gradients shrink late in
@@ -354,7 +313,7 @@ func SecureActivation(stream string, s0, s1 *Server, mask *rng.Pool, kind Activa
 	a1t := s1.ElemTask("act.eval", 2*y.Bytes(), sum1)
 
 	// Re-share: server 0 draws R, keeps f(Y)−R, sends R.
-	r := mask.NewUniform(y.Rows, y.Cols, -ShareRange, ShareRange)
+	r := mask.NewUniform(y.Rows, y.Cols, -mpc.ShareRange, mpc.ShareRange)
 	share0 := tensor.SubTo(fy, r)
 	tMask := s0.RandTask("act.mask", y.Rows*y.Cols, a0t)
 	tMask = s0.ElemTask("act.resub", 3*r.Bytes(), tMask)

@@ -1,9 +1,9 @@
-package mpc
+package mpcsim
 
 import (
 	"fmt"
 
-	"parsecureml/internal/comm"
+	"parsecureml/internal/mpc"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
@@ -17,20 +17,20 @@ type Server struct {
 	*Node
 	Party int // 0 or 1
 
-	out  *comm.Link // this server -> peer
+	out  *Link // this server -> peer
 	peer *Server
 
 	// Per-stream compressed channels (§4.4). Streams are keyed so each
 	// (layer, operand) pair tracks its own epoch-over-epoch delta.
-	senders   map[string]*comm.DeltaSender
-	receivers map[string]*comm.DeltaReceiver
+	senders   map[string]*DeltaSender
+	receivers map[string]*DeltaReceiver
 
 	// Compress toggles the §4.4 compressed transmission (Fig. 16).
 	Compress bool
 	// PipelineTransfers toggles the Fig. 5 H2D/compute overlap.
 	PipelineTransfers bool
 	// DrySparsity is the assumed E/F delta sparsity for dry-run scheduling
-	// (tensor compute off); see comm.DeltaSender.DrySparsity.
+	// (tensor compute off); see DeltaSender.DrySparsity.
 	DrySparsity float64
 }
 
@@ -40,30 +40,30 @@ func NewServerPair(n0, n1 *Node) (*Server, *Server) {
 	s0 := &Server{
 		Node:      n0,
 		Party:     0,
-		senders:   make(map[string]*comm.DeltaSender),
-		receivers: make(map[string]*comm.DeltaReceiver),
+		senders:   make(map[string]*DeltaSender),
+		receivers: make(map[string]*DeltaReceiver),
 		Compress:  true, PipelineTransfers: true,
 	}
 	s1 := &Server{
 		Node:      n1,
 		Party:     1,
-		senders:   make(map[string]*comm.DeltaSender),
-		receivers: make(map[string]*comm.DeltaReceiver),
+		senders:   make(map[string]*DeltaSender),
+		receivers: make(map[string]*DeltaReceiver),
 		Compress:  true, PipelineTransfers: true,
 	}
-	s0.out = comm.NewLink("net."+n0.Name+"->"+n1.Name, n0.Platform.Net, n0.Eng)
-	s1.out = comm.NewLink("net."+n1.Name+"->"+n0.Name, n1.Platform.Net, n1.Eng)
+	s0.out = NewLink("net."+n0.Name+"->"+n1.Name, n0.Platform.Net, n0.Eng)
+	s1.out = NewLink("net."+n1.Name+"->"+n0.Name, n1.Platform.Net, n1.Eng)
 	s0.peer, s1.peer = s1, s0
 	return s0, s1
 }
 
 // Link returns this server's outgoing link (for traffic accounting).
-func (s *Server) Link() *comm.Link { return s.out }
+func (s *Server) Link() *Link { return s.out }
 
-func (s *Server) sender(stream string) *comm.DeltaSender {
+func (s *Server) sender(stream string) *DeltaSender {
 	ds, ok := s.senders[stream]
 	if !ok {
-		ds = comm.NewDeltaSender(s.out)
+		ds = NewDeltaSender(s.out)
 		s.senders[stream] = ds
 	}
 	ds.Enabled = s.Compress
@@ -71,10 +71,10 @@ func (s *Server) sender(stream string) *comm.DeltaSender {
 	return ds
 }
 
-func (s *Server) receiver(stream string) *comm.DeltaReceiver {
+func (s *Server) receiver(stream string) *DeltaReceiver {
 	dr, ok := s.receivers[stream]
 	if !ok {
-		dr = &comm.DeltaReceiver{}
+		dr = &DeltaReceiver{}
 		s.receivers[stream] = dr
 	}
 	return dr
@@ -151,7 +151,7 @@ func reconstructHalf(stream string, s0, s1 *Server, x0, u0, x1, u1 *tensor.Matri
 // pass ends, while E (from the incoming delta) must wait for the deeper
 // layer's GPU operation. Callers wanting the serial (non-pipelined)
 // schedule pass the same joined dependency for both halves.
-func ReconstructEF(stream string, s0, s1 *Server, in0, in1 Shares,
+func ReconstructEF(stream string, s0, s1 *Server, in0, in1 mpc.Shares,
 	depA0, depB0, depA1, depB1 *simtime.Task) (EF, EF) {
 
 	e0, e1, te0, te1 := reconstructHalf(stream+".E", s0, s1, in0.A, in0.T.U, in1.A, in1.T.U, depA0, depA1)
@@ -191,7 +191,7 @@ func Reveal(stream string, s0, s1 *Server, x0, x1 *tensor.Matrix, dep0, dep1 *si
 func Reshare(stream string, s0, s1 *Server, mask *rng.Pool, x0, x1 *tensor.Matrix,
 	dep0, dep1 *simtime.Task) (nx0, nx1 *tensor.Matrix, t0, t1 *simtime.Task) {
 
-	r := mask.NewUniform(x0.Rows, x0.Cols, -ShareRange, ShareRange)
+	r := mask.NewUniform(x0.Rows, x0.Cols, -mpc.ShareRange, mpc.ShareRange)
 	diff := tensor.SubTo(x0, r)
 	tGen := s0.RandTask("reshare.mask", x0.Rows*x0.Cols, dep0)
 	tGen = s0.ElemTask("reshare.sub", 3*x0.Bytes(), tGen)
@@ -222,7 +222,7 @@ func Reshare(stream string, s0, s1 *Server, mask *rng.Pool, x0, x1 *tensor.Matri
 // i.e. one element-wise merge and two GEMMs. With PipelineTransfers the
 // H2D copies of F, B_i and Z_i overlap earlier kernels (Fig. 5); without
 // it every kernel waits for all transfers.
-func (s *Server) OnlineMulGPU(ef EF, in Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
+func (s *Server) OnlineMulGPU(ef EF, in mpc.Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
 	if s.Dev == nil {
 		panic("mpc: OnlineMulGPU on a CPU-only server")
 	}
@@ -286,7 +286,7 @@ func (s *Server) OnlineMulGPU(ef EF, in Shares, deps ...*simtime.Task) (*tensor.
 // OnlineMulCPU is the CPU fallback for the same computation — used by the
 // adaptive engine for workloads too small to pay the PCIe tax, and by the
 // SecureML baseline.
-func (s *Server) OnlineMulCPU(ef EF, in Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
+func (s *Server) OnlineMulCPU(ef EF, in mpc.Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
 	m, k, n := in.A.Rows, in.A.Cols, in.B.Cols
 	d := in.A.Clone()
 	if s.Party == 1 {
@@ -308,7 +308,7 @@ func (s *Server) OnlineMulCPU(ef EF, in Shares, deps ...*simtime.Task) (*tensor.
 // OnlineHadamardGPU executes the element-wise (point-to-point) online
 // operation used by the paper's CNN (§7.2): with ⊙ for Hadamard,
 // C_i = (−i)·E⊙F + A_i⊙F + E⊙B_i + Z_i.
-func (s *Server) OnlineHadamardGPU(ef EF, in Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
+func (s *Server) OnlineHadamardGPU(ef EF, in mpc.Shares, deps ...*simtime.Task) (*tensor.Matrix, *simtime.Task) {
 	if s.Dev == nil {
 		panic("mpc: OnlineHadamardGPU on a CPU-only server")
 	}

@@ -1,7 +1,8 @@
-package mpc
+package mpcsim
 
 import (
 	"parsecureml/internal/ml"
+	"parsecureml/internal/mpc"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
@@ -45,7 +46,7 @@ func SecureRowSoftmax(stream string, s0, s1 *Server, mask *rng.Pool, causal bool
 	a1t := s1.ElemTask("sm.eval", 4*y.Bytes(), sum1)
 
 	// Re-share: server 0 draws R, keeps P−R, sends R.
-	r := mask.NewUniform(y.Rows, y.Cols, -ShareRange, ShareRange)
+	r := mask.NewUniform(y.Rows, y.Cols, -mpc.ShareRange, mpc.ShareRange)
 	share0 := tensor.SubTo(p, r)
 	tMask := s0.RandTask("sm.mask", y.Rows*y.Cols, a0t)
 	tMask = s0.ElemTask("sm.resub", 3*r.Bytes(), tMask)

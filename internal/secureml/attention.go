@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
 )
@@ -16,7 +16,7 @@ import (
 // QKᵀ score product and score·V context product, and the output
 // projection are each their own Beaver multiplication site. The softmax
 // is the one nonlinearity — it runs the reveal-and-reshare protocol
-// (mpc.SecureRowSoftmax) with the piecewise/polynomial approximation
+// (mpcsim.SecureRowSoftmax) with the piecewise/polynomial approximation
 // whose error contract lives in DESIGN.md, mirroring how the existing
 // activations are handled. The residual combiner is the linear
 // (x + MHA(x))/√2 layernorm substitute, so it stays share-local.
@@ -99,15 +99,15 @@ func (l *secureAttention) prepare(cache *siteCache, batch int, dep *simtime.Task
 // secureSoftmax runs the reveal-and-reshare softmax protocol, returning
 // the re-shared probabilities plus the public probability matrix both
 // servers hold afterwards.
-func secureSoftmax(d *mpc.Deployment, key string, causal bool, s shared) (shared, *tensor.Matrix) {
-	r0, r1 := mpc.SecureRowSoftmax(key, d.S0, d.S1, d.MaskPool(), causal, s.s0, s.s1, s.t0, s.t1)
+func secureSoftmax(d *mpcsim.Deployment, key string, causal bool, s shared) (shared, *tensor.Matrix) {
+	r0, r1 := mpcsim.SecureRowSoftmax(key, d.S0, d.S1, d.MaskPool(), causal, s.s0, s.s1, s.t0, s.t1)
 	return shared{s0: r0.Share, s1: r1.Share, t0: r0.Done, t1: r1.Done}, r0.Deriv
 }
 
 // softmaxBackwardShares computes dS = P⊙(dP − rowsum(dP⊙P)) on shares.
 // P is public after the softmax reveal and the map is linear in dP, so
 // it is share-local — no extra multiplication sites or exchanges.
-func softmaxBackwardShares(d *mpc.Deployment, pub *tensor.Matrix, dp shared) shared {
+func softmaxBackwardShares(d *mpcsim.Deployment, pub *tensor.Matrix, dp shared) shared {
 	comp := func(m *tensor.Matrix) *tensor.Matrix {
 		out := tensor.New(m.Rows, m.Cols)
 		if !tensor.ComputeEnabled() {

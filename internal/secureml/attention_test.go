@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -19,7 +19,7 @@ func TestSecureTransformerForwardMatchesPlaintext(t *testing.T) {
 	}
 	want := plain.Predict(x)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	y := tensor.New(8, 10)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
@@ -39,7 +39,7 @@ func TestSecureAttentionForwardMatchesPlaintext(t *testing.T) {
 	}
 	want := plain.Predict(x)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	y := tensor.New(6, 8)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
@@ -72,7 +72,7 @@ func TestSecureTransformerTrainingMatchesPlaintext(t *testing.T) {
 	}
 	xs, ys := batches(x, y, 8)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare(xs, ys)
 	m.TrainEpochs(2, 0.05)
@@ -110,13 +110,13 @@ func TestTransformerCheckpointRoundTrip(t *testing.T) {
 	}
 	xs, ys := []*tensor.Matrix{x}, []*tensor.Matrix{y}
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare(xs, ys)
 	m.TrainEpochs(1, 0.05)
 	ck := m.Checkpoint(0.05)
 
-	d2 := mpc.NewDeployment(testConfig())
+	d2 := mpcsim.NewDeployment(testConfig())
 	m2 := FromPlain(d2, ml.NewTransformer(12, 8, 2, 12, rng.NewRand(99)), MSELoss)
 	m2.Prepare(xs, ys)
 	if _, err := m2.Restore(ck); err != nil {

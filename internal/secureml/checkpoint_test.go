@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -16,7 +16,7 @@ import (
 // ckptFixture builds a small two-layer model with deterministic weights
 // and data; calling it twice with the same cfg yields bit-identical
 // starting states.
-func ckptFixture(cfg mpc.Config) (*Model, *ml.Model, []*tensor.Matrix, []*tensor.Matrix) {
+func ckptFixture(cfg mpcsim.Config) (*Model, *ml.Model, []*tensor.Matrix, []*tensor.Matrix) {
 	r := rng.NewRand(41)
 	plain := ml.NewModel("ckpt-toy", ml.MSE{},
 		ml.NewDense(8, 6, ml.ReLU, r),
@@ -31,7 +31,7 @@ func ckptFixture(cfg mpc.Config) (*Model, *ml.Model, []*tensor.Matrix, []*tensor
 		y.Data[i] = r.Float32()
 	}
 	xs, ys := batches(x, y, 4)
-	d := mpc.NewDeployment(cfg)
+	d := mpcsim.NewDeployment(cfg)
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare(xs, ys)
 	return m, plain, xs, ys
@@ -152,7 +152,7 @@ func TestCheckpointRoundTripAndValidation(t *testing.T) {
 	other := ml.NewModel("other", ml.MSE{}, ml.NewDense(8, 6, ml.ReLU, r), ml.NewDense(6, 1, ml.Identity, r))
 	x := tensor.New(4, 8)
 	y := tensor.New(4, 1)
-	om := FromPlain(mpc.NewDeployment(cfg), other, MSELoss)
+	om := FromPlain(mpcsim.NewDeployment(cfg), other, MSELoss)
 	om.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
 	if _, err := om.Restore(data); err == nil {
 		t.Fatalf("mismatched model accepted the checkpoint")

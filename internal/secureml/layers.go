@@ -3,7 +3,8 @@ package secureml
 import (
 	"fmt"
 
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/ml"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
 )
@@ -27,8 +28,7 @@ type secureLayer interface {
 type secureDense struct {
 	idx     int
 	in, out int
-	act     mpc.ActivationKind
-	hasAct  bool
+	act     ml.Activation // ml.Identity: no activation protocol
 	w, b    shared
 
 	// forward cache
@@ -39,9 +39,8 @@ type secureDense struct {
 	hasGrad bool
 }
 
-func newSecureDense(m *Model, idx, in, out int, act mpc.ActivationKind, hasAct bool,
-	w, bmat *tensor.Matrix) *secureDense {
-	l := &secureDense{idx: idx, in: in, out: out, act: act, hasAct: hasAct}
+func newSecureDense(m *Model, idx, in, out int, act ml.Activation, w, bmat *tensor.Matrix) *secureDense {
+	l := &secureDense{idx: idx, in: in, out: out, act: act}
 	l.w = m.splitClient(w)
 	l.b = m.splitClient(bmat)
 	return l
@@ -65,7 +64,7 @@ func (l *secureDense) forward(m *Model, batchTag string, x shared) shared {
 	l.x = x
 	y := secureMatMul(m.d, m.cache, l.key("fwd"), l.key("fwd")+"."+batchTag, x, l.w)
 	y = addBias(m.d, y, l.b)
-	if l.hasAct {
+	if l.act != ml.Identity {
 		act, deriv := secureActivate(m.d, l.key("act")+"."+batchTag, l.act, y)
 		l.deriv = deriv
 		return act
@@ -110,8 +109,7 @@ type secureConv struct {
 	idx     int
 	shape   tensor.ConvShape
 	filters int
-	act     mpc.ActivationKind
-	hasAct  bool
+	act     ml.Activation
 	k, b    shared
 
 	batch   int
@@ -122,8 +120,8 @@ type secureConv struct {
 }
 
 func newSecureConv(m *Model, idx int, shape tensor.ConvShape, filters int,
-	act mpc.ActivationKind, hasAct bool, k, bmat *tensor.Matrix) *secureConv {
-	l := &secureConv{idx: idx, shape: shape, filters: filters, act: act, hasAct: hasAct}
+	act ml.Activation, k, bmat *tensor.Matrix) *secureConv {
+	l := &secureConv{idx: idx, shape: shape, filters: filters, act: act}
 	l.k = m.splitClient(k)
 	l.b = m.splitClient(bmat)
 	return l
@@ -150,7 +148,7 @@ func (l *secureConv) forward(m *Model, batchTag string, x shared) shared {
 	l.cols = im2colShares(m.d, x, l.shape)
 	y := secureMatMul(m.d, m.cache, l.key("fwd"), l.key("fwd")+"."+batchTag, l.cols, l.k)
 	y = addBias(m.d, y, l.b)
-	if l.hasAct {
+	if l.act != ml.Identity {
 		act, deriv := secureActivate(m.d, l.key("act")+"."+batchTag, l.act, y)
 		l.deriv = deriv
 		// Reshape to batch × (patches·filters).
@@ -190,7 +188,7 @@ func (l *secureConv) update(m *Model, lr float32) {
 }
 
 // reshapeShares reinterprets both shares' geometry (free).
-func reshapeShares(d *mpc.Deployment, s shared, rows, cols int) shared {
+func reshapeShares(d *mpcsim.Deployment, s shared, rows, cols int) shared {
 	return shared{
 		s0: s.s0.Reshape(rows, cols),
 		s1: s.s1.Reshape(rows, cols),

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
 )
@@ -40,7 +40,7 @@ func (p Phases) Occupancy() float64 {
 // Model is a secret-shared network bound to a deployment.
 type Model struct {
 	Name string
-	d    *mpc.Deployment
+	d    *mpcsim.Deployment
 
 	layers []secureLayer
 	loss   LossKind
@@ -64,32 +64,27 @@ type Model struct {
 // FromPlain builds the secure counterpart of a plaintext model: the
 // client splits the initial weights to the servers. Layer kinds map by
 // type; unknown layers panic.
-func FromPlain(d *mpc.Deployment, plain *ml.Model, loss LossKind) *Model {
+func FromPlain(d *mpcsim.Deployment, plain *ml.Model, loss LossKind) *Model {
 	m := &Model{Name: plain.Name, d: d, loss: loss, cache: newSiteCache(d)}
 	for i, l := range plain.Layers {
 		switch pl := l.(type) {
 		case *ml.Dense:
-			act, hasAct := mapAct(pl.Act)
-			m.layers = append(m.layers, newSecureDense(m, i, pl.InDim(), pl.OutDim(), act, hasAct, pl.W, pl.B))
+			m.layers = append(m.layers, newSecureDense(m, i, pl.InDim(), pl.OutDim(), pl.Act, pl.W, pl.B))
 		case *ml.Conv2D:
-			act, hasAct := mapAct(pl.Act)
-			m.layers = append(m.layers, newSecureConv(m, i, pl.Shape, pl.Filters, act, hasAct, pl.K, pl.B))
+			m.layers = append(m.layers, newSecureConv(m, i, pl.Shape, pl.Filters, pl.Act, pl.K, pl.B))
 		case *ml.RNN:
-			act, _ := mapAct(pl.Act)
-			m.layers = append(m.layers, newSecureRNN(m, i, pl.InStep, pl.Hidden, pl.Steps, act, pl.Wx, pl.Wh, pl.B))
+			m.layers = append(m.layers, newSecureRNN(m, i, pl.InStep, pl.Hidden, pl.Steps, pl.Act, pl.Wx, pl.Wh, pl.B))
 		case *ml.AvgPool:
 			m.layers = append(m.layers, &securePool{idx: i, p: pl})
 		case *ml.Attention:
 			m.layers = append(m.layers, newSecureAttention(m, i, attWeightsOf(pl)))
 		case *ml.TransformerBlock:
-			act1, hasAct1 := mapAct(pl.FF1.Act)
-			act2, hasAct2 := mapAct(pl.FF2.Act)
 			m.layers = append(m.layers, &secureTransformer{
 				att: newSecureAttention(m, i, attWeightsOf(pl.Att)),
 				// Feed-forward sub-layers get site indices far above any
 				// top-level layer index so their "L%d.*" keys can't collide.
-				ff1: newSecureDense(m, ffSiteBase+i*2, pl.FF1.InDim(), pl.FF1.OutDim(), act1, hasAct1, pl.FF1.W, pl.FF1.B),
-				ff2: newSecureDense(m, ffSiteBase+i*2+1, pl.FF2.InDim(), pl.FF2.OutDim(), act2, hasAct2, pl.FF2.W, pl.FF2.B),
+				ff1: newSecureDense(m, ffSiteBase+i*2, pl.FF1.InDim(), pl.FF1.OutDim(), pl.FF1.Act, pl.FF1.W, pl.FF1.B),
+				ff2: newSecureDense(m, ffSiteBase+i*2+1, pl.FF2.InDim(), pl.FF2.OutDim(), pl.FF2.Act, pl.FF2.W, pl.FF2.B),
 			})
 		default:
 			panic(fmt.Sprintf("secureml: unsupported layer type %T", l))
@@ -111,21 +106,6 @@ func attWeightsOf(a *ml.Attention) *attentionWeights {
 	}
 }
 
-func mapAct(a ml.Activation) (mpc.ActivationKind, bool) {
-	switch a {
-	case ml.ReLU:
-		return mpc.ActReLU, true
-	case ml.Piecewise:
-		return mpc.ActPiecewise, true
-	case ml.Sigmoid:
-		return mpc.ActSigmoid, true
-	case ml.SigmoidTaylor:
-		return mpc.ActSigmoidTaylor, true
-	default:
-		return mpc.ActPiecewise, false // identity: no activation protocol
-	}
-}
-
 // splitClient secret-shares a client-held tensor and uploads the shares to
 // the servers (offline).
 func (m *Model) splitClient(secret *tensor.Matrix) shared {
@@ -135,7 +115,7 @@ func (m *Model) splitClient(secret *tensor.Matrix) shared {
 }
 
 // Deployment returns the underlying deployment.
-func (m *Model) Deployment() *mpc.Deployment { return m.d }
+func (m *Model) Deployment() *mpcsim.Deployment { return m.d }
 
 // AllowLazySites permits site creation during the online phase (tests and
 // single-shot inference convenience); offline/online attribution then
@@ -198,7 +178,7 @@ func (m *Model) lossGrad(b int, pred shared) shared {
 		margin := secureHadamard(m.d, m.cache, "hinge", fmt.Sprintf("hinge.%s", tag), y, pred)
 		// Jointly reveal the margin to form the public subgradient mask
 		// 1[y·pred < 1], then grad_i = −mask ⊙ y_i / batch (local).
-		pub, t0, t1 := mpc.Reveal(fmt.Sprintf("hingemask.%s", tag), m.d.S0, m.d.S1,
+		pub, t0, t1 := mpcsim.Reveal(fmt.Sprintf("hingemask.%s", tag), m.d.S0, m.d.S1,
 			margin.s0, margin.s1, margin.t0, margin.t1)
 		mask := tensor.New(pred.rows(), pred.cols())
 		if tensor.ComputeEnabled() {

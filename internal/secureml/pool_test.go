@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -25,7 +25,7 @@ func TestSecurePooledCNNForward(t *testing.T) {
 	}
 	want := plain.Predict(x)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{tensor.New(6, 4)})
 	got := m.InferBatches()[0]
@@ -58,7 +58,7 @@ func TestSecurePooledCNNTrains(t *testing.T) {
 		y.Set(i, i%2, 1)
 	}
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
 	m.TrainEpochs(3, 0.1)
@@ -82,7 +82,7 @@ func TestSecurePooledCNNTrains(t *testing.T) {
 func TestInferenceBatchesOverlap(t *testing.T) {
 	run := func(batches int) float64 {
 		cfg := testConfig()
-		d := mpc.NewDeployment(cfg)
+		d := mpcsim.NewDeployment(cfg)
 		m := FromPlain(d, ml.NewMLP(256, rng.NewRand(3)), MSELoss)
 		xs := make([]*tensor.Matrix, batches)
 		ys := make([]*tensor.Matrix, batches)
@@ -110,7 +110,7 @@ func TestSecureMultiChannelCNNForward(t *testing.T) {
 	}
 	want := plain.Predict(x)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{tensor.New(4, 10)})
 	got := m.InferBatches()[0]

@@ -3,7 +3,8 @@ package secureml
 import (
 	"fmt"
 
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/ml"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
 )
@@ -16,7 +17,7 @@ import (
 type secureRNN struct {
 	idx                   int
 	inStep, hidden, steps int
-	act                   mpc.ActivationKind
+	act                   ml.Activation
 	wx, wh, b             shared
 
 	xts    []shared
@@ -27,7 +28,7 @@ type secureRNN struct {
 	hasGrad      bool
 }
 
-func newSecureRNN(m *Model, idx, inStep, hidden, steps int, act mpc.ActivationKind,
+func newSecureRNN(m *Model, idx, inStep, hidden, steps int, act ml.Activation,
 	wx, wh, bmat *tensor.Matrix) *secureRNN {
 	l := &secureRNN{idx: idx, inStep: inStep, hidden: hidden, steps: steps, act: act}
 	l.wx = m.splitClient(wx)
@@ -137,7 +138,7 @@ func (l *secureRNN) update(m *Model, lr float32) {
 
 // writeCols copies src's columns into dst starting at column lo (local
 // data movement on both shares); dst is returned with updated readiness.
-func writeCols(d *mpc.Deployment, dst, src shared, lo int) shared {
+func writeCols(d *mpcsim.Deployment, dst, src shared, lo int) shared {
 	write := func(dm, sm *tensor.Matrix) {
 		if !tensor.ComputeEnabled() {
 			return

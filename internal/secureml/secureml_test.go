@@ -7,13 +7,13 @@ import (
 
 	"parsecureml/internal/dataset"
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
 
-func testConfig() mpc.Config {
-	cfg := mpc.DefaultConfig()
+func testConfig() mpcsim.Config {
+	cfg := mpcsim.DefaultConfig()
 	cfg.TensorCores = false // full FP32 for tight numeric comparisons
 	return cfg
 }
@@ -35,7 +35,7 @@ func TestSecureForwardMatchesPlaintext(t *testing.T) {
 	}
 	want := plain.Predict(x)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	y := tensor.New(16, 10)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
@@ -55,7 +55,7 @@ func TestSecureConvForwardMatchesPlaintext(t *testing.T) {
 	}
 	want := plain.Predict(x)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	y := tensor.New(4, 10)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
@@ -74,7 +74,7 @@ func TestSecureRNNForwardMatchesPlaintext(t *testing.T) {
 	}
 	want := plain.Predict(x)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	y := tensor.New(6, 10)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
@@ -101,7 +101,7 @@ func TestSecureTrainingMatchesPlaintext(t *testing.T) {
 	x, y := dataset.Regression(spec, 64, 9)
 	xs, ys := batches(x, y, 16)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare(xs, ys)
 	m.TrainEpochs(2, 0.05)
@@ -141,7 +141,7 @@ func TestSecureHingeTrainingLearns(t *testing.T) {
 	x, y := dataset.Binary(spec, 96, 11, true)
 	xs, ys := batches(x, y, 24)
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, HingeLoss)
 	m.Prepare(xs, ys)
 	m.TrainEpochs(30, 0.2)
@@ -158,7 +158,7 @@ func TestPhasesAccounting(t *testing.T) {
 	plain := ml.NewLogisticRegression(16, r)
 	x := tensor.New(32, 16)
 	y := tensor.New(32, 1)
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
 	p := m.Phases()
@@ -181,7 +181,7 @@ func TestPhasesAccounting(t *testing.T) {
 func TestUnpreparedSitePanics(t *testing.T) {
 	r := rng.NewRand(7)
 	plain := ml.NewLinearRegression(4, r)
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	defer func() {
 		if recover() == nil {
@@ -199,7 +199,7 @@ func TestGPUSpeedsUpSecureTraining(t *testing.T) {
 	run := func(useGPU bool) float64 {
 		cfg := testConfig()
 		cfg.UseGPU = useGPU
-		d := mpc.NewDeployment(cfg)
+		d := mpcsim.NewDeployment(cfg)
 		m := FromPlain(d, ml.NewMLP(256, rng.NewRand(8)), MSELoss)
 		m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
 		m.TrainEpochs(1, 0.1)
@@ -218,7 +218,7 @@ func TestPipelineImprovesOnline(t *testing.T) {
 	run := func(pipeline bool) float64 {
 		cfg := testConfig()
 		cfg.Pipeline = pipeline
-		d := mpc.NewDeployment(cfg)
+		d := mpcsim.NewDeployment(cfg)
 		m := FromPlain(d, ml.NewMLP(512, rng.NewRand(9)), MSELoss)
 		m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
 		m.TrainEpochs(2, 0.1)
@@ -244,7 +244,7 @@ func TestCompressionReducesTraffic(t *testing.T) {
 	run := func(compress bool) int64 {
 		cfg := testConfig()
 		cfg.Compress = compress
-		d := mpc.NewDeployment(cfg)
+		d := mpcsim.NewDeployment(cfg)
 		m := FromPlain(d, ml.NewLogisticRegression(64, rng.NewRand(10)), MSELoss)
 		m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
 		m.TrainEpochs(4, 0.01)
@@ -262,7 +262,7 @@ func TestDryRunTimelineInvariance(t *testing.T) {
 	build := func() float64 {
 		cfg := testConfig()
 		cfg.Compress = false // compression decisions are data-dependent
-		d := mpc.NewDeployment(cfg)
+		d := mpcsim.NewDeployment(cfg)
 		m := FromPlain(d, ml.NewMLP(64, rng.NewRand(11)), MSELoss)
 		x := tensor.New(32, 64)
 		y := tensor.New(32, 10)
@@ -288,7 +288,7 @@ func TestDryRunFullScaleIsCheap(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.DrySparsityHint = 0.9
-	d := mpc.NewDeployment(cfg)
+	d := mpcsim.NewDeployment(cfg)
 	m := FromPlain(d, ml.NewMLP(40000, rng.NewRand(12)), MSELoss)
 	x := tensor.New(128, 40000)
 	y := tensor.New(128, 10)
@@ -315,7 +315,7 @@ func TestSecureModelNames(t *testing.T) {
 		func() *ml.Model { return ml.NewSVM(16, r) },
 	} {
 		plain := mk()
-		d := mpc.NewDeployment(testConfig())
+		d := mpcsim.NewDeployment(testConfig())
 		m := FromPlain(d, plain, MSELoss)
 		if m.Name != plain.Name {
 			t.Fatalf("name %q", m.Name)
@@ -342,7 +342,7 @@ func TestSecureTrainingAccuracyEndToEnd(t *testing.T) {
 
 	plain := ml.NewMLP(784, rng.NewRand(14))
 	ref := ml.NewMLP(784, rng.NewRand(14))
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare(xs, ys)
 
@@ -372,7 +372,7 @@ func TestBatchTagStability(t *testing.T) {
 	// Training twice over the same prepared batches must reuse sites, not
 	// create new ones (site count stable across epochs).
 	r := rng.NewRand(15)
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, ml.NewLinearRegression(8, r), MSELoss)
 	x := tensor.New(16, 8)
 	y := tensor.New(16, 1)
@@ -389,7 +389,7 @@ func TestBatchTagStability(t *testing.T) {
 
 func TestPreparePanicsOnEmpty(t *testing.T) {
 	r := rng.NewRand(16)
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, ml.NewLinearRegression(8, r), MSELoss)
 	defer func() {
 		if recover() == nil {
@@ -401,7 +401,7 @@ func TestPreparePanicsOnEmpty(t *testing.T) {
 
 func BenchmarkSecureMLPBatch(b *testing.B) {
 	cfg := testConfig()
-	d := mpc.NewDeployment(cfg)
+	d := mpcsim.NewDeployment(cfg)
 	m := FromPlain(d, ml.NewMLP(128, rng.NewRand(1)), MSELoss)
 	x := tensor.New(128, 128)
 	y := tensor.New(128, 10)
@@ -413,8 +413,8 @@ func BenchmarkSecureMLPBatch(b *testing.B) {
 }
 
 func ExampleModel() {
-	cfg := mpc.SecureMLConfig()
-	d := mpc.NewDeployment(cfg)
+	cfg := mpcsim.SecureMLConfig()
+	d := mpcsim.NewDeployment(cfg)
 	plain := ml.NewLinearRegression(4, rng.NewRand(1))
 	m := FromPlain(d, plain, MSELoss)
 	x := tensor.New(8, 4)
@@ -439,7 +439,7 @@ func TestSecureRNNTrainingMatchesPlaintext(t *testing.T) {
 		y.Set(i, i%10, 1)
 	}
 
-	d := mpc.NewDeployment(testConfig())
+	d := mpcsim.NewDeployment(testConfig())
 	m := FromPlain(d, plain, MSELoss)
 	m.Prepare([]*tensor.Matrix{x}, []*tensor.Matrix{y})
 	m.TrainEpochs(4, 0.2)

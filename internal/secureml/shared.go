@@ -17,7 +17,7 @@
 package secureml
 
 import (
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
 )
@@ -38,7 +38,7 @@ func (s shared) reveal() *tensor.Matrix { return tensor.AddTo(s.s0, s.s1) }
 
 // localBoth applies an identical local linear operation on both shares,
 // charging each server's CPU.
-func localBoth(d *mpc.Deployment, name string, bytes int, s shared, op func(share *tensor.Matrix) *tensor.Matrix) shared {
+func localBoth(d *mpcsim.Deployment, name string, bytes int, s shared, op func(share *tensor.Matrix) *tensor.Matrix) shared {
 	out0 := op(s.s0)
 	out1 := op(s.s1)
 	return shared{
@@ -49,7 +49,7 @@ func localBoth(d *mpc.Deployment, name string, bytes int, s shared, op func(shar
 }
 
 // transposeShares transposes both shares (a local data-movement pass).
-func transposeShares(d *mpc.Deployment, s shared) shared {
+func transposeShares(d *mpcsim.Deployment, s shared) shared {
 	return localBoth(d, "transpose", 2*s.s0.Bytes(), s, func(m *tensor.Matrix) *tensor.Matrix {
 		return m.Transpose()
 	})
@@ -57,7 +57,7 @@ func transposeShares(d *mpc.Deployment, s shared) shared {
 
 // hadamardPublic multiplies both shares element-wise by a public matrix
 // (linear, hence share-local).
-func hadamardPublic(d *mpc.Deployment, s shared, pub *tensor.Matrix) shared {
+func hadamardPublic(d *mpcsim.Deployment, s shared, pub *tensor.Matrix) shared {
 	return localBoth(d, "maskmul", 3*s.s0.Bytes(), s, func(m *tensor.Matrix) *tensor.Matrix {
 		out := tensor.New(m.Rows, m.Cols)
 		tensor.Hadamard(out, m, pub)
@@ -66,7 +66,7 @@ func hadamardPublic(d *mpc.Deployment, s shared, pub *tensor.Matrix) shared {
 }
 
 // scaleShares multiplies both shares by a public scalar.
-func scaleShares(d *mpc.Deployment, s shared, alpha float32) shared {
+func scaleShares(d *mpcsim.Deployment, s shared, alpha float32) shared {
 	return localBoth(d, "scale", 2*s.s0.Bytes(), s, func(m *tensor.Matrix) *tensor.Matrix {
 		out := tensor.New(m.Rows, m.Cols)
 		tensor.Scale(out, m, alpha)
@@ -75,7 +75,7 @@ func scaleShares(d *mpc.Deployment, s shared, alpha float32) shared {
 }
 
 // subShares computes a − b share-wise.
-func subShares(d *mpc.Deployment, a, b shared) shared {
+func subShares(d *mpcsim.Deployment, a, b shared) shared {
 	return shared{
 		s0: tensor.SubTo(a.s0, b.s0),
 		s1: tensor.SubTo(a.s1, b.s1),
@@ -85,7 +85,7 @@ func subShares(d *mpc.Deployment, a, b shared) shared {
 }
 
 // addBias adds a 1×n bias share to every row of a batch×n share (local).
-func addBias(d *mpc.Deployment, s shared, bias shared) shared {
+func addBias(d *mpcsim.Deployment, s shared, bias shared) shared {
 	apply := func(m, b *tensor.Matrix) *tensor.Matrix {
 		out := m.Clone()
 		if !tensor.ComputeEnabled() {
@@ -108,7 +108,7 @@ func addBias(d *mpc.Deployment, s shared, bias shared) shared {
 }
 
 // colSum reduces a batch×n share to 1×n (bias gradient; local).
-func colSum(d *mpc.Deployment, s shared) shared {
+func colSum(d *mpcsim.Deployment, s shared) shared {
 	sum := func(m *tensor.Matrix) *tensor.Matrix {
 		out := tensor.New(1, m.Cols)
 		if !tensor.ComputeEnabled() {
@@ -131,7 +131,7 @@ func colSum(d *mpc.Deployment, s shared) shared {
 }
 
 // axpyInPlace applies share_i += alpha·delta_i (SGD update; local).
-func axpyInPlace(d *mpc.Deployment, dst shared, alpha float32, delta shared) shared {
+func axpyInPlace(d *mpcsim.Deployment, dst shared, alpha float32, delta shared) shared {
 	tensor.AXPY(dst.s0, alpha, delta.s0)
 	tensor.AXPY(dst.s1, alpha, delta.s1)
 	return shared{
@@ -142,14 +142,14 @@ func axpyInPlace(d *mpc.Deployment, dst shared, alpha float32, delta shared) sha
 }
 
 // im2colShares lowers both shares (im2col is linear, hence share-local).
-func im2colShares(d *mpc.Deployment, s shared, shape tensor.ConvShape) shared {
+func im2colShares(d *mpcsim.Deployment, s shared, shape tensor.ConvShape) shared {
 	return localBoth(d, "im2col", 2*4*s.rows()*shape.Patches()*shape.PatchSize(), s, func(m *tensor.Matrix) *tensor.Matrix {
 		return tensor.Im2Col(m, shape)
 	})
 }
 
 // col2imShares scatters both gradient shares back to image space.
-func col2imShares(d *mpc.Deployment, s shared, batch int, shape tensor.ConvShape) shared {
+func col2imShares(d *mpcsim.Deployment, s shared, batch int, shape tensor.ConvShape) shared {
 	return localBoth(d, "col2im", 2*s.s0.Bytes(), s, func(m *tensor.Matrix) *tensor.Matrix {
 		return tensor.Col2Im(m, batch, shape)
 	})
@@ -157,7 +157,7 @@ func col2imShares(d *mpc.Deployment, s shared, batch int, shape tensor.ConvShape
 
 // sliceCols extracts column range [lo,hi) from both shares (RNN timestep
 // extraction; local data movement).
-func sliceCols(d *mpc.Deployment, s shared, lo, hi int) shared {
+func sliceCols(d *mpcsim.Deployment, s shared, lo, hi int) shared {
 	slice := func(m *tensor.Matrix) *tensor.Matrix {
 		out := tensor.New(m.Rows, hi-lo)
 		if !tensor.ComputeEnabled() {
@@ -176,7 +176,7 @@ func sliceCols(d *mpc.Deployment, s shared, lo, hi int) shared {
 }
 
 // addShares computes a + b share-wise.
-func addShares(d *mpc.Deployment, a, b shared) shared {
+func addShares(d *mpcsim.Deployment, a, b shared) shared {
 	return shared{
 		s0: tensor.AddTo(a.s0, b.s0),
 		s1: tensor.AddTo(a.s1, b.s1),

@@ -3,7 +3,9 @@ package secureml
 import (
 	"fmt"
 
+	"parsecureml/internal/ml"
 	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/simtime"
 	"parsecureml/internal/tensor"
 )
@@ -19,14 +21,14 @@ type site struct {
 
 // siteCache is the model's offline-prepared triplet store.
 type siteCache struct {
-	d     *mpc.Deployment
+	d     *mpcsim.Deployment
 	sites map[string]*site
 	// lazyOK permits creating sites during the online phase (tests only);
 	// Prepare normally creates every site offline.
 	lazyOK bool
 }
 
-func newSiteCache(d *mpc.Deployment) *siteCache {
+func newSiteCache(d *mpcsim.Deployment) *siteCache {
 	return &siteCache{d: d, sites: make(map[string]*site)}
 }
 
@@ -66,7 +68,7 @@ func (c *siteCache) get(key, kind string, m, k, n int) *site {
 // then the Eq. (8) online operation on the GPU (or CPU fallback).
 // siteKey identifies the (batch-shared) triplet; streamKey identifies the
 // per-batch compression stream whose deltas track epochs (Eqs. 10–12).
-func secureMatMul(d *mpc.Deployment, cache *siteCache, siteKey, streamKey string, a, b shared) shared {
+func secureMatMul(d *mpcsim.Deployment, cache *siteCache, siteKey, streamKey string, a, b shared) shared {
 	s := cache.get(siteKey, "gemm", a.rows(), a.cols(), b.cols())
 	in0 := mpc.Shares{A: a.s0, B: b.s0, T: s.t0}
 	in1 := mpc.Shares{A: a.s1, B: b.s1, T: s.t1}
@@ -83,7 +85,7 @@ func secureMatMul(d *mpc.Deployment, cache *siteCache, siteKey, streamKey string
 		depA1 = d.Eng.After(a.t1, b.t1, s.ready)
 		depB1 = depA1
 	}
-	ef0, ef1 := mpc.ReconstructEF(streamKey, d.S0, d.S1, in0, in1, depA0, depB0, depA1, depB1)
+	ef0, ef1 := mpcsim.ReconstructEF(streamKey, d.S0, d.S1, in0, in1, depA0, depB0, depA1, depB1)
 
 	var c0, c1 *tensor.Matrix
 	var tc0, tc1 *simtime.Task
@@ -95,14 +97,14 @@ func secureMatMul(d *mpc.Deployment, cache *siteCache, siteKey, streamKey string
 		c1, tc1 = d.S1.OnlineMulCPU(ef1, in1)
 	}
 	// Refresh the output shares: keeps float-share magnitudes bounded so
-	// training does not accumulate mask energy (see mpc.Reshare).
-	c0, c1, tc0, tc1 = mpc.Reshare(streamKey+".rs", d.S0, d.S1, d.MaskPool(), c0, c1, tc0, tc1)
+	// training does not accumulate mask energy (see mpcsim.Reshare).
+	c0, c1, tc0, tc1 = mpcsim.Reshare(streamKey+".rs", d.S0, d.S1, d.MaskPool(), c0, c1, tc0, tc1)
 	return shared{s0: c0, s1: c1, t0: tc0, t1: tc1}
 }
 
 // secureHadamard multiplies two shared matrices element-wise (the CNN
 // point-to-point pattern and the SVM margin product).
-func secureHadamard(d *mpc.Deployment, cache *siteCache, siteKey, streamKey string, a, b shared) shared {
+func secureHadamard(d *mpcsim.Deployment, cache *siteCache, siteKey, streamKey string, a, b shared) shared {
 	s := cache.get(siteKey, "hadamard", a.rows(), a.cols(), b.cols())
 	in0 := mpc.Shares{A: a.s0, B: b.s0, T: s.t0}
 	in1 := mpc.Shares{A: a.s1, B: b.s1, T: s.t1}
@@ -119,7 +121,7 @@ func secureHadamard(d *mpc.Deployment, cache *siteCache, siteKey, streamKey stri
 		depA1 = d.Eng.After(a.t1, b.t1, s.ready)
 		depB1 = depA1
 	}
-	ef0, ef1 := mpc.ReconstructEF(streamKey, d.S0, d.S1, in0, in1, depA0, depB0, depA1, depB1)
+	ef0, ef1 := mpcsim.ReconstructEF(streamKey, d.S0, d.S1, in0, in1, depA0, depB0, depA1, depB1)
 
 	var c0, c1 *tensor.Matrix
 	var tc0, tc1 *simtime.Task
@@ -127,7 +129,7 @@ func secureHadamard(d *mpc.Deployment, cache *siteCache, siteKey, streamKey stri
 		c0, tc0 = d.S0.OnlineHadamardGPU(ef0, in0)
 		c1, tc1 = d.S1.OnlineHadamardGPU(ef1, in1)
 	} else {
-		run := func(sv *mpc.Server, ef mpc.EF, in mpc.Shares) (*tensor.Matrix, *simtime.Task) {
+		run := func(sv *mpcsim.Server, ef mpcsim.EF, in mpc.Shares) (*tensor.Matrix, *simtime.Task) {
 			dm := in.A.Clone()
 			if sv.Party == 1 {
 				tensor.AXPY(dm, -1, ef.E)
@@ -143,13 +145,13 @@ func secureHadamard(d *mpc.Deployment, cache *siteCache, siteKey, streamKey stri
 		c0, tc0 = run(d.S0, ef0, in0)
 		c1, tc1 = run(d.S1, ef1, in1)
 	}
-	c0, c1, tc0, tc1 = mpc.Reshare(streamKey+".rs", d.S0, d.S1, d.MaskPool(), c0, c1, tc0, tc1)
+	c0, c1, tc0, tc1 = mpcsim.Reshare(streamKey+".rs", d.S0, d.S1, d.MaskPool(), c0, c1, tc0, tc1)
 	return shared{s0: c0, s1: c1, t0: tc0, t1: tc1}
 }
 
 // secureActivate applies the activation protocol to a shared tensor,
 // returning the activated shares and the public derivative mask.
-func secureActivate(d *mpc.Deployment, key string, kind mpc.ActivationKind, y shared) (shared, *tensor.Matrix) {
-	r0, r1 := mpc.SecureActivation(key, d.S0, d.S1, d.MaskPool(), kind, y.s0, y.s1, y.t0, y.t1)
+func secureActivate(d *mpcsim.Deployment, key string, kind ml.Activation, y shared) (shared, *tensor.Matrix) {
+	r0, r1 := mpcsim.SecureActivation(key, d.S0, d.S1, d.MaskPool(), kind, y.s0, y.s1, y.t0, y.t1)
 	return shared{s0: r0.Share, s1: r1.Share, t0: r0.Done, t1: r1.Done}, r0.Deriv
 }

@@ -23,7 +23,7 @@ package parsecureml
 
 import (
 	"parsecureml/internal/ml"
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/mpcsim"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/secureml"
 	"parsecureml/internal/simtime"
@@ -49,29 +49,29 @@ func NewRand(seed uint64) *Rand { return rng.NewRand(seed) }
 
 // Config selects deployment features: GPU usage, Tensor Cores, the double
 // pipeline, compressed transmission, and CPU parallelism.
-type Config = mpc.Config
+type Config = mpcsim.Config
 
 // DefaultConfig returns the full ParSecureML feature set on the paper's
 // modeled platform (V100 + 100 Gb/s fabric).
-func DefaultConfig() Config { return mpc.DefaultConfig() }
+func DefaultConfig() Config { return mpcsim.DefaultConfig() }
 
 // SecureMLBaselineConfig returns the paper's baseline: CPU-only servers,
 // serial CPU, no pipeline, no compression.
-func SecureMLBaselineConfig() Config { return mpc.SecureMLConfig() }
+func SecureMLBaselineConfig() Config { return mpcsim.SecureMLConfig() }
 
 // Framework is one client + two-server deployment.
 type Framework struct {
-	d *mpc.Deployment
+	d *mpcsim.Deployment
 }
 
 // New builds a deployment with cfg's features.
 func New(cfg Config) *Framework {
-	return &Framework{d: mpc.NewDeployment(cfg)}
+	return &Framework{d: mpcsim.NewDeployment(cfg)}
 }
 
 // Deployment exposes the underlying deployment for advanced use
 // (per-server links, the simtime engine, the mask pool).
-func (f *Framework) Deployment() *mpc.Deployment { return f.d }
+func (f *Framework) Deployment() *mpcsim.Deployment { return f.d }
 
 // SecureMatMul computes C = A×B under two-party computation: the client
 // splits the inputs, the servers run the Beaver-triplet protocol

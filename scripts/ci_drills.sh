@@ -14,6 +14,7 @@
 #   transformer  secure attention block: wire path vs plaintext, concurrent+codec
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -134,8 +135,32 @@ flags)
   done
   exit "$fail"
   ;;
+layering)
+  # internal/mpc is the serving plane and nothing else: the three fleet
+  # binaries link neither the paper-figure simulator nor what it stands on,
+  # the real transport depends on no other package of this module, and the
+  # serving plane has exactly one Serve* entry point — the one deployed.
+  fail=0
+  sim="$(go list -deps ./cmd/psml-server ./cmd/psml-router ./cmd/psml-dealer |
+    grep -E '^parsecureml/internal/(simtime|gpu|mpcsim|secureml|bench|profile)$' || true)"
+  if [ -n "$sim" ]; then
+    echo "  the fleet binaries link simulator packages:" $sim >&2
+    fail=1
+  fi
+  internal="$(go list -f '{{join .Imports "\n"}}' ./internal/comm | grep '^parsecureml/' || true)"
+  if [ -n "$internal" ]; then
+    echo "  internal/comm imports:" $internal >&2
+    fail=1
+  fi
+  serve="$(cat $(ls internal/mpc/*.go | grep -v _test.go) | grep -c '^func Serve' || true)"
+  echo "internal/mpc: $serve Serve* entry points (want 1)"
+  if [ "$serve" -ne 1 ]; then
+    fail=1
+  fi
+  exit "$fail"
+  ;;
 *)
-  echo "usage: $0 {concurrent|engine|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|flags}" >&2
+  echo "usage: $0 {concurrent|engine|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|flags|layering}" >&2
   exit 2
   ;;
 esac
