@@ -1,12 +1,14 @@
 // Secure transformer inference over two real servers. The client owns
 // both the model and the token sequence (the paper's Fig. 1b deployment);
 // the two computation parties run as genuinely concurrent TCP services on
-// localhost. Every GEMM in the block — Q/K/V projections, each head's
-// QKᵀ score product and score·V context product, the output projection,
-// and the two feed-forward layers — is a Beaver-triplet product served
-// by the pair, and products that do not depend on each other travel
-// together as one grouped request: the block's 14 products take six
-// round trips. The traffic rides the session mux and the negotiated
+// localhost. Every GEMM in the block — the fused Q/K/V projection, each
+// head's QKᵀ score product and score·V context product, the output
+// projection, and the two feed-forward layers — is a Beaver-triplet
+// product served by the pair, and products that do not depend on each
+// other travel together as one grouped request: the block's 12 products
+// take six round trips. A client's first inference registers the four
+// weight operands with its session; later rounds ship only the masked
+// activations against them. The traffic rides the session mux and the negotiated
 // FP16/CSR wire codecs unchanged. The softmax runs client-side on the
 // recombined scores with the same polynomial approximation as the secure
 // training path: no server ever sees scores, probabilities, tokens, or

@@ -191,6 +191,109 @@ func TestRouterRelaysGroupedRequest(t *testing.T) {
 	}
 }
 
+// TestRouterFailoverReregistersOperands: a session whose replica is killed
+// between two inferences is re-routed to the survivor, whose fresh sessions
+// hold none of the operands the client registered. The survivor says so
+// (unknown_operand), the client registers again, and the inference completes
+// with the right answer — not an error the caller has to handle.
+func TestRouterFailoverReregistersOperands(t *testing.T) {
+	addrB, killB := startReplicaPair(t)
+	defer killB()
+	reg := NewRegistry(0)
+	if err := reg.Join(Replica{Name: "pair-b", Addr: addrB}); err != nil {
+		t.Fatal(err)
+	}
+	face := startRouter(t, reg)
+	c0, c1 := dialFaces(t, face)
+	defer c0.Close()
+	defer c1.Close()
+
+	blk, x := transformerFixture(45)
+	want := blk.Forward(x)
+	wt := mpc.NewWireTransformer(blk, 15)
+	infer := func(when string) {
+		t.Helper()
+		got, err := wt.Infer(c0, c1, x)
+		if err != nil {
+			t.Fatalf("inference %s: %v", when, err)
+		}
+		if !got.ApproxEqual(want, wireTransformerTol) {
+			t.Fatalf("inference %s off plaintext by %v", when, got.MaxAbsDiff(want))
+		}
+	}
+	infer("on the first replica") // the session is pinned to pair-b, its only choice
+	infer("against its operands")
+
+	addrA, killA := startReplicaPair(t)
+	defer killA()
+	if err := reg.Join(Replica{Name: "pair-a", Addr: addrA}); err != nil {
+		t.Fatal(err)
+	}
+	miss := obs.Default.Counter(`psml_operand_requests_total{result="miss"}`, "")
+	missBefore, rerBefore := miss.Value(), routerReroutes.Value()
+	killB()
+	infer("across the failover")
+	if routerReroutes.Value() == rerBefore {
+		t.Fatal("the session was not re-routed")
+	}
+	if got := miss.Value() - missBefore; got != 2 {
+		t.Fatalf("the survivor missed %d operands, want 2: one three-matrix request, refused by both parties, before the client registers everything again", got)
+	}
+	infer("on the survivor")
+	if got := miss.Value() - missBefore; got != 2 {
+		t.Fatalf("%d operand misses after the client registered again, want still 2", got)
+	}
+}
+
+// TestRouterDrainingFirstAttempt is the regression for WireTransformer
+// sending each stage with bare RequestMul: a retryable refusal — here
+// no_replicas from a router whose only replica is draining — failed the whole
+// inference at whichever stage it landed on. The stage now waits out the
+// fleet's hint and sends the same request again.
+func TestRouterDrainingFirstAttempt(t *testing.T) {
+	addr, kill := startReplicaPair(t)
+	defer kill()
+	reg := NewRegistry(0)
+	rep := Replica{Name: "pair-a", Addr: addr}
+	if err := reg.Join(rep); err != nil {
+		t.Fatal(err)
+	}
+	reg.Drain(rep.Name)
+	face := startRouter(t, reg)
+	c0, c1 := dialFaces(t, face)
+	defer c0.Close()
+	defer c1.Close()
+
+	// The replica is back in the ring the moment both faces have refused the
+	// first attempt (not sooner: a request one face refused and the other
+	// relayed leaves half a pair waiting for the peer).
+	refused := routerNoReplicas.Value()
+	back := make(chan struct{})
+	go func() {
+		defer close(back)
+		for deadline := time.Now().Add(10 * time.Second); routerNoReplicas.Value() < refused+2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if err := reg.Join(rep); err != nil {
+			t.Errorf("re-join: %v", err)
+		}
+	}()
+	retries := obs.Default.Counter("psml_client_retries_total", "")
+	before := retries.Value()
+	blk, x := transformerFixture(47)
+	got, err := mpc.NewWireTransformer(blk, 16).Infer(c0, c1, x)
+	<-back
+	if err != nil {
+		t.Fatalf("an inference whose first attempt met a draining fleet failed: %v", err)
+	}
+	if !got.ApproxEqual(blk.Forward(x), wireTransformerTol) {
+		t.Fatalf("inference off plaintext by %v", got.MaxAbsDiff(blk.Forward(x)))
+	}
+	if retries.Value() == before {
+		t.Fatal("no client retry was counted: the first attempt was not refused")
+	}
+}
+
 // TestRouterClientRetry drives mpc.RequestMulRetry against a fleet that
 // starts empty and gains a replica mid-retry: the client rides the
 // typed retryable errors (same request id each attempt) until the join

@@ -1,8 +1,10 @@
 package mpc
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/ml"
@@ -14,11 +16,15 @@ import (
 // and the data, Fig. 1b) drives one multi-head attention block — plus an
 // optional feed-forward stack — through the two-server serving stack.
 // On dependent small products latency is round trips, not FLOPs (Fig. 6),
-// so the block's 3 + 2·heads + 3 GEMMs travel as six dependent stages —
-// Q/K/V projections (3 members), per-head scores (heads), per-head
-// contexts (heads), output projection, FF1, FF2 — each one grouped request
-// (Shares.Members): one frame out, one exchange between the servers, one
-// reply. A stage's members need only earlier stages, never each other.
+// so the block's 1 + 2·heads + 3 GEMMs travel as six dependent stages —
+// the fused Q/K/V projection x×[Wq‖Wk‖Wv], per-head scores (heads),
+// per-head contexts (heads), output projection, FF1, FF2 — each one request,
+// the per-head ones grouped (Shares.Members): one frame out, one exchange
+// between the servers, one reply. A stage's members need only earlier
+// stages, never each other. The four stages whose right-hand operand is a
+// weight register it with the session the first time they run on a
+// connection pair (Shares.Operand) and from then on ship A, U and Z alone:
+// what did not change is not re-sent (Eqs. 10–12, Δ^B = 0).
 // The traffic rides the session mux and the adaptive wire codecs. The
 // softmax runs client-side on the recombined scores with ml.ApproxSoftmax —
 // the same approximation (and DESIGN.md error contract) as the secure
@@ -40,7 +46,25 @@ type WireTransformer struct {
 
 	pool        *rng.Pool
 	muls, trips int
+
+	// What the sessions behind the connection pair last handed to Infer hold
+	// of this block's weights; another pair starts from nothing.
+	s0, s1 comm.Framer
+	ops    map[*tensor.Matrix]wireOperand // by weight
+	plain  bool                           // that pair refused a store: five matrices from here on
+	wqkv   *tensor.Matrix                 // [Wq‖Wk‖Wv], built on first use
 }
+
+// wireOperand is a weight as registered with a session pair: its handle and
+// the plaintext mask V behind it, which every later request's Z = U×V needs.
+type wireOperand struct {
+	handle uint32
+	v      *tensor.Matrix
+}
+
+// operandCounter hands out handles no two WireTransformers of this process
+// share: clients taking turns on a connection pair never collide (write-once).
+var operandCounter atomic.Uint32
 
 // NewWireAttention wraps a plaintext attention block for wire-path
 // inference. seed drives every share split and triplet, so two runs with
@@ -71,18 +95,10 @@ func (t *WireTransformer) Muls() int { return t.muls }
 func (t *WireTransformer) RoundTrips() int { return t.trips }
 
 // stage runs the independent same-shape products as[j]×bs[j] as one
-// grouped request and returns each product's rows of the reply. Inputs and
-// triplets are drawn as stacks — two input splits plus one stacked
-// triplet, seven pool fills whatever the member count — and serially, so
-// identically seeded runs issue bit-identical requests.
+// grouped request and returns each product's rows of the reply.
 func (t *WireTransformer) stage(s0, s1 comm.Framer, as, bs []*tensor.Matrix) ([]*tensor.Matrix, error) {
 	c, m := len(as), as[0].Rows
-	a0, a1 := SplitRand(t.pool, stackRows(as))
-	b0, b1 := SplitRand(t.pool, stackRows(bs))
-	tr0, tr1 := genGemmTriplets(t.pool, c, m, as[0].Cols, bs[0].Cols)
-	t.muls += c
-	t.trips++
-	prod, err := RequestMul(s0, s1, Shares{A: a0, B: b0, T: tr0, Members: c}, Shares{A: a1, B: b1, T: tr1, Members: c})
+	prod, err := t.request(s0, s1, stackRows(as), stackRows(bs), c, false)
 	if err != nil {
 		return nil, err
 	}
@@ -93,13 +109,62 @@ func (t *WireTransformer) stage(s0, s1 comm.Framer, as, bs []*tensor.Matrix) ([]
 	return out, nil
 }
 
-// proj is a stage of one, x×w, plus the bias row.
+// proj is the lone product x×w against the weight w, which the session pair
+// keeps after the first time, plus the bias row.
 func (t *WireTransformer) proj(s0, s1 comm.Framer, x, w, b *tensor.Matrix) (*tensor.Matrix, error) {
-	out, err := t.stage(s0, s1, []*tensor.Matrix{x}, []*tensor.Matrix{w})
+	out, err := t.request(s0, s1, x, w, 1, true)
 	if err != nil {
 		return nil, err
 	}
-	return addBias(out[0], b), nil
+	return addBias(out, b), nil
+}
+
+// request runs one stage: the c row-stacked products a×b in one request
+// frame per party, riding out retryable refusals as RequestMulRetry does.
+// Shares and triplets are drawn as stacks and serially — two input splits
+// and five triplet fills, or one split and three fills against a registered
+// weight — so identically seeded runs issue bit-identical requests.
+//
+// A weight goes out in the five-matrix form under a fresh handle the first
+// time a connection pair sees it and in the three-matrix form after that.
+// Two refusals are answered by drawing the request again, each at most once:
+// RouteUnknownOperand (a leg's session is younger than the registration)
+// forgets what the pair held and registers again; a refused store (no
+// operand support settled, a full table) leaves the pair on five matrices.
+func (t *WireTransformer) request(s0, s1 comm.Framer, a, b *tensor.Matrix, c int, weight bool) (*tensor.Matrix, error) {
+	t.muls += c
+	t.trips++
+	m, k, n := a.Rows/c, a.Cols, b.Cols
+	for {
+		in0, in1 := Shares{Members: c}, Shares{Members: c}
+		var reg wireOperand // what this request registers, once it is answered
+		in0.A, in1.A = SplitRand(t.pool, a)
+		if op, kept := t.ops[b]; kept {
+			in0.T, in1.T, _ = genGemmTriplets(t.pool, c, m, k, n, op.v)
+			in0.Operand, in1.Operand = op.handle, op.handle
+		} else {
+			in0.B, in1.B = SplitRand(t.pool, b)
+			in0.T, in1.T, reg.v = genGemmTriplets(t.pool, c, m, k, n, nil)
+			if weight && !t.plain {
+				reg.handle = operandCounter.Add(1) // 0, once per wrap, registers nothing
+				in0.Operand, in1.Operand = reg.handle, reg.handle
+			}
+		}
+		prod, err := RequestMulRetry(s0, s1, in0, in1, RetryConfig{})
+		switch {
+		case err == nil:
+			if reg.handle != 0 {
+				t.ops[b] = reg
+			}
+			return prod, nil
+		case in0.B == nil && errors.Is(err, &RouteError{Code: RouteUnknownOperand}):
+			clear(t.ops)
+		case reg.handle != 0 && errors.Is(err, &RouteError{Code: RouteBadRequest}):
+			t.plain = true
+		default:
+			return nil, err
+		}
+	}
 }
 
 func addBias(m, b *tensor.Matrix) *tensor.Matrix {
@@ -135,7 +200,8 @@ func wireSliceCols(m *tensor.Matrix, lo, hi int) *tensor.Matrix {
 }
 
 // Infer runs the block over a T×d token sequence through the server
-// pair behind s0/s1 and returns the recombined output.
+// pair behind s0/s1 and returns the recombined output. What an earlier Infer
+// registered is used again only when handed the same two Framers (by identity).
 func (t *WireTransformer) Infer(s0, s1 comm.Framer, x *tensor.Matrix) (*tensor.Matrix, error) {
 	d := t.Wq.Rows
 	if x.Cols != d {
@@ -145,11 +211,20 @@ func (t *WireTransformer) Infer(s0, s1 comm.Framer, x *tensor.Matrix) (*tensor.M
 		return nil, fmt.Errorf("mpc: wire transformer width %d for %d heads", d, t.Heads)
 	}
 	t.muls, t.trips = 0, 0
-	qkv, err := t.stage(s0, s1, []*tensor.Matrix{x, x, x}, []*tensor.Matrix{t.Wq, t.Wk, t.Wv})
-	if err != nil {
-		return nil, fmt.Errorf("mpc: Q/K/V projections: %w", err)
+	if t.ops == nil || t.s0 != s0 || t.s1 != s1 {
+		t.s0, t.s1, t.ops, t.plain = s0, s1, map[*tensor.Matrix]wireOperand{}, false
 	}
-	q, k, v := addBias(qkv[0], t.Bq), addBias(qkv[1], t.Bk), addBias(qkv[2], t.Bv)
+	if t.wqkv == nil {
+		t.wqkv = tensor.ConcatCols(tensor.ConcatCols(t.Wq, t.Wk), t.Wv)
+	}
+	// x crosses each wire once: one product, cut into Q, K, V by column.
+	qkv, err := t.request(s0, s1, x, t.wqkv, 1, true)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: Q/K/V projection: %w", err)
+	}
+	q := addBias(wireSliceCols(qkv, 0, d), t.Bq)
+	k := addBias(wireSliceCols(qkv, d, 2*d), t.Bk)
+	v := addBias(wireSliceCols(qkv, 2*d, 3*d), t.Bv)
 	dh := d / t.Heads
 	qs, kts, vs := make([]*tensor.Matrix, t.Heads), make([]*tensor.Matrix, t.Heads), make([]*tensor.Matrix, t.Heads)
 	for h := range qs {

@@ -13,7 +13,7 @@ import (
 
 // wireTransformerTol is the raw-path secure-vs-plaintext tolerance
 // documented in DESIGN.md ("Softmax approximation contract"): FP32
-// share-range noise through the block's 14 GEMMs at the drill geometry.
+// share-range noise through the block's 12 GEMMs at the drill geometry.
 const wireTransformerTol = 0.02
 
 // wireTransformerFP16Tol is the documented tolerance with the lossy
@@ -56,10 +56,10 @@ func TestWireTransformerMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 3 projections + per-head (scores, context) + output + 2 FF, in
-		// six dependent stages.
-		if wt.Muls() != 14 || wt.RoundTrips() != 6 {
-			t.Fatalf("%d products in %d round trips, want 14 in 6", wt.Muls(), wt.RoundTrips())
+		// The fused Q/K/V projection + per-head (scores, context) + output
+		// + 2 FF, in six dependent stages.
+		if wt.Muls() != 12 || wt.RoundTrips() != 6 {
+			t.Fatalf("%d products in %d round trips, want 12 in 6", wt.Muls(), wt.RoundTrips())
 		}
 		return got
 	}
@@ -108,9 +108,10 @@ func TestWireAttentionOnlyMatchesPlain(t *testing.T) {
 	if !got.ApproxEqual(want, wireTransformerTol) {
 		t.Fatalf("wire attention off plaintext by %v", got.MaxAbsDiff(want))
 	}
-	// 3 projections + 2 heads × (scores, context) + output, no FF stages.
-	if wa.Muls() != 8 || wa.RoundTrips() != 4 {
-		t.Fatalf("%d products in %d round trips, want 8 in 4", wa.Muls(), wa.RoundTrips())
+	// The fused projection + 2 heads × (scores, context) + output, no FF
+	// stages.
+	if wa.Muls() != 6 || wa.RoundTrips() != 4 {
+		t.Fatalf("%d products in %d round trips, want 6 in 4", wa.Muls(), wa.RoundTrips())
 	}
 	if again, err := NewWireAttention(att, 5).Infer(c0, c1, x); err != nil || !again.Equal(got) {
 		t.Fatalf("same seed not bit-stable across runs: %v", err)

@@ -17,19 +17,22 @@ import (
 // which no magic's leading byte collides with, so old clients and new
 // servers interoperate in both directions.
 //
-//	request: [id u64] ["PSDL" budget-micros u32] ["PSGR" members u32] [shares...]
+//	request: [id u64] ["PSDL" budget-micros u32] ["PSGR" members u32] ["PSOP" handle u32] [shares...]
 //	error:   [id u64] "PSER" [code u32] [retry-after-micros u32]
 //
-// Both request envelopes are optional and ride in that order. The budget
-// is RELATIVE (time remaining), not an absolute deadline: hops subtract
-// their own elapsed time before forwarding, so the scheme needs no clock
-// synchronization between client, router, and replicas. The group envelope
-// makes the matrices behind it row-stacks of that many products
-// (Shares.Members).
+// All three request envelopes are optional and ride in that order. The
+// budget is RELATIVE (time remaining), not an absolute deadline: hops
+// subtract their own elapsed time before forwarding, so the scheme needs no
+// clock synchronization between client, router, and replicas. The group
+// envelope makes the matrices behind it row-stacks of that many products
+// (Shares.Members). The operand envelope names a registered operand of the
+// client session (Shares.Operand): ahead of five matrices it stores B under
+// the handle, ahead of three (A, U, Z) it stands in for B, V and F.
 
 const (
 	deadlineMagic  = 0x5053444C // "PSDL"
 	groupMagic     = 0x50534752 // "PSGR"
+	operandMagic   = 0x50534F50 // "PSOP"
 	routeErrMagic  = 0x50534552 // "PSER"
 	envelopeBytes  = 8          // magic + one u32, any envelope kind
 	routeErrFrameB = requestIDBytes + envelopeBytes + 4
@@ -65,6 +68,11 @@ const (
 	// payload or envelope, or geometry the multiplication cannot run. The
 	// client's error, and the same bytes fail anywhere: not retryable.
 	RouteBadRequest RouteErrorCode = 6
+	// RouteUnknownOperand: a three-matrix request names an operand handle
+	// this party's session does not hold — the connection is younger than
+	// the registration (a router re-dial or re-route, a restarted pair). The
+	// same bytes fail anywhere: not retryable; the client registers again.
+	RouteUnknownOperand RouteErrorCode = 7
 )
 
 func (c RouteErrorCode) String() string {
@@ -81,6 +89,8 @@ func (c RouteErrorCode) String() string {
 		return "duplicate_id"
 	case RouteBadRequest:
 		return "bad_request"
+	case RouteUnknownOperand:
+		return "unknown_operand"
 	}
 	return fmt.Sprintf("code_%d", uint32(c))
 }
@@ -98,6 +108,13 @@ func (e *RouteError) Error() string {
 		return fmt.Sprintf("mpc: route error %s (retry after %v)", e.Code, e.RetryAfter)
 	}
 	return fmt.Sprintf("mpc: route error %s", e.Code)
+}
+
+// Is matches any RouteError of the same code, so errors.Is finds a refusal
+// by kind on whichever leg of a request it came back.
+func (e *RouteError) Is(target error) bool {
+	t, ok := target.(*RouteError)
+	return ok && t.Code == e.Code
 }
 
 // Retryable reports whether the same request may succeed if re-sent —
@@ -126,7 +143,8 @@ func budgetMicros(d time.Duration) uint32 {
 }
 
 // EncodeRequest serializes one multiplication request: the request id,
-// a group envelope when in is a group, and the shares payload.
+// a group envelope when in is a group, an operand envelope when in names
+// one, and the shares payload.
 func EncodeRequest(id uint64, in Shares) []byte { return encodeRequest(id, false, 0, in) }
 
 // EncodeRequestBudget is EncodeRequest with a deadline envelope: the
@@ -137,7 +155,7 @@ func EncodeRequestBudget(id uint64, budget time.Duration, in Shares) []byte {
 }
 
 func encodeRequest(id uint64, deadline bool, budget time.Duration, in Shares) []byte {
-	frame := make([]byte, 0, requestIDBytes+2*envelopeBytes+sharesSize(in))
+	frame := make([]byte, 0, requestIDBytes+3*envelopeBytes+sharesSize(in))
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	if deadline {
 		frame = binary.LittleEndian.AppendUint32(frame, deadlineMagic)
@@ -146,6 +164,10 @@ func encodeRequest(id uint64, deadline bool, budget time.Duration, in Shares) []
 	if in.Members > 1 {
 		frame = binary.LittleEndian.AppendUint32(frame, groupMagic)
 		frame = binary.LittleEndian.AppendUint32(frame, uint32(in.Members))
+	}
+	if in.Operand != 0 {
+		frame = binary.LittleEndian.AppendUint32(frame, operandMagic)
+		frame = binary.LittleEndian.AppendUint32(frame, in.Operand)
 	}
 	return appendShares(frame, in)
 }
@@ -177,21 +199,25 @@ func hasEnvelope(p []byte, magic uint32) bool {
 }
 
 // requestBody returns what follows a request frame's id and envelopes: the
-// shares payload, and the member count a group envelope declares for it
-// (1 without one; not yet range-checked). Frames too short to carry an id
-// yield an empty payload rather than a panic.
-func requestBody(frame []byte) (payload []byte, members int) {
+// shares payload, the member count a group envelope declares for it (1
+// without one; not yet range-checked) and the handle of an operand envelope
+// (0 without one). Frames too short to carry an id yield an empty payload
+// rather than a panic.
+func requestBody(frame []byte) (payload []byte, members int, operand uint32) {
 	if len(frame) < requestIDBytes {
-		return nil, 1
+		return nil, 1, 0
 	}
-	p := frame[requestIDBytes:]
+	p, members := frame[requestIDBytes:], 1
 	if hasEnvelope(p, deadlineMagic) {
 		p = p[envelopeBytes:]
 	}
 	if hasEnvelope(p, groupMagic) {
-		return p[envelopeBytes:], int(binary.LittleEndian.Uint32(p[4:]))
+		p, members = p[envelopeBytes:], int(binary.LittleEndian.Uint32(p[4:]))
 	}
-	return p, 1
+	if hasEnvelope(p, operandMagic) {
+		p, operand = p[envelopeBytes:], binary.LittleEndian.Uint32(p[4:])
+	}
+	return p, members, operand
 }
 
 // PeekRequestShape reads a request's geometry off its frame from the
@@ -201,15 +227,27 @@ func requestBody(frame []byte) (payload []byte, members int) {
 // is too short or not a dense/FP16 request. A group of c moves
 // c·(m·k + k·n) elements each way, so its exchange floor is
 // DeadlineEstimate(c·m, k, c·n).
+//
+// ok is also false on the three-matrix form (A, U, Z behind an operand
+// envelope): B's width lives in the serving session's table, which no relay
+// can see, so a router floors such a frame at 0 — sheds it only once the
+// budget has run out — and the pair prices what it moves, its E stack.
 func PeekRequestShape(frame []byte) (m, k, n, members int, ok bool) {
-	p, members := requestBody(frame)
+	p, members, operand := requestBody(frame)
 	rows, k, size, ok := peekMatrixHeader(p)
 	if !ok || members < 1 || members > MaxGroupMembers || rows%members != 0 || size > len(p) {
 		return 0, 0, 0, 0, false
 	}
-	brows, n, _, ok := peekMatrixHeader(p[size:])
-	if !ok || brows != members*k {
+	brows, n, bsize, ok := peekMatrixHeader(p[size:])
+	if !ok || brows != members*k || size+bsize > len(p) {
 		return 0, 0, 0, 0, false
+	}
+	if operand != 0 {
+		// With m = k a U stack passes for a B stack; the three-matrix form is
+		// the one whose third matrix ends the payload.
+		if _, _, zsize, ok := peekMatrixHeader(p[size+bsize:]); !ok || size+bsize+zsize >= len(p) {
+			return 0, 0, 0, 0, false
+		}
 	}
 	return rows / members, k, n, members, true
 }

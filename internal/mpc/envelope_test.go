@@ -89,7 +89,7 @@ func envelopeGroup(seed uint64) Shares {
 	p := rng.NewPool(seed)
 	a0, _ := SplitRand(p, p.NewUniform(15, 6, -1, 1))
 	b0, _ := SplitRand(p, p.NewUniform(18, 4, -1, 1))
-	t0, _ := genGemmTriplets(p, 3, 5, 6, 4)
+	t0, _, _ := genGemmTriplets(p, 3, 5, 6, 4, nil)
 	return Shares{A: a0, B: b0, T: t0, Members: 3}
 }
 
@@ -124,15 +124,47 @@ func TestPeekRequestShape(t *testing.T) {
 	if id, dec, err := DecodeRequest(frame); err != nil || id != 5 || dec.Members != 3 || !dec.T.Z.Equal(grp.T.Z) {
 		t.Fatalf("grouped enveloped frame decoded to id %d, %d members: %v", id, dec.Members, err)
 	}
+	// The operand envelope composes with the other two. Registering frames
+	// read like any other; a three-matrix frame names B by handle only, so
+	// there is no shape to read — also when m = k makes its U stack pass for
+	// a B stack.
+	inOp, grpOp := in, grp
+	inOp.Operand, grpOp.Operand = 9, 9
+	for _, tc := range []struct {
+		frame   []byte
+		members int
+	}{
+		{EncodeRequest(5, inOp), 1},
+		{EncodeRequestBudget(5, time.Millisecond, grpOp), 3},
+	} {
+		m, k, n, c, ok := PeekRequestShape(tc.frame)
+		if !ok || m != 5 || k != 6 || n != 4 || c != tc.members {
+			t.Fatalf("PeekRequestShape on a registering frame = (%d,%d,%d)×%d ok=%v, want (5,6,4)×%d", m, k, n, c, ok, tc.members)
+		}
+		if id, dec, err := DecodeRequest(tc.frame); err != nil || id != 5 || dec.Operand != 9 || dec.Members != tc.members || dec.T.V == nil {
+			t.Fatalf("registering frame decoded to id %d, operand %d, %d members: %v", id, dec.Operand, dec.Members, err)
+		}
+	}
+	square := Shares{A: tensor.New(6, 6), T: TripletShares{U: tensor.New(6, 6), Z: tensor.New(6, 4)}, Operand: 9}
+	threeForms := [][]byte{
+		EncodeRequest(5, threeForm(in, 9)),
+		EncodeRequestBudget(5, time.Millisecond, threeForm(grp, 9)),
+		EncodeRequest(5, square),
+	}
+	for i, frame := range threeForms {
+		if id, dec, err := DecodeRequest(frame); err != nil || id != 5 || dec.Operand != 9 || dec.B != nil || dec.T.V != nil || dec.T.U == nil {
+			t.Fatalf("three-matrix frame %d decoded to id %d, operand %d: %v", i, id, dec.Operand, err)
+		}
+	}
 	badCount := EncodeRequest(5, grp)
 	badCount[requestIDBytes+4] = 4 // 15 rows do not divide into 4 members
-	for _, bad := range [][]byte{
+	for _, bad := range append(threeForms,
 		nil,
-		{1, 2, 3},
+		[]byte{1, 2, 3},
 		EncodeRequest(5, in)[:12],
 		EncodeRouteError(5, RouteNoReplicas, 0),
 		badCount,
-	} {
+	) {
 		if _, _, _, _, ok := PeekRequestShape(bad); ok {
 			t.Fatalf("PeekRequestShape accepted a non-request frame of %d bytes", len(bad))
 		}
@@ -154,6 +186,7 @@ func TestRouteErrorRoundTrip(t *testing.T) {
 		{RouteRetriesExhausted, true},
 		{RouteDeadlineExceeded, false},
 		{RouteDraining, true},
+		{RouteUnknownOperand, false},
 	} {
 		frame := EncodeRouteError(77, tc.code, 50*time.Millisecond)
 		id, re, ok := DecodeRouteError(frame)

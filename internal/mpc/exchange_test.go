@@ -15,9 +15,10 @@ import (
 )
 
 // The engine's contract, stated once: however many members one exchange
-// stacks, and whatever band height EACH party picks for its own stream,
-// every member's share is bit-identical to the straight-line reference run
-// on that member alone.
+// stacks, whatever band height EACH party picks for its own stream, and
+// whether the F stack moves or is a registered operand's, every member's
+// share is bit-identical to the straight-line reference run on that member
+// alone.
 
 // batchJob is one client's inputs plus its serial-path ground truth.
 type batchJob struct {
@@ -43,8 +44,9 @@ func makeBatchJobs(t *testing.T, p *rng.Pool, clients, m, k, n int) []batchJob {
 }
 
 // runExchangePair runs both parties' engines over a pipe, party i
-// streaming in bands of bands[i], and returns the two result stacks.
-func runExchangePair(t *testing.T, mem0, mem1 []Shares, bands [2]int) (*tensor.Matrix, *tensor.Matrix) {
+// streaming in bands of bands[i] against operand ops[i] (nil: none), and
+// returns the two result stacks.
+func runExchangePair(t *testing.T, mem0, mem1 []Shares, bands [2]int, ops [2]*operand) (*tensor.Matrix, *tensor.Matrix) {
 	t.Helper()
 	c0, c1 := comm.Pipe()
 	defer c0.Close()
@@ -56,10 +58,10 @@ func runExchangePair(t *testing.T, mem0, mem1 []Shares, bands [2]int) (*tensor.M
 	e1 := make(chan error, 1)
 	go func() {
 		var err error
-		r1, err = w1.exchange(c1, mem1, bands[1])
+		r1, err = w1.exchange(c1, mem1, bands[1], ops[1])
 		e1 <- err
 	}()
-	r0, err := w0.exchange(c0, mem0, bands[0])
+	r0, err := w0.exchange(c0, mem0, bands[0], ops[0])
 	if err1 := <-e1; err != nil || err1 != nil {
 		t.Fatalf("engine parties failed: %v / %v", err, err1)
 	}
@@ -81,15 +83,37 @@ func TestExchangeMatchesRef(t *testing.T) {
 			}
 			// 0 = whole stack; 1; a non-divisor of m and of B·m; past the end.
 			heights := []int{0, 1, m/2 + 2, B*m + 5}
+			// The same members with their V gone: what a request against a
+			// registered operand hands the engine.
+			noV := func(mem []Shares) []Shares {
+				out := append([]Shares(nil), mem...)
+				for j := range out {
+					out[j].T.V = nil
+				}
+				return out
+			}
 			for _, b0 := range heights {
 				for _, b1 := range heights {
-					got0, got1 := runExchangePair(t, mem0, mem1, [2]int{b0, b1})
-					for j := 0; j < B; j++ {
-						if !got0.SliceRows(j*m, (j+1)*m).Equal(want0[j]) || !got1.SliceRows(j*m, (j+1)*m).Equal(want1[j]) {
-							t.Fatalf("%dx%dx%d B=%d bands=(%d,%d): member %d differs from the reference",
-								m, k, n, B, b0, b1, j)
+					check := func(how string, mem0, mem1 []Shares, ops [2]*operand) {
+						t.Helper()
+						got0, got1 := runExchangePair(t, mem0, mem1, [2]int{b0, b1}, ops)
+						for j := 0; j < B; j++ {
+							if !got0.SliceRows(j*m, (j+1)*m).Equal(want0[j]) || !got1.SliceRows(j*m, (j+1)*m).Equal(want1[j]) {
+								t.Fatalf("%dx%dx%d B=%d bands=(%d,%d) %s: member %d differs from the reference",
+									m, k, n, B, b0, b1, how, j)
+							}
 						}
 					}
+					check("F exchanged", mem0, mem1, [2]*operand{})
+					// Registering keeps the F stack both parties reconstructed, and
+					// the exchange against it — no F on the wire, no V in the
+					// members — lands on the same bits.
+					ops := [2]*operand{{}, {}}
+					check("F kept", mem0, mem1, ops)
+					if ops[0].f == nil || !ops[0].f.Equal(ops[1].f) || ops[0].f.Rows != B*k || ops[0].f.Cols != n {
+						t.Fatalf("%dx%dx%d B=%d: the parties kept different F stacks", m, k, n, B)
+					}
+					check("F held", noV(mem0), noV(mem1), ops)
 				}
 			}
 		}
@@ -142,11 +166,13 @@ func wireHeader(tag byte, rows, cols uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, cols)
 }
 
-// hostileStream is one malformed peer stream: the frames the peer sends and
-// whether the failure must be the typed band error (the rest fail in the
-// tensor decoder).
+// hostileStream is one malformed peer stream: the frames the peer sends,
+// whether the victim runs against a registered operand (it holds F and
+// expects none), and whether the failure must be the typed band error (the
+// rest fail in the tensor decoder).
 type hostileStream struct {
 	name   string
+	heldF  bool
 	typed  bool
 	frames [][]byte
 }
@@ -163,24 +189,32 @@ func hostileExchangeFrames() []hostileStream {
 	}
 	csr := binary.LittleEndian.AppendUint32(wireHeader('S', hostM, hostK), hostM*hostK+1)
 	return []hostileStream{
-		{"band rows=0", true, [][]byte{cat(f, wireHeader('D', 0, hostK))}},
-		{"band rows>owed", true, [][]byte{cat(f, band(hostM+1))}},
-		{"second band overruns", true, [][]byte{cat(f, band(hostM-1)), band(2)}},
-		{"band cols!=k", true, [][]byte{cat(f, tensor.EncodeMatrix(nil, tensor.New(hostM, hostK+1)))}},
-		{"band rows=2^31", true, [][]byte{cat(f, wireHeader('D', 1<<31, hostK))}},
-		{"band rows=2^31 fp16", true, [][]byte{cat(f, wireHeader('H', 1<<31, hostK))}},
-		{"F missing", false, [][]byte{band(hostM)}},
-		{"empty first frame", false, [][]byte{{}}},
-		{"trailing bytes", true, [][]byte{cat(f, band(hostM), []byte{0xFF})}},
-		{"CSR nnz>rows*k", false, [][]byte{cat(f, csr)}},
-		{"unknown tag", false, [][]byte{cat(f, wireHeader('X', hostM, hostK))}},
+		{"band rows=0", false, true, [][]byte{cat(f, wireHeader('D', 0, hostK))}},
+		{"band rows>owed", false, true, [][]byte{cat(f, band(hostM+1))}},
+		{"second band overruns", false, true, [][]byte{cat(f, band(hostM-1)), band(2)}},
+		{"band cols!=k", false, true, [][]byte{cat(f, tensor.EncodeMatrix(nil, tensor.New(hostM, hostK+1)))}},
+		{"band rows=2^31", false, true, [][]byte{cat(f, wireHeader('D', 1<<31, hostK))}},
+		{"band rows=2^31 fp16", false, true, [][]byte{cat(f, wireHeader('H', 1<<31, hostK))}},
+		{"F missing", false, false, [][]byte{band(hostM)}},
+		{"empty first frame", false, false, [][]byte{{}}},
+		{"trailing bytes", false, true, [][]byte{cat(f, band(hostM), []byte{0xFF})}},
+		{"CSR nnz>rows*k", false, false, [][]byte{cat(f, csr)}},
+		{"unknown tag", false, false, [][]byte{cat(f, wireHeader('X', hostM, hostK))}},
+		// Against a registered operand the peer owes E bands and nothing else.
+		{"F head on a no-F exchange", true, true, [][]byte{cat(f, band(hostM))}},
+		{"held F, band rows=2^31 fp16", true, true, [][]byte{wireHeader('H', 1<<31, hostK)}},
+		{"held F, second band overruns", true, true, [][]byte{band(hostM - 1), band(2)}},
+		{"held F, trailing bytes", true, true, [][]byte{cat(band(hostM), []byte{0xFF})}},
+		{"held F, CSR nnz>rows*k", true, false, [][]byte{csr}},
+		{"held F, unknown tag", true, false, [][]byte{wireHeader('X', hostM, hostK)}},
+		{"held F, empty first frame", true, false, [][]byte{{}}},
 	}
 }
 
-// exchangeAgainst runs party 0 of one hostM×hostK×hostN exchange against a
-// peer that discards everything it is sent and replies with frames, then
-// hangs up.
-func exchangeAgainst(frames [][]byte) error {
+// exchangeAgainst runs party 0 of one hostM×hostK×hostN exchange — against a
+// registered operand with heldF — against a peer that discards everything it
+// is sent and replies with frames, then hangs up.
+func exchangeAgainst(frames [][]byte, heldF bool) error {
 	c, peer := comm.Pipe()
 	defer c.Close()
 	go func() {
@@ -200,9 +234,14 @@ func exchangeAgainst(frames [][]byte) error {
 	}()
 	in := Shares{A: tensor.New(hostM, hostK), B: tensor.New(hostK, hostN),
 		T: TripletShares{U: tensor.New(hostM, hostK), V: tensor.New(hostK, hostN), Z: tensor.New(hostM, hostN)}}
+	var op *operand
+	if heldF {
+		op = &operand{b: in.B, f: tensor.New(hostK, hostN), members: 1}
+		in.T.V = nil
+	}
 	w := newWireMul(0, WireConfig{})
 	defer w.close()
-	_, err := w.run(c, in)
+	_, err := w.run(c, in, op)
 	return err
 }
 
@@ -214,7 +253,7 @@ func TestExchangeRejectsHostileFrames(t *testing.T) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for _, tc := range hostileExchangeFrames() {
-		err := exchangeAgainst(tc.frames)
+		err := exchangeAgainst(tc.frames, tc.heldF)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -240,13 +279,15 @@ func TestExchangeRejectsHostileFrames(t *testing.T) {
 }
 
 // FuzzExchangeFrame feeds arbitrary bytes to the engine's reader as the
-// peer's first frame: it may fail, it may not panic or hang.
+// peer's first frame (with and without a held F): it may fail, it may not
+// panic or hang.
 func FuzzExchangeFrame(f *testing.F) {
 	for _, tc := range hostileExchangeFrames() {
-		f.Add(tc.frames[0])
+		f.Add(tc.frames[0], tc.heldF)
 	}
-	f.Add(append(tensor.EncodeMatrix(nil, tensor.New(hostK, hostN)), tensor.EncodeMatrix(nil, tensor.New(hostM, hostK))...))
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		exchangeAgainst([][]byte{frame})
+	f.Add(append(tensor.EncodeMatrix(nil, tensor.New(hostK, hostN)), tensor.EncodeMatrix(nil, tensor.New(hostM, hostK))...), false)
+	f.Add(tensor.EncodeMatrix(nil, tensor.New(hostM, hostK)), true)
+	f.Fuzz(func(t *testing.T, frame []byte, heldF bool) {
+		exchangeAgainst([][]byte{frame}, heldF)
 	})
 }

@@ -257,14 +257,14 @@ func TestChunkRowsFloor(t *testing.T) {
 		defer w1.close()
 		e1 := make(chan error, 1)
 		go func() {
-			_, err := w1.run(p1, in1)
+			_, err := w1.run(p1, in1, nil)
 			e1 <- err
 		}()
 		var err error
 		if engineBand > 0 {
-			_, err = w0.exchange(counted, []Shares{in0}, engineBand)
+			_, err = w0.exchange(counted, []Shares{in0}, engineBand, nil)
 		} else {
-			_, err = w0.run(counted, in0)
+			_, err = w0.run(counted, in0, nil)
 		}
 		if err1 := <-e1; err != nil || err1 != nil {
 			t.Fatalf("exchange failed: %v / %v", err, err1)

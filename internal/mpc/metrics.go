@@ -66,6 +66,10 @@ var metrics = struct {
 	// parties turned out not to share.
 	feedAgree         [2]*obs.Counter
 	feedLeaseMismatch *obs.Counter
+
+	// Registered operands (operand.go): operands stored, and three-matrix
+	// requests that hit or missed, [operandStored|operandHit|operandMiss].
+	operandRequests [3]*obs.Counter
 }{
 	phaseTriplet:     obs.Default.Histogram(`psml_phase_seconds{phase="triplet_gen"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
 	phaseExchange:    obs.Default.Histogram(`psml_phase_seconds{phase="exchange"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
@@ -111,11 +115,23 @@ var metrics = struct {
 		obs.Default.Counter(`psml_feed_agree_total{how="announce"}`, "Dealer-fed requests by how the pair agreed on the triplet: a request ahead (lease) or announced inside the request."),
 	},
 	feedLeaseMismatch: obs.Default.Counter("psml_feed_lease_mismatch_total", "Dealer-fed requests failed because the two parties held different triplet agreements."),
+
+	operandRequests: [3]*obs.Counter{
+		obs.Default.Counter(`psml_operand_requests_total{result="stored"}`, "Registered-operand requests: operands a session stored, and three-matrix requests that hit or missed the session's table."),
+		obs.Default.Counter(`psml_operand_requests_total{result="hit"}`, "Registered-operand requests: operands a session stored, and three-matrix requests that hit or missed the session's table."),
+		obs.Default.Counter(`psml_operand_requests_total{result="miss"}`, "Registered-operand requests: operands a session stored, and three-matrix requests that hit or missed the session's table."),
+	},
 }
 
 const (
 	agreeAhead = iota
 	agreeAnnounce
+)
+
+const (
+	operandStored = iota
+	operandHit
+	operandMiss
 )
 
 func init() {

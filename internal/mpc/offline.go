@@ -31,7 +31,8 @@ func SplitRand(rp *rng.Pool, secret *tensor.Matrix) (s0, s1 *tensor.Matrix) {
 // Each call consumes exactly gemmTripletFills rng.Pool fills — the
 // invariant SkipGemmTriplets relies on to fast-forward a stream in O(1).
 func GenGemmTripletShares(rp *rng.Pool, m, k, n int) (p0, p1 TripletShares) {
-	return genGemmTriplets(rp, 1, m, k, n)
+	p0, p1, _ = genGemmTriplets(rp, 1, m, k, n, nil)
+	return p0, p1
 }
 
 // genGemmTriplets is GenGemmTripletShares for c same-shape products at
@@ -41,18 +42,27 @@ func GenGemmTripletShares(rp *rng.Pool, m, k, n int) (p0, p1 TripletShares) {
 // fill seeds an MT19937 block stream, a fixed cost that dwarfs drawing a
 // few hundred elements, so c small triplets drawn as stacks cost about
 // what one does.
-func genGemmTriplets(rp *rng.Pool, c, m, k, n int) (p0, p1 TripletShares) {
+//
+// v, when non-nil, is the fixed V stack of a registered operand
+// (Shares.Operand): only a fresh U is drawn, Z = U×v, and the V shares stay
+// nil — three fills. The plaintext V stack is returned either way.
+func genGemmTriplets(rp *rng.Pool, c, m, k, n int, v *tensor.Matrix) (p0, p1 TripletShares, vOut *tensor.Matrix) {
 	defer metrics.phaseTriplet.Start().Stop()
 	u := rp.NewUniform(c*m, k, -1, 1) // fill 1
-	v := rp.NewUniform(c*k, n, -1, 1) // fill 2
-	z := tensor.New(c*m, n)           // pure compute, no fill
+	drawV := v == nil
+	if drawV {
+		v = rp.NewUniform(c*k, n, -1, 1) // fill 2
+	}
+	z := tensor.New(c*m, n) // pure compute, no fill
 	for j := 0; j < c; j++ {
 		tensor.Mul(z.SliceRows(j*m, (j+1)*m), u.SliceRows(j*m, (j+1)*m), v.SliceRows(j*k, (j+1)*k))
 	}
-	u0, u1 := SplitRand(rp, u) // fill 3
-	v0, v1 := SplitRand(rp, v) // fill 4
-	z0, z1 := SplitRand(rp, z) // fill 5
-	return TripletShares{U: u0, V: v0, Z: z0}, TripletShares{U: u1, V: v1, Z: z1}
+	p0.U, p1.U = SplitRand(rp, u) // fill 3
+	if drawV {
+		p0.V, p1.V = SplitRand(rp, v) // fill 4
+	}
+	p0.Z, p1.Z = SplitRand(rp, z) // fill 5
+	return p0, p1, v
 }
 
 // gemmTripletFills is the number of rng.Pool fills one

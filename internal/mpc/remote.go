@@ -40,7 +40,7 @@ func RemotePartyPipelined(party int, conn comm.Framer, in Shares, cfg WireConfig
 	w := newWireMul(party, cfg)
 	defer w.close()
 	// The result leaves the pool with the caller.
-	return w.run(conn, in)
+	return w.run(conn, in, nil)
 }
 
 // RemoteClientSplit prepares both parties' inputs for one remote

@@ -32,45 +32,52 @@ import (
 // wedge nor desync the inter-server link. Result frames echo the id, so a
 // client sheds replies orphaned by its own earlier failed call.
 
+// wireMatrices lists a shares payload's matrices in wire order; the forms
+// differ only in which are nil.
+func wireMatrices(in Shares) [5]*tensor.Matrix {
+	return [5]*tensor.Matrix{in.A, in.B, in.T.U, in.T.V, in.T.Z}
+}
+
 // sharesSize is the exact wire size of a shares payload, so encode
 // buffers never append-grow through multi-MB reallocations.
 func sharesSize(in Shares) int {
-	n := tensor.EncodedSize(in.A) + tensor.EncodedSize(in.B)
-	if in.T.U != nil {
-		n += tensor.EncodedSize(in.T.U) + tensor.EncodedSize(in.T.V) + tensor.EncodedSize(in.T.Z)
+	n := 0
+	for _, m := range wireMatrices(in) {
+		if m != nil {
+			n += tensor.EncodedSize(m)
+		}
 	}
 	return n
 }
 
 // EncodeShares serializes one party's multiplication inputs as a single
-// payload: A, B, U, V, Z in order. A nil-triplet Shares (in.T.U == nil)
-// encodes as the short A, B form — the dealer-fed request shape, where
-// the servers draw the triplet from their TripletFeed instead of the
-// client shipping it.
+// payload: A, B, U, V, Z in order, each that is set. A nil triplet encodes
+// as the short A, B form — the dealer-fed request shape, where the servers
+// draw the triplet from their TripletFeed — and nil B and V as the A, U, Z
+// form of a request against a registered operand (Shares.Operand).
 func EncodeShares(in Shares) []byte {
 	return appendShares(make([]byte, 0, sharesSize(in)), in)
 }
 
 func appendShares(frame []byte, in Shares) []byte {
-	frame = tensor.EncodeMatrix(frame, in.A)
-	frame = tensor.EncodeMatrix(frame, in.B)
-	if in.T.U == nil {
-		return frame
+	for _, m := range wireMatrices(in) {
+		if m != nil {
+			frame = tensor.EncodeMatrix(frame, m)
+		}
 	}
-	frame = tensor.EncodeMatrix(frame, in.T.U)
-	frame = tensor.EncodeMatrix(frame, in.T.V)
-	return tensor.EncodeMatrix(frame, in.T.Z)
+	return frame
 }
 
 // DecodeShares parses a payload produced by EncodeShares: either the
 // full five-matrix form (A, B, U, V, Z) or the two-matrix dealer-fed
 // form (A, B with out.T zero) — the payload length after B decides.
-func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1) }
+func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1, 0) }
 
 // decodeShares is DecodeShares for a payload declared to stack members
-// products (a group envelope's count; 1 for a lone request).
-func decodeShares(frame []byte, members int) (Shares, error) {
-	out := Shares{Members: members}
+// products (a group envelope's count; 1 for a lone request) behind an
+// operand envelope's handle (0: none, and no three-matrix form A, U, Z).
+func decodeShares(frame []byte, members int, operand uint32) (Shares, error) {
+	out := Shares{Members: members, Operand: operand}
 	var mats [5]*tensor.Matrix
 	off, count := 0, 0
 	for count < len(mats) && off < len(frame) {
@@ -82,12 +89,14 @@ func decodeShares(frame []byte, members int) (Shares, error) {
 		count++
 		off += n
 	}
-	if off != len(frame) || (count != 2 && count != 5) {
-		return out, fmt.Errorf("mpc: shares frame holds %d matrices with %d trailing bytes, want 2 (dealer-fed) or 5", count, len(frame)-off)
-	}
-	out.A, out.B = mats[0], mats[1]
-	if count == 5 {
-		out.T = TripletShares{U: mats[2], V: mats[3], Z: mats[4]}
+	switch {
+	case off != len(frame) || (count != 2 && count != 5 && (count != 3 || operand == 0)):
+		return out, fmt.Errorf("mpc: shares frame holds %d matrices with %d trailing bytes, want 2 (dealer-fed), 5, or 3 behind an operand handle", count, len(frame)-off)
+	case count == 3:
+		out.A, out.T.U, out.T.Z = mats[0], mats[1], mats[2]
+	default:
+		out.A, out.B = mats[0], mats[1]
+		out.T = TripletShares{U: mats[2], V: mats[3], Z: mats[4]} // all nil on the two-matrix form
 	}
 	if err := validateShares(out); err != nil {
 		return Shares{}, err
@@ -99,16 +108,26 @@ func decodeShares(frame []byte, members int) (Shares, error) {
 // kernels index by A and B's dimensions, so a malformed request whose
 // matrices decoded fine individually but disagree with each other (or with
 // the member count they are declared to stack) would otherwise panic the
-// serving goroutine mid-GEMM instead of failing the decode.
+// serving goroutine mid-GEMM instead of failing the decode. What the
+// three-matrix form says about B is checked in operandTable.resolve.
 func validateShares(in Shares) error {
-	c, k, n := in.Members, in.A.Cols, in.B.Cols
+	c, k := in.Members, in.A.Cols
 	switch {
 	case c < 1 || c > MaxGroupMembers:
 		return fmt.Errorf("mpc: shares geometry: group of %d members, want 1..%d", c, MaxGroupMembers)
 	case in.A.Rows%c != 0:
 		return fmt.Errorf("mpc: shares geometry: A stack of %d rows does not divide into %d members", in.A.Rows, c)
+	case in.B == nil && (!in.T.U.SameShape(in.A) || in.T.Z.Rows != in.A.Rows):
+		return fmt.Errorf("mpc: shares geometry: A is %dx%d but U is %dx%d and Z has %d rows", in.A.Rows, k, in.T.U.Rows, in.T.U.Cols, in.T.Z.Rows)
+	case in.B == nil:
+		return nil
+	}
+	n := in.B.Cols
+	switch {
 	case in.B.Rows != c*k:
 		return fmt.Errorf("mpc: shares geometry: A is %dx%d ×%d but B is %dx%d", in.A.Rows/c, k, c, in.B.Rows, n)
+	case in.T.U == nil && in.Operand != 0:
+		return fmt.Errorf("mpc: shares geometry: dealer-fed request names operand %d (an operand ships its triplets)", in.Operand)
 	case in.T.U == nil && c == 1:
 		return nil // dealer-fed form: the triplet geometry is the feed's to honor
 	case in.T.U == nil:
@@ -545,12 +564,13 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, 
 // sub-stream keyed by the request id.
 //
 // A request this party will not run — undecodable, dealer-fed on a pair
-// with no feed, past its deadline, a re-used id — is the client's error: it
-// is refused in-band with a typed error frame and the session continues
-// (framing is length-prefixed, so the next frame is intact). A torn-down
-// session reads as a backend failure to a router, which re-sends the frame
-// and then evicts a healthy pair. Only a frame too short to carry the id
-// to echo ends the session.
+// with no feed, against an operand the session does not hold, past its
+// deadline, a re-used id — is the client's error: it is refused in-band with
+// a typed error frame and the session continues (framing is
+// length-prefixed, so the next frame is intact). A torn-down session reads
+// as a backend failure to a router, which re-sends the frame and then
+// evicts a healthy pair. Only a frame too short to carry the id to echo
+// ends the session.
 //
 // The request latency histogram is observed on EVERY exit, error returns
 // included — an explicit start time instead of a Span so failures record
@@ -559,6 +579,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 	w := newWireMul(party, wire)
 	defer w.close()
 	lease := &feedLease{party: party, feed: cfg.Feed, log: cfg.Log}
+	var ops operandTable // the session's registered operands, gone with it
 	var reqBuf, outBuf []byte
 	badLogged := false
 	for {
@@ -570,11 +591,16 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		start := time.Now()
 		metrics.requests.Inc()
 		id, in, err := DecodeRequest(frame)
-		// What the pair has settled so far decides the two-matrix form.
-		if err == nil && in.T.U == nil && ctl.common.Load()&capFeed == 0 {
-			// The client's error like a frame that does not decode, and
-			// refused the same way by both parties.
-			err = errors.New("mpc: dealer-fed request on a pair with no settled triplet feed")
+		// What the pair has settled so far decides the two-matrix form and
+		// both operand forms: the client's error like a frame that does not
+		// decode, and refused the same way by both parties.
+		if err == nil {
+			switch common := ctl.common.Load(); {
+			case in.T.U == nil && common&capFeed == 0:
+				err = errors.New("mpc: dealer-fed request on a pair with no settled triplet feed")
+			case in.Operand != 0 && common&capOperand == 0:
+				err = errors.New("mpc: operand request on a pair that has not settled registered operands")
+			}
 		}
 		// fail is the error the session ends on; refuse answers the request
 		// with a typed error frame instead, and the session goes on unless
@@ -603,12 +629,34 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			}
 			continue
 		}
+		// A request that names an operand reads or fills the session's table.
+		// Unlike the refusals above, this one depends on what THIS session
+		// holds, which the peer's half may not (one leg re-dialled): the peer is
+		// told, so a half already in the exchange ends now, not after PeerTimeout.
+		var op *operand
+		store := in.Operand != 0 && in.B != nil
+		if in.Operand != 0 {
+			var code RouteErrorCode
+			if op, code = ops.resolve(&in); code != 0 {
+				metrics.requestErrors.Inc()
+				if sess, err := mux.Open(id); err == nil {
+					sess.Abort()
+				}
+				if err := refuse(code); err != nil {
+					return err
+				}
+				continue
+			}
+		}
 		// Deadline admission: a budget-enveloped request whose remaining
 		// time cannot cover the cost model's exchange floor for what it
 		// stacks is refused — deterministic in (budget, shape), so both
 		// parties of a pair decide identically.
-		c := in.members()
-		if budget, ok := PeekBudget(frame); ok && budget < DeadlineEstimate(in.A.Rows, in.A.Cols, c*in.B.Cols) {
+		fCols := in.members() * in.B.Cols
+		if op != nil && op.f != nil {
+			fCols = 0 // against a kept operand no F moves: the floor is the E stack's
+		}
+		if budget, ok := PeekBudget(frame); ok && budget < DeadlineEstimate(in.A.Rows, in.A.Cols, fCols) {
 			metrics.deadlineShed.Inc()
 			if err := refuse(RouteDeadlineExceeded); err != nil {
 				metrics.requestErrors.Inc()
@@ -651,7 +699,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			}
 			conn = lease
 		}
-		ci, err := w.run(conn, in)
+		ci, err := w.run(conn, in, op)
 		if err != nil {
 			// Notify the peer's half so it fails fast instead of waiting
 			// out its read deadline on frames that will never come.
@@ -659,6 +707,9 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			return fail(err)
 		}
 		sess.Close()
+		if store {
+			ops.keep(in.Operand, op)
+		}
 		outBuf = binary.LittleEndian.AppendUint64(outBuf[:0], id)
 		outBuf = tensor.EncodeMatrix(outBuf, ci)
 		w.put(ci)
@@ -693,6 +744,9 @@ const (
 	capsMagic   uint32 = 0x43444350 // "PCDC"
 	capsVersion byte   = 2
 	capFeed     uint32 = 1 << 10
+	// capOperand: this build keeps registered operands (operand.go). A peer
+	// without the bit leaves both operand forms refused in-band on both parties.
+	capOperand uint32 = 1 << 11
 )
 
 // pairCtl is what one party's control-session reader settles: a feature is
@@ -713,9 +767,9 @@ type pairCtl struct {
 // once, and dropped.
 func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *pairCtl {
 	p := &pairCtl{settled: make(chan struct{}), done: make(chan struct{})}
-	var mine uint32
+	mine := capOperand
 	if wire.Codec != nil {
-		mine = uint32(wire.Codec.Enabled & codecMask)
+		mine |= uint32(wire.Codec.Enabled & codecMask)
 	}
 	if cfg.Feed != nil {
 		mine |= capFeed
@@ -728,7 +782,7 @@ func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *p
 		for _, f := range []struct {
 			name string
 			mask uint32
-		}{{"codec", uint32(codecMask)}, {"feed", capFeed}} {
+		}{{"codec", uint32(codecMask)}, {"feed", capFeed}, {"operand", capOperand}} {
 			if l, r := mine&f.mask, peer.Caps&f.mask; l != r {
 				cfg.Log.Event("feature_disabled", "party", party, "feature", f.name, "local", l, "peer", r)
 			}

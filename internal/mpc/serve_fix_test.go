@@ -100,7 +100,8 @@ func TestDecodeSharesValidatesGeometry(t *testing.T) {
 
 // FuzzDecodeShares: any payload that decodes cleanly must be safe to
 // multiply — as a bare shares payload and as a whole request frame, whose
-// group envelope makes the five matrices stacks of several members. The
+// group envelope makes the five matrices stacks of several members and
+// whose operand envelope lets three matrices stand for five. The
 // committed corpus entry (testdata/fuzz/FuzzDecodeShares) is the pre-fix
 // panic reproducer: five individually well-formed matrices whose U
 // disagrees with A.
@@ -114,6 +115,14 @@ func FuzzDecodeShares(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add(EncodeRequestBudget(7, time.Second, validGroupShares()))
+	for _, h := range hostileOperandFrames(7) {
+		f.Add(h.frame)
+	}
+	f.Add(EncodeRequest(7, threeForm(validGeomShares(), 1)))
+	f.Add(EncodeRequestBudget(7, time.Second, threeForm(validGroupShares(), 2)))
+	registering := validGroupShares()
+	registering.Operand = 2
+	f.Add(EncodeRequest(7, registering))
 	for _, d := range [][3]int{{4, 0, 3}, {0, 3, 4}, {4, 3, 0}} { // a zero dimension is well-formed
 		m, k, n := d[0], d[1], d[2]
 		f.Add(EncodeRequest(7, Shares{A: tensor.New(m, k), B: tensor.New(k, n),
@@ -127,6 +136,20 @@ func FuzzDecodeShares(f *testing.F) {
 		if in.T.U == nil {
 			return // dealer-fed form: the triplet is the feed's
 		}
+		// The three-matrix form runs against whatever operand fits what it
+		// says of B — the check operandTable.resolve makes before the engine
+		// sees it.
+		var ops [2]*operand // each party's own table entry
+		if in.B == nil {
+			c := in.members()
+			if rows, n := c*in.A.Cols, in.T.Z.Cols; rows > maxOperandElems || n > maxOperandElems || rows*n > maxOperandElems {
+				return // zero-row A and Z can claim any width; no session keeps such a B
+			}
+			in.B = tensor.New(c*in.A.Cols, in.T.Z.Cols)
+			for i := range ops {
+				ops[i] = &operand{b: in.B, f: tensor.New(in.B.Rows, in.B.Cols), members: c}
+			}
+		}
 		p0, p1 := comm.Pipe()
 		defer p0.Close()
 		defer p1.Close()
@@ -135,10 +158,10 @@ func FuzzDecodeShares(f *testing.F) {
 		defer w1.close()
 		e1 := make(chan error, 1)
 		go func() {
-			_, err := w1.run(p1, in)
+			_, err := w1.run(p1, in, ops[1])
 			e1 <- err
 		}()
-		_, err := w0.run(p0, in)
+		_, err := w0.run(p0, in, ops[0])
 		if err1 := <-e1; err != nil || err1 != nil {
 			t.Fatalf("shares that decoded cleanly failed the exchange: %v / %v", err, err1)
 		}

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -45,12 +46,43 @@ func countEvents(t *testing.T, counts map[string]*atomic.Int32) *obs.Logger {
 	})
 }
 
+// capStripper is one party's end of the peer link as a build that has never
+// heard of the capability bits in mask drives it: they never leave in this
+// party's capability frame and never arrive in the peer's.
+type capStripper struct {
+	comm.Framer
+	mask uint32
+}
+
+// strip clears the masked bits in place if frame is a capability frame on
+// the control session: mux header, then magic u32, version u8, caps u32.
+func (c capStripper) strip(frame []byte) []byte {
+	const capsOff = comm.MuxHeaderBytes + 5
+	if len(frame) >= capsOff+4 && binary.LittleEndian.Uint64(frame) == ctlID &&
+		binary.LittleEndian.Uint32(frame[comm.MuxHeaderBytes:]) == capsMagic {
+		binary.LittleEndian.PutUint32(frame[capsOff:], binary.LittleEndian.Uint32(frame[capsOff:])&^c.mask)
+	}
+	return frame
+}
+
+func (c capStripper) WriteFrame(frame []byte) error {
+	return c.Framer.WriteFrame(c.strip(append([]byte(nil), frame...)))
+}
+
+func (c capStripper) ReadFrame() ([]byte, error) {
+	frame, err := c.Framer.ReadFrame()
+	return c.strip(frame), err
+}
+
+func (c capStripper) Close() error { return closeFramer(c.Framer) }
+
 // TestServeMismatchedPairSettles is the misconfiguration drill: a feature
 // turned on at one party only is not a failure mode. The capability
 // handshake leaves it off on both, each party says so once, and the pair
 // serves at full speed — bit-identical to the serial reference, every
 // request far under a second — or, for the two-matrix form on a pair with
-// half a feed, refuses in-band on both parties with the session intact.
+// half a feed and both operand forms on a pair one build of which keeps no
+// operands, refuses in-band on both parties with the session intact.
 // Before the handshake a one-sided feed tore the session down.
 func TestServeMismatchedPairSettles(t *testing.T) {
 	p := rng.NewPool(1701)
@@ -64,14 +96,19 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 	want := serialReference(t, in0, in1)
 	const bound = time.Second
 
+	// A feature is turned on in one party's config — or, when every build
+	// that has it advertises it, turned off by putting the other party behind
+	// a link that strips its bit.
 	features := []struct {
 		name   string
 		enable func(t *testing.T, cfg *ServeConfig)
+		strip  uint32
 	}{
-		{"feed", func(t *testing.T, cfg *ServeConfig) { cfg.Feed = unusedFeed{t} }},
-		{"codec", func(t *testing.T, cfg *ServeConfig) {
+		{name: "feed", enable: func(t *testing.T, cfg *ServeConfig) { cfg.Feed = unusedFeed{t} }},
+		{name: "codec", enable: func(t *testing.T, cfg *ServeConfig) {
 			cfg.Wire.Codec = &WireCodec{Enabled: CodecFP16 | CodecCSR, HW: hw.Paper(), Negotiate: true}
 		}},
+		{name: "operand", strip: capOperand},
 	}
 	for _, f := range features {
 		for side := 0; side < 2; side++ {
@@ -87,8 +124,17 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 						Log:           countEvents(t, map[string]*atomic.Int32{"feature_disabled": &events[party]}),
 					}
 				}
-				f.enable(t, &cfgs[side])
-				addr0, addr1, shutdown := startServePairCfgs(t, cfgs[0], cfgs[1])
+				var addr0, addr1 string
+				var shutdown func()
+				if f.strip != 0 {
+					var peers [2]comm.Framer
+					peers[0], peers[1] = comm.Pipe()
+					peers[1-side] = capStripper{peers[1-side], f.strip}
+					addr0, addr1, shutdown = startServePairOn(t, peers[0], peers[1], cfgs[0], cfgs[1])
+				} else {
+					f.enable(t, &cfgs[side])
+					addr0, addr1, shutdown = startServePairCfgs(t, cfgs[0], cfgs[1])
+				}
 				defer shutdown()
 				c0, c1 := dialPair(t, addr0, addr1)
 				defer c0.Close()
@@ -111,9 +157,10 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					classic()
 				}
-				if f.name == "feed" {
-					const id = uint64(0x1701 << 16)
-					frame := EncodeRequest(id, Shares{A: tensor.New(4, 5), B: tensor.New(5, 3)})
+				// refusedInBand sends frame down both legs and wants bad_request
+				// from each, at once, with the session intact.
+				refusedInBand := func(id uint64, frame []byte) {
+					t.Helper()
 					for leg, c := range []*comm.Conn{c0, c1} {
 						start := time.Now()
 						if err := c.WriteFrame(frame); err != nil {
@@ -121,7 +168,7 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 						}
 						reply, err := c.ReadFrame()
 						if err != nil {
-							t.Fatalf("leg %d: session torn down over a two-matrix request: %v", leg, err)
+							t.Fatalf("leg %d: session torn down over a request the pair does not serve: %v", leg, err)
 						}
 						if gotID, re, ok := DecodeRouteError(reply); !ok || gotID != id || re.Code != RouteBadRequest {
 							t.Fatalf("leg %d: answered %x, want bad_request", leg, reply)
@@ -131,6 +178,33 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 						}
 					}
 					classic() // the session lives on
+				}
+				const id = uint64(0x1701 << 16)
+				if f.name == "feed" {
+					refusedInBand(id, EncodeRequest(id, Shares{A: tensor.New(4, 5), B: tensor.New(5, 3)}))
+				}
+				if f.name == "operand" {
+					storing := in0
+					storing.Operand = 1
+					refusedInBand(id, EncodeRequest(id, storing))
+					refusedInBand(id+1, EncodeRequest(id+1, threeForm(in0, 1)))
+					// A client that registers its weights falls back to shipping
+					// them: right answers, every inference far under the bound.
+					blk, x := wireTransformerFixture(43)
+					wt := NewWireTransformer(blk, 14)
+					for i := 0; i < 2; i++ {
+						start := time.Now()
+						got, err := wt.Infer(c0, c1, x)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !got.ApproxEqual(blk.Forward(x), wireTransformerTol) {
+							t.Fatalf("inference %d off plaintext by %v", i, got.MaxAbsDiff(blk.Forward(x)))
+						}
+						if el := time.Since(start); el > bound {
+							t.Errorf("inference %d took %v, want under %v", i, el, bound)
+						}
+					}
 				}
 				if f.name == "codec" {
 					if got := cfgs[side].Wire.Codec.usable(); got != 0 {

@@ -35,6 +35,15 @@ type Shares struct {
 	// Z_j = U_j×V_j per member): one request frame, one exchange, one
 	// (c·m)×n reply. 0 and 1 both mean a lone product.
 	Members int
+	// Operand != 0 names a registered right-hand operand of the client
+	// session (DESIGN.md "Registered operands"). On the five-matrix form the
+	// pair runs the request as always and keeps B_i and the public F it
+	// reconstructs under that handle, write-once for the session. With B and
+	// T.V nil — the three-matrix form A, U, Z — the request runs against what
+	// the session kept: no B, V or F moves, and Z_j = U_j×V_j for the V the
+	// operand was registered with. A party that does not hold the handle
+	// answers RouteUnknownOperand.
+	Operand uint32
 }
 
 // members is the number of products in holds.

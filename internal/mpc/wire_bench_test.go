@@ -67,7 +67,7 @@ func benchRemoteMulThrottled(b *testing.B, pipelined bool) {
 		go func() {
 			defer wg.Done()
 			if pipelined {
-				r, err := w0.run(c0, in0)
+				r, err := w0.run(c0, in0, nil)
 				if err == nil {
 					w0.put(r)
 				}
@@ -79,7 +79,7 @@ func benchRemoteMulThrottled(b *testing.B, pipelined bool) {
 		go func() {
 			defer wg.Done()
 			if pipelined {
-				r, err := w1.run(c1, in1)
+				r, err := w1.run(c1, in1, nil)
 				if err == nil {
 					w1.put(r)
 				}
@@ -150,7 +150,7 @@ func benchRemoteMulCompressed(b *testing.B, codec bool) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r, err := w0.run(c0, in0)
+			r, err := w0.run(c0, in0, nil)
 			if err == nil {
 				w0.put(r)
 			}
@@ -158,7 +158,7 @@ func benchRemoteMulCompressed(b *testing.B, codec bool) {
 		}()
 		go func() {
 			defer wg.Done()
-			r, err := w1.run(c1, in1)
+			r, err := w1.run(c1, in1, nil)
 			if err == nil {
 				w1.put(r)
 			}
@@ -226,9 +226,9 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	codecWireB := codecCmpRes.Extra["wireB/op"]
 	byteRatio := codecWireB / rawWireB
 	nsRatio := float64(codecCmp.NsPerOp) / float64(rawCmp.NsPerOp)
-	// Transformer inference pair: one attention block (14 products in six
-	// grouped round trips) per op over the same throttled peer link, raw vs
-	// negotiated codecs.
+	// Transformer inference pair: one attention block (12 products in six
+	// round trips, weights registered) per op over the same throttled peer
+	// link, raw vs negotiated codecs.
 	rawTrRes := testing.Benchmark(func(b *testing.B) { benchTransformerInfer(b, false) })
 	codecTrRes := testing.Benchmark(func(b *testing.B) { benchTransformerInfer(b, true) })
 	rawTr, codecTr := record(rawTrRes), record(codecTrRes)
@@ -247,7 +247,7 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 	hopsRatio := float64(fedHops.NsPerOp) / float64(dealtHops.NsPerOp)
 
 	baseline := map[string]any{
-		"description": "serving-path baseline: throttled-link remote mul (ns/op) and concurrent-session scaling. remote_mul_throttled.serial is measured on the test-only reference oracle (remotePartyRef), not on a program path. transformer_infer ns/op is six grouped round trips (round_trips) on the throttled pipe carrying the block's 14 products (request_muls), where it used to be 14 round trips. dealer_fed_hops is a hop count read as a time ratio: the peer link sleeps frame_delay_ms before every frame, so dealer_fed ÷ client_dealt ns/op is the serial peer hops a dealer-fed request runs per hop of a client-dealt one",
+		"description": "serving-path baseline: throttled-link remote mul (ns/op) and concurrent-session scaling. remote_mul_throttled.serial is measured on the test-only reference oracle (remotePartyRef), not on a program path. transformer_infer ns/op is six round trips (round_trips) on the throttled pipe carrying the block's 12 products (request_muls) against weights the session registered once, where it used to be 14 round trips that each shipped their weight. dealer_fed_hops is a hop count read as a time ratio: the peer link sleeps frame_delay_ms before every frame, so dealer_fed ÷ client_dealt ns/op is the serial peer hops a dealer-fed request runs per hop of a client-dealt one",
 		"dealer_fed_hops": map[string]any{
 			"dim":            benchHopsDim,
 			"frame_delay_ms": benchHopsDelay.Milliseconds(),
@@ -275,7 +275,7 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 			"tokens":                trTokens,
 			"d_model":               trDModel,
 			"heads":                 trHeads,
-			"request_muls":          14,
+			"request_muls":          12,
 			"round_trips":           6,
 			"chunk_rows":            8,
 			"throttle_bps":          int64(benchThrottleBps),
@@ -487,9 +487,10 @@ func TestConcurrentScalingBaseline(t *testing.T) {
 	}
 }
 
-// benchTransformerInfer drives one full WireTransformer block (3
-// projections, per-head score and context products, output projection,
-// two FF layers — 14 products in six grouped requests) through a
+// benchTransformerInfer drives one full WireTransformer block (the fused
+// Q/K/V projection, per-head score and context products, output projection,
+// two FF layers — 12 products in six requests, the four weight stages
+// against operands the warm-up inference registered) through a
 // ServeClients pair whose
 // peer link is bandwidth-throttled and byte-counted. One op = one
 // 16-token sequence, so ns/op converts to tokens/s and the counted
@@ -519,7 +520,7 @@ func benchTransformerInfer(b *testing.B, codec bool) {
 			b.Fatal(err)
 		}
 	}
-	run() // warm up pools and frame buffers before counting
+	run() // warm up pools and frame buffers, and register the weights, before counting
 
 	start := p0.Stats().BytesWritten + p1.Stats().BytesWritten
 	b.ReportAllocs()
@@ -551,9 +552,17 @@ const transformerByteRatioBar = 0.75
 // encode work becoming material, not for a bandwidth win.
 const transformerNsRatioBar = 1.15
 
+// transformerRawBytesPerTokenBar bounds the raw peer-link bytes one token of
+// a steady inference costs: half of the 6 551.25 it cost while every
+// inference re-exchanged the F of all six weight matrices. A count, not a
+// timing — it repeats exactly — so a WireTransformer that ships a weight per
+// inference again fails it on any host.
+const transformerRawBytesPerTokenBar = 3275
+
 // TestTransformerInferBaseline re-runs the transformer inference pair
 // and fails if the codec no longer clears the byte-per-token bar on the
-// throttled link, or costs wall-clock against raw, or the secure result
+// throttled link, or costs wall-clock against raw, or a steady inference
+// moves a weight's F over the peer link again, or the secure result
 // drifts past the documented FP16 tolerance of the plaintext reference —
 // the regression guards behind BENCH_wire.json's transformer_infer
 // section, gated on BENCH_WIRE_BASELINE like the other baseline tests.
@@ -568,7 +577,8 @@ func TestTransformerInferBaseline(t *testing.T) {
 	}
 	var baseline struct {
 		TransformerInfer struct {
-			ByteRatio float64 `json:"byte_ratio"`
+			ByteRatio        float64 `json:"byte_ratio"`
+			RawBytesPerToken float64 `json:"raw_bytes_per_token"`
 		} `json:"transformer_infer"`
 	}
 	if err := json.Unmarshal(raw, &baseline); err != nil {
@@ -577,6 +587,10 @@ func TestTransformerInferBaseline(t *testing.T) {
 	if r := baseline.TransformerInfer.ByteRatio; r <= 0 || r > transformerByteRatioBar {
 		t.Fatalf("baseline %s records transformer_infer byte_ratio %.3f, outside (0, %.2f]",
 			path, r, transformerByteRatioBar)
+	}
+	if b := baseline.TransformerInfer.RawBytesPerToken; b <= 0 || b > transformerRawBytesPerTokenBar {
+		t.Fatalf("baseline %s records transformer_infer raw_bytes_per_token %.2f, outside (0, %d]",
+			path, b, transformerRawBytesPerTokenBar)
 	}
 	rawRes := testing.Benchmark(func(b *testing.B) { benchTransformerInfer(b, false) })
 	codecRes := testing.Benchmark(func(b *testing.B) { benchTransformerInfer(b, true) })
@@ -596,6 +610,12 @@ func TestTransformerInferBaseline(t *testing.T) {
 	if nsRatio > transformerNsRatioBar {
 		t.Errorf("transformer codec wall-clock regressed to %.2fx of raw (bar %.2fx; raw %d ns/op, codec %d ns/op)",
 			nsRatio, transformerNsRatioBar, rawRes.NsPerOp(), codecRes.NsPerOp())
+	}
+	if perTok := rawRes.Extra["wireB/tok"]; perTok > transformerRawBytesPerTokenBar {
+		t.Errorf("a steady inference moves %.2f raw peer bytes per token (baseline %.2f, bar %d): a weight's F is on the wire again",
+			perTok, baseline.TransformerInfer.RawBytesPerToken, transformerRawBytesPerTokenBar)
+	} else {
+		t.Logf("transformer raw peer bytes per token: %.2f (baseline %.2f)", perTok, baseline.TransformerInfer.RawBytesPerToken)
 	}
 	// Accuracy under the codec: one full secure pass must stay within the
 	// documented FP16 tolerance of the plaintext block (DESIGN.md).

@@ -176,11 +176,11 @@ func TestWirePipelineTaggedPooledReuse(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r0, e0 = w0.run(s0, in0)
+			r0, e0 = w0.run(s0, in0, nil)
 		}()
 		go func() {
 			defer wg.Done()
-			r1, e1 = w1.run(s1, in1)
+			r1, e1 = w1.run(s1, in1, nil)
 		}()
 		wg.Wait()
 		if e0 != nil || e1 != nil {

@@ -26,7 +26,9 @@ import (
 //
 //   - Peer framing: the frame that carries E band 0 also carries the F
 //     stack ahead of it — [F ‖ E₀] [E₁] … — so a single whole-stack band is
-//     one frame each way. Every tensor is self-describing (tag, rows,
+//     one frame each way. An exchange against a registered operand
+//     (operand.go) already holds the public F: no F moves and the frames are
+//     [E₀] [E₁] …. Every tensor is self-describing (tag, rows,
 //     cols), so the receiver takes each band's height from the frame and
 //     reads until B·m rows have arrived: band height, like the codec, is
 //     the sender's own choice and the two parties need not agree on it.
@@ -80,12 +82,12 @@ type wireMul struct {
 	kick    chan struct{} // arms the persistent sender goroutine; closed by close()
 	done    chan error    // sender completion, buffered so senders never leak
 
-	// Sender arguments, set before the kick. sHead rides at the front of the
-	// first frame; sE follows as row bands, band 0 in that same frame. The
-	// per-tensor codec kinds are picked by the main goroutine before the
-	// kick (any FP16 rounding of the retained share happens there too, so
-	// both parties use what they ship). sentBytes is written by the sender
-	// and read by the main goroutine only after draining done.
+	// Sender arguments, set before the kick. sHead (nil: none) rides at the
+	// front of the first frame; sE follows as row bands, band 0 in that same
+	// frame. The per-tensor codec kinds are picked by the main goroutine
+	// before the kick (any FP16 rounding of the retained share happens there
+	// too, so both parties use what they ship). sentBytes is written by the
+	// sender and read by the main goroutine only after draining done.
 	sconn     comm.Framer
 	sHead     *tensor.Matrix
 	sE        *tensor.Matrix
@@ -133,11 +135,14 @@ func (w *wireMul) senderLoop() {
 }
 
 // runSender writes [head ‖ band 0] [band 1] …; a zero-row E stack still
-// sends the head, alone in its frame.
+// sends the head, alone in its frame, and with no head writes nothing.
 func (w *wireMul) runSender() error {
 	w.sentBytes = 0
 	rows := w.sE.Rows
-	buf := appendWireTensor(w.sendBuf[:0], w.sHead, w.sHeadKind)
+	buf := w.sendBuf[:0]
+	if w.sHead != nil {
+		buf = appendWireTensor(buf, w.sHead, w.sHeadKind)
+	}
 	for lo := 0; lo < rows || len(buf) > 0; {
 		if lo < rows {
 			hi := min(lo+w.sBand, rows)
@@ -213,8 +218,10 @@ func (w *wireMul) chunkBand(k int) int {
 // run is exchange for one request — a lone product or a row-stacked group
 // (Shares.Members) — sent in bands of chunkBand rows. The member list is
 // row views of in's stacks; a lone request is a list of one whole-matrix
-// view, so both take the same path through the engine.
-func (w *wireMul) run(conn comm.Framer, in Shares) (*tensor.Matrix, error) {
+// view, so both take the same path through the engine. op is the registered
+// operand the request reads or fills (see exchange), nil for none; a request
+// that reads one carries no V, and its B is the operand's.
+func (w *wireMul) run(conn comm.Framer, in Shares, op *operand) (*tensor.Matrix, error) {
 	c := in.members()
 	m, k := in.A.Rows/c, in.A.Cols
 	if cap(w.members) < c {
@@ -228,12 +235,14 @@ func (w *wireMul) run(conn comm.Framer, in Shares) (*tensor.Matrix, error) {
 			B: in.B.SliceRowsInto(&v[1], j*k, (j+1)*k),
 			T: TripletShares{
 				U: in.T.U.SliceRowsInto(&v[2], j*m, (j+1)*m),
-				V: in.T.V.SliceRowsInto(&v[3], j*k, (j+1)*k),
 				Z: in.T.Z.SliceRowsInto(&v[4], j*m, (j+1)*m),
 			},
 		}
+		if in.T.V != nil {
+			members[j].T.V = in.T.V.SliceRowsInto(&v[3], j*k, (j+1)*k)
+		}
 	}
-	out, err := w.exchange(conn, members, w.chunkBand(k))
+	out, err := w.exchange(conn, members, w.chunkBand(k), op)
 	// An idle session must not pin its last request through the views.
 	clear(members)
 	clear(views)
@@ -251,8 +260,12 @@ func (w *wireMul) run(conn comm.Framer, in Shares) (*tensor.Matrix, error) {
 // sequence of a lone exchange, so a group is bit-identical to serving its
 // members one by one, and any banding to the one-band protocol.
 //
-// The F stack rides ahead of E band 0. The result is a pooled matrix —
-// callers give it back with put or keep it.
+// The F stack rides ahead of E band 0 — unless op holds the public F of a
+// registered operand (op.f set): then nothing of F is computed or moved and
+// the members carry no V (Eq. 8 reads F, B_i and Z_i only). An op with f nil
+// is an operand being registered: the exchange runs in full and leaves the F
+// stack it reconstructed in op.f, the caller's to keep. The result is a
+// pooled matrix — callers give it back with put or keep it.
 //
 // With cfg.Codec nil (or picking raw) the result is bit-identical to the
 // straight-line protocol. A lossy (FP16) pick perturbs only the REVEALED
@@ -261,21 +274,31 @@ func (w *wireMul) run(conn comm.Framer, in Shares) (*tensor.Matrix, error) {
 // rounding each member alone), so both parties reconstruct the same public
 // tensors and the result carries the documented reveal-only tolerance
 // instead of a protocol desync.
-func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int) (*tensor.Matrix, error) {
+func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, op *operand) (*tensor.Matrix, error) {
 	m, k, n := members[0].A.Rows, members[0].A.Cols, members[0].B.Cols
 	stackRows := len(members) * m
 	if band <= 0 || band > stackRows {
 		band = stackRows
 	}
+	// f is the public F stack — the operand's, or reconstructed below from fi
+	// and the peer's share.
+	var f, fi *tensor.Matrix
+	if op != nil {
+		f = op.f
+	}
 
 	// Local shares (Eq. 4): E_i = A_i − U_i, F_i = B_i − V_i, member by
 	// member into the stacks.
 	ei := w.get(stackRows, k)
-	fi := w.get(len(members)*k, n)
+	if f == nil {
+		fi = w.get(len(members)*k, n)
+	}
 	for j := range members {
 		in := &members[j]
 		tensor.Sub(ei.SliceRowsInto(&w.jView, j*m, (j+1)*m), in.A, in.T.U)
-		tensor.Sub(fi.SliceRowsInto(&w.jView, j*k, (j+1)*k), in.B, in.T.V)
+		if fi != nil {
+			tensor.Sub(fi.SliceRowsInto(&w.jView, j*k, (j+1)*k), in.B, in.T.V)
+		}
 	}
 	// Codec election, then use-what-you-ship: an FP16 pick rounds the
 	// retained share in place BEFORE the sender goroutine starts, so the
@@ -287,9 +310,11 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int) (*tenso
 		if eKind == codecFP16 {
 			tensor.RoundMatrixFloat16InPlace(ei)
 		}
-		fKind = wc.pick(fi, tensorF)
-		if fKind == codecFP16 {
-			tensor.RoundMatrixFloat16InPlace(fi)
+		if fi != nil {
+			fKind = wc.pick(fi, tensorF)
+			if fKind == codecFP16 {
+				tensor.RoundMatrixFloat16InPlace(fi)
+			}
 		}
 	}
 	w.launch(conn, fi, ei, band, fKind, eKind)
@@ -300,26 +325,29 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int) (*tenso
 	// no allocation).
 	var exchDur, reconDur, gemmDur time.Duration
 
-	// Public F (Eq. 5), from the head of the peer's first frame. rest is
-	// what remains of the frame in hand; the E loop reads a new frame
-	// whenever it is empty.
-	frame, err := w.recv(conn, &exchDur)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: recv F: %w", err)
+	// Public F (Eq. 5) — the operand's, or from the head of the peer's first
+	// frame. rest is what remains of the frame in hand; the E loop reads a
+	// new frame whenever it is empty.
+	var rest []byte
+	if fi != nil {
+		frame, err := w.recv(conn, &exchDur)
+		if err != nil {
+			return nil, fmt.Errorf("mpc: recv F: %w", err)
+		}
+		peerF := w.get(fi.Rows, n)
+		// Tag-dispatched: the peer's codec choice is sender-local, the frame
+		// says what it is (raw senders emit plain 'D' frames).
+		used, err := tensor.DecodeAnyInto(peerF, frame)
+		if err != nil {
+			return nil, fmt.Errorf("mpc: decode peer F: %w", err)
+		}
+		rest = frame[used:]
+		t0 := time.Now()
+		f = w.get(fi.Rows, n)
+		tensor.Add(f, fi, peerF)
+		reconDur += time.Since(t0)
+		w.put(peerF)
 	}
-	peerF := w.get(fi.Rows, n)
-	// Tag-dispatched: the peer's codec choice is sender-local, the frame
-	// says what it is (raw senders emit plain 'D' frames).
-	used, err := tensor.DecodeAnyInto(peerF, frame)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: decode peer F: %w", err)
-	}
-	rest := frame[used:]
-	t0 := time.Now()
-	f := w.get(fi.Rows, n)
-	tensor.Add(f, fi, peerF)
-	reconDur += time.Since(t0)
-	w.put(peerF)
 
 	c := w.get(stackRows, n)
 	// Band scratch, grown to the tallest band the peer sends (a validated
@@ -384,7 +412,7 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int) (*tenso
 	// The peer's reader consumes our bands symmetrically, so the sender
 	// drains; a peer that died instead surfaces here as its write error
 	// (bounded by the connection's deadlines).
-	t0 = time.Now()
+	t0 := time.Now()
 	sendErr := <-w.done
 	exchDur += time.Since(t0)
 	// The views into the members' own A and Z would pin those matrices for
@@ -394,7 +422,11 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int) (*tenso
 	w.put(dBuf)
 	w.put(ei)
 	w.put(fi)
-	w.put(f)
+	if op == nil {
+		w.put(f)
+	} else {
+		op.f = f // what it held already, or the stack just reconstructed for it
+	}
 	if sendErr != nil {
 		w.put(c)
 		return nil, fmt.Errorf("mpc: send E/F: %w", sendErr)

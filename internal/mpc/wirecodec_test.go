@@ -185,11 +185,11 @@ func runWireMulPair(t *testing.T, cfg0, cfg1 WireConfig, in0, in1 Shares) *tenso
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		r0, e0 = w0.run(c0, in0)
+		r0, e0 = w0.run(c0, in0, nil)
 	}()
 	go func() {
 		defer wg.Done()
-		r1, e1 = w1.run(c1, in1)
+		r1, e1 = w1.run(c1, in1, nil)
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {

@@ -6,12 +6,12 @@
 #
 # Usage: scripts/ci_drills.sh <drill>
 #   concurrent   concurrent sessions survive a client kill, bit-identical
-#   engine       one exchange engine: any member count and band heights == reference
+#   engine       one exchange engine: any member count, band heights, held F == reference
 #   chaos-link   peer link killed mid-flight; supervised reconnect + replay
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
 #   checkpoint   kill-and-resume training: resumed run byte-identical
-#   fleet        multi-process router+dealer fleet, one pair SIGKILLed
-#   transformer  secure attention block: wire path vs plaintext, concurrent+codec
+#   fleet        multi-process router+dealer fleet, one pair SIGKILLed; operands across failover
+#   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
 #   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*
@@ -46,7 +46,11 @@ engine)
   # rules name on both parties, fail on both with the typed mismatch when
   # the parties' leases differ, fail at once on a consumed seq, and a burst
   # of leasing sessions must stay inside the dealer's in-flight window.
-  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles|TestFeedLeaseAgreement|TestFeedLeaseMismatchFailsBothParties|TestFeedConsumedSeqFailsRequest'
+  # Registered operands: hostile operand frames and a table over its bounds
+  # are refused in-band, and an operand lost on one party or both (a leg
+  # re-dialled behind the client) ends every leg typed or with a transport
+  # error well inside PeerTimeout, after which the client registers again.
+  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles|TestFeedLeaseAgreement|TestFeedLeaseMismatchFailsBothParties|TestFeedConsumedSeqFailsRequest|TestOperandRejectsHostileFrames|TestOperandLostOnOneParty|TestOperandLostOnBoth'
   drill_test ./internal/mpc/tripletpool/ 'TestDealerClientConsumedSeqFailsAtOnce|TestDealerFedBurstStaysInsideInflightWindow'
   ;;
 chaos-link)
@@ -80,8 +84,11 @@ fleet)
   # one pair SIGKILLed mid-run; surviving and re-routed sessions must
   # stay bit-identical to the in-process reference. First, in process:
   # neither a client's malformed request nor a grouped one may cost the
-  # router a healthy replica.
-  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica'
+  # router a healthy replica; both registered-operand forms cross the relay
+  # untouched, a session re-routed to a replica that holds none of its
+  # operands completes its inference, and so does one whose first attempt
+  # met a draining fleet.
+  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica|TestRouterRelaysOperandRequest|TestRouterFailoverReregistersOperands|TestRouterDrainingFirstAttempt'
   SESSIONS=$((64 * SCALE)) scripts/fleet_drill.sh -race
   ;;
 transformer)
@@ -89,10 +96,13 @@ transformer)
   # match plaintext within the documented tolerance in six grouped round
   # trips (four without the feed-forward stack), stay bit-stable across
   # runs, and hold up under concurrent clients plus the negotiated
-  # FP16/CSR codecs; a group must equal its members sent alone; the
-  # simtime path must track plaintext training and survive a checkpoint
-  # round trip.
-  drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerConcurrentCodecStable|TestGroupMatchesLone'
+  # FP16/CSR codecs; a group must equal its members sent alone; a request
+  # against a registered weight must equal the five-matrix form bit for
+  # bit, put a fresh mask on the peer link every time and no F after the
+  # registration, and one client must survive its connections being
+  # replaced; the simtime path must track plaintext training and survive a
+  # checkpoint round trip.
+  drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerConcurrentCodecStable|TestGroupMatchesLone|TestOperandMatchesFull|TestOperandFreshMaskPerRequest|TestWireTransformerReusedAcrossConnections'
   drill_test ./internal/secureml/ 'TestSecureTransformer|TestSecureAttentionForwardMatchesPlaintext|TestTransformerCheckpointRoundTrip'
   ;;
 dealer-chaos)
