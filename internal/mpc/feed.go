@@ -168,9 +168,8 @@ func (l *feedLease) begin(sess *comm.MuxSession, id uint64, m, k, n int) (Triple
 }
 
 // settle runs once the request's reply is written: party 1 takes its half
-// of the triplet party 0 granted. Not earlier — party 0 then never leads
-// party 1 by more than one triplet per session, which is what keeps a burst
-// of sessions inside the dealer's MaxInflight window.
+// of the triplet party 0 granted. Not earlier — the wait for the dealer's
+// correction then falls between requests, not inside one.
 func (l *feedLease) settle() error {
 	l.sess = nil
 	l.wbuf = shrinkScratch(l.wbuf, len(l.wbuf))

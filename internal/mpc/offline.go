@@ -26,10 +26,8 @@ func SplitRand(rp *rng.Pool, secret *tensor.Matrix) (s0, s1 *tensor.Matrix) {
 // GenGemmTripletShares prepares and splits a Beaver triplet for an
 // (m×k)·(k×n) multiplication: U, V uniform, Z = U×V, each split into two
 // shares. Observed on the offline-phase histogram. Safe for concurrent use
-// with a shared rp.
-//
-// Each call consumes exactly gemmTripletFills rng.Pool fills — the
-// invariant SkipGemmTriplets relies on to fast-forward a stream in O(1).
+// with a shared rp. This is the client-as-dealer draw; a dealer stream's
+// triplets are tripletpool's keyed derivation, not this.
 func GenGemmTripletShares(rp *rng.Pool, m, k, n int) (p0, p1 TripletShares) {
 	p0, p1, _ = genGemmTriplets(rp, 1, m, k, n, nil)
 	return p0, p1
@@ -38,7 +36,7 @@ func GenGemmTripletShares(rp *rng.Pool, m, k, n int) (p0, p1 TripletShares) {
 // genGemmTriplets is GenGemmTripletShares for c same-shape products at
 // once, as the row stacks a grouped request ships (Shares.Members): U is
 // (c·m)×k, V is (c·k)×n and member j's Z_j = U_j×V_j sits in rows
-// [j·m, (j+1)·m) of Z. Still gemmTripletFills fills whatever c is — every
+// [j·m, (j+1)·m) of Z. Still five fills whatever c is — every
 // fill seeds an MT19937 block stream, a fixed cost that dwarfs drawing a
 // few hundred elements, so c small triplets drawn as stacks cost about
 // what one does.
@@ -63,27 +61,4 @@ func genGemmTriplets(rp *rng.Pool, c, m, k, n int, v *tensor.Matrix) (p0, p1 Tri
 	}
 	p0.Z, p1.Z = SplitRand(rp, z) // fill 5
 	return p0, p1, v
-}
-
-// gemmTripletFills is the number of rng.Pool fills one
-// GenGemmTripletShares call consumes: U, V, and the three SplitRand
-// masks. Fill IDs are what pin a pool's position in its deterministic
-// sequence (shapes do not matter — each fill reserves exactly one
-// stream namespace regardless of element count), so skipping a triplet
-// is a counter bump, not a generation.
-const gemmTripletFills = 5
-
-// SkipGemmTriplets advances rp past count GenGemmTripletShares calls
-// without generating anything: triplet j of a (seed, shape) stream is a
-// pure function of the fill cursor, so a restarted dealer fast-forwards
-// a stream to a replica's consume cursor in O(1) and then serves
-// bit-identical triplets from there. The fill counter deliberately
-// wraps exactly like sequential generation would (uint32 arithmetic),
-// keeping skip ≡ N sequential calls even across the wrap.
-func SkipGemmTriplets(rp *rng.Pool, count uint64) {
-	if count == 0 {
-		return
-	}
-	seed, fills := rp.Cursor()
-	rp.SetCursor(seed, fills+uint32(count*gemmTripletFills))
 }

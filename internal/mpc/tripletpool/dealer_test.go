@@ -23,6 +23,13 @@ func startDealer(t *testing.T, cfg DealerConfig) (addr string, d *Dealer) {
 		t.Fatal(err)
 	}
 	d = NewDealer(cfg)
+	serveDealer(t, d, ln)
+	return ln.Addr().String(), d
+}
+
+// serveDealer runs d on ln until the test ends.
+func serveDealer(t *testing.T, d *Dealer, ln net.Listener) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- d.Serve(ctx, ln) }()
@@ -32,7 +39,6 @@ func startDealer(t *testing.T, cfg DealerConfig) (addr string, d *Dealer) {
 			t.Errorf("dealer serve: %v", err)
 		}
 	})
-	return ln.Addr().String(), d
 }
 
 // feedConnect returns the dial func a test DealerClient runs under: a
@@ -152,52 +158,11 @@ func TestDealerShapesAreIndependentStreams(t *testing.T) {
 	}
 }
 
-// TestDealerBackpressure checks MaxInflight bounds how far the faster
-// party runs ahead: with the slower party idle, the dealer stops
-// generating at the bound and the fast party's Next blocks until the
-// slow one consumes.
-func TestDealerBackpressure(t *testing.T) {
-	const inflight = 4
-	addr, _ := startDealer(t, DealerConfig{Seed: 1, MaxInflight: inflight})
-	f0 := dialFeed(t, addr, 0, 1, FeedConfig{Depth: 16})
-	f1 := dialFeed(t, addr, 1, 1, FeedConfig{Depth: 16})
-	for j := 0; j < inflight; j++ {
-		if _, _, err := f0.Next(4, 4, 4); err != nil {
-			t.Fatalf("Next %d within the in-flight bound: %v", j, err)
-		}
-	}
-	blocked := make(chan mpc.TripletShares, 1)
-	go func() {
-		_, tr, err := f0.Next(4, 4, 4)
-		if err != nil {
-			t.Errorf("Next past the bound: %v", err)
-		}
-		blocked <- tr
-	}()
-	select {
-	case <-blocked:
-		t.Fatalf("Next %d returned with the peer %d behind: MaxInflight not enforced", inflight, inflight)
-	case <-time.After(300 * time.Millisecond):
-	}
-	// The slower party consumes one triplet; that retires seq 0 and frees
-	// one generation slot, unblocking the fast party.
-	if _, err := f1.Take(4, 4, 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case tr := <-blocked:
-		if tr.U == nil {
-			t.Fatal("unblocked Next returned a zero triplet")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("fast party still blocked after the slow party consumed")
-	}
-}
-
 // TestDealerFeedFailsOnDeadDealer checks the advertised failure mode: a
 // feed whose reconnect budget is exhausted (the dealer is gone for
 // good, not just restarting) fails blocked and future calls instead of
-// wedging them.
+// wedging them. The feed is party 1's: party 0 derives its halves and has no
+// call that blocks on the dealer (TestPartyZeroOutlivesDealerOutage).
 func TestDealerFeedFailsOnDeadDealer(t *testing.T) {
 	addr, _ := startDealer(t, DealerConfig{Seed: 3})
 	var conn *comm.Conn
@@ -213,7 +178,7 @@ func TestDealerFeedFailsOnDeadDealer(t *testing.T) {
 		}
 		conn = c
 		return c, nil
-	}, 0, 9, FeedConfig{Supervisor: comm.SupervisorConfig{
+	}, 1, 9, FeedConfig{Supervisor: comm.SupervisorConfig{
 		ReconnectAttempts: 2,
 		ReconnectBase:     time.Millisecond,
 	}})
@@ -274,18 +239,27 @@ func TestDealerProtoCodecs(t *testing.T) {
 	if _, _, _, err := decodeResume(encodeWant(shape{3, 4, 5}, 1)); err == nil {
 		t.Fatal("WANT frame accepted as RESUME")
 	}
-	src := NewStreamSource(2)
-	p0, _ := src.Gen(2, 3, 4)
-	gs, seq, tr, err := decodeFeedFrame(appendFeedFrame(nil, shape{2, 3, 4}, 9, p0))
+	if key, err := decodeKey(encodeKey(1<<63 | 5)); err != nil || key != 1<<63|5 {
+		t.Fatalf("KEY round trip: %x %v", key, err)
+	}
+	if _, err := decodeKey(encodeWant(shape{3, 4, 5}, 1)); err == nil {
+		t.Fatal("WANT frame accepted as KEY")
+	}
+	_, p1 := NewStreamSource(2).Gen(2, 3, 4)
+	gs, seq, z1, err := decodeFeedFrame(appendFeedFrame(nil, shape{2, 3, 4}, 9, p1.Z))
 	if err != nil || gs != (shape{2, 3, 4}) || seq != 9 {
 		t.Fatalf("FEED round trip: %+v %d %v", gs, seq, err)
 	}
-	if !tr.U.Equal(p0.U) || !tr.V.Equal(p0.V) || !tr.Z.Equal(p0.Z) {
-		t.Fatal("FEED round trip corrupted the triplet")
+	if !z1.Equal(p1.Z) {
+		t.Fatal("FEED round trip corrupted the correction")
 	}
-	// Geometry mismatch between header and payload is rejected.
-	if _, _, _, err := decodeFeedFrame(appendFeedFrame(nil, shape{3, 3, 4}, 9, p0)); err == nil {
+	// Geometry mismatch between header and payload is rejected, and so is a
+	// frame that carries anything behind its Z — a U or V shipped again.
+	if _, _, _, err := decodeFeedFrame(appendFeedFrame(nil, shape{3, 3, 4}, 9, p1.Z)); err == nil {
 		t.Fatal("FEED frame with mismatched header geometry accepted")
+	}
+	if _, _, _, err := decodeFeedFrame(tensor.EncodeMatrix(appendFeedFrame(nil, shape{2, 3, 4}, 9, p1.Z), p1.V)); err == nil {
+		t.Fatal("FEED frame with a second matrix accepted")
 	}
 }
 

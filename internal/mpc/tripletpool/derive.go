@@ -1,0 +1,74 @@
+package tripletpool
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+
+	"parsecureml/internal/mpc"
+	"parsecureml/internal/rng"
+	"parsecureml/internal/tensor"
+)
+
+// Derived triplet halves: a share that is pure generator output is expanded
+// where it is used, not shipped (the paper's Eqs. 10–12 applied to its own
+// §5.1 fills; CrypTen's trusted-third-party provider does the same). The
+// functions below are the one definition of a dealer stream. The Dealer, both
+// DealerClients and NewStreamSource call them and nothing else, which is what
+// makes dealer-fed ≡ client-dealt and resumed ≡ uninterrupted hold bit for
+// bit: there is no second place a half is computed.
+
+// partyKey is party's stream key under base: SHA-256(base ‖ party)[:8].
+// One-way, so a party holding its key learns nothing about base or the other
+// party's key; the dealer, holding base, derives both. A hash and not the
+// MT19937 mix used everywhere else because this is the one value whose
+// pre-image must stay secret from a party that holds the image.
+func partyKey(base uint64, party int) uint64 {
+	var b [9]byte
+	binary.LittleEndian.PutUint64(b[:], base)
+	b[8] = byte(party)
+	sum := sha256.Sum256(b[:])
+	return binary.LittleEndian.Uint64(sum[:])
+}
+
+func partyKeys(base uint64) [2]uint64 {
+	return [2]uint64{partyKey(base, 0), partyKey(base, 1)}
+}
+
+// deriveHalf is what party holds of triplet seq of s's stream without being
+// sent anything: one keyed fill — keyed by (the party's key, the shape, the
+// full 64-bit seq), so any seq can be drawn in any order — cut into Uᵢ ‖ Vᵢ
+// and, for party 0, ‖ Z₀. Uᵢ, Vᵢ are U(−1,1), so U = U₀+U₁ and V lie in
+// (−2,2) and no share is larger than the U − U₀ the old split produced; Z₀ is
+// U(±mpc.ShareRange), as mpc.SplitRand draws a mask. Party 1's Z stays nil:
+// it is the correction only the dealer can compute (deriveTriplet). The
+// matrices are views of one allocation.
+func deriveHalf(key uint64, party int, s shape, seq uint64) mpc.TripletShares {
+	mk, kn, mn := s.M*s.K, s.K*s.N, s.M*s.N
+	n := mk + kn
+	if party == 0 {
+		n += mn
+	}
+	buf := make([]float32, n)
+	rng.FillKeyed(buf, StreamSeed(key, s.M, s.K, s.N), seq)
+	t := mpc.TripletShares{
+		U: tensor.FromSlice(s.M, s.K, buf[:mk:mk]),
+		V: tensor.FromSlice(s.K, s.N, buf[mk:mk+kn:mk+kn]),
+	}
+	if party == 0 {
+		t.Z = tensor.FromSlice(s.M, s.N, buf[mk+kn:])
+		for i := range t.Z.Data {
+			t.Z.Data[i] *= mpc.ShareRange
+		}
+	}
+	return t
+}
+
+// deriveTriplet is the dealer's view of triplet seq: both derived halves and
+// the correction Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ that completes party 1's.
+func deriveTriplet(keys [2]uint64, s shape, seq uint64) (p0, p1 mpc.TripletShares) {
+	p0 = deriveHalf(keys[0], 0, s, seq)
+	p1 = deriveHalf(keys[1], 1, s, seq)
+	p1.Z = tensor.MulTo(tensor.AddTo(p0.U, p1.U), tensor.AddTo(p0.V, p1.V))
+	tensor.Sub(p1.Z, p1.Z, p0.Z)
+	return p0, p1
+}

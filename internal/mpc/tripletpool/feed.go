@@ -1,7 +1,9 @@
 package tripletpool
 
 import (
+	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 
@@ -10,53 +12,81 @@ import (
 	"parsecureml/internal/obs"
 )
 
+// ErrDealerReseeded reports that the dealer a feed reconnected to hands out
+// another stream key than the one the feed holds: a dealer restarted on
+// another base (the default -seed 0 draws a fresh one per start). The halves
+// this party still buffers or would derive belong to a stream the new dealer
+// does not serve, so the feed fails for good instead of letting the pair
+// combine halves of two different triplets.
+var ErrDealerReseeded = errors.New("tripletpool: dealer restarted on another base")
+
 // DealerClient is a computation party's end of the dealer feed: an
 // mpc.TripletFeed backed by one supervised connection to
-// cmd/psml-dealer. It receives only THIS party's triplet halves — the
-// share-separation invariant holds on the wire, not just in process
-// memory. Credits (WANT frames) are issued lazily per shape, keeping
-// between Depth/2 and Depth triplets of headroom beyond what has been
-// consumed, so the dealer's generation follows observed demand instead
-// of guessing shapes up front.
+// cmd/psml-dealer. The dealer hands it this party's stream key once per
+// connection, and from there the two parties differ (proto.go):
 //
-// The connection runs under comm.SupervisedLink with AllowPeerRestart:
-// a dealer crash (or standby takeover) is an outage, not a failure.
-// The client tracks a per-shape consumption floor (the lowest seq no
-// session has consumed yet); when the link reconnects to a dealer with
-// fresh state, every shape's stream is re-opened with a RESUME frame
-// carrying that floor, and the deterministic
-// (seed, shape, seq) streams make the resumed triplets bit-identical
-// to the ones the dead dealer would have sent. Only exhausting the
-// link's reconnect budget fails the feed permanently.
+// Party 0 derives every half itself (deriveHalf). It sends the dealer
+// nothing and waits for nothing: a background goroutine keeps Depth halves
+// per shape derived ahead of the allocation cursor so Next is a buffer pop,
+// and a seq that is not there yet — a shape's first draw, a burst past Depth,
+// a Take out of order — is derived on the caller's goroutine. A dealer outage
+// does not reach it at all.
+//
+// Party 1 derives U₁ ‖ V₁ and is shipped the correction Z₁. Credits (WANT
+// frames) are issued lazily per shape, keeping between Depth/2 and Depth
+// triplets of headroom beyond what is being taken, so the dealer's
+// generation follows observed demand instead of guessing shapes up front.
+// A RESUME frame opens a stream at the seq a Take needs — on first use, when
+// a Take lands outside the run of seqs already asked for, and again after
+// every reconnect, when each waiting Take re-states its own seq — and because
+// the stream is a pure function of (key, shape, seq) what a restarted dealer
+// sends is bit-identical to what the dead one would have.
+//
+// The connection runs under comm.SupervisedLink with AllowPeerRestart: a
+// dealer crash (or standby takeover) is an outage, not a failure. Only
+// exhausting the link's reconnect budget, or a dealer on another base
+// (ErrDealerReseeded), fails the feed permanently — for both parties.
 type DealerClient struct {
 	party int
 	depth int
+	key   uint64 // this party's stream key, as the first KEY frame stated it
 	link  *comm.SupervisedLink
 	mux   *comm.Mux
 	ctl   *comm.MuxSession
+	wg    sync.WaitGroup // readLoop and, on party 0, deriveLoop
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	shapes map[shape]*feedShape
+	behind []shape // party 0: shapes deriveLoop has yet to top up
+	gen    uint64  // party 1: link incarnation, from 1; what was asked of an earlier one is void
 	err    error
 }
 
-// feedShape is one shape's slice of the feed: delivered-but-unconsumed
-// triplets keyed by stream seq, the allocation and consumption cursors,
-// and the credit high-water.
+// feedShape is one shape's slice of the feed: held-but-unconsumed halves
+// keyed by stream seq, the allocation cursor, what was handed out, and the
+// run of seqs that are on their way without further asking.
 //
 // Consumption is out of order: concurrent sessions Take announced seqs
 // in whatever order their exchanges land. floor is the lowest seq not
-// yet consumed and done records the holes above it, so floor — the
-// stream position a RESUME re-opens from — never skips a seq some
-// session still needs.
+// yet consumed and done records the consumed seqs above it.
 type feedShape struct {
-	buf       map[uint64]mpc.TripletShares
-	next      uint64              // next seq Next will allocate
-	floor     uint64              // lowest seq not yet consumed
-	done      map[uint64]struct{} // consumed seqs above floor (out-of-order holes)
-	requested uint64              // credit high-water: seqs below this are covered
-	resumed   bool                // RESUME sent on the current link incarnation
+	buf   map[uint64]mpc.TripletShares
+	next  uint64              // next seq Next will allocate
+	floor uint64              // lowest seq not yet consumed
+	done  map[uint64]struct{} // consumed seqs above floor (out-of-order holes)
+	// [from, covered) is the run of seqs asked for and not yet arrived or
+	// already here. Party 1: the credit granted on link incarnation gen.
+	// Party 0: covered alone, deriveLoop's cursor.
+	from, covered uint64
+	gen           uint64
+	queued        bool // party 0: the shape is on DealerClient.behind
+}
+
+// consumed reports whether seq's half was already handed out.
+func (fs *feedShape) consumed(seq uint64) bool {
+	_, done := fs.done[seq]
+	return done || seq < fs.floor
 }
 
 // consume marks seq consumed and slides floor over any contiguous run
@@ -78,9 +108,10 @@ func (fs *feedShape) consume(seq uint64) {
 
 // FeedConfig tunes a DealerClient. The zero value selects the defaults.
 type FeedConfig struct {
-	// Depth is the per-shape credit headroom kept beyond consumption —
-	// the feed-side analogue of Config.Depth — topped up in one WANT
-	// whenever less than half of it is left. Default 8.
+	// Depth is the per-shape headroom kept beyond consumption — the
+	// feed-side analogue of Config.Depth. Party 1 tops its credit up in one
+	// WANT whenever less than half of it is left; party 0 derives this many
+	// halves ahead of its allocation cursor. Default 8.
 	Depth int
 	// Supervisor tunes the underlying supervised link (reconnect budget,
 	// heartbeat cadence). AllowPeerRestart is forced on — dealer
@@ -98,10 +129,10 @@ var (
 )
 
 func init() {
-	obs.Default.FuncCounter("psml_triplet_feed_received_total", "Triplet share halves received from the dealer.", func() float64 {
+	obs.Default.FuncCounter("psml_triplet_feed_received_total", "Triplet correction shares (Z1) received from the dealer.", func() float64 {
 		return float64(feedReceived.Load())
 	})
-	obs.Default.FuncGauge("psml_triplet_feed_buffered", "Dealer-fed triplet halves delivered but not yet consumed.", func() float64 {
+	obs.Default.FuncGauge("psml_triplet_feed_buffered", "Dealer-fed triplet halves delivered or derived ahead but not yet consumed.", func() float64 {
 		return float64(feedBuffered.Load())
 	})
 	obs.Default.FuncCounter("psml_triplet_feed_duplicates_total", "Duplicate or stale triplet deliveries dropped (resume overlap).", func() float64 {
@@ -149,28 +180,54 @@ func NewDealerClient(connect func() (*comm.Conn, error), party int, pairID uint6
 		mux.Close()
 		return nil, err
 	}
+	// The dealer's first feed frame on every connection is this party's key.
+	// Nothing can be derived without it, so the constructor waits for it; a
+	// dealer that dies first is re-dialled underneath and its successor
+	// sends one too.
+	kf, err := feed.ReadFrame()
+	if err != nil {
+		mux.Close()
+		return nil, fmt.Errorf("tripletpool: dealer KEY: %w", err)
+	}
+	key, err := decodeKey(kf)
+	if err != nil {
+		mux.Close()
+		return nil, err
+	}
 	c := &DealerClient{
 		party:  party,
 		depth:  cfg.Depth,
+		key:    key,
 		link:   link,
 		mux:    mux,
 		ctl:    ctl,
 		shapes: make(map[shape]*feedShape),
+		gen:    1,
 	}
 	c.cond = sync.NewCond(&c.mu)
-	link.OnPeerReset(c.onPeerReset)
+	c.wg.Add(1)
 	go c.readLoop(feed)
+	if party == 0 {
+		c.wg.Add(1)
+		go c.deriveLoop()
+	} else {
+		link.OnPeerReset(c.onPeerReset)
+	}
 	return c, nil
 }
 
-// Close tears the feed down; blocked Next/Take calls fail.
+// Close tears the feed down and waits for its goroutines; blocked Next/Take
+// calls fail.
 func (c *DealerClient) Close() {
 	c.mux.Close()
 	c.link.Close()
-	c.failLocked(fmt.Errorf("tripletpool: dealer feed closed"))
+	c.fail(fmt.Errorf("tripletpool: dealer feed closed"))
+	c.wg.Wait()
 }
 
-func (c *DealerClient) failLocked(err error) {
+// fail makes err the feed's sticky failure (the first one wins) and wakes
+// every waiter.
+func (c *DealerClient) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
@@ -179,49 +236,111 @@ func (c *DealerClient) failLocked(err error) {
 	c.mu.Unlock()
 }
 
-// onPeerReset runs on the supervisor goroutine after a resync that
-// found a restarted dealer: every WANT in flight was shed with the old
-// conversation, so mark every stream un-resumed and wake the waiters —
-// each re-derives its credit through ensureCredit, which re-opens the
-// stream with a RESUME from the earliest seq still needed.
+// onPeerReset runs on party 1's supervisor goroutine after a resync that
+// found a fresh dealer-side link (every reconnect: the dealer's links are
+// per-connection): every WANT in flight was shed with the old conversation
+// and the new connection has no stream open. A new incarnation voids every
+// run; the waiters wake and each asks again for its own seq (ensureCredit).
 func (c *DealerClient) onPeerReset() {
 	c.mu.Lock()
-	for _, fs := range c.shapes {
-		fs.resumed = false
-	}
+	c.gen++
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
-// readLoop dispatches FEED frames into per-shape buffers. A resumed
-// stream re-delivers from the consumption floor, overlapping what the
-// old dealer already handed out, so already-buffered and
-// already-consumed seqs are dropped as duplicates.
+// readLoop takes what the dealer sends: a KEY at the head of every
+// connection after the first — equal to the one held, or the feed fails with
+// ErrDealerReseeded — and, on party 1, FEED frames, each completed into a
+// half with the U₁ ‖ V₁ derived here, off every request's path. A resumed
+// stream re-delivers from the consumption floor, overlapping what the old
+// connection already handed over, so already-held and already-consumed seqs
+// are dropped as duplicates. Anything else — a FEED to party 0, a shape this
+// party never asked for, a matrix that is not the shape's Z — is not this
+// protocol, and fails the feed.
 func (c *DealerClient) readLoop(feed *comm.MuxSession) {
+	defer c.wg.Done()
 	for {
 		f, err := feed.ReadFrame()
 		if err != nil {
-			c.failLocked(fmt.Errorf("tripletpool: dealer feed: %w", err))
+			c.fail(fmt.Errorf("tripletpool: dealer feed: %w", err))
 			return
 		}
-		s, seq, t, err := decodeFeedFrame(f)
+		if len(f) == keyBytes {
+			if key, _ := decodeKey(f); key != c.key {
+				err := fmt.Errorf("party %d holds halves of a stream the dealer no longer serves: %w", c.party, ErrDealerReseeded)
+				obs.LogfLogger(log.Printf).Error("dealer_reseeded", err, "party", c.party)
+				c.fail(err)
+				return
+			}
+			continue
+		}
+		s, seq, z1, err := decodeFeedFrame(f)
 		if err != nil {
-			c.failLocked(err)
+			c.fail(err)
 			return
 		}
 		feedReceived.Add(1)
 		c.mu.Lock()
-		fs := c.shape(s)
+		fs, asked := c.shapes[s]
+		if c.party == 0 || !asked {
+			c.mu.Unlock()
+			c.fail(fmt.Errorf("tripletpool: party %d was sent a FEED frame for %dx%dx%d it did not ask for", c.party, s.M, s.K, s.N))
+			return
+		}
 		_, dup := fs.buf[seq]
-		_, consumed := fs.done[seq]
-		if dup || consumed || seq < fs.floor {
+		dup = dup || fs.consumed(seq)
+		c.mu.Unlock()
+		if dup {
 			feedDups.Add(1)
-		} else {
-			fs.buf[seq] = t
-			feedBuffered.Add(1)
-			c.cond.Broadcast()
+			continue
+		}
+		t := deriveHalf(c.key, 1, s, seq)
+		t.Z = z1
+		c.mu.Lock()
+		c.holdLocked(fs, seq, t)
+		c.mu.Unlock()
+	}
+}
+
+// holdLocked buffers seq's half unless it was taken or buffered meanwhile.
+// Caller holds c.mu.
+func (c *DealerClient) holdLocked(fs *feedShape, seq uint64, t mpc.TripletShares) {
+	if _, held := fs.buf[seq]; held || fs.consumed(seq) {
+		return
+	}
+	fs.buf[seq] = t
+	feedBuffered.Add(1)
+	c.cond.Broadcast()
+}
+
+// deriveLoop is party 0's look-ahead: it keeps every shape's halves derived
+// up to Depth past the allocation cursor, one keyed fill at a time with the
+// lock dropped, so a steady session's Next finds its half waiting. It is an
+// optimisation only — waitLocked derives whatever is not there.
+func (c *DealerClient) deriveLoop() {
+	defer c.wg.Done()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.err == nil {
+		if len(c.behind) == 0 {
+			c.cond.Wait()
+			continue
+		}
+		s := c.behind[0]
+		fs := c.shapes[s]
+		if fs.covered >= fs.next+uint64(c.depth) {
+			c.behind, fs.queued = c.behind[1:], false
+			continue
+		}
+		seq := fs.covered
+		fs.covered++
+		if _, held := fs.buf[seq]; held || fs.consumed(seq) {
+			continue
 		}
 		c.mu.Unlock()
+		t := deriveHalf(c.key, 0, s, seq)
+		c.mu.Lock()
+		c.holdLocked(fs, seq, t)
 	}
 }
 
@@ -238,13 +357,28 @@ func (c *DealerClient) shape(s shape) *feedShape {
 	return fs
 }
 
-// ensureCredit keeps the shape's outstanding credits covering seq `need`
-// plus headroom: when fewer than half of Depth (rounded up, so depth 1
-// still asks one ahead) remain beyond `need` it tops them up to Depth in
-// one WANT. On a stream the current link
-// incarnation has not opened yet (first use, or after a dealer restart)
-// it sends a RESUME carrying the consume cursor instead of a plain
-// WANT. Caller holds c.mu, and the write happens without dropping it:
+// maxExtend is how far past the end of its open run a Take still extends the
+// run with a WANT instead of opening a new one: the seqs between belong to
+// sessions whose Takes land out of order, up to a burst of this many, and are
+// wanted anyway. A quarter of the feed session's inbox, which bounds what one
+// ctl frame can put in flight.
+const maxExtend = 256
+
+// ensureCredit makes sure party 1 has asked the dealer, on the current link
+// incarnation, for seq `need` of the shape plus headroom.
+//
+// Inside the shape's open run (or within maxExtend past its end) the run is
+// extended: when fewer than half of Depth (rounded up, so depth 1 still asks
+// one ahead) credits remain beyond `need` it tops them up to Depth in one
+// WANT. Otherwise — first use, first need since a reconnect, a Take far out of
+// order — it opens a run at `need` with a RESUME. Moving the dealer's cursor
+// strands nobody: the dealer ships each ctl frame's credit in full before it
+// reads the next, so whatever was asked on this incarnation is already on the
+// wire. A run that ends close above `need` keeps its end, so the waiters just
+// above are covered by this one RESUME instead of one each. floor, the lowest
+// seq not yet consumed, is where a stream re-opens after a reconnect.
+//
+// Caller holds c.mu, and the write happens without dropping it:
 // MuxSession.WriteFrame returns only once the frame is on the wire (25–37 µs
 // on loopback; longer while the supervised link is down and buffering), and
 // every Next/Take of the feed queues behind it. Granting in batches is what
@@ -252,38 +386,37 @@ func (c *DealerClient) shape(s shape) *feedShape {
 // every one.
 func (c *DealerClient) ensureCredit(s shape, fs *feedShape, need uint64) error {
 	target := need + 1 + uint64(c.depth)
-	if !fs.resumed {
-		from := fs.floor
-		if target < fs.requested {
-			// Keep the pre-restart high-water: other waiters' seqs up to it
-			// are covered by this one RESUME instead of one WANT each.
-			target = fs.requested
+	if fs.gen == c.gen && need >= fs.from && need <= fs.covered+maxExtend {
+		if fs.covered >= need+1+uint64((c.depth+1)/2) {
+			return nil // at least half the headroom left
 		}
-		if target < from {
-			target = from
+		if err := c.ctl.WriteFrame(encodeWant(s, int(target-fs.covered))); err != nil {
+			return fmt.Errorf("tripletpool: dealer WANT: %w", err)
 		}
-		if err := c.ctl.WriteFrame(encodeResume(s, from, int(target-from))); err != nil {
-			return fmt.Errorf("tripletpool: dealer RESUME: %w", err)
-		}
-		feedResumes.Add(1)
-		fs.resumed = true
-		fs.requested = target
+		fs.covered = target
 		return nil
 	}
-	if fs.requested >= need+1+uint64((c.depth+1)/2) {
-		return nil // at least half the headroom left
+	from := need
+	if fs.gen != c.gen && need-fs.floor <= maxExtend {
+		// The incarnation's first ask: open at the consumption floor, at or
+		// below every waiting Take, so the ones that ask next all land inside
+		// this run instead of each moving it down again.
+		from = fs.floor
 	}
-	grant := target - fs.requested
-	if err := c.ctl.WriteFrame(encodeWant(s, int(grant))); err != nil {
-		return fmt.Errorf("tripletpool: dealer WANT: %w", err)
+	if target < fs.covered && fs.covered <= need+maxExtend {
+		target = fs.covered
 	}
-	fs.requested = target
+	if err := c.ctl.WriteFrame(encodeResume(s, from, int(target-from))); err != nil {
+		return fmt.Errorf("tripletpool: dealer RESUME: %w", err)
+	}
+	feedResumes.Add(1)
+	fs.gen, fs.from, fs.covered = c.gen, from, target
 	return nil
 }
 
 // Next implements mpc.TripletFeed: pop this party's share of the next
-// unconsumed triplet in s's stream, waiting for the dealer if none has
-// arrived yet.
+// unconsumed triplet in s's stream — on party 1, waiting for the dealer if
+// its correction has not arrived yet.
 func (c *DealerClient) Next(m, k, n int) (uint64, mpc.TripletShares, error) {
 	s := shape{M: m, K: k, N: n}
 	span := feedWaits.Start()
@@ -312,31 +445,54 @@ func (c *DealerClient) Take(m, k, n int, seq uint64) (mpc.TripletShares, error) 
 	return c.waitLocked(s, fs, seq)
 }
 
-// waitLocked blocks until triplet seq of shape s arrives (issuing
-// credits to cover it) and pops it. An unconsumed seq pins the shape's
-// consumption floor at or below it, so a dealer restart mid-wait
-// re-delivers exactly this seq via the RESUME. A seq that was already
-// consumed — before the call or by a concurrent one while it waited — fails
-// with mpc.ErrTripletConsumed: readLoop drops its re-delivery as a
-// duplicate, so waiting for it would never end. A feed failure is sticky
-// (c.err) and fails every caller.
+// waitLocked pops triplet seq of shape s, first making sure it is on its way.
+// Party 1 asks the dealer for it — once per link incarnation: a reconnect
+// mid-wait makes it ask again, a run that moved elsewhere does not — and
+// blocks until the correction arrives. Party 0 nudges deriveLoop and, when the
+// half is not there, derives it here with the lock dropped — it never blocks.
+// A seq that was already consumed — before the call or by a concurrent one
+// meanwhile — fails with mpc.ErrTripletConsumed: a half is handed out once,
+// and readLoop drops a re-delivery as a duplicate, so waiting for it would
+// never end. A feed failure is sticky (c.err) and fails every caller.
 func (c *DealerClient) waitLocked(s shape, fs *feedShape, seq uint64) (mpc.TripletShares, error) {
+	var asked uint64 // the link incarnation this call asked on; 0 is none
 	for {
 		if c.err != nil {
 			return mpc.TripletShares{}, c.err
 		}
-		if _, consumed := fs.done[seq]; consumed || seq < fs.floor {
+		if fs.consumed(seq) {
 			return mpc.TripletShares{}, fmt.Errorf("tripletpool: %dx%dx%d seq %d: %w", s.M, s.K, s.N, seq, mpc.ErrTripletConsumed)
 		}
-		if err := c.ensureCredit(s, fs, seq); err != nil {
-			c.err = err
-			return mpc.TripletShares{}, err
+		if c.party == 0 {
+			if fs.covered < seq {
+				fs.covered = seq // a Take far ahead: the seqs skipped are derived when taken
+			}
+			// Wake deriveLoop when less than half of Depth (rounded up) is left
+			// ahead, as party 1 tops its credit up: one draw in several pays
+			// the wake-up, not every one.
+			if !fs.queued && fs.covered < fs.next+uint64((c.depth+1)/2) {
+				c.behind, fs.queued = append(c.behind, s), true
+				c.cond.Broadcast()
+			}
+		} else if asked != c.gen {
+			if err := c.ensureCredit(s, fs, seq); err != nil {
+				c.err = err
+				return mpc.TripletShares{}, err
+			}
+			asked = c.gen
 		}
 		if t, ok := fs.buf[seq]; ok {
 			delete(fs.buf, seq)
 			feedBuffered.Add(-1)
 			fs.consume(seq)
 			return t, nil
+		}
+		if c.party == 0 {
+			c.mu.Unlock()
+			t := deriveHalf(c.key, 0, s, seq)
+			c.mu.Lock()
+			c.holdLocked(fs, seq, t)
+			continue
 		}
 		c.cond.Wait()
 	}

@@ -65,12 +65,10 @@ func (s localSource) Gen(m, k, n int) (p0, p1 mpc.TripletShares) {
 	return mpc.GenGemmTripletShares(s.rng, m, k, n)
 }
 
-// StreamSeed mixes a base seed with a GEMM geometry into the seed of
-// that shape's triplet stream (splitmix64 finalizer over the packed
-// dimensions). Every consumer that needs the dealer's exact triplet
-// sequence for a shape — the dealer itself, a reference client in a
-// bit-identity drill — derives it from the same base seed through this
-// function.
+// StreamSeed mixes a seed with a GEMM geometry (splitmix64 finalizer over the
+// packed dimensions) — how a party's stream key becomes the key of one
+// shape's fills (deriveHalf), and a general-purpose mixer for drill and
+// benchmark input seeds.
 func StreamSeed(base uint64, m, k, n int) uint64 {
 	z := base ^ (uint64(m)<<42 + uint64(k)<<21 + uint64(n)) ^ 0x9e3779b97f4a7c15
 	z ^= z >> 30
@@ -80,42 +78,32 @@ func StreamSeed(base uint64, m, k, n int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// streamSource is a per-shape deterministic Source: the j-th Gen call
-// for shape (m,k,n) yields the same triplet regardless of what other
-// shapes were drawn in between, because every shape has its own
-// StreamSeed-derived rng.Pool. This is what makes a dealer-fed fleet
-// reproducible against a client-dealt reference run.
+// streamSource replays a dealer's streams in process: the j-th Gen call for
+// shape (m,k,n) yields triplet j of that shape's stream, both halves,
+// regardless of what other shapes were drawn in between. This is what makes
+// a dealer-fed fleet reproducible against a client-dealt reference run.
 type streamSource struct {
-	base  uint64
-	mu    sync.Mutex
-	pools map[shape]*rng.Pool
+	keys [2]uint64
+	mu   sync.Mutex
+	next map[shape]uint64
 }
 
 // NewStreamSource returns a Source whose triplet sequence per shape is
 // a pure function of (base, shape): stream j of shape s is identical
-// across processes and runs. Use distinct bases for distinct server
+// across processes and runs, and bit-identical to the halves a Dealer on the
+// same base hands its parties. Use distinct bases for distinct server
 // pairs in deployments where triplet reuse across pairs matters.
 func NewStreamSource(base uint64) Source {
-	return &streamSource{base: base, pools: make(map[shape]*rng.Pool)}
+	return &streamSource{keys: partyKeys(base), next: make(map[shape]uint64)}
 }
 
 func (s *streamSource) Gen(m, k, n int) (p0, p1 mpc.TripletShares) {
 	sh := shape{M: m, K: k, N: n}
 	s.mu.Lock()
-	p, ok := s.pools[sh]
-	if !ok {
-		p = rng.NewPool(StreamSeed(s.base, m, k, n))
-		s.pools[sh] = p
-	}
+	seq := s.next[sh]
+	s.next[sh] = seq + 1
 	s.mu.Unlock()
-	// Serialize draws per shape: a stream's j-th triplet must not depend
-	// on concurrent draws of the same shape interleaving their fills.
-	// (Distinct shapes still generate concurrently — each has its own
-	// pool — and the per-shape lock only matters to the dealer tier,
-	// whose per-shape generation is sequential anyway.)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return mpc.GenGemmTripletShares(p, m, k, n)
+	return deriveTriplet(s.keys, sh, seq)
 }
 
 func (c Config) withDefaults() Config {

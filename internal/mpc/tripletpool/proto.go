@@ -4,48 +4,66 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"parsecureml/internal/mpc"
+	"parsecureml/internal/comm"
 	"parsecureml/internal/tensor"
 )
 
-// Dealer wire protocol. Each server party holds one framed connection
+// Dealer wire protocol, v3. Each server party holds one framed connection
 // to the dealer: a hello frame on the raw connection establishes who is
-// asking (party and pair), then a comm.Mux takes over with two
-// fixed sub-streams — the demand stream (server → dealer WANT frames,
-// shape-keyed credit grants) and the feed stream (dealer → server
-// triplet shares). Credits are the backpressure: the dealer only ships
-// what was asked for, and it only generates ahead of the slower party
-// by its configured in-flight bound, so a stalled or dead party caps
-// the memory both sides spend on its pair.
+// asking (party and pair), then a comm.Mux over a supervised link takes over
+// with two fixed sub-streams — the demand stream (party 1 → dealer WANT and
+// RESUME frames, shape-keyed credit grants) and the feed stream (dealer →
+// party). A connection is self-contained: the dealer keeps nothing about a
+// pair between connections, and nothing one party does can hold up the other.
 //
-// Share separation is structural: a FEED frame carries exactly one
-// party's (Uᵢ, Vᵢ, Zᵢ) and travels on that party's connection. The two
-// halves of one triplet never appear on the same wire.
+// The first frame on every connection's feed stream is KEY: that party's
+// 64-bit stream key K_i = SHA-256(base ‖ party)[:8]. Triplet seq of shape
+// (m,k,n) is from then on a pure, random-access function (deriveHalf): party 0
+// expands U₀ ‖ V₀ ‖ Z₀ and party 1 expands U₁ ‖ V₁ from its own key, and the
+// dealer, who holds both keys, ships the one matrix neither can compute —
+// Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ — in a FEED frame, to party 1 only, against party
+// 1's credit. Party 0 is sent its key and nothing else, and sends nothing.
+//
+// Share separation is structural: each key travels only on its own party's
+// connection, and it is one-way in the base, so holding K₀ says nothing about
+// K₁. On a plaintext dealer link, whoever reads a connection's first frames
+// holds that party's every half for as long as the dealer keeps its base —
+// what v2's FEED frames gave, 12 KB at a time, to whoever kept reading — while
+// one who starts reading later sees nothing of party 0's halves and only Z₁ of
+// party 1's. A reader of BOTH dealer links reconstructs triplets under either
+// version. Neither version encrypts the link; that belongs under comm.Conn,
+// not in these frames (DESIGN.md "Derived triplet halves").
+//
+// Why party 1 takes the correction: party 0 leads (it draws, announces and
+// leases triplets, mpc.feedLease), so the party that never waits on the
+// dealer is the one whose wait would sit on every request's critical path;
+// party 1 takes its half after its reply is out (feedLease.settle).
 
 const (
 	// dealerMagic tags dealer-protocol hello frames: "PSTD".
 	dealerMagic = 0x50535444
 	// dealerProtoVersion is bumped on incompatible frame changes; the
 	// dealer rejects mismatches at hello time rather than mid-stream.
-	// v2: ctl frames grew a kind tag and the RESUME frame (crash-resume
-	// cursors) — v1 peers are rejected at hello time.
-	dealerProtoVersion = 2
+	// v2: ctl frames grew a kind tag and the RESUME frame. v3: KEY frames,
+	// FEED frames carry Z₁ alone, party 0 has no ctl traffic. One version is
+	// spoken; there is no negotiated fallback.
+	dealerProtoVersion = 3
 	// Mux sub-stream ids, fixed by the protocol.
-	dealerCtlID  = 1 // server → dealer: WANT / RESUME frames
-	dealerFeedID = 2 // dealer → server: FEED frames
+	dealerCtlID  = 1 // party 1 → dealer: WANT / RESUME frames
+	dealerFeedID = 2 // dealer → party: KEY, then (party 1) FEED frames
 )
 
 // Ctl frame kinds (first byte of every frame on dealerCtlID).
 const (
 	// ctlWant grants incremental credit on an already-resumed stream.
 	ctlWant = 0x01
-	// ctlResume states the replica's consume cursor for one shape and
-	// opens (or re-opens) that stream: the dealer rewinds or
-	// fast-forwards to the cursor and replaces any prior credit with the
-	// carried count. Sent on first contact per shape and again after
-	// every dealer restart; the dealer ignores plain WANTs for a stream
-	// until it has seen this link incarnation's RESUME, so credit
-	// bookkeeping from a dead dealer can never leak into a fresh one.
+	// ctlResume states party 1's consume cursor for one shape and opens (or
+	// re-opens) that stream on this connection: the dealer ships from the
+	// cursor — the stream is random-access, there is nothing to rewind — and
+	// the carried count is the stream's credit. Sent on first contact per
+	// shape and again after every reconnect; the dealer ignores plain WANTs
+	// for a stream this connection has not RESUMEd, so credit bookkeeping
+	// from a dead connection can never leak into a fresh one.
 	ctlResume = 0x02
 )
 
@@ -128,14 +146,14 @@ func decodeResume(f []byte) (s shape, from uint64, count int, err error) {
 	}
 	from = binary.LittleEndian.Uint64(f[13:21])
 	count = int(binary.LittleEndian.Uint32(f[21:25]))
-	if count < 0 {
-		return shape{}, 0, 0, fmt.Errorf("tripletpool: RESUME frame with negative count %d", count)
+	if count < 0 || from+uint64(count) < from {
+		return shape{}, 0, 0, fmt.Errorf("tripletpool: RESUME frame with count %d from cursor %d", count, from)
 	}
 	return s, from, count, nil
 }
 
-// decodeCtlShape validates the 12-byte shape block shared by WANT and
-// RESUME frames.
+// decodeCtlShape validates the 12-byte shape block shared by WANT, RESUME
+// and FEED frames.
 func decodeCtlShape(b []byte) (shape, error) {
 	s := shape{
 		M: int(binary.LittleEndian.Uint32(b[0:4])),
@@ -145,50 +163,64 @@ func decodeCtlShape(b []byte) (shape, error) {
 	if s.M <= 0 || s.K <= 0 || s.N <= 0 {
 		return shape{}, fmt.Errorf("degenerate shape %dx%dx%d", s.M, s.K, s.N)
 	}
+	// A request's A, B and this stream's Z₁ each travel in one frame; a shape
+	// none could carry is nobody's request, and deriving it would be an
+	// allocation the size of the sender's choosing.
+	const maxElems = comm.MaxFrameBytes / 4
+	if uint64(s.M)*uint64(s.K) > maxElems || uint64(s.K)*uint64(s.N) > maxElems || uint64(s.M)*uint64(s.N) > maxElems {
+		return shape{}, fmt.Errorf("shape %dx%dx%d exceeds the frame limit", s.M, s.K, s.N)
+	}
 	return s, nil
 }
 
+// keyBytes is a KEY frame: the party's 64-bit stream key and nothing else.
+// FEED frames are longer than their 20-byte header, so length tells the two
+// apart.
+const keyBytes = 8
+
+func encodeKey(key uint64) []byte {
+	return binary.LittleEndian.AppendUint64(make([]byte, 0, keyBytes), key)
+}
+
+func decodeKey(f []byte) (uint64, error) {
+	if len(f) != keyBytes {
+		return 0, fmt.Errorf("tripletpool: bad KEY frame (%d bytes)", len(f))
+	}
+	return binary.LittleEndian.Uint64(f), nil
+}
+
 // feedHeaderBytes prefixes a FEED frame: shape dimensions plus the
-// triplet's stream sequence number, ahead of the encoded U, V, Z.
+// triplet's stream sequence number, ahead of the encoded Z₁.
 const feedHeaderBytes = 4*3 + 8
 
-func appendFeedFrame(buf []byte, s shape, seq uint64, t mpc.TripletShares) []byte {
+func appendFeedFrame(buf []byte, s shape, seq uint64, z1 *tensor.Matrix) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.M))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.K))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.N))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = tensor.EncodeMatrix(buf, t.U)
-	buf = tensor.EncodeMatrix(buf, t.V)
-	return tensor.EncodeMatrix(buf, t.Z)
+	return tensor.EncodeMatrix(buf, z1)
 }
 
-func decodeFeedFrame(f []byte) (shape, uint64, mpc.TripletShares, error) {
-	var t mpc.TripletShares
+// decodeFeedFrame accepts exactly one m×n matrix behind the header: a frame
+// that carries more — U or V again — or another geometry is refused.
+func decodeFeedFrame(f []byte) (shape, uint64, *tensor.Matrix, error) {
 	if len(f) < feedHeaderBytes {
-		return shape{}, 0, t, fmt.Errorf("tripletpool: FEED frame of %d bytes has no header", len(f))
+		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame of %d bytes has no header", len(f))
 	}
-	s := shape{
-		M: int(binary.LittleEndian.Uint32(f[0:4])),
-		K: int(binary.LittleEndian.Uint32(f[4:8])),
-		N: int(binary.LittleEndian.Uint32(f[8:12])),
+	s, err := decodeCtlShape(f[0:12])
+	if err != nil {
+		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame: %w", err)
 	}
 	seq := binary.LittleEndian.Uint64(f[12:20])
-	off := feedHeaderBytes
-	mats := [3]*tensor.Matrix{}
-	for i := range mats {
-		m, n, err := tensor.DecodeMatrix(f[off:])
-		if err != nil {
-			return shape{}, 0, t, fmt.Errorf("tripletpool: FEED frame matrix %d: %w", i, err)
-		}
-		mats[i] = m
-		off += n
+	z1, n, err := tensor.DecodeMatrix(f[feedHeaderBytes:])
+	if err != nil {
+		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame matrix: %w", err)
 	}
-	if off != len(f) {
-		return shape{}, 0, t, fmt.Errorf("tripletpool: FEED frame has %d trailing bytes", len(f)-off)
+	if feedHeaderBytes+n != len(f) {
+		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame has %d trailing bytes", len(f)-feedHeaderBytes-n)
 	}
-	t = mpc.TripletShares{U: mats[0], V: mats[1], Z: mats[2]}
-	if t.U.Rows != s.M || t.U.Cols != s.K || t.V.Rows != s.K || t.V.Cols != s.N || t.Z.Rows != s.M || t.Z.Cols != s.N {
-		return shape{}, 0, mpc.TripletShares{}, fmt.Errorf("tripletpool: FEED frame geometry does not match its %dx%dx%d header", s.M, s.K, s.N)
+	if z1.Rows != s.M || z1.Cols != s.N {
+		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame carries %dx%d, not the Z of its %dx%dx%d header", z1.Rows, z1.Cols, s.M, s.K, s.N)
 	}
-	return s, seq, t, nil
+	return s, seq, z1, nil
 }

@@ -3,25 +3,24 @@ package tripletpool
 import (
 	"bytes"
 	"testing"
-
-	"parsecureml/internal/mpc"
-	"parsecureml/internal/rng"
 )
 
 // FuzzDealerProto throws arbitrary bytes at every dealer-protocol frame
-// decoder — hello, WANT, RESUME, FEED. The decoders guard the dealer
+// decoder — hello, KEY, WANT, RESUME, FEED. The decoders guard the dealer
 // and the replicas against each other: a malformed or hostile frame
 // must come back as an error, never a panic, and whatever a decoder
-// does accept must re-encode to the same bytes (ctl frames are
-// fixed-layout) or survive a second decode unchanged (FEED frames,
-// whose matrix payloads have more than one wire form).
+// does accept must re-encode to the same bytes (every frame but FEED is
+// fixed-layout) or survive a second decode unchanged (FEED frames). The
+// corpus under testdata holds the v3 cases by name: a v2 hello and v2's
+// three-matrix FEED frames (refused — one version is spoken), a Z that is not
+// m×n, a shape past the frame limit, a RESUME whose cursor + count wraps.
 func FuzzDealerProto(f *testing.F) {
-	p := rng.NewPool(7)
-	t0, _ := mpc.GenGemmTripletShares(p, 2, 3, 2)
+	_, p1 := NewStreamSource(7).Gen(2, 3, 2)
 	f.Add(encodeDealerHello(1, 42))
 	f.Add(encodeWant(shape{M: 5, K: 6, N: 4}, 8))
 	f.Add(encodeResume(shape{M: 5, K: 6, N: 4}, 97, 3))
-	f.Add(appendFeedFrame(nil, shape{M: 2, K: 3, N: 2}, 11, t0))
+	f.Add(appendFeedFrame(nil, shape{M: 2, K: 3, N: 2}, 11, p1.Z))
+	f.Add(encodeKey(0xfeedfacecafef00d))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if party, pairID, err := decodeDealerHello(data); err == nil {
 			if party != 0 && party != 1 {
@@ -30,6 +29,9 @@ func FuzzDealerProto(f *testing.F) {
 			if !bytes.Equal(encodeDealerHello(party, pairID), data) {
 				t.Fatal("hello did not re-encode to its own bytes")
 			}
+		}
+		if key, err := decodeKey(data); err == nil && !bytes.Equal(encodeKey(key), data) {
+			t.Fatal("KEY did not re-encode to its own bytes")
 		}
 		if s, count, err := decodeWant(data); err == nil {
 			if s.M <= 0 || s.K <= 0 || s.N <= 0 || count <= 0 {
@@ -40,27 +42,25 @@ func FuzzDealerProto(f *testing.F) {
 			}
 		}
 		if s, from, count, err := decodeResume(data); err == nil {
-			if s.M <= 0 || s.K <= 0 || s.N <= 0 || count < 0 {
-				t.Fatalf("RESUME decoded degenerate %dx%dx%d count %d", s.M, s.K, s.N, count)
+			if s.M <= 0 || s.K <= 0 || s.N <= 0 || count < 0 || from+uint64(count) < from {
+				t.Fatalf("RESUME decoded degenerate %dx%dx%d count %d from %d", s.M, s.K, s.N, count, from)
 			}
 			if !bytes.Equal(encodeResume(s, from, count), data) {
 				t.Fatal("RESUME did not re-encode to its own bytes")
 			}
 		}
-		if s, seq, tr, err := decodeFeedFrame(data); err == nil {
-			if tr.U.Rows != s.M || tr.U.Cols != s.K ||
-				tr.V.Rows != s.K || tr.V.Cols != s.N ||
-				tr.Z.Rows != s.M || tr.Z.Cols != s.N {
-				t.Fatalf("FEED accepted geometry off its %dx%dx%d header", s.M, s.K, s.N)
+		if s, seq, z1, err := decodeFeedFrame(data); err == nil {
+			if z1.Rows != s.M || z1.Cols != s.N || s.K <= 0 {
+				t.Fatalf("FEED accepted a %dx%d matrix under its %dx%dx%d header", z1.Rows, z1.Cols, s.M, s.K, s.N)
 			}
-			// The payload may arrive in any matrix wire form; a re-encoded
-			// frame must decode back to the identical triplet.
-			s2, seq2, tr2, err := decodeFeedFrame(appendFeedFrame(nil, s, seq, tr))
+			if _, err := decodeKey(data); err == nil {
+				t.Fatal("one frame decodes as both FEED and KEY")
+			}
+			s2, seq2, z2, err := decodeFeedFrame(appendFeedFrame(nil, s, seq, z1))
 			if err != nil {
 				t.Fatalf("re-encoded FEED frame rejected: %v", err)
 			}
-			if s2 != s || seq2 != seq ||
-				!tr2.U.ApproxEqual(tr.U, 0) || !tr2.V.ApproxEqual(tr.V, 0) || !tr2.Z.ApproxEqual(tr.Z, 0) {
+			if s2 != s || seq2 != seq || !z2.ApproxEqual(z1, 0) {
 				t.Fatal("FEED frame did not survive a decode/encode/decode cycle")
 			}
 		}

@@ -187,6 +187,11 @@ func BenchmarkRemoteMulCompressed(b *testing.B) {
 	b.Run("codec", func(b *testing.B) { benchRemoteMulCompressed(b, true) })
 }
 
+// DealerFeedSection measures BENCH_wire.json's dealer_feed section (bytes per
+// triplet on the dealer links). It needs tripletpool, which imports this
+// package, so dealer_feed_bytes_test.go in the external test package sets it.
+var DealerFeedSection func(t *testing.T) map[string]any
+
 // TestEmitWireBenchBaseline runs the benchmark pairs via
 // testing.Benchmark and writes the comparison to the JSON file named by
 // BENCH_WIRE_OUT. Skipped when the variable is unset, so plain `go test`
@@ -255,6 +260,7 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 			"dealer_fed":     fedHops,
 			"ns_ratio":       hopsRatio,
 		},
+		"dealer_feed": DealerFeedSection(t),
 		"remote_mul_throttled": map[string]any{
 			"dim":                           benchMulDim,
 			"chunk_rows":                    32,

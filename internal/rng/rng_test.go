@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -23,6 +24,96 @@ func TestFillUniformDeterministicAcrossWorkerCounts(t *testing.T) {
 		if !m.Equal(ref) {
 			t.Fatalf("fill with %d workers differs from serial reference", workers)
 		}
+	}
+}
+
+// TestFillSequenceDoesNotRepeat: the block streams of fill id f were keyed by
+// f<<16 in a 32-bit word, so fill 65 536 replayed fill 0 bit for bit and every
+// pool — every dealer stream — repeated from there. Fills 0 and 65 536 (5 and
+// 65 541) must differ, and fills below 65 536 must keep the values they had
+// before the fix (the golden below was drawn at the parent commit: checkpoint
+// cursors and every bit-identity contract rest on them).
+func TestFillSequenceDoesNotRepeat(t *testing.T) {
+	const seed = 0xfeed
+	fill := func(id uint32, rows, cols int) *tensor.Matrix {
+		p := NewPool(seed)
+		p.SetCursor(seed, id)
+		return p.NewUniform(rows, cols, -1, 1)
+	}
+	for _, id := range []uint32{0, 5} {
+		if fill(id, 3, 4).Equal(fill(id+65536, 3, 4)) {
+			t.Errorf("fill %d equals fill %d: the pool repeats after 65536 fills", id+65536, id)
+		}
+	}
+	if fill(65536, 3, 4).Equal(fill(2*65536, 3, 4)) {
+		t.Error("fill 131072 equals fill 65536")
+	}
+	golden := map[uint32][4]uint32{
+		0:     {0x3e224d68, 0xbf0257ba, 0x3e119f68, 0xbf377662},
+		5:     {0xbe362cc0, 0xbe9685cc, 0x3ed550ec, 0xbf1af6c0},
+		4097:  {0xbf6f9d08, 0x3efa01a0, 0xbf7a2ed6, 0xbe9c113c},
+		65535: {0xbf15ddd4, 0x3e2adda0, 0x3dfa9820, 0x3e83a210},
+	}
+	for id, want := range golden {
+		got := fill(id, 3, 4)
+		for i, w := range want {
+			if b := math.Float32bits(got.Data[i]); b != w {
+				t.Errorf("fill %d element %d = %#08x, was %#08x before the fix", id, i, b, w)
+			}
+		}
+	}
+	// Second block of a multi-block fill: the block index still shares the
+	// fill id's word.
+	m := fill(7, 1, BlockSize+3)
+	if a, b := math.Float32bits(m.Data[BlockSize]), math.Float32bits(m.Data[BlockSize+2]); a != 0x3f4210c8 || b != 0xbed6ac1c {
+		t.Errorf("fill 7 block 1 = %#08x, %#08x, was 0x3f4210c8, 0xbed6ac1c before the fix", a, b)
+	}
+}
+
+// TestFillKeyedIsRandomAccess: a keyed fill is a pure function of (key, seq) —
+// any order, any worker count, the full 64 bits of both — in [-1, 1), and
+// shares no stream with a Pool fill of the same numbers.
+func TestFillKeyedIsRandomAccess(t *testing.T) {
+	draw := func(key, seq uint64, n int) []float32 {
+		out := make([]float32, n)
+		FillKeyed(out, key, seq)
+		return out
+	}
+	const n = 2*BlockSize + 17
+	seqs := []uint64{0, 1, 7, 65536, 1 << 40, 1<<40 + 65536, 1 << 63}
+	first := make(map[uint64][]float32)
+	for _, seq := range seqs {
+		first[seq] = draw(9, seq, n)
+		for _, v := range first[seq] {
+			if v < -1 || v >= 1 {
+				t.Fatalf("keyed value %v out of [-1,1)", v)
+			}
+		}
+	}
+	prev := tensor.SetMaxWorkers(1)
+	for i := len(seqs) - 1; i >= 0; i-- { // descending, single worker
+		if !slices.Equal(draw(9, seqs[i], n), first[seqs[i]]) {
+			t.Errorf("seq %d differs when drawn again in another order", seqs[i])
+		}
+	}
+	tensor.SetMaxWorkers(prev)
+	for i, a := range seqs {
+		for _, b := range seqs[i+1:] {
+			if slices.Equal(first[a][:64], first[b][:64]) {
+				t.Errorf("seqs %d and %d draw the same values", a, b)
+			}
+		}
+	}
+	if slices.Equal(draw(9, 3, 64), draw(9|1<<40, 3, 64)) {
+		t.Error("keys that differ above bit 32 draw the same values")
+	}
+	if slices.Equal(first[7][:BlockSize], first[7][BlockSize:2*BlockSize]) {
+		t.Error("two blocks of one keyed fill are equal")
+	}
+	pool := NewPool(9)
+	pool.SetCursor(9, 7)
+	if slices.Equal(pool.NewUniform(1, 64, -1, 1).Data, first[7][:64]) {
+		t.Error("a keyed fill replays the Pool fill of the same seed and id")
 	}
 }
 
