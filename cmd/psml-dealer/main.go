@@ -1,9 +1,12 @@
 // Command psml-dealer runs the trusted-dealer precompute tier: the
 // offline phase of the paper's protocol (§2.2) as a standalone service.
-// Computation parties connect (psml-server -dealer-dial), announce
-// their pair, and stream shape-keyed demand; the dealer generates
-// Beaver triplets and ships each party ITS half — the two shares of one
-// triplet never travel to the same process, which is the invariant the
+// Computation parties connect (psml-server -dealer-dial) and announce
+// their pair. The dealer hands each party a stream key, once per
+// connection, from which the party derives its own triplet halves, and
+// ships party 1 — against party 1's shape-keyed demand — the one matrix of
+// every triplet no key expands, the correction Z₁. Each key travels only on
+// its own party's connection and Z₁ only to party 1, so the two shares of
+// one triplet never reach the same process: the invariant the
 // client-as-dealer deployment existed to protect, now held by topology
 // instead of by pushing the offline phase onto every client.
 //

@@ -226,11 +226,11 @@ func main() {
 	}
 
 	// Trusted-dealer feed: connect to the precompute tier and serve the
-	// two-matrix request form from its triplet streams. The connection
-	// runs under a supervised link that owns the dial — it retries at
-	// startup (dealer and servers race to come up) and again after every
-	// loss, and a restarted dealer resumes each deterministic stream from
-	// this replica's RESUME cursors — see tripletpool.DealerClient.
+	// two-matrix request form from its triplet streams. The feed owns the
+	// dial — it retries at startup (dealer and servers race to come up) and
+	// dials again whenever the connection fails or falls silent, and a
+	// restarted dealer ships each random-access stream from the seqs party 1
+	// states in its RESUMEs — see tripletpool.DealerClient.
 	if *dealerDial != "" {
 		addr := *dealerDial
 		feed, err := tripletpool.NewDealerClient(func() (*comm.Conn, error) {
@@ -241,8 +241,8 @@ func main() {
 			c.SetTimeouts(0, 10*time.Second)
 			return c, nil
 		}, *party, *pairID, tripletpool.FeedConfig{
-			Depth:      *feedDepth,
-			Supervisor: comm.SupervisorConfig{ReconnectAttempts: dealerReconnectAttempts},
+			Depth:             *feedDepth,
+			ReconnectAttempts: dealerReconnectAttempts,
 		})
 		if err != nil {
 			log.Fatalf("dealer feed: %v", err)

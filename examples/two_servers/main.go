@@ -13,9 +13,7 @@
 // served correctly.
 //
 // The final phase scales out: -clients concurrent data owners share the
-// two servers, each session multiplexed over the one peer link, with
-// the offline phase (triplet generation, paper §2.2) served from a
-// background tripletpool warmed to -triplet-pool-depth per shape.
+// two servers, each session multiplexed over the one peer link.
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/mpc"
-	"parsecureml/internal/mpc/tripletpool"
 	"parsecureml/internal/obs"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
@@ -36,7 +33,6 @@ import (
 
 func main() {
 	clients := flag.Int("clients", 4, "concurrent data owners in the scale-out phase")
-	poolDepth := flag.Int("triplet-pool-depth", 3, "ready triplets the offline pool keeps per observed shape")
 	flag.Parse()
 	// Inter-server link (server0 listens, server1 dials with retry — the
 	// start order of the two servers doesn't matter).
@@ -170,12 +166,8 @@ func main() {
 	fmt.Println("all products verified; servers saw only shares and masked E/F frames")
 
 	// Scale-out phase: several data owners at once. Every session rides
-	// the same peer link (the mux interleaves their E/F exchanges), and
-	// the offline phase comes from a warmed triplet pool instead of being
-	// generated inline per request.
-	fmt.Printf("scale-out: %d concurrent clients, triplet pool depth %d:\n", *clients, *poolDepth)
-	tp := tripletpool.New(tripletpool.Config{Depth: *poolDepth, Workers: 2, Seed: 1234})
-	defer tp.Close()
+	// the same peer link (the mux interleaves their E/F exchanges).
+	fmt.Printf("scale-out: %d concurrent clients:\n", *clients)
 	draws := rng.NewPool(4321)
 	var drawMu sync.Mutex
 	draw := func(rows, cols int) *tensor.Matrix {
@@ -206,7 +198,7 @@ func main() {
 			m, k, n := 32+8*i, 48, 24 // distinct geometry per owner
 			for round := 0; round < 2; round++ {
 				a, b := draw(m, k), draw(k, n)
-				in0, in1 := tp.Split(a, b)
+				in0, in1 := mpc.RemoteClientSplit(a, b, client)
 				got, err := mpc.RequestMul(c0, c1, in0, in1)
 				if err != nil {
 					log.Printf("client %d round %d: %v", i, round, err)
@@ -219,9 +211,6 @@ func main() {
 		}(i)
 	}
 	cwg.Wait()
-	st := tripletpool.Totals()
-	fmt.Printf("triplet pool: %d ready, %d hits, %d misses, %d generated\n",
-		st.Ready, st.Hits, st.Misses, st.Generated)
 
 	cancel()
 	wg.Wait()

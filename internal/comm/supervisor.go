@@ -163,12 +163,10 @@ type SupervisorConfig struct {
 	// does not cover ours a recoverable event instead of ErrPeerStateLost:
 	// the link resets to a fresh stream (sequence numbers restart at 1,
 	// unacknowledged buffered frames are shed and counted on
-	// SupervisorTotals) and OnPeerReset callbacks fire so the application
-	// can re-establish its own state. This is only sound for protocols
-	// whose per-link state is re-derivable — the dealer feed is the model:
-	// triplet streams are deterministic functions of (seed, shape, cursor),
-	// so a replica re-sends its cursors and the restarted dealer resumes
-	// exactly where the old one died.
+	// SupervisorTotals().PeerResets). This is only sound for protocols that
+	// keep nothing across a reset — the fleet health link is the model: a
+	// restarted replica JOINs again on its new connection, and a restarted
+	// router takes that re-JOIN for a first one.
 	AllowPeerRestart bool
 }
 
@@ -214,22 +212,24 @@ func jitterDuration(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * (1 - f + 2*f*rand.Float64()))
 }
 
-// backoff is this package's one retry schedule (DialRetry, reconnect): it
-// calls try up to attempts times, sleeping a jittered delay between calls
-// that starts at base and doubles up to max. try returns retry=false to end
-// the loop with its error as is (nil on success); when the attempts run out
-// its last error comes back wrapped, naming what was retried. A closed stop
-// channel — nil never closes — ends it with ErrLinkClosed.
-func backoff(what string, attempts int, base, max time.Duration, jitter float64, stop <-chan struct{}, try func() (retry bool, err error)) error {
+// Retry is this package's one retry schedule (DialRetry, a supervised link's
+// reconnect, the dealer feed's redial): it calls try up to cfg.Attempts times,
+// sleeping a jittered delay between calls that starts at cfg.BaseDelay and
+// doubles up to cfg.MaxDelay. try returns retry=false to end the loop with its
+// error as is (nil on success); when the attempts run out its last error comes
+// back wrapped, naming what was retried. A closed stop channel — nil never
+// closes — ends it with ErrLinkClosed.
+func Retry(what string, cfg RetryConfig, stop <-chan struct{}, try func() (retry bool, err error)) error {
+	cfg = cfg.withDefaults()
 	var err error
-	for attempt, delay := 0, base; attempt < attempts; attempt++ {
+	for attempt, delay := 0, cfg.BaseDelay; attempt < cfg.Attempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-stop:
 				return ErrLinkClosed
-			case <-time.After(jitterDuration(delay, jitter)):
+			case <-time.After(jitterDuration(delay, cfg.Jitter)):
 			}
-			delay = min(2*delay, max)
+			delay = min(2*delay, cfg.MaxDelay)
 		}
 		select {
 		case <-stop:
@@ -241,7 +241,7 @@ func backoff(what string, attempts int, base, max time.Duration, jitter float64,
 			return err
 		}
 	}
-	return fmt.Errorf("comm: %s: %d attempts exhausted: %w", what, attempts, err)
+	return fmt.Errorf("comm: %s: %d attempts exhausted: %w", what, cfg.Attempts, err)
 }
 
 // deadliner is the optional deadline surface of a connect result (*Conn
@@ -306,8 +306,6 @@ type SupervisedLink struct {
 	closed      bool
 	err         error
 	onReconnect []func() // run after every successful re-establishment
-	onPeerReset []func() // run after a tolerated peer-restart resync
-	peerReset   bool     // the last resync reset the stream (consumed by supervise)
 	nextSeq     uint64   // next outbound data sequence number (first is 1)
 	delivered   uint64   // highest inbound seq handed to the inbox
 	peerAck     uint64   // highest outbound seq the peer confirmed
@@ -338,12 +336,6 @@ func NewSupervisedLink(connect func() (Framer, error), cfg SupervisorConfig) (*S
 		s.fail(err)
 		return nil, err
 	}
-	// A reset on the *initial* handshake (we are the fresh side talking to
-	// a peer with state) needs no callback: nothing could have registered
-	// one yet, and the application has no stream state to re-derive.
-	s.mu.Lock()
-	s.peerReset = false
-	s.mu.Unlock()
 	go s.supervise(sc)
 	return s, nil
 }
@@ -448,31 +440,6 @@ func (s *SupervisedLink) notifyReconnect() {
 	}
 }
 
-// OnPeerReset registers f to run after a resync that reset the stream
-// because the peer restarted (AllowPeerRestart). Unlike OnReconnect —
-// which means "the same conversation resumed over a new path" — a peer
-// reset means the conversation itself restarted from scratch: every
-// unacknowledged outbound frame was shed and the peer remembers nothing.
-// This is where the application re-derives its link state (the dealer
-// feed re-sends its per-shape resume cursors here). Callbacks run on the
-// supervisor goroutine before the OnReconnect callbacks and must not
-// block.
-func (s *SupervisedLink) OnPeerReset(f func()) {
-	s.mu.Lock()
-	s.onPeerReset = append(s.onPeerReset, f)
-	s.mu.Unlock()
-}
-
-// notifyPeerReset runs the registered peer-reset callbacks.
-func (s *SupervisedLink) notifyPeerReset() {
-	s.mu.Lock()
-	cbs := append([]func(){}, s.onPeerReset...)
-	s.mu.Unlock()
-	for _, f := range cbs {
-		f()
-	}
-}
-
 // supervise replaces dead connections until the link closes or a
 // reconnect cycle fails for good.
 func (s *SupervisedLink) supervise(sc *supConn) {
@@ -490,13 +457,6 @@ func (s *SupervisedLink) supervise(sc *supConn) {
 			return
 		}
 		supReconnects.Add(1)
-		s.mu.Lock()
-		reset := s.peerReset
-		s.peerReset = false
-		s.mu.Unlock()
-		if reset {
-			s.notifyPeerReset()
-		}
 		s.notifyReconnect()
 		sc = nc
 	}
@@ -506,7 +466,8 @@ func (s *SupervisedLink) supervise(sc *supConn) {
 // the installed incarnation.
 func (s *SupervisedLink) reconnect() (*supConn, error) {
 	var sc *supConn
-	err := backoff("supervised link reconnect", s.cfg.ReconnectAttempts, s.cfg.ReconnectBase, s.cfg.ReconnectMax, s.cfg.Jitter, s.done, func() (bool, error) {
+	retry := RetryConfig{Attempts: s.cfg.ReconnectAttempts, BaseDelay: s.cfg.ReconnectBase, MaxDelay: s.cfg.ReconnectMax, Jitter: s.cfg.Jitter}
+	err := Retry("supervised link reconnect", retry, s.done, func() (bool, error) {
 		c, err := s.connect()
 		if err != nil {
 			return true, err
@@ -588,7 +549,6 @@ func (s *SupervisedLink) resync(c Framer) (*supConn, error) {
 		s.nextSeq = 1
 		s.delivered = 0
 		s.peerAck = 0
-		s.peerReset = true
 		if shedFrames > 0 {
 			supShedFrames.Add(shedFrames)
 			supBufferedFrames.Add(-shedFrames)

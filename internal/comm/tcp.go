@@ -307,12 +307,12 @@ func Dial(addr string) (*Conn, error) {
 	return newConn(c), nil
 }
 
-// RetryConfig bounds DialRetry. Zero fields take the stated defaults.
+// RetryConfig bounds Retry and DialRetry. Zero fields take the stated defaults.
 type RetryConfig struct {
-	Attempts    int           // max dial attempts (default 5)
+	Attempts    int           // max attempts (default 5)
 	BaseDelay   time.Duration // backoff before the 2nd attempt, doubling after (default 50ms)
 	MaxDelay    time.Duration // backoff cap (default 2s)
-	DialTimeout time.Duration // per-attempt connect timeout (default 3s)
+	DialTimeout time.Duration // DialRetry's per-attempt connect timeout (default 3s)
 	// Jitter is the ± fraction applied to every backoff sleep. Two
 	// servers restarted by the same supervisor otherwise retry in
 	// lockstep and hammer the peer listener at the same instants. 0
@@ -346,7 +346,7 @@ func (c RetryConfig) withDefaults() RetryConfig {
 func DialRetry(addr string, cfg RetryConfig) (*Conn, error) {
 	cfg = cfg.withDefaults()
 	var c net.Conn
-	err := backoff("dial "+addr, cfg.Attempts, cfg.BaseDelay, cfg.MaxDelay, cfg.Jitter, nil, func() (retry bool, err error) {
+	err := Retry("dial "+addr, cfg, nil, func() (retry bool, err error) {
 		c, err = net.DialTimeout("tcp", addr, cfg.DialTimeout)
 		return err != nil, err
 	})

@@ -9,13 +9,12 @@ import (
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/mpc"
-	"parsecureml/internal/mpc/tripletpool"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
 
 // External-package view of the concurrent serving stack: the full client
-// flow (offline triplet pool -> input split -> RequestMul) against
+// flow (RemoteClientSplit -> RequestMul) against
 // ServeClients through exported API only, with fault injection.
 
 // startPair boots both parties as concurrent accept loops over a real
@@ -82,8 +81,7 @@ func TestConcurrentSessionsSurviveClientKill(t *testing.T) {
 	})
 	defer shutdown()
 
-	pool := tripletpool.New(tripletpool.Config{Depth: 2, Workers: 2, Seed: 77})
-	defer pool.Close()
+	splits := rng.NewPool(77) // every client's shares and triplets; fills are thread-safe
 	p := rng.NewPool(88)
 
 	var mu sync.Mutex // rng.Pool fills are thread-safe; plaintext draws stay ordered for determinism
@@ -122,7 +120,7 @@ func TestConcurrentSessionsSurviveClientKill(t *testing.T) {
 		c1.SetTimeouts(3*time.Second, 3*time.Second)
 		a := draw(16, 12)
 		b := draw(12, 16)
-		in0, in1 := pool.Split(a, b)
+		in0, in1 := mpc.RemoteClientSplit(a, b, splits)
 		<-start
 		if _, err := mpc.RequestMul(c0, c1, in0, in1); err == nil {
 			t.Error("rogue RequestMul succeeded despite injected write failure")
@@ -153,7 +151,7 @@ func TestConcurrentSessionsSurviveClientKill(t *testing.T) {
 			for r := 0; r < 3; r++ {
 				a := draw(m, k)
 				b := draw(k, n)
-				in0, in1 := pool.Split(a, b)
+				in0, in1 := mpc.RemoteClientSplit(a, b, splits)
 				got, err := mpc.RequestMul(c0, c1, in0, in1)
 				if err != nil {
 					t.Errorf("honest client %d round %d: %v", i, r, err)

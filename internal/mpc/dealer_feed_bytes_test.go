@@ -30,11 +30,11 @@ const (
 	dealerFeedTriplets = 100
 	// dealerFeedBytesBar bounds bytes per triplet over both dealer
 	// connections, both directions. One FEED frame carrying Z₁ alone is
-	// 20 + 9 + 4·32·32 = 4 125 B under 30 B of framing, plus a fifth of a
-	// 47-byte WANT; a frame that carries U and V again is three times that,
-	// and a second party that is shipped its half doubles it again (24 755 B
-	// before the halves were derived).
-	dealerFeedBytesBar = 4300
+	// 20 + 9 + 4·32·32 = 4 125 B under its 4-byte length prefix, plus a fifth
+	// of a 21-byte WANT; a frame that carries U and V again is three times
+	// that, and a second party that is shipped its half doubles it again
+	// (24 755 B before the halves were derived).
+	dealerFeedBytesBar = 4200
 )
 
 // dealerFeedBytes deals triplets through a real Dealer over loopback TCP to
@@ -108,9 +108,9 @@ func dealerFeedBytes(t testing.TB) float64 {
 			last = now
 		}
 	}
-	// The link's heartbeats (21 B every 500 ms each way) are the one thing on
-	// these connections that follows the clock: the least of three windows is
-	// the count without one.
+	// The dealer's ticks (4 B every 500 ms on each connection) are the one
+	// thing here that follows the clock: the least of three windows is the
+	// count without one.
 	best := int64(0)
 	for w := 0; w < 3; w++ {
 		draw(dealerFeedWarmup)
@@ -121,7 +121,7 @@ func dealerFeedBytes(t testing.TB) float64 {
 		}
 	}
 	if len(conns) != 2 {
-		t.Fatalf("%d dealer connections were dialled, want 2: a link dropped mid-measurement", len(conns))
+		t.Fatalf("%d dealer connections were dialled, want 2: a connection dropped mid-measurement", len(conns))
 	}
 	return float64(best) / dealerFeedTriplets
 }
@@ -136,7 +136,7 @@ func dealerFeedSection(t *testing.T) map[string]any {
 		"feed_depth":        dealerFeedDepth,
 		"triplets":          dealerFeedTriplets,
 		"bytes_per_triplet": got,
-		"what":              "bytes on both dealer connections, both directions, per triplet dealt to a pair (length prefixes, link and mux headers and party 1's WANTs included; the least of three windows, so no heartbeat)",
+		"what":              "bytes on both dealer connections, both directions, per triplet dealt to a pair (length prefixes and party 1's WANTs included; the least of three windows, so no tick)",
 	}
 }
 

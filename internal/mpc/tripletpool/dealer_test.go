@@ -42,8 +42,8 @@ func serveDealer(t *testing.T, d *Dealer, ln net.Listener) {
 }
 
 // feedConnect returns the dial func a test DealerClient runs under: a
-// plain dial with a bounded write deadline (the supervised link owns
-// retry and the read side).
+// plain dial with a bounded write deadline (the client owns retry and the
+// read side).
 func feedConnect(addr string) func() (*comm.Conn, error) {
 	return func() (*comm.Conn, error) {
 		conn, err := comm.Dial(addr)
@@ -58,8 +58,8 @@ func feedConnect(addr string) func() (*comm.Conn, error) {
 // dialFeed connects one party's DealerClient.
 func dialFeed(t *testing.T, addr string, party int, pairID uint64, cfg FeedConfig) *DealerClient {
 	t.Helper()
-	if cfg.Supervisor.ReconnectBase == 0 {
-		cfg.Supervisor.ReconnectBase = 10 * time.Millisecond
+	if cfg.ReconnectBase == 0 {
+		cfg.ReconnectBase = 10 * time.Millisecond
 	}
 	c, err := NewDealerClient(feedConnect(addr), party, pairID, cfg)
 	if err != nil {
@@ -178,10 +178,10 @@ func TestDealerFeedFailsOnDeadDealer(t *testing.T) {
 		}
 		conn = c
 		return c, nil
-	}, 1, 9, FeedConfig{Supervisor: comm.SupervisorConfig{
+	}, 1, 9, FeedConfig{
 		ReconnectAttempts: 2,
 		ReconnectBase:     time.Millisecond,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

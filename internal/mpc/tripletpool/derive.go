@@ -1,8 +1,15 @@
+// Package tripletpool is the dealer tier: the paper's offline phase (§2.2), a
+// third party handing each server its share of every Beaver triplet, as a
+// service. Dealer is that third party (cmd/psml-dealer), DealerClient a
+// server's end of it (an mpc.TripletFeed), proto.go the frames between them,
+// and derive.go the one definition of a triplet stream — which NewStreamSource
+// replays in process, for reference runs and benchmarks.
 package tripletpool
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"sync"
 
 	"parsecureml/internal/mpc"
 	"parsecureml/internal/rng"
@@ -16,6 +23,22 @@ import (
 // DealerClients and NewStreamSource call them and nothing else, which is what
 // makes dealer-fed ≡ client-dealt and resumed ≡ uninterrupted hold bit for
 // bit: there is no second place a half is computed.
+
+// shape is a GEMM geometry key: (m×k)·(k×n).
+type shape struct{ M, K, N int }
+
+// StreamSeed mixes a seed with a GEMM geometry (splitmix64 finalizer over the
+// packed dimensions) — how a party's stream key becomes the key of one
+// shape's fills (deriveHalf), and a general-purpose mixer for drill and
+// benchmark input seeds.
+func StreamSeed(base uint64, m, k, n int) uint64 {
+	z := base ^ (uint64(m)<<42 + uint64(k)<<21 + uint64(n)) ^ 0x9e3779b97f4a7c15
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
 
 // partyKey is party's stream key under base: SHA-256(base ‖ party)[:8].
 // One-way, so a party holding its key learns nothing about base or the other
@@ -71,4 +94,34 @@ func deriveTriplet(keys [2]uint64, s shape, seq uint64) (p0, p1 mpc.TripletShare
 	p1.Z = tensor.MulTo(tensor.AddTo(p0.U, p1.U), tensor.AddTo(p0.V, p1.V))
 	tensor.Sub(p1.Z, p1.Z, p0.Z)
 	return p0, p1
+}
+
+// StreamSource replays a dealer's streams in process: the j-th Gen call for
+// shape (m,k,n) yields triplet j of that shape's stream, both halves,
+// regardless of what other shapes were drawn in between. This is what makes
+// a dealer-fed fleet reproducible against a client-dealt reference run.
+type StreamSource struct {
+	keys [2]uint64
+	mu   sync.Mutex
+	next map[shape]uint64
+}
+
+// NewStreamSource returns a source whose triplet sequence per shape is
+// a pure function of (base, shape): stream j of shape s is identical
+// across processes and runs, and bit-identical to the halves a Dealer on the
+// same base hands its parties. Use distinct bases for distinct server
+// pairs in deployments where triplet reuse across pairs matters.
+func NewStreamSource(base uint64) *StreamSource {
+	return &StreamSource{keys: partyKeys(base), next: make(map[shape]uint64)}
+}
+
+// Gen returns both parties' shares of the shape's next triplet. Safe for
+// concurrent use.
+func (s *StreamSource) Gen(m, k, n int) (p0, p1 mpc.TripletShares) {
+	sh := shape{M: m, K: k, N: n}
+	s.mu.Lock()
+	seq := s.next[sh]
+	s.next[sh] = seq + 1
+	s.mu.Unlock()
+	return deriveTriplet(s.keys, sh, seq)
 }

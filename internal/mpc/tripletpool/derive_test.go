@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -54,8 +55,8 @@ func (l *pipeListener) dial() (*comm.Conn, error) {
 }
 
 // asyncConn gives one end of a net.Pipe the send buffer a socket has: Write
-// queues and returns. net.Pipe alone is synchronous, and the supervised
-// link's handshake has both ends write before either reads.
+// queues and returns. net.Pipe alone is synchronous, and party 1 writes its
+// ctl frames while the dealer is writing FEED frames (ensureCredit).
 type asyncConn struct {
 	net.Conn
 	mu     sync.Mutex
@@ -119,13 +120,70 @@ func (c *asyncConn) Close() error {
 // refTriplet is NewStreamSource(base)'s triplet seq of sh — what the seq-th
 // Gen call for the shape returns, reached without making the calls before it.
 func refTriplet(base uint64, sh shape, seq uint64) (p0, p1 mpc.TripletShares) {
-	src := NewStreamSource(base).(*streamSource)
+	src := NewStreamSource(base)
 	src.next[sh] = seq
 	return src.Gen(sh.M, sh.K, sh.N)
 }
 
 func sameHalf(a, b mpc.TripletShares) bool {
 	return a.U.Equal(b.U) && a.V.Equal(b.V) && a.Z.Equal(b.Z)
+}
+
+// checkTriplet verifies a split triplet is protocol-valid: Z0+Z1 =
+// (U0+U1)×(V0+V1) within float tolerance, for the requested geometry.
+func checkTriplet(t *testing.T, p0, p1 mpc.TripletShares, m, k, n int) {
+	t.Helper()
+	u := tensor.AddTo(p0.U, p1.U)
+	v := tensor.AddTo(p0.V, p1.V)
+	z := tensor.AddTo(p0.Z, p1.Z)
+	if u.Rows != m || u.Cols != k || v.Rows != k || v.Cols != n || z.Rows != m || z.Cols != n {
+		t.Fatalf("triplet geometry: U %dx%d V %dx%d Z %dx%d, want (%d,%d,%d)",
+			u.Rows, u.Cols, v.Rows, v.Cols, z.Rows, z.Cols, m, k, n)
+	}
+	want := tensor.MulTo(u, v)
+	for i := range z.Data {
+		if d := math.Abs(float64(z.Data[i] - want.Data[i])); d > 1e-3 {
+			t.Fatalf("Z[%d] off by %g: triplet does not satisfy Z = U×V", i, d)
+		}
+	}
+}
+
+// TestStreamSourceDeterminism pins the reproducibility contract the
+// dealer tier rests on: stream j of a shape is a pure function of
+// (base, shape) — independent of which other shapes were drawn in
+// between — and distinct bases yield distinct streams.
+func TestStreamSourceDeterminism(t *testing.T) {
+	a := NewStreamSource(99)
+	b := NewStreamSource(99)
+	// Interleave other shapes on a only; the (3,4,5) stream must not care.
+	var aT, bT []mpc.TripletShares
+	for j := 0; j < 4; j++ {
+		p0, p1 := a.Gen(3, 4, 5)
+		a.Gen(7, 7, 7)
+		a.Gen(2, 9, 2)
+		aT = append(aT, p0, p1)
+		q0, q1 := b.Gen(3, 4, 5)
+		bT = append(bT, q0, q1)
+		checkTriplet(t, p0, p1, 3, 4, 5)
+	}
+	for i := range aT {
+		for _, m := range [][2]*tensor.Matrix{{aT[i].U, bT[i].U}, {aT[i].V, bT[i].V}, {aT[i].Z, bT[i].Z}} {
+			if !m[0].Equal(m[1]) {
+				t.Fatalf("stream element %d differs across instances with the same base", i)
+			}
+		}
+	}
+	// A different base diverges immediately.
+	c := NewStreamSource(100)
+	c0, _ := c.Gen(3, 4, 5)
+	if c0.U.Equal(aT[0].U) {
+		t.Fatal("distinct bases produced the same stream")
+	}
+	// And StreamSeed separates shapes: packed dims must not collide for
+	// these near-miss geometries.
+	if StreamSeed(99, 3, 4, 5) == StreamSeed(99, 3, 5, 4) || StreamSeed(99, 1, 1, 2) == StreamSeed(99, 1, 2, 1) {
+		t.Fatal("StreamSeed collides on transposed shapes")
+	}
 }
 
 var (
@@ -276,8 +334,8 @@ func (c *tapConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// streams returns copies of both directions recorded so far: the link's
-// reader goroutine can outlive the dealer's Serve by a moment.
+// streams returns copies of both directions recorded so far: the tick
+// goroutine can outlive the party's last read by a moment.
 func (c *tapConn) streams() (in, out []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -302,51 +360,25 @@ func (l *tapListener) Accept() (net.Conn, error) {
 	return tc, nil
 }
 
-// dealerFrame is one application frame found on a tapped dealer link: the mux
-// sub-stream it travelled on and its payload, with the length prefix, the
-// supervised link's header and the mux header taken off.
-type dealerFrame struct {
-	id      uint64
-	payload []byte
-}
-
-// appFrames cuts one direction of a tapped connection into its length-
-// prefixed frames and returns those that carry the dealer protocol: the raw
-// hello (id 0) and every supervised DATA frame. The link's own resync,
-// heartbeat and heartbeat-ack frames are skipped, and so is a last frame the
-// connection's teardown cut short.
-func appFrames(t *testing.T, stream []byte) (frames []dealerFrame) {
-	t.Helper()
-	for len(stream) > 0 {
-		if len(stream) < 4 || len(stream)-4 < int(binary.LittleEndian.Uint32(stream)) {
-			break // a frame cut short by the teardown: it reached nobody
-		}
+// cutFrames cuts one direction of a tapped connection into its length-
+// prefixed frames — all of them: nothing but the dealer protocol travels on a
+// dealer connection. A last frame the teardown cut short is dropped.
+func cutFrames(stream []byte) (frames [][]byte) {
+	for len(stream) >= 4 && len(stream)-4 >= int(binary.LittleEndian.Uint32(stream)) {
 		n := int(binary.LittleEndian.Uint32(stream))
-		f := stream[4 : 4+n]
+		frames = append(frames, stream[4:4+n])
 		stream = stream[4+n:]
-		switch {
-		case n == helloBytes && binary.LittleEndian.Uint32(f) == dealerMagic:
-			frames = append(frames, dealerFrame{payload: f})
-		case n >= 17+comm.MuxHeaderBytes && f[0] == 0x01: // supervised DATA
-			mf := f[17:]
-			if mf[8] != 0 {
-				t.Errorf("mux control frame kind %d on a dealer link", mf[8])
-			}
-			frames = append(frames, dealerFrame{id: binary.LittleEndian.Uint64(mf), payload: mf[comm.MuxHeaderBytes:]})
-		case n == 17 && (f[0] == 0x02 || f[0] == 0x03 || f[0] == 0x04): // HB, HBAck, RESYNC
-		default:
-			t.Errorf("frame of %d bytes, kind 0x%02x, is neither the dealer protocol's nor the link's", n, f[0])
-		}
 	}
 	return frames
 }
 
 // TestDealerShipsOnlyTheCorrection is contract (c), read off the bytes of
-// both dealer connections over 64 triplets: above the supervised link's own
-// handshake and heartbeats the dealer sends party 0 one KEY frame and nothing
-// else and party 0 sends the dealer its hello and nothing else; party 1's
-// connection carries its KEY and then m·n floats per triplet, one FEED frame
-// each; and neither connection ever carries the other party's key.
+// both dealer connections over 64 triplets: every frame on either is a hello,
+// a KEY, a WANT, a RESUME, a FEED or an empty tick, counted. The dealer sends
+// party 0 one KEY frame and ticks and party 0 sends the dealer its hello and
+// nothing else; party 1's connection carries its KEY and then m·n floats per
+// triplet, one FEED frame each, among the ticks; and neither connection ever
+// carries the other party's key.
 func TestDealerShipsOnlyTheCorrection(t *testing.T) {
 	const base, triplets, depth = 4242, 64, 8
 	sh := shape{32, 32, 32}
@@ -357,7 +389,9 @@ func TestDealerShipsOnlyTheCorrection(t *testing.T) {
 	ln := &tapListener{Listener: inner}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- NewDealer(DealerConfig{Seed: base}).Serve(ctx, ln) }()
+	d := NewDealer(DealerConfig{Seed: base})
+	d.tick = time.Millisecond // ticks among the FEED frames, on both connections
+	go func() { served <- d.Serve(ctx, ln) }()
 	var feeds [2]*DealerClient
 	for party := range feeds {
 		if feeds[party], err = NewDealerClient(feedConnect(inner.Addr().String()), party, 1, FeedConfig{Depth: depth}); err != nil {
@@ -389,11 +423,11 @@ func TestDealerShipsOnlyTheCorrection(t *testing.T) {
 	seen := [2]bool{}
 	for _, tc := range ln.conns {
 		in, out := tc.streams()
-		toDealer, toParty := appFrames(t, in), appFrames(t, out)
-		if len(toDealer) == 0 || toDealer[0].id != 0 {
+		toDealer, toParty := cutFrames(in), cutFrames(out)
+		if len(toDealer) == 0 {
 			t.Fatal("connection does not open with a hello")
 		}
-		party, _, err := decodeDealerHello(toDealer[0].payload)
+		party, _, err := decodeDealerHello(toDealer[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,36 +436,50 @@ func TestDealerShipsOnlyTheCorrection(t *testing.T) {
 		if bytes.Contains(in, other) || bytes.Contains(out, other) {
 			t.Errorf("party %d's connection carries party %d's key", party, 1-party)
 		}
-		if len(toParty) == 0 || toParty[0].id != dealerFeedID || !bytes.Equal(toParty[0].payload, encodeKey(keys[party])) {
-			t.Fatalf("party %d: the dealer's first frame is not the party's KEY on the feed stream", party)
+		if len(toParty) == 0 || !bytes.Equal(toParty[0], encodeKey(keys[party])) {
+			t.Fatalf("party %d: the dealer's first frame is not the party's KEY", party)
+		}
+		// The dealer's frames after the KEY: ticks, and whatever else.
+		var ticks int
+		var fed [][]byte
+		for _, f := range toParty[1:] {
+			if len(f) == 0 {
+				ticks++
+			} else {
+				fed = append(fed, f)
+			}
+		}
+		if ticks == 0 {
+			t.Errorf("the dealer never ticked on party %d's connection", party)
 		}
 		if party == 0 {
 			if len(toDealer) != 1 {
 				t.Errorf("party 0 sent the dealer %d frames after its hello, want none", len(toDealer)-1)
 			}
-			if len(toParty) != 1 {
-				t.Errorf("the dealer sent party 0 %d frames after its KEY, want none", len(toParty)-1)
+			if len(fed) != 0 {
+				t.Errorf("the dealer sent party 0 %d frames besides its KEY and ticks, want none", len(fed))
 			}
 			continue
 		}
 		// Party 1: credit one way, corrections the other. The last Take left
 		// the credit at its seq + 1 + depth.
 		for _, f := range toDealer[1:] {
-			if f.id != dealerCtlID || (f.payload[0] != ctlWant && f.payload[0] != ctlResume) {
-				t.Errorf("party 1 sent a frame that is neither WANT nor RESUME (stream %d, %d bytes)", f.id, len(f.payload))
+			_, _, werr := decodeWant(f)
+			_, _, _, rerr := decodeResume(f)
+			if werr != nil && rerr != nil {
+				t.Errorf("party 1 sent a frame of %d bytes that is neither WANT nor RESUME", len(f))
 			}
 		}
-		fed := toParty[1:]
 		if len(fed) < triplets || len(fed) > triplets+depth {
 			t.Errorf("party 1 was sent %d FEED frames for %d triplets at depth %d", len(fed), triplets, depth)
 		}
 		for i, f := range fed {
-			s, seq, z1, err := decodeFeedFrame(f.payload)
-			if err != nil || f.id != dealerFeedID || s != sh || seq != uint64(i) {
-				t.Fatalf("FEED frame %d: stream %d shape %v seq %d err %v", i, f.id, s, seq, err)
+			s, seq, z1, err := decodeFeedFrame(f)
+			if err != nil || s != sh || seq != uint64(i) {
+				t.Fatalf("FEED frame %d: shape %v seq %d err %v", i, s, seq, err)
 			}
-			if want := feedHeaderBytes + tensor.EncodedSizeDense(sh.M, sh.N); len(f.payload) != want {
-				t.Errorf("FEED frame %d is %d bytes, want %d: the header and m·n floats", i, len(f.payload), want)
+			if want := feedHeaderBytes + tensor.EncodedSizeDense(sh.M, sh.N); len(f) != want {
+				t.Errorf("FEED frame %d is %d bytes, want %d: the header and m·n floats", i, len(f), want)
 			}
 			if _, r1 := refTriplet(base, sh, seq); !z1.Equal(r1.Z) {
 				t.Errorf("FEED frame %d does not carry the stream's Z₁", i)
@@ -445,19 +493,19 @@ func TestDealerShipsOnlyTheCorrection(t *testing.T) {
 
 // ---- outages and restarts
 
-// fedPairOn runs a ServeClients pair over cd's two feeds, with a supervisor
-// fast enough that an outage is noticed and ridden out inside a test.
+// fedPairOn runs a ServeClients pair over cd's two feeds, redialling fast
+// enough that an outage is ridden out inside a test.
 func fedPairOn(t *testing.T, cd *crashableDealer, peerTimeout time.Duration) (feeds [2]*DealerClient, addr0, addr1 string) {
 	t.Helper()
-	sup := comm.SupervisorConfig{
-		HeartbeatInterval: 20 * time.Millisecond,
+	cfg := FeedConfig{
+		Depth:             2,
 		ReconnectAttempts: 400,
 		ReconnectBase:     5 * time.Millisecond,
 		ReconnectMax:      20 * time.Millisecond,
 	}
 	var cfgs [2]mpc.ServeConfig
 	for party := range feeds {
-		c, err := NewDealerClient(cd.connect, party, 1, FeedConfig{Depth: 2, Supervisor: sup})
+		c, err := NewDealerClient(cd.connect, party, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -560,12 +608,11 @@ func TestDealerRestartedOnAnotherBase(t *testing.T) {
 	s0, s1 := dialBoth(t, addr0, addr1) // the sibling: five-matrix requests
 	defer s0.Close()
 	defer s1.Close()
-	dealt := New(Config{Depth: 1, Workers: 1, Seed: 5})
-	defer dealt.Close()
+	dealt := rng.NewPool(5)
 	sibling := func(id uint64) {
 		t.Helper()
 		a, b, _, _, _, _ := fedInputs(id, 5, 6, 7)
-		in0, in1 := dealt.Split(a, b)
+		in0, in1 := mpc.RemoteClientSplit(a, b, dealt)
 		got, err := mpc.RequestMulID(id, s0, s1, in0, in1)
 		if err != nil || !got.ApproxEqual(tensor.MulNaive(a, b), 1e-3) {
 			t.Fatalf("sibling five-matrix request %x: %v", id, err)
@@ -627,56 +674,29 @@ func TestDealerRestartedOnAnotherBase(t *testing.T) {
 
 // ---- hostile frames, both directions
 
-// scriptedPeer is the far end of a dealer connection played by the test: the
-// supervised link and mux the protocol runs on, under frames of the test's
-// choosing.
-type scriptedPeer struct {
-	ctl, feed *comm.MuxSession
-	close     func()
-}
-
-func newScriptedPeer(t *testing.T, conn *comm.Conn) *scriptedPeer {
-	t.Helper()
-	used := false
-	link, err := comm.NewSupervisedLink(func() (comm.Framer, error) {
-		if used {
-			return nil, errors.New("scripted peer: one connection only")
-		}
-		used = true
-		return conn, nil
-	}, comm.SupervisorConfig{AllowPeerRestart: true, ReconnectAttempts: 1})
-	if err != nil {
-		t.Fatalf("scripted peer link: %v", err)
-	}
-	mux := comm.NewMux(link, comm.MuxConfig{})
-	p := &scriptedPeer{close: func() { mux.Close(); link.Close(); conn.Close() }}
-	if p.ctl, err = mux.Open(dealerCtlID); err != nil {
-		t.Fatal(err)
-	}
-	if p.feed, err = mux.Open(dealerFeedID); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// TestDealerRejectsHostileFrames drives each end of the v3 protocol with
-// frames the other end must never send. The dealer ends the connection with
-// an error that says why; the client fails its feed — sticky, typed where the
-// frame means something (ErrDealerReseeded) — and nothing panics or waits.
+// TestDealerRejectsHostileFrames drives each end of the v4 protocol with
+// frames the other end must never send, the test playing the far end on the
+// raw connection. The dealer ends the connection with an error that says why;
+// the client fails its feed — sticky, typed where the frame means something
+// (ErrDealerReseeded) — and nothing panics or waits.
 func TestDealerRejectsHostileFrames(t *testing.T) {
 	sh := shape{3, 4, 5}
-	v2hello := encodeDealerHello(1, 1)
-	binary.LittleEndian.PutUint32(v2hello[4:8], 2)
+	oldHello := func(v uint32) []byte {
+		h := encodeDealerHello(1, 1)
+		binary.LittleEndian.PutUint32(h[4:8], v)
+		return h
+	}
 
 	// A hostile party against a real dealer: serveConn's own error is the
 	// verdict.
 	toDealer := []struct {
 		name  string
 		hello []byte
-		ctl   []byte // written on the ctl stream once the KEY arrived; nil: hello only
+		ctl   []byte // written once the KEY arrived; nil: hello only
 		want  string
 	}{
-		{"v2 hello", v2hello, nil, "protocol version 2, want 3"},
+		{"v2 hello", oldHello(2), nil, "protocol version 2, want 4"},
+		{"v3 hello", oldHello(3), nil, "protocol version 3, want 4"},
 		{"hello from party 2", func() []byte {
 			h := encodeDealerHello(1, 1)
 			binary.LittleEndian.PutUint32(h[8:12], 2)
@@ -685,6 +705,7 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 		{"WANT from party 0", encodeDealerHello(0, 1), encodeWant(sh, 4), "from party 0"},
 		{"RESUME from party 0", encodeDealerHello(0, 1), encodeResume(sh, 0, 4), "from party 0"},
 		{"KEY from a party", encodeDealerHello(1, 1), encodeKey(0x0101010101010101), "bad WANT frame"},
+		{"tick from a party", encodeDealerHello(1, 1), []byte{}, "empty ctl frame"},
 		{"unknown ctl kind", encodeDealerHello(1, 1), []byte{0x7f, 1, 2, 3}, "unknown ctl frame kind"},
 		{"WANT with no count", encodeDealerHello(1, 1), encodeWant(sh, 0), "degenerate count"},
 		{"RESUME whose count wraps the seq", encodeDealerHello(1, 1), encodeResume(sh, ^uint64(0)-1, 5), "RESUME frame with count"},
@@ -702,12 +723,10 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.ctl != nil {
-				p := newScriptedPeer(t, conn)
-				defer p.close()
-				if kf, err := p.feed.ReadFrame(); err != nil || len(kf) != keyBytes {
+				if kf, err := conn.ReadFrame(); err != nil || len(kf) != keyBytes {
 					t.Fatalf("no KEY from the dealer: %d bytes, %v", len(kf), err)
 				}
-				if err := p.ctl.WriteFrame(tc.ctl); err != nil {
+				if err := conn.WriteFrame(tc.ctl); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -725,49 +744,53 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 		})
 	}
 
-	// A hostile dealer against a real client. Each script runs after the
-	// client's hello and the link handshake; take is the client's side.
+	// A hostile dealer against a real client. Each script runs once the
+	// client's hello is in; take is the client's side.
 	z := tensor.New(sh.M, sh.N)
 	toParty := []struct {
 		name   string
 		party  int
-		script func(p *scriptedPeer)
+		script func(p *comm.Conn)
 		want   error  // matched with errors.Is when non-nil
 		text   string // else a substring of the feed's failure
 		ctor   bool   // the failure surfaces from NewDealerClient itself
 	}{
-		{"FEED before any KEY", 1, func(p *scriptedPeer) {
-			p.feed.WriteFrame(appendFeedFrame(nil, sh, 0, z))
+		{"FEED before any KEY", 1, func(p *comm.Conn) {
+			p.WriteFrame(appendFeedFrame(nil, sh, 0, z))
 		}, nil, "bad KEY frame", true},
-		{"second KEY with another key", 1, func(p *scriptedPeer) {
-			p.feed.WriteFrame(encodeKey(1))
-			p.feed.WriteFrame(encodeKey(2))
+		{"second KEY with another key", 1, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey(1))
+			p.WriteFrame(encodeKey(2))
 		}, ErrDealerReseeded, "", false},
-		{"second KEY with another key, party 0", 0, func(p *scriptedPeer) {
-			p.feed.WriteFrame(encodeKey(1))
-			p.feed.WriteFrame(encodeKey(2))
+		{"second KEY with another key, party 0", 0, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey(1))
+			p.WriteFrame(encodeKey(2))
 		}, ErrDealerReseeded, "", false},
-		{"FEED to party 0", 0, func(p *scriptedPeer) {
-			p.feed.WriteFrame(encodeKey(1))
-			p.feed.WriteFrame(appendFeedFrame(nil, sh, 0, z))
+		{"FEED to party 0", 0, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey(1))
+			p.WriteFrame(appendFeedFrame(nil, sh, 0, z))
 		}, nil, "did not ask for", false},
-		{"FEED of a shape never asked for", 1, func(p *scriptedPeer) {
-			p.feed.WriteFrame(encodeKey(1))
-			p.ctl.ReadFrame() // the RESUME for sh
-			p.feed.WriteFrame(appendFeedFrame(nil, shape{1, 1 << 20, 1}, 0, tensor.New(1, 1)))
+		{"FEED of a shape never asked for", 1, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey(1))
+			p.ReadFrame() // the RESUME for sh
+			p.WriteFrame(appendFeedFrame(nil, shape{1, 1 << 20, 1}, 0, tensor.New(1, 1)))
 		}, nil, "did not ask for", false},
-		{"FEED whose matrix is not m×n", 1, func(p *scriptedPeer) {
-			p.feed.WriteFrame(encodeKey(1))
-			p.ctl.ReadFrame()
-			p.feed.WriteFrame(appendFeedFrame(nil, sh, 0, tensor.New(sh.N, sh.M)))
+		{"FEED whose matrix is not m×n", 1, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey(1))
+			p.ReadFrame()
+			p.WriteFrame(appendFeedFrame(nil, sh, 0, tensor.New(sh.N, sh.M)))
 		}, nil, "not the Z of its", false},
-		{"v2 FEED carrying U and V again", 1, func(p *scriptedPeer) {
-			p.feed.WriteFrame(encodeKey(1))
-			p.ctl.ReadFrame()
+		{"v2 FEED carrying U and V again", 1, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey(1))
+			p.ReadFrame()
 			f := appendFeedFrame(nil, sh, 0, tensor.New(sh.M, sh.K))
 			f = tensor.EncodeMatrix(f, tensor.New(sh.K, sh.N))
-			p.feed.WriteFrame(tensor.EncodeMatrix(f, z))
+			p.WriteFrame(tensor.EncodeMatrix(f, z))
 		}, nil, "trailing bytes", false},
+		{"non-empty frame shorter than a KEY", 1, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey(1))
+			p.WriteFrame([]byte{1, 2, 3})
+		}, nil, "has no header", false},
 	}
 	for _, tc := range toParty {
 		t.Run("client/"+tc.name, func(t *testing.T) {
@@ -776,13 +799,12 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 			go func() {
 				defer close(scripted)
 				conn := comm.Wrap(b)
+				defer conn.Close()
 				if _, err := conn.ReadFrame(); err != nil { // the hello
 					t.Errorf("scripted dealer: hello: %v", err)
 					return
 				}
-				p := newScriptedPeer(t, conn)
-				defer p.close()
-				tc.script(p)
+				tc.script(conn)
 				<-verdictIn
 			}()
 			defer func() { close(verdictIn); <-scripted }()
@@ -792,7 +814,7 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 					return nil, errors.New("scripted dealer: one connection only")
 				}
 				return comm.Wrap(a), nil
-			}, tc.party, 1, FeedConfig{Supervisor: comm.SupervisorConfig{ReconnectAttempts: 1, ReconnectBase: time.Millisecond}})
+			}, tc.party, 1, FeedConfig{ReconnectAttempts: 1, ReconnectBase: time.Millisecond})
 			if tc.ctor {
 				if err == nil || !strings.Contains(err.Error(), tc.text) {
 					t.Fatalf("NewDealerClient: %v, want an error naming %q", err, tc.text)

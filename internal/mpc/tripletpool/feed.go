@@ -6,6 +6,7 @@ import (
 	"log"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/mpc"
@@ -21,9 +22,9 @@ import (
 var ErrDealerReseeded = errors.New("tripletpool: dealer restarted on another base")
 
 // DealerClient is a computation party's end of the dealer feed: an
-// mpc.TripletFeed backed by one supervised connection to
-// cmd/psml-dealer. The dealer hands it this party's stream key once per
-// connection, and from there the two parties differ (proto.go):
+// mpc.TripletFeed backed by one connection to cmd/psml-dealer at a time. The
+// dealer hands it this party's stream key on every connection, and from there
+// the two parties differ (proto.go):
 //
 // Party 0 derives every half itself (deriveHalf). It sends the dealer
 // nothing and waits for nothing: a background goroutine keeps Depth halves
@@ -37,29 +38,33 @@ var ErrDealerReseeded = errors.New("tripletpool: dealer restarted on another bas
 // triplets of headroom beyond what is being taken, so the dealer's
 // generation follows observed demand instead of guessing shapes up front.
 // A RESUME frame opens a stream at the seq a Take needs — on first use, when
-// a Take lands outside the run of seqs already asked for, and again after
-// every reconnect, when each waiting Take re-states its own seq — and because
+// a Take lands outside the run of seqs already asked for, and again on every
+// new connection, when each waiting Take re-states its own seq — and because
 // the stream is a pure function of (key, shape, seq) what a restarted dealer
 // sends is bit-identical to what the dead one would have.
 //
-// The connection runs under comm.SupervisedLink with AllowPeerRestart: a
-// dealer crash (or standby takeover) is an outage, not a failure. Only
-// exhausting the link's reconnect budget, or a dealer on another base
-// (ErrDealerReseeded), fails the feed permanently — for both parties.
+// A read that fails — at once when the dealer is killed, after silentTicks of
+// silence when it is wedged — ends the connection and readLoop dials the next:
+// a dealer crash (or standby takeover) is an outage, not a failure. Only the
+// retry budget running out, or a dealer on another base (ErrDealerReseeded),
+// fails the feed — for both parties.
 type DealerClient struct {
-	party int
-	depth int
-	key   uint64 // this party's stream key, as the first KEY frame stated it
-	link  *comm.SupervisedLink
-	mux   *comm.Mux
-	ctl   *comm.MuxSession
-	wg    sync.WaitGroup // readLoop and, on party 0, deriveLoop
+	party   int
+	depth   int
+	hello   []byte
+	connect func() (*comm.Conn, error)
+	retry   comm.RetryConfig
+	tick    time.Duration  // dealerTick; a test shrinks it
+	key     uint64         // this party's stream key, as the first KEY frame stated it
+	stop    chan struct{}  // closed with the first failure: ends a redial's backoff
+	wg      sync.WaitGroup // readLoop and, on party 0, deriveLoop
 
 	mu     sync.Mutex
 	cond   *sync.Cond
+	conn   *comm.Conn // the current connection, dead while readLoop dials the next
 	shapes map[shape]*feedShape
 	behind []shape // party 0: shapes deriveLoop has yet to top up
-	gen    uint64  // party 1: link incarnation, from 1; what was asked of an earlier one is void
+	gen    uint64  // connection incarnation, from 1; what party 1 asked of an earlier one is void
 	err    error
 }
 
@@ -76,7 +81,7 @@ type feedShape struct {
 	floor uint64              // lowest seq not yet consumed
 	done  map[uint64]struct{} // consumed seqs above floor (out-of-order holes)
 	// [from, covered) is the run of seqs asked for and not yet arrived or
-	// already here. Party 1: the credit granted on link incarnation gen.
+	// already here. Party 1: the credit granted on connection incarnation gen.
 	// Party 0: covered alone, deriveLoop's cursor.
 	from, covered uint64
 	gen           uint64
@@ -108,15 +113,15 @@ func (fs *feedShape) consume(seq uint64) {
 
 // FeedConfig tunes a DealerClient. The zero value selects the defaults.
 type FeedConfig struct {
-	// Depth is the per-shape headroom kept beyond consumption — the
-	// feed-side analogue of Config.Depth. Party 1 tops its credit up in one
-	// WANT whenever less than half of it is left; party 0 derives this many
-	// halves ahead of its allocation cursor. Default 8.
+	// Depth is the per-shape headroom kept beyond consumption. Party 1 tops
+	// its credit up in one WANT whenever less than half of it is left; party 0
+	// derives this many halves ahead of its allocation cursor. Default 8.
 	Depth int
-	// Supervisor tunes the underlying supervised link (reconnect budget,
-	// heartbeat cadence). AllowPeerRestart is forced on — dealer
-	// crash-resume is the point of this client.
-	Supervisor comm.SupervisorConfig
+	// ReconnectAttempts bounds the dials per outage and at start-up. Default 10.
+	ReconnectAttempts int
+	// ReconnectBase / ReconnectMax shape the jittered exponential backoff
+	// between dials (comm.Retry). Defaults 50ms / 2s.
+	ReconnectBase, ReconnectMax time.Duration
 }
 
 // Feed accounting, exposed as psml_triplet_feed_* metrics.
@@ -145,73 +150,43 @@ func init() {
 
 // NewDealerClient establishes party's feed under pairID. connect dials
 // the dealer and is owned by the client for its lifetime: it is called
-// for the initial connection and again after every link failure, so a
+// for the initial connection and again after every connection failure, so a
 // restarted dealer is re-reached automatically (use a plain dial — the
-// supervised link owns the retry/backoff policy). The hello frame is
-// sent on each fresh connection before the link's resync handshake.
+// client owns the retry/backoff policy and the read deadline, and keeps the
+// write deadline connect set).
 func NewDealerClient(connect func() (*comm.Conn, error), party int, pairID uint64, cfg FeedConfig) (*DealerClient, error) {
+	return newDealerClient(connect, party, pairID, cfg, dealerTick)
+}
+
+func newDealerClient(connect func() (*comm.Conn, error), party int, pairID uint64, cfg FeedConfig, tick time.Duration) (*DealerClient, error) {
 	if cfg.Depth <= 0 {
 		cfg.Depth = 8
 	}
-	scfg := cfg.Supervisor
-	scfg.AllowPeerRestart = true
-	link, err := comm.NewSupervisedLink(func() (comm.Framer, error) {
-		conn, err := connect()
-		if err != nil {
-			return nil, err
-		}
-		if err := conn.WriteFrame(encodeDealerHello(party, pairID)); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("tripletpool: dealer hello: %w", err)
-		}
-		return conn, nil
-	}, scfg)
-	if err != nil {
-		return nil, err
-	}
-	mux := comm.NewMux(link, comm.MuxConfig{})
-	ctl, err := mux.Open(dealerCtlID)
-	if err != nil {
-		mux.Close()
-		return nil, err
-	}
-	feed, err := mux.Open(dealerFeedID)
-	if err != nil {
-		mux.Close()
-		return nil, err
-	}
-	// The dealer's first feed frame on every connection is this party's key.
-	// Nothing can be derived without it, so the constructor waits for it; a
-	// dealer that dies first is re-dialled underneath and its successor
-	// sends one too.
-	kf, err := feed.ReadFrame()
-	if err != nil {
-		mux.Close()
-		return nil, fmt.Errorf("tripletpool: dealer KEY: %w", err)
-	}
-	key, err := decodeKey(kf)
-	if err != nil {
-		mux.Close()
-		return nil, err
+	if cfg.ReconnectAttempts <= 0 {
+		cfg.ReconnectAttempts = 10
 	}
 	c := &DealerClient{
-		party:  party,
-		depth:  cfg.Depth,
-		key:    key,
-		link:   link,
-		mux:    mux,
-		ctl:    ctl,
-		shapes: make(map[shape]*feedShape),
-		gen:    1,
+		party:   party,
+		depth:   cfg.Depth,
+		hello:   encodeDealerHello(party, pairID),
+		connect: connect,
+		retry:   comm.RetryConfig{Attempts: cfg.ReconnectAttempts, BaseDelay: cfg.ReconnectBase, MaxDelay: cfg.ReconnectMax},
+		tick:    tick,
+		stop:    make(chan struct{}),
+		shapes:  make(map[shape]*feedShape),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	// Nothing can be derived without the key, so the constructor waits for the
+	// first connection's.
+	conn, err := c.dial()
+	if err != nil {
+		return nil, err
+	}
 	c.wg.Add(1)
-	go c.readLoop(feed)
+	go c.readLoop(conn)
 	if party == 0 {
 		c.wg.Add(1)
 		go c.deriveLoop()
-	} else {
-		link.OnPeerReset(c.onPeerReset)
 	}
 	return c, nil
 }
@@ -219,73 +194,134 @@ func NewDealerClient(connect func() (*comm.Conn, error), party int, pairID uint6
 // Close tears the feed down and waits for its goroutines; blocked Next/Take
 // calls fail.
 func (c *DealerClient) Close() {
-	c.mux.Close()
-	c.link.Close()
-	c.fail(fmt.Errorf("tripletpool: dealer feed closed"))
+	c.fail(errors.New("tripletpool: dealer feed closed"))
 	c.wg.Wait()
 }
 
-// fail makes err the feed's sticky failure (the first one wins) and wakes
-// every waiter.
+// fail makes err the feed's sticky failure (the first one wins), ends its
+// connection and wakes every waiter.
 func (c *DealerClient) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
+		close(c.stop)
+		c.conn.Close()
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
-// onPeerReset runs on party 1's supervisor goroutine after a resync that
-// found a fresh dealer-side link (every reconnect: the dealer's links are
-// per-connection): every WANT in flight was shed with the old conversation
-// and the new connection has no stream open. A new incarnation voids every
-// run; the waiters wake and each asks again for its own seq (ensureCredit).
-func (c *DealerClient) onPeerReset() {
+// dial reaches the dealer under the retry budget — a dealer that accepts and
+// then says nothing is a failed attempt like one that refuses — and makes the
+// connection the feed's next incarnation, which wakes the waiters.
+func (c *DealerClient) dial() (*comm.Conn, error) {
+	var conn *comm.Conn
+	err := comm.Retry("dealer feed dial", c.retry, c.stop, func() (bool, error) {
+		var err error
+		if conn, err = c.connect(); err != nil {
+			return true, err
+		}
+		if err = c.greet(conn); err != nil {
+			conn.Close()
+		}
+		return err != nil && !errors.Is(err, ErrDealerReseeded), err
+	})
 	c.mu.Lock()
-	c.gen++
+	defer c.mu.Unlock()
+	if err == nil && c.err != nil { // closed meanwhile
+		conn.Close()
+		err = c.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.conn, c.gen = conn, c.gen+1
 	c.cond.Broadcast()
-	c.mu.Unlock()
+	return conn, nil
 }
 
-// readLoop takes what the dealer sends: a KEY at the head of every
-// connection after the first — equal to the one held, or the feed fails with
-// ErrDealerReseeded — and, on party 1, FEED frames, each completed into a
-// half with the U₁ ‖ V₁ derived here, off every request's path. A resumed
-// stream re-delivers from the consumption floor, overlapping what the old
-// connection already handed over, so already-held and already-consumed seqs
-// are dropped as duplicates. Anything else — a FEED to party 0, a shape this
-// party never asked for, a matrix that is not the shape's Z — is not this
-// protocol, and fails the feed.
-func (c *DealerClient) readLoop(feed *comm.MuxSession) {
+// greet runs a fresh connection's hello → KEY exchange inside helloTicks and
+// leaves conn with the read deadline that makes a silent dealer a dead one.
+// (gen is read unlocked: dial, the one caller, is its one writer.)
+func (c *DealerClient) greet(conn *comm.Conn) error {
+	_, writeTO := conn.Timeouts()
+	conn.SetTimeouts(helloTicks*c.tick, writeTO)
+	if err := conn.WriteFrame(c.hello); err != nil {
+		return fmt.Errorf("tripletpool: dealer hello: %w", err)
+	}
+	f, err := conn.ReadFrame()
+	if err != nil {
+		return fmt.Errorf("tripletpool: dealer KEY: %w", err)
+	}
+	conn.SetTimeouts(silentTicks*c.tick, writeTO)
+	if c.gen == 0 {
+		c.key, err = decodeKey(f)
+		return err
+	}
+	return c.checkKey(f)
+}
+
+// checkKey holds a KEY frame after the feed's first against that one's key.
+func (c *DealerClient) checkKey(f []byte) error {
+	if key, err := decodeKey(f); err != nil || key == c.key {
+		return err
+	}
+	err := fmt.Errorf("party %d holds halves of a stream the dealer no longer serves: %w", c.party, ErrDealerReseeded)
+	obs.LogfLogger(log.Printf).Error("dealer_reseeded", err, "party", c.party)
+	return err
+}
+
+// readLoop owns the feed's connection, conn and every one after it. A read
+// error is the connection's end, never the feed's: what was asked on it is void,
+// and the next one's waking waiters each ask again for their seq (waitLocked).
+func (c *DealerClient) readLoop(conn *comm.Conn) {
 	defer c.wg.Done()
 	for {
-		f, err := feed.ReadFrame()
+		err := c.readConn(conn)
+		conn.Close()
+		if err == nil {
+			conn, err = c.dial()
+		}
 		if err != nil {
-			c.fail(fmt.Errorf("tripletpool: dealer feed: %w", err))
+			c.fail(err)
 			return
 		}
+	}
+}
+
+// readConn takes what the dealer sends on one connection until a read fails
+// (nil) or a frame breaks the protocol (the feed's failure): ticks, which only
+// have to arrive; a KEY, held against the feed's own; and, on party 1, FEED
+// frames, each completed into a half with the U₁ ‖ V₁ derived here, off every
+// request's path. A resumed stream re-delivers from the consumption floor, so
+// already-held and already-consumed seqs are dropped as duplicates. Anything
+// else — a FEED to party 0, an unasked shape, a matrix that is not the shape's
+// Z — is not this protocol.
+func (c *DealerClient) readConn(conn *comm.Conn) error {
+	for {
+		f, err := conn.ReadFrame()
+		if err != nil {
+			return nil
+		}
+		if len(f) == 0 {
+			continue // a tick
+		}
 		if len(f) == keyBytes {
-			if key, _ := decodeKey(f); key != c.key {
-				err := fmt.Errorf("party %d holds halves of a stream the dealer no longer serves: %w", c.party, ErrDealerReseeded)
-				obs.LogfLogger(log.Printf).Error("dealer_reseeded", err, "party", c.party)
-				c.fail(err)
-				return
+			if err := c.checkKey(f); err != nil {
+				return err
 			}
 			continue
 		}
 		s, seq, z1, err := decodeFeedFrame(f)
 		if err != nil {
-			c.fail(err)
-			return
+			return err
 		}
 		feedReceived.Add(1)
 		c.mu.Lock()
 		fs, asked := c.shapes[s]
 		if c.party == 0 || !asked {
 			c.mu.Unlock()
-			c.fail(fmt.Errorf("tripletpool: party %d was sent a FEED frame for %dx%dx%d it did not ask for", c.party, s.M, s.K, s.N))
-			return
+			return fmt.Errorf("tripletpool: party %d was sent a FEED frame for %dx%dx%d it did not ask for", c.party, s.M, s.K, s.N)
 		}
 		_, dup := fs.buf[seq]
 		dup = dup || fs.consumed(seq)
@@ -360,12 +396,11 @@ func (c *DealerClient) shape(s shape) *feedShape {
 // maxExtend is how far past the end of its open run a Take still extends the
 // run with a WANT instead of opening a new one: the seqs between belong to
 // sessions whose Takes land out of order, up to a burst of this many, and are
-// wanted anyway. A quarter of the feed session's inbox, which bounds what one
-// ctl frame can put in flight.
+// wanted anyway.
 const maxExtend = 256
 
-// ensureCredit makes sure party 1 has asked the dealer, on the current link
-// incarnation, for seq `need` of the shape plus headroom.
+// ensureCredit makes sure party 1 has asked the dealer, on the current
+// connection, for seq `need` of the shape plus headroom.
 //
 // Inside the shape's open run (or within maxExtend past its end) the run is
 // extended: when fewer than half of Depth (rounded up, so depth 1 still asks
@@ -373,45 +408,49 @@ const maxExtend = 256
 // WANT. Otherwise — first use, first need since a reconnect, a Take far out of
 // order — it opens a run at `need` with a RESUME. Moving the dealer's cursor
 // strands nobody: the dealer ships each ctl frame's credit in full before it
-// reads the next, so whatever was asked on this incarnation is already on the
+// reads the next, so whatever was asked on this connection is already on the
 // wire. A run that ends close above `need` keeps its end, so the waiters just
 // above are covered by this one RESUME instead of one each. floor, the lowest
 // seq not yet consumed, is where a stream re-opens after a reconnect.
 //
-// Caller holds c.mu, and the write happens without dropping it:
-// MuxSession.WriteFrame returns only once the frame is on the wire (25–37 µs
-// on loopback; longer while the supervised link is down and buffering), and
-// every Next/Take of the feed queues behind it. Granting in batches is what
-// makes that tolerable — at the default depth one draw in five pays it, not
-// every one.
-func (c *DealerClient) ensureCredit(s shape, fs *feedShape, need uint64) error {
+// Caller holds c.mu, and the write happens without dropping it, while readLoop
+// needs c.mu to bank each FEED frame and the dealer reads no ctl frame before
+// it has shipped the last one's credit. That cannot wedge, because the write
+// cannot block: a call writes at most one ctl frame per connection, and a
+// shape's next frame is due only once a Take lands in the upper half of the
+// last one's credit, so what lies unread in the socket is at most one frame of
+// 29 bytes per call in flight plus a couple per shape from calls that returned
+// — under 3 KB at 80 sessions, inside any socket buffer. A write that fails is
+// the connection's failure, not the feed's: readLoop replaces the connection,
+// and the next incarnation makes this call ask again.
+func (c *DealerClient) ensureCredit(s shape, fs *feedShape, need uint64) {
+	var frame []byte
 	target := need + 1 + uint64(c.depth)
 	if fs.gen == c.gen && need >= fs.from && need <= fs.covered+maxExtend {
 		if fs.covered >= need+1+uint64((c.depth+1)/2) {
-			return nil // at least half the headroom left
+			return // at least half the headroom left
 		}
-		if err := c.ctl.WriteFrame(encodeWant(s, int(target-fs.covered))); err != nil {
-			return fmt.Errorf("tripletpool: dealer WANT: %w", err)
-		}
+		frame = encodeWant(s, int(target-fs.covered))
 		fs.covered = target
-		return nil
+	} else {
+		from := need
+		if fs.gen != c.gen && need-fs.floor <= maxExtend {
+			// The incarnation's first ask: open at the consumption floor, at or
+			// below every waiting Take, so the ones that ask next all land inside
+			// this run instead of each moving it down again.
+			from = fs.floor
+		}
+		if target < fs.covered && fs.covered <= need+maxExtend {
+			target = fs.covered
+		}
+		frame = encodeResume(s, from, int(target-from))
+		fs.gen, fs.from, fs.covered = c.gen, from, target
 	}
-	from := need
-	if fs.gen != c.gen && need-fs.floor <= maxExtend {
-		// The incarnation's first ask: open at the consumption floor, at or
-		// below every waiting Take, so the ones that ask next all land inside
-		// this run instead of each moving it down again.
-		from = fs.floor
+	if c.conn.WriteFrame(frame) != nil {
+		c.conn.Close() // readLoop's read fails with it
+	} else if frame[0] == ctlResume {
+		feedResumes.Add(1)
 	}
-	if target < fs.covered && fs.covered <= need+maxExtend {
-		target = fs.covered
-	}
-	if err := c.ctl.WriteFrame(encodeResume(s, from, int(target-from))); err != nil {
-		return fmt.Errorf("tripletpool: dealer RESUME: %w", err)
-	}
-	feedResumes.Add(1)
-	fs.gen, fs.from, fs.covered = c.gen, from, target
-	return nil
 }
 
 // Next implements mpc.TripletFeed: pop this party's share of the next
@@ -446,7 +485,7 @@ func (c *DealerClient) Take(m, k, n int, seq uint64) (mpc.TripletShares, error) 
 }
 
 // waitLocked pops triplet seq of shape s, first making sure it is on its way.
-// Party 1 asks the dealer for it — once per link incarnation: a reconnect
+// Party 1 asks the dealer for it — once per connection: a reconnect
 // mid-wait makes it ask again, a run that moved elsewhere does not — and
 // blocks until the correction arrives. Party 0 nudges deriveLoop and, when the
 // half is not there, derives it here with the lock dropped — it never blocks.
@@ -455,7 +494,7 @@ func (c *DealerClient) Take(m, k, n int, seq uint64) (mpc.TripletShares, error) 
 // and readLoop drops a re-delivery as a duplicate, so waiting for it would
 // never end. A feed failure is sticky (c.err) and fails every caller.
 func (c *DealerClient) waitLocked(s shape, fs *feedShape, seq uint64) (mpc.TripletShares, error) {
-	var asked uint64 // the link incarnation this call asked on; 0 is none
+	var asked uint64 // the incarnation this call asked on; 0 is none
 	for {
 		if c.err != nil {
 			return mpc.TripletShares{}, c.err
@@ -475,10 +514,7 @@ func (c *DealerClient) waitLocked(s shape, fs *feedShape, seq uint64) (mpc.Tripl
 				c.cond.Broadcast()
 			}
 		} else if asked != c.gen {
-			if err := c.ensureCredit(s, fs, seq); err != nil {
-				c.err = err
-				return mpc.TripletShares{}, err
-			}
+			c.ensureCredit(s, fs, seq)
 			asked = c.gen
 		}
 		if t, ok := fs.buf[seq]; ok {

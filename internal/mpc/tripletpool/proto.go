@@ -3,26 +3,35 @@ package tripletpool
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/tensor"
 )
 
-// Dealer wire protocol, v3. Each server party holds one framed connection
-// to the dealer: a hello frame on the raw connection establishes who is
-// asking (party and pair), then a comm.Mux over a supervised link takes over
-// with two fixed sub-streams — the demand stream (party 1 → dealer WANT and
-// RESUME frames, shape-keyed credit grants) and the feed stream (dealer →
-// party). A connection is self-contained: the dealer keeps nothing about a
-// pair between connections, and nothing one party does can hold up the other.
+// Dealer wire protocol, v4: frames on one connection per server party, nothing
+// between. The party's hello says who is asking (party and pair) and the
+// dealer answers with KEY; from then on party 1 sends WANT and RESUME frames
+// (shape-keyed credit grants) one way, and the dealer sends FEED frames and
+// ticks the other. A connection is self-contained: the dealer keeps nothing
+// about a pair between connections, and nothing one party does can hold up
+// the other — so a connection that fails is not resumed but replaced: the
+// party dials again, says hello again and asks again for what it waits for.
 //
-// The first frame on every connection's feed stream is KEY: that party's
-// 64-bit stream key K_i = SHA-256(base ‖ party)[:8]. Triplet seq of shape
-// (m,k,n) is from then on a pure, random-access function (deriveHalf): party 0
-// expands U₀ ‖ V₀ ‖ Z₀ and party 1 expands U₁ ‖ V₁ from its own key, and the
-// dealer, who holds both keys, ships the one matrix neither can compute —
-// Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ — in a FEED frame, to party 1 only, against party
-// 1's credit. Party 0 is sent its key and nothing else, and sends nothing.
+// KEY is that party's 64-bit stream key K_i = SHA-256(base ‖ party)[:8].
+// Triplet seq of shape (m,k,n) is from then on a pure, random-access function
+// (deriveHalf): party 0 expands U₀ ‖ V₀ ‖ Z₀ and party 1 expands U₁ ‖ V₁ from
+// its own key, and the dealer, who holds both keys, ships the one matrix
+// neither can compute — Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ — in a FEED frame, to party
+// 1 only, against party 1's credit. Party 0 is sent its key and nothing else,
+// and sends nothing. Length tells the dealer's frames apart: a tick is empty,
+// a KEY is 8 bytes, a FEED is longer than its 20-byte header.
+//
+// The tick tells a party a dead dealer from an idle one: an empty frame every
+// dealerTick, from a goroutine of its own so that generating a large shape
+// never silences it; a party gives up a connection after silentTicks of
+// silence. Only the dealer ticks, because only a party waits: a dead party is
+// left to TCP keep-alive and the write bound on the dealer's own frames.
 //
 // Share separation is structural: each key travels only on its own party's
 // connection, and it is one-way in the base, so holding K₀ says nothing about
@@ -30,8 +39,8 @@ import (
 // holds that party's every half for as long as the dealer keeps its base —
 // what v2's FEED frames gave, 12 KB at a time, to whoever kept reading — while
 // one who starts reading later sees nothing of party 0's halves and only Z₁ of
-// party 1's. A reader of BOTH dealer links reconstructs triplets under either
-// version. Neither version encrypts the link; that belongs under comm.Conn,
+// party 1's. A reader of BOTH dealer links reconstructs triplets under any
+// version. No version encrypts the link; that belongs under comm.Conn,
 // not in these frames (DESIGN.md "Derived triplet halves").
 //
 // Why party 1 takes the correction: party 0 leads (it draws, announces and
@@ -45,15 +54,19 @@ const (
 	// dealerProtoVersion is bumped on incompatible frame changes; the
 	// dealer rejects mismatches at hello time rather than mid-stream.
 	// v2: ctl frames grew a kind tag and the RESUME frame. v3: KEY frames,
-	// FEED frames carry Z₁ alone, party 0 has no ctl traffic. One version is
+	// FEED frames carry Z₁ alone, party 0 has no ctl traffic. v4: the frames
+	// travel on the connection itself, and the dealer ticks. One version is
 	// spoken; there is no negotiated fallback.
-	dealerProtoVersion = 3
-	// Mux sub-stream ids, fixed by the protocol.
-	dealerCtlID  = 1 // party 1 → dealer: WANT / RESUME frames
-	dealerFeedID = 2 // dealer → party: KEY, then (party 1) FEED frames
+	dealerProtoVersion = 4
+	// The dealer writes an empty frame every dealerTick. A party gives up a
+	// connection silent for silentTicks of them (2 s), and allows a new one
+	// helloTicks (10 s, the dealer's bound on the hello) from hello to KEY.
+	dealerTick  = 500 * time.Millisecond
+	silentTicks = 4
+	helloTicks  = 20
 )
 
-// Ctl frame kinds (first byte of every frame on dealerCtlID).
+// Ctl frame kinds (first byte of every frame party 1 sends after its hello).
 const (
 	// ctlWant grants incremental credit on an already-resumed stream.
 	ctlWant = 0x01
@@ -174,8 +187,6 @@ func decodeCtlShape(b []byte) (shape, error) {
 }
 
 // keyBytes is a KEY frame: the party's 64-bit stream key and nothing else.
-// FEED frames are longer than their 20-byte header, so length tells the two
-// apart.
 const keyBytes = 8
 
 func encodeKey(key uint64) []byte {

@@ -11,9 +11,10 @@ import (
 // must come back as an error, never a panic, and whatever a decoder
 // does accept must re-encode to the same bytes (every frame but FEED is
 // fixed-layout) or survive a second decode unchanged (FEED frames). The
-// corpus under testdata holds the v3 cases by name: a v2 hello and v2's
+// corpus under testdata holds the cases by name: a v2 and a v3 hello and v2's
 // three-matrix FEED frames (refused — one version is spoken), a Z that is not
-// m×n, a shape past the frame limit, a RESUME whose cursor + count wraps.
+// m×n, a shape past the frame limit, a RESUME whose cursor + count wraps, and
+// the tick — the empty frame, which no decoder may take for one of its own.
 func FuzzDealerProto(f *testing.F) {
 	_, p1 := NewStreamSource(7).Gen(2, 3, 2)
 	f.Add(encodeDealerHello(1, 42))
@@ -22,6 +23,16 @@ func FuzzDealerProto(f *testing.F) {
 	f.Add(appendFeedFrame(nil, shape{M: 2, K: 3, N: 2}, 11, p1.Z))
 	f.Add(encodeKey(0xfeedfacecafef00d))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			_, _, hello := decodeDealerHello(data)
+			_, key := decodeKey(data)
+			_, _, want := decodeWant(data)
+			_, _, _, resume := decodeResume(data)
+			_, _, _, feed := decodeFeedFrame(data)
+			if hello == nil || key == nil || want == nil || resume == nil || feed == nil {
+				t.Fatal("a decoder accepted the empty frame, which is the tick")
+			}
+		}
 		if party, pairID, err := decodeDealerHello(data); err == nil {
 			if party != 0 && party != 1 {
 				t.Fatalf("hello decoded party %d", party)

@@ -2,11 +2,14 @@ package tripletpool
 
 import (
 	"context"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parsecureml/internal/comm"
+	"parsecureml/internal/mpc"
 )
 
 // crashableDealer is a dealer the test can SIGKILL-equivalently destroy
@@ -84,17 +87,17 @@ func (cd *crashableDealer) connect() (*comm.Conn, error) {
 func TestDealerCrashResumeBitIdentical(t *testing.T) {
 	const seed = 20240808
 	cd := startCrashableDealer(t, seed)
-	sup := comm.SupervisorConfig{
+	cfg := FeedConfig{
 		ReconnectAttempts: 400,
 		ReconnectBase:     5 * time.Millisecond,
 		ReconnectMax:      50 * time.Millisecond,
 	}
-	f0, err := NewDealerClient(cd.connect, 0, 1, FeedConfig{Supervisor: sup})
+	f0, err := NewDealerClient(cd.connect, 0, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f0.Close)
-	f1, err := NewDealerClient(cd.connect, 1, 1, FeedConfig{Supervisor: sup})
+	f1, err := NewDealerClient(cd.connect, 1, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,4 +147,122 @@ func TestDealerCrashResumeBitIdentical(t *testing.T) {
 	}
 	draw(2, 2, 2, 2)
 	draw(2, 2, 2, 3)
+}
+
+// TestDealerClientBoundsTheHello: a listener that accepts, reads the hello and
+// then says nothing — a wedged dealer — used to hang NewDealerClient, and with
+// it psml-server's start-up, for good. Every connection's hello → KEY exchange
+// runs under one bound, and a miss is a failed attempt of the retry budget.
+func TestDealerClientBoundsTheHello(t *testing.T) {
+	const tick = 5 * time.Millisecond // the bound is helloTicks of them: 100 ms
+	ln, err := comm.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	defer close(release)
+	go func() {
+		for {
+			conn, err := comm.Accept(ln)
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				conn.ReadFrame() // the hello
+				<-release
+			}()
+		}
+	}()
+	dials := 0
+	done := make(chan error, 1)
+	go func() {
+		_, err := newDealerClient(func() (*comm.Conn, error) {
+			dials++
+			return comm.Dial(ln.Addr().String())
+		}, 1, 1, FeedConfig{ReconnectAttempts: 2, ReconnectBase: time.Millisecond}, tick)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "dealer KEY") {
+			t.Fatalf("NewDealerClient against a silent dealer: %v, want its KEY read to fail", err)
+		}
+		if dials != 2 {
+			t.Errorf("%d dials, want both attempts of the budget spent", dials)
+		}
+	case <-time.After(10 * helloTicks * tick):
+		t.Fatal("NewDealerClient still waits for a KEY the dealer never sends")
+	}
+}
+
+// TestFeedGivesUpOnSilentDealer is the detection bound that stands in for
+// heartbeats. A scripted dealer answers the hello with the right KEY, reads
+// the RESUME and then neither ticks nor ships: party 1's blocked Take must see
+// that connection given up after silentTicks of silence, the redial reach a
+// real dealer on the same base, and the half be the stream's. A real dealer
+// that generates for longer than silentTicks is ticking all the while, and
+// must not be redialled.
+func TestFeedGivesUpOnSilentDealer(t *testing.T) {
+	const base, tick = 31337, 10 * time.Millisecond
+	ln, err := comm.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDealer(DealerConfig{Seed: base})
+	d.tick = tick
+	serveDealer(t, d, ln)
+
+	a, b := memPipe()
+	silent := comm.Wrap(b)
+	defer silent.Close()
+	go func() {
+		silent.ReadFrame() // the hello
+		silent.WriteFrame(encodeKey(partyKey(base, 1)))
+		silent.ReadFrame() // the RESUME, never answered
+	}()
+	var dials atomic.Int32
+	c, err := newDealerClient(func() (*comm.Conn, error) {
+		if dials.Add(1) == 1 {
+			return comm.Wrap(a), nil
+		}
+		return comm.Dial(ln.Addr().String())
+	}, 1, 1, FeedConfig{Depth: 1, ReconnectBase: time.Millisecond}, tick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	sh := shape{3, 4, 5}
+	start := time.Now()
+	got, err := c.Take(sh.M, sh.K, sh.N, 0)
+	took := time.Since(start)
+	if _, want := refTriplet(base, sh, 0); err != nil || !sameHalf(got, want) {
+		t.Fatalf("Take across the silent dealer: err %v, or not the stream's half", err)
+	}
+	if n := dials.Load(); n != 2 || took < silentTicks*tick || took > time.Second {
+		t.Fatalf("the silent connection was given up after %v and %d dials, want one redial after %v of silence", took, n, silentTicks*tick)
+	}
+
+	// A shape the dealer takes at least twice silentTicks to generate.
+	var big shape
+	var want mpc.TripletShares
+	for n, slow := 256, false; !slow; n += 256 {
+		big = shape{n, n, n}
+		start := time.Now()
+		_, want = deriveTriplet(partyKeys(base), big, 0)
+		slow = time.Since(start) >= 2*silentTicks*tick
+	}
+	start = time.Now()
+	got, err = c.Take(big.M, big.K, big.N, 0)
+	if err != nil || !sameHalf(got, want) {
+		t.Fatalf("Take of %v: err %v, or not the stream's half", big, err)
+	}
+	if took := time.Since(start); took <= silentTicks*tick {
+		t.Fatalf("%v was generated in %v: the dealer was never busy for longer than the silence budget", big, took)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("a busy, ticking dealer was redialled (%d dials)", n)
+	}
 }

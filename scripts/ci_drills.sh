@@ -5,7 +5,7 @@
 # the same drills run identically from a laptop.
 #
 # Usage: scripts/ci_drills.sh <drill>
-#   concurrent   concurrent sessions survive a client kill, bit-identical; a leasing burst and a dealer outage never stall party 0
+#   concurrent   concurrent sessions survive a client kill, bit-identical; a leasing burst and a dealer outage never stall party 0; a silent dealer is redialled
 #   engine       one exchange engine: any member count, band heights, held F == reference
 #   chaos-link   peer link killed mid-flight; supervised reconnect + replay
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
@@ -14,7 +14,7 @@
 #   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop is a plain connection
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -34,9 +34,11 @@ concurrent)
   drill_test ./internal/mpc/ 'TestConcurrentSessionsSurviveClientKill|TestConcurrentSessionsBitIdentical'
   # Dealer-fed: a burst of 80 leasing sessions completes however far party 0
   # leads (it derives its halves; no window sits between the parties), the
-  # dealer links carry one key per connection and Z1 alone, and a dealer
-  # outage under a serving pair stalls party 1 only, bit-identically.
-  drill_test ./internal/mpc/tripletpool/ 'TestDealerFedBurstNeverWaitsOnAWindow|TestDealerShipsOnlyTheCorrection|TestPartyZeroOutlivesDealerOutage'
+  # dealer links carry one key per connection, Z1 and ticks and nothing
+  # else, a dealer outage under a serving pair stalls party 1 only,
+  # bit-identically, and a dealer that goes silent is given up after four
+  # ticks and redialled while one that is busy but ticking is not.
+  drill_test ./internal/mpc/tripletpool/ 'TestDealerFedBurstNeverWaitsOnAWindow|TestDealerShipsOnlyTheCorrection|TestPartyZeroOutlivesDealerOutage|TestFeedGivesUpOnSilentDealer'
   ;;
 engine)
   # The engine must match the reference for every member count with
@@ -153,8 +155,10 @@ flags)
 layering)
   # internal/mpc is the serving plane and nothing else: the three fleet
   # binaries link neither the paper-figure simulator nor what it stands on,
-  # the real transport depends on no other package of this module, and the
-  # serving plane has exactly one Serve* entry point — the one deployed.
+  # the real transport depends on no other package of this module, the
+  # serving plane has exactly one Serve* entry point — the one deployed — and
+  # the dealer hop is frames on a plain connection: no supervised link, no
+  # mux, and neither the client-side pool nor the hook only that hop used.
   fail=0
   sim="$(go list -deps ./cmd/psml-server ./cmd/psml-router ./cmd/psml-dealer |
     grep -E '^parsecureml/internal/(simtime|gpu|mpcsim|secureml|bench|profile)$' || true)"
@@ -170,6 +174,18 @@ layering)
   serve="$(cat $(ls internal/mpc/*.go | grep -v _test.go) | grep -c '^func Serve' || true)"
   echo "internal/mpc: $serve Serve* entry points (want 1)"
   if [ "$serve" -ne 1 ]; then
+    fail=1
+  fi
+  layers="$(grep -n 'SupervisedLink\|comm\.NewMux' $(ls internal/mpc/tripletpool/*.go | grep -v _test.go) || true)"
+  if [ -n "$layers" ]; then
+    echo "  internal/mpc/tripletpool puts a layer under the dealer hop:" >&2
+    echo "$layers" >&2
+    fail=1
+  fi
+  gone="$(grep -rn 'tripletpool\.New(\|NewLocalSource\|OnPeerReset' --include='*.go' . || true)"
+  if [ -n "$gone" ]; then
+    echo "  deleted with the client-side pool and the dealer's supervised link, but still named:" >&2
+    echo "$gone" >&2
     fail=1
   fi
   exit "$fail"

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Dealer crash-resume chaos drill: one dealer-fed server pair under many
 # concurrent client sessions; the dealer is SIGKILLed at the mid-run
-# barrier and restarted with the SAME seed. The replicas' supervised
-# dealer links must reconnect, RESUME their per-shape stream cursors,
+# barrier and restarted with the SAME seed. The replicas' feeds must
+# dial the new dealer, RESUME their per-shape stream cursors,
 # and keep serving — and every session's every product, before and
 # after the crash, must be BIT-identical to an in-process reference
 # replaying the dealer's deterministic streams (examples/fleet does the
@@ -52,9 +52,8 @@ DEALER_DEBUG=127.0.0.1:${PORTS[4]}; A0_DEBUG=127.0.0.1:${PORTS[5]}; A1_DEBUG=127
 echo "== starting dealer + one dealer-fed pair"
 spawn dealer "$WORK/psml-dealer" -listen "$DEALER" -seed "$SEED"
 DEALER_PID=${PIDS[-1]}
-# Fast heartbeats so the feed links notice the dead dealer promptly;
-# psml-server's 60 connect attempts per dealer-link outage outlast the
-# restart gap.
+# The feeds notice the dead dealer at the read error; psml-server's 60
+# dial attempts per dealer outage outlast the restart gap.
 spawn pairA-0 "$WORK/psml-server" -party 0 -listen "$A0" -peer-listen "$APEER" \
   -dealer-dial "$DEALER" -pair-id 1 -peer-heartbeat 100ms -max-sessions 256 -triplet-feed-depth 2 \
   -debug-addr "$A0_DEBUG"
