@@ -8,7 +8,6 @@ import (
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/ml"
-	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
 
@@ -23,8 +22,11 @@ import (
 // between the servers, one reply. A stage's members need only earlier
 // stages, never each other. The four stages whose right-hand operand is a
 // weight register it with the session the first time they run on a
-// connection pair (Shares.Operand) and from then on ship A, U and Z alone:
-// what did not change is not re-sent (Eqs. 10–12, Δ^B = 0).
+// connection pair (Shares.Operand) and from then on run in the three-matrix
+// form: what did not change is not re-sent (Eqs. 10–12, Δ^B = 0). And no
+// request ships a share that is pure generator output (Shares.Derived):
+// party 0 is sent a seed per request and nothing else, party 1 a seed and
+// A₁, [B₁], Z₁ — what the receiver can compute is not sent either.
 // The traffic rides the session mux and the adaptive wire codecs. The
 // softmax runs client-side on the recombined scores with ml.ApproxSoftmax —
 // the same approximation (and DESIGN.md error contract) as the secure
@@ -44,7 +46,7 @@ type WireTransformer struct {
 	FF1Act                 ml.Activation
 	HasFF                  bool
 
-	pool        *rng.Pool
+	seed, draws uint64 // requestSeeds' base, and how many requests it has keyed
 	muls, trips int
 
 	// What the sessions behind the connection pair last handed to Infer hold
@@ -67,14 +69,14 @@ type wireOperand struct {
 var operandCounter atomic.Uint32
 
 // NewWireAttention wraps a plaintext attention block for wire-path
-// inference. seed drives every share split and triplet, so two runs with
-// the same seed issue bit-identical requests.
+// inference. seed keys every share split and triplet (requestSeeds), so two
+// runs with the same seed issue bit-identical requests.
 func NewWireAttention(a *ml.Attention, seed uint64) *WireTransformer {
 	return &WireTransformer{
 		Heads: a.Heads, Causal: a.Causal,
 		Wq: a.Wq, Wk: a.Wk, Wv: a.Wv, Wo: a.Wo,
 		Bq: a.Bq, Bk: a.Bk, Bv: a.Bv, Bo: a.Bo,
-		pool: rng.NewPool(seed),
+		seed: seed,
 	}
 }
 
@@ -121,9 +123,10 @@ func (t *WireTransformer) proj(s0, s1 comm.Framer, x, w, b *tensor.Matrix) (*ten
 
 // request runs one stage: the c row-stacked products a×b in one request
 // frame per party, riding out retryable refusals as RequestMulRetry does.
-// Shares and triplets are drawn as stacks and serially — two input splits
-// and five triplet fills, or one split and three fills against a registered
-// weight — so identically seeded runs issue bit-identical requests.
+// Each request is drawn in the derived form under the next pair of seeds —
+// two keyed fills, one per party's half, whatever c is — so identically
+// seeded runs issue bit-identical requests: party 0's frame is its envelopes,
+// party 1's carries A₁, B₁, Z₁, or A₁, Z₁ against a registered weight.
 //
 // A weight goes out in the five-matrix form under a fresh handle the first
 // time a connection pair sees it and in the three-matrix form after that.
@@ -134,21 +137,17 @@ func (t *WireTransformer) proj(s0, s1 comm.Framer, x, w, b *tensor.Matrix) (*ten
 func (t *WireTransformer) request(s0, s1 comm.Framer, a, b *tensor.Matrix, c int, weight bool) (*tensor.Matrix, error) {
 	t.muls += c
 	t.trips++
-	m, k, n := a.Rows/c, a.Cols, b.Cols
 	for {
-		in0, in1 := Shares{Members: c}, Shares{Members: c}
-		var reg wireOperand // what this request registers, once it is answered
-		in0.A, in1.A = SplitRand(t.pool, a)
-		if op, kept := t.ops[b]; kept {
-			in0.T, in1.T, _ = genGemmTriplets(t.pool, c, m, k, n, op.v)
+		op, kept := t.ops[b]
+		in0, in1, v := dealDerived(requestSeeds(t.seed, t.draws), a, b, op.v, c)
+		t.draws++
+		reg := wireOperand{v: v} // what this request registers, once it is answered
+		switch {
+		case kept:
 			in0.Operand, in1.Operand = op.handle, op.handle
-		} else {
-			in0.B, in1.B = SplitRand(t.pool, b)
-			in0.T, in1.T, reg.v = genGemmTriplets(t.pool, c, m, k, n, nil)
-			if weight && !t.plain {
-				reg.handle = operandCounter.Add(1) // 0, once per wrap, registers nothing
-				in0.Operand, in1.Operand = reg.handle, reg.handle
-			}
+		case weight && !t.plain:
+			reg.handle = operandCounter.Add(1) // 0, once per wrap, registers nothing
+			in0.Operand, in1.Operand = reg.handle, reg.handle
 		}
 		prod, err := RequestMulRetry(s0, s1, in0, in1, RetryConfig{})
 		switch {
@@ -157,7 +156,7 @@ func (t *WireTransformer) request(s0, s1 comm.Framer, a, b *tensor.Matrix, c int
 				t.ops[b] = reg
 			}
 			return prod, nil
-		case in0.B == nil && errors.Is(err, &RouteError{Code: RouteUnknownOperand}):
+		case kept && errors.Is(err, &RouteError{Code: RouteUnknownOperand}):
 			clear(t.ops)
 		case reg.handle != 0 && errors.Is(err, &RouteError{Code: RouteBadRequest}):
 			t.plain = true

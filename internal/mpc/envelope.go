@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -17,10 +18,11 @@ import (
 // which no magic's leading byte collides with, so old clients and new
 // servers interoperate in both directions.
 //
-//	request: [id u64] ["PSDL" budget-micros u32] ["PSGR" members u32] ["PSOP" handle u32] [shares...]
+//	request: [id u64] ["PSDL" budget-micros u32] ["PSGR" members u32] ["PSOP" handle u32]
+//	         ["PSDV" rows u32, k u32, n u32, form u32, seed u64] [shares...]
 //	error:   [id u64] "PSER" [code u32] [retry-after-micros u32]
 //
-// All three request envelopes are optional and ride in that order. The
+// All four request envelopes are optional and ride in that order. The
 // budget is RELATIVE (time remaining), not an absolute deadline: hops
 // subtract their own elapsed time before forwarding, so the scheme needs no
 // clock synchronization between client, router, and replicas. The group
@@ -28,13 +30,29 @@ import (
 // (Shares.Members). The operand envelope names a registered operand of the
 // client session (Shares.Operand): ahead of five matrices it stores B under
 // the handle, ahead of three (A, U, Z) it stands in for B, V and F.
+//
+// The derived envelope (Shares.Derived) stands for the matrices of its
+// request half that are pure generator output: the stacked geometry (A is
+// rows×k, Z rows×n), the form the half expands to — five matrices, or the
+// three against a registered operand — and the seed this party expands them
+// from (DeriveHalf). Behind it party 0's frame carries no matrix and party
+// 1's A, [B], Z. It rides last because it is the payload's own header: the
+// three before it say how to treat a request, this one what the request is.
+// The seed is per request and per party — SHA-256 of a base only the client
+// holds — and not a key the session keeps: a party holding one learns
+// nothing of the other party's or of the next request's, a retried frame
+// expands to the same half wherever it lands, and a session has no key table
+// to lose when a router re-dials behind the client (the registered operands'
+// RouteUnknownOperand is the cost of the other choice).
 
 const (
 	deadlineMagic  = 0x5053444C // "PSDL"
 	groupMagic     = 0x50534752 // "PSGR"
 	operandMagic   = 0x50534F50 // "PSOP"
+	derivedMagic   = 0x50534456 // "PSDV"
 	routeErrMagic  = 0x50534552 // "PSER"
-	envelopeBytes  = 8          // magic + one u32, any envelope kind
+	envelopeBytes  = 8          // magic + one u32: the deadline, group and operand envelopes
+	derivedBytes   = 28         // magic + four u32 + one u64
 	routeErrFrameB = requestIDBytes + envelopeBytes + 4
 )
 
@@ -155,7 +173,11 @@ func EncodeRequestBudget(id uint64, budget time.Duration, in Shares) []byte {
 }
 
 func encodeRequest(id uint64, deadline bool, budget time.Duration, in Shares) []byte {
-	frame := make([]byte, 0, requestIDBytes+3*envelopeBytes+sharesSize(in))
+	size := requestIDBytes + 3*envelopeBytes + sharesSize(in)
+	if in.Derived != nil {
+		size += derivedBytes
+	}
+	frame := make([]byte, 0, size)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	if deadline {
 		frame = binary.LittleEndian.AppendUint32(frame, deadlineMagic)
@@ -168,6 +190,16 @@ func encodeRequest(id uint64, deadline bool, budget time.Duration, in Shares) []
 	if in.Operand != 0 {
 		frame = binary.LittleEndian.AppendUint32(frame, operandMagic)
 		frame = binary.LittleEndian.AppendUint32(frame, in.Operand)
+	}
+	if d := in.Derived; d != nil {
+		form := uint32(derivedFive)
+		if d.Kept {
+			form = derivedThree
+		}
+		for _, v := range [5]uint32{derivedMagic, uint32(d.Rows), uint32(d.K), uint32(d.N), form} {
+			frame = binary.LittleEndian.AppendUint32(frame, v)
+		}
+		frame = binary.LittleEndian.AppendUint64(frame, d.Seed)
 	}
 	return appendShares(frame, in)
 }
@@ -200,12 +232,13 @@ func hasEnvelope(p []byte, magic uint32) bool {
 
 // requestBody returns what follows a request frame's id and envelopes: the
 // shares payload, the member count a group envelope declares for it (1
-// without one; not yet range-checked) and the handle of an operand envelope
-// (0 without one). Frames too short to carry an id yield an empty payload
-// rather than a panic.
-func requestBody(frame []byte) (payload []byte, members int, operand uint32) {
+// without one; not yet range-checked), the handle of an operand envelope
+// (0 without one) and what a derived envelope says (nil without one; not yet
+// checked). Frames too short to carry an id yield an empty payload rather
+// than a panic.
+func requestBody(frame []byte) (payload []byte, members int, operand uint32, derived *DerivedHalf) {
 	if len(frame) < requestIDBytes {
-		return nil, 1, 0
+		return nil, 1, 0, nil
 	}
 	p, members := frame[requestIDBytes:], 1
 	if hasEnvelope(p, deadlineMagic) {
@@ -217,7 +250,72 @@ func requestBody(frame []byte) (payload []byte, members int, operand uint32) {
 	if hasEnvelope(p, operandMagic) {
 		p, operand = p[envelopeBytes:], binary.LittleEndian.Uint32(p[4:])
 	}
-	return p, members, operand
+	// A derived envelope cut short, or of a form this build does not know, is
+	// not an envelope: its magic is left at the head of the payload, where no
+	// tensor tag matches it and the decode fails.
+	if form := derivedForm(p); form != 0 {
+		derived = &DerivedHalf{
+			Rows: int(binary.LittleEndian.Uint32(p[4:])),
+			K:    int(binary.LittleEndian.Uint32(p[8:])),
+			N:    int(binary.LittleEndian.Uint32(p[12:])),
+			Kept: form == derivedThree,
+			Seed: binary.LittleEndian.Uint64(p[20:]),
+		}
+		p = p[derivedBytes:]
+	}
+	return p, members, operand, derived
+}
+
+// The two forms a derived half expands to, as its envelope spells them: the
+// matrix count of the materialised request it stands for.
+const (
+	derivedFive  = 5
+	derivedThree = 3
+)
+
+// derivedForm is the form field of the derived envelope p starts with, 0 if
+// it starts with none.
+func derivedForm(p []byte) uint32 {
+	if len(p) < derivedBytes || binary.LittleEndian.Uint32(p) != derivedMagic {
+		return 0
+	}
+	if form := binary.LittleEndian.Uint32(p[16:]); form == derivedFive || form == derivedThree {
+		return form
+	}
+	return 0
+}
+
+// maxDerivedElems bounds each matrix a derived envelope may make a party
+// expand: a 44-byte frame sizes five of them, so the bound is a constant of
+// the protocol and as tight as a session's kept operands (maxOperandElems).
+// Larger requests ship their matrices.
+const maxDerivedElems = 1 << 20
+
+// check refuses a derived envelope that may not be expanded, before anything
+// is sized by it: members is the group envelope's count and operand the
+// operand envelope's handle. The products are taken in uint64 over
+// dimensions already under the bound, so nothing a u32 field can say
+// overflows them.
+func (d *DerivedHalf) check(members int, operand uint32) error {
+	switch {
+	case members < 1 || members > MaxGroupMembers:
+		return fmt.Errorf("mpc: derived request: group of %d members, want 1..%d", members, MaxGroupMembers)
+	case d.Rows <= 0 || d.K <= 0 || d.N <= 0 || d.Rows > maxDerivedElems || d.K > maxDerivedElems || d.N > maxDerivedElems:
+		return fmt.Errorf("mpc: derived request: geometry %dx%dx%d, want every dimension in 1..%d", d.Rows, d.K, d.N, maxDerivedElems)
+	case d.Rows%members != 0:
+		return fmt.Errorf("mpc: derived request: %d stacked rows do not divide into %d members", d.Rows, members)
+	case d.Kept && operand == 0:
+		return errors.New("mpc: derived request: the three-matrix form names no operand")
+	}
+	rows, k, n := uint64(d.Rows), uint64(d.K), uint64(d.N)
+	kn := uint64(members) * k * n
+	if d.Kept {
+		kn = 0
+	}
+	if rows*k > maxDerivedElems || kn > maxDerivedElems || rows*n > maxDerivedElems {
+		return fmt.Errorf("mpc: derived request: %dx%dx%d ×%d expands a matrix of over %d elements (ship it instead)", d.Rows/members, d.K, d.N, members, maxDerivedElems)
+	}
+	return nil
 }
 
 // PeekRequestShape reads a request's geometry off its frame from the
@@ -228,12 +326,27 @@ func requestBody(frame []byte) (payload []byte, members int, operand uint32) {
 // c·(m·k + k·n) elements each way, so its exchange floor is
 // DeadlineEstimate(c·m, k, c·n).
 //
-// ok is also false on the three-matrix form (A, U, Z behind an operand
-// envelope): B's width lives in the serving session's table, which no relay
-// can see, so a router floors such a frame at 0 — sheds it only once the
+// A derived request (Shares.Derived) says its geometry in its envelope, the
+// same on both faces whatever matrices follow, and is read from there. Its
+// three-matrix form reports n = 0: against a kept operand no F moves, so
+// the floor above comes to the E stack's, DeadlineEstimate(c·m, k, 0) — what
+// the pair prices it at.
+//
+// ok is false on the materialised three-matrix form (A, U, Z behind an
+// operand envelope): B's width lives in the serving session's table, which no
+// relay can see, so a router floors such a frame at 0 — sheds it only once the
 // budget has run out — and the pair prices what it moves, its E stack.
 func PeekRequestShape(frame []byte) (m, k, n, members int, ok bool) {
-	p, members, operand := requestBody(frame)
+	p, members, operand, derived := requestBody(frame)
+	if derived != nil {
+		if derived.check(members, operand) != nil {
+			return 0, 0, 0, 0, false
+		}
+		if derived.Kept {
+			return derived.Rows / members, derived.K, 0, members, true
+		}
+		return derived.Rows / members, derived.K, derived.N, members, true
+	}
 	rows, k, size, ok := peekMatrixHeader(p)
 	if !ok || members < 1 || members > MaxGroupMembers || rows%members != 0 || size > len(p) {
 		return 0, 0, 0, 0, false

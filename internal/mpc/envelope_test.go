@@ -87,10 +87,12 @@ func TestSetBudget(t *testing.T) {
 // request shares.
 func envelopeGroup(seed uint64) Shares {
 	p := rng.NewPool(seed)
-	a0, _ := SplitRand(p, p.NewUniform(15, 6, -1, 1))
-	b0, _ := SplitRand(p, p.NewUniform(18, 4, -1, 1))
-	t0, _, _ := genGemmTriplets(p, 3, 5, 6, 4, nil)
-	return Shares{A: a0, B: b0, T: t0, Members: 3}
+	share := func(rows, cols int) *tensor.Matrix {
+		s0, _ := SplitRand(p, p.NewUniform(rows, cols, -1, 1))
+		return s0
+	}
+	return Shares{A: share(15, 6), B: share(18, 4), Members: 3,
+		T: TripletShares{U: share(15, 6), V: share(18, 4), Z: share(15, 4)}}
 }
 
 // TestPeekRequestShape checks the router's header-only geometry read on
@@ -156,9 +158,40 @@ func TestPeekRequestShape(t *testing.T) {
 			t.Fatalf("three-matrix frame %d decoded to id %d, operand %d: %v", i, id, dec.Operand, err)
 		}
 	}
+	// A derived request says its geometry in its envelope: both parties' frames
+	// read alike whatever they ship, and the three-matrix form reads as a
+	// request that moves no F.
+	pa, pb := rng.NewPool(36), rng.NewPool(36)
+	for _, c := range []int{1, 3} {
+		a, b := pa.NewUniform(5*c, 6, -1, 1), pb.NewUniform(6*c, 4, -1, 1)
+		d0, d1, v := dealDerived(requestSeeds(36, uint64(c)), a, b, nil, c)
+		k0, k1, _ := dealDerived(requestSeeds(36, uint64(c)+8), a, b, v, c)
+		k0.Operand, k1.Operand = 9, 9
+		for i, tc := range []struct {
+			in Shares
+			n  int
+		}{{d0, 4}, {d1, 4}, {k0, 0}, {k1, 0}} {
+			for _, frame := range [][]byte{EncodeRequest(5, tc.in), EncodeRequestBudget(5, time.Millisecond, tc.in)} {
+				if m, k, n, members, ok := PeekRequestShape(frame); !ok || m != 5 || k != 6 || n != tc.n || members != c {
+					t.Fatalf("PeekRequestShape on derived frame %d = (%d,%d,%d)×%d ok=%v, want (5,6,%d)×%d", i, m, k, n, members, ok, tc.n, c)
+				}
+			}
+		}
+	}
 	badCount := EncodeRequest(5, grp)
 	badCount[requestIDBytes+4] = 4 // 15 rows do not divide into 4 members
-	for _, bad := range append(threeForms,
+	// An envelope the pair would refuse prices nothing (what follows it is the
+	// pair's to check, not a relay's).
+	var badDerived [][]byte
+	hostile := hostileDerivedFrames(5)
+	for _, name := range []string{"rows 0", "rows not a multiple of members", "members over the cap", "c·k·n over the bound",
+		"every dimension 2^32-1", "three-matrix form, no handle", "form 4", "envelope cut short"} {
+		if hostile[name] == nil {
+			t.Fatalf("no hostile derived frame named %q", name)
+		}
+		badDerived = append(badDerived, hostile[name])
+	}
+	for _, bad := range append(append(threeForms, badDerived...),
 		nil,
 		[]byte{1, 2, 3},
 		EncodeRequest(5, in)[:12],
@@ -295,6 +328,34 @@ func TestServeDeadlineShed(t *testing.T) {
 	}
 	if got, err = RequestMulID(id+4, c0, c1, g0, g1); err != nil || !got.SliceRows(0, dim).Equal(jobs[0].want) {
 		t.Fatalf("session did not serve the group after shedding it: %v", err)
+	}
+
+	// A derived request is priced as the form it stands for, alike on both
+	// parties though only one of them was shipped a matrix: the group under
+	// its stacked floor is shed twice, and the same data against a kept
+	// operand — an E stack and no F — fits under the same budget.
+	ga, gb := p.NewUniform(c*dim, dim, -1, 1), p.NewUniform(c*dim, dim, -1, 1)
+	d0, d1, v := dealDerived(requestSeeds(35, 0), ga, gb, nil, c)
+	if kept := DeadlineEstimate(c*dim, dim, 0); !(kept < budget) {
+		t.Fatalf("budget %v does not cover the E stack's floor %v", budget, kept)
+	}
+	before = metrics.deadlineShed.Value()
+	_, err = requestMulFrames(id+5, c0, c1, EncodeRequestBudget(id+5, budget, d0), EncodeRequestBudget(id+5, budget, d1))
+	if !errors.As(err, &re) || re.Code != RouteDeadlineExceeded {
+		t.Fatalf("derived group under its stacked floor: got %v, want %s", err, RouteDeadlineExceeded)
+	}
+	if got := metrics.deadlineShed.Value(); got != before+2 {
+		t.Fatalf("server sheds counted %d for the derived group, want 2", got-before)
+	}
+	d0.Operand, d1.Operand = 3, 3
+	if _, err = RequestMulID(id+6, c0, c1, d0, d1); err != nil {
+		t.Fatalf("registering the derived group: %v", err)
+	}
+	k0, k1, _ := dealDerived(requestSeeds(35, 1), ga, gb, v, c)
+	k0.Operand, k1.Operand = 3, 3
+	got, err = requestMulFrames(id+7, c0, c1, EncodeRequestBudget(id+7, budget, k0), EncodeRequestBudget(id+7, budget, k1))
+	if err != nil || !got.SliceRows(0, dim).ApproxEqual(tensor.MulNaive(ga.SliceRows(0, dim), gb.SliceRows(0, dim)), 1e-2) {
+		t.Fatalf("derived group against its kept operand under the same budget: %v", err)
 	}
 }
 

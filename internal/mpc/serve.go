@@ -71,13 +71,23 @@ func appendShares(frame []byte, in Shares) []byte {
 // DecodeShares parses a payload produced by EncodeShares: either the
 // full five-matrix form (A, B, U, V, Z) or the two-matrix dealer-fed
 // form (A, B with out.T zero) — the payload length after B decides.
-func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1, 0) }
+func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1, 0, nil) }
 
 // decodeShares is DecodeShares for a payload declared to stack members
 // products (a group envelope's count; 1 for a lone request) behind an
-// operand envelope's handle (0: none, and no three-matrix form A, U, Z).
-func decodeShares(frame []byte, members int, operand uint32) (Shares, error) {
-	out := Shares{Members: members, Operand: operand}
+// operand envelope's handle (0: none, and no three-matrix form A, U, Z) and
+// a derived envelope (nil: none). The materialised forms come back checked
+// against each other (validateShares). A derived half comes back as it was
+// shipped — no matrix, or the A, [B], Z its envelope's form and geometry call
+// for — with the envelope checked and nothing expanded: which half it is
+// depends on the party that reads it (Shares.expand).
+func decodeShares(frame []byte, members int, operand uint32, derived *DerivedHalf) (Shares, error) {
+	out := Shares{Members: members, Operand: operand, Derived: derived}
+	if derived != nil {
+		if err := derived.check(members, operand); err != nil {
+			return out, err
+		}
+	}
 	var mats [5]*tensor.Matrix
 	off, count := 0, 0
 	for count < len(mats) && off < len(frame) {
@@ -88,6 +98,30 @@ func decodeShares(frame []byte, members int, operand uint32) (Shares, error) {
 		mats[count] = m
 		count++
 		off += n
+	}
+	if derived != nil {
+		shipped := 3 // A, B, Z
+		if derived.Kept {
+			shipped = 2 // A, Z
+		}
+		switch {
+		case off != len(frame) || (count != 0 && count != shipped):
+			return out, fmt.Errorf("mpc: derived shares frame holds %d matrices with %d trailing bytes, want 0 (party 0) or %d (party 1)", count, len(frame)-off, shipped)
+		case count == 0:
+			return out, nil
+		}
+		d := derived
+		is := func(m *tensor.Matrix, rows, cols int) bool { return m.Rows == rows && m.Cols == cols }
+		out.A, out.T.Z = mats[0], mats[count-1]
+		agree := is(out.A, d.Rows, d.K) && is(out.T.Z, d.Rows, d.N)
+		if !d.Kept {
+			out.B = mats[1]
+			agree = agree && is(out.B, members*d.K, d.N)
+		}
+		if !agree {
+			return out, fmt.Errorf("mpc: derived shares geometry: the matrices shipped disagree with the envelope's %dx%dx%d ×%d", d.Rows/members, d.K, d.N, members)
+		}
+		return out, nil
 	}
 	switch {
 	case off != len(frame) || (count != 2 && count != 5 && (count != 3 || operand == 0)):
@@ -102,6 +136,30 @@ func decodeShares(frame []byte, members int, operand uint32) (Shares, error) {
 		return Shares{}, err
 	}
 	return out, nil
+}
+
+// expand completes a decoded derived half (Shares.Derived) into the five- or
+// three-matrix request it stands for, as party reads it: one DeriveHalf, laid
+// over what was shipped, and then the check every materialised request gets.
+// Party 0's half is all expansion and must have shipped nothing; party 1's
+// must have shipped the A, [B], Z no expansion holds — so a frame sent to the
+// wrong face is refused, not run on the wrong half. A B that the session may
+// keep (a registering request) is moved into an allocation of its own: as a
+// view it would pin the whole expansion, five times its size, for the
+// session's life.
+func (in *Shares) expand(party int) error {
+	if shipped := in.A != nil; shipped != (party == 1) {
+		return fmt.Errorf("mpc: derived request: party %d was sent the other party's half", party)
+	}
+	h := DeriveHalf(*in.Derived, 0, party, in.Members, true)
+	in.T.U, in.T.V = h.T.U, h.T.V
+	if party == 0 {
+		in.A, in.B, in.T.Z = h.A, h.B, h.T.Z
+		if in.Operand != 0 && in.B != nil {
+			in.B = in.B.Clone()
+		}
+	}
+	return validateShares(*in)
 }
 
 // validateShares rejects geometry the multiplication cannot run: the
@@ -149,8 +207,10 @@ const requestIDBytes = 8
 // DecodeRequest parses a frame produced by EncodeRequest or
 // EncodeRequestBudget. A group envelope sets the returned Shares' Members
 // (1 without one) and is checked against the stacks; a deadline envelope
-// is skipped transparently (read it with PeekBudget). The id is valid
-// whenever the frame is long enough to carry one, decode error or not.
+// is skipped transparently (read it with PeekBudget). A derived envelope
+// sets Derived, and the Shares hold only what the frame shipped until the
+// serving party expands them. The id is valid whenever the frame is long
+// enough to carry one, decode error or not.
 func DecodeRequest(frame []byte) (uint64, Shares, error) {
 	if len(frame) < requestIDBytes {
 		return 0, Shares{}, fmt.Errorf("mpc: request frame of %d bytes has no id", len(frame))
@@ -591,6 +651,13 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		start := time.Now()
 		metrics.requests.Inc()
 		id, in, err := DecodeRequest(frame)
+		// A derived half is expanded where it is used: offline-phase work moved
+		// to the server, observed with the rest of it.
+		if err == nil && in.Derived != nil {
+			tspan := metrics.phaseTriplet.Start()
+			err = in.expand(party)
+			tspan.Stop()
+		}
 		// What the pair has settled so far decides the two-matrix form and
 		// both operand forms: the client's error like a frame that does not
 		// decode, and refused the same way by both parties.

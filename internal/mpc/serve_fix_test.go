@@ -101,7 +101,8 @@ func TestDecodeSharesValidatesGeometry(t *testing.T) {
 // FuzzDecodeShares: any payload that decodes cleanly must be safe to
 // multiply — as a bare shares payload and as a whole request frame, whose
 // group envelope makes the five matrices stacks of several members and
-// whose operand envelope lets three matrices stand for five. The
+// whose operand envelope lets three matrices stand for five, and whose
+// derived envelope lets a seed stand for any of them. The
 // committed corpus entry (testdata/fuzz/FuzzDecodeShares) is the pre-fix
 // panic reproducer: five individually well-formed matrices whose U
 // disagrees with A.
@@ -123,6 +124,19 @@ func FuzzDecodeShares(f *testing.F) {
 	registering := validGroupShares()
 	registering.Operand = 2
 	f.Add(EncodeRequest(7, registering))
+	// Derived halves: both parties' frames of both forms, lone and grouped,
+	// and every hostile header (cut short, 2^32-1 dimensions, …).
+	for c, kept := range map[int]*tensor.Matrix{1: nil, 3: tensor.New(9, 4)} {
+		in0, in1, _ := dealDerived(requestSeeds(7, uint64(c)), tensor.New(2*c, 3), tensor.New(3*c, 4), kept, c)
+		if kept != nil {
+			in0.Operand, in1.Operand = 2, 2
+		}
+		f.Add(EncodeRequest(7, in0))
+		f.Add(EncodeRequestBudget(7, time.Second, in1))
+	}
+	for _, frame := range hostileDerivedFrames(7) {
+		f.Add(frame)
+	}
 	for _, d := range [][3]int{{4, 0, 3}, {0, 3, 4}, {4, 3, 0}} { // a zero dimension is well-formed
 		m, k, n := d[0], d[1], d[2]
 		f.Add(EncodeRequest(7, Shares{A: tensor.New(m, k), B: tensor.New(k, n),
@@ -170,8 +184,20 @@ func FuzzDecodeShares(f *testing.F) {
 		if in, err := DecodeShares(data); err == nil {
 			multiply(t, in)
 		}
-		if _, in, err := DecodeRequest(data); err == nil {
+		_, in, err := DecodeRequest(data)
+		if err != nil {
+			return
+		}
+		if in.Derived == nil {
 			multiply(t, in)
+			return
+		}
+		// A derived half is one party's: it runs as whichever party's
+		// expansion accepts it, against itself like the rest.
+		for party := 0; party < 2; party++ {
+			if half := in; half.expand(party) == nil {
+				multiply(t, half)
+			}
 		}
 	})
 }

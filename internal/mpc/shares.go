@@ -44,6 +44,14 @@ type Shares struct {
 	// operand was registered with. A party that does not hold the handle
 	// answers RouteUnknownOperand.
 	Operand uint32
+	// Derived != nil makes this a request half whose generator-output
+	// matrices are expanded by the party it is sent to, not shipped
+	// (DESIGN.md "Derived request halves"): party 0's half carries no matrix
+	// at all and party 1's A, [B] and Z — what dealDerived computed against
+	// both expansions. The party fills in the rest with one DeriveHalf before
+	// it looks at the request, so everything downstream sees the five- or
+	// three-matrix form it stands for.
+	Derived *DerivedHalf
 }
 
 // members is the number of products in holds.

@@ -12,14 +12,14 @@ import (
 	"sync"
 
 	"parsecureml/internal/mpc"
-	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
 
 // Derived triplet halves: a share that is pure generator output is expanded
 // where it is used, not shipped (the paper's Eqs. 10–12 applied to its own
 // §5.1 fills; CrypTen's trusted-third-party provider does the same). The
-// functions below are the one definition of a dealer stream. The Dealer, both
+// functions below are the one definition of a dealer stream — how a stream
+// keys mpc.DeriveHalf, where the expansion itself is defined. The Dealer, both
 // DealerClients and NewStreamSource call them and nothing else, which is what
 // makes dealer-fed ≡ client-dealt and resumed ≡ uninterrupted hold bit for
 // bit: there is no second place a half is computed.
@@ -58,32 +58,14 @@ func partyKeys(base uint64) [2]uint64 {
 }
 
 // deriveHalf is what party holds of triplet seq of s's stream without being
-// sent anything: one keyed fill — keyed by (the party's key, the shape, the
-// full 64-bit seq), so any seq can be drawn in any order — cut into Uᵢ ‖ Vᵢ
-// and, for party 0, ‖ Z₀. Uᵢ, Vᵢ are U(−1,1), so U = U₀+U₁ and V lie in
-// (−2,2) and no share is larger than the U − U₀ the old split produced; Z₀ is
-// U(±mpc.ShareRange), as mpc.SplitRand draws a mask. Party 1's Z stays nil:
-// it is the correction only the dealer can compute (deriveTriplet). The
-// matrices are views of one allocation.
+// sent anything: mpc.DeriveHalf — the one definition of a derived half, which
+// a derived request's parties expand too — for one member and with no input
+// masks, keyed by (the party's key, the shape, the full 64-bit seq), so any
+// seq can be drawn in any order. Uᵢ ‖ Vᵢ and, for party 0, ‖ Z₀; party 1's Z
+// stays nil: it is the correction only the dealer can compute (deriveTriplet).
 func deriveHalf(key uint64, party int, s shape, seq uint64) mpc.TripletShares {
-	mk, kn, mn := s.M*s.K, s.K*s.N, s.M*s.N
-	n := mk + kn
-	if party == 0 {
-		n += mn
-	}
-	buf := make([]float32, n)
-	rng.FillKeyed(buf, StreamSeed(key, s.M, s.K, s.N), seq)
-	t := mpc.TripletShares{
-		U: tensor.FromSlice(s.M, s.K, buf[:mk:mk]),
-		V: tensor.FromSlice(s.K, s.N, buf[mk:mk+kn:mk+kn]),
-	}
-	if party == 0 {
-		t.Z = tensor.FromSlice(s.M, s.N, buf[mk+kn:])
-		for i := range t.Z.Data {
-			t.Z.Data[i] *= mpc.ShareRange
-		}
-	}
-	return t
+	d := mpc.DerivedHalf{Seed: StreamSeed(key, s.M, s.K, s.N), Rows: s.M, K: s.K, N: s.N}
+	return mpc.DeriveHalf(d, seq, party, 1, false).T
 }
 
 // deriveTriplet is the dealer's view of triplet seq: both derived halves and

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,21 +279,22 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 			"throughput_scaling":    scaling,
 		},
 		"transformer_infer": map[string]any{
-			"tokens":                trTokens,
-			"d_model":               trDModel,
-			"heads":                 trHeads,
-			"request_muls":          12,
-			"round_trips":           6,
-			"chunk_rows":            8,
-			"throttle_bps":          int64(benchThrottleBps),
-			"raw":                   rawTr,
-			"codec":                 codecTr,
-			"raw_tokens_per_sec":    rawTrTokS,
-			"codec_tokens_per_sec":  codecTrTokS,
-			"raw_bytes_per_token":   rawTrBTok,
-			"codec_bytes_per_token": codecTrBTok,
-			"byte_ratio":            trByteRatio,
-			"ns_ratio":              trNsRatio,
+			"tokens":                  trTokens,
+			"d_model":                 trDModel,
+			"heads":                   trHeads,
+			"request_muls":            12,
+			"round_trips":             6,
+			"chunk_rows":              8,
+			"throttle_bps":            int64(benchThrottleBps),
+			"raw":                     rawTr,
+			"codec":                   codecTr,
+			"raw_tokens_per_sec":      rawTrTokS,
+			"codec_tokens_per_sec":    codecTrTokS,
+			"raw_bytes_per_token":     rawTrBTok,
+			"request_bytes_per_token": rawTrRes.Extra["reqB/tok"],
+			"codec_bytes_per_token":   codecTrBTok,
+			"byte_ratio":              trByteRatio,
+			"ns_ratio":                trNsRatio,
 		},
 		"compressed_wire": map[string]any{
 			"dim":                 benchMulDim,
@@ -502,7 +504,8 @@ func TestConcurrentScalingBaseline(t *testing.T) {
 // 16-token sequence, so ns/op converts to tokens/s and the counted
 // peer traffic to bytes/token. With codec=true the adaptive selector
 // runs with a static bandwidth budget, the regime where FP16 pays on
-// the dense revealed E/F frames.
+// the dense revealed E/F frames. The client's two legs are counted too:
+// what it writes to both parties, as bytes/token.
 func benchTransformerInfer(b *testing.B, codec bool) {
 	blk, x := wireTransformerFixture(53)
 	peerA, peerB, p0, p1, _ := newCountingThrottledPipe(benchThrottleBps)
@@ -520,15 +523,18 @@ func benchTransformerInfer(b *testing.B, codec bool) {
 	client0a, client1a := dialPair(b, addr0, addr1)
 	defer client0a.Close()
 	defer client1a.Close()
+	var requestBytes atomic.Int64
+	leg0, leg1 := &countingFramer{client0a, &requestBytes}, &countingFramer{client1a, &requestBytes}
 	wt := NewWireTransformer(blk, 60)
 	run := func() {
-		if _, err := wt.Infer(client0a, client1a, x); err != nil {
+		if _, err := wt.Infer(leg0, leg1, x); err != nil {
 			b.Fatal(err)
 		}
 	}
 	run() // warm up pools and frame buffers, and register the weights, before counting
 
 	start := p0.Stats().BytesWritten + p1.Stats().BytesWritten
+	requestBytes.Store(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -538,6 +544,18 @@ func benchTransformerInfer(b *testing.B, codec bool) {
 	wire := p0.Stats().BytesWritten + p1.Stats().BytesWritten - start
 	b.ReportMetric(float64(wire)/float64(b.N), "wireB/op")
 	b.ReportMetric(float64(wire)/float64(b.N)/float64(x.Rows), "wireB/tok")
+	b.ReportMetric(float64(requestBytes.Load())/float64(b.N)/float64(x.Rows), "reqB/tok")
+}
+
+// countingFramer adds the size of every frame written through it to wrote.
+type countingFramer struct {
+	comm.Framer
+	wrote *atomic.Int64
+}
+
+func (c *countingFramer) WriteFrame(frame []byte) error {
+	c.wrote.Add(int64(len(frame)))
+	return c.Framer.WriteFrame(frame)
 }
 
 func BenchmarkTransformerInfer(b *testing.B) {
@@ -565,6 +583,13 @@ const transformerNsRatioBar = 1.15
 // inference again fails it on any host.
 const transformerRawBytesPerTokenBar = 3275
 
+// transformerRequestBytesPerTokenBar bounds the request bytes one token of a
+// steady inference costs the client, both legs together: about a third of the
+// 7 340 it cost while party 0 was shipped five (or three) matrices of pure
+// generator output and party 1 a U and a V. What is left is party 1's A₁,
+// [B₁], Z₁ and twelve frames of envelopes. A count like the bar above.
+const transformerRequestBytesPerTokenBar = 2700
+
 // TestTransformerInferBaseline re-runs the transformer inference pair
 // and fails if the codec no longer clears the byte-per-token bar on the
 // throttled link, or costs wall-clock against raw, or a steady inference
@@ -583,8 +608,9 @@ func TestTransformerInferBaseline(t *testing.T) {
 	}
 	var baseline struct {
 		TransformerInfer struct {
-			ByteRatio        float64 `json:"byte_ratio"`
-			RawBytesPerToken float64 `json:"raw_bytes_per_token"`
+			ByteRatio            float64 `json:"byte_ratio"`
+			RawBytesPerToken     float64 `json:"raw_bytes_per_token"`
+			RequestBytesPerToken float64 `json:"request_bytes_per_token"`
 		} `json:"transformer_infer"`
 	}
 	if err := json.Unmarshal(raw, &baseline); err != nil {
@@ -597,6 +623,10 @@ func TestTransformerInferBaseline(t *testing.T) {
 	if b := baseline.TransformerInfer.RawBytesPerToken; b <= 0 || b > transformerRawBytesPerTokenBar {
 		t.Fatalf("baseline %s records transformer_infer raw_bytes_per_token %.2f, outside (0, %d]",
 			path, b, transformerRawBytesPerTokenBar)
+	}
+	if b := baseline.TransformerInfer.RequestBytesPerToken; b <= 0 || b > transformerRequestBytesPerTokenBar {
+		t.Fatalf("baseline %s records transformer_infer request_bytes_per_token %.2f, outside (0, %d]",
+			path, b, transformerRequestBytesPerTokenBar)
 	}
 	rawRes := testing.Benchmark(func(b *testing.B) { benchTransformerInfer(b, false) })
 	codecRes := testing.Benchmark(func(b *testing.B) { benchTransformerInfer(b, true) })
@@ -622,6 +652,12 @@ func TestTransformerInferBaseline(t *testing.T) {
 			perTok, baseline.TransformerInfer.RawBytesPerToken, transformerRawBytesPerTokenBar)
 	} else {
 		t.Logf("transformer raw peer bytes per token: %.2f (baseline %.2f)", perTok, baseline.TransformerInfer.RawBytesPerToken)
+	}
+	if perTok := rawRes.Extra["reqB/tok"]; perTok <= 0 || perTok > transformerRequestBytesPerTokenBar {
+		t.Errorf("a steady inference sends %.2f request bytes per token (baseline %.2f, bar %d): a share that is generator output is on a client leg again",
+			perTok, baseline.TransformerInfer.RequestBytesPerToken, transformerRequestBytesPerTokenBar)
+	} else {
+		t.Logf("transformer request bytes per token: %.2f (baseline %.2f)", perTok, baseline.TransformerInfer.RequestBytesPerToken)
 	}
 	// Accuracy under the codec: one full secure pass must stay within the
 	// documented FP16 tolerance of the plaintext block (DESIGN.md).

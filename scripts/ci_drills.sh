@@ -11,10 +11,10 @@
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
 #   checkpoint   kill-and-resume training: resumed run byte-identical
 #   fleet        multi-process router+dealer fleet, one pair SIGKILLed; operands across failover
-#   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights
+#   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights, derived halves
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop is a plain connection
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop is a plain connection; one keyed expansion
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -106,9 +106,13 @@ transformer)
   # against a registered weight must equal the five-matrix form bit for
   # bit, put a fresh mask on the peer link every time and no F after the
   # registration, and one client must survive its connections being
-  # replaced; the simtime path must track plaintext training and survive a
+  # replaced; a request whose generator-output halves are sent as seeds must
+  # equal the same halves shipped in full bit for bit, put no matrix on party
+  # 0's connection, no derivable one on party 1's and no seed on both, and a
+  # hostile derived envelope or a half on the wrong face must be refused
+  # in-band; the simtime path must track plaintext training and survive a
   # checkpoint round trip.
-  drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerConcurrentCodecStable|TestGroupMatchesLone|TestOperandMatchesFull|TestOperandFreshMaskPerRequest|TestWireTransformerReusedAcrossConnections'
+  drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerConcurrentCodecStable|TestGroupMatchesLone|TestOperandMatchesFull|TestOperandFreshMaskPerRequest|TestWireTransformerReusedAcrossConnections|TestDerivedMatchesFull|TestDerivedSharesStayApart|TestDerivedRejectsHostileFrames'
   drill_test ./internal/secureml/ 'TestSecureTransformer|TestSecureAttentionForwardMatchesPlaintext|TestTransformerCheckpointRoundTrip'
   ;;
 dealer-chaos)
@@ -158,7 +162,11 @@ layering)
   # the real transport depends on no other package of this module, the
   # serving plane has exactly one Serve* entry point — the one deployed — and
   # the dealer hop is frames on a plain connection: no supervised link, no
-  # mux, and neither the client-side pool nor the hook only that hop used.
+  # mux, and neither the client-side pool nor the hook only that hop used. A
+  # half that is generator output has one expansion — mpc.DeriveHalf, the only
+  # function outside internal/rng that calls rng.FillKeyed — which the dealer
+  # tier, a derived request's client and both its parties all reach, and the
+  # stacked pool draw it replaced is gone.
   fail=0
   sim="$(go list -deps ./cmd/psml-server ./cmd/psml-router ./cmd/psml-dealer |
     grep -E '^parsecureml/internal/(simtime|gpu|mpcsim|secureml|bench|profile)$' || true)"
@@ -186,6 +194,19 @@ layering)
   if [ -n "$gone" ]; then
     echo "  deleted with the client-side pool and the dealer's supervised link, but still named:" >&2
     echo "$gone" >&2
+    fail=1
+  fi
+  keyed="$(grep -rn 'rng\.FillKeyed(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/rng/' || true)"
+  calls="$(grep -c . <<<"$keyed" || true)"
+  echo "rng.FillKeyed: $calls non-test call sites outside internal/rng (want 1)"
+  if [ "$calls" -ne 1 ]; then
+    echo "$keyed" >&2
+    fail=1
+  fi
+  stacked="$(grep -rn 'genGemmTriplets' --include='*.go' . || true)"
+  if [ -n "$stacked" ]; then
+    echo "  folded back into GenGemmTripletShares, but still named:" >&2
+    echo "$stacked" >&2
     fail=1
   fi
   exit "$fail"
