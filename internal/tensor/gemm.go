@@ -55,14 +55,18 @@ func MulTo(a, b *Matrix) *Matrix {
 // small GEMMs per request) must not allocate a closure per call. Each dst
 // row is accumulated independently, so the cutoff never changes results.
 //
-// Measured with the strip kernel on a 2-vCPU Xeon (serial vs 2 workers,
-// 5 runs each): fan-out adds 15–25 µs (16×64×64: 12 → 26 µs), so two
-// workers lose at 2^18 multiplies (64³: 41–55 → 54–74 µs) and at 2^19
-// (32×128×128: 65–91 → 107–116 µs), and first win at 2^20–2^21
-// (64×128×128: 165–199 → 149–179 µs; 128³: 342–374 → 249–266 µs). The
-// scalar loop this replaced broke even near 2^16; the kernel is 5–7×
-// faster and the cutoff moved with it.
-const gemmSerialWork = 1 << 19
+// Measured with the FMA strip on a 2-vCPU Xeon (serial → 2 workers, µs,
+// range over 15 runs each):
+//
+//	64³          2^18   20–24  →  26–40   loses
+//	32×128×128   2^19   38–44  →  42–52   loses
+//	64×128×128   2^20   71–95  →  65–103  break-even, for 1.3× the CPU time
+//	128³         2^21  152–175 → 100–126  wins
+//	32×256×256   2^21  130–147 →  93–120  wins
+//
+// Fan-out costs 5–15 µs, up to a third of the arithmetic at 2^19: two workers
+// first win at 2^21.
+const gemmSerialWork = 1 << 20
 
 // gemmStripRows is the number of dst rows one strip accumulates together;
 // worker chunks are aligned to it so only a band's last strip is partial.
@@ -71,11 +75,14 @@ const gemmStripRows = 4
 // Gemm computes dst = alpha·(a × b) + beta·dst. dst must not alias a or b.
 //
 // Every dst element is the float32 rounding of a float64 sum built in
-// p = 0..k-1 order, one IEEE multiply then one add per term and never a
-// fused multiply-add, from float64(alpha·a[i][p]) · float64(b[p][j]). A
-// row's result therefore does not depend on which rows it is grouped,
-// banded or scheduled with, nor on whether the AVX2 or the portable strip
-// ran — the property the grouped ≡ lone ≡ serial contracts rest on.
+// p = 0..k-1 order, one term float64(alpha·a[i][p]) · float64(b[p][j]) at
+// a time. Both factors are float32 values, so the product (≤ 48
+// significant bits, exponent within [-298, 256]) is exact in float64 and
+// each term rounds once, at the add — fused multiply-add or not, the same
+// bits. A row's result therefore does not depend on which rows it is
+// grouped, banded or scheduled with, nor on whether the FMA or the
+// portable strip ran — the property the grouped ≡ lone ≡ serial contracts
+// rest on.
 //
 // Terms whose a-value is zero are skipped only when the whole strip's
 // four a-values are zero for that p (lone tail rows skip their own). For
@@ -108,15 +115,16 @@ func gemmStrided(dst *Matrix, a []float32, rs, ps, k int, b *Matrix, alpha, beta
 // dimensions would rival the gradient signal during secure training.
 func gemmRows(dst *Matrix, a []float32, rs, ps, k int, b *Matrix, alpha, beta float32, lo, hi int) {
 	n := dst.Cols
-	accp := getAcc(gemmStripRows * n)
+	accp := getAcc(gemmStripRows*n + gemmPackWords*k)
 	defer putAcc(accp)
+	pack := (*accp)[gemmStripRows*n:] // the strip's scratch, overwritten per strip
 	for i := lo; i < hi; i += gemmStripRows {
 		rows := min(gemmStripRows, hi-i)
 		acc := (*accp)[:rows*n]
 		clear(acc)
 		if k > 0 && n > 0 {
 			if rows == gemmStripRows {
-				gemmStrip(acc, a[i*rs:], rs, ps, b.Data, k, n, alpha)
+				gemmStrip(acc, pack, a[i*rs:], rs, ps, b.Data, k, n, alpha)
 			} else {
 				for r := 0; r < rows; r++ {
 					gemmRow(acc[r*n:(r+1)*n], a[(i+r)*rs:], ps, b.Data, k, alpha)
@@ -145,8 +153,10 @@ func gemmRows(dst *Matrix, a []float32, rs, ps, k int, b *Matrix, alpha, beta fl
 // [j0, n), into the four float64 accumulator rows of acc (row stride n).
 // The strip's a-values are a[r*rs+p*ps]; alpha is applied in float32
 // before the widening. The explicit float64 conversion of each product
-// forbids the compiler a fused multiply-add (arm64, GOAMD64=v3), so every
-// GOARCH produces the bits the AVX2 strip does.
+// forbids the compiler a fused multiply-add (arm64, GOAMD64=v3); since the
+// product is exact that is belt and braces, not load-bearing — fused or
+// not, every GOARCH produces the bits the FMA strip does
+// (TestWidenedProductIsExact).
 func gemmStripGo(acc []float64, a []float32, rs, ps int, b []float32, k, n, j0 int, alpha float32) {
 	acc0, acc1, acc2, acc3 := acc[j0:n], acc[n+j0:2*n], acc[2*n+j0:3*n], acc[3*n+j0:4*n]
 	for p := 0; p < k; p++ {

@@ -2,6 +2,9 @@
 
 package tensor
 
-func gemmStrip(acc []float64, a []float32, rs, ps int, b []float32, k, n int, alpha float32) {
+// gemmPackWords: the portable strip needs no scratch.
+const gemmPackWords = 0
+
+func gemmStrip(acc, _ []float64, a []float32, rs, ps int, b []float32, k, n int, alpha float32) {
 	gemmStripGo(acc, a, rs, ps, b, k, n, 0, alpha)
 }

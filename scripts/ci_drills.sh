@@ -14,7 +14,7 @@
 #   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights, derived halves
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop is a plain connection; one keyed expansion
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop is a plain connection; one keyed expansion; one GEMM assembly strip
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -166,7 +166,9 @@ layering)
   # half that is generator output has one expansion — mpc.DeriveHalf, the only
   # function outside internal/rng that calls rng.FillKeyed — which the dealer
   # tier, a derived request's client and both its parties all reach, and the
-  # stacked pool draw it replaced is gone.
+  # stacked pool draw it replaced is gone. The GEMM has one assembly strip,
+  # the FMA one: the multiply-then-add strip it replaced bit for bit is not
+  # kept beside it.
   fail=0
   sim="$(go list -deps ./cmd/psml-server ./cmd/psml-router ./cmd/psml-dealer |
     grep -E '^parsecureml/internal/(simtime|gpu|mpcsim|secureml|bench|profile)$' || true)"
@@ -207,6 +209,17 @@ layering)
   if [ -n "$stacked" ]; then
     echo "  folded back into GenGemmTripletShares, but still named:" >&2
     echo "$stacked" >&2
+    fail=1
+  fi
+  strips="$(cat internal/tensor/*.s | grep -c '^TEXT ·gemmStrip' || true)"
+  echo "internal/tensor: $strips assembly gemmStrip* routines (want 1)"
+  if [ "$strips" -ne 1 ]; then
+    fail=1
+  fi
+  unfused="$(grep -rn 'gemmStripAVX2\|VMULPD' --include='*.go' --include='*.s' . || true)"
+  if [ -n "$unfused" ]; then
+    echo "  replaced by the FMA strip, but still named:" >&2
+    echo "$unfused" >&2
     fail=1
   fi
   exit "$fail"
