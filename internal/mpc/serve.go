@@ -71,7 +71,7 @@ func appendShares(frame []byte, in Shares) []byte {
 // DecodeShares parses a payload produced by EncodeShares: either the
 // full five-matrix form (A, B, U, V, Z) or the two-matrix dealer-fed
 // form (A, B with out.T zero) — the payload length after B decides.
-func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1, 0, nil) }
+func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1, 0, nil, nil) }
 
 // decodeShares is DecodeShares for a payload declared to stack members
 // products (a group envelope's count; 1 for a lone request) behind an
@@ -81,17 +81,30 @@ func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1, 
 // shipped — no matrix, or the A, [B], Z its envelope's form and geometry call
 // for — with the envelope checked and nothing expanded: which half it is
 // depends on the party that reads it (Shares.expand).
-func decodeShares(frame []byte, members int, operand uint32, derived *DerivedHalf) (Shares, error) {
-	out := Shares{Members: members, Operand: operand, Derived: derived}
+//
+// The matrices are drawn from pool (nil: allocated). On success they are the
+// caller's to give back, as wireMatrices lists them before anything else
+// touches the result; on an error they have gone back already and the Shares
+// returned hold none.
+func decodeShares(frame []byte, members int, operand uint32, derived *DerivedHalf, pool *tensor.Pool) (out Shares, err error) {
+	out = Shares{Members: members, Operand: operand, Derived: derived}
 	if derived != nil {
 		if err := derived.check(members, operand); err != nil {
 			return out, err
 		}
 	}
 	var mats [5]*tensor.Matrix
+	defer func() {
+		if err != nil {
+			for _, m := range mats {
+				pool.Put(m)
+			}
+			out = Shares{}
+		}
+	}()
 	off, count := 0, 0
 	for count < len(mats) && off < len(frame) {
-		m, n, err := tensor.DecodeMatrix(frame[off:])
+		m, n, err := tensor.DecodeMatrixPooled(pool, frame[off:])
 		if err != nil {
 			return out, fmt.Errorf("mpc: shares frame matrix %d: %w", count, err)
 		}
@@ -132,10 +145,7 @@ func decodeShares(frame []byte, members int, operand uint32, derived *DerivedHal
 		out.A, out.B = mats[0], mats[1]
 		out.T = TripletShares{U: mats[2], V: mats[3], Z: mats[4]} // all nil on the two-matrix form
 	}
-	if err := validateShares(out); err != nil {
-		return Shares{}, err
-	}
-	return out, nil
+	return out, validateShares(out)
 }
 
 // expand completes a decoded derived half (Shares.Derived) into the five- or
@@ -211,11 +221,16 @@ const requestIDBytes = 8
 // sets Derived, and the Shares hold only what the frame shipped until the
 // serving party expands them. The id is valid whenever the frame is long
 // enough to carry one, decode error or not.
-func DecodeRequest(frame []byte) (uint64, Shares, error) {
+func DecodeRequest(frame []byte) (uint64, Shares, error) { return decodeRequest(frame, nil) }
+
+// decodeRequest is DecodeRequest with the matrices drawn from pool, under
+// decodeShares' ownership rule.
+func decodeRequest(frame []byte, pool *tensor.Pool) (uint64, Shares, error) {
 	if len(frame) < requestIDBytes {
 		return 0, Shares{}, fmt.Errorf("mpc: request frame of %d bytes has no id", len(frame))
 	}
-	in, err := decodeShares(requestBody(frame))
+	body, members, operand, derived := requestBody(frame)
+	in, err := decodeShares(body, members, operand, derived, pool)
 	return binary.LittleEndian.Uint64(frame), in, err
 }
 
@@ -650,7 +665,18 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		reqBuf = frame
 		start := time.Now()
 		metrics.requests.Inc()
-		id, in, err := DecodeRequest(frame)
+		id, in, err := decodeRequest(frame, w.cfg.Pool)
+		// drawn is what the decode took from the pair's pool, listed before
+		// anything below points in at a matrix of another origin (an expansion,
+		// a kept operand, a leased triplet). This loop gives it back: on every
+		// refusal, and once the reply is written.
+		drawn := wireMatrices(in)
+		release := func() {
+			for i, m := range drawn {
+				w.put(m)
+				drawn[i] = nil
+			}
+		}
 		// A derived half is expanded where it is used: offline-phase work moved
 		// to the server, observed with the rest of it.
 		if err == nil && in.Derived != nil {
@@ -678,6 +704,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			return fmt.Errorf("mpc: request %016x: %w", id, err)
 		}
 		refuse := func(code RouteErrorCode) error {
+			release()
 			metrics.reqWire.ObserveSince(start)
 			reqBuf = shrinkScratch(reqBuf, len(frame))
 			return client.WriteFrame(EncodeRouteError(id, code, 0))
@@ -766,16 +793,20 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			}
 			conn = lease
 		}
+		// U and V are read once, by Eq. 4: the engine retires them there.
+		w.retire, drawn[2], drawn[3] = [2]*tensor.Matrix{drawn[2], drawn[3]}, nil, nil
 		ci, err := w.run(conn, in, op)
 		if err != nil {
 			// Notify the peer's half so it fails fast instead of waiting
-			// out its read deadline on frames that will never come.
+			// out its read deadline on frames that will never come. Nothing
+			// goes back to the pool: the poisoned engine's sender may still run.
 			sess.Abort()
 			return fail(err)
 		}
 		sess.Close()
 		if store {
 			ops.keep(in.Operand, op)
+			drawn[1] = nil // kept: the session's from here on, not the pool's
 		}
 		outBuf = binary.LittleEndian.AppendUint64(outBuf[:0], id)
 		outBuf = tensor.EncodeMatrix(outBuf, ci)
@@ -786,6 +817,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			return err
 		}
 		metrics.reqWire.ObserveSince(start)
+		release()
 		outBuf = shrinkScratch(outBuf, len(outBuf))
 		if fed {
 			if err := lease.settle(); err != nil {

@@ -35,9 +35,10 @@ import (
 //     Any banding is bit-identical because every dst row of tensor.Gemm
 //     accumulates independently.
 //
-// All per-request matrices come from a tensor.Pool and all frame buffers
-// are session-scoped scratch, so the steady-state serving path does
-// near-zero allocations per request.
+// All per-request matrices — a served request's own decoded shares included
+// (serveMuxLoop) — come from a tensor.Pool and all frame buffers are
+// session-scoped scratch, so the steady-state serving path does near-zero
+// allocations per request.
 
 // WireConfig tunes the exchange engine. The zero value selects
 // whole-matrix bands (one frame each way per exchange) and a private pool
@@ -102,6 +103,10 @@ type wireMul struct {
 	// neither.
 	members []Shares
 	views   []tensor.Matrix
+	// retire is the next run's U and V stacks when its caller drew them from
+	// cfg.Pool and reads them no more: exchange puts them once E_i and F_i
+	// exist. Empty for a caller that keeps its Shares (RemoteParty*).
+	retire [2]*tensor.Matrix
 
 	// Persistent view headers (main goroutine only): retargeted with
 	// SliceRowsInto per member and per band instead of allocating a header.
@@ -300,6 +305,11 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, op *ope
 			tensor.Sub(fi.SliceRowsInto(&w.jView, j*k, (j+1)*k), in.B, in.T.V)
 		}
 	}
+	// Nothing below reads U or V: given back now, peerF, f and c take their
+	// buffers instead of growing the pool — live heap the collector doubles.
+	w.put(w.retire[0])
+	w.put(w.retire[1])
+	w.retire = [2]*tensor.Matrix{}
 	// Codec election, then use-what-you-ship: an FP16 pick rounds the
 	// retained share in place BEFORE the sender goroutine starts, so the
 	// local reconstruction sees exactly the values the peer receives (and

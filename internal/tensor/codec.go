@@ -22,6 +22,12 @@ import (
 // (internal/mpc/wirecodec.go) builds on. FP16 is lossy: the sender must
 // round its own retained copy identically (see RoundMatrixFloat16InPlace)
 // or the two parties desync.
+//
+// A dense payload moves as memory: on a little-endian host the wire form of
+// rows*cols float32 IS their bytes, so EncodeMatrix, DecodeMatrix* and
+// DecodeMatrixInto hand it to putFloat32s/getFloat32s — one copy there
+// (codec_le.go, the repository's only unsafe), the per-element loop on a
+// big-endian one (codec_be.go). Same bytes either way, NaN payloads included.
 
 var (
 	// ErrCodecShort indicates a truncated buffer.
@@ -64,8 +70,7 @@ func EncodeMatrix(buf []byte, m *Matrix) []byte {
 	buf = append(buf, tagDense)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Rows))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Cols))
-	// Bulk-extend once, then write in place: per-element append pays a
-	// capacity check (and amortized copies) per value.
+	// Bulk-extend once, then write the payload in place.
 	need := 4 * len(m.Data)
 	off := len(buf)
 	if cap(buf)-off < need {
@@ -74,10 +79,7 @@ func EncodeMatrix(buf []byte, m *Matrix) []byte {
 		buf = grown
 	}
 	buf = buf[:off+need]
-	out := buf[off:]
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
+	putFloat32s(buf[off:], m.Data)
 	return buf
 }
 
@@ -158,46 +160,20 @@ func AppendMatrixCSR(buf []byte, m *Matrix) []byte {
 // matrix per frame. A shape mismatch is an error (a hostile or desynced
 // frame), not a panic.
 func DecodeMatrixInto(dst *Matrix, buf []byte) (int, error) {
-	if len(buf) < 9 || buf[0] != tagDense {
-		return 0, ErrCodecShort
+	need, err := denseHeaderFor(dst, buf, tagDense, 4)
+	if err == nil && !dst.shapeOnly() {
+		getFloat32s(dst.Data, buf[9:need])
 	}
-	rows := int(binary.LittleEndian.Uint32(buf[1:]))
-	cols := int(binary.LittleEndian.Uint32(buf[5:]))
-	if rows != dst.Rows || cols != dst.Cols {
-		return 0, fmt.Errorf("tensor: codec: frame is %dx%d, destination %dx%d", rows, cols, dst.Rows, dst.Cols)
-	}
-	need := EncodedSizeDense(rows, cols)
-	if len(buf) < need {
-		return 0, ErrCodecShort
-	}
-	if dst.shapeOnly() {
-		return need, nil
-	}
-	payload := buf[9:need]
-	for i := range dst.Data {
-		dst.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	return need, nil
+	return need, err
 }
 
 // DecodeMatrixFP16Into decodes an FP16-dense frame of dst's exact shape
 // into dst's existing storage, returning the bytes consumed — the lossy
 // half of the steady-state receive path, same contract as DecodeMatrixInto.
 func DecodeMatrixFP16Into(dst *Matrix, buf []byte) (int, error) {
-	if len(buf) < 9 || buf[0] != tagFP16 {
-		return 0, ErrCodecShort
-	}
-	rows := int(binary.LittleEndian.Uint32(buf[1:]))
-	cols := int(binary.LittleEndian.Uint32(buf[5:]))
-	if rows != dst.Rows || cols != dst.Cols {
-		return 0, fmt.Errorf("tensor: codec: frame is %dx%d, destination %dx%d", rows, cols, dst.Rows, dst.Cols)
-	}
-	need := EncodedSizeFP16(rows, cols)
-	if len(buf) < need {
-		return 0, ErrCodecShort
-	}
-	if dst.shapeOnly() {
-		return need, nil
+	need, err := denseHeaderFor(dst, buf, tagFP16, 2)
+	if err != nil || dst.shapeOnly() {
+		return need, err
 	}
 	payload := buf[9:need]
 	for i := range dst.Data {
@@ -340,21 +316,43 @@ func Decode(buf []byte) (dense *Matrix, sparse *CSR, n int, err error) {
 	}
 }
 
+// denseHeader reads the header the dense ('D', 4-byte elements) and FP16
+// ('H', 2-byte) forms share and checks it against buf before anything is
+// sized by it: the tag, then — overflow-safe — that buf holds rows*cols
+// elements. need is the frame's length, payload included.
+func denseHeader(buf []byte, tag byte, elemBytes int) (rows, cols, need int, err error) {
+	if len(buf) < 9 {
+		return 0, 0, 0, ErrCodecShort
+	}
+	if buf[0] != tag {
+		return 0, 0, 0, fmt.Errorf("%w: 0x%02x", ErrCodecTag, buf[0])
+	}
+	rows = int(binary.LittleEndian.Uint32(buf[1:]))
+	cols = int(binary.LittleEndian.Uint32(buf[5:]))
+	// rows, cols < 0: a 32-bit int read a dimension of 2^31 or more.
+	if rows < 0 || cols < 0 || (cols != 0 && rows > (len(buf)-9)/elemBytes/cols) {
+		return 0, 0, 0, ErrCodecShort
+	}
+	return rows, cols, 9 + elemBytes*rows*cols, nil
+}
+
+// denseHeaderFor is denseHeader for a frame that must be of dst's exact
+// shape; a mismatch is an error (a hostile or desynced frame), not a panic.
+func denseHeaderFor(dst *Matrix, buf []byte, tag byte, elemBytes int) (int, error) {
+	rows, cols, need, err := denseHeader(buf, tag, elemBytes)
+	if err == nil && (rows != dst.Rows || cols != dst.Cols) {
+		return 0, fmt.Errorf("tensor: codec: frame is %dx%d, destination %dx%d", rows, cols, dst.Rows, dst.Cols)
+	}
+	return need, err
+}
+
 // DecodeMatrixFP16 decodes an FP16-dense frame into a fresh matrix,
 // returning it and the bytes consumed. Dimension fields are validated
 // against the buffer length before any allocation.
 func DecodeMatrixFP16(buf []byte) (*Matrix, int, error) {
-	if len(buf) < 9 || buf[0] != tagFP16 {
-		return nil, 0, ErrCodecShort
-	}
-	rows := int(binary.LittleEndian.Uint32(buf[1:]))
-	cols := int(binary.LittleEndian.Uint32(buf[5:]))
-	if cols != 0 && rows > (len(buf)-9)/2/cols {
-		return nil, 0, ErrCodecShort
-	}
-	need := EncodedSizeFP16(rows, cols)
-	if len(buf) < need {
-		return nil, 0, ErrCodecShort
+	rows, cols, need, err := denseHeader(buf, tagFP16, 2)
+	if err != nil {
+		return nil, 0, err
 	}
 	m := New(rows, cols)
 	payload := buf[9:need]
@@ -367,26 +365,18 @@ func DecodeMatrixFP16(buf []byte) (*Matrix, int, error) {
 // DecodeMatrix decodes a dense matrix, returning it and the bytes consumed.
 // Dimension fields are validated against the buffer length before any
 // allocation, so hostile frames fail cleanly.
-func DecodeMatrix(buf []byte) (*Matrix, int, error) {
-	if len(buf) < 9 || buf[0] != tagDense {
-		return nil, 0, ErrCodecShort
+func DecodeMatrix(buf []byte) (*Matrix, int, error) { return DecodeMatrixPooled(nil, buf) }
+
+// DecodeMatrixPooled is DecodeMatrix into a matrix drawn from p, which the
+// caller owns and gives back with p.Put once nothing reads it; a nil p
+// allocates, as DecodeMatrix does.
+func DecodeMatrixPooled(p *Pool, buf []byte) (*Matrix, int, error) {
+	rows, cols, need, err := denseHeader(buf, tagDense, 4)
+	if err != nil {
+		return nil, 0, err
 	}
-	rows := int(binary.LittleEndian.Uint32(buf[1:]))
-	cols := int(binary.LittleEndian.Uint32(buf[5:]))
-	// Overflow-safe payload check: rows*cols elements of 4 bytes must fit.
-	if cols != 0 && rows > (len(buf)-9)/4/cols {
-		return nil, 0, ErrCodecShort
-	}
-	need := EncodedSizeDense(rows, cols)
-	if len(buf) < need {
-		return nil, 0, ErrCodecShort
-	}
-	m := New(rows, cols)
-	off := 9
-	for i := range m.Data {
-		m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-	}
+	m := p.Get(rows, cols)
+	getFloat32s(m.Data, buf[9:need])
 	return m, need, nil
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -156,6 +157,20 @@ func TestCodecErrors(t *testing.T) {
 	cb := EncodeCSR(nil, c)
 	if _, _, err := DecodeCSR(cb[:len(cb)-1]); err == nil {
 		t.Fatal("truncated CSR must error")
+	}
+	// A whole frame of another format is a wrong tag, not a short buffer.
+	half, sparse := EncodeMatrixFP16(nil, m), AppendMatrixCSR(nil, m)
+	wrongTag := map[string]error{}
+	_, _, wrongTag["DecodeMatrix(fp16)"] = DecodeMatrix(half)
+	_, _, wrongTag["DecodeMatrix(csr)"] = DecodeMatrix(sparse)
+	_, wrongTag["DecodeMatrixInto(fp16)"] = DecodeMatrixInto(New(4, 4), half)
+	_, _, wrongTag["DecodeMatrixFP16(dense)"] = DecodeMatrixFP16(buf)
+	_, wrongTag["DecodeMatrixFP16Into(dense)"] = DecodeMatrixFP16Into(New(4, 4), buf)
+	_, wrongTag["DecodeMatrixFP16Into(csr)"] = DecodeMatrixFP16Into(New(4, 4), sparse)
+	for call, err := range wrongTag {
+		if !errors.Is(err, ErrCodecTag) || errors.Is(err, ErrCodecShort) {
+			t.Errorf("%s: %v, want ErrCodecTag", call, err)
+		}
 	}
 }
 

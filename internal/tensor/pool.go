@@ -15,7 +15,8 @@ import (
 //
 // Get returns a matrix with UNINITIALIZED contents: callers must fully
 // overwrite it (every kernel writing dst with beta=0 semantics does; use
-// GetZeroed when accumulating). A Pool is safe for concurrent use.
+// GetZeroed when accumulating). A Pool is safe for concurrent use; a nil
+// *Pool is no pool — its Get allocates and its Put drops.
 type Pool struct {
 	classes [maxPoolClass]sync.Pool
 	// Recycling accounting: a hit is a Get satisfied by a retired buffer,
@@ -56,6 +57,9 @@ func poolClass(n int) int { return bits.Len(uint(n - 1)) }
 // element before reading. In dry-run mode (SetCompute(false)) it returns a
 // shape-only matrix, matching New.
 func (p *Pool) Get(rows, cols int) *Matrix {
+	if p == nil {
+		return New(rows, cols)
+	}
 	if rows < 0 || cols < 0 {
 		panic("tensor: Pool.Get with negative dimension")
 	}
@@ -117,7 +121,7 @@ func (p *Pool) Preallocate(rows, cols, count int) {
 // matrices are dropped silently, so Put is safe on anything Get returned
 // and harmless on anything else.
 func (p *Pool) Put(m *Matrix) {
-	if m == nil || cap(m.Data) == 0 {
+	if p == nil || m == nil || cap(m.Data) == 0 {
 		return
 	}
 	c := poolClass(cap(m.Data))

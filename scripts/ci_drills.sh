@@ -14,7 +14,7 @@
 #   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights, derived halves
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop is a plain connection; one keyed expansion; one GEMM assembly strip
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop is a plain connection; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -220,6 +220,20 @@ layering)
   if [ -n "$unfused" ]; then
     echo "  replaced by the FMA strip, but still named:" >&2
     echo "$unfused" >&2
+    fail=1
+  fi
+  # A dense payload has one codec: putFloat32s/getFloat32s, whose bulk form
+  # is the module's only unsafe. No dense function of codec.go loops over
+  # elements itself: the Float32frombits and Float32bits left are the CSR value loops.
+  unsafe="$(grep -rl '"unsafe"' --include='*.go' . || true)"
+  echo "unsafe is imported by:" $unsafe "(want ./internal/tensor/codec_le.go)"
+  if [ "$unsafe" != "./internal/tensor/codec_le.go" ]; then
+    fail=1
+  fi
+  loads="$(grep -c 'Float32frombits' internal/tensor/codec.go || true)"
+  stores="$(grep -c 'Float32bits' internal/tensor/codec.go || true)"
+  echo "internal/tensor/codec.go: $loads per-element float loads, $stores stores (want 2 and 2, all CSR)"
+  if [ "$loads" -ne 2 ] || [ "$stores" -ne 2 ]; then
     fail=1
   fi
   exit "$fail"
