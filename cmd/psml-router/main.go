@@ -12,11 +12,11 @@
 // process per pair announces both parties' client addresses). Sessions
 // are sticky: both faces key a session by the first request id on its
 // connection, which both legs of a call share, so they pick the same
-// replica with no coordination. A replica that dies — detected by its
-// supervised health link's heartbeats, or first-hand by a failed
-// backend — is evicted, and its sessions re-route to the survivors
-// while everyone else's stay put (consistent hashing moves ~1/N of the
-// key space per membership change).
+// replica with no coordination. A replica that dies — its health link, a
+// plain connection ticking both ways, ends or falls silent and it does not
+// dial back in, or a backend fails first-hand — is evicted, and its
+// sessions re-route to the survivors while everyone else's stay put
+// (consistent hashing moves ~1/N of the key space per membership change).
 package main
 
 import (
@@ -62,12 +62,7 @@ func main() {
 
 	reg := fleet.NewRegistry(fleet.DefaultVnodes)
 	health := fleet.NewHealthServer(reg, fleet.HealthConfig{
-		Sup: comm.SupervisorConfig{
-			HeartbeatInterval: *heartbeat,
-			// A replica that lost its link dials back within a heartbeat
-			// or two; don't hold dead entries longer than that.
-			ReconnectAttempts: 3,
-		},
+		Sup: comm.SupervisorConfig{HeartbeatInterval: *heartbeat},
 		Log: logger,
 	})
 	hln, err := comm.Listen(*healthListen)

@@ -60,11 +60,11 @@ const (
 	dealerReconnectAttempts = 60
 )
 
-// supervision is the profile of this server's two supervised links — the
-// inter-server link and the router health link — for one -peer-heartbeat
-// value. The heartbeat is the flag's on both; its 0 means off, where
-// comm.SupervisorConfig reads 0 as "default", so it is mapped to the
-// config's "disabled" here, once, for both. Every other number is the
+// supervision is the profile of this server's two links — the supervised
+// inter-server link and the router health link, which reads only the
+// heartbeat, miss-budget and redial values — for one -peer-heartbeat value.
+// Its 0 means off, where comm.SupervisorConfig reads 0 as "default", so it
+// is mapped to "disabled" here, once, for both. Every other number is the
 // config's default, except that the health link outlasts a router restart.
 func supervision(heartbeat time.Duration) (peer, health comm.SupervisorConfig) {
 	if heartbeat <= 0 {
@@ -125,8 +125,8 @@ func main() {
 	logger := obs.NewLogger(os.Stderr, obs.Default)
 
 	var drainMu sync.Mutex
-	var drainLn net.Listener            // client listener, once it exists
-	var drainAgent *comm.SupervisedLink // fleet health link, if registered
+	var drainLn net.Listener    // client listener, once it exists
+	var drainAgent *fleet.Agent // fleet health link, if registered
 	go func() {
 		select {
 		case <-sigs:
@@ -142,7 +142,7 @@ func main() {
 		}
 		log.Printf("party %d: draining (no new sessions; in-flight get %v; signal again to stop hard)", *party, drainTimeout)
 		if agent != nil {
-			if err := fleet.SendDrain(agent); err != nil {
+			if err := agent.Drain(); err != nil {
 				logger.Error("drain_announce", err)
 			}
 		}

@@ -86,7 +86,6 @@ var (
 	supResyncDiscards atomic.Int64
 	supDupFrames      atomic.Int64
 	supShedFrames     atomic.Int64
-	supPeerResets     atomic.Int64
 	supHeartbeats     atomic.Int64
 	supBufferedFrames atomic.Int64
 	supBufferedBytes  atomic.Int64
@@ -101,7 +100,6 @@ type SupervisorStats struct {
 	ResyncDiscards int64 // in-flight frames discarded at resync (peer already had them)
 	DupFrames      int64 // inbound duplicates dropped after a replay overlap
 	ShedFrames     int64 // buffered frames dropped because the link died for good
-	PeerResets     int64 // tolerated peer restarts (AllowPeerRestart stream resets)
 	Heartbeats     int64 // heartbeat frames sent
 	BufferedFrames int64 // gauge: unacknowledged frames currently buffered
 	BufferedBytes  int64 // gauge: bytes of unacknowledged frames
@@ -116,7 +114,6 @@ func SupervisorTotals() SupervisorStats {
 		ResyncDiscards: supResyncDiscards.Load(),
 		DupFrames:      supDupFrames.Load(),
 		ShedFrames:     supShedFrames.Load(),
-		PeerResets:     supPeerResets.Load(),
 		Heartbeats:     supHeartbeats.Load(),
 		BufferedFrames: supBufferedFrames.Load(),
 		BufferedBytes:  supBufferedBytes.Load(),
@@ -140,37 +137,31 @@ type SupervisorConfig struct {
 	// between attempts. Defaults 50ms / 2s.
 	ReconnectBase time.Duration
 	ReconnectMax  time.Duration
-	// Jitter is the ± fraction applied to every backoff sleep, so two
-	// supervisors restarting together do not retry in lockstep. 0 selects
-	// 0.2; negative disables.
-	Jitter float64
 	// ResyncTimeout bounds the resync handshake on a fresh connection
 	// (the peer may not have noticed the old one die yet — this must
 	// comfortably exceed its heartbeat detection time). Default 10s.
 	ResyncTimeout time.Duration
-	// ReplayFrames / ReplayBytes bound the buffer of unacknowledged
-	// outbound frames; a writer blocks when it is full (backpressure, not
-	// loss). Defaults 1024 frames / 256 MiB.
+	// ReplayFrames bounds the buffer of unacknowledged outbound frames
+	// (supReplayBytes bounds its bytes); a writer blocks when it is full
+	// (backpressure, not loss). Default 1024.
 	ReplayFrames int
-	ReplayBytes  int64
-	// InboxFrames is the delivered-frame queue depth between the receive
-	// goroutine and ReadFrame callers. Default 256.
-	InboxFrames int
 	// ObserveRTT, when set, receives one heartbeat round-trip sample per
 	// acknowledged heartbeat (the hook the metrics layer uses).
 	ObserveRTT func(time.Duration)
-	// AllowPeerRestart makes a resync with a peer whose sequence state
-	// does not cover ours a recoverable event instead of ErrPeerStateLost:
-	// the link resets to a fresh stream (sequence numbers restart at 1,
-	// unacknowledged buffered frames are shed and counted on
-	// SupervisorTotals().PeerResets). This is only sound for protocols that
-	// keep nothing across a reset — the fleet health link is the model: a
-	// restarted replica JOINs again on its new connection, and a restarted
-	// router takes that re-JOIN for a first one.
-	AllowPeerRestart bool
 }
 
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
+// Fixed sizes of a link's buffers, which no deployment sets differently:
+// the bytes of unacknowledged outbound frames a writer may buffer before it
+// blocks, and the delivered-frame queue between the receive goroutine and
+// ReadFrame callers.
+const (
+	supReplayBytes = 256 << 20
+	supInboxFrames = 256
+)
+
+// WithDefaults returns c with every unset value at its stated default (the
+// fleet health link reads its heartbeat and redial values this way).
+func (c SupervisorConfig) WithDefaults() SupervisorConfig {
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 500 * time.Millisecond
 	}
@@ -186,20 +177,11 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.ReconnectMax <= 0 {
 		c.ReconnectMax = 2 * time.Second
 	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
-	}
 	if c.ResyncTimeout <= 0 {
 		c.ResyncTimeout = 10 * time.Second
 	}
 	if c.ReplayFrames <= 0 {
 		c.ReplayFrames = 1024
-	}
-	if c.ReplayBytes <= 0 {
-		c.ReplayBytes = 256 << 20
-	}
-	if c.InboxFrames <= 0 {
-		c.InboxFrames = 256
 	}
 	return c
 }
@@ -213,12 +195,13 @@ func jitterDuration(d time.Duration, f float64) time.Duration {
 }
 
 // Retry is this package's one retry schedule (DialRetry, a supervised link's
-// reconnect, the dealer feed's redial): it calls try up to cfg.Attempts times,
-// sleeping a jittered delay between calls that starts at cfg.BaseDelay and
-// doubles up to cfg.MaxDelay. try returns retry=false to end the loop with its
-// error as is (nil on success); when the attempts run out its last error comes
-// back wrapped, naming what was retried. A closed stop channel — nil never
-// closes — ends it with ErrLinkClosed.
+// reconnect, the dealer feed's and the health agent's redials): it calls try
+// up to cfg.Attempts times, sleeping a jittered delay between calls that
+// starts at cfg.BaseDelay and doubles up to cfg.MaxDelay. try returns
+// retry=false to end the loop with its error as is (nil on success); when the
+// attempts run out its last error comes back wrapped, naming what was
+// retried. A closed stop channel — nil never closes — ends it with
+// ErrLinkClosed.
 func Retry(what string, cfg RetryConfig, stop <-chan struct{}, try func() (retry bool, err error)) error {
 	cfg = cfg.withDefaults()
 	var err error
@@ -323,13 +306,13 @@ type SupervisedLink struct {
 // deadline and whatever write deadline the application wants per frame.
 func NewSupervisedLink(connect func() (Framer, error), cfg SupervisorConfig) (*SupervisedLink, error) {
 	s := &SupervisedLink{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg.WithDefaults(),
 		connect:  connect,
 		done:     make(chan struct{}),
 		ackNudge: make(chan uint64, 1),
 		nextSeq:  1,
 	}
-	s.inbox = make(chan []byte, s.cfg.InboxFrames)
+	s.inbox = make(chan []byte, supInboxFrames)
 	s.space = sync.NewCond(&s.mu)
 	sc, err := s.reconnect()
 	if err != nil {
@@ -466,7 +449,7 @@ func (s *SupervisedLink) supervise(sc *supConn) {
 // the installed incarnation.
 func (s *SupervisedLink) reconnect() (*supConn, error) {
 	var sc *supConn
-	retry := RetryConfig{Attempts: s.cfg.ReconnectAttempts, BaseDelay: s.cfg.ReconnectBase, MaxDelay: s.cfg.ReconnectMax, Jitter: s.cfg.Jitter}
+	retry := RetryConfig{Attempts: s.cfg.ReconnectAttempts, BaseDelay: s.cfg.ReconnectBase, MaxDelay: s.cfg.ReconnectMax}
 	err := Retry("supervised link reconnect", retry, s.done, func() (bool, error) {
 		c, err := s.connect()
 		if err != nil {
@@ -527,36 +510,13 @@ func (s *SupervisedLink) resync(c Framer) (*supConn, error) {
 		s.mu.Unlock()
 		return nil, s.err
 	}
-	if stateLost := peerDelivered > s.nextSeq-1 || s.delivered > peerSent; stateLost {
-		if !s.cfg.AllowPeerRestart {
-			if peerDelivered > s.nextSeq-1 {
-				s.mu.Unlock()
-				return nil, fmt.Errorf("comm: peer acknowledges frame %d, only %d were sent: %w", peerDelivered, s.nextSeq-1, ErrPeerStateLost)
-			}
-			s.mu.Unlock()
-			return nil, fmt.Errorf("comm: peer claims %d frames sent, %d were already delivered: %w", peerSent, s.delivered, ErrPeerStateLost)
-		}
-		// Tolerated peer restart: the old conversation is unrecoverable on
-		// the wire, but the application can re-derive it. Reset to a fresh
-		// stream — shed every unacknowledged frame (the restarted peer
-		// could not sequence-check a replay anyway) and restart sequence
-		// numbers from 1 on both directions. Both ends run this same check,
-		// so the side that kept state resets to match the fresh side.
-		shedFrames := int64(len(s.replay))
-		shedBytes := s.replayBytes
-		s.replay = nil
-		s.replayBytes = 0
-		s.nextSeq = 1
-		s.delivered = 0
-		s.peerAck = 0
-		if shedFrames > 0 {
-			supShedFrames.Add(shedFrames)
-			supBufferedFrames.Add(-shedFrames)
-			supBufferedBytes.Add(-shedBytes)
-			s.space.Broadcast()
-		}
-		supPeerResets.Add(1)
-		peerDelivered = 0
+	if peerDelivered > s.nextSeq-1 {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("comm: peer acknowledges frame %d, only %d were sent: %w", peerDelivered, s.nextSeq-1, ErrPeerStateLost)
+	}
+	if s.delivered > peerSent {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("comm: peer claims %d frames sent, %d were already delivered: %w", peerSent, s.delivered, ErrPeerStateLost)
 	}
 	// Frames the peer delivered but whose acks died with the old
 	// connection: their in-flight legs are discarded here, not replayed.
@@ -790,7 +750,7 @@ func (s *SupervisedLink) writeParts(one []byte, parts [][]byte) error {
 	// budget (acks drain it; death unblocks it). A frame bigger than the
 	// whole budget is still accepted when the buffer is empty.
 	for !s.closed && len(s.replay) > 0 &&
-		(len(s.replay) >= s.cfg.ReplayFrames || s.replayBytes+int64(n) > s.cfg.ReplayBytes) {
+		(len(s.replay) >= s.cfg.ReplayFrames || s.replayBytes+int64(n) > supReplayBytes) {
 		s.space.Wait()
 	}
 	if s.closed {

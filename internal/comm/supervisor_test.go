@@ -644,113 +644,3 @@ func TestSupervisedLinkOnReconnectHook(t *testing.T) {
 		}
 	}
 }
-
-// TestSupervisedLinkAllowsPeerRestart checks the tolerant resync mode:
-// under AllowPeerRestart a peer that answers the resync with zeroed
-// state (a restarted process) resets the stream instead of failing the
-// link with ErrPeerStateLost — unacked buffered frames are shed with
-// accounting, sequence numbering restarts at 1, and the reset is counted on
-// SupervisorTotals().PeerResets.
-func TestSupervisedLinkAllowsPeerRestart(t *testing.T) {
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	cfg := fastSupCfg()
-	cfg.AllowPeerRestart = true
-
-	peerDone := make(chan error, 1)
-	go func() {
-		peerDone <- func() error {
-			// First incarnation: handshake, deliver data seq 1, absorb
-			// whatever the link writes without acking, then die.
-			c, err := Accept(ln)
-			if err != nil {
-				return err
-			}
-			if _, err := c.ReadFrame(); err != nil {
-				return err
-			}
-			var hdr [supHeaderBytes]byte
-			putSupHeader(hdr[:], supKindResync, 0, 0)
-			if err := c.WriteFrame(hdr[:]); err != nil {
-				return err
-			}
-			putSupHeader(hdr[:], supKindData, 1, 0)
-			if err := c.WriteFrameVec(hdr[:], []byte("x")); err != nil {
-				return err
-			}
-			time.Sleep(50 * time.Millisecond)
-			c.Close()
-
-			// Restarted incarnation: resyncs claiming nothing sent and
-			// nothing delivered, while the link has delivered seq 1 and
-			// holds an unacked write — detectable state loss on both axes.
-			c2, err := Accept(ln)
-			if err != nil {
-				return err
-			}
-			defer c2.Close()
-			if _, err := c2.ReadFrame(); err != nil {
-				return err
-			}
-			putSupHeader(hdr[:], supKindResync, 0, 0)
-			if err := c2.WriteFrame(hdr[:]); err != nil {
-				return err
-			}
-			// The post-reset conversation restarts at seq 1: the shed "w"
-			// is gone, the next app write is the first frame of the new
-			// stream.
-			for {
-				f, err := c2.ReadFrame()
-				if err != nil {
-					return err
-				}
-				kind, seq, _, payload, err := parseSupFrame(f)
-				if err != nil {
-					return err
-				}
-				if kind != supKindData {
-					continue
-				}
-				if seq != 1 || string(payload) != "z" {
-					return fmt.Errorf("post-reset frame: seq %d payload %q, want seq 1 %q", seq, payload, "z")
-				}
-				putSupHeader(hdr[:], supKindData, 1, 1)
-				return c2.WriteFrameVec(hdr[:], []byte("y"))
-			}
-		}()
-	}()
-
-	resetsBefore := SupervisorTotals().PeerResets
-	s, err := NewSupervisedLink(func() (Framer, error) {
-		return Dial(ln.Addr().String())
-	}, cfg)
-	if err != nil {
-		t.Fatalf("connect: %v", err)
-	}
-	defer s.Close()
-
-	if f, err := s.ReadFrame(); err != nil || string(f) != "x" {
-		t.Fatalf("first frame: %q, %v", f, err)
-	}
-	if err := s.WriteFrame([]byte("w")); err != nil {
-		t.Fatalf("pre-restart write: %v", err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); SupervisorTotals().PeerResets <= resetsBefore; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("PeerResets did not count the peer restart")
-		}
-	}
-	// Writes after the reset ride the fresh stream from seq 1.
-	if err := s.WriteFrame([]byte("z")); err != nil {
-		t.Fatalf("post-reset write: %v", err)
-	}
-	if f, err := s.ReadFrame(); err != nil || string(f) != "y" {
-		t.Fatalf("post-reset read: %q, %v", f, err)
-	}
-	if err := <-peerDone; err != nil {
-		t.Fatalf("scripted peer: %v", err)
-	}
-}

@@ -506,7 +506,6 @@ func TestHealthDrainAnnouncement(t *testing.T) {
 			MissBudget:        3,
 			ReconnectAttempts: 2,
 		},
-		AcceptWait: 100 * time.Millisecond,
 	})
 	ln, err := comm.Listen("127.0.0.1:0")
 	if err != nil {
@@ -543,7 +542,7 @@ func TestHealthDrainAnnouncement(t *testing.T) {
 		t.Fatal("Pick failed with a healthy replica")
 	}
 
-	if err := SendDrain(sl); err != nil {
+	if err := sl.Drain(); err != nil {
 		t.Fatalf("drain announce: %v", err)
 	}
 	// Out of the ring, still a member.
@@ -616,7 +615,6 @@ func TestHealthAgentRestartSameName(t *testing.T) {
 			MissBudget:        3,
 			ReconnectAttempts: 2,
 		},
-		AcceptWait: 50 * time.Millisecond,
 	})
 	ln, err := comm.Listen("127.0.0.1:0")
 	if err != nil {

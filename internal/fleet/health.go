@@ -1,55 +1,39 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/obs"
 )
 
-// Router ↔ replica health. Each replica runs an Agent that dials the
-// router's health listener, announces itself with a JOIN frame, and
-// keeps a comm.SupervisedLink alive over the connection; the router
-// wraps its side of the same connection in a SupervisedLink whose
-// reconnect waits for the replica to dial back in. Heartbeats flow both
-// ways, so a killed replica is detected within the configured miss
-// budget, its registry entry is removed, and the ring re-owns its
-// sessions. A replica that merely lost the connection re-dials, the
-// JOIN re-announces it, and the supervisor resyncs — no churn in the
-// registry at all.
+// Router ↔ replica health is frames on one plain connection. Each replica
+// runs an Agent that dials the router's health listener and writes a JOIN;
+// then both ends write an empty tick every HeartbeatInterval and read with a
+// MissBudget+1-tick deadline, so a killed, wedged or cut-off end is a read
+// error on the other within that budget. An agent whose connection ends
+// dials a new one and JOINs again (and says DRAIN again, once drained); the
+// router keeps the replica registered for one more budget, so a re-JOIN
+// inside it costs the registry nothing. Nothing is resumed or replayed.
 
 // joinMagic tags fleet JOIN frames: "PSMF".
 const joinMagic = 0x50534d46
 
-// joinProtoVersion is bumped on incompatible JOIN changes.
-const joinProtoVersion = 1
+// joinProtoVersion is bumped on incompatible health-link changes. v2 is JOIN
+// and DRAIN among ticks on a plain connection; v1 ran a supervised link.
+const joinProtoVersion = 2
 
-// drainMagic tags fleet DRAIN frames ("PSDR"): a replica announcing it
-// is leaving gracefully. The router takes it out of the ring — no new
-// sessions — while the health link and the replica's in-flight sessions
-// run on until the replica exits.
-const drainMagic = 0x50534452
-
-// encodeDrain serializes a drain announcement (the link identifies the
-// replica; the frame carries only its tag and version).
-func encodeDrain() []byte {
-	buf := make([]byte, 0, 8)
-	buf = binary.LittleEndian.AppendUint32(buf, drainMagic)
-	return binary.LittleEndian.AppendUint32(buf, joinProtoVersion)
-}
-
-// isDrain recognizes a DRAIN frame.
-func isDrain(f []byte) bool {
-	return len(f) == 8 &&
-		binary.LittleEndian.Uint32(f[0:4]) == drainMagic &&
-		binary.LittleEndian.Uint32(f[4:8]) == joinProtoVersion
-}
+// drainFrame is a replica announcing it is leaving gracefully: "PSDR" and
+// the version (the connection identifies the replica). The router takes it
+// out of the ring — no new sessions — while the health link and the
+// replica's in-flight sessions run on until the replica exits.
+var drainFrame = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 0x50534452), joinProtoVersion)
 
 // encodeJoin serializes a replica announcement.
 func encodeJoin(rep Replica) []byte {
@@ -74,18 +58,14 @@ func decodeJoin(f []byte) (Replica, error) {
 		return rep, fmt.Errorf("fleet: JOIN protocol version %d, want %d", v, joinProtoVersion)
 	}
 	off := 8
-	fields := [3]string{}
+	var fields [3]string
 	for i := range fields {
-		if len(f) < off+2 {
+		if len(f) < off+2 || len(f) < off+2+int(binary.LittleEndian.Uint16(f[off:])) {
 			return rep, fmt.Errorf("fleet: truncated JOIN frame")
 		}
-		l := int(binary.LittleEndian.Uint16(f[off : off+2]))
-		off += 2
-		if len(f) < off+l {
-			return rep, fmt.Errorf("fleet: truncated JOIN frame")
-		}
-		fields[i] = string(f[off : off+l])
-		off += l
+		l := int(binary.LittleEndian.Uint16(f[off:]))
+		fields[i] = string(f[off+2 : off+2+l])
+		off += 2 + l
 	}
 	if off != len(f) {
 		return rep, fmt.Errorf("fleet: JOIN frame has %d trailing bytes", len(f)-off)
@@ -94,54 +74,75 @@ func decodeJoin(f []byte) (Replica, error) {
 	return rep, nil
 }
 
+// silence is how long a health connection may stay quiet before its other
+// end is taken for dead: MissBudget+1 ticks, or no bound with ticks off.
+func silence(sup comm.SupervisorConfig) time.Duration {
+	if sup.HeartbeatInterval <= 0 {
+		return 0
+	}
+	return time.Duration(sup.MissBudget+1) * sup.HeartbeatInterval
+}
+
+// watch runs one health connection, from either end, until a read fails —
+// the other end closed it, or said nothing for silence(sup) — and returns
+// why, with conn closed. A goroutine beside the read loop writes the ticks;
+// frames that are not ticks go to onFrame.
+func watch(conn *comm.Conn, sup comm.SupervisorConfig, onFrame func([]byte)) error {
+	_, writeTO := conn.Timeouts()
+	conn.SetTimeouts(silence(sup), writeTO)
+	done, ticked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ticked)
+		if sup.HeartbeatInterval <= 0 {
+			return
+		}
+		t := time.NewTicker(sup.HeartbeatInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				if conn.WriteFrame(nil) != nil {
+					return // the read deadline ends the connection
+				}
+			}
+		}
+	}()
+	// Closing first unblocks a tick write stuck on a dead peer.
+	defer func() { conn.Close(); close(done); <-ticked }()
+	for {
+		f, err := conn.ReadFrame()
+		if err != nil {
+			return err
+		}
+		if len(f) > 0 {
+			onFrame(f)
+		}
+	}
+}
+
 // HealthConfig tunes the router's health listener.
 type HealthConfig struct {
-	// Sup is the supervisor tuning for the router-side links. Its
-	// heartbeat interval and miss budget set the replica-death detection
-	// time; its reconnect attempts × AcceptWait bound how long a silent
-	// replica stays registered after its link drops.
+	// Sup's heartbeat interval and miss budget set how long a replica's
+	// connection may stay silent, and how long after it ends the replica
+	// stays registered for a re-JOIN. Nothing else in it is read.
 	Sup comm.SupervisorConfig
-	// AcceptWait is how long one reconnect attempt waits for the replica
-	// to dial back in. Default 3s.
-	AcceptWait time.Duration
 	// Log receives structured health events; nil silences them.
 	Log *obs.Logger
 }
 
-// HealthServer accepts replica JOIN connections and maintains their
-// supervised links, feeding the registry.
+// HealthServer accepts replica connections and feeds the registry from
+// them.
 type HealthServer struct {
 	reg *Registry
 	cfg HealthConfig
-
-	mu    sync.Mutex
-	links map[string]*replicaLink
 }
 
-// replicaLink is the router-side state for one replica's health link:
-// re-accepted connections are handed to the supervisor's connect
-// through redial. token tracks the registry registration of the
-// incarnation the link currently vouches for — refreshed when a re-JOIN
-// arrives through the redial path — so the link's death evicts exactly
-// what it registered and nothing newer (LeaveIf).
-type replicaLink struct {
-	name   string
-	redial chan *comm.Conn
-	token  atomic.Uint64
-}
-
-// NewHealthServer constructs a health listener over reg. The router-side
-// supervised links always run with AllowPeerRestart: a replica that
-// crashed and came back re-dials with fresh supervisor state, and the
-// resync must treat that as a stream reset, not a fatal state loss that
-// would kill the link (and the registration) just as the replica
-// returned.
+// NewHealthServer constructs a health listener over reg.
 func NewHealthServer(reg *Registry, cfg HealthConfig) *HealthServer {
-	if cfg.AcceptWait <= 0 {
-		cfg.AcceptWait = 3 * time.Second
-	}
-	cfg.Sup.AllowPeerRestart = true
-	return &HealthServer{reg: reg, cfg: cfg, links: make(map[string]*replicaLink)}
+	cfg.Sup = cfg.Sup.WithDefaults()
+	return &HealthServer{reg: reg, cfg: cfg}
 }
 
 // Serve accepts replica connections until ctx is cancelled or the
@@ -155,8 +156,10 @@ func (h *HealthServer) Serve(ctx context.Context, ln net.Listener) error {
 	return nil
 }
 
-// handle reads one connection's JOIN and either feeds an existing link
-// (a replica re-dialing after a drop) or establishes a new one.
+// handle runs one replica connection: its JOIN registers the replica under a
+// fresh token, DRAIN frames take it out of the ring, and one detection budget
+// after the connection ends the replica is evicted — unless a re-JOIN got a
+// newer token meanwhile, which makes this eviction stale (LeaveIf).
 func (h *HealthServer) handle(ctx context.Context, conn *comm.Conn) {
 	conn.SetTimeouts(5*time.Second, 5*time.Second)
 	f, err := conn.ReadFrame()
@@ -165,154 +168,150 @@ func (h *HealthServer) handle(ctx context.Context, conn *comm.Conn) {
 		return
 	}
 	rep, err := decodeJoin(f)
+	var tok uint64
+	if err == nil {
+		tok, err = h.reg.JoinToken(rep)
+	}
 	if err != nil {
 		h.cfg.Log.Error("health_join", err)
 		conn.Close()
 		return
 	}
-	// The supervised protocol owns the connection from here: reads block
-	// freely, writes stay bounded.
-	conn.SetTimeouts(0, 5*time.Second)
-
-	h.mu.Lock()
-	if link, ok := h.links[rep.Name]; ok {
-		h.mu.Unlock()
-		// Existing link: hand the connection to its pending reconnect, and
-		// refresh the registration under a fresh token — a restarted
-		// replica re-announces with possibly new serving addresses, and the
-		// new token shields it from a stale eviction the dying incarnation
-		// may still have in flight. If no reconnect is waiting (or a
-		// previous spare is parked), drop the spare — the replica retries.
-		if tok, jerr := h.reg.JoinToken(rep); jerr == nil {
-			link.token.Store(tok)
-		}
-		select {
-		case link.redial <- conn:
-		default:
-			conn.Close()
-		}
-		return
-	}
-	link := &replicaLink{name: rep.Name, redial: make(chan *comm.Conn, 1)}
-	link.redial <- conn
-	h.links[rep.Name] = link
-	h.mu.Unlock()
-
-	sl, err := comm.NewSupervisedLink(func() (comm.Framer, error) {
-		select {
-		case c := <-link.redial:
-			return c, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(h.cfg.AcceptWait):
-			return nil, fmt.Errorf("fleet: replica %s did not dial back in", rep.Name)
-		}
-	}, h.cfg.Sup)
-	if err != nil {
-		h.dropLink(rep.Name, link)
-		h.cfg.Log.Error("health_link", err, "replica", rep.Name)
-		return
-	}
-	stop := context.AfterFunc(ctx, func() { sl.Close() })
-	defer stop()
-	tok, err := h.reg.JoinToken(rep)
-	if err != nil {
-		h.dropLink(rep.Name, link)
-		sl.Close()
-		h.cfg.Log.Error("health_join", err)
-		return
-	}
-	link.token.Store(tok)
 	h.cfg.Log.Event("replica_joined", "replica", rep.Name, "addr0", rep.Addr[0], "addr1", rep.Addr[1])
-	// Data frames from the replica are lifecycle announcements (DRAIN);
-	// ReadFrame fails only when the link dies for good (heartbeat expiry
-	// + exhausted re-accepts).
-	var rerr error
-	for {
-		var f []byte
-		if f, rerr = sl.ReadFrame(); rerr != nil {
-			break
+	cause := watch(conn, h.cfg.Sup, func(f []byte) {
+		// Anything but DRAIN is an announcement from a newer replica: ignored.
+		if bytes.Equal(f, drainFrame) && h.reg.Drain(rep.Name) {
+			h.cfg.Log.Event("replica_draining", "replica", rep.Name)
 		}
-		if isDrain(f) {
-			if h.reg.Drain(rep.Name) {
-				h.cfg.Log.Event("replica_draining", "replica", rep.Name)
-			}
-			continue
-		}
-		// Unknown announcement from a newer replica: ignore, don't kill
-		// the link over it.
-	}
-	// Evict only the incarnation this link vouches for: if the replica
-	// re-registered through the redial path while this eviction was in
-	// flight, the token moved on and the new incarnation stays.
-	h.reg.LeaveIf(rep.Name, link.token.Load())
-	h.dropLink(rep.Name, link)
-	sl.Close()
-	if ctx.Err() == nil {
-		h.cfg.Log.Event("replica_lost", "replica", rep.Name, "cause", fmt.Sprint(rerr))
-	}
-}
-
-// dropLink forgets a replica's link state, closing any parked spare
-// connection.
-func (h *HealthServer) dropLink(name string, link *replicaLink) {
-	h.mu.Lock()
-	if h.links[name] == link {
-		delete(h.links, name)
-	}
-	h.mu.Unlock()
+	})
 	select {
-	case c := <-link.redial:
-		c.Close()
-	default:
+	case <-ctx.Done():
+	case <-time.After(silence(h.cfg.Sup)):
+		if h.reg.LeaveIf(rep.Name, tok) {
+			h.cfg.Log.Event("replica_lost", "replica", rep.Name, "cause", fmt.Sprint(cause))
+		}
 	}
 }
 
-// StartAgent runs a replica's side of the health protocol: dial the
-// router, announce rep, and keep the supervised link alive until ctx
-// ends. The returned link is for Close/Err inspection and for SendDrain;
-// the caller's serving is unaffected by router loss (the agent just
-// keeps retrying in the background until its attempts run out). The
-// link runs with AllowPeerRestart: a restarted router accepts the
-// re-JOIN with fresh supervisor state, and the agent must resync
-// against it instead of declaring the fleet lost.
-func StartAgent(ctx context.Context, routerAddr string, rep Replica, sup comm.SupervisorConfig, log *obs.Logger) (*comm.SupervisedLink, error) {
-	connect := func() (comm.Framer, error) {
-		c, err := comm.Dial(routerAddr)
-		if err != nil {
-			return nil, err
-		}
-		c.SetTimeouts(0, 5*time.Second)
-		if err := c.WriteFrame(encodeJoin(rep)); err != nil {
-			c.Close()
-			return nil, err
-		}
-		return c, nil
-	}
-	sup.AllowPeerRestart = true
-	sl, err := comm.NewSupervisedLink(connect, sup)
+// Agent is a replica's end of the health link (StartAgent).
+type Agent struct {
+	rep  Replica
+	addr string
+	sup  comm.SupervisorConfig
+	stop chan struct{} // closed by fail
+	done chan struct{} // closed when the agent's goroutine has returned
+
+	mu      sync.Mutex
+	conn    *comm.Conn // the latest connection
+	drained bool
+	err     error // why the agent has no link any more; the first one wins
+}
+
+// StartAgent runs a replica's side of the health protocol: dial the router
+// under sup's redial budget, announce rep, and keep a connection up until
+// ctx ends or Close. Serving does not depend on it: the agent dials again
+// in the background whenever its connection ends, and logs router_link and
+// gives up once a redial exhausts the budget.
+func StartAgent(ctx context.Context, routerAddr string, rep Replica, sup comm.SupervisorConfig, log *obs.Logger) (*Agent, error) {
+	a := &Agent{rep: rep, addr: routerAddr, sup: sup.WithDefaults(), stop: make(chan struct{}), done: make(chan struct{})}
+	conn, err := a.dial()
 	if err != nil {
 		return nil, err
 	}
-	stop := context.AfterFunc(ctx, func() { sl.Close() })
+	stop := context.AfterFunc(ctx, func() { a.Close() })
 	go func() {
+		defer close(a.done)
 		defer stop()
-		// Drain (the router sends no data frames); exit on permanent death.
-		if _, err := sl.ReadFrame(); err != nil && ctx.Err() == nil {
-			log.Error("router_link", err, "router", routerAddr)
+		for {
+			watch(conn, a.sup, func([]byte) {}) // the router sends only ticks
+			if conn, err = a.dial(); err != nil {
+				if a.fail(err) {
+					log.Error("router_link", err, "router", routerAddr)
+				}
+				return
+			}
 		}
 	}()
-	return sl, nil
+	return a, nil
 }
 
-// SendDrain announces on a replica's health link (StartAgent's return)
-// that the replica is leaving gracefully: the router stops routing new
-// sessions to it, while in-flight sessions — and the link itself — run
-// on. The caller then stops accepting clients, waits out its in-flight
-// work, and exits. Safe to call more than once.
-func SendDrain(sl *comm.SupervisedLink) error {
-	if err := sl.WriteFrame(encodeDrain()); err != nil {
-		return fmt.Errorf("fleet: drain announce: %w", err)
+// dial reaches the router under the redial budget; join installs the
+// connection.
+func (a *Agent) dial() (*comm.Conn, error) {
+	var conn *comm.Conn
+	retry := comm.RetryConfig{Attempts: a.sup.ReconnectAttempts, BaseDelay: a.sup.ReconnectBase, MaxDelay: a.sup.ReconnectMax}
+	err := comm.Retry("router health dial", retry, a.stop, func() (bool, error) {
+		c, err := comm.Dial(a.addr)
+		if err != nil {
+			return true, err
+		}
+		c.SetTimeouts(0, 5*time.Second)
+		if err := a.join(c); err != nil {
+			c.Close()
+			return true, err
+		}
+		conn = c
+		return false, nil
+	})
+	return conn, err
+}
+
+// join announces the replica on a fresh connection — JOIN, then DRAIN once
+// it has drained — and makes it the agent's connection, under the lock Drain
+// takes, so no connection after a Drain goes without one.
+func (a *Agent) join(c *comm.Conn) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	err := a.err
+	if err == nil {
+		err = c.WriteFrame(encodeJoin(a.rep))
+	}
+	if err == nil && a.drained {
+		err = c.WriteFrame(drainFrame)
+	}
+	if err == nil {
+		a.conn = c
+	}
+	return err
+}
+
+// Drain announces that the replica is leaving gracefully: the router stops
+// routing new sessions to it, while in-flight sessions — and the health
+// link itself — run on. The caller then stops accepting clients, waits out
+// its in-flight work, and exits. Every later connection repeats it, so a
+// reconnect cannot put the replica back in the ring. Safe to call more
+// than once.
+func (a *Agent) Drain() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.err != nil {
+		return fmt.Errorf("fleet: drain announce: %w", a.err)
+	}
+	a.drained = true
+	if a.conn.WriteFrame(drainFrame) != nil {
+		a.conn.Close() // the next connection announces it
 	}
 	return nil
+}
+
+// Close ends the agent's connection and its dialling, and returns once its
+// goroutine has; the router evicts the replica one detection budget later.
+func (a *Agent) Close() error {
+	a.fail(comm.ErrLinkClosed)
+	<-a.done
+	return nil
+}
+
+// fail ends the agent with err and closes its connection; it reports
+// whether err was the first.
+func (a *Agent) fail(err error) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.err != nil {
+		return false
+	}
+	a.err = err
+	close(a.stop)
+	a.conn.Close()
+	return true
 }

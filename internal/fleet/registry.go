@@ -114,13 +114,14 @@ func (r *Registry) Leave(name string) {
 // LeaveIf removes name only while its current registration token is
 // still token — the eviction a failure observer may apply. If the name
 // re-registered since the observer picked it up, the eviction is stale
-// and dropped. Reports whether the member was removed.
+// and dropped. Reports whether name is gone: false only when a newer
+// incarnation holds it.
 func (r *Registry) LeaveIf(name string, token uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := r.members[name]
 	if !ok || m.token != token {
-		return false
+		return !ok
 	}
 	delete(r.members, name)
 	r.rebuildLocked()

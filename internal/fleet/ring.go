@@ -1,11 +1,11 @@
 // Package fleet shards the serving tier: a session router
 // (cmd/psml-router) spreads client sessions across N registered
 // server-pair replicas by consistent-hashing their request ids, with a
-// replica registry fed by supervised health links and sticky re-routing
-// when a replica dies. It is the composition layer over the existing
+// replica registry fed by health links and sticky re-routing when a
+// replica dies. It is the composition layer over the existing
 // transport: replicas are plain psml-server pairs, the router speaks
-// the same framed request/response protocol clients already do, and
-// health uses comm.SupervisedLink heartbeats.
+// the same framed request/response protocol clients already do, and a
+// health link is JOIN, DRAIN and ticks on one plain comm.Conn.
 package fleet
 
 import "sort"

@@ -217,7 +217,4 @@ func init() {
 	obs.Default.FuncGauge("psml_link_buffered_frames", "Unacknowledged frames currently buffered for replay on supervised links.", func() float64 {
 		return float64(comm.SupervisorTotals().BufferedFrames)
 	})
-	obs.Default.FuncCounter("psml_link_peer_resets_total", "Supervised-link resyncs that found a restarted peer and reset the stream (AllowPeerRestart).", func() float64 {
-		return float64(comm.SupervisorTotals().PeerResets)
-	})
 }

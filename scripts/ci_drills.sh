@@ -10,11 +10,11 @@
 #   chaos-link   peer link killed mid-flight; supervised reconnect + replay
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
 #   checkpoint   kill-and-resume training: resumed run byte-identical
-#   fleet        multi-process router+dealer fleet, one pair SIGKILLed; operands across failover
+#   fleet        multi-process router+dealer fleet, one pair SIGKILLed and evicted within 3 s; health link join/drain/reconnect/silence; operands across failover
 #   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights, derived halves
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop is a plain connection; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop and the health link are plain connections; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -93,8 +93,12 @@ fleet)
   # router a healthy replica; both registered-operand forms cross the relay
   # untouched, a session re-routed to a replica that holds none of its
   # operands completes its inference, and so does one whose first attempt
-  # met a draining fleet.
-  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica|TestRouterRelaysOperandRequest|TestRouterFailoverReregistersOperands|TestRouterDrainingFirstAttempt'
+  # met a draining fleet. The health link — a plain connection ticking both
+  # ways — registers, drains and evicts; a drained replica stays drained
+  # across a reconnect, a restarted router is re-JOINed, a restarted replica
+  # is not evicted by its old connection, and a JOINed connection that falls
+  # silent is evicted while one that ticks is not.
+  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica|TestRouterRelaysOperandRequest|TestRouterFailoverReregistersOperands|TestRouterDrainingFirstAttempt|TestHealth'
   SESSIONS=$((64 * SCALE)) scripts/fleet_drill.sh -race
   ;;
 transformer)
@@ -162,7 +166,9 @@ layering)
   # the real transport depends on no other package of this module, the
   # serving plane has exactly one Serve* entry point — the one deployed — and
   # the dealer hop is frames on a plain connection: no supervised link, no
-  # mux, and neither the client-side pool nor the hook only that hop used. A
+  # mux, and neither the client-side pool nor the hook only that hop used. So
+  # is the router health link, and the supervisor's peer-restart mode and the
+  # health link's re-accept wait, which only it used, are gone. A
   # half that is generator output has one expansion — mpc.DeriveHalf, the only
   # function outside internal/rng that calls rng.FillKeyed — which the dealer
   # tier, a derived request's client and both its parties all reach, and the
@@ -195,6 +201,18 @@ layering)
   gone="$(grep -rn 'tripletpool\.New(\|NewLocalSource\|OnPeerReset' --include='*.go' . || true)"
   if [ -n "$gone" ]; then
     echo "  deleted with the client-side pool and the dealer's supervised link, but still named:" >&2
+    echo "$gone" >&2
+    fail=1
+  fi
+  health="$(grep -n 'SupervisedLink' $(ls internal/fleet/*.go | grep -v _test.go) || true)"
+  if [ -n "$health" ]; then
+    echo "  internal/fleet puts a supervised link under the health link:" >&2
+    echo "$health" >&2
+    fail=1
+  fi
+  gone="$(grep -rn 'AllowPeerRestart\|PeerResets\|AcceptWait' --include='*.go' . || true)"
+  if [ -n "$gone" ]; then
+    echo "  deleted with the health link's supervised link, but still named:" >&2
     echo "$gone" >&2
     fail=1
   fi

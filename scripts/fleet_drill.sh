@@ -109,7 +109,23 @@ for _ in $(seq 1 600); do [ -f "$READY" ] && break; sleep 0.1; done
 
 echo "== killing pair-b (pids $B_PID0 $B_PID1)"
 kill -9 "$B_PID0" "$B_PID1"
+KILLED_AT=$(date +%s%N)
 touch "$KILLED"
+
+# The health link sees the kill as its connection's end and keeps pair-b one
+# detection budget (4 × 100 ms) for a re-JOIN that never comes: the router
+# must log the eviction well within 3 s.
+for _ in $(seq 1 300); do
+  grep -q 'replica_lost replica=pair-b' "$WORK/router.log" && break
+  sleep 0.01
+done
+LOST_MS=$(( ($(date +%s%N) - KILLED_AT) / 1000000 ))
+if ! grep -q 'replica_lost replica=pair-b' "$WORK/router.log" || [ "$LOST_MS" -gt 3000 ]; then
+  echo "== fleet drill FAILED: router.log shows no replica_lost replica=pair-b within 3 s of the SIGKILL" >&2
+  tail -n 20 "$WORK/router.log" >&2
+  exit 1
+fi
+echo "   router evicted pair-b ${LOST_MS} ms after the SIGKILL"
 
 # metric ADDR SERIES prints one series' value off a process's /metrics.
 metric() { curl -sf "http://$1/metrics" | awk -v s="$2" '$1 == s {print $2}'; }
