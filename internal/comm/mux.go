@@ -197,10 +197,17 @@ type muxWrite struct {
 	ack     chan error // nil for fire-and-forget control frames
 }
 
-// muxPending is one buffered frame for a session not yet opened locally.
+// putMuxHeader writes a frame header for session id into dst.
+func putMuxHeader(dst []byte, id uint64, kind byte) {
+	binary.LittleEndian.PutUint64(dst, id)
+	dst[8] = kind
+}
+
+// muxPending is one buffered frame for a session not yet opened locally,
+// in the lent buffer it was read into (see Mux.off).
 type muxPending struct {
 	id  uint64
-	buf []byte // whole frame, header included
+	buf []byte
 }
 
 // Mux multiplexes independent frame sessions over one underlying framed
@@ -209,9 +216,20 @@ type Mux struct {
 	c   Framer
 	cfg MuxConfig
 
+	// read returns c's next frame in a buffer lent by the frame pool, the mux
+	// frame starting at off: a SupervisedLink's receive buffer with its link
+	// header still in front, any other transport's frame at offset 0. The
+	// buffer travels to the session the frame is for, whose ReadFrameInto
+	// gives it back once the payload is copied out; route gives back what it
+	// sheds. Session inboxes hold these buffers as they are, one slice each:
+	// every request allocates a session's inbox, so its element size is paid
+	// InboxFrames times per request.
+	read func() ([]byte, error)
+	off  int
+
 	done chan struct{} // closed on fatal error or Close
 	wake chan struct{} // writer wakeup, capacity 1
-	ctl  chan muxWrite // control frames (CLOSE), drained before data
+	ctl  chan uint64   // ids to send a CLOSE for, drained before data
 
 	mu           sync.Mutex
 	err          error
@@ -224,8 +242,6 @@ type Mux struct {
 	tombRing     []uint64 // len cfg.TombstoneIDs
 	tombNext     int
 	tombFull     bool
-
-	bufs sync.Pool // recycled frame buffers ([]byte)
 }
 
 // NewMux starts multiplexing over c (one reader and one writer goroutine).
@@ -237,11 +253,15 @@ func NewMux(c Framer, cfg MuxConfig) *Mux {
 		cfg:      cfg.withDefaults(),
 		done:     make(chan struct{}),
 		wake:     make(chan struct{}, 1),
-		ctl:      make(chan muxWrite, 16),
+		ctl:      make(chan uint64, 16),
 		sessions: make(map[uint64]*MuxSession),
 		tombs:    make(map[uint64]struct{}),
 	}
 	m.tombRing = make([]uint64, m.cfg.TombstoneIDs)
+	m.read = func() ([]byte, error) { return readLent(c) }
+	if sl, ok := c.(*SupervisedLink); ok {
+		m.read, m.off = sl.readPooled, supHeaderBytes
+	}
 	go m.readLoop()
 	go m.writeLoop()
 	return m
@@ -282,9 +302,10 @@ func (m *Mux) fail(err error) {
 	m.rr = nil
 	m.sessions = map[uint64]*MuxSession{}
 	for _, p := range m.pending {
-		m.pendingBytes -= int64(len(p.buf))
+		m.pendingBytes -= m.frameBytes(p.buf)
 		muxPendingFrames.Add(-1)
-		muxPendingBytes.Add(-int64(len(p.buf)))
+		muxPendingBytes.Add(-m.frameBytes(p.buf))
+		PutFrame(p.buf)
 	}
 	m.pending = nil
 	close(m.done)
@@ -295,23 +316,8 @@ func (m *Mux) fail(err error) {
 	}
 }
 
-// getBuf returns a recycled frame buffer (nil when none is available —
-// ReadFrameInto then allocates to size).
-func (m *Mux) getBuf() []byte {
-	if v := m.bufs.Get(); v != nil {
-		return v.([]byte)
-	}
-	return nil
-}
-
-// recycle retires a frame buffer for reuse by the demux reader.
-func (m *Mux) recycle(frame []byte) {
-	if cap(frame) == 0 {
-		return
-	}
-	//lint:ignore SA6002 the slice-header allocation is dwarfed by the frame reuse
-	m.bufs.Put(frame[:0:cap(frame)])
-}
+// frameBytes is the size of the mux frame in lent buffer b.
+func (m *Mux) frameBytes(b []byte) int64 { return int64(len(b) - m.off) }
 
 // notifyClose best-effort queues a CLOSE frame for id, telling the peer
 // its half of the session can fail fast. Fire-and-forget: when the
@@ -322,11 +328,8 @@ func (m *Mux) notifyClose(id uint64) {
 		return
 	default:
 	}
-	f := make([]byte, MuxHeaderBytes)
-	binary.LittleEndian.PutUint64(f, id)
-	f[8] = muxKindClose
 	select {
-	case m.ctl <- muxWrite{hdr: f}:
+	case m.ctl <- id:
 		m.wakeWriter()
 	default:
 	}
@@ -396,14 +399,14 @@ func (m *Mux) Open(id uint64) (*MuxSession, error) {
 				kept = append(kept, p)
 				continue
 			}
-			m.pendingBytes -= int64(len(p.buf))
+			m.pendingBytes -= m.frameBytes(p.buf)
 			muxPendingFrames.Add(-1)
-			muxPendingBytes.Add(-int64(len(p.buf)))
+			muxPendingBytes.Add(-m.frameBytes(p.buf))
 			select {
 			case s.inbox <- p.buf:
 			default: // inbox smaller than the backlog: shed the excess
 				muxStaleFrames.Add(1)
-				m.recycle(p.buf)
+				PutFrame(p.buf)
 			}
 		}
 		m.pending = kept
@@ -434,45 +437,39 @@ func (m *Mux) retire(s *MuxSession, reason error) {
 // readLoop is the demux reader: it owns the connection's read side and
 // routes every arriving frame by the id its header carries.
 func (m *Mux) readLoop() {
-	ri, hasInto := m.c.(FramerInto)
 	for {
-		var frame []byte
-		var err error
-		if hasInto {
-			frame, err = ri.ReadFrameInto(m.getBuf())
-		} else {
-			frame, err = m.c.ReadFrame()
-		}
+		f, err := m.read()
 		if err != nil {
 			m.fail(fmt.Errorf("comm: mux read: %w", err))
 			return
 		}
-		if !m.route(frame) {
+		if !m.route(f) {
 			return
 		}
 	}
 }
 
-// route delivers one raw frame; false means the mux died.
-func (m *Mux) route(frame []byte) bool {
-	id, kind, _, err := parseMuxFrame(frame)
+// route delivers one frame in its lent buffer f, the mux frame at m.off;
+// false means the mux died.
+func (m *Mux) route(f []byte) bool {
+	id, kind, _, err := parseMuxFrame(f[m.off:])
 	if err != nil {
-		m.recycle(frame)
+		PutFrame(f)
 		m.fail(err)
 		return false
 	}
 	muxFramesIn.Add(1)
-	muxBytesIn.Add(int64(len(frame)))
+	muxBytesIn.Add(m.frameBytes(f))
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		m.recycle(frame)
+		PutFrame(f)
 		return false
 	}
 	if s, ok := m.sessions[id]; ok {
 		if kind == muxKindClose {
 			m.mu.Unlock()
-			m.recycle(frame)
+			PutFrame(f)
 			m.retire(s, ErrMuxPeerClosed)
 			return true
 		}
@@ -480,17 +477,17 @@ func (m *Mux) route(frame []byte) bool {
 			// Unknown kind: shed rather than hand garbage to the session.
 			m.mu.Unlock()
 			muxStaleFrames.Add(1)
-			m.recycle(frame)
+			PutFrame(f)
 			return true
 		}
 		select {
-		case s.inbox <- frame:
+		case s.inbox <- f:
 			m.mu.Unlock()
 		default:
 			// Overflow kills this session only; the link stays healthy.
 			m.mu.Unlock()
 			muxOverflows.Add(1)
-			m.recycle(frame)
+			PutFrame(f)
 			m.notifyClose(id)
 			m.retire(s, ErrMuxInboxOverflow)
 		}
@@ -505,24 +502,24 @@ func (m *Mux) route(frame []byte) bool {
 		}
 		m.mu.Unlock()
 		muxStaleFrames.Add(1)
-		m.recycle(frame)
+		PutFrame(f)
 		return true
 	}
 	// Unclaimed data frame: the peer's half of this exchange is ahead of
 	// ours. Park it until Open claims the id, evicting oldest-first when
 	// the buffer is over budget.
-	m.pending = append(m.pending, muxPending{id: id, buf: frame})
-	m.pendingBytes += int64(len(frame))
+	m.pending = append(m.pending, muxPending{id: id, buf: f})
+	m.pendingBytes += m.frameBytes(f)
 	muxPendingFrames.Add(1)
-	muxPendingBytes.Add(int64(len(frame)))
+	muxPendingBytes.Add(m.frameBytes(f))
 	for len(m.pending) > m.cfg.PendingFrames || m.pendingBytes > m.cfg.PendingBytes {
 		ev := m.pending[0]
 		m.pending = m.pending[1:]
-		m.pendingBytes -= int64(len(ev.buf))
+		m.pendingBytes -= m.frameBytes(ev.buf)
 		muxPendingFrames.Add(-1)
-		muxPendingBytes.Add(-int64(len(ev.buf)))
+		muxPendingBytes.Add(-m.frameBytes(ev.buf))
 		muxEvictedFrames.Add(1)
-		m.recycle(ev.buf)
+		PutFrame(ev.buf)
 	}
 	m.mu.Unlock()
 	return true
@@ -534,15 +531,16 @@ func (m *Mux) route(frame []byte) bool {
 func (m *Mux) writeLoop() {
 	vf, hasVec := m.c.(VecFramer)
 	var snap []*MuxSession
+	var closeHdr [MuxHeaderBytes]byte
 	write := func(w muxWrite) bool {
 		var err error
 		if hasVec {
 			err = vf.WriteFrameVec(w.hdr, w.payload)
 		} else {
-			f := make([]byte, 0, len(w.hdr)+len(w.payload))
-			f = append(f, w.hdr...)
-			f = append(f, w.payload...)
+			f := GetFrame(len(w.hdr) + len(w.payload))
+			copy(f[copy(f, w.hdr):], w.payload)
 			err = m.c.WriteFrame(f)
+			PutFrame(f)
 		}
 		if err == nil {
 			muxFramesOut.Add(1)
@@ -564,8 +562,9 @@ func (m *Mux) writeLoop() {
 		wrote := false
 		for {
 			select {
-			case w := <-m.ctl:
-				if !write(w) {
+			case id := <-m.ctl:
+				putMuxHeader(closeHdr[:], id, muxKindClose)
+				if !write(muxWrite{hdr: closeHdr[:]}) {
 					return
 				}
 				wrote = true
@@ -617,7 +616,7 @@ type MuxSession struct {
 	out chan muxWrite
 	ack chan error
 
-	inbox chan []byte // whole frames, header included
+	inbox chan []byte // frames in their lent buffers, the mux frame at m.off
 
 	closeOnce sync.Once
 	err       error // set before done closes
@@ -668,8 +667,7 @@ func (s *MuxSession) Abort() {
 func (s *MuxSession) WriteFrame(frame []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	binary.LittleEndian.PutUint64(s.hdr[:], s.id)
-	s.hdr[8] = muxKindData
+	putMuxHeader(s.hdr[:], s.id, muxKindData)
 	select {
 	case s.out <- muxWrite{hdr: s.hdr[:], payload: frame, ack: s.ack}:
 	case <-s.done:
@@ -750,22 +748,23 @@ func (s *MuxSession) ReadFrame() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f[MuxHeaderBytes:], nil
+	return f[s.m.off+MuxHeaderBytes:], nil
 }
 
 // ReadFrameInto returns the next frame's payload, copied into buf when it
-// fits (recycling the internal buffer); otherwise the internal buffer is
-// handed over, exactly like Conn.ReadFrameInto's grow path.
+// fits (the receive buffer then goes back to the frame pool); otherwise the
+// receive buffer is handed over, exactly like Conn.ReadFrameInto's grow
+// path.
 func (s *MuxSession) ReadFrameInto(buf []byte) ([]byte, error) {
 	f, err := s.readRaw()
 	if err != nil {
 		return nil, err
 	}
-	payload := f[MuxHeaderBytes:]
+	payload := f[s.m.off+MuxHeaderBytes:]
 	if cap(buf) >= len(payload) {
 		out := buf[:len(payload)]
 		copy(out, payload)
-		s.m.recycle(f)
+		PutFrame(f)
 		return out, nil
 	}
 	return payload, nil

@@ -235,7 +235,9 @@ type deadliner interface {
 }
 
 // supFrame is one buffered outbound frame: its sequence number and the
-// complete wire frame (header included), immutable once appended.
+// complete wire frame (header included), immutable once appended. buf is
+// lent by GetFrame; pruneLocked moves it to freed once the peer acknowledges
+// it.
 type supFrame struct {
 	seq uint64
 	buf []byte
@@ -272,13 +274,22 @@ type SupervisedLink struct {
 	cfg     SupervisorConfig
 	connect func() (Framer, error)
 
-	inbox    chan []byte   // delivered payloads, in sequence order
+	inbox    chan []byte   // delivered frames, header included, in their lent receive buffers, in sequence order
 	done     chan struct{} // closed when the link is permanently dead
 	ackNudge chan uint64   // recv → heartbeat goroutine: send an HBAck echoing this timestamp
 
 	// wmu serializes user writers: sequence assignment and the network
 	// write happen under it, so concurrent WriteFrame calls cannot put
 	// frames on the wire out of sequence order. Lock order: wmu before mu.
+	//
+	// It also decides when an acknowledged replay buffer may be lent again.
+	// An ack can arrive while the frame is still being written — the peer
+	// has every byte, but the write call has not returned, and a Framer may
+	// still read the buffer until it does — so pruneLocked parks pruned
+	// buffers in freed and only writeParts gives them back to the pool,
+	// holding wmu. That is enough because every write of a replay buffer
+	// either holds wmu (a user write) or is resync's replay, which runs only
+	// while no recvLoop exists, so no ack can prune what it is writing.
 	wmu sync.Mutex
 
 	mu          sync.Mutex
@@ -294,6 +305,7 @@ type SupervisedLink struct {
 	peerAck     uint64   // highest outbound seq the peer confirmed
 	replay      []supFrame
 	replayBytes int64
+	freed       [][]byte // acknowledged replay buffers, back to the pool under wmu
 
 	lastInbound atomic.Int64 // unix-nano of the last inbound frame
 }
@@ -354,6 +366,7 @@ func (s *SupervisedLink) fail(err error) {
 	shedBytes := s.replayBytes
 	s.replay = nil
 	s.replayBytes = 0
+	s.freed = nil
 	conn := s.conn
 	s.conn = nil
 	cur := s.cur
@@ -573,11 +586,13 @@ func (s *SupervisedLink) resync(c Framer) (*supConn, error) {
 	return sc, nil
 }
 
-// pruneLocked drops replay entries the peer has acknowledged. Callers
-// hold s.mu and own the gauge accounting for what is returned.
+// pruneLocked drops replay entries the peer has acknowledged, parking their
+// buffers in freed (see wmu). Callers hold s.mu and own the gauge accounting
+// for what is returned.
 func (s *SupervisedLink) pruneLocked() (frames, bytes int64) {
 	for len(s.replay) > 0 && s.replay[0].seq <= s.peerAck {
 		bytes += int64(len(s.replay[0].buf))
+		s.freed = append(s.freed, s.replay[0].buf)
 		s.replay[0].buf = nil
 		s.replay = s.replay[1:]
 		frames++
@@ -602,22 +617,28 @@ func (s *SupervisedLink) noteAck(ack uint64) {
 }
 
 // recvLoop owns one incarnation's read side: sequence-check data frames
-// into the inbox, answer heartbeats, absorb acks.
+// into the inbox, answer heartbeats, absorb acks. Each frame is read into a
+// lent buffer: a data frame goes to the inbox in it, header included, for
+// its reader to give back; every other frame goes back here.
 func (s *SupervisedLink) recvLoop(sc *supConn) {
 	defer sc.wg.Done()
 	for {
-		f, err := sc.c.ReadFrame()
+		f, err := readLent(sc.c)
 		if err != nil {
 			s.connFailed(sc.gen, err)
 			return
 		}
 		s.lastInbound.Store(time.Now().UnixNano())
-		kind, a, b, payload, perr := parseSupFrame(f)
+		kind, a, b, _, perr := parseSupFrame(f)
 		if perr != nil {
 			// Not a supervised peer: no reconnect can fix a protocol
 			// mismatch.
+			PutFrame(f)
 			s.fail(perr)
 			return
+		}
+		if kind != supKindData {
+			PutFrame(f)
 		}
 		switch kind {
 		case supKindData:
@@ -629,9 +650,11 @@ func (s *SupervisedLink) recvLoop(sc *supConn) {
 				// Replay overlap (our ack for it died with the old
 				// connection): drop the duplicate.
 				supDupFrames.Add(1)
+				PutFrame(f)
 				continue
 			}
 			if a != del+1 {
+				PutFrame(f)
 				s.fail(fmt.Errorf("comm: supervised link sequence gap: frame %d after %d", a, del))
 				return
 			}
@@ -639,13 +662,15 @@ func (s *SupervisedLink) recvLoop(sc *supConn) {
 			// by incarnation teardown stays unacknowledged and is replayed
 			// by the peer after the next resync.
 			select {
-			case s.inbox <- payload:
+			case s.inbox <- f:
 				s.mu.Lock()
 				s.delivered = a
 				s.mu.Unlock()
 			case <-sc.stop:
+				PutFrame(f)
 				return
 			case <-s.done:
+				PutFrame(f)
 				return
 			}
 		case supKindHB:
@@ -758,15 +783,19 @@ func (s *SupervisedLink) writeParts(one []byte, parts [][]byte) error {
 		s.mu.Unlock()
 		return err
 	}
+	// Holding wmu: no write of a freed buffer can still be running.
+	for i, b := range s.freed {
+		PutFrame(b)
+		s.freed[i] = nil
+	}
+	s.freed = s.freed[:0]
 	seq := s.nextSeq
 	s.nextSeq++
-	buf := make([]byte, 0, n)
-	var hdr [supHeaderBytes]byte
-	putSupHeader(hdr[:], supKindData, seq, s.delivered)
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, one...)
+	buf := GetFrame(n)
+	putSupHeader(buf, supKindData, seq, s.delivered)
+	off := supHeaderBytes + copy(buf[supHeaderBytes:], one)
 	for _, p := range parts {
-		buf = append(buf, p...)
+		off += copy(buf[off:], p)
 	}
 	s.replay = append(s.replay, supFrame{seq: seq, buf: buf})
 	s.replayBytes += int64(n)
@@ -784,10 +813,12 @@ func (s *SupervisedLink) writeParts(one []byte, parts [][]byte) error {
 	return nil
 }
 
-// ReadFrame returns the next delivered payload, blocking with no
-// deadline (per-session timeouts belong to the mux above). Frames
-// delivered before a permanent failure are still drained first.
-func (s *SupervisedLink) ReadFrame() ([]byte, error) {
+// readPooled returns the next delivered frame in the lent buffer it was
+// received into, the link header still in front of the payload (at
+// supHeaderBytes), blocking with no deadline (per-session timeouts belong to
+// the mux above). Frames delivered before a permanent failure are still
+// drained first. The caller gives the buffer back with PutFrame.
+func (s *SupervisedLink) readPooled() ([]byte, error) {
 	select {
 	case f := <-s.inbox:
 		return f, nil
@@ -809,17 +840,30 @@ func (s *SupervisedLink) ReadFrame() ([]byte, error) {
 	}
 }
 
-// ReadFrameInto is ReadFrame copying into buf when it fits (the mux's
-// buffer-recycling read path).
-func (s *SupervisedLink) ReadFrameInto(buf []byte) ([]byte, error) {
-	f, err := s.ReadFrame()
+// ReadFrame returns the next delivered payload, blocking with no deadline;
+// the buffer is the caller's for good.
+func (s *SupervisedLink) ReadFrame() ([]byte, error) {
+	f, err := s.readPooled()
 	if err != nil {
 		return nil, err
 	}
-	if cap(buf) >= len(f) {
-		out := buf[:len(f)]
-		copy(out, f)
+	return f[supHeaderBytes:], nil
+}
+
+// ReadFrameInto is ReadFrame copying into buf when it fits, the receive
+// buffer then going back to the pool; otherwise the payload is handed over
+// as ReadFrame does.
+func (s *SupervisedLink) ReadFrameInto(buf []byte) ([]byte, error) {
+	f, err := s.readPooled()
+	if err != nil {
+		return nil, err
+	}
+	payload := f[supHeaderBytes:]
+	if cap(buf) >= len(payload) {
+		out := buf[:len(payload)]
+		copy(out, payload)
+		PutFrame(f)
 		return out, nil
 	}
-	return f, nil
+	return payload, nil
 }

@@ -6,6 +6,14 @@
 // (ServeConns), capability frames and test fault injection (FaultConn). It
 // moves opaque frames and imports nothing else from this module; the
 // metered network of the paper-figure model is internal/mpcsim's Link.
+//
+// Frame buffers on the serving path are lent by one process-wide pool with
+// power-of-two size classes (GetFrame, PutFrame). A Conn reads a frame into
+// one (ReadFramePooled); a SupervisedLink hands that buffer up whole and
+// draws its replay copies from the pool; a Mux passes the buffer to the
+// session the frame is for, whose ReadFrameInto gives it back once the
+// payload is copied out. Whoever holds a lent buffer last gives it back, and
+// only the buffer as it was lent is taken back.
 package comm
 
 import (
@@ -231,7 +239,7 @@ func (fc *Conn) WriteFrameVec(parts ...[]byte) error {
 // ReadFrame receives one frame. The read deadline, when set, covers the
 // whole frame (header and body).
 func (fc *Conn) ReadFrame() ([]byte, error) {
-	return fc.readFrame(nil)
+	return fc.readFrame(nil, false)
 }
 
 // ReadFrameInto receives one frame into buf's storage when its capacity
@@ -239,10 +247,17 @@ func (fc *Conn) ReadFrame() ([]byte, error) {
 // aliases buf in the reuse case; the caller owns both and must not issue
 // another read before consuming the frame.
 func (fc *Conn) ReadFrameInto(buf []byte) ([]byte, error) {
-	return fc.readFrame(buf)
+	return fc.readFrame(buf, false)
 }
 
-func (fc *Conn) readFrame(buf []byte) ([]byte, error) {
+// ReadFramePooled receives one frame into a buffer lent by GetFrame. The
+// caller owns the frame and gives it back with PutFrame once nothing reads
+// it any more.
+func (fc *Conn) ReadFramePooled() ([]byte, error) {
+	return fc.readFrame(nil, true)
+}
+
+func (fc *Conn) readFrame(buf []byte, pooled bool) ([]byte, error) {
 	fc.rmu.Lock()
 	defer fc.rmu.Unlock()
 	if d := fc.readTO.Load(); d > 0 {
@@ -256,12 +271,18 @@ func (fc *Conn) readFrame(buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("comm: read frame of %d bytes (limit %d): %w", n, fc.limit, ErrFrameTooLarge)
 	}
 	var frame []byte
-	if int64(cap(buf)) >= int64(n) {
+	switch {
+	case pooled:
+		frame = GetFrame(int(n))
+	case int64(cap(buf)) >= int64(n):
 		frame = buf[:n]
-	} else {
+	default:
 		frame = make([]byte, n)
 	}
 	if _, err := io.ReadFull(fc.c, frame); err != nil {
+		if pooled {
+			PutFrame(frame)
+		}
 		return nil, fmt.Errorf("comm: read frame body: %w", err)
 	}
 	fc.bytesIn.Add(int64(n) + 4)

@@ -97,14 +97,14 @@ type feedLease struct {
 	last [3]int
 
 	// The request in flight. While an exchange runs the engine's sender
-	// goroutine reads this and the lease and owns wrote and wbuf; the handler
-	// touches only read and granted until the exchange has returned.
+	// goroutine reads this and the lease and owns wrote; the handler touches
+	// only read and granted until the exchange has returned.
 	sess        *comm.MuxSession
 	id          uint64
-	this        uint64 // the seq it runs on
-	granted     uint64 // party 1: the grant read off party 0's trailer, or noSeq
-	wrote, read bool   // the first exchange frame went out / came in
-	wbuf        []byte // first-frame scratch: the engine's frame ‖ trailer
+	this        uint64  // the seq it runs on
+	granted     uint64  // party 1: the grant read off party 0's trailer, or noSeq
+	wrote, read bool    // the first exchange frame went out / came in
+	announce    [8]byte // party 0's announce frame: the seq, when no lease is held
 }
 
 // begin settles the triplet of request id (shape m×k×n) before its exchange
@@ -133,8 +133,8 @@ func (l *feedLease) begin(sess *comm.MuxSession, id uint64, m, k, n int) (Triple
 		if err != nil {
 			return TripletShares{}, fmt.Errorf("mpc: triplet feed: %w", err)
 		}
-		l.wbuf = binary.LittleEndian.AppendUint64(l.wbuf[:0], seq)
-		if err := sess.WriteFrame(l.wbuf); err != nil {
+		binary.LittleEndian.PutUint64(l.announce[:], seq)
+		if err := sess.WriteFrame(l.announce[:]); err != nil {
 			return TripletShares{}, fmt.Errorf("mpc: triplet seq announce: %w", err)
 		}
 		l.this, t = seq, drawn
@@ -172,7 +172,6 @@ func (l *feedLease) begin(sess *comm.MuxSession, id uint64, m, k, n int) (Triple
 // correction then falls between requests, not inside one.
 func (l *feedLease) settle() error {
 	l.sess = nil
-	l.wbuf = shrinkScratch(l.wbuf, len(l.wbuf))
 	if l.granted == noSeq {
 		return nil
 	}
@@ -221,15 +220,19 @@ func seqText(seq uint64) string {
 
 // WriteFrame passes the engine's frames through, the first with the trailer
 // appended — a trailer, not a prefix, so the peer's receive buffer keeps its
-// capacity when the trailer is cut off. Called from the engine's sender
-// goroutine only; begin's resets are ordered before it by the launch.
+// capacity when the trailer is cut off — in a copy lent by the comm frame
+// pool, given back once the session has written it. Called from the engine's
+// sender goroutine only; begin's resets are ordered before it by the launch.
 func (l *feedLease) WriteFrame(frame []byte) error {
 	if l.wrote {
 		return l.sess.WriteFrame(frame)
 	}
 	l.wrote = true
-	l.wbuf = l.appendTrailer(append(l.wbuf[:0], frame...))
-	return l.sess.WriteFrame(l.wbuf)
+	first := comm.GetFrame(len(frame) + feedTrailerBytes)[:0]
+	first = l.appendTrailer(append(first, frame...))
+	err := l.sess.WriteFrame(first)
+	comm.PutFrame(first)
+	return err
 }
 
 // ReadFrameInto passes the peer's frames through, the first with its trailer

@@ -35,10 +35,6 @@ var metrics = struct {
 	wireBytesSaved      *obs.Counter
 	wireCodecNegotiated *obs.Gauge
 
-	// Serving-loop scratch buffers released at request boundaries after
-	// outgrowing the high-water cap (see shrinkScratch).
-	bufShrinks *obs.Counter
-
 	requests, requestErrors *obs.Counter
 	sessions, sessionErrors *obs.Counter
 	sessionsActive          *obs.Gauge
@@ -92,8 +88,6 @@ var metrics = struct {
 	},
 	wireBytesSaved:      obs.Default.Counter("psml_wire_bytes_saved_total", "Dense-encoding bytes avoided by compressed wire frames (FP16/CSR)."),
 	wireCodecNegotiated: obs.Default.Gauge("psml_wire_codec_negotiated", "Peer's negotiated codec capability bitmask (bit0 FP16, bit1 CSR); 0 until the peer advertises."),
-
-	bufShrinks: obs.Default.Counter("psml_buf_shrinks_total", "Serving-loop scratch buffers released after exceeding the high-water cap."),
 
 	requests:       obs.Default.Counter("psml_requests_total", "Requests served (all paths)."),
 	requestErrors:  obs.Default.Counter("psml_request_errors_total", "Requests that failed mid-protocol."),

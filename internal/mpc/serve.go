@@ -255,24 +255,6 @@ const maxStaleFrames = 32
 // other requests.
 var ErrPeerDesync = errors.New("mpc: peer link desynchronized")
 
-// bufShrinkCap is the high-water mark for serving-loop scratch buffers:
-// scratch grown past it by one oversized frame is released at the next
-// request boundary where the current usage no longer justifies it,
-// instead of staying resident for the session lifetime.
-const bufShrinkCap = 1 << 20
-
-// shrinkScratch decides whether a scratch buffer earned its keep: buffers
-// over the cap whose latest use filled less than half their capacity are
-// dropped (the next request re-allocates to its own size), counted on
-// psml_buf_shrinks_total. Everything else is kept as-is.
-func shrinkScratch(buf []byte, used int) []byte {
-	if cap(buf) > bufShrinkCap && used <= cap(buf)/2 {
-		metrics.bufShrinks.Inc()
-		return nil
-	}
-	return buf
-}
-
 // isSessionEnd reports an error that means "client done", not a failure.
 func isSessionEnd(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed)
@@ -650,22 +632,27 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, 
 // The request latency histogram is observed on EVERY exit, error returns
 // included — an explicit start time instead of a Span so failures record
 // too.
+//
+// Request and reply frames are lent by the comm frame pool: the request goes
+// back as soon as it is decoded — everything below reads the decoded copy —
+// and the reply once it is written.
 func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wire WireConfig, cfg ServeConfig) error {
 	w := newWireMul(party, wire)
 	defer w.close()
 	lease := &feedLease{party: party, feed: cfg.Feed, log: cfg.Log}
 	var ops operandTable // the session's registered operands, gone with it
-	var reqBuf, outBuf []byte
 	badLogged := false
 	for {
-		frame, err := readFrameInto(client, reqBuf)
+		frame, err := client.ReadFramePooled()
 		if err != nil {
 			return err // including io.EOF: client done
 		}
-		reqBuf = frame
 		start := time.Now()
 		metrics.requests.Inc()
 		id, in, err := decodeRequest(frame, w.cfg.Pool)
+		hasID := len(frame) >= requestIDBytes
+		budget, hasBudget := PeekBudget(frame)
+		comm.PutFrame(frame)
 		// drawn is what the decode took from the pair's pool, listed before
 		// anything below points in at a matrix of another origin (an expansion,
 		// a kept operand, a leased triplet). This loop gives it back: on every
@@ -706,11 +693,10 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		refuse := func(code RouteErrorCode) error {
 			release()
 			metrics.reqWire.ObserveSince(start)
-			reqBuf = shrinkScratch(reqBuf, len(frame))
 			return client.WriteFrame(EncodeRouteError(id, code, 0))
 		}
 		if err != nil {
-			if len(frame) < requestIDBytes {
+			if !hasID {
 				return fail(err)
 			}
 			metrics.requestErrors.Inc()
@@ -750,22 +736,13 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		if op != nil && op.f != nil {
 			fCols = 0 // against a kept operand no F moves: the floor is the E stack's
 		}
-		if budget, ok := PeekBudget(frame); ok && budget < DeadlineEstimate(in.A.Rows, in.A.Cols, fCols) {
+		if hasBudget && budget < DeadlineEstimate(in.A.Rows, in.A.Cols, fCols) {
 			metrics.deadlineShed.Inc()
 			if err := refuse(RouteDeadlineExceeded); err != nil {
 				metrics.requestErrors.Inc()
 				return err
 			}
 			continue
-		}
-		// From here the request lives in its decoded copy. A frame past the
-		// high-water cap is released now rather than held beside that copy
-		// through the exchange and the idle time after it: at 256³ the two
-		// are 2.5 MB per session, and holding both set the process's peak
-		// heap.
-		if cap(reqBuf) > bufShrinkCap {
-			metrics.bufShrinks.Inc()
-			reqBuf = nil
 		}
 		sess, err := mux.Open(id)
 		if errors.Is(err, comm.ErrMuxSessionDup) || errors.Is(err, comm.ErrMuxSessionClosed) {
@@ -808,17 +785,19 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			ops.keep(in.Operand, op)
 			drawn[1] = nil // kept: the session's from here on, not the pool's
 		}
-		outBuf = binary.LittleEndian.AppendUint64(outBuf[:0], id)
-		outBuf = tensor.EncodeMatrix(outBuf, ci)
+		reply := comm.GetFrame(requestIDBytes + tensor.EncodedSize(ci))[:0]
+		reply = binary.LittleEndian.AppendUint64(reply, id)
+		reply = tensor.EncodeMatrix(reply, ci)
 		w.put(ci)
-		if err := client.WriteFrame(outBuf); err != nil {
+		err = client.WriteFrame(reply)
+		comm.PutFrame(reply)
+		if err != nil {
 			metrics.requestErrors.Inc()
 			metrics.reqWire.ObserveSince(start)
 			return err
 		}
 		metrics.reqWire.ObserveSince(start)
 		release()
-		outBuf = shrinkScratch(outBuf, len(outBuf))
 		if fed {
 			if err := lease.settle(); err != nil {
 				return fmt.Errorf("mpc: after request %016x: %w", id, err)

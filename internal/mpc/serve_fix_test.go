@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 )
 
 // Regression tests for the serving-path correctness sweep: leaked latency
-// spans on error paths, unvalidated share geometry, and scratch buffers
-// pinned at their high-water mark.
+// spans on error paths, unvalidated share geometry, and request frames kept
+// out of the frame pool.
 
 // TestErroredRequestStillObservesLatency: a request that fails (here:
 // refused in-band as undecodable) must still land a sample in the
@@ -202,36 +203,14 @@ func FuzzDecodeShares(f *testing.F) {
 	})
 }
 
-// TestShrinkScratch pins the release policy: only buffers past the
-// high-water cap whose latest request used less than half of them are
-// dropped, and each drop is counted.
-func TestShrinkScratch(t *testing.T) {
-	before := metrics.bufShrinks.Value()
-	small := make([]byte, 1024)
-	if shrinkScratch(small, 0) == nil {
-		t.Error("released a buffer under the cap")
-	}
-	hot := make([]byte, 2*bufShrinkCap)
-	if shrinkScratch(hot, cap(hot)) == nil {
-		t.Error("released a buffer the current request still fills")
-	}
-	if metrics.bufShrinks.Value() != before {
-		t.Error("kept buffers were counted as shrinks")
-	}
-	if shrinkScratch(hot, 100) != nil {
-		t.Error("kept an oversized cold buffer")
-	}
-	if got := metrics.bufShrinks.Value(); got != before+1 {
-		t.Errorf("psml_buf_shrinks_total moved by %d, want 1", got-before)
-	}
-}
-
-// TestServingLoopShedsOversizedScratch drives the full serving stack: one
-// request whose frame dwarfs the high-water cap, then a small one. The
-// session must survive (results exact) and release the grown buffers at
-// the small request's boundary.
-func TestServingLoopShedsOversizedScratch(t *testing.T) {
-	before := metrics.bufShrinks.Value()
+// TestServingLoopReturnsOversizedFrame drives the full serving stack with
+// request frames of ≈ 2.4 MB — a frame-pool class no other frame of the test
+// falls in — and then a small request. Every oversized frame must be back in
+// the pool once its request is answered: served, or refused as a bad
+// request, past its deadline, on a duplicate id or against an operand the
+// session does not hold. The session lives through all of it and both
+// results are exact.
+func TestServingLoopReturnsOversizedFrame(t *testing.T) {
 	addr0, addr1, shutdown := startServePair(t, ServeConfig{
 		ClientTimeout: 20 * time.Second,
 		PeerTimeout:   20 * time.Second,
@@ -243,15 +222,55 @@ func TestServingLoopShedsOversizedScratch(t *testing.T) {
 	defer c1.Close()
 
 	p := rng.NewPool(424)
-	// ~2.4 MB request frame: well past bufShrinkCap.
 	big := makeBatchJobs(t, p, 1, 600, 500, 1)[0]
-	got, err := RequestMul(c0, c1, big.in0, big.in1)
+	served := uint64(0x424 << 16)
+	class := len(EncodeRequest(served, big.in0))
+	lent := comm.FramesLent(class)
+	returned := func(after string) {
+		t.Helper()
+		if n := comm.FramesLent(class) - lent; n != 0 {
+			t.Errorf("after %s: %d oversized request frames still out of the pool, want 0", after, n)
+		}
+	}
+	got, err := RequestMulID(served, c0, c1, big.in0, big.in1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(big.want) {
 		t.Fatalf("oversized request off by %v", got.MaxAbsDiff(big.want))
 	}
+	returned("the reply")
+
+	next := served
+	for _, tc := range []struct {
+		name   string
+		code   RouteErrorCode
+		frames func(id uint64) (uint64, []byte, []byte)
+	}{
+		{"a bad request", RouteBadRequest, func(id uint64) (uint64, []byte, []byte) {
+			trailing := func(in Shares) []byte { return append(EncodeRequest(id, in), 0) }
+			return id, trailing(big.in0), trailing(big.in1)
+		}},
+		{"a deadline shed", RouteDeadlineExceeded, func(id uint64) (uint64, []byte, []byte) {
+			return id, EncodeRequestBudget(id, time.Microsecond, big.in0), EncodeRequestBudget(id, time.Microsecond, big.in1)
+		}},
+		{"a duplicate id", RouteDuplicateID, func(uint64) (uint64, []byte, []byte) {
+			return served, EncodeRequest(served, big.in0), EncodeRequest(served, big.in1)
+		}},
+		{"an operand refusal", RouteUnknownOperand, func(id uint64) (uint64, []byte, []byte) {
+			return id, EncodeRequest(id, threeForm(big.in0, 9)), EncodeRequest(id, threeForm(big.in1, 9))
+		}},
+	} {
+		next++
+		id, f0, f1 := tc.frames(next)
+		_, err := requestMulFrames(id, c0, c1, f0, f1)
+		var re *RouteError
+		if !errors.As(err, &re) || re.Code != tc.code {
+			t.Fatalf("%s: %v, want %v", tc.name, err, tc.code)
+		}
+		returned(tc.name)
+	}
+
 	small := makeBatchJobs(t, p, 1, 4, 4, 4)[0]
 	got, err = RequestMul(c0, c1, small.in0, small.in1)
 	if err != nil {
@@ -259,8 +278,5 @@ func TestServingLoopShedsOversizedScratch(t *testing.T) {
 	}
 	if !got.Equal(small.want) {
 		t.Fatalf("follow-up request off by %v", got.MaxAbsDiff(small.want))
-	}
-	if metrics.bufShrinks.Value() == before {
-		t.Error("psml_buf_shrinks_total did not move: serving loop pinned its high-water scratch")
 	}
 }

@@ -379,7 +379,7 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 //
 // The reading is taken with the collector paused: a collection drains the
 // path's sync.Pools, and each refill is an allocation the host's GC timing
-// caused, not the path (41–43 paused against a bar of 44; with the collector
+// caused, not the path (39–40 paused against a bar of 40; with the collector
 // on, a reading wandered up to 1.7 above the paused one and failed the gate
 // about every other run).
 func TestWireAllocsBaseline(t *testing.T) {

@@ -7,14 +7,14 @@
 # Usage: scripts/ci_drills.sh <drill>
 #   concurrent   concurrent sessions survive a client kill, bit-identical; a leasing burst and a dealer outage never stall party 0; a silent dealer is redialled
 #   engine       one exchange engine: any member count, band heights, held F == reference
-#   chaos-link   peer link killed mid-flight; supervised reconnect + replay
+#   chaos-link   peer link killed mid-flight; supervised reconnect + replay; pooled frames never lent again mid-write
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
 #   checkpoint   kill-and-resume training: resumed run byte-identical
 #   fleet        multi-process router+dealer fleet, one pair SIGKILLed and evicted within 3 s; health link join/drain/reconnect/silence; operands across failover
 #   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights, derived halves
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop and the health link are plain connections; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop and the health link are plain connections; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec; no per-frame make([]byte in the mux or the supervised link
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -62,8 +62,12 @@ engine)
 chaos-link)
   # The inter-server link dies twice at deterministic frame boundaries
   # under 8 concurrent sessions; the supervised link must reconnect and
-  # replay so every result stays bit-identical.
+  # replay so every result stays bit-identical. Under it, the frame pool: no
+  # replay buffer is lent again while its write can still be running, and
+  # the pool's contract (exact-class puts only, small frames bypass, a cycle
+  # allocates nothing) holds.
   drill_test ./internal/mpc/ 'TestConcurrentSessionsSurviveLinkDrops|TestSupervisePeerStartupOrder'
+  drill_test ./internal/comm/ 'TestReplayBuffersNotReissuedMidWrite|TestFramePool'
   ;;
 codec)
   # Capability negotiation upgrades matching servers, mismatched pairs
@@ -174,7 +178,9 @@ layering)
   # tier, a derived request's client and both its parties all reach, and the
   # stacked pool draw it replaced is gone. The GEMM has one assembly strip,
   # the FMA one: the multiply-then-add strip it replaced bit for bit is not
-  # kept beside it.
+  # kept beside it. The mux and the supervised link take every frame buffer
+  # from the frame pool, so per-frame allocation cannot come back by
+  # refactor.
   fail=0
   sim="$(go list -deps ./cmd/psml-server ./cmd/psml-router ./cmd/psml-dealer |
     grep -E '^parsecureml/internal/(simtime|gpu|mpcsim|secureml|bench|profile)$' || true)"
@@ -246,6 +252,12 @@ layering)
   unsafe="$(grep -rl '"unsafe"' --include='*.go' . || true)"
   echo "unsafe is imported by:" $unsafe "(want ./internal/tensor/codec_le.go)"
   if [ "$unsafe" != "./internal/tensor/codec_le.go" ]; then
+    fail=1
+  fi
+  churn="$(grep -n 'make(\[\]byte' internal/comm/mux.go internal/comm/supervisor.go || true)"
+  if [ -n "$churn" ]; then
+    echo "  frame buffers allocated outside the frame pool:" >&2
+    echo "$churn" >&2
     fail=1
   fi
   loads="$(grep -c 'Float32frombits' internal/tensor/codec.go || true)"
