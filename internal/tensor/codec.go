@@ -28,6 +28,9 @@ import (
 // DecodeMatrixInto hand it to putFloat32s/getFloat32s — one copy there
 // (codec_le.go, the repository's only unsafe), the per-element loop on a
 // big-endian one (codec_be.go). Same bytes either way, NaN payloads included.
+// An FP16 payload converts: EncodeMatrixFP16 and DecodeMatrixFP16* hand it to
+// putFloat16s/getFloat16s (float16.go), the F16C kernels eight lanes at a
+// time where the CPU has them, the scalar conversion over the rest.
 
 var (
 	// ErrCodecShort indicates a truncated buffer.
@@ -87,7 +90,7 @@ func EncodeMatrix(buf []byte, m *Matrix) []byte {
 // the result — half the dense payload. Conversion is round-to-nearest-even
 // (see float16.go); values beyond the binary16 range encode as ±Inf, so
 // senders gate on MaxAbs before electing this format. Like EncodeMatrix,
-// the loop writes into a bulk-extended tail in place.
+// it writes into a bulk-extended tail in place.
 func EncodeMatrixFP16(buf []byte, m *Matrix) []byte {
 	if m.shapeOnly() {
 		panic("tensor: EncodeMatrixFP16 on a shape-only (dry-run) matrix")
@@ -103,10 +106,7 @@ func EncodeMatrixFP16(buf []byte, m *Matrix) []byte {
 		buf = grown
 	}
 	buf = buf[:off+need]
-	out := buf[off:]
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint16(out[2*i:], Float32ToFloat16Bits(v))
-	}
+	putFloat16s(buf[off:], m.Data)
 	return buf
 }
 
@@ -175,10 +175,7 @@ func DecodeMatrixFP16Into(dst *Matrix, buf []byte) (int, error) {
 	if err != nil || dst.shapeOnly() {
 		return need, err
 	}
-	payload := buf[9:need]
-	for i := range dst.Data {
-		dst.Data[i] = Float16BitsToFloat32(binary.LittleEndian.Uint16(payload[2*i:]))
-	}
+	getFloat16s(dst.Data, buf[9:need])
 	return need, nil
 }
 
@@ -355,10 +352,7 @@ func DecodeMatrixFP16(buf []byte) (*Matrix, int, error) {
 		return nil, 0, err
 	}
 	m := New(rows, cols)
-	payload := buf[9:need]
-	for i := range m.Data {
-		m.Data[i] = Float16BitsToFloat32(binary.LittleEndian.Uint16(payload[2*i:]))
-	}
+	getFloat16s(m.Data, buf[9:need])
 	return m, need, nil
 }
 

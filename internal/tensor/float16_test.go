@@ -26,6 +26,19 @@ func TestFloat16KnownValues(t *testing.T) {
 		{6.1035156e-5, 0x0400},          // smallest normal (2^-14)
 		{0.333251953125, 0x3555},        // 1/3 rounded to half
 		{float32(math.SmallestNonzeroFloat32), 0x0000}, // underflow to zero
+		// (2^-25, 2^-24): more than half the smallest subnormal, so ±0x0001.
+		{4.4703484e-8, 0x0001},                     // 1.5·2^-25
+		{-4.4703484e-8, 0x8001},                    // −1.5·2^-25
+		{math.Float32frombits(0x33000001), 0x0001}, // just above 2^-25
+		{math.Float32frombits(0x337fffff), 0x0001}, // just below 2^-24
+		{math.Float32frombits(0x33000000), 0x0000}, // 2^-25 exactly: a tie, to even
+		{math.Float32frombits(0xb3000000), 0x8000}, // −2^-25 exactly
+		{math.Float32frombits(0x32ffffff), 0x0000}, // just below 2^-25
+		// NaN: quieted, the payload's top 10 bits kept.
+		{math.Float32frombits(0x7fc00000), 0x7e00},
+		{math.Float32frombits(0xffc12345), 0xfe09},
+		{math.Float32frombits(0x7f800001), 0x7e00}, // signalling, payload below the kept bits
+		{math.Float32frombits(0x7fbfe000), 0x7fff}, // signalling, every kept bit set
 	}
 	for _, c := range cases {
 		if got := Float32ToFloat16Bits(c.f); got != c.bits {
@@ -53,6 +66,15 @@ func TestFloat16BitsToFloat32KnownValues(t *testing.T) {
 	if got := Float16BitsToFloat32(0x8000); got != 0 || math.Signbit(float64(got)) == false {
 		t.Fatalf("0x8000 must decode to -0, got %v", got)
 	}
+	// NaN: quieted, the payload shifted into the top mantissa bits.
+	for _, c := range []struct {
+		h    uint16
+		bits uint32
+	}{{0x7e00, 0x7fc00000}, {0x7c01, 0x7fc02000}, {0xfdff, 0xffffe000}, {0xfe09, 0xffc12000}} {
+		if got := math.Float32bits(Float16BitsToFloat32(c.h)); got != c.bits {
+			t.Errorf("%#04x -> %#08x, want %#08x", c.h, got, c.bits)
+		}
+	}
 }
 
 // Property: round-tripping any representable half through float32 is exact.
@@ -61,7 +83,11 @@ func TestFloat16ExactRoundTrip(t *testing.T) {
 		h := uint16(bits)
 		f := Float16BitsToFloat32(h)
 		if math.IsNaN(float64(f)) {
-			continue // NaN payloads are canonicalized
+			// A NaN keeps its sign and payload and comes back quiet.
+			if got := Float32ToFloat16Bits(f); got != h|0x0200 {
+				t.Fatalf("NaN half %#04x -> %#08x -> %#04x, want %#04x", h, math.Float32bits(f), got, h|0x0200)
+			}
+			continue
 		}
 		if got := Float32ToFloat16Bits(f); got != h {
 			// -0 and +0 both encode fine; anything else is a bug.
@@ -131,4 +157,61 @@ func TestFloat16RoundToNearestEven(t *testing.T) {
 	if got := Float32ToFloat16Bits(x); got != 0x3c02 {
 		t.Fatalf("tie not rounded to even: %#04x", got)
 	}
+	// Below the smallest subnormal 2^-24: 2^-25 is the tie between 0 and
+	// 0x0001 and goes to 0; anything above it rounds up to 0x0001, and
+	// 3·2^-25 ties between 0x0001 and 0x0002 and goes to 0x0002.
+	for _, c := range []struct {
+		x    float32
+		bits uint16
+	}{
+		{float32(math.Pow(2, -25)), 0x0000},
+		{float32(math.Pow(2, -25)) * 1.25, 0x0001},
+		{-float32(math.Pow(2, -25)) * 1.75, 0x8001},
+		{3 * float32(math.Pow(2, -25)), 0x0002},
+		{5 * float32(math.Pow(2, -25)), 0x0002},
+	} {
+		if got := Float32ToFloat16Bits(c.x); got != c.bits {
+			t.Errorf("Float32ToFloat16Bits(%g) = %#04x, want %#04x", c.x, got, c.bits)
+		}
+	}
+}
+
+// The FP16 codec and rounding at the serving path's shapes (8×64 is the
+// burst_batched operand, 256² the large one), in GB/s of float32 data like
+// the benchmark ladder's tensor.codec.fp16_* rungs.
+var fp16BenchShapes = []struct {
+	name       string
+	rows, cols int
+}{{"8x64", 8, 64}, {"64x64", 64, 64}, {"256x256", 256, 256}}
+
+func benchmarkFP16(b *testing.B, op func(m *Matrix, wire []byte)) {
+	for _, s := range fp16BenchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			m := randomMatrix(rand.New(rand.NewSource(30)), s.rows, s.cols)
+			wire := EncodeMatrixFP16(nil, m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(m, wire)
+			}
+			b.ReportMetric(float64(4*len(m.Data))*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GB/s")
+		})
+	}
+}
+
+func BenchmarkFP16Encode(b *testing.B) {
+	benchmarkFP16(b, func(m *Matrix, wire []byte) { EncodeMatrixFP16(wire[:0], m) })
+}
+
+func BenchmarkFP16Decode(b *testing.B) {
+	benchmarkFP16(b, func(m *Matrix, wire []byte) {
+		if _, err := DecodeMatrixFP16Into(m, wire); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkFP16Round rounds in place, as a sender electing FP16 does; from
+// the second iteration on the values are already halves.
+func BenchmarkFP16Round(b *testing.B) {
+	benchmarkFP16(b, func(m *Matrix, _ []byte) { RoundMatrixFloat16InPlace(m) })
 }

@@ -8,8 +8,8 @@ import (
 
 func init() {
 	withPortableStrip = func(fn func()) {
-		defer func(prev bool) { useFMA = prev }(useFMA)
-		useFMA = false
+		defer func(prev bool) { useV3 = prev }(useV3)
+		useV3 = false
 		fn()
 	}
 }
@@ -21,8 +21,8 @@ func init() {
 // boundary of the FMA strip: 12-column blocks, 4-column blocks, the
 // portable tail.
 func TestStripFMAMatchesPortable(t *testing.T) {
-	if !useFMA {
-		t.Skip("no AVX2+FMA on this host")
+	if !useV3 {
+		t.Skip("no AVX2+FMA+F16C on this host")
 	}
 	r := rand.New(rand.NewSource(41))
 	// wide draws N(0,1)·10^[-35, 35]: products and sums over float32's

@@ -14,7 +14,8 @@
 #   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights, derived halves
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop and the health link are plain connections; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec; no per-frame make([]byte in the mux or the supervised link
+#   fp16-sweep   the F16C binary16 kernels == the portable conversion on all 2^32 float32 patterns (~40 s)
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop and the health link are plain connections; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec; one FP16 slice path, picked by one CPUID decision; no per-frame make([]byte in the mux or the supervised link
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -164,6 +165,13 @@ flags)
   done
   exit "$fail"
   ;;
+fp16-sweep)
+  # The FP16 codec's hardware path must give the portable conversion's bits
+  # on every input, NaN payloads included; go test checks the binades where
+  # a conversion goes wrong plus a 1-in-251 stride, this leg every pattern.
+  # It skips (and says so) on a host without F16C.
+  FP16_FULL_SWEEP=1 go test -count=1 -timeout 15m -run 'TestFloat16Kernel' -v ./internal/tensor/
+  ;;
 layering)
   # internal/mpc is the serving plane and nothing else: the three fleet
   # binaries link neither the paper-figure simulator nor what it stands on,
@@ -180,7 +188,8 @@ layering)
   # the FMA one: the multiply-then-add strip it replaced bit for bit is not
   # kept beside it. The mux and the supervised link take every frame buffer
   # from the frame pool, so per-frame allocation cannot come back by
-  # refactor.
+  # refactor. An FP16 payload converts through the slice helpers alone, and
+  # one CPUID decision (useV3, once at init) picks their path.
   fail=0
   sim="$(go list -deps ./cmd/psml-server ./cmd/psml-router ./cmd/psml-dealer |
     grep -E '^parsecureml/internal/(simtime|gpu|mpcsim|secureml|bench|profile)$' || true)"
@@ -266,10 +275,29 @@ layering)
   if [ "$loads" -ne 2 ] || [ "$stores" -ne 2 ]; then
     fail=1
   fi
+  scalar='Float32ToFloat16Bits\|Float16BitsToFloat32\|RoundFloat16('
+  perElem="$(grep -n "$scalar" internal/tensor/codec.go || true)
+$(awk '/^func RoundMatrixFloat16/,/^}/' internal/tensor/float16.go | grep "$scalar" || true)"
+  if [ -n "${perElem//[[:space:]]/}" ]; then
+    echo "  an FP16 matrix converted per element instead of through putFloat16s/getFloat16s/roundFloat16s:" >&2
+    echo "$perElem" >&2
+    fail=1
+  fi
+  nonTest="$(ls internal/tensor/*.go | grep -v _test.go)"
+  decided="$(grep -n 'useV3 =' $nonTest || true)"
+  probes="$(grep -n 'cpuid(' $nonTest | grep -v '^internal/tensor/cpu_amd64.go:' || true)"
+  knobs="$(grep -n 'os\.Getenv\|"flag"\|//go:build' $(ls internal/tensor/float16*.go internal/tensor/cpu_amd64.go | grep -v _test.go) |
+    grep -v '^internal/tensor/float16_other.go:1://go:build !amd64$' || true)"
+  echo "internal/tensor: useV3 decided at $(grep -c . <<<"$decided") site(s) (want 1: its declaration)"
+  if [ "$(grep -c . <<<"$decided")" -ne 1 ] || [ -n "$probes$knobs" ]; then
+    echo "  the FP16/GEMM kernel tier must be the one CPUID decision in cpu_amd64.go:" >&2
+    printf '%s\n' "$decided" "$probes" "$knobs" >&2
+    fail=1
+  fi
   exit "$fail"
   ;;
 *)
-  echo "usage: $0 {concurrent|engine|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|flags|layering}" >&2
+  echo "usage: $0 {concurrent|engine|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|flags|fp16-sweep|layering}" >&2
   exit 2
   ;;
 esac
