@@ -532,10 +532,15 @@ func (m *Mux) writeLoop() {
 	vf, hasVec := m.c.(VecFramer)
 	var snap []*MuxSession
 	var closeHdr [MuxHeaderBytes]byte
+	// parts is the vectored write's argument list, made once: a list built at
+	// the call escapes through the interface, an allocation per frame.
+	parts := make([][]byte, 2)
 	write := func(w muxWrite) bool {
 		var err error
 		if hasVec {
-			err = vf.WriteFrameVec(w.hdr, w.payload)
+			parts[0], parts[1] = w.hdr, w.payload
+			err = vf.WriteFrameVec(parts...)
+			clear(parts) // pin no caller's payload until the next frame
 		} else {
 			f := GetFrame(len(w.hdr) + len(w.payload))
 			copy(f[copy(f, w.hdr):], w.payload)

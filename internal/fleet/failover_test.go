@@ -124,7 +124,7 @@ func TestRouterMalformedRequestKeepsReplica(t *testing.T) {
 	const id = uint64(51)
 	garbage := append(mpc.EncodeRequest(id, mpc.Shares{A: tensor.New(1, 1), B: tensor.New(1, 1)})[:8], "not a shares payload"...)
 	g0, _, _ := groupedShares(p, 3, 5, 6, 4)
-	g0.T.Z = tensor.New(5, 4) // one member's Z under a three-member envelope
+	g0.T.Z = tensor.New(5, 4) // one member's Z under a three-member header
 	dealerFed := mpc.EncodeRequest(id, mpc.Shares{A: tensor.New(5, 6), B: tensor.New(6, 4)})
 	retriesBefore := routerRetries.Value()
 	for i, frame := range [][]byte{garbage, mpc.EncodeRequest(id, g0), dealerFed} {

@@ -167,20 +167,20 @@ func (r *Router) serveConn(client *comm.Conn, face int) {
 // let the key re-hash.
 //
 // Failures come back as a typed *mpc.RouteError instead of closing the
-// session. Requests carrying a deadline envelope are budget-checked
+// session. Requests carrying a budget in their header are budget-checked
 // before every dial: the moment the remaining budget cannot cover the
-// cost model's exchange floor for the request's shape, the request is
-// shed without touching a backend, and the budget each backend sees has
-// the router's own elapsed time already subtracted.
+// exchange floor the header prices (mpc.PeekFloor, the pair's own), the
+// request is shed without touching a backend, and the budget each backend
+// sees has the router's own elapsed time already subtracted. A frame whose
+// header this build cannot read is relayed byte for byte: refusing it is the
+// pair's to do.
 func (s *session) relay(frame, respBuf []byte) ([]byte, *mpc.RouteError) {
 	cfg := s.r.cfg
 	arrival := time.Now()
 	budget, hasBudget := mpc.PeekBudget(frame)
 	var floor time.Duration
 	if hasBudget {
-		if m, k, n, c, ok := mpc.PeekRequestShape(frame); ok {
-			floor = mpc.DeadlineEstimate(c*m, k, c*n) // what the frame stacks
-		}
+		floor = mpc.PeekFloor(frame)
 	}
 	redialed := false
 	var lastErr error

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -323,5 +325,68 @@ func TestServeFaceSurvivesTransientAcceptErrors(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("face shutdown: %v", err)
+	}
+}
+
+// TestRouterRelaysUnreadableHeader: a frame whose header version this build
+// cannot read — one from before the header, or of a later version — reaches
+// the backend byte for byte, unpriced and unshed (a later version's budget of
+// 0 is not read as expired), and the backend's reply comes back. Refusing
+// such a frame is the pair's to do.
+func TestRouterRelaysUnreadableHeader(t *testing.T) {
+	stub, err := comm.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stub.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		c, err := comm.Accept(stub)
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for {
+			f, err := c.ReadFrame()
+			if err != nil {
+				return
+			}
+			got <- f
+			if c.WriteFrame(append(f[:8:8], "reply"...)) != nil {
+				return
+			}
+		}
+	}()
+	reg := NewRegistry(0)
+	addr := stub.Addr().String()
+	if err := reg.Join(Replica{Name: "stub", Addr: [2]string{addr, addr}}); err != nil {
+		t.Fatal(err)
+	}
+	face := startRouter(t, reg)
+	c0, c1 := dialFaces(t, face)
+	defer c0.Close()
+	defer c1.Close()
+
+	headerless := tensor.EncodeMatrix(binary.LittleEndian.AppendUint64(nil, 31), tensor.New(4, 4))
+	later := mpc.EncodeRequestBudget(32, 0, mpc.Shares{A: tensor.New(4, 4), B: tensor.New(4, 4)})
+	later[8]++ // the version byte
+	shed := routerDeadlineShed.Value()
+	for _, frame := range [][]byte{headerless, later} {
+		if err := c0.WriteFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := c0.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(frame[:8:8], "reply"...); !bytes.Equal(reply, want) {
+			t.Fatalf("a %d-byte frame of version %d came back as %q, want the backend's %q", len(frame), frame[8], reply, want)
+		}
+		if relayed := <-got; !bytes.Equal(relayed, frame) {
+			t.Fatalf("the backend was relayed %x, want the client's %x byte for byte", relayed, frame)
+		}
+	}
+	if routerDeadlineShed.Value() != shed {
+		t.Fatal("the router shed a frame whose header it cannot read")
 	}
 }

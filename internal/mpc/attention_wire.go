@@ -125,7 +125,7 @@ func (t *WireTransformer) proj(s0, s1 comm.Framer, x, w, b *tensor.Matrix) (*ten
 // frame per party, riding out retryable refusals as RequestMulRetry does.
 // Each request is drawn in the derived form under the next pair of seeds —
 // two keyed fills, one per party's half, whatever c is — so identically
-// seeded runs issue bit-identical requests: party 0's frame is its envelopes,
+// seeded runs issue bit-identical requests: party 0's frame is its header,
 // party 1's carries A₁, B₁, Z₁, or A₁, Z₁ against a registered weight.
 //
 // A weight goes out in the five-matrix form under a fresh handle the first

@@ -21,7 +21,7 @@ import (
 //	    and nothing of the other party's: no matrix to party 0, A, [B], Z to
 //	    party 1, a seed each that is never used twice and never on the other
 //	    connection;
-//	(c) a hostile envelope is refused in-band before anything is sized by it,
+//	(c) a hostile header is refused in-band before anything is sized by it,
 //	    and a half sent to the wrong face is refused, not run;
 //	(d) a B the session keeps owns its memory.
 
@@ -37,9 +37,7 @@ func testSeeds(base uint64) func() [2]uint64 {
 func shippedInFull(t *testing.T, in0, in1 Shares) (Shares, Shares) {
 	t.Helper()
 	for party, in := range []*Shares{&in0, &in1} {
-		if err := in.expand(party); err != nil {
-			t.Fatal(err)
-		}
+		in.expand(party)
 		in.Derived = nil
 	}
 	return in0, in1
@@ -173,11 +171,12 @@ func TestDerivedSharesStayApart(t *testing.T) {
 			t.Fatalf("party %d was sent %d request frames for %d inferences, want 6 each", party, len(r.frames), inferences)
 		}
 		for i, frame := range r.frames {
-			payload, members, _, d := requestBody(frame)
-			if d == nil {
-				t.Fatalf("party %d frame %d carries no derived envelope", party, i)
+			h, err := readHeader(frame)
+			if err != nil || !h.row().derived {
+				t.Fatalf("party %d frame %d is not a derived request (form %d, %v)", party, i, h.form, err)
 			}
-			seeds[party] = append(seeds[party], d.Seed)
+			payload, members, d := frame[headerBytes:], h.members, DerivedHalf{Rows: h.rows, K: h.k, N: h.n, Kept: h.row().kept}
+			seeds[party] = append(seeds[party], h.seed)
 			// What a frame ships, by shape, in order.
 			var shipped [][2]int
 			for p := payload; len(p) > 0; {
@@ -197,8 +196,8 @@ func TestDerivedSharesStayApart(t *testing.T) {
 			if fmt.Sprint(shipped) != fmt.Sprint(wantShipped) {
 				t.Errorf("party %d frame %d ships tensors shaped %v, want %v: a derivable matrix is on the wire", party, i, shipped, wantShipped)
 			}
-			if party == 0 && len(frame) > 64 {
-				t.Errorf("party 0 frame %d is %d bytes, want at most 64", i, len(frame))
+			if party == 0 && len(frame) != headerBytes {
+				t.Errorf("party 0 frame %d is %d bytes, want the %d of its header", i, len(frame), headerBytes)
 			}
 		}
 	}
@@ -246,15 +245,17 @@ func hostileDerivedFrames(id uint64) map[string][]byte {
 		mutate(&in, &d)
 		return EncodeRequest(id, in)
 	}
-	// fields overwrites u32 fields of the derived envelope (0 is the magic, 1–3
-	// the dimensions, 4 the form) of party 0's lone five-matrix-form frame.
-	fields := func(v uint32, is ...int) []byte {
+	// fields overwrites the header's u32 fields at offs in party 0's lone
+	// five-matrix-form frame.
+	fields := func(v uint32, offs ...int) []byte {
 		f := EncodeRequest(id, half(0, 1, false))
-		for _, i := range is {
-			binary.LittleEndian.PutUint32(f[requestIDBytes+4*i:], v)
+		for _, off := range offs {
+			binary.LittleEndian.PutUint32(f[off:], v)
 		}
 		return f
 	}
+	unknownForm := EncodeRequest(id, half(0, 1, false))
+	unknownForm[offForm] = byte(len(forms))
 	seedOnly := EncodeRequest(id, half(0, 1, false))
 	return map[string][]byte{
 		"rows 0":                          with(half(0, 1, false), func(_ *Shares, d *DerivedHalf) { d.Rows = 0 }),
@@ -265,25 +266,25 @@ func hostileDerivedFrames(id uint64) map[string][]byte {
 		"rows·k over the bound":           with(half(0, 1, false), func(_ *Shares, d *DerivedHalf) { d.Rows, d.K = 1<<10+1, 1<<10 }),
 		"c·k·n over the bound":            with(half(0, 4, false), func(_ *Shares, d *DerivedHalf) { d.K, d.N = 1<<9+1, 1<<9 }),
 		"rows·n over the bound":           with(half(0, 1, false), func(_ *Shares, d *DerivedHalf) { d.Rows, d.N = 1<<10, 1<<10+1 }),
-		"every dimension 2^32-1":          fields(1<<32-1, 1, 2, 3),
+		"every dimension 2^32-1":          fields(1<<32-1, offRows, offK, offN),
 		"three-matrix form, no handle":    with(half(0, 1, true), func(s *Shares, _ *DerivedHalf) { s.Operand = 0 }),
-		"form 4":                          fields(4, 4),
-		"envelope cut short":              seedOnly[:len(seedOnly)-1],
+		"unknown form":                    unknownForm,
+		"header cut short":                seedOnly[:len(seedOnly)-1],
 		"trailing bytes":                  append(EncodeRequest(id, half(1, 1, false)), 0xFF),
 		"trailing bytes, no matrix":       append(EncodeRequest(id, half(0, 1, false)), 0xFF),
 		"one matrix":                      with(half(1, 1, false), func(s *Shares, _ *DerivedHalf) { s.B, s.T.Z = nil, nil }),
 		"five-matrix form ships A, Z":     with(half(1, 1, false), func(s *Shares, _ *DerivedHalf) { s.B = nil }),
 		"three-matrix form ships A, B, Z": with(half(1, 1, true), func(s *Shares, d *DerivedHalf) { s.B = tensor.New(d.K, d.N) }),
 		"all five matrices":               with(half(1, 1, false), func(s *Shares, d *DerivedHalf) { s.T.U, s.T.V = tensor.New(d.Rows, d.K), tensor.New(d.K, d.N) }),
-		"A disagrees with the envelope":   with(half(1, 1, false), func(s *Shares, _ *DerivedHalf) { s.A = tensor.New(2, 5) }),
-		"B disagrees with the envelope":   with(half(1, 3, false), func(s *Shares, d *DerivedHalf) { s.B = tensor.New(d.K, d.N) }),
-		"Z disagrees with the envelope":   with(half(1, 1, false), func(s *Shares, _ *DerivedHalf) { s.T.Z = tensor.New(2, 5) }),
+		"A disagrees with the header":     with(half(1, 1, false), func(s *Shares, _ *DerivedHalf) { s.A = tensor.New(2, 5) }),
+		"B disagrees with the header":     with(half(1, 3, false), func(s *Shares, d *DerivedHalf) { s.B = tensor.New(d.K, d.N) }),
+		"Z disagrees with the header":     with(half(1, 1, false), func(s *Shares, _ *DerivedHalf) { s.T.Z = tensor.New(2, 5) }),
 	}
 }
 
 // TestDerivedRejectsHostileFrames is contract (c): every malformed derived
 // request is refused in-band on both parties — never a panic, never a reply,
-// nothing sized by what the envelope claims — and so is a well-formed half on
+// nothing sized by what the header claims — and so is a well-formed half on
 // the wrong face; the session that sent it still serves afterwards and a
 // sibling session never notices.
 func TestDerivedRejectsHostileFrames(t *testing.T) {
@@ -364,15 +365,13 @@ func TestDerivedKeptOperandOwnsMemory(t *testing.T) {
 	a, b := p.NewUniform(6, 5, -1, 1), p.NewUniform(15, 4, -1, 1)
 	in0, _, _ := dealDerived(testSeeds(2504)(), a, b, nil, 3)
 	in0.Operand = 9
-	_, in, err := DecodeRequest(EncodeRequest(1, in0))
+	_, in, err := decodeRequest(EncodeRequest(1, in0), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.expand(0); err != nil {
-		t.Fatal(err)
-	}
+	in.expand(0)
 	var ops operandTable
-	op, code := ops.resolve(&in)
+	op, code := ops.resolve(&in, false)
 	if code != 0 {
 		t.Fatalf("registering request refused: %s", code)
 	}

@@ -10,415 +10,291 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// Request envelopes: optional fixed-size extensions riding between the
-// 8-byte request id and the shares payload, so request metadata crosses
-// every hop (client → router → replica) inside the one frame the hops
-// already relay. Each is distinguished from legacy frames by a 4-byte
-// magic — legacy payloads start with a tensor codec tag ('D'/'H'/'S'),
-// which no magic's leading byte collides with, so old clients and new
-// servers interoperate in both directions.
+// The request header: one fixed-size record right after the request id, so
+// a request's metadata crosses every hop (client → router → replica) at fixed
+// offsets inside the one frame the hops already relay (DESIGN.md "Request
+// header and form table").
 //
-//	request: [id u64] ["PSDL" budget-micros u32] ["PSGR" members u32] ["PSOP" handle u32]
-//	         ["PSDV" rows u32, k u32, n u32, form u32, seed u64] [shares...]
-//	error:   [id u64] "PSER" [code u32] [retry-after-micros u32]
+//	[id u64][ver u8 = 1][form u8][flags u8][pad u8][budget-µs u32]
+//	[members u32][operand u32][rows u32][k u32][n u32][seed u64] [matrices...]
 //
-// All four request envelopes are optional and ride in that order. The
-// budget is RELATIVE (time remaining), not an absolute deadline: hops
-// subtract their own elapsed time before forwarding, so the scheme needs no
-// clock synchronization between client, router, and replicas. The group
-// envelope makes the matrices behind it row-stacks of that many products
-// (Shares.Members). The operand envelope names a registered operand of the
-// client session (Shares.Operand): ahead of five matrices it stores B under
-// the handle, ahead of three (A, U, Z) it stands in for B, V and F.
-//
-// The derived envelope (Shares.Derived) stands for the matrices of its
-// request half that are pure generator output: the stacked geometry (A is
-// rows×k, Z rows×n), the form the half expands to — five matrices, or the
-// three against a registered operand — and the seed this party expands them
-// from (DeriveHalf). Behind it party 0's frame carries no matrix and party
-// 1's A, [B], Z. It rides last because it is the payload's own header: the
-// three before it say how to treat a request, this one what the request is.
-// The seed is per request and per party — SHA-256 of a base only the client
-// holds — and not a key the session keeps: a party holding one learns
-// nothing of the other party's or of the next request's, a retried frame
-// expands to the same half wherever it lands, and a session has no key table
-// to lose when a router re-dials behind the client (the registered operands'
-// RouteUnknownOperand is the cost of the other choice).
-
+// 44 bytes with the id; any other version is refused. Flag bit 0 says a
+// budget rides: the time remaining, relative, which each hop decrements by
+// its own elapsed time, so no two hops need synchronized clocks; 0 is
+// "already expired", not "none". members counts the row-stacked products
+// (Shares.Members, 1 for a lone one), operand names a registered operand
+// (Shares.Operand), rows, k, n are the stacked geometry — A is rows×k, B
+// members·k × n, Z rows×n — and seed is what a derived half expands from
+// (Shares.Derived). The form byte names the row of forms that says the rest.
 const (
-	deadlineMagic  = 0x5053444C // "PSDL"
-	groupMagic     = 0x50534752 // "PSGR"
-	operandMagic   = 0x50534F50 // "PSOP"
-	derivedMagic   = 0x50534456 // "PSDV"
-	routeErrMagic  = 0x50534552 // "PSER"
-	envelopeBytes  = 8          // magic + one u32: the deadline, group and operand envelopes
-	derivedBytes   = 28         // magic + four u32 + one u64
-	routeErrFrameB = requestIDBytes + envelopeBytes + 4
+	headerVersion = 1
+	headerBytes   = 44
+	flagBudget    = 1 << 0
+	// The fields' offsets from the frame's start.
+	offVersion, offForm, offFlags, offBudget    = 8, 9, 10, 12
+	offMembers, offOperand, offRows, offK, offN = 16, 20, 24, 28, 32
+	offSeed                                     = 36
 )
 
-// MaxGroupMembers caps a group envelope's member count: far above any
-// layer's independent products (an attention block has one per head), and
-// a bound on what a hostile count can make a server size.
+// formRow is one form of request. ships is, per face, the wireMatrices slots
+// that face's frame carries, each at the shape the header gives its slot.
+// kept: the request runs against a registered operand — it needs a handle,
+// ships no B or V and moves no F, which is what its exchange floor prices.
+// feed: the triplet comes from the pair's feed — no handle and no group.
+// derived: the rest of the half expands from the seed (Shares.expand).
+type formRow struct {
+	ships               [2]uint8
+	kept, feed, derived bool
+}
+
+// The bits of formRow.ships, one per wireMatrices slot.
+const shipA, shipB, shipU, shipV, shipZ = 1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4
+
+// The forms, as the header's form byte spells them.
+const (
+	formClassic  = 1 + iota // A, B, U, V, Z
+	formFed                 // A, B; the triplet from the pair's feed
+	formKept                // A, U, Z against a registered operand
+	formDerived5            // the classic form expanded from a seed: face 1 ships A, B, Z
+	formDerived3            // the kept form expanded from a seed: face 1 ships A, Z
+)
+
+var forms = [...]formRow{
+	formClassic:  {ships: [2]uint8{shipA | shipB | shipU | shipV | shipZ, shipA | shipB | shipU | shipV | shipZ}},
+	formFed:      {ships: [2]uint8{shipA | shipB, shipA | shipB}, feed: true},
+	formKept:     {ships: [2]uint8{shipA | shipU | shipZ, shipA | shipU | shipZ}, kept: true},
+	formDerived5: {ships: [2]uint8{0, shipA | shipB | shipZ}, derived: true},
+	formDerived3: {ships: [2]uint8{0, shipA | shipZ}, kept: true, derived: true},
+}
+
+// MaxGroupMembers caps a header's member count: far above any layer's
+// independent products, and a bound on what a hostile count makes a server size.
 const MaxGroupMembers = 256
 
-// RouteErrorCode classifies a typed protocol error frame.
-type RouteErrorCode uint32
+// maxDim bounds every dimension a header gives, so no size computed from one
+// overflows; a dense matrix that long and not empty would not fit in a frame.
+const maxDim = 1 << 24
 
-const (
-	// RouteNoReplicas: the router's registry is empty (or fully draining);
-	// retryable once capacity joins.
-	RouteNoReplicas RouteErrorCode = 1
-	// RouteRetriesExhausted: every relay attempt in the router's ladder
-	// failed; retryable — the next attempt re-picks on a refreshed ring.
-	RouteRetriesExhausted RouteErrorCode = 2
-	// RouteDeadlineExceeded: the request's remaining budget cannot cover
-	// the cost-model estimate for its shape; not retryable within the
-	// same budget.
-	RouteDeadlineExceeded RouteErrorCode = 3
-	// RouteDraining: the replica is draining and accepts no new work;
-	// retryable against a re-picked replica.
-	RouteDraining RouteErrorCode = 4
-	// RouteDuplicateID: the request's id is already in flight, or was
-	// already served, on this pair — ids must be unique for the pair's
-	// lifetime. The client's error; not retryable under the same id.
-	RouteDuplicateID RouteErrorCode = 5
-	// RouteBadRequest: the request frame does not decode — a malformed
-	// payload or envelope, or geometry the multiplication cannot run. The
-	// client's error, and the same bytes fail anywhere: not retryable.
-	RouteBadRequest RouteErrorCode = 6
-	// RouteUnknownOperand: a three-matrix request names an operand handle
-	// this party's session does not hold — the connection is younger than
-	// the registration (a router re-dial or re-route, a restarted pair). The
-	// same bytes fail anywhere: not retryable; the client registers again.
-	RouteUnknownOperand RouteErrorCode = 7
-)
+// maxDerivedElems bounds each matrix a derived half makes a party expand — a
+// 44-byte frame sizes five — as tight as a session's kept operands
+// (maxOperandElems). Larger requests ship their matrices.
+const maxDerivedElems = 1 << 20
 
-func (c RouteErrorCode) String() string {
-	switch c {
-	case RouteNoReplicas:
-		return "no_replicas"
-	case RouteRetriesExhausted:
-		return "retries_exhausted"
-	case RouteDeadlineExceeded:
-		return "deadline_exceeded"
-	case RouteDraining:
-		return "draining"
-	case RouteDuplicateID:
-		return "duplicate_id"
-	case RouteBadRequest:
-		return "bad_request"
-	case RouteUnknownOperand:
-		return "unknown_operand"
+// ErrRequestHeader marks a request refused on its header, before anything was
+// sized by it: cut short, of another version or form, saying what its form
+// does not allow, or followed by matrices other than the ones it names.
+var ErrRequestHeader = errors.New("mpc: request header")
+
+// requestHeader is a request frame's header, read.
+type requestHeader struct {
+	id, seed            uint64
+	form                byte
+	budgeted            bool
+	budget              time.Duration
+	operand             uint32
+	members, rows, k, n int
+}
+
+// row is h's form; the zero row until a header has been read.
+func (h requestHeader) row() formRow { return forms[h.form] }
+
+// shape is each member's (m, k, n) as the exchange moves it — n = 0 when no F
+// moves — and the member count.
+func (h requestHeader) shape() (m, k, n, members int) {
+	if n = h.n; h.row().kept {
+		n = 0
 	}
-	return fmt.Sprintf("code_%d", uint32(c))
+	return h.rows / h.members, h.k, n, h.members
 }
 
-// RouteError is the decoded form of a typed error frame: a failure the
-// serving fleet reports to the client in-band instead of closing the
-// connection. Retryable errors carry a hint for when to try again.
-type RouteError struct {
-	Code       RouteErrorCode
-	RetryAfter time.Duration
+// floor is the exchange floor h's budget must cover: DeadlineEstimate of what
+// the request stacks, members·(m·k + k·n) elements each way. The router and
+// the pair both price a request here.
+func (h requestHeader) floor() time.Duration {
+	m, k, n, c := h.shape()
+	return DeadlineEstimate(c*m, k, c*n)
 }
 
-func (e *RouteError) Error() string {
-	if e.RetryAfter > 0 {
-		return fmt.Sprintf("mpc: route error %s (retry after %v)", e.Code, e.RetryAfter)
-	}
-	return fmt.Sprintf("mpc: route error %s", e.Code)
-}
-
-// Is matches any RouteError of the same code, so errors.Is finds a refusal
-// by kind on whichever leg of a request it came back.
-func (e *RouteError) Is(target error) bool {
-	t, ok := target.(*RouteError)
-	return ok && t.Code == e.Code
-}
-
-// Retryable reports whether the same request may succeed if re-sent —
-// the fleet-side condition was transient (capacity, placement), not a
-// property of the request itself.
-func (e *RouteError) Retryable() bool {
-	switch e.Code {
-	case RouteNoReplicas, RouteRetriesExhausted, RouteDraining:
-		return true
-	}
-	return false
-}
-
-// budgetMicros clamps a duration into the envelope's u32 microsecond
-// field: sub-microsecond remainders round to zero (already expired for
-// scheduling purposes) and anything over ~71 minutes saturates.
+// budgetMicros clamps a duration into a u32 microsecond field: sub-microsecond
+// remainders round to zero (already expired for scheduling purposes) and
+// anything over ~71 minutes saturates.
 func budgetMicros(d time.Duration) uint32 {
-	if d <= 0 {
-		return 0
-	}
-	us := d / time.Microsecond
-	if us > 1<<32-1 {
-		return 1<<32 - 1
-	}
-	return uint32(us)
+	return uint32(min(max(d, 0)/time.Microsecond, 1<<32-1))
 }
 
-// EncodeRequest serializes one multiplication request: the request id,
-// a group envelope when in is a group, an operand envelope when in names
-// one, and the shares payload.
-func EncodeRequest(id uint64, in Shares) []byte { return encodeRequest(id, false, 0, in) }
+// EncodeRequest serializes one multiplication request: the id, the header —
+// the form that in's nil matrices and Derived name, its geometry, group and
+// operand — and the matrices in holds, in wireMatrices order.
+func EncodeRequest(id uint64, in Shares) []byte { return encodeRequest(id, 0, 0, in) }
 
-// EncodeRequestBudget is EncodeRequest with a deadline envelope: the
-// request carries its remaining time budget, which each hop decrements
-// and checks against the cost model before doing work.
+// EncodeRequestBudget is EncodeRequest with a budget in the header: the
+// request's remaining time, which each hop decrements and checks against the
+// cost model before doing work.
 func EncodeRequestBudget(id uint64, budget time.Duration, in Shares) []byte {
-	return encodeRequest(id, true, budget, in)
+	return encodeRequest(id, flagBudget, budget, in)
 }
 
-func encodeRequest(id uint64, deadline bool, budget time.Duration, in Shares) []byte {
-	size := requestIDBytes + 3*envelopeBytes + sharesSize(in)
-	if in.Derived != nil {
-		size += derivedBytes
-	}
-	frame := make([]byte, 0, size)
-	frame = binary.LittleEndian.AppendUint64(frame, id)
-	if deadline {
-		frame = binary.LittleEndian.AppendUint32(frame, deadlineMagic)
-		frame = binary.LittleEndian.AppendUint32(frame, budgetMicros(budget))
-	}
-	if in.Members > 1 {
-		frame = binary.LittleEndian.AppendUint32(frame, groupMagic)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(in.Members))
-	}
-	if in.Operand != 0 {
-		frame = binary.LittleEndian.AppendUint32(frame, operandMagic)
-		frame = binary.LittleEndian.AppendUint32(frame, in.Operand)
-	}
-	if d := in.Derived; d != nil {
-		form := uint32(derivedFive)
+func encodeRequest(id uint64, flags byte, budget time.Duration, in Shares) []byte {
+	form, rows, k, n, seed := byte(formClassic), 0, 0, 0, uint64(0)
+	switch d := in.Derived; {
+	case d != nil:
+		form, rows, k, n, seed = formDerived5, d.Rows, d.K, d.N, d.Seed
 		if d.Kept {
-			form = derivedThree
+			form = formDerived3
 		}
-		for _, v := range [5]uint32{derivedMagic, uint32(d.Rows), uint32(d.K), uint32(d.N), form} {
-			frame = binary.LittleEndian.AppendUint32(frame, v)
-		}
-		frame = binary.LittleEndian.AppendUint64(frame, d.Seed)
+	case in.T.U == nil:
+		form, rows, k, n = formFed, in.A.Rows, in.A.Cols, in.B.Cols
+	case in.B == nil:
+		form, rows, k, n = formKept, in.A.Rows, in.A.Cols, in.T.Z.Cols
+	default:
+		rows, k, n = in.A.Rows, in.A.Cols, in.B.Cols
 	}
-	return appendShares(frame, in)
+	le := binary.LittleEndian
+	frame := le.AppendUint64(make([]byte, 0, headerBytes+sharesSize(in)), id)
+	frame = append(frame, headerVersion, form, flags, 0)
+	for _, v := range [...]uint32{budgetMicros(budget), uint32(in.members()), in.Operand, uint32(rows), uint32(k), uint32(n)} {
+		frame = le.AppendUint32(frame, v)
+	}
+	return appendShares(le.AppendUint64(frame, seed), in)
 }
 
-// PeekBudget reads a request frame's deadline envelope without decoding
-// the payload. ok is false on legacy frames (no envelope).
+// PeekBudget reads a request frame's budget. ok is false when no budget
+// rides, or the header is not one this build reads.
 func PeekBudget(frame []byte) (budget time.Duration, ok bool) {
-	if len(frame) < requestIDBytes || !hasEnvelope(frame[requestIDBytes:], deadlineMagic) {
+	if len(frame) < headerBytes || frame[offVersion] != headerVersion || frame[offFlags]&flagBudget == 0 {
 		return 0, false
 	}
-	us := binary.LittleEndian.Uint32(frame[requestIDBytes+4:])
-	return time.Duration(us) * time.Microsecond, true
+	return time.Duration(binary.LittleEndian.Uint32(frame[offBudget:])) * time.Microsecond, true
 }
 
-// SetBudget rewrites the deadline envelope's budget in place — the relay
-// hop's "subtract my elapsed time" step, touching none of the payload.
-// Reports false if the frame carries no envelope.
+// SetBudget rewrites a request frame's budget in place — a relay's "subtract
+// my elapsed time" step — and reports false if PeekBudget reads none.
 func SetBudget(frame []byte, budget time.Duration) bool {
-	if len(frame) < requestIDBytes || !hasEnvelope(frame[requestIDBytes:], deadlineMagic) {
+	if _, ok := PeekBudget(frame); !ok {
 		return false
 	}
-	binary.LittleEndian.PutUint32(frame[requestIDBytes+4:], budgetMicros(budget))
+	binary.LittleEndian.PutUint32(frame[offBudget:], budgetMicros(budget))
 	return true
 }
 
-// hasEnvelope reports whether p starts with an envelope of the given magic.
-func hasEnvelope(p []byte, magic uint32) bool {
-	return len(p) >= envelopeBytes && binary.LittleEndian.Uint32(p) == magic
+// PeekRequestShape reads a request's geometry off its header: each member's
+// (m, k, n) as the exchange moves it — n = 0 against a kept operand (the kept
+// and derived-3 forms), where no F moves — and the member count. ok is false
+// when the pair would refuse the header.
+func PeekRequestShape(frame []byte) (m, k, n, members int, ok bool) {
+	h, err := readHeader(frame)
+	if err != nil {
+		return 0, 0, 0, 0, false
+	}
+	m, k, n, members = h.shape()
+	return m, k, n, members, true
 }
 
-// requestBody returns what follows a request frame's id and envelopes: the
-// shares payload, the member count a group envelope declares for it (1
-// without one; not yet range-checked), the handle of an operand envelope
-// (0 without one) and what a derived envelope says (nil without one; not yet
-// checked). Frames too short to carry an id yield an empty payload rather
-// than a panic.
-func requestBody(frame []byte) (payload []byte, members int, operand uint32, derived *DerivedHalf) {
-	if len(frame) < requestIDBytes {
-		return nil, 1, 0, nil
-	}
-	p, members := frame[requestIDBytes:], 1
-	if hasEnvelope(p, deadlineMagic) {
-		p = p[envelopeBytes:]
-	}
-	if hasEnvelope(p, groupMagic) {
-		p, members = p[envelopeBytes:], int(binary.LittleEndian.Uint32(p[4:]))
-	}
-	if hasEnvelope(p, operandMagic) {
-		p, operand = p[envelopeBytes:], binary.LittleEndian.Uint32(p[4:])
-	}
-	// A derived envelope cut short, or of a form this build does not know, is
-	// not an envelope: its magic is left at the head of the payload, where no
-	// tensor tag matches it and the decode fails.
-	if form := derivedForm(p); form != 0 {
-		derived = &DerivedHalf{
-			Rows: int(binary.LittleEndian.Uint32(p[4:])),
-			K:    int(binary.LittleEndian.Uint32(p[8:])),
-			N:    int(binary.LittleEndian.Uint32(p[12:])),
-			Kept: form == derivedThree,
-			Seed: binary.LittleEndian.Uint64(p[20:]),
-		}
-		p = p[derivedBytes:]
-	}
-	return p, members, operand, derived
-}
-
-// The two forms a derived half expands to, as its envelope spells them: the
-// matrix count of the materialised request it stands for.
-const (
-	derivedFive  = 5
-	derivedThree = 3
-)
-
-// derivedForm is the form field of the derived envelope p starts with, 0 if
-// it starts with none.
-func derivedForm(p []byte) uint32 {
-	if len(p) < derivedBytes || binary.LittleEndian.Uint32(p) != derivedMagic {
+// PeekFloor is the exchange floor a request frame's budget must cover, read
+// off its header; 0 when the pair would refuse the header, which a relay then
+// sheds only once its budget has run out.
+func PeekFloor(frame []byte) time.Duration {
+	h, err := readHeader(frame)
+	if err != nil {
 		return 0
 	}
-	if form := binary.LittleEndian.Uint32(p[16:]); form == derivedFive || form == derivedThree {
-		return form
-	}
-	return 0
+	return h.floor()
 }
 
-// maxDerivedElems bounds each matrix a derived envelope may make a party
-// expand: a 44-byte frame sizes five of them, so the bound is a constant of
-// the protocol and as tight as a session's kept operands (maxOperandElems).
-// Larger requests ship their matrices.
-const maxDerivedElems = 1 << 20
-
-// check refuses a derived envelope that may not be expanded, before anything
-// is sized by it: members is the group envelope's count and operand the
-// operand envelope's handle. The products are taken in uint64 over
-// dimensions already under the bound, so nothing a u32 field can say
-// overflows them.
-func (d *DerivedHalf) check(members int, operand uint32) error {
-	switch {
-	case members < 1 || members > MaxGroupMembers:
-		return fmt.Errorf("mpc: derived request: group of %d members, want 1..%d", members, MaxGroupMembers)
-	case d.Rows <= 0 || d.K <= 0 || d.N <= 0 || d.Rows > maxDerivedElems || d.K > maxDerivedElems || d.N > maxDerivedElems:
-		return fmt.Errorf("mpc: derived request: geometry %dx%dx%d, want every dimension in 1..%d", d.Rows, d.K, d.N, maxDerivedElems)
-	case d.Rows%members != 0:
-		return fmt.Errorf("mpc: derived request: %d stacked rows do not divide into %d members", d.Rows, members)
-	case d.Kept && operand == 0:
-		return errors.New("mpc: derived request: the three-matrix form names no operand")
+// readHeader reads a request frame's header and checks its fields against
+// their bounds and against the row of its form. h.id is set whenever the
+// frame carries an id, error or not.
+func readHeader(frame []byte) (h requestHeader, err error) {
+	le := binary.LittleEndian
+	if len(frame) >= requestIDBytes {
+		h.id = le.Uint64(frame)
 	}
-	rows, k, n := uint64(d.Rows), uint64(d.K), uint64(d.N)
-	kn := uint64(members) * k * n
-	if d.Kept {
+	switch {
+	case len(frame) < headerBytes:
+		return h, fmt.Errorf("%w: a frame of %d bytes, want at least %d", ErrRequestHeader, len(frame), headerBytes)
+	case frame[offVersion] != headerVersion:
+		return h, fmt.Errorf("%w: version %d, want %d", ErrRequestHeader, frame[offVersion], headerVersion)
+	case frame[offForm] == 0 || int(frame[offForm]) >= len(forms):
+		return h, fmt.Errorf("%w: form %d", ErrRequestHeader, frame[offForm])
+	}
+	u32 := func(off int) int { return int(le.Uint32(frame[off:])) }
+	h.form, h.budgeted = frame[offForm], frame[offFlags]&flagBudget != 0
+	h.budget = time.Duration(u32(offBudget)) * time.Microsecond
+	h.operand, h.seed = le.Uint32(frame[offOperand:]), le.Uint64(frame[offSeed:])
+	h.members, h.rows, h.k, h.n = u32(offMembers), u32(offRows), u32(offK), u32(offN)
+	f := h.row()
+	switch {
+	case max(h.rows, h.k, h.n) > maxDim:
+		return h, fmt.Errorf("%w: geometry %dx%dx%d, a dimension over %d", ErrRequestHeader, h.rows, h.k, h.n, maxDim)
+	case h.members < 1 || h.members > MaxGroupMembers:
+		return h, fmt.Errorf("%w: a group of %d members, want 1..%d", ErrRequestHeader, h.members, MaxGroupMembers)
+	case h.rows%h.members != 0:
+		return h, fmt.Errorf("%w: %d stacked rows do not divide into %d members", ErrRequestHeader, h.rows, h.members)
+	case f.feed && (h.members > 1 || h.operand != 0):
+		return h, fmt.Errorf("%w: a dealer-fed request of %d members names operand %d (a group or an operand ships its triplets)", ErrRequestHeader, h.members, h.operand)
+	case f.kept && h.operand == 0:
+		return h, fmt.Errorf("%w: form %d runs against a kept operand and names none", ErrRequestHeader, h.form)
+	case !f.derived:
+		return h, nil
+	case h.rows == 0 || h.k == 0 || h.n == 0:
+		return h, fmt.Errorf("%w: derived geometry %dx%dx%d has no elements", ErrRequestHeader, h.rows, h.k, h.n)
+	}
+	// Dimensions under maxDim and at most 256 members: no product overflows.
+	rk, kn, rn := h.rows*h.k, h.members*h.k*h.n, h.rows*h.n
+	if f.kept {
 		kn = 0
 	}
-	if rows*k > maxDerivedElems || kn > maxDerivedElems || rows*n > maxDerivedElems {
-		return fmt.Errorf("mpc: derived request: %dx%dx%d ×%d expands a matrix of over %d elements (ship it instead)", d.Rows/members, d.K, d.N, members, maxDerivedElems)
+	if max(rk, kn, rn) > maxDerivedElems {
+		return h, fmt.Errorf("%w: derived %dx%dx%d ×%d expands a matrix of over %d elements (ship it instead)", ErrRequestHeader, h.rows/h.members, h.k, h.n, h.members, maxDerivedElems)
 	}
-	return nil
+	return h, nil
 }
 
-// PeekRequestShape reads a request's geometry off its frame from the
-// envelopes and matrix headers alone — each member's (m, k, n) and how
-// many members the frame stacks — with no payload decode, so a router can
-// run the cost model on frames it only relays. ok is false when the frame
-// is too short or not a dense/FP16 request. A group of c moves
-// c·(m·k + k·n) elements each way, so its exchange floor is
-// DeadlineEstimate(c·m, k, c·n).
-//
-// A derived request (Shares.Derived) says its geometry in its envelope, the
-// same on both faces whatever matrices follow, and is read from there. Its
-// three-matrix form reports n = 0: against a kept operand no F moves, so
-// the floor above comes to the E stack's, DeadlineEstimate(c·m, k, 0) — what
-// the pair prices it at.
-//
-// ok is false on the materialised three-matrix form (A, U, Z behind an
-// operand envelope): B's width lives in the serving session's table, which no
-// relay can see, so a router floors such a frame at 0 — sheds it only once the
-// budget has run out — and the pair prices what it moves, its E stack.
-func PeekRequestShape(frame []byte) (m, k, n, members int, ok bool) {
-	p, members, operand, derived := requestBody(frame)
-	if derived != nil {
-		if derived.check(members, operand) != nil {
-			return 0, 0, 0, 0, false
+// decodeRequest reads a request frame as face party reads it: the header, and
+// each matrix its form ships to this face held to it — a dense tensor of its
+// slot's shape, in wireMatrices order, nothing after the last — before
+// anything is allocated; then the matrices, drawn from pool (nil: allocated),
+// the caller's to give back as wireMatrices lists them. A derived half comes
+// back as shipped, for Shares.expand to complete. h.id is set as readHeader sets it.
+func decodeRequest(frame []byte, party int, pool *tensor.Pool) (h requestHeader, in Shares, err error) {
+	if h, err = readHeader(frame); err != nil {
+		return h, in, err
+	}
+	f := h.row()
+	var at [5]int // where each shipped matrix starts; 0: not shipped
+	off := headerBytes
+	for slot, s := range [5][2]int{{h.rows, h.k}, {h.members * h.k, h.n}, {h.rows, h.k}, {h.members * h.k, h.n}, {h.rows, h.n}} {
+		if f.ships[party]&(1<<slot) == 0 {
+			continue
 		}
-		if derived.Kept {
-			return derived.Rows / members, derived.K, 0, members, true
+		if rows, cols, err := tensor.PeekShape(frame[min(off, len(frame)):]); err != nil || frame[off] != 'D' || rows != s[0] || cols != s[1] {
+			return h, in, fmt.Errorf("%w: geometry: face %d of form %d is not shipped %c as a dense %dx%d", ErrRequestHeader, party, h.form, "ABUVZ"[slot], s[0], s[1])
 		}
-		return derived.Rows / members, derived.K, derived.N, members, true
+		at[slot], off = off, off+tensor.EncodedSizeDense(s[0], s[1])
 	}
-	rows, k, size, ok := peekMatrixHeader(p)
-	if !ok || members < 1 || members > MaxGroupMembers || rows%members != 0 || size > len(p) {
-		return 0, 0, 0, 0, false
+	if off != len(frame) {
+		return h, in, fmt.Errorf("%w: geometry: face %d of form %d is shipped %d bytes of matrices, want %d", ErrRequestHeader, party, h.form, len(frame)-headerBytes, off-headerBytes)
 	}
-	brows, n, bsize, ok := peekMatrixHeader(p[size:])
-	if !ok || brows != members*k || size+bsize > len(p) {
-		return 0, 0, 0, 0, false
-	}
-	if operand != 0 {
-		// With m = k a U stack passes for a B stack; the three-matrix form is
-		// the one whose third matrix ends the payload.
-		if _, _, zsize, ok := peekMatrixHeader(p[size+bsize:]); !ok || size+bsize+zsize >= len(p) {
-			return 0, 0, 0, 0, false
+	var mats [5]*tensor.Matrix
+	for slot, off := range at {
+		if off != 0 { // cannot fail: its header and its length were checked above
+			mats[slot], _, _ = tensor.DecodeMatrixPooled(pool, frame[off:])
 		}
 	}
-	return rows / members, k, n, members, true
+	in = Shares{A: mats[0], B: mats[1], T: TripletShares{U: mats[2], V: mats[3], Z: mats[4]}, Members: h.members, Operand: h.operand}
+	if f.derived {
+		in.Derived = &DerivedHalf{Seed: h.seed, Rows: h.rows, K: h.k, N: h.n, Kept: f.kept}
+	}
+	return h, in, nil
 }
 
-// peekMatrixHeader reads one encoded matrix's geometry and total wire
-// size without touching its element data.
-func peekMatrixHeader(p []byte) (rows, cols, size int, ok bool) {
-	rows, cols, err := tensor.PeekShape(p)
-	if err != nil || rows <= 0 || cols <= 0 {
-		return 0, 0, 0, false
-	}
-	switch p[0] {
-	case 'D':
-		size = tensor.EncodedSizeDense(rows, cols)
-	case 'H':
-		size = tensor.EncodedSizeFP16(rows, cols)
-	default:
-		return 0, 0, 0, false
-	}
-	return rows, cols, size, true
-}
-
-// DeadlineEstimate is the floor a request's remaining budget must cover
-// for shape (m, k, n): the paper platform's online-phase exchange model —
-// transfer time for the E/F volume plus the fixed per-exchange latency of
-// the two peer rounds. Deliberately optimistic (it prices only the
-// irreducible exchange, not compute or queueing): a budget below it
-// CANNOT be met, so shedding on it never drops a request that had a
-// chance, while expired work is refused before it occupies a replica.
+// DeadlineEstimate is the floor a request's remaining budget must cover for
+// shape (m, k, n): the paper platform's online exchange — the E/F transfer plus
+// the fixed latency of the two peer rounds. It prices only that, not compute or
+// queueing: a budget below it CANNOT be met, so shedding on it never drops a
+// request that had a chance.
 func DeadlineEstimate(m, k, n int) time.Duration {
 	p := hw.Paper()
 	secs := p.ExchangeTransferTime(m, k, n) + p.ExchangeFixedCost(2)
 	return time.Duration(secs * float64(time.Second))
-}
-
-// EncodeRouteError builds a typed error frame for request id: the
-// in-band alternative to closing the client connection, so one failed
-// placement does not kill a session with other requests in flight.
-func EncodeRouteError(id uint64, code RouteErrorCode, retryAfter time.Duration) []byte {
-	frame := make([]byte, 0, routeErrFrameB)
-	frame = binary.LittleEndian.AppendUint64(frame, id)
-	frame = binary.LittleEndian.AppendUint32(frame, routeErrMagic)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(code))
-	return binary.LittleEndian.AppendUint32(frame, budgetMicros(retryAfter))
-}
-
-// DecodeRouteError recognizes a typed error frame. ok is false for any
-// other frame (a result, a legacy payload); the id is only meaningful
-// when ok.
-func DecodeRouteError(frame []byte) (id uint64, e *RouteError, ok bool) {
-	if len(frame) != routeErrFrameB ||
-		binary.LittleEndian.Uint32(frame[requestIDBytes:]) != routeErrMagic {
-		return 0, nil, false
-	}
-	id = binary.LittleEndian.Uint64(frame)
-	us := binary.LittleEndian.Uint32(frame[requestIDBytes+8:])
-	return id, &RouteError{
-		Code:       RouteErrorCode(binary.LittleEndian.Uint32(frame[requestIDBytes+4:])),
-		RetryAfter: time.Duration(us) * time.Microsecond,
-	}, true
 }

@@ -1,11 +1,13 @@
 package mpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"parsecureml/internal/comm"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -21,10 +23,9 @@ func envelopeShares(seed uint64) Shares {
 	return Shares{A: a0, B: b0, T: t0}
 }
 
-// TestBudgetEnvelopeRoundTrip pins the deadline envelope's wire
-// contract: the budget survives encode → peek, the payload decodes
-// identically with and without the envelope, and legacy frames report
-// no budget.
+// TestBudgetEnvelopeRoundTrip pins the header's budget: it survives encode →
+// peek → decode, the matrices decode identically with and without it, a frame
+// that carries none reports none, and an expired budget is still a budget.
 func TestBudgetEnvelopeRoundTrip(t *testing.T) {
 	in := envelopeShares(31)
 	const id = uint64(0xfeedbeefcafe)
@@ -35,23 +36,23 @@ func TestBudgetEnvelopeRoundTrip(t *testing.T) {
 	if !ok || got != budget {
 		t.Fatalf("PeekBudget = %v ok=%v, want %v", got, ok, budget)
 	}
-	gotID, dec, err := DecodeRequest(frame)
+	h, dec, err := decodeRequest(frame, 0, nil)
 	if err != nil {
-		t.Fatalf("DecodeRequest on enveloped frame: %v", err)
+		t.Fatalf("decoding a budgeted frame: %v", err)
 	}
-	if gotID != id {
-		t.Fatalf("id %#x, want %#x", gotID, id)
+	if h.id != id || !h.budgeted || h.budget != budget {
+		t.Fatalf("header read id %#x, budget %v (%v), want %#x, %v", h.id, h.budget, h.budgeted, id, budget)
 	}
 	if !dec.A.ApproxEqual(in.A, 0) || !dec.B.ApproxEqual(in.B, 0) || !dec.T.Z.ApproxEqual(in.T.Z, 0) {
-		t.Fatal("enveloped payload did not survive the round trip bit-identically")
+		t.Fatal("budgeted payload did not survive the round trip bit-identically")
 	}
 
-	legacy := EncodeRequest(id, in)
-	if _, ok := PeekBudget(legacy); ok {
-		t.Fatal("legacy frame reported a deadline envelope")
+	none := EncodeRequest(id, in)
+	if _, ok := PeekBudget(none); ok {
+		t.Fatal("a frame without a budget reported one")
 	}
-	if _, dec, err := DecodeRequest(legacy); err != nil || !dec.A.ApproxEqual(in.A, 0) {
-		t.Fatalf("legacy frame broken by envelope support: %v", err)
+	if h, dec, err := decodeRequest(none, 0, nil); err != nil || h.budgeted || !dec.A.ApproxEqual(in.A, 0) {
+		t.Fatalf("a frame without a budget: budgeted %v, %v", h.budgeted, err)
 	}
 
 	// Sub-microsecond and negative budgets clamp to zero (expired).
@@ -64,22 +65,27 @@ func TestBudgetEnvelopeRoundTrip(t *testing.T) {
 }
 
 // TestSetBudget checks the relay hop's in-place rewrite: only the budget
-// field changes, the payload stays intact, and legacy frames refuse the
-// write.
+// field changes, the payload stays intact, and a frame without a budget — or
+// without a header this build reads — refuses the write.
 func TestSetBudget(t *testing.T) {
 	in := envelopeShares(32)
 	frame := EncodeRequestBudget(9, 800*time.Microsecond, in)
 	if !SetBudget(frame, 300*time.Microsecond) {
-		t.Fatal("SetBudget refused an enveloped frame")
+		t.Fatal("SetBudget refused a budgeted frame")
 	}
 	if got, ok := PeekBudget(frame); !ok || got != 300*time.Microsecond {
 		t.Fatalf("budget after rewrite = %v ok=%v, want 300µs", got, ok)
 	}
-	if _, dec, err := DecodeRequest(frame); err != nil || !dec.T.Z.ApproxEqual(in.T.Z, 0) {
+	if _, dec, err := decodeRequest(frame, 0, nil); err != nil || !dec.T.Z.ApproxEqual(in.T.Z, 0) {
 		t.Fatalf("payload damaged by in-place budget rewrite: %v", err)
 	}
 	if SetBudget(EncodeRequest(9, in), time.Millisecond) {
-		t.Fatal("SetBudget wrote to a legacy frame")
+		t.Fatal("SetBudget wrote to a frame without a budget")
+	}
+	other := EncodeRequestBudget(9, 800*time.Microsecond, in)
+	other[offVersion] = headerVersion + 1
+	if SetBudget(other, time.Millisecond) || binary.LittleEndian.Uint32(other[offBudget:]) != 800 {
+		t.Fatal("SetBudget wrote to a header of another version")
 	}
 }
 
@@ -96,8 +102,8 @@ func envelopeGroup(seed uint64) Shares {
 }
 
 // TestPeekRequestShape checks the router's header-only geometry read on
-// every frame form — lone and grouped, with and without a deadline
-// envelope — and that non-request frames are refused.
+// every form — lone and grouped, with and without a budget — and that a frame
+// whose header the pair would refuse, or that is no request, reads nothing.
 func TestPeekRequestShape(t *testing.T) {
 	in, grp := envelopeShares(33), envelopeGroup(34)
 	for _, tc := range []struct {
@@ -114,22 +120,19 @@ func TestPeekRequestShape(t *testing.T) {
 			t.Fatalf("PeekRequestShape = (%d,%d,%d)×%d ok=%v, want (5,6,4)×%d", m, k, n, c, ok, tc.members)
 		}
 	}
-	// The envelopes compose: budget peek and in-place rewrite see through
-	// to a grouped frame, whose payload still decodes as the group.
+	// The header's fields compose: budget peek and in-place rewrite leave a
+	// grouped frame that still decodes as the group.
 	frame := EncodeRequestBudget(5, time.Millisecond, grp)
 	if !SetBudget(frame, 300*time.Microsecond) {
-		t.Fatal("SetBudget refused a grouped enveloped frame")
+		t.Fatal("SetBudget refused a grouped budgeted frame")
 	}
 	if got, ok := PeekBudget(frame); !ok || got != 300*time.Microsecond {
 		t.Fatalf("grouped frame budget = %v ok=%v, want 300µs", got, ok)
 	}
-	if id, dec, err := DecodeRequest(frame); err != nil || id != 5 || dec.Members != 3 || !dec.T.Z.Equal(grp.T.Z) {
-		t.Fatalf("grouped enveloped frame decoded to id %d, %d members: %v", id, dec.Members, err)
+	if h, dec, err := decodeRequest(frame, 0, nil); err != nil || h.id != 5 || dec.Members != 3 || !dec.T.Z.Equal(grp.T.Z) {
+		t.Fatalf("grouped budgeted frame decoded to id %d, %d members: %v", h.id, dec.Members, err)
 	}
-	// The operand envelope composes with the other two. Registering frames
-	// read like any other; a three-matrix frame names B by handle only, so
-	// there is no shape to read — also when m = k makes its U stack pass for
-	// a B stack.
+	// Registering frames read like any other.
 	inOp, grpOp := in, grp
 	inOp.Operand, grpOp.Operand = 9, 9
 	for _, tc := range []struct {
@@ -143,24 +146,30 @@ func TestPeekRequestShape(t *testing.T) {
 		if !ok || m != 5 || k != 6 || n != 4 || c != tc.members {
 			t.Fatalf("PeekRequestShape on a registering frame = (%d,%d,%d)×%d ok=%v, want (5,6,4)×%d", m, k, n, c, ok, tc.members)
 		}
-		if id, dec, err := DecodeRequest(tc.frame); err != nil || id != 5 || dec.Operand != 9 || dec.Members != tc.members || dec.T.V == nil {
-			t.Fatalf("registering frame decoded to id %d, operand %d, %d members: %v", id, dec.Operand, dec.Members, err)
+		if h, dec, err := decodeRequest(tc.frame, 0, nil); err != nil || h.id != 5 || dec.Operand != 9 || dec.Members != tc.members || dec.T.V == nil {
+			t.Fatalf("registering frame decoded to id %d, operand %d, %d members: %v", h.id, dec.Operand, dec.Members, err)
 		}
 	}
+	// A kept-form frame says its geometry too, and reads as a request that
+	// moves no F — also when m = k makes its U stack the shape of a B stack.
 	square := Shares{A: tensor.New(6, 6), T: TripletShares{U: tensor.New(6, 6), Z: tensor.New(6, 4)}, Operand: 9}
-	threeForms := [][]byte{
-		EncodeRequest(5, threeForm(in, 9)),
-		EncodeRequestBudget(5, time.Millisecond, threeForm(grp, 9)),
-		EncodeRequest(5, square),
-	}
-	for i, frame := range threeForms {
-		if id, dec, err := DecodeRequest(frame); err != nil || id != 5 || dec.Operand != 9 || dec.B != nil || dec.T.V != nil || dec.T.U == nil {
-			t.Fatalf("three-matrix frame %d decoded to id %d, operand %d: %v", i, id, dec.Operand, err)
+	for i, tc := range []struct {
+		frame      []byte
+		m, members int
+	}{
+		{EncodeRequest(5, threeForm(in, 9)), 5, 1},
+		{EncodeRequestBudget(5, time.Millisecond, threeForm(grp, 9)), 5, 3},
+		{EncodeRequest(5, square), 6, 1},
+	} {
+		if m, k, n, c, ok := PeekRequestShape(tc.frame); !ok || m != tc.m || k != 6 || n != 0 || c != tc.members {
+			t.Fatalf("PeekRequestShape on kept-form frame %d = (%d,%d,%d)×%d ok=%v, want (%d,6,0)×%d", i, m, k, n, c, ok, tc.m, tc.members)
+		}
+		if h, dec, err := decodeRequest(tc.frame, 0, nil); err != nil || h.id != 5 || dec.Operand != 9 || dec.B != nil || dec.T.V != nil || dec.T.U == nil {
+			t.Fatalf("kept-form frame %d decoded to id %d, operand %d: %v", i, h.id, dec.Operand, err)
 		}
 	}
-	// A derived request says its geometry in its envelope: both parties' frames
-	// read alike whatever they ship, and the three-matrix form reads as a
-	// request that moves no F.
+	// A derived request's header says the same geometry on both faces whatever
+	// they ship, and its kept form reads as a request that moves no F.
 	pa, pb := rng.NewPool(36), rng.NewPool(36)
 	for _, c := range []int{1, 3} {
 		a, b := pa.NewUniform(5*c, 6, -1, 1), pb.NewUniform(6*c, 4, -1, 1)
@@ -179,19 +188,19 @@ func TestPeekRequestShape(t *testing.T) {
 		}
 	}
 	badCount := EncodeRequest(5, grp)
-	badCount[requestIDBytes+4] = 4 // 15 rows do not divide into 4 members
-	// An envelope the pair would refuse prices nothing (what follows it is the
+	binary.LittleEndian.PutUint32(badCount[offMembers:], 4) // 15 rows do not divide into 4 members
+	// A header the pair would refuse prices nothing (what follows it is the
 	// pair's to check, not a relay's).
 	var badDerived [][]byte
 	hostile := hostileDerivedFrames(5)
 	for _, name := range []string{"rows 0", "rows not a multiple of members", "members over the cap", "c·k·n over the bound",
-		"every dimension 2^32-1", "three-matrix form, no handle", "form 4", "envelope cut short"} {
+		"every dimension 2^32-1", "three-matrix form, no handle", "unknown form", "header cut short"} {
 		if hostile[name] == nil {
 			t.Fatalf("no hostile derived frame named %q", name)
 		}
 		badDerived = append(badDerived, hostile[name])
 	}
-	for _, bad := range append(append(threeForms, badDerived...),
+	for _, bad := range append(badDerived,
 		nil,
 		[]byte{1, 2, 3},
 		EncodeRequest(5, in)[:12],
@@ -200,6 +209,9 @@ func TestPeekRequestShape(t *testing.T) {
 	) {
 		if _, _, _, _, ok := PeekRequestShape(bad); ok {
 			t.Fatalf("PeekRequestShape accepted a non-request frame of %d bytes", len(bad))
+		}
+		if floor := PeekFloor(bad); floor != 0 {
+			t.Fatalf("PeekFloor priced a non-request frame of %d bytes at %v", len(bad), floor)
 		}
 	}
 	if est := DeadlineEstimate(5, 6, 4); est <= 0 || est > time.Millisecond {
@@ -237,7 +249,7 @@ func TestRouteErrorRoundTrip(t *testing.T) {
 		}
 	}
 	// Nothing else on the wire may decode as an error frame: requests,
-	// enveloped requests, and truncated/padded variants.
+	// budgeted requests, and truncated/padded variants.
 	in := envelopeShares(34)
 	errFrame := EncodeRouteError(1, RouteNoReplicas, 0)
 	for _, other := range [][]byte{
@@ -383,5 +395,89 @@ func TestRetryHint(t *testing.T) {
 	}
 	if _, ok := retryHint(fmt.Errorf("plain failure")); ok {
 		t.Fatal("plain error offered a retry")
+	}
+}
+
+// headerRefusal is a request frame refused on its header, and the faces it is
+// refused by: both, unless it is one face's derived half.
+type headerRefusal struct {
+	frame []byte
+	faces []int
+}
+
+// hostileHeaders are request frames (id already in place) whose header every
+// pair refuses, one per way a header can be wrong, each one mutation away from
+// a well-formed frame.
+func hostileHeaders(id uint64) map[string]headerRefusal {
+	both := []int{0, 1}
+	with := func(in Shares, off int, v uint32) []byte {
+		f := EncodeRequest(id, in)
+		binary.LittleEndian.PutUint32(f[off:], v)
+		return f
+	}
+	setByte := func(off int, v byte) []byte {
+		f := EncodeRequest(id, validGeomShares())
+		f[off] = v
+		return f
+	}
+	fed := validGroupShares()
+	fed.T = TripletShares{}
+	d0, d1, _ := dealDerived(requestSeeds(id, 1), tensor.New(2, 3), tensor.New(3, 4), nil, 1)
+	noHeader := appendShares(binary.LittleEndian.AppendUint64(nil, id), validGeomShares())
+	return map[string]headerRefusal{
+		"cut inside the header":     {EncodeRequest(id, validGeomShares())[:headerBytes-1], both},
+		"no header":                 {noHeader, both},
+		"version 2":                 {setByte(offVersion, headerVersion+1), both},
+		"form 0":                    {setByte(offForm, 0), both},
+		"form past the table":       {setByte(offForm, byte(len(forms))), both},
+		"members 0":                 {with(validGeomShares(), offMembers, 0), both},
+		"members over the cap":      {with(validGroupShares(), offMembers, MaxGroupMembers+1), both},
+		"rows not a multiple":       {with(validGroupShares(), offMembers, 4), both},
+		"dealer-fed group":          {EncodeRequest(id, fed), both},
+		"kept form, no operand":     {EncodeRequest(id, threeForm(validGeomShares(), 0)), both},
+		"derived, a dimension of 0": {with(d0, offK, 0), both},
+		"a dimension over maxDim":   {with(validGeomShares(), offN, maxDim+1), both},
+		"B is not the header's":     {with(validGeomShares(), offN, 5), both},
+		"face 1's half to face 0":   {EncodeRequest(id, d1), []int{0}},
+		"face 0's half to face 1":   {EncodeRequest(id, d0), []int{1}},
+	}
+}
+
+// TestRequestHeaderRefusals: every header a pair must refuse fails the decode
+// as ErrRequestHeader — on the face it is sent to, before anything is sized
+// by it — and is answered in-band with a non-retryable bad_request, after which
+// the session that sent it still serves.
+func TestRequestHeaderRefusals(t *testing.T) {
+	addr0, addr1, shutdown := startServePair(t, operandServeConfig(8))
+	defer shutdown()
+	c0, c1 := dialPair(t, addr0, addr1)
+	defer c0.Close()
+	defer c1.Close()
+	p := rng.NewPool(3101)
+	id := uint64(0x3101 << 16)
+	for name, r := range hostileHeaders(0) {
+		for _, face := range r.faces {
+			id++
+			binary.LittleEndian.PutUint64(r.frame, id)
+			if _, _, err := decodeRequest(r.frame, face, nil); !errors.Is(err, ErrRequestHeader) {
+				t.Errorf("%s, face %d: decoded to %v, want ErrRequestHeader", name, face, err)
+			}
+			leg := []*comm.Conn{c0, c1}[face]
+			if err := leg.WriteFrame(r.frame); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			reply, err := leg.ReadFrame()
+			if err != nil {
+				t.Fatalf("%s, face %d: the session was torn down: %v", name, face, err)
+			}
+			if gotID, re, ok := DecodeRouteError(reply); !ok || gotID != id || re.Code != RouteBadRequest || re.Retryable() {
+				t.Errorf("%s, face %d: answered %x, want a non-retryable %s for id %x", name, face, reply, RouteBadRequest, id)
+			}
+		}
+		job := makeBatchJobs(t, p, 1, 4, 5, 3)[0]
+		id++
+		if got, err := RequestMulID(id, c0, c1, job.in0, job.in1); err != nil || !got.Equal(job.want) {
+			t.Fatalf("after %q the session no longer serves: %v", name, err)
+		}
 	}
 }

@@ -190,17 +190,17 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 			Z: p.NewUniform(3, 2, -1, 1),
 		},
 	}
-	id, got, err := DecodeRequest(EncodeRequest(0xFEEDFACE, in))
+	h, got, err := decodeRequest(EncodeRequest(0xFEEDFACE, in), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 0xFEEDFACE {
-		t.Fatalf("id %x", id)
+	if h.id != 0xFEEDFACE {
+		t.Fatalf("id %x", h.id)
 	}
 	if !got.A.Equal(in.A) || !got.T.Z.Equal(in.T.Z) {
 		t.Fatal("request round trip corrupted shares")
 	}
-	if _, _, err := DecodeRequest([]byte{1, 2}); err == nil {
+	if _, _, err := decodeRequest([]byte{1, 2}, 0, nil); err == nil {
 		t.Fatal("short request must error")
 	}
 }

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func hostileGroupFrames(id uint64) map[string][]byte {
 	}
 	count := func(c uint32) []byte {
 		f := EncodeRequest(id, valid())
-		binary.LittleEndian.PutUint32(f[requestIDBytes+4:], c)
+		binary.LittleEndian.PutUint32(f[offMembers:], c)
 		return f
 	}
 	twoStack := valid()
@@ -122,7 +123,7 @@ func hostileGroupFrames(id uint64) map[string][]byte {
 // answers it with the typed bad_request frame while a sibling session
 // keeps multiplying.
 func TestGroupRejectsHostileFrames(t *testing.T) {
-	if _, in, err := DecodeRequest(EncodeRequest(1, validGroupShares())); err != nil || in.Members != 3 {
+	if _, in, err := decodeRequest(EncodeRequest(1, validGroupShares()), 0, nil); err != nil || in.Members != 3 {
 		t.Fatalf("valid group rejected: %d members, %v", in.Members, err)
 	}
 	addr0, addr1, shutdown := startServePair(t, ServeConfig{ClientTimeout: 10 * time.Second, PeerTimeout: 10 * time.Second})
@@ -143,8 +144,8 @@ func TestGroupRejectsHostileFrames(t *testing.T) {
 	for name, frame := range hostileGroupFrames(0) {
 		id++
 		binary.LittleEndian.PutUint64(frame, id)
-		if _, _, err := DecodeRequest(frame); err == nil {
-			t.Errorf("%s: decoded cleanly", name)
+		if _, _, err := decodeRequest(frame, 0, nil); !errors.Is(err, ErrRequestHeader) {
+			t.Errorf("%s: decoded to %v, want a refusal on the header", name, err)
 			continue
 		}
 		if err := hostile.WriteFrame(frame); err != nil {

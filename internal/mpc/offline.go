@@ -121,6 +121,23 @@ func DeriveHalf(d DerivedHalf, seq uint64, party, members int, masks bool) Share
 	return out
 }
 
+// expand completes a derived half (Shares.Derived) into the classic or kept
+// form it stands for, as party reads it: one DeriveHalf, laid over what was
+// shipped — which decodeRequest already held to the header. A B that the
+// session may keep (a registering request) is moved into an allocation of its
+// own: as a view it would pin the whole expansion, five times its size, for
+// the session's life.
+func (in *Shares) expand(party int) {
+	h := DeriveHalf(*in.Derived, 0, party, in.members(), true)
+	in.T.U, in.T.V = h.T.U, h.T.V
+	if party == 0 {
+		in.A, in.B, in.T.Z = h.A, h.B, h.T.Z
+		if in.Operand != 0 && in.B != nil {
+			in.B = in.B.Clone()
+		}
+	}
+}
+
 // requestSeeds are the two parties' seeds for the counter-th request a client
 // keys under base: SHA-256(base ‖ party ‖ counter)[:8], the dealer tier's
 // partyKey with a request counter. One-way, so a party holding its seed

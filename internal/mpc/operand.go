@@ -28,16 +28,17 @@ type operandTable struct {
 }
 
 // resolve settles what request in says about its operand, before anything is
-// opened on the peer link. The five-matrix form yields a fresh entry for the
-// exchange to fill and keep to store; the three-matrix form yields the kept
-// entry and completes in with its B. A non-zero code refuses the request: a
-// handle not held, or held already (write-once), a full table, bad geometry.
-func (t *operandTable) resolve(in *Shares) (*operand, RouteErrorCode) {
+// opened on the peer link. A request that ships B (not of a kept form) yields
+// a fresh entry for the exchange to fill and keep to store; a kept-form
+// request yields the kept entry and completes in with its B. A non-zero code
+// refuses the request: a handle not held, or held already (write-once), a
+// full table, bad geometry.
+func (t *operandTable) resolve(in *Shares, keptForm bool) (*operand, RouteErrorCode) {
 	kept, c := t.ops[in.Operand], in.members()
 	switch {
-	case in.B != nil && (kept != nil || len(t.ops) >= maxOperands || t.elems+in.B.Rows*in.B.Cols > maxOperandElems):
+	case !keptForm && (kept != nil || len(t.ops) >= maxOperands || t.elems+in.B.Rows*in.B.Cols > maxOperandElems):
 		return nil, RouteBadRequest
-	case in.B != nil:
+	case !keptForm:
 		return &operand{b: in.B, members: c}, 0
 	case kept == nil:
 		metrics.operandRequests[operandMiss].Inc()

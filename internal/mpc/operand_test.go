@@ -468,14 +468,15 @@ func hostileOperandFrames(id uint64) map[string]operandRefusal {
 		mutate(&in)
 		return EncodeRequest(id, in)
 	}
-	noEnvelope := EncodeRequest(id, lone())
-	noEnvelope = append(noEnvelope[:requestIDBytes], noEnvelope[requestIDBytes+envelopeBytes:]...)
-	// An operand envelope whose handle is 0 names no operand: three matrices
-	// behind it are three matrices with no envelope.
+	// The form is the header's to say, whatever follows it: three matrices
+	// under the classic form are too few.
+	classic := EncodeRequest(id, lone())
+	classic[offForm] = formClassic
+	// Handle 0 names no operand, which the kept form cannot run without.
 	zeroHandle := EncodeRequest(id, lone())
-	binary.LittleEndian.PutUint32(zeroHandle[requestIDBytes+4:], 0)
+	binary.LittleEndian.PutUint32(zeroHandle[offOperand:], 0)
 	return map[string]operandRefusal{
-		"three matrices, no envelope":  {noEnvelope, RouteBadRequest},
+		"three matrices, classic form": {classic, RouteBadRequest},
 		"unknown handle":               {with(lone, func(s *Shares) { s.Operand = 99 }), RouteUnknownOperand},
 		"live handle registered again": {with(validGeomShares, func(s *Shares) { s.Operand = 1 }), RouteBadRequest},
 		"dealer-fed with a handle":     {with(validGeomShares, func(s *Shares) { s.Operand, s.T = 3, TripletShares{} }), RouteBadRequest},
@@ -488,7 +489,7 @@ func hostileOperandFrames(id uint64) map[string]operandRefusal {
 		"Z cols != the operand's":      {with(lone, func(s *Shares) { s.T.Z = tensor.New(2, 5) }), RouteBadRequest},
 		"group Z cols":                 {with(group, func(s *Shares) { s.T.Z = tensor.New(6, 3) }), RouteBadRequest},
 		"trailing bytes":               {append(EncodeRequest(id, lone()), 0xFF), RouteBadRequest},
-		"handle 0 behind the magic":    {zeroHandle, RouteBadRequest},
+		"kept form, handle 0":          {zeroHandle, RouteBadRequest},
 	}
 }
 

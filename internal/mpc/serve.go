@@ -32,8 +32,8 @@ import (
 // wedge nor desync the inter-server link. Result frames echo the id, so a
 // client sheds replies orphaned by its own earlier failed call.
 
-// wireMatrices lists a shares payload's matrices in wire order; the forms
-// differ only in which are nil.
+// wireMatrices lists a request's matrices in wire order, the slots of
+// formRow.ships; the forms differ only in which are nil.
 func wireMatrices(in Shares) [5]*tensor.Matrix {
 	return [5]*tensor.Matrix{in.A, in.B, in.T.U, in.T.V, in.T.Z}
 }
@@ -50,15 +50,7 @@ func sharesSize(in Shares) int {
 	return n
 }
 
-// EncodeShares serializes one party's multiplication inputs as a single
-// payload: A, B, U, V, Z in order, each that is set. A nil triplet encodes
-// as the short A, B form — the dealer-fed request shape, where the servers
-// draw the triplet from their TripletFeed — and nil B and V as the A, U, Z
-// form of a request against a registered operand (Shares.Operand).
-func EncodeShares(in Shares) []byte {
-	return appendShares(make([]byte, 0, sharesSize(in)), in)
-}
-
+// appendShares appends the matrices in holds, in wire order.
 func appendShares(frame []byte, in Shares) []byte {
 	for _, m := range wireMatrices(in) {
 		if m != nil {
@@ -68,171 +60,9 @@ func appendShares(frame []byte, in Shares) []byte {
 	return frame
 }
 
-// DecodeShares parses a payload produced by EncodeShares: either the
-// full five-matrix form (A, B, U, V, Z) or the two-matrix dealer-fed
-// form (A, B with out.T zero) — the payload length after B decides.
-func DecodeShares(frame []byte) (Shares, error) { return decodeShares(frame, 1, 0, nil, nil) }
-
-// decodeShares is DecodeShares for a payload declared to stack members
-// products (a group envelope's count; 1 for a lone request) behind an
-// operand envelope's handle (0: none, and no three-matrix form A, U, Z) and
-// a derived envelope (nil: none). The materialised forms come back checked
-// against each other (validateShares). A derived half comes back as it was
-// shipped — no matrix, or the A, [B], Z its envelope's form and geometry call
-// for — with the envelope checked and nothing expanded: which half it is
-// depends on the party that reads it (Shares.expand).
-//
-// The matrices are drawn from pool (nil: allocated). On success they are the
-// caller's to give back, as wireMatrices lists them before anything else
-// touches the result; on an error they have gone back already and the Shares
-// returned hold none.
-func decodeShares(frame []byte, members int, operand uint32, derived *DerivedHalf, pool *tensor.Pool) (out Shares, err error) {
-	out = Shares{Members: members, Operand: operand, Derived: derived}
-	if derived != nil {
-		if err := derived.check(members, operand); err != nil {
-			return out, err
-		}
-	}
-	var mats [5]*tensor.Matrix
-	defer func() {
-		if err != nil {
-			for _, m := range mats {
-				pool.Put(m)
-			}
-			out = Shares{}
-		}
-	}()
-	off, count := 0, 0
-	for count < len(mats) && off < len(frame) {
-		m, n, err := tensor.DecodeMatrixPooled(pool, frame[off:])
-		if err != nil {
-			return out, fmt.Errorf("mpc: shares frame matrix %d: %w", count, err)
-		}
-		mats[count] = m
-		count++
-		off += n
-	}
-	if derived != nil {
-		shipped := 3 // A, B, Z
-		if derived.Kept {
-			shipped = 2 // A, Z
-		}
-		switch {
-		case off != len(frame) || (count != 0 && count != shipped):
-			return out, fmt.Errorf("mpc: derived shares frame holds %d matrices with %d trailing bytes, want 0 (party 0) or %d (party 1)", count, len(frame)-off, shipped)
-		case count == 0:
-			return out, nil
-		}
-		d := derived
-		is := func(m *tensor.Matrix, rows, cols int) bool { return m.Rows == rows && m.Cols == cols }
-		out.A, out.T.Z = mats[0], mats[count-1]
-		agree := is(out.A, d.Rows, d.K) && is(out.T.Z, d.Rows, d.N)
-		if !d.Kept {
-			out.B = mats[1]
-			agree = agree && is(out.B, members*d.K, d.N)
-		}
-		if !agree {
-			return out, fmt.Errorf("mpc: derived shares geometry: the matrices shipped disagree with the envelope's %dx%dx%d ×%d", d.Rows/members, d.K, d.N, members)
-		}
-		return out, nil
-	}
-	switch {
-	case off != len(frame) || (count != 2 && count != 5 && (count != 3 || operand == 0)):
-		return out, fmt.Errorf("mpc: shares frame holds %d matrices with %d trailing bytes, want 2 (dealer-fed), 5, or 3 behind an operand handle", count, len(frame)-off)
-	case count == 3:
-		out.A, out.T.U, out.T.Z = mats[0], mats[1], mats[2]
-	default:
-		out.A, out.B = mats[0], mats[1]
-		out.T = TripletShares{U: mats[2], V: mats[3], Z: mats[4]} // all nil on the two-matrix form
-	}
-	return out, validateShares(out)
-}
-
-// expand completes a decoded derived half (Shares.Derived) into the five- or
-// three-matrix request it stands for, as party reads it: one DeriveHalf, laid
-// over what was shipped, and then the check every materialised request gets.
-// Party 0's half is all expansion and must have shipped nothing; party 1's
-// must have shipped the A, [B], Z no expansion holds — so a frame sent to the
-// wrong face is refused, not run on the wrong half. A B that the session may
-// keep (a registering request) is moved into an allocation of its own: as a
-// view it would pin the whole expansion, five times its size, for the
-// session's life.
-func (in *Shares) expand(party int) error {
-	if shipped := in.A != nil; shipped != (party == 1) {
-		return fmt.Errorf("mpc: derived request: party %d was sent the other party's half", party)
-	}
-	h := DeriveHalf(*in.Derived, 0, party, in.Members, true)
-	in.T.U, in.T.V = h.T.U, h.T.V
-	if party == 0 {
-		in.A, in.B, in.T.Z = h.A, h.B, h.T.Z
-		if in.Operand != 0 && in.B != nil {
-			in.B = in.B.Clone()
-		}
-	}
-	return validateShares(*in)
-}
-
-// validateShares rejects geometry the multiplication cannot run: the
-// kernels index by A and B's dimensions, so a malformed request whose
-// matrices decoded fine individually but disagree with each other (or with
-// the member count they are declared to stack) would otherwise panic the
-// serving goroutine mid-GEMM instead of failing the decode. What the
-// three-matrix form says about B is checked in operandTable.resolve.
-func validateShares(in Shares) error {
-	c, k := in.Members, in.A.Cols
-	switch {
-	case c < 1 || c > MaxGroupMembers:
-		return fmt.Errorf("mpc: shares geometry: group of %d members, want 1..%d", c, MaxGroupMembers)
-	case in.A.Rows%c != 0:
-		return fmt.Errorf("mpc: shares geometry: A stack of %d rows does not divide into %d members", in.A.Rows, c)
-	case in.B == nil && (!in.T.U.SameShape(in.A) || in.T.Z.Rows != in.A.Rows):
-		return fmt.Errorf("mpc: shares geometry: A is %dx%d but U is %dx%d and Z has %d rows", in.A.Rows, k, in.T.U.Rows, in.T.U.Cols, in.T.Z.Rows)
-	case in.B == nil:
-		return nil
-	}
-	n := in.B.Cols
-	switch {
-	case in.B.Rows != c*k:
-		return fmt.Errorf("mpc: shares geometry: A is %dx%d ×%d but B is %dx%d", in.A.Rows/c, k, c, in.B.Rows, n)
-	case in.T.U == nil && in.Operand != 0:
-		return fmt.Errorf("mpc: shares geometry: dealer-fed request names operand %d (an operand ships its triplets)", in.Operand)
-	case in.T.U == nil && c == 1:
-		return nil // dealer-fed form: the triplet geometry is the feed's to honor
-	case in.T.U == nil:
-		return fmt.Errorf("mpc: shares geometry: dealer-fed group of %d members (a group ships its triplets)", c)
-	case !in.T.U.SameShape(in.A):
-		return fmt.Errorf("mpc: shares geometry: U is %dx%d, want %dx%d", in.T.U.Rows, in.T.U.Cols, in.A.Rows, k)
-	case !in.T.V.SameShape(in.B):
-		return fmt.Errorf("mpc: shares geometry: V is %dx%d, want %dx%d", in.T.V.Rows, in.T.V.Cols, in.B.Rows, n)
-	case in.T.Z.Rows != in.A.Rows || in.T.Z.Cols != n:
-		return fmt.Errorf("mpc: shares geometry: Z is %dx%d, want %dx%d", in.T.Z.Rows, in.T.Z.Cols, in.A.Rows, n)
-	}
-	return nil
-}
-
 // requestIDBytes prefixes every client request and every peer-exchange
 // frame of the session protocol.
 const requestIDBytes = 8
-
-// DecodeRequest parses a frame produced by EncodeRequest or
-// EncodeRequestBudget. A group envelope sets the returned Shares' Members
-// (1 without one) and is checked against the stacks; a deadline envelope
-// is skipped transparently (read it with PeekBudget). A derived envelope
-// sets Derived, and the Shares hold only what the frame shipped until the
-// serving party expands them. The id is valid whenever the frame is long
-// enough to carry one, decode error or not.
-func DecodeRequest(frame []byte) (uint64, Shares, error) { return decodeRequest(frame, nil) }
-
-// decodeRequest is DecodeRequest with the matrices drawn from pool, under
-// decodeShares' ownership rule.
-func decodeRequest(frame []byte, pool *tensor.Pool) (uint64, Shares, error) {
-	if len(frame) < requestIDBytes {
-		return 0, Shares{}, fmt.Errorf("mpc: request frame of %d bytes has no id", len(frame))
-	}
-	body, members, operand, derived := requestBody(frame)
-	in, err := decodeShares(body, members, operand, derived, pool)
-	return binary.LittleEndian.Uint64(frame), in, err
-}
 
 // reqCounter hands out process-unique request ids, starting from a
 // random base so ids from a restarted client don't collide with frames a
@@ -361,7 +191,7 @@ func requestMulFrames(id uint64, s0, s1 comm.Framer, f0, f1 []byte) (*tensor.Mat
 type RetryConfig struct {
 	// Attempts bounds the total tries, the first included. <= 0 selects 3.
 	Attempts int
-	// Budget, when positive, rides a deadline envelope on every request
+	// Budget, when positive, rides the header of every request
 	// frame: the end-to-end time remaining, decremented by the client's
 	// own elapsed time across retries, so routers and replicas can shed
 	// work that can no longer make it.
@@ -649,9 +479,8 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		}
 		start := time.Now()
 		metrics.requests.Inc()
-		id, in, err := decodeRequest(frame, w.cfg.Pool)
-		hasID := len(frame) >= requestIDBytes
-		budget, hasBudget := PeekBudget(frame)
+		h, in, err := decodeRequest(frame, party, w.cfg.Pool)
+		id, hasID, f := h.id, len(frame) >= requestIDBytes, h.row()
 		comm.PutFrame(frame)
 		// drawn is what the decode took from the pair's pool, listed before
 		// anything below points in at a matrix of another origin (an expansion,
@@ -666,17 +495,17 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		}
 		// A derived half is expanded where it is used: offline-phase work moved
 		// to the server, observed with the rest of it.
-		if err == nil && in.Derived != nil {
+		if err == nil && f.derived {
 			tspan := metrics.phaseTriplet.Start()
-			err = in.expand(party)
+			in.expand(party)
 			tspan.Stop()
 		}
-		// What the pair has settled so far decides the two-matrix form and
-		// both operand forms: the client's error like a frame that does not
-		// decode, and refused the same way by both parties.
+		// What the pair has settled so far decides the dealer-fed form and
+		// every form that names an operand: the client's error like a frame
+		// that does not decode, and refused the same way by both parties.
 		if err == nil {
 			switch common := ctl.common.Load(); {
-			case in.T.U == nil && common&capFeed == 0:
+			case f.feed && common&capFeed == 0:
 				err = errors.New("mpc: dealer-fed request on a pair with no settled triplet feed")
 			case in.Operand != 0 && common&capOperand == 0:
 				err = errors.New("mpc: operand request on a pair that has not settled registered operands")
@@ -714,10 +543,10 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		// holds, which the peer's half may not (one leg re-dialled): the peer is
 		// told, so a half already in the exchange ends now, not after PeerTimeout.
 		var op *operand
-		store := in.Operand != 0 && in.B != nil
+		store := in.Operand != 0 && !f.kept
 		if in.Operand != 0 {
 			var code RouteErrorCode
-			if op, code = ops.resolve(&in); code != 0 {
+			if op, code = ops.resolve(&in, f.kept); code != 0 {
 				metrics.requestErrors.Inc()
 				if sess, err := mux.Open(id); err == nil {
 					sess.Abort()
@@ -728,15 +557,11 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 				continue
 			}
 		}
-		// Deadline admission: a budget-enveloped request whose remaining
-		// time cannot cover the cost model's exchange floor for what it
-		// stacks is refused — deterministic in (budget, shape), so both
-		// parties of a pair decide identically.
-		fCols := in.members() * in.B.Cols
-		if op != nil && op.f != nil {
-			fCols = 0 // against a kept operand no F moves: the floor is the E stack's
-		}
-		if hasBudget && budget < DeadlineEstimate(in.A.Rows, in.A.Cols, fCols) {
+		// Deadline admission: a budgeted request whose remaining time cannot
+		// cover the exchange floor its header prices — the router's floor —
+		// is refused, deterministic in the header, so both parties of a pair
+		// decide identically.
+		if h.budgeted && h.budget < h.floor() {
 			metrics.deadlineShed.Inc()
 			if err := refuse(RouteDeadlineExceeded); err != nil {
 				metrics.requestErrors.Inc()
@@ -759,8 +584,8 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		}
 		// A dealer-fed request runs its exchange through the session's lease,
 		// which carries the triplet agreement on the exchange's own frames.
-		conn, fed := comm.Framer(sess), in.T.U == nil
-		if fed {
+		conn := comm.Framer(sess)
+		if f.feed {
 			tspan := metrics.phaseTriplet.Start()
 			in.T, err = lease.begin(sess, id, in.A.Rows, in.A.Cols, in.B.Cols)
 			tspan.Stop()
@@ -798,7 +623,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		}
 		metrics.reqWire.ObserveSince(start)
 		release()
-		if fed {
+		if f.feed {
 			if err := lease.settle(); err != nil {
 				return fmt.Errorf("mpc: after request %016x: %w", id, err)
 			}

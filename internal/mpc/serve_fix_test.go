@@ -65,10 +65,11 @@ func validGeomShares() Shares {
 }
 
 // TestDecodeSharesValidatesGeometry: every way the five matrices can
-// disagree must fail the decode with a geometry error instead of reaching
-// the kernels (which index by A and B's dimensions and panic).
+// disagree with the header must fail the decode with a geometry error on the
+// header instead of reaching the kernels (which index by A and B's dimensions
+// and panic).
 func TestDecodeSharesValidatesGeometry(t *testing.T) {
-	if _, err := DecodeShares(EncodeShares(validGeomShares())); err != nil {
+	if _, _, err := decodeRequest(EncodeRequest(1, validGeomShares()), 0, nil); err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
 	}
 	cases := []struct {
@@ -84,58 +85,116 @@ func TestDecodeSharesValidatesGeometry(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := validGeomShares()
 			tc.mutate(&bad)
-			_, err := DecodeShares(EncodeShares(bad))
+			_, _, err := decodeRequest(EncodeRequest(1, bad), 0, nil)
 			if err == nil {
 				t.Fatal("mismatched geometry decoded cleanly")
 			}
-			if !strings.Contains(err.Error(), "geometry") {
-				t.Fatalf("want a geometry error, got: %v", err)
-			}
-			// The request codec must reject it the same way.
-			if _, _, err := DecodeRequest(EncodeRequest(1, bad)); err == nil {
-				t.Fatal("DecodeRequest accepted mismatched geometry")
+			if !errors.Is(err, ErrRequestHeader) || !strings.Contains(err.Error(), "geometry") {
+				t.Fatalf("want a geometry error on the header, got: %v", err)
 			}
 		})
 	}
 }
 
-// FuzzDecodeShares: any payload that decodes cleanly must be safe to
-// multiply — as a bare shares payload and as a whole request frame, whose
-// group envelope makes the five matrices stacks of several members and
-// whose operand envelope lets three matrices stand for five, and whose
-// derived envelope lets a seed stand for any of them. The
-// committed corpus entry (testdata/fuzz/FuzzDecodeShares) is the pre-fix
-// panic reproducer: five individually well-formed matrices whose U
-// disagrees with A.
-func FuzzDecodeShares(f *testing.F) {
-	f.Add(EncodeShares(validGeomShares()))
-	bad := validGeomShares()
-	bad.T.U = tensor.New(3, 3)
-	f.Add(EncodeShares(bad))
-	f.Add(EncodeRequest(7, validGeomShares()))
-	for _, frame := range hostileGroupFrames(7) {
-		f.Add(frame)
+// formFrames is one request frame per form — both faces' of the derived
+// forms — lone and grouped, with and without a budget: the fuzz seeds.
+func formFrames(id uint64) (frames [][]byte) {
+	var ins []Shares
+	for _, in := range []Shares{validGeomShares(), validGroupShares()} {
+		fed := in
+		fed.T = TripletShares{}
+		ins = append(ins, in, fed, threeForm(in, 1))
 	}
-	f.Add(EncodeRequestBudget(7, time.Second, validGroupShares()))
-	for _, h := range hostileOperandFrames(7) {
-		f.Add(h.frame)
+	for _, c := range []int{1, 3} {
+		a, b := tensor.New(2*c, 3), tensor.New(3*c, 4)
+		d0, d1, v := dealDerived(requestSeeds(7, uint64(c)), a, b, nil, c)
+		k0, k1, _ := dealDerived(requestSeeds(7, uint64(c)+2), a, b, v, c)
+		k0.Operand, k1.Operand = 2, 2
+		ins = append(ins, d0, d1, k0, k1)
 	}
-	f.Add(EncodeRequest(7, threeForm(validGeomShares(), 1)))
-	f.Add(EncodeRequestBudget(7, time.Second, threeForm(validGroupShares(), 2)))
-	registering := validGroupShares()
-	registering.Operand = 2
-	f.Add(EncodeRequest(7, registering))
-	// Derived halves: both parties' frames of both forms, lone and grouped,
-	// and every hostile header (cut short, 2^32-1 dimensions, …).
-	for c, kept := range map[int]*tensor.Matrix{1: nil, 3: tensor.New(9, 4)} {
-		in0, in1, _ := dealDerived(requestSeeds(7, uint64(c)), tensor.New(2*c, 3), tensor.New(3*c, 4), kept, c)
-		if kept != nil {
-			in0.Operand, in1.Operand = 2, 2
+	for _, in := range ins {
+		frames = append(frames, EncodeRequest(id, in), EncodeRequestBudget(id, time.Second, in))
+	}
+	return frames
+}
+
+// hostileFrames is every request frame the hostile-frame tests refuse.
+func hostileFrames(id uint64) (frames [][]byte) {
+	for _, f := range hostileGroupFrames(id) {
+		frames = append(frames, f)
+	}
+	for _, h := range hostileOperandFrames(id) {
+		frames = append(frames, h.frame)
+	}
+	for _, f := range hostileDerivedFrames(id) {
+		frames = append(frames, f)
+	}
+	for _, h := range hostileHeaders(id) {
+		frames = append(frames, h.frame)
+	}
+	return frames
+}
+
+// serveDecoded runs what decodeRequest accepts of frame, as each face that
+// accepts it, the way both parties of a pair would — through run, so the band
+// floor and the member views see it too, one party banding and one not.
+func serveDecoded(t *testing.T, frame []byte) {
+	for party := 0; party < 2; party++ {
+		h, in, err := decodeRequest(frame, party, nil)
+		if err != nil {
+			continue
 		}
-		f.Add(EncodeRequest(7, in0))
-		f.Add(EncodeRequestBudget(7, time.Second, in1))
+		f := h.row()
+		if f.derived {
+			in.expand(party)
+		}
+		if !f.feed { // the dealer-fed triplet is the feed's
+			multiply(t, in, f.kept)
+		}
+		if !f.derived {
+			return // both faces read it alike
+		}
 	}
-	for _, frame := range hostileDerivedFrames(7) {
+}
+
+// multiply runs in through a pair of engines. A kept-form request runs
+// against whatever operand fits what it says of B — the check
+// operandTable.resolve makes before the engine sees it.
+func multiply(t *testing.T, in Shares, kept bool) {
+	var ops [2]*operand // each party's own table entry
+	if kept {
+		c := in.members()
+		if rows, n := c*in.A.Cols, in.T.Z.Cols; rows > maxOperandElems || n > maxOperandElems || rows*n > maxOperandElems {
+			return // zero-row A and Z can claim any width; no session keeps such a B
+		}
+		in.B = tensor.New(c*in.A.Cols, in.T.Z.Cols)
+		for i := range ops {
+			ops[i] = &operand{b: in.B, f: tensor.New(in.B.Rows, in.B.Cols), members: c}
+		}
+	}
+	p0, p1 := comm.Pipe()
+	defer p0.Close()
+	defer p1.Close()
+	w0, w1 := newWireMul(0, WireConfig{ChunkRows: 8}), newWireMul(1, WireConfig{})
+	defer w0.close()
+	defer w1.close()
+	e1 := make(chan error, 1)
+	go func() {
+		_, err := w1.run(p1, in, ops[1])
+		e1 <- err
+	}()
+	_, err := w0.run(p0, in, ops[0])
+	if err1 := <-e1; err != nil || err1 != nil {
+		t.Fatalf("shares that decoded cleanly failed the exchange: %v / %v", err, err1)
+	}
+}
+
+// FuzzDecodeRequest: any request frame that decodes cleanly, as either face,
+// must be safe to multiply — whatever its header says of form, group, operand
+// and geometry. Seeded with one frame per form, lone and grouped, with and
+// without a budget, and every frame the hostile-frame tests refuse.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, frame := range append(formFrames(7), hostileFrames(7)...) {
 		f.Add(frame)
 	}
 	for _, d := range [][3]int{{4, 0, 3}, {0, 3, 4}, {4, 3, 0}} { // a zero dimension is well-formed
@@ -143,62 +202,31 @@ func FuzzDecodeShares(f *testing.F) {
 		f.Add(EncodeRequest(7, Shares{A: tensor.New(m, k), B: tensor.New(k, n),
 			T: TripletShares{U: tensor.New(m, k), V: tensor.New(k, n), Z: tensor.New(m, n)}}))
 	}
-	// multiply serves the decoded shares as both parties of a pair would —
-	// through run, so the band floor and the member views see them too, one
-	// party banding and one not. Pre-fix this panicked on geometry that
-	// decoded fine.
-	multiply := func(t *testing.T, in Shares) {
-		if in.T.U == nil {
-			return // dealer-fed form: the triplet is the feed's
-		}
-		// The three-matrix form runs against whatever operand fits what it
-		// says of B — the check operandTable.resolve makes before the engine
-		// sees it.
-		var ops [2]*operand // each party's own table entry
-		if in.B == nil {
-			c := in.members()
-			if rows, n := c*in.A.Cols, in.T.Z.Cols; rows > maxOperandElems || n > maxOperandElems || rows*n > maxOperandElems {
-				return // zero-row A and Z can claim any width; no session keeps such a B
-			}
-			in.B = tensor.New(c*in.A.Cols, in.T.Z.Cols)
-			for i := range ops {
-				ops[i] = &operand{b: in.B, f: tensor.New(in.B.Rows, in.B.Cols), members: c}
-			}
-		}
-		p0, p1 := comm.Pipe()
-		defer p0.Close()
-		defer p1.Close()
-		w0, w1 := newWireMul(0, WireConfig{ChunkRows: 8}), newWireMul(1, WireConfig{})
-		defer w0.close()
-		defer w1.close()
-		e1 := make(chan error, 1)
-		go func() {
-			_, err := w1.run(p1, in, ops[1])
-			e1 <- err
-		}()
-		_, err := w0.run(p0, in, ops[0])
-		if err1 := <-e1; err != nil || err1 != nil {
-			t.Fatalf("shares that decoded cleanly failed the exchange: %v / %v", err, err1)
+	f.Fuzz(serveDecoded)
+}
+
+// FuzzDecodeShares: the matrices behind a header this build accepts — one per
+// form, lone and grouped — must decode only as the header names them, and
+// whatever decodes must be safe to multiply. A mutated whole frame mostly
+// fails on its header; this keeps the header well-formed and mutates what it
+// is checked against. The committed corpus entry
+// (testdata/fuzz/FuzzDecodeShares) is the pre-fix panic reproducer: five
+// individually well-formed matrices whose U disagrees with A.
+func FuzzDecodeShares(f *testing.F) {
+	var headers [][]byte
+	for _, frame := range formFrames(7) {
+		if frame[offFlags] == 0 {
+			headers = append(headers, frame[:headerBytes])
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if in, err := DecodeShares(data); err == nil {
-			multiply(t, in)
+	for _, frame := range append(formFrames(7), hostileFrames(7)...) {
+		if len(frame) >= headerBytes {
+			f.Add(frame[headerBytes:])
 		}
-		_, in, err := DecodeRequest(data)
-		if err != nil {
-			return
-		}
-		if in.Derived == nil {
-			multiply(t, in)
-			return
-		}
-		// A derived half is one party's: it runs as whichever party's
-		// expansion accepts it, against itself like the rest.
-		for party := 0; party < 2; party++ {
-			if half := in; half.expand(party) == nil {
-				multiply(t, half)
-			}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, h := range headers {
+			serveDecoded(t, append(h[:headerBytes:headerBytes], payload...))
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"errors"
 	"testing"
 
 	"parsecureml/internal/comm"
@@ -19,7 +20,7 @@ func TestSharesFrameRoundTrip(t *testing.T) {
 			Z: p.NewUniform(3, 2, -1, 1),
 		},
 	}
-	got, err := DecodeShares(EncodeShares(in))
+	_, got, err := decodeRequest(EncodeRequest(1, in), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestSharesFrameRoundTrip(t *testing.T) {
 }
 
 func TestDecodeSharesErrors(t *testing.T) {
-	if _, err := DecodeShares([]byte{1, 2, 3}); err == nil {
+	if _, _, err := decodeRequest([]byte{1, 2, 3}, 0, nil); err == nil {
 		t.Fatal("garbage must error")
 	}
 	p := rng.NewPool(2)
@@ -41,9 +42,9 @@ func TestDecodeSharesErrors(t *testing.T) {
 		A: p.NewUniform(2, 2, -1, 1), B: p.NewUniform(2, 2, -1, 1),
 		T: TripletShares{U: p.NewUniform(2, 2, -1, 1), V: p.NewUniform(2, 2, -1, 1), Z: p.NewUniform(2, 2, -1, 1)},
 	}
-	frame := EncodeShares(in)
-	if _, err := DecodeShares(append(frame, 0xFF)); err == nil {
-		t.Fatal("trailing bytes must error")
+	frame := EncodeRequest(1, in)
+	if _, _, err := decodeRequest(append(frame, 0xFF), 0, nil); !errors.Is(err, ErrRequestHeader) {
+		t.Fatalf("trailing bytes must fail on the header, got %v", err)
 	}
 }
 

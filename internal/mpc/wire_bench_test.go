@@ -595,7 +595,7 @@ const transformerRawBytesPerTokenBar = 3275
 // steady inference costs the client, both legs together: about a third of the
 // 7 340 it cost while party 0 was shipped five (or three) matrices of pure
 // generator output and party 1 a U and a V. What is left is party 1's A₁,
-// [B₁], Z₁ and twelve frames of envelopes. A count like the bar above.
+// [B₁], Z₁ and twelve request headers. A count like the bar above.
 const transformerRequestBytesPerTokenBar = 2700
 
 // TestTransformerInferBaseline re-runs the transformer inference pair

@@ -57,7 +57,9 @@ engine)
   # are refused in-band, and an operand lost on one party or both (a leg
   # re-dialled behind the client) ends every leg typed or with a transport
   # error well inside PeerTimeout, after which the client registers again.
-  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles|TestFeedLeaseAgreement|TestFeedLeaseMismatchFailsBothParties|TestFeedConsumedSeqFailsRequest|TestOperandRejectsHostileFrames|TestOperandLostOnOneParty|TestOperandLostOnBoth'
+  # Every way a request header can be wrong is refused in-band on the face it
+  # reaches, and the session lives on.
+  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestRequestHeaderRefusals|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles|TestFeedLeaseAgreement|TestFeedLeaseMismatchFailsBothParties|TestFeedConsumedSeqFailsRequest|TestOperandRejectsHostileFrames|TestOperandLostOnOneParty|TestOperandLostOnBoth'
   drill_test ./internal/mpc/tripletpool/ 'TestDealerClientConsumedSeqFailsAtOnce'
   ;;
 chaos-link)
@@ -98,12 +100,14 @@ fleet)
   # router a healthy replica; both registered-operand forms cross the relay
   # untouched, a session re-routed to a replica that holds none of its
   # operands completes its inference, and so does one whose first attempt
-  # met a draining fleet. The health link — a plain connection ticking both
+  # met a draining fleet. A budgeted three-matrix request under its E stack's
+  # floor is shed at the router, and a frame whose header version the router
+  # cannot read reaches the backend byte for byte. The health link — a plain connection ticking both
   # ways — registers, drains and evicts; a drained replica stays drained
   # across a reconnect, a restarted router is re-JOINed, a restarted replica
   # is not evicted by its old connection, and a JOINed connection that falls
   # silent is evicted while one that ticks is not.
-  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica|TestRouterRelaysOperandRequest|TestRouterFailoverReregistersOperands|TestRouterDrainingFirstAttempt|TestHealth'
+  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica|TestRouterRelaysOperandRequest|TestRouterShedsKeptFormUnderItsFloor|TestRouterRelaysUnreadableHeader|TestRouterFailoverReregistersOperands|TestRouterDrainingFirstAttempt|TestHealth'
   SESSIONS=$((64 * SCALE)) scripts/fleet_drill.sh -race
   ;;
 transformer)
@@ -118,7 +122,7 @@ transformer)
   # replaced; a request whose generator-output halves are sent as seeds must
   # equal the same halves shipped in full bit for bit, put no matrix on party
   # 0's connection, no derivable one on party 1's and no seed on both, and a
-  # hostile derived envelope or a half on the wrong face must be refused
+  # hostile derived header or a half on the wrong face must be refused
   # in-band; the simtime path must track plaintext training and survive a
   # checkpoint round trip.
   drill_test ./internal/mpc/ 'TestWireTransformerMatchesPlain|TestWireAttentionOnlyMatchesPlain|TestWireTransformerConcurrentCodecStable|TestGroupMatchesLone|TestOperandMatchesFull|TestOperandFreshMaskPerRequest|TestWireTransformerReusedAcrossConnections|TestDerivedMatchesFull|TestDerivedSharesStayApart|TestDerivedRejectsHostileFrames'
