@@ -17,7 +17,8 @@ import (
 // ordered sub-stream: every frame carries a 9-byte header (u64 session id
 // + kind byte), one writer goroutine drains per-session send queues in
 // fair round-robin (no session can starve its siblings by flooding), and
-// a demux reader routes arriving frames into bounded per-session inboxes.
+// a demux reader routes arriving frames into per-session queues, each
+// limited to MuxConfig.InboxFrames waiting frames.
 //
 // Failure containment mirrors the request-id tagging it replaces:
 //
@@ -30,7 +31,7 @@ import (
 //     peer with a CLOSE frame, so the peer's half fails fast instead of
 //     waiting out its read deadline; closed ids are tombstoned and late
 //     frames for them are shed.
-//   - A session whose inbox overflows (a runaway peer) is killed alone;
+//   - A session whose queue overflows (a runaway peer) is killed alone;
 //     its siblings and the mux keep running.
 //   - Transport errors are fatal to the whole mux (the link is gone):
 //     every open session's reads and writes fail with the cause.
@@ -147,8 +148,10 @@ type MuxConfig struct {
 	// blocks waiting for its peer's next frame (the complementary request
 	// that never arrives when a client died half-uploaded). 0 disables.
 	ReadTimeout time.Duration
-	// InboxFrames is the per-session inbox depth; a session whose inbox
-	// overflows is killed (its siblings are unaffected). Default 1024 —
+	// InboxFrames limits how many routed frames may wait unread in one
+	// session's queue; the frame past it kills the session (its siblings
+	// are unaffected). It is a limit, not a capacity: a queue grows only as
+	// frames arrive, so an idle session costs nothing for it. Default 1024 —
 	// comfortably above the longest banded exchange a request produces.
 	InboxFrames int
 	// PendingFrames / PendingBytes bound the buffer holding frames for
@@ -221,9 +224,8 @@ type Mux struct {
 	// header still in front, any other transport's frame at offset 0. The
 	// buffer travels to the session the frame is for, whose ReadFrameInto
 	// gives it back once the payload is copied out; route gives back what it
-	// sheds. Session inboxes hold these buffers as they are, one slice each:
-	// every request allocates a session's inbox, so its element size is paid
-	// InboxFrames times per request.
+	// sheds. A session's queue holds these buffers as they are, one slice
+	// each.
 	read func() ([]byte, error)
 	off  int
 
@@ -367,8 +369,9 @@ func (m *Mux) tombstoneLocked(id uint64) {
 
 // Open claims session id and returns its frame stream. Frames that
 // arrived for id before Open (the peer ran ahead) are already waiting in
-// the returned session's inbox. Fails on a duplicate id, on an id the
-// peer already closed, and on a dead mux.
+// the returned session's queue, up to InboxFrames of them; the rest are
+// shed. Fails on a duplicate id, on an id the peer already closed, and on
+// a dead mux.
 func (m *Mux) Open(id uint64) (*MuxSession, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -382,13 +385,14 @@ func (m *Mux) Open(id uint64) (*MuxSession, error) {
 		return nil, fmt.Errorf("comm: mux session %016x: %w", id, ErrMuxSessionClosed)
 	}
 	s := &MuxSession{
-		id:    id,
-		m:     m,
-		out:   make(chan muxWrite, 1),
-		ack:   make(chan error, 1),
-		inbox: make(chan []byte, m.cfg.InboxFrames),
-		done:  make(chan struct{}),
+		id:   id,
+		m:    m,
+		out:  make(chan muxWrite, 1),
+		ack:  make(chan error, 1),
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
+	s.queue = s.slots[:0]
 	m.sessions[id] = s
 	m.rr = append(m.rr, s)
 	// Hand over frames the peer sent before we opened.
@@ -402,9 +406,7 @@ func (m *Mux) Open(id uint64) (*MuxSession, error) {
 			m.pendingBytes -= m.frameBytes(p.buf)
 			muxPendingFrames.Add(-1)
 			muxPendingBytes.Add(-m.frameBytes(p.buf))
-			select {
-			case s.inbox <- p.buf:
-			default: // inbox smaller than the backlog: shed the excess
+			if !s.enqueue(p.buf) { // backlog past the limit: shed the excess
 				muxStaleFrames.Add(1)
 				PutFrame(p.buf)
 			}
@@ -480,17 +482,16 @@ func (m *Mux) route(f []byte) bool {
 			PutFrame(f)
 			return true
 		}
-		select {
-		case s.inbox <- f:
+		if s.enqueue(f) {
 			m.mu.Unlock()
-		default:
-			// Overflow kills this session only; the link stays healthy.
-			m.mu.Unlock()
-			muxOverflows.Add(1)
-			PutFrame(f)
-			m.notifyClose(id)
-			m.retire(s, ErrMuxInboxOverflow)
+			return true
 		}
+		// Overflow kills this session only; the link stays healthy.
+		m.mu.Unlock()
+		muxOverflows.Add(1)
+		PutFrame(f)
+		m.notifyClose(id)
+		m.retire(s, ErrMuxInboxOverflow)
 		return true
 	}
 	if _, dead := m.tombs[id]; dead || kind != muxKindData {
@@ -621,7 +622,14 @@ type MuxSession struct {
 	out chan muxWrite
 	ack chan error
 
-	inbox chan []byte // frames in their lent buffers, the mux frame at m.off
+	// queue holds routed frames in their lent buffers, the mux frame at
+	// m.off, oldest at head. It starts on slots and grows by append only as
+	// frames arrive: most sessions never hold more than a few at once.
+	qmu   sync.Mutex
+	queue [][]byte
+	head  int
+	slots [muxInlineFrames][]byte
+	wake  chan struct{} // capacity 1: a frame was queued since the reader last looked
 
 	closeOnce sync.Once
 	err       error // set before done closes
@@ -705,14 +713,56 @@ func (s *MuxSession) WriteFrame(frame []byte) error {
 	return <-s.ack
 }
 
-// readRaw pops the next whole frame (header included) from the inbox,
+// muxInlineFrames is how many queued frames a session holds before its
+// queue first allocates.
+const muxInlineFrames = 4
+
+// enqueue appends f to the session's queue and wakes its reader; false
+// means InboxFrames frames already wait and f was not taken.
+func (s *MuxSession) enqueue(f []byte) bool {
+	s.qmu.Lock()
+	n := len(s.queue) - s.head
+	if n >= s.m.cfg.InboxFrames {
+		s.qmu.Unlock()
+		return false
+	}
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		// Slide the waiting frames to the front rather than grow.
+		copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
+	s.queue = append(s.queue, f)
+	s.qmu.Unlock()
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// dequeue pops the oldest queued frame, if any.
+func (s *MuxSession) dequeue() ([]byte, bool) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	if s.head == len(s.queue) {
+		return nil, false
+	}
+	f := s.queue[s.head]
+	s.queue[s.head] = nil
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	return f, true
+}
+
+// readRaw pops the next whole frame (header included) from the queue,
 // bounded by the mux's ReadTimeout. Frames already routed before the
 // session ended are still delivered.
 func (s *MuxSession) readRaw() ([]byte, error) {
-	select {
-	case f := <-s.inbox:
+	if f, ok := s.dequeue(); ok {
 		return f, nil
-	default:
 	}
 	var deadline <-chan time.Time
 	if to := s.m.cfg.ReadTimeout; to > 0 {
@@ -731,18 +781,22 @@ func (s *MuxSession) readRaw() ([]byte, error) {
 			}
 		}()
 	}
-	select {
-	case f := <-s.inbox:
-		return f, nil
-	case <-s.done:
+	for {
+		// A wake may be left over from a frame an earlier read already
+		// popped, so every wake is only a cue to look again.
 		select {
-		case f := <-s.inbox:
-			return f, nil
-		default:
+		case <-s.wake:
+			if f, ok := s.dequeue(); ok {
+				return f, nil
+			}
+		case <-s.done:
+			if f, ok := s.dequeue(); ok {
+				return f, nil
+			}
+			return nil, s.reason()
+		case <-deadline:
+			return nil, errMuxTimeout
 		}
-		return nil, s.reason()
-	case <-deadline:
-		return nil, errMuxTimeout
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +23,13 @@ func muxPair(t *testing.T, cfg MuxConfig) (*Mux, *Mux) {
 		mb.Close()
 	})
 	return ma, mb
+}
+
+// queued is how many routed frames wait unread in s's queue.
+func queued(s *MuxSession) int {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return len(s.queue) - s.head
 }
 
 func TestMuxRoundTrip(t *testing.T) {
@@ -104,36 +112,64 @@ func TestMuxRouting(t *testing.T) {
 }
 
 // TestMuxPendingClaim checks frames sent before the receiving side opens
-// the session are buffered and delivered on Open.
+// the session are buffered and handed over on Open, in order: all of them
+// when they fit InboxFrames, the first InboxFrames when the backlog is
+// longer, the rest shed onto StaleFrames. Either way the session then reads
+// what its peer sends next.
 func TestMuxPendingClaim(t *testing.T) {
-	ma, mb := muxPair(t, MuxConfig{ReadTimeout: 2 * time.Second})
-	sa, err := ma.Open(9)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for n := 0; n < 3; n++ {
-		if err := sa.WriteFrame([]byte{byte(n)}); err != nil {
-			t.Fatalf("WriteFrame %d: %v", n, err)
-		}
-	}
-	// The synchronous WriteFrame only guarantees the frame hit the wire;
-	// give the peer's demux reader a moment to park all three.
-	deadline := time.Now().Add(2 * time.Second)
-	for MuxTotals().PendingFrames < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	sb, err := mb.Open(9)
-	if err != nil {
-		t.Fatalf("Open after send: %v", err)
-	}
-	for n := 0; n < 3; n++ {
-		got, err := sb.ReadFrame()
-		if err != nil {
-			t.Fatalf("ReadFrame %d: %v", n, err)
-		}
-		if len(got) != 1 || got[0] != byte(n) {
-			t.Fatalf("frame %d: got %v", n, got)
-		}
+	for _, tc := range []struct {
+		name    string
+		inbox   int // MuxConfig.InboxFrames; 0 is the default
+		backlog int
+	}{
+		{"fits", 0, 3},
+		{"past_limit", 4, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ma, mb := muxPair(t, MuxConfig{ReadTimeout: 2 * time.Second, InboxFrames: tc.inbox})
+			sa, err := ma.Open(9)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			for n := 0; n < tc.backlog; n++ {
+				if err := sa.WriteFrame([]byte{byte(n)}); err != nil {
+					t.Fatalf("WriteFrame %d: %v", n, err)
+				}
+			}
+			// The synchronous WriteFrame only guarantees the frame hit the
+			// wire; give the peer's demux reader a moment to park them all.
+			deadline := time.Now().Add(2 * time.Second)
+			for MuxTotals().PendingFrames < int64(tc.backlog) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			handed := tc.backlog
+			if tc.inbox > 0 && tc.inbox < handed {
+				handed = tc.inbox
+			}
+			staleBefore := MuxTotals().StaleFrames
+			sb, err := mb.Open(9)
+			if err != nil {
+				t.Fatalf("Open after send: %v", err)
+			}
+			if shed := MuxTotals().StaleFrames - staleBefore; shed != int64(tc.backlog-handed) {
+				t.Fatalf("Open shed %d frames, want %d", shed, tc.backlog-handed)
+			}
+			for n := 0; n < handed; n++ {
+				got, err := sb.ReadFrame()
+				if err != nil {
+					t.Fatalf("ReadFrame %d: %v", n, err)
+				}
+				if len(got) != 1 || got[0] != byte(n) {
+					t.Fatalf("frame %d: got %v", n, got)
+				}
+			}
+			if err := sa.WriteFrame([]byte("after")); err != nil {
+				t.Fatalf("WriteFrame after Open: %v", err)
+			}
+			if got, err := sb.ReadFrame(); err != nil || string(got) != "after" {
+				t.Fatalf("ReadFrame after the backlog: %q, %v", got, err)
+			}
+		})
 	}
 }
 
@@ -346,9 +382,9 @@ func TestMuxCloseDrainsBufferedFrames(t *testing.T) {
 	if err := sa.WriteFrame([]byte("last words")); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	// Ensure the frame is routed into sb's inbox before the abort lands.
+	// Ensure the frame is routed into sb's queue before the abort lands.
 	deadline := time.Now().Add(2 * time.Second)
-	for len(sb.inbox) == 0 && time.Now().Before(deadline) {
+	for queued(sb) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	sa.Abort()
@@ -361,6 +397,103 @@ func TestMuxCloseDrainsBufferedFrames(t *testing.T) {
 	}
 	if _, err := sb.ReadFrame(); !errors.Is(err, ErrMuxPeerClosed) {
 		t.Fatalf("drained read err=%v, want ErrMuxPeerClosed", err)
+	}
+}
+
+// TestMuxQueueOrder checks a session's queue stays first-in first-out as it
+// outgrows its inline slots and slides its waiting frames forward: directly,
+// and with a peer streaming ahead of a reader that keeps falling behind.
+func TestMuxQueueOrder(t *testing.T) {
+	ma, mb := muxPair(t, MuxConfig{ReadTimeout: 5 * time.Second})
+	s, err := ma.Open(11)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	next, want := byte(0), byte(0)
+	push := func(n int) {
+		for ; n > 0; n-- {
+			if !s.enqueue([]byte{next}) {
+				t.Fatalf("enqueue %d refused", next)
+			}
+			next++
+		}
+	}
+	pop := func(n int) {
+		for ; n > 0; n-- {
+			f, ok := s.dequeue()
+			if !ok || len(f) != 1 || f[0] != want {
+				t.Fatalf("dequeue: got %v %v, want [%d]", f, ok, want)
+			}
+			want++
+		}
+	}
+	push(3)
+	pop(2)
+	push(5) // fills the four slots with head at 2: slides, then grows
+	pop(1)
+	push(9)
+	pop(int(next - want))
+	if _, ok := s.dequeue(); ok {
+		t.Fatal("dequeue from an empty queue")
+	}
+
+	const frames = 300
+	tx, err := mb.Open(12)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rx, err := ma.Open(12)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		for n := 0; n < frames; n++ {
+			if err := tx.WriteFrame([]byte{byte(n), byte(n >> 8)}); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	for n := 0; n < frames; n++ {
+		if n%7 == 0 {
+			time.Sleep(time.Millisecond) // let the writer get ahead
+		}
+		got, err := rx.ReadFrame()
+		if err != nil {
+			t.Fatalf("ReadFrame %d: %v", n, err)
+		}
+		if len(got) != 2 || int(got[0])|int(got[1])<<8 != n {
+			t.Fatalf("frame %d: got %v", n, got)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+}
+
+// TestMuxIdleSessionAllocatesLittle checks a session that never receives a
+// frame costs no more than its own bookkeeping: InboxFrames is a limit, not
+// a queue paid for at Open (a 1 024-slot inbox made every Open+Close
+// allocate ≈ 24.8 KB).
+func TestMuxIdleSessionAllocatesLittle(t *testing.T) {
+	const sessions, budget = 1000, 1 << 10
+	ma, _ := muxPair(t, MuxConfig{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := uint64(1); id <= sessions; id++ {
+		s, err := ma.Open(id)
+		if err != nil {
+			t.Fatalf("Open(%d): %v", id, err)
+		}
+		s.Close()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / sessions; per >= budget {
+		t.Fatalf("Open+Close allocates %d B per idle session, want under %d", per, budget)
+	} else {
+		t.Logf("Open+Close: %d B per idle session", per)
 	}
 }
 

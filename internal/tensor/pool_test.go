@@ -112,9 +112,9 @@ func TestPoolPreallocate(t *testing.T) {
 	}
 	// sync.Pool may drop items across GC/scheduler moves, so all 4 Gets
 	// hitting isn't guaranteed — but at least one seeded buffer must be
-	// reusable or Preallocate isn't seeding the right class at all.
-	hits, _ := p.Stats()
-	if hits == 0 {
+	// reusable or Preallocate isn't seeding the right class at all. The race
+	// detector makes sync.Pool drop puts at random, so there even none may hit.
+	if hits, _ := p.Stats(); hits == 0 && !raceEnabled {
 		t.Fatal("no pool hits after Preallocate; seeded buffers not reusable")
 	}
 	// Degenerate sizes are no-ops, not panics.

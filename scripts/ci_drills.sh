@@ -7,7 +7,7 @@
 # Usage: scripts/ci_drills.sh <drill>
 #   concurrent   concurrent sessions survive a client kill, bit-identical; a leasing burst and a dealer outage never stall party 0; a silent dealer is redialled
 #   engine       one exchange engine: any member count, band heights, held F == reference
-#   chaos-link   peer link killed mid-flight; supervised reconnect + replay; pooled frames never lent again mid-write
+#   chaos-link   peer link killed mid-flight; supervised reconnect + replay; pooled frames never lent again mid-write; mux session queues: overflow isolated, close drains, backlog handed over, an idle session < 1 KiB
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
 #   checkpoint   kill-and-resume training: resumed run byte-identical
 #   fleet        multi-process router+dealer fleet, one pair SIGKILLed and evicted within 3 s; health link join/drain/reconnect/silence; operands across failover
@@ -68,9 +68,12 @@ chaos-link)
   # replay so every result stays bit-identical. Under it, the frame pool: no
   # replay buffer is lent again while its write can still be running, and
   # the pool's contract (exact-class puts only, small frames bypass, a cycle
-  # allocates nothing) holds.
+  # allocates nothing) holds. Above it, a mux session's queue: a flooded
+  # session dies alone, frames routed before a peer's CLOSE are still read, a
+  # backlog parked before Open is handed over in order up to InboxFrames and
+  # shed past it, and a session that receives nothing allocates under 1 KiB.
   drill_test ./internal/mpc/ 'TestConcurrentSessionsSurviveLinkDrops|TestSupervisePeerStartupOrder'
-  drill_test ./internal/comm/ 'TestReplayBuffersNotReissuedMidWrite|TestFramePool'
+  drill_test ./internal/comm/ 'TestReplayBuffersNotReissuedMidWrite|TestFramePool|TestMuxInboxOverflowIsolated|TestMuxCloseDrainsBufferedFrames|TestMuxPendingClaim|TestMuxIdleSessionAllocatesLittle'
   ;;
 codec)
   # Capability negotiation upgrades matching servers, mismatched pairs
