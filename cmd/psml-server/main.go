@@ -230,7 +230,7 @@ func main() {
 	// dial — it retries at startup (dealer and servers race to come up) and
 	// dials again whenever the connection fails or falls silent, and a
 	// restarted dealer ships each random-access stream from the seqs party 1
-	// states in its RESUMEs — see tripletpool.DealerClient.
+	// names in its ASKs — see tripletpool.DealerClient.
 	if *dealerDial != "" {
 		addr := *dealerDial
 		feed, err := tripletpool.NewDealerClient(func() (*comm.Conn, error) {

@@ -16,9 +16,9 @@ import (
 // Router ↔ replica health is frames on one plain connection. Each replica
 // runs an Agent that dials the router's health listener and writes a JOIN;
 // then both ends write an empty tick every HeartbeatInterval and read with a
-// MissBudget+1-tick deadline, so a killed, wedged or cut-off end is a read
-// error on the other within that budget. An agent whose connection ends
-// dials a new one and JOINs again (and says DRAIN again, once drained); the
+// MissBudget+1-tick deadline (comm.Watch), so a killed, wedged or cut-off end
+// is a read error on the other within that budget. An agent whose connection
+// ends dials a new one and JOINs again (and says DRAIN again, once drained); the
 // router keeps the replica registered for one more budget, so a re-JOIN
 // inside it costs the registry nothing. Nothing is resumed or replayed.
 
@@ -83,45 +83,6 @@ func silence(sup comm.SupervisorConfig) time.Duration {
 	return time.Duration(sup.MissBudget+1) * sup.HeartbeatInterval
 }
 
-// watch runs one health connection, from either end, until a read fails —
-// the other end closed it, or said nothing for silence(sup) — and returns
-// why, with conn closed. A goroutine beside the read loop writes the ticks;
-// frames that are not ticks go to onFrame.
-func watch(conn *comm.Conn, sup comm.SupervisorConfig, onFrame func([]byte)) error {
-	_, writeTO := conn.Timeouts()
-	conn.SetTimeouts(silence(sup), writeTO)
-	done, ticked := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(ticked)
-		if sup.HeartbeatInterval <= 0 {
-			return
-		}
-		t := time.NewTicker(sup.HeartbeatInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if conn.WriteFrame(nil) != nil {
-					return // the read deadline ends the connection
-				}
-			}
-		}
-	}()
-	// Closing first unblocks a tick write stuck on a dead peer.
-	defer func() { conn.Close(); close(done); <-ticked }()
-	for {
-		f, err := conn.ReadFrame()
-		if err != nil {
-			return err
-		}
-		if len(f) > 0 {
-			onFrame(f)
-		}
-	}
-}
-
 // HealthConfig tunes the router's health listener.
 type HealthConfig struct {
 	// Sup's heartbeat interval and miss budget set how long a replica's
@@ -178,11 +139,12 @@ func (h *HealthServer) handle(ctx context.Context, conn *comm.Conn) {
 		return
 	}
 	h.cfg.Log.Event("replica_joined", "replica", rep.Name, "addr0", rep.Addr[0], "addr1", rep.Addr[1])
-	cause := watch(conn, h.cfg.Sup, func(f []byte) {
+	cause := comm.Watch(conn, h.cfg.Sup.HeartbeatInterval, silence(h.cfg.Sup), func(f []byte) error {
 		// Anything but DRAIN is an announcement from a newer replica: ignored.
 		if bytes.Equal(f, drainFrame) && h.reg.Drain(rep.Name) {
 			h.cfg.Log.Event("replica_draining", "replica", rep.Name)
 		}
+		return nil
 	})
 	select {
 	case <-ctx.Done():
@@ -223,7 +185,7 @@ func StartAgent(ctx context.Context, routerAddr string, rep Replica, sup comm.Su
 		defer close(a.done)
 		defer stop()
 		for {
-			watch(conn, a.sup, func([]byte) {}) // the router sends only ticks
+			comm.Watch(conn, a.sup.HeartbeatInterval, silence(a.sup), func([]byte) error { return nil }) // the router sends only ticks
 			if conn, err = a.dial(); err != nil {
 				if a.fail(err) {
 					log.Error("router_link", err, "router", routerAddr)

@@ -23,7 +23,7 @@ func init() { mpc.DealerFeedSection = dealerFeedSection }
 const (
 	dealerFeedDim   = 32
 	dealerFeedDepth = 8 // small_routed's -triplet-feed-depth
-	// A whole number of party 1's credit cycles (one WANT per five draws at
+	// A whole number of party 1's credit cycles (one ASK per five draws at
 	// depth 8), after a warm-up that is one too, so every run counts the same
 	// frames.
 	dealerFeedWarmup   = 10
@@ -31,7 +31,7 @@ const (
 	// dealerFeedBytesBar bounds bytes per triplet over both dealer
 	// connections, both directions. One FEED frame carrying Z₁ alone is
 	// 20 + 9 + 4·32·32 = 4 125 B under its 4-byte length prefix, plus a fifth
-	// of a 21-byte WANT; a frame that carries U and V again is three times
+	// of a 28-byte ASK; a frame that carries U and V again is three times
 	// that, and a second party that is shipped its half doubles it again
 	// (24 755 B before the halves were derived).
 	dealerFeedBytesBar = 4200
@@ -136,7 +136,7 @@ func dealerFeedSection(t *testing.T) map[string]any {
 		"feed_depth":        dealerFeedDepth,
 		"triplets":          dealerFeedTriplets,
 		"bytes_per_triplet": got,
-		"what":              "bytes on both dealer connections, both directions, per triplet dealt to a pair (length prefixes and party 1's WANTs included; the least of three windows, so no tick)",
+		"what":              "bytes on both dealer connections, both directions, per triplet dealt to a pair (length prefixes and party 1's ASKs included; the least of three windows, so no tick)",
 	}
 }
 

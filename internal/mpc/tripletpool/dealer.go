@@ -26,8 +26,8 @@ import (
 // Triplet streams are per shape and random-access; with a fixed Seed
 // triplet j of a shape is a pure function of (Seed, shape, j) —
 // NewStreamSource's determinism — so a dealer restart or a reference run
-// reproduces the exact stream, and the dealer keeps no stream state at all
-// beyond each live connection's cursors. Seed 0 draws a random base at
+// reproduces the exact stream, and the dealer keeps no stream state at all:
+// every ASK names the seqs it wants. Seed 0 draws a random base at
 // startup: reproducibility off, which is what a production deployment wants
 // (a predictable triplet stream is a broken one). A party that reconnects to
 // a dealer on another base sees another key and fails its feed
@@ -60,9 +60,7 @@ var (
 	dealerPairsActive  atomic.Int64
 	dealerTripletsSent atomic.Int64
 	dealerGenerated    atomic.Int64
-	dealerWants        atomic.Int64
-	dealerResumes      atomic.Int64
-	dealerStaleWants   atomic.Int64
+	dealerAsks         atomic.Int64
 )
 
 func init() {
@@ -75,14 +73,8 @@ func init() {
 	obs.Default.FuncCounter("psml_dealer_generated_total", "Beaver triplets generated by the dealer.", func() float64 {
 		return float64(dealerGenerated.Load())
 	})
-	obs.Default.FuncCounter("psml_dealer_wants_total", "WANT (credit) frames received from computation parties.", func() float64 {
-		return float64(dealerWants.Load())
-	})
-	obs.Default.FuncCounter("psml_dealer_resume_total", "RESUME frames received (stream cursors stated after connect, reconnect or dealer restart).", func() float64 {
-		return float64(dealerResumes.Load())
-	})
-	obs.Default.FuncCounter("psml_dealer_stale_wants_total", "WANT frames ignored because their stream had no RESUME on this connection.", func() float64 {
-		return float64(dealerStaleWants.Load())
+	obs.Default.FuncCounter("psml_dealer_asks_total", "ASK frames received from computation parties.", func() float64 {
+		return float64(dealerAsks.Load())
 	})
 }
 
@@ -100,7 +92,7 @@ func NewDealer(cfg DealerConfig) *Dealer {
 
 // Serve accepts party connections until ctx is cancelled or the
 // listener dies. Each accepted connection is one party's long-lived
-// feed; a failed connection takes nothing with it but its own cursors.
+// feed; a failed connection takes nothing with it.
 func (d *Dealer) Serve(ctx context.Context, ln net.Listener) error {
 	err := comm.ServeConns(ctx, ln, func(conn *comm.Conn) {
 		if err := d.serveConn(ctx, conn); err != nil && ctx.Err() == nil {
@@ -114,15 +106,14 @@ func (d *Dealer) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // serveConn runs one party connection: the hello, the party's KEY, then —
-// party 1 only — WANT/RESUME frames answered with FEED frames until the
-// connection dies, with a tick from a goroutine beside it all the while
-// (proto.go). The connection is all there is: a party that lost it dials
-// another and states its cursors again with RESUME.
+// party 1 only — each ASK answered with its FEED frames until the connection
+// dies, with comm.Watch ticking beside it all the while (proto.go). The
+// connection is all there is: a party that lost it dials another and asks
+// again.
 //
-// Generation and delivery run here, on the connection's own goroutine, over
-// state no other connection can reach, and the only one held up meanwhile is
-// this connection's next WANT. Party 1 grants credit in batches
-// (DealerClient.ensureCredit), so delivery runs ahead of demand.
+// Generation and delivery run here, on the connection's own goroutine, and
+// the only one held up meanwhile is this connection's next ASK. Party 1 asks
+// in batches (DealerClient.ensureCredit), so delivery runs ahead of demand.
 func (d *Dealer) serveConn(ctx context.Context, conn *comm.Conn) error {
 	defer conn.Close()
 	conn.SetTimeouts(10*time.Second, 10*time.Second)
@@ -134,81 +125,25 @@ func (d *Dealer) serveConn(ctx context.Context, conn *comm.Conn) error {
 	if err != nil {
 		return err
 	}
-	// Reads idle between WANTs; only writes stay bounded.
-	conn.SetTimeouts(0, 10*time.Second)
 	d.track(pairID, +1)
 	defer d.track(pairID, -1)
 	d.cfg.Log.Event("dealer_party_joined", "pair", pairID, "party", party)
 	if err := conn.WriteFrame(encodeKey(d.keys[party])); err != nil {
 		return fmt.Errorf("tripletpool: dealer KEY: %w", err)
 	}
-	// The tick goroutine also closes the connection — which is what stops the
-	// read loop — when the dealer shuts down and when a tick cannot be written.
-	tctx, stopTick := context.WithCancel(ctx)
-	ticked := make(chan struct{})
-	go func() {
-		defer close(ticked)
-		defer conn.Close()
-		t := time.NewTicker(d.tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-tctx.Done():
-				return
-			case <-t.C:
-				if conn.WriteFrame(nil) != nil {
-					return
-				}
-			}
-		}
-	}()
-	defer func() { stopTick(); <-ticked }()
-	// The streams this connection has RESUMEd, by the next seq owed. Plain
-	// WANTs for any other stream are credit bookkeeping from a previous
-	// connection and are dropped — the replica always re-states its cursor
-	// first.
-	next := make(map[shape]uint64)
+	// Reads idle between ASKs; only writes stay bounded. Serve's ending closes
+	// the connection, which ends the read.
 	var frame []byte
-	for {
-		wf, err := conn.ReadFrame()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err // connection gone
-		}
+	err = comm.Watch(conn, d.tick, 0, func(f []byte) error {
 		if party == 0 {
-			return errors.New("tripletpool: ctl frame from party 0, which derives its halves and is owed nothing")
+			return errors.New("tripletpool: frame from party 0, which derives its halves and is owed nothing")
 		}
-		if len(wf) == 0 {
-			return errors.New("tripletpool: empty ctl frame")
+		s, from, count, err := decodeAsk(f)
+		if err != nil {
+			return err
 		}
-		var s shape
-		var count int
-		switch wf[0] {
-		case ctlWant:
-			if s, count, err = decodeWant(wf); err != nil {
-				return err
-			}
-			dealerWants.Add(1)
-			if _, resumed := next[s]; !resumed {
-				dealerStaleWants.Add(1)
-				continue
-			}
-		case ctlResume:
-			var from uint64
-			if s, from, count, err = decodeResume(wf); err != nil {
-				return err
-			}
-			dealerResumes.Add(1)
-			next[s] = from
-			d.cfg.Log.Event("dealer_stream_resumed", "pair", pairID, "party", party,
-				"shape", fmt.Sprintf("%dx%dx%d", s.M, s.K, s.N), "from", from, "count", count)
-		default:
-			return fmt.Errorf("tripletpool: unknown ctl frame kind 0x%02x", wf[0])
-		}
-		for ; count > 0; count-- {
-			seq := next[s]
+		dealerAsks.Add(1)
+		for seq := from; seq < from+uint64(count); seq++ {
 			_, p1 := deriveTriplet(d.keys, s, seq)
 			dealerGenerated.Add(1)
 			frame = appendFeedFrame(frame[:0], s, seq, p1.Z)
@@ -216,9 +151,13 @@ func (d *Dealer) serveConn(ctx context.Context, conn *comm.Conn) error {
 				return fmt.Errorf("tripletpool: dealer FEED: %w", err)
 			}
 			dealerTripletsSent.Add(1)
-			next[s] = seq + 1
 		}
+		return nil
+	})
+	if ctx.Err() != nil {
+		return nil
 	}
+	return err
 }
 
 // track counts pairID's live connections for psml_dealer_pairs_active.

@@ -218,32 +218,18 @@ func TestDealerProtoCodecs(t *testing.T) {
 	if _, _, err := decodeDealerHello([]byte{1, 2}); err == nil {
 		t.Fatal("short hello accepted")
 	}
-	s, count, err := decodeWant(encodeWant(shape{3, 4, 5}, 6))
-	if err != nil || s != (shape{3, 4, 5}) || count != 6 {
-		t.Fatalf("WANT round trip: %+v %d %v", s, count, err)
+	s, from, count, err := decodeAsk(encodeAsk(shape{3, 4, 5}, 1<<40, 7))
+	if err != nil || s != (shape{3, 4, 5}) || from != 1<<40 || count != 7 {
+		t.Fatalf("ASK round trip: %+v %d %d %v", s, from, count, err)
 	}
-	if _, _, err := decodeWant(encodeWant(shape{0, 4, 5}, 6)); err == nil {
-		t.Fatal("degenerate WANT accepted")
-	}
-	rs, from, rcount, err := decodeResume(encodeResume(shape{3, 4, 5}, 1<<40, 7))
-	if err != nil || rs != (shape{3, 4, 5}) || from != 1<<40 || rcount != 7 {
-		t.Fatalf("RESUME round trip: %+v %d %d %v", rs, from, rcount, err)
-	}
-	if _, _, _, err := decodeResume(encodeResume(shape{3, 0, 5}, 0, 1)); err == nil {
-		t.Fatal("degenerate RESUME accepted")
-	}
-	// The two ctl kinds must reject each other's frames.
-	if _, _, err := decodeWant(encodeResume(shape{3, 4, 5}, 0, 1)); err == nil {
-		t.Fatal("RESUME frame accepted as WANT")
-	}
-	if _, _, _, err := decodeResume(encodeWant(shape{3, 4, 5}, 1)); err == nil {
-		t.Fatal("WANT frame accepted as RESUME")
+	if _, _, _, err := decodeAsk(encodeAsk(shape{3, 0, 5}, 0, 1)); err == nil {
+		t.Fatal("degenerate ASK accepted")
 	}
 	if key, err := decodeKey(encodeKey(1<<63 | 5)); err != nil || key != 1<<63|5 {
 		t.Fatalf("KEY round trip: %x %v", key, err)
 	}
-	if _, err := decodeKey(encodeWant(shape{3, 4, 5}, 1)); err == nil {
-		t.Fatal("WANT frame accepted as KEY")
+	if _, err := decodeKey(encodeAsk(shape{3, 4, 5}, 0, 1)); err == nil {
+		t.Fatal("ASK frame accepted as KEY")
 	}
 	_, p1 := NewStreamSource(2).Gen(2, 3, 4)
 	gs, seq, z1, err := decodeFeedFrame(appendFeedFrame(nil, shape{2, 3, 4}, 9, p1.Z))

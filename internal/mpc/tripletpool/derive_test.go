@@ -374,7 +374,7 @@ func cutFrames(stream []byte) (frames [][]byte) {
 
 // TestDealerShipsOnlyTheCorrection is contract (c), read off the bytes of
 // both dealer connections over 64 triplets: every frame on either is a hello,
-// a KEY, a WANT, a RESUME, a FEED or an empty tick, counted. The dealer sends
+// a KEY, an ASK, a FEED or an empty tick, counted. The dealer sends
 // party 0 one KEY frame and ticks and party 0 sends the dealer its hello and
 // nothing else; party 1's connection carries its KEY and then m·n floats per
 // triplet, one FEED frame each, among the ticks; and neither connection ever
@@ -461,13 +461,11 @@ func TestDealerShipsOnlyTheCorrection(t *testing.T) {
 			}
 			continue
 		}
-		// Party 1: credit one way, corrections the other. The last Take left
-		// the credit at its seq + 1 + depth.
+		// Party 1: ASKs one way, corrections the other. The last Take left
+		// the run asked for at its seq + 1 + depth.
 		for _, f := range toDealer[1:] {
-			_, _, werr := decodeWant(f)
-			_, _, _, rerr := decodeResume(f)
-			if werr != nil && rerr != nil {
-				t.Errorf("party 1 sent a frame of %d bytes that is neither WANT nor RESUME", len(f))
+			if _, _, _, err := decodeAsk(f); err != nil {
+				t.Errorf("party 1 sent a frame of %d bytes that is not an ASK: %v", len(f), err)
 			}
 		}
 		if len(fed) < triplets || len(fed) > triplets+depth {
@@ -488,6 +486,48 @@ func TestDealerShipsOnlyTheCorrection(t *testing.T) {
 	}
 	if !seen[0] || !seen[1] {
 		t.Fatalf("tapped connections cover parties %v, want both", seen)
+	}
+}
+
+// TestDealerAnswersEachAskAlone: an ASK names its seqs and the dealer keeps
+// no cursor, so on one connection it answers [5,8), then [2,4) below it, then
+// [5,6) again, in that order, each seq with the stream's Z₁.
+func TestDealerAnswersEachAskAlone(t *testing.T) {
+	const base = 777
+	sh := shape{3, 4, 5}
+	addr, _ := startDealer(t, DealerConfig{Seed: base})
+	conn, err := feedConnect(addr)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetTimeouts(5*time.Second, 5*time.Second)
+	if err := conn.WriteFrame(encodeDealerHello(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := conn.ReadFrame(); err != nil || !bytes.Equal(f, encodeKey(partyKey(base, 1))) {
+		t.Fatalf("no KEY from the dealer: %d bytes, %v", len(f), err)
+	}
+	for _, run := range [][2]uint64{{5, 8}, {2, 4}, {5, 6}} {
+		if err := conn.WriteFrame(encodeAsk(sh, run[0], int(run[1]-run[0]))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []uint64{5, 6, 7, 2, 3, 5} {
+		f, err := conn.ReadFrame()
+		for err == nil && len(f) == 0 { // a tick
+			f, err = conn.ReadFrame()
+		}
+		if err != nil {
+			t.Fatalf("waiting for seq %d: %v", want, err)
+		}
+		s, seq, z1, err := decodeFeedFrame(f)
+		if err != nil || s != sh || seq != want {
+			t.Fatalf("FEED for seq %d: shape %v seq %d err %v", want, s, seq, err)
+		}
+		if _, r1 := refTriplet(base, sh, seq); !z1.Equal(r1.Z) {
+			t.Fatalf("FEED for seq %d does not carry the stream's Z₁", seq)
+		}
 	}
 }
 
@@ -674,7 +714,7 @@ func TestDealerRestartedOnAnotherBase(t *testing.T) {
 
 // ---- hostile frames, both directions
 
-// TestDealerRejectsHostileFrames drives each end of the v4 protocol with
+// TestDealerRejectsHostileFrames drives each end of the v5 protocol with
 // frames the other end must never send, the test playing the far end on the
 // raw connection. The dealer ends the connection with an error that says why;
 // the client fails its feed — sticky, typed where the frame means something
@@ -695,21 +735,20 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 		ctl   []byte // written once the KEY arrived; nil: hello only
 		want  string
 	}{
-		{"v2 hello", oldHello(2), nil, "protocol version 2, want 4"},
-		{"v3 hello", oldHello(3), nil, "protocol version 3, want 4"},
+		{"v2 hello", oldHello(2), nil, "protocol version 2, want 5"},
+		{"v3 hello", oldHello(3), nil, "protocol version 3, want 5"},
+		{"v4 hello", oldHello(4), nil, "protocol version 4, want 5"},
 		{"hello from party 2", func() []byte {
 			h := encodeDealerHello(1, 1)
 			binary.LittleEndian.PutUint32(h[8:12], 2)
 			return h
 		}(), nil, "claims party 2"},
-		{"WANT from party 0", encodeDealerHello(0, 1), encodeWant(sh, 4), "from party 0"},
-		{"RESUME from party 0", encodeDealerHello(0, 1), encodeResume(sh, 0, 4), "from party 0"},
-		{"KEY from a party", encodeDealerHello(1, 1), encodeKey(0x0101010101010101), "bad WANT frame"},
-		{"tick from a party", encodeDealerHello(1, 1), []byte{}, "empty ctl frame"},
-		{"unknown ctl kind", encodeDealerHello(1, 1), []byte{0x7f, 1, 2, 3}, "unknown ctl frame kind"},
-		{"WANT with no count", encodeDealerHello(1, 1), encodeWant(sh, 0), "degenerate count"},
-		{"RESUME whose count wraps the seq", encodeDealerHello(1, 1), encodeResume(sh, ^uint64(0)-1, 5), "RESUME frame with count"},
-		{"RESUME of a shape no frame could carry", encodeDealerHello(1, 1), encodeResume(shape{1, 1 << 30, 1 << 30}, 0, 1), "exceeds the frame limit"},
+		{"ASK from party 0", encodeDealerHello(0, 1), encodeAsk(sh, 0, 4), "from party 0"},
+		{"KEY from a party", encodeDealerHello(1, 1), encodeKey(0x0101010101010101), "bad ASK frame (8 bytes)"},
+		{"tick from a party", encodeDealerHello(1, 1), []byte{}, "bad ASK frame (0 bytes)"},
+		{"ASK with count 0", encodeDealerHello(1, 1), encodeAsk(sh, 0, 0), "ASK frame with count 0"},
+		{"ASK whose count wraps the seq", encodeDealerHello(1, 1), encodeAsk(sh, ^uint64(0)-1, 5), "ASK frame with count 5"},
+		{"ASK of a shape no frame could carry", encodeDealerHello(1, 1), encodeAsk(shape{1, 1 << 30, 1 << 30}, 0, 1), "exceeds the frame limit"},
 	}
 	for _, tc := range toDealer {
 		t.Run("dealer/"+tc.name, func(t *testing.T) {
@@ -772,7 +811,7 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 		}, nil, "did not ask for", false},
 		{"FEED of a shape never asked for", 1, func(p *comm.Conn) {
 			p.WriteFrame(encodeKey(1))
-			p.ReadFrame() // the RESUME for sh
+			p.ReadFrame() // the ASK for sh
 			p.WriteFrame(appendFeedFrame(nil, shape{1, 1 << 20, 1}, 0, tensor.New(1, 1)))
 		}, nil, "did not ask for", false},
 		{"FEED whose matrix is not m×n", 1, func(p *comm.Conn) {

@@ -33,21 +33,22 @@ var ErrDealerReseeded = errors.New("tripletpool: dealer restarted on another bas
 // a Take out of order — is derived on the caller's goroutine. A dealer outage
 // does not reach it at all.
 //
-// Party 1 derives U₁ ‖ V₁ and is shipped the correction Z₁. Credits (WANT
-// frames) are issued lazily per shape, keeping between Depth/2 and Depth
+// Party 1 derives U₁ ‖ V₁ and is shipped the correction Z₁. It asks for
+// seqs (ASK frames) lazily per shape, keeping between Depth/2 and Depth
 // triplets of headroom beyond what is being taken, so the dealer's
 // generation follows observed demand instead of guessing shapes up front.
-// A RESUME frame opens a stream at the seq a Take needs — on first use, when
-// a Take lands outside the run of seqs already asked for, and again on every
-// new connection, when each waiting Take re-states its own seq — and because
-// the stream is a pure function of (key, shape, seq) what a restarted dealer
-// sends is bit-identical to what the dead one would have.
+// Every ASK names its seqs: a top-up extends the run already asked for, and
+// a run opens at the seq a Take needs — on first use, when a Take lands
+// outside the run, and again on every new connection, at the consumption
+// floor — and because the stream is a pure function of (key, shape, seq)
+// what a restarted dealer sends is bit-identical to what the dead one would
+// have.
 //
 // A read that fails — at once when the dealer is killed, after silentTicks of
-// silence when it is wedged — ends the connection and readLoop dials the next:
-// a dealer crash (or standby takeover) is an outage, not a failure. Only the
-// retry budget running out, or a dealer on another base (ErrDealerReseeded),
-// fails the feed — for both parties.
+// silence when it is wedged (comm.Watch) — ends the connection and readLoop
+// dials the next: a dealer crash (or standby takeover) is an outage, not a
+// failure. Only the retry budget running out, or a dealer on another base
+// (ErrDealerReseeded), fails the feed — for both parties.
 type DealerClient struct {
 	party   int
 	depth   int
@@ -114,7 +115,7 @@ func (fs *feedShape) consume(seq uint64) {
 // FeedConfig tunes a DealerClient. The zero value selects the defaults.
 type FeedConfig struct {
 	// Depth is the per-shape headroom kept beyond consumption. Party 1 tops
-	// its credit up in one WANT whenever less than half of it is left; party 0
+	// its credit up in one ASK whenever less than half of it is left; party 0
 	// derives this many halves ahead of its allocation cursor. Default 8.
 	Depth int
 	// ReconnectAttempts bounds the dials per outage and at start-up. Default 10.
@@ -129,7 +130,7 @@ var (
 	feedReceived atomic.Int64
 	feedBuffered atomic.Int64
 	feedDups     atomic.Int64
-	feedResumes  atomic.Int64
+	feedAsks     atomic.Int64
 	feedWaits    = obs.Default.Histogram("psml_triplet_feed_wait_seconds", "Time requests block waiting for a dealer-fed triplet to arrive.")
 )
 
@@ -143,8 +144,8 @@ func init() {
 	obs.Default.FuncCounter("psml_triplet_feed_duplicates_total", "Duplicate or stale triplet deliveries dropped (resume overlap).", func() float64 {
 		return float64(feedDups.Load())
 	})
-	obs.Default.FuncCounter("psml_dealer_resume_sent_total", "RESUME frames sent to the dealer (stream opens and post-restart re-opens).", func() float64 {
-		return float64(feedResumes.Load())
+	obs.Default.FuncCounter("psml_dealer_asks_sent_total", "ASK frames sent to the dealer (stream opens, top-ups and post-restart re-opens).", func() float64 {
+		return float64(feedAsks.Load())
 	})
 }
 
@@ -240,8 +241,7 @@ func (c *DealerClient) dial() (*comm.Conn, error) {
 	return conn, nil
 }
 
-// greet runs a fresh connection's hello → KEY exchange inside helloTicks and
-// leaves conn with the read deadline that makes a silent dealer a dead one.
+// greet runs a fresh connection's hello → KEY exchange inside helloTicks.
 // (gen is read unlocked: dial, the one caller, is its one writer.)
 func (c *DealerClient) greet(conn *comm.Conn) error {
 	_, writeTO := conn.Timeouts()
@@ -253,7 +253,6 @@ func (c *DealerClient) greet(conn *comm.Conn) error {
 	if err != nil {
 		return fmt.Errorf("tripletpool: dealer KEY: %w", err)
 	}
-	conn.SetTimeouts(silentTicks*c.tick, writeTO)
 	if c.gen == 0 {
 		c.key, err = decodeKey(f)
 		return err
@@ -278,7 +277,6 @@ func (c *DealerClient) readLoop(conn *comm.Conn) {
 	defer c.wg.Done()
 	for {
 		err := c.readConn(conn)
-		conn.Close()
 		if err == nil {
 			conn, err = c.dial()
 		}
@@ -291,26 +289,16 @@ func (c *DealerClient) readLoop(conn *comm.Conn) {
 
 // readConn takes what the dealer sends on one connection until a read fails
 // (nil) or a frame breaks the protocol (the feed's failure): ticks, which only
-// have to arrive; a KEY, held against the feed's own; and, on party 1, FEED
-// frames, each completed into a half with the U₁ ‖ V₁ derived here, off every
-// request's path. A resumed stream re-delivers from the consumption floor, so
-// already-held and already-consumed seqs are dropped as duplicates. Anything
-// else — a FEED to party 0, an unasked shape, a matrix that is not the shape's
-// Z — is not this protocol.
+// have to arrive within silentTicks; a KEY, held against the feed's own; and,
+// on party 1, FEED frames, each completed into a half with the U₁ ‖ V₁
+// derived here, off every request's path. A run re-asked from the consumption
+// floor re-delivers, so already-held and already-consumed seqs are dropped as
+// duplicates. Anything else — a FEED to party 0, an unasked shape, a matrix
+// that is not the shape's Z — is not this protocol.
 func (c *DealerClient) readConn(conn *comm.Conn) error {
-	for {
-		f, err := conn.ReadFrame()
-		if err != nil {
-			return nil
-		}
-		if len(f) == 0 {
-			continue // a tick
-		}
+	err := comm.Watch(conn, 0, silentTicks*c.tick, func(f []byte) error {
 		if len(f) == keyBytes {
-			if err := c.checkKey(f); err != nil {
-				return err
-			}
-			continue
+			return c.checkKey(f)
 		}
 		s, seq, z1, err := decodeFeedFrame(f)
 		if err != nil {
@@ -328,14 +316,19 @@ func (c *DealerClient) readConn(conn *comm.Conn) error {
 		c.mu.Unlock()
 		if dup {
 			feedDups.Add(1)
-			continue
+			return nil
 		}
 		t := deriveHalf(c.key, 1, s, seq)
 		t.Z = z1
 		c.mu.Lock()
 		c.holdLocked(fs, seq, t)
 		c.mu.Unlock()
+		return nil
+	})
+	if errors.Is(err, comm.ErrConnEnded) {
+		return nil
 	}
+	return err
 }
 
 // holdLocked buffers seq's half unless it was taken or buffered meanwhile.
@@ -394,46 +387,41 @@ func (c *DealerClient) shape(s shape) *feedShape {
 }
 
 // maxExtend is how far past the end of its open run a Take still extends the
-// run with a WANT instead of opening a new one: the seqs between belong to
-// sessions whose Takes land out of order, up to a burst of this many, and are
-// wanted anyway.
+// run instead of opening a new one: the seqs between belong to sessions whose
+// Takes land out of order, up to a burst of this many, and are wanted anyway.
 const maxExtend = 256
 
 // ensureCredit makes sure party 1 has asked the dealer, on the current
-// connection, for seq `need` of the shape plus headroom.
+// connection, for seq `need` of the shape plus headroom, in one ASK.
 //
 // Inside the shape's open run (or within maxExtend past its end) the run is
 // extended: when fewer than half of Depth (rounded up, so depth 1 still asks
-// one ahead) credits remain beyond `need` it tops them up to Depth in one
-// WANT. Otherwise — first use, first need since a reconnect, a Take far out of
-// order — it opens a run at `need` with a RESUME. Moving the dealer's cursor
-// strands nobody: the dealer ships each ctl frame's credit in full before it
-// reads the next, so whatever was asked on this connection is already on the
-// wire. A run that ends close above `need` keeps its end, so the waiters just
-// above are covered by this one RESUME instead of one each. floor, the lowest
-// seq not yet consumed, is where a stream re-opens after a reconnect.
+// one ahead) credits remain beyond `need` it asks for [covered, need+1+Depth).
+// Otherwise — first use, first need since a reconnect, a Take far out of
+// order — it opens a run at `need`. A run that ends close above `need` keeps
+// its end, so the waiters just above are covered by this one ASK instead of
+// one each. floor, the lowest seq not yet consumed, is where a stream
+// re-opens after a reconnect.
 //
 // Caller holds c.mu, and the write happens without dropping it, while readLoop
-// needs c.mu to bank each FEED frame and the dealer reads no ctl frame before
-// it has shipped the last one's credit. That cannot wedge, because the write
-// cannot block: a call writes at most one ctl frame per connection, and a
-// shape's next frame is due only once a Take lands in the upper half of the
-// last one's credit, so what lies unread in the socket is at most one frame of
-// 29 bytes per call in flight plus a couple per shape from calls that returned
-// — under 3 KB at 80 sessions, inside any socket buffer. A write that fails is
-// the connection's failure, not the feed's: readLoop replaces the connection,
-// and the next incarnation makes this call ask again.
+// needs c.mu to bank each FEED frame and the dealer reads no ASK before it has
+// shipped the last one's seqs. That cannot wedge, because the write cannot
+// block: a call writes at most one ASK per connection, and a shape's next ASK
+// is due only once a Take lands in the upper half of the last one's run, so
+// what lies unread in the socket is at most one frame of 28 bytes per call in
+// flight plus a couple per shape from calls that returned — under 3 KB at 80
+// sessions, inside any socket buffer. A write that fails is the connection's
+// failure, not the feed's: readLoop replaces the connection, and the next
+// incarnation makes this call ask again.
 func (c *DealerClient) ensureCredit(s shape, fs *feedShape, need uint64) {
-	var frame []byte
-	target := need + 1 + uint64(c.depth)
+	from, target := fs.covered, need+1+uint64(c.depth)
 	if fs.gen == c.gen && need >= fs.from && need <= fs.covered+maxExtend {
 		if fs.covered >= need+1+uint64((c.depth+1)/2) {
 			return // at least half the headroom left
 		}
-		frame = encodeWant(s, int(target-fs.covered))
 		fs.covered = target
 	} else {
-		from := need
+		from = need
 		if fs.gen != c.gen && need-fs.floor <= maxExtend {
 			// The incarnation's first ask: open at the consumption floor, at or
 			// below every waiting Take, so the ones that ask next all land inside
@@ -443,13 +431,12 @@ func (c *DealerClient) ensureCredit(s shape, fs *feedShape, need uint64) {
 		if target < fs.covered && fs.covered <= need+maxExtend {
 			target = fs.covered
 		}
-		frame = encodeResume(s, from, int(target-from))
 		fs.gen, fs.from, fs.covered = c.gen, from, target
 	}
-	if c.conn.WriteFrame(frame) != nil {
+	if c.conn.WriteFrame(encodeAsk(s, from, int(target-from))) != nil {
 		c.conn.Close() // readLoop's read fails with it
-	} else if frame[0] == ctlResume {
-		feedResumes.Add(1)
+	} else {
+		feedAsks.Add(1)
 	}
 }
 

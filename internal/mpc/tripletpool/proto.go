@@ -9,29 +9,30 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// Dealer wire protocol, v4: frames on one connection per server party, nothing
+// Dealer wire protocol, v5: frames on one connection per server party, nothing
 // between. The party's hello says who is asking (party and pair) and the
-// dealer answers with KEY; from then on party 1 sends WANT and RESUME frames
-// (shape-keyed credit grants) one way, and the dealer sends FEED frames and
-// ticks the other. A connection is self-contained: the dealer keeps nothing
-// about a pair between connections, and nothing one party does can hold up
-// the other — so a connection that fails is not resumed but replaced: the
-// party dials again, says hello again and asks again for what it waits for.
+// dealer answers with KEY; from then on party 1 sends ASK frames one way, and
+// the dealer sends FEED frames and ticks the other. An ASK names a shape and
+// a run of seqs [from, from+count), and the dealer answers each on its own
+// with one FEED per seq: it keeps no cursor, on a connection or between
+// them. So a connection that fails is not resumed but replaced: the party
+// dials again, says hello again and asks again for what it waits for.
 //
 // KEY is that party's 64-bit stream key K_i = SHA-256(base ‖ party)[:8].
 // Triplet seq of shape (m,k,n) is from then on a pure, random-access function
 // (deriveHalf): party 0 expands U₀ ‖ V₀ ‖ Z₀ and party 1 expands U₁ ‖ V₁ from
 // its own key, and the dealer, who holds both keys, ships the one matrix
 // neither can compute — Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ — in a FEED frame, to party
-// 1 only, against party 1's credit. Party 0 is sent its key and nothing else,
-// and sends nothing. Length tells the dealer's frames apart: a tick is empty,
-// a KEY is 8 bytes, a FEED is longer than its 20-byte header.
+// 1 only, as party 1 asks. Party 0 is sent its key and nothing else, and
+// sends nothing. Length tells the dealer's frames apart: a tick is empty, a
+// KEY is 8 bytes, a FEED is longer than its 20-byte header.
 //
 // The tick tells a party a dead dealer from an idle one: an empty frame every
-// dealerTick, from a goroutine of its own so that generating a large shape
-// never silences it; a party gives up a connection after silentTicks of
-// silence. Only the dealer ticks, because only a party waits: a dead party is
-// left to TCP keep-alive and the write bound on the dealer's own frames.
+// dealerTick, from a goroutine of its own (comm.Watch) so that generating a
+// large shape never silences it; a party gives up a connection after
+// silentTicks of silence. Only the dealer ticks, because only a party waits:
+// a dead party is left to TCP keep-alive and the write bound on the dealer's
+// own frames.
 //
 // Share separation is structural: each key travels only on its own party's
 // connection, and it is one-way in the base, so holding K₀ says nothing about
@@ -55,29 +56,16 @@ const (
 	// dealer rejects mismatches at hello time rather than mid-stream.
 	// v2: ctl frames grew a kind tag and the RESUME frame. v3: KEY frames,
 	// FEED frames carry Z₁ alone, party 0 has no ctl traffic. v4: the frames
-	// travel on the connection itself, and the dealer ticks. One version is
-	// spoken; there is no negotiated fallback.
-	dealerProtoVersion = 4
+	// travel on the connection itself, and the dealer ticks. v5: one request
+	// frame, ASK, and no cursor on the dealer. One version is spoken; there
+	// is no negotiated fallback.
+	dealerProtoVersion = 5
 	// The dealer writes an empty frame every dealerTick. A party gives up a
 	// connection silent for silentTicks of them (2 s), and allows a new one
 	// helloTicks (10 s, the dealer's bound on the hello) from hello to KEY.
 	dealerTick  = 500 * time.Millisecond
 	silentTicks = 4
 	helloTicks  = 20
-)
-
-// Ctl frame kinds (first byte of every frame party 1 sends after its hello).
-const (
-	// ctlWant grants incremental credit on an already-resumed stream.
-	ctlWant = 0x01
-	// ctlResume states party 1's consume cursor for one shape and opens (or
-	// re-opens) that stream on this connection: the dealer ships from the
-	// cursor — the stream is random-access, there is nothing to rewind — and
-	// the carried count is the stream's credit. Sent on first contact per
-	// shape and again after every reconnect; the dealer ignores plain WANTs
-	// for a stream this connection has not RESUMEd, so credit bookkeeping
-	// from a dead connection can never leak into a fresh one.
-	ctlResume = 0x02
 )
 
 // helloBytes is the dealer hello frame: magic, version, party, pair id.
@@ -106,67 +94,38 @@ func decodeDealerHello(f []byte) (party int, pairID uint64, err error) {
 	return party, binary.LittleEndian.Uint64(f[12:20]), nil
 }
 
-// wantBytes is a WANT frame: kind tag, shape dimensions, credit count.
-const wantBytes = 1 + 4*3 + 4
+// askBytes is an ASK frame: shape dimensions, the first seq asked for, and
+// how many seqs from it. The hello's version says what follows, so it has no
+// kind byte.
+const askBytes = 4*3 + 8 + 4
 
-func encodeWant(s shape, count int) []byte {
-	buf := make([]byte, wantBytes)
-	buf[0] = ctlWant
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(s.M))
-	binary.LittleEndian.PutUint32(buf[5:9], uint32(s.K))
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(s.N))
-	binary.LittleEndian.PutUint32(buf[13:17], uint32(count))
+func encodeAsk(s shape, from uint64, count int) []byte {
+	buf := make([]byte, askBytes)
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(s.M))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(s.K))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(s.N))
+	binary.LittleEndian.PutUint64(buf[12:20], from)
+	binary.LittleEndian.PutUint32(buf[20:24], uint32(count))
 	return buf
 }
 
-func decodeWant(f []byte) (shape, int, error) {
-	if len(f) != wantBytes || f[0] != ctlWant {
-		return shape{}, 0, fmt.Errorf("tripletpool: bad WANT frame (%d bytes)", len(f))
+func decodeAsk(f []byte) (s shape, from uint64, count int, err error) {
+	if len(f) != askBytes {
+		return shape{}, 0, 0, fmt.Errorf("tripletpool: bad ASK frame (%d bytes)", len(f))
 	}
-	s, err := decodeCtlShape(f[1:13])
-	if err != nil {
-		return shape{}, 0, fmt.Errorf("tripletpool: WANT frame: %w", err)
+	if s, err = decodeCtlShape(f[0:12]); err != nil {
+		return shape{}, 0, 0, fmt.Errorf("tripletpool: ASK frame: %w", err)
 	}
-	count := int(binary.LittleEndian.Uint32(f[13:17]))
-	if count <= 0 {
-		return shape{}, 0, fmt.Errorf("tripletpool: WANT frame with degenerate count %d", count)
-	}
-	return s, count, nil
-}
-
-// resumeBytes is a RESUME frame: kind tag, shape dimensions, the
-// replica's consume cursor (next stream seq it needs), credit count.
-const resumeBytes = 1 + 4*3 + 8 + 4
-
-func encodeResume(s shape, from uint64, count int) []byte {
-	buf := make([]byte, resumeBytes)
-	buf[0] = ctlResume
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(s.M))
-	binary.LittleEndian.PutUint32(buf[5:9], uint32(s.K))
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(s.N))
-	binary.LittleEndian.PutUint64(buf[13:21], from)
-	binary.LittleEndian.PutUint32(buf[21:25], uint32(count))
-	return buf
-}
-
-func decodeResume(f []byte) (s shape, from uint64, count int, err error) {
-	if len(f) != resumeBytes || f[0] != ctlResume {
-		return shape{}, 0, 0, fmt.Errorf("tripletpool: bad RESUME frame (%d bytes)", len(f))
-	}
-	s, err = decodeCtlShape(f[1:13])
-	if err != nil {
-		return shape{}, 0, 0, fmt.Errorf("tripletpool: RESUME frame: %w", err)
-	}
-	from = binary.LittleEndian.Uint64(f[13:21])
-	count = int(binary.LittleEndian.Uint32(f[21:25]))
-	if count < 0 || from+uint64(count) < from {
-		return shape{}, 0, 0, fmt.Errorf("tripletpool: RESUME frame with count %d from cursor %d", count, from)
+	from = binary.LittleEndian.Uint64(f[12:20])
+	count = int(binary.LittleEndian.Uint32(f[20:24]))
+	if count <= 0 || from+uint64(count) < from {
+		return shape{}, 0, 0, fmt.Errorf("tripletpool: ASK frame with count %d from seq %d", count, from)
 	}
 	return s, from, count, nil
 }
 
-// decodeCtlShape validates the 12-byte shape block shared by WANT, RESUME
-// and FEED frames.
+// decodeCtlShape validates the 12-byte shape block shared by ASK and FEED
+// frames.
 func decodeCtlShape(b []byte) (shape, error) {
 	s := shape{
 		M: int(binary.LittleEndian.Uint32(b[0:4])),

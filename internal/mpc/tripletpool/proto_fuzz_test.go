@@ -6,30 +6,30 @@ import (
 )
 
 // FuzzDealerProto throws arbitrary bytes at every dealer-protocol frame
-// decoder — hello, KEY, WANT, RESUME, FEED. The decoders guard the dealer
+// decoder — hello, KEY, ASK, FEED. The decoders guard the dealer
 // and the replicas against each other: a malformed or hostile frame
 // must come back as an error, never a panic, and whatever a decoder
 // does accept must re-encode to the same bytes (every frame but FEED is
 // fixed-layout) or survive a second decode unchanged (FEED frames). The
-// corpus under testdata holds the cases by name: a v2 and a v3 hello and v2's
-// three-matrix FEED frames (refused — one version is spoken), a Z that is not
-// m×n, a shape past the frame limit, a RESUME whose cursor + count wraps, and
-// the tick — the empty frame, which no decoder may take for one of its own.
+// corpus under testdata holds the cases by name: a v2, a v3 and a v4 hello and
+// v2's three-matrix FEED frames (refused — one version is spoken), a Z that is
+// not m×n, a shape past the frame limit, ASKs for no seq, for a zero k, past
+// the frame limit and whose from + count wraps, and the tick — the empty
+// frame, which no decoder may take for one of its own.
 func FuzzDealerProto(f *testing.F) {
 	_, p1 := NewStreamSource(7).Gen(2, 3, 2)
 	f.Add(encodeDealerHello(1, 42))
-	f.Add(encodeWant(shape{M: 5, K: 6, N: 4}, 8))
-	f.Add(encodeResume(shape{M: 5, K: 6, N: 4}, 97, 3))
+	f.Add(encodeAsk(shape{M: 5, K: 6, N: 4}, 97, 3))
+	f.Add(encodeAsk(shape{M: 5, K: 6, N: 4}, 1<<63, 2))
 	f.Add(appendFeedFrame(nil, shape{M: 2, K: 3, N: 2}, 11, p1.Z))
 	f.Add(encodeKey(0xfeedfacecafef00d))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			_, _, hello := decodeDealerHello(data)
 			_, key := decodeKey(data)
-			_, _, want := decodeWant(data)
-			_, _, _, resume := decodeResume(data)
+			_, _, _, ask := decodeAsk(data)
 			_, _, _, feed := decodeFeedFrame(data)
-			if hello == nil || key == nil || want == nil || resume == nil || feed == nil {
+			if hello == nil || key == nil || ask == nil || feed == nil {
 				t.Fatal("a decoder accepted the empty frame, which is the tick")
 			}
 		}
@@ -44,20 +44,12 @@ func FuzzDealerProto(f *testing.F) {
 		if key, err := decodeKey(data); err == nil && !bytes.Equal(encodeKey(key), data) {
 			t.Fatal("KEY did not re-encode to its own bytes")
 		}
-		if s, count, err := decodeWant(data); err == nil {
-			if s.M <= 0 || s.K <= 0 || s.N <= 0 || count <= 0 {
-				t.Fatalf("WANT decoded degenerate %dx%dx%d count %d", s.M, s.K, s.N, count)
+		if s, from, count, err := decodeAsk(data); err == nil {
+			if s.M <= 0 || s.K <= 0 || s.N <= 0 || count <= 0 || from+uint64(count) < from {
+				t.Fatalf("ASK decoded degenerate %dx%dx%d count %d from %d", s.M, s.K, s.N, count, from)
 			}
-			if !bytes.Equal(encodeWant(s, count), data) {
-				t.Fatal("WANT did not re-encode to its own bytes")
-			}
-		}
-		if s, from, count, err := decodeResume(data); err == nil {
-			if s.M <= 0 || s.K <= 0 || s.N <= 0 || count < 0 || from+uint64(count) < from {
-				t.Fatalf("RESUME decoded degenerate %dx%dx%d count %d from %d", s.M, s.K, s.N, count, from)
-			}
-			if !bytes.Equal(encodeResume(s, from, count), data) {
-				t.Fatal("RESUME did not re-encode to its own bytes")
+			if !bytes.Equal(encodeAsk(s, from, count), data) {
+				t.Fatal("ASK did not re-encode to its own bytes")
 			}
 		}
 		if s, seq, z1, err := decodeFeedFrame(data); err == nil {

@@ -5,7 +5,7 @@
 # the same drills run identically from a laptop.
 #
 # Usage: scripts/ci_drills.sh <drill>
-#   concurrent   concurrent sessions survive a client kill, bit-identical; a leasing burst and a dealer outage never stall party 0; a silent dealer is redialled
+#   concurrent   concurrent sessions survive a client kill, bit-identical; a leasing burst and a dealer outage never stall party 0; each ASK answered alone; a silent dealer is redialled; comm.Watch's ticks and silence bound
 #   engine       one exchange engine: any member count, band heights, held F == reference
 #   chaos-link   peer link killed mid-flight; supervised reconnect + replay; pooled frames never lent again mid-write; mux session queues: overflow isolated, close drains, backlog handed over, an idle session < 1 KiB
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
@@ -15,7 +15,7 @@
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
 #   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
 #   fp16-sweep   the F16C binary16 kernels == the portable conversion on all 2^32 float32 patterns (~40 s)
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop and the health link are plain connections; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec; one FP16 slice path, picked by one CPUID decision; no per-frame make([]byte in the mux or the supervised link
+#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop and the health link are plain connections under one tick-and-silence loop, and the dealer hop has one request frame; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec; one FP16 slice path, picked by one CPUID decision; no per-frame make([]byte in the mux or the supervised link
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -35,11 +35,15 @@ concurrent)
   drill_test ./internal/mpc/ 'TestConcurrentSessionsSurviveClientKill|TestConcurrentSessionsBitIdentical'
   # Dealer-fed: a burst of 80 leasing sessions completes however far party 0
   # leads (it derives its halves; no window sits between the parties), the
-  # dealer links carry one key per connection, Z1 and ticks and nothing
-  # else, a dealer outage under a serving pair stalls party 1 only,
-  # bit-identically, and a dealer that goes silent is given up after four
-  # ticks and redialled while one that is busy but ticking is not.
-  drill_test ./internal/mpc/tripletpool/ 'TestDealerFedBurstNeverWaitsOnAWindow|TestDealerShipsOnlyTheCorrection|TestPartyZeroOutlivesDealerOutage|TestFeedGivesUpOnSilentDealer'
+  # dealer links carry one key per connection, party 1's ASKs, Z1 and ticks
+  # and nothing else, the dealer answers each ASK alone, a dealer outage
+  # under a serving pair stalls party 1 only, bit-identically, and a dealer
+  # that goes silent is given up after four ticks and redialled while one
+  # that is busy but ticking is not. Under it, comm.Watch: ticks at the
+  # interval, silence bounded, a refusal told from an ended connection, and
+  # a tick stuck on a peer that stopped reading unblocked by the close.
+  drill_test ./internal/mpc/tripletpool/ 'TestDealerFedBurstNeverWaitsOnAWindow|TestDealerShipsOnlyTheCorrection|TestDealerAnswersEachAskAlone|TestPartyZeroOutlivesDealerOutage|TestFeedGivesUpOnSilentDealer'
+  drill_test ./internal/comm/ 'TestWatch'
   ;;
 engine)
   # The engine must match the reference for every member count with
@@ -134,9 +138,9 @@ transformer)
 dealer-chaos)
   # The trusted dealer is SIGKILLed while 64 sessions consume its
   # triplet streams, then restarted with the same seed; party 0 derives on
-  # regardless, party 1's RESUME cursors must re-open the random-access
-  # streams, and every session stays bit-identical to the uninterrupted
-  # reference.
+  # regardless, party 1's ASKs from the consumption floor must re-open the
+  # random-access streams, and every session stays bit-identical to the
+  # uninterrupted reference.
   SESSIONS=$((64 * SCALE)) scripts/dealer_chaos_drill.sh -race
   ;;
 flags)
@@ -187,7 +191,10 @@ layering)
   # the dealer hop is frames on a plain connection: no supervised link, no
   # mux, and neither the client-side pool nor the hook only that hop used. So
   # is the router health link, and the supervisor's peer-restart mode and the
-  # health link's re-accept wait, which only it used, are gone. A
+  # health link's re-accept wait, which only it used, are gone. Both run
+  # comm.Watch, the one ticker under internal/ outside the supervised link,
+  # and party 1 asks the dealer one way: ASKs from the consumption floor,
+  # no WANT, no RESUME, no cursor on the dealer. A
   # half that is generator output has one expansion — mpc.DeriveHalf, the only
   # function outside internal/rng that calls rng.FillKeyed — which the dealer
   # tier, a derived request's client and both its parties all reach, and the
@@ -224,6 +231,18 @@ layering)
   if [ -n "$gone" ]; then
     echo "  deleted with the client-side pool and the dealer's supervised link, but still named:" >&2
     echo "$gone" >&2
+    fail=1
+  fi
+  gone="$(grep -rn 'ctlWant\|ctlResume\|encodeWant\|decodeWant\|encodeResume\|decodeResume' --include='*.go' . || true)"
+  if [ -n "$gone" ]; then
+    echo "  folded into the one ASK frame, but still named:" >&2
+    echo "$gone" >&2
+    fail=1
+  fi
+  tickers="$(grep -rn 'time\.NewTicker' --include='*.go' internal | grep -v '_test\.go:' | grep -v '^internal/comm/supervisor\.go:' || true)"
+  echo "internal/: $(grep -c . <<<"$tickers") non-test time.NewTicker outside supervisor.go (want 1: comm.Watch's)"
+  if [ "$(grep -c . <<<"$tickers")" -ne 1 ] || ! grep -q '^internal/comm/watch\.go:' <<<"$tickers"; then
+    echo "$tickers" >&2
     fail=1
   fi
   health="$(grep -n 'SupervisedLink' $(ls internal/fleet/*.go | grep -v _test.go) || true)"

@@ -2,11 +2,12 @@
 # Dealer crash-resume chaos drill: one dealer-fed server pair under many
 # concurrent client sessions; the dealer is SIGKILLed at the mid-run
 # barrier and restarted with the SAME seed. The replicas' feeds must
-# dial the new dealer, RESUME their per-shape stream cursors,
-# and keep serving — and every session's every product, before and
-# after the crash, must be BIT-identical to an in-process reference
-# replaying the dealer's deterministic streams (examples/fleet does the
-# comparison; its faces point straight at the pair, no router).
+# dial the new dealer, re-open their per-shape streams with ASKs from
+# the consumption floor, and keep serving — and every session's every
+# product, before and after the crash, must be BIT-identical to an
+# in-process reference replaying the dealer's deterministic streams
+# (examples/fleet does the comparison; its faces point straight at the
+# pair, no router).
 #
 # Usage: scripts/dealer_chaos_drill.sh [build-flags...]
 #   e.g. scripts/dealer_chaos_drill.sh -race
