@@ -154,11 +154,10 @@ type MuxConfig struct {
 	// frames arrive, so an idle session costs nothing for it. Default 1024 —
 	// comfortably above the longest banded exchange a request produces.
 	InboxFrames int
-	// PendingFrames / PendingBytes bound the buffer holding frames for
-	// sessions not yet opened locally; oldest frames are evicted first.
-	// Defaults 256 frames / 64 MiB.
+	// PendingFrames bounds the buffer holding frames for sessions not yet
+	// opened locally, which also holds at most muxPendingBytesMax; oldest
+	// frames are evicted first. Default 256.
 	PendingFrames int
-	PendingBytes  int64
 	// TombstoneIDs bounds how many recently closed session ids are
 	// remembered (to shed their late frames and fail fast a late Open).
 	// Once session churn wraps the ring, a late frame for an id older
@@ -176,15 +175,15 @@ type MuxConfig struct {
 // MuxConfig.TombstoneIDs is unset.
 const DefaultTombstoneIDs = 1024
 
+// muxPendingBytesMax bounds the bytes buffered for sessions not yet opened.
+const muxPendingBytesMax = 64 << 20
+
 func (c MuxConfig) withDefaults() MuxConfig {
 	if c.InboxFrames <= 0 {
 		c.InboxFrames = 1024
 	}
 	if c.PendingFrames <= 0 {
 		c.PendingFrames = 256
-	}
-	if c.PendingBytes <= 0 {
-		c.PendingBytes = 64 << 20
 	}
 	if c.TombstoneIDs <= 0 {
 		c.TombstoneIDs = DefaultTombstoneIDs
@@ -513,7 +512,7 @@ func (m *Mux) route(f []byte) bool {
 	m.pendingBytes += m.frameBytes(f)
 	muxPendingFrames.Add(1)
 	muxPendingBytes.Add(m.frameBytes(f))
-	for len(m.pending) > m.cfg.PendingFrames || m.pendingBytes > m.cfg.PendingBytes {
+	for len(m.pending) > m.cfg.PendingFrames || m.pendingBytes > muxPendingBytesMax {
 		ev := m.pending[0]
 		m.pending = m.pending[1:]
 		m.pendingBytes -= m.frameBytes(ev.buf)

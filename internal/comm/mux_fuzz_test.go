@@ -48,8 +48,9 @@ func FuzzMuxFrameHeader(f *testing.F) {
 			}
 		}
 
-		// Live routing: a raw peer writes the fuzz frame, then a valid
-		// sentinel for the one open session.
+		// Live routing: a raw peer writes the fuzz frame, then — unless the
+		// frame has no header and so has killed the mux, leaving nobody to
+		// read — a valid sentinel for the one open session.
 		raw, muxSide := Pipe()
 		m := NewMux(muxSide, MuxConfig{ReadTimeout: 2 * time.Second})
 		defer m.Close()
@@ -60,17 +61,24 @@ func FuzzMuxFrameHeader(f *testing.F) {
 		}
 		sentinel := mk(sessID, muxKindData, "sentinel")
 		raw.SetTimeouts(0, time.Second)
-		if werr := raw.WriteFrame(data); werr == nil {
+		werr := raw.WriteFrame(data)
+		headerless := len(data) < MuxHeaderBytes
+		if werr == nil && !headerless {
 			_ = raw.WriteFrame(sentinel)
 		}
 		got, rerr := s.ReadFrame()
+		if werr == nil && headerless {
+			if !errors.Is(rerr, ErrMuxHeader) {
+				t.Fatalf("session read after a %d-byte frame: %v, want ErrMuxHeader", len(data), rerr)
+			}
+			return
+		}
 		if rerr != nil {
-			// Acceptable only as a consequence the fuzz frame can cause:
-			// a header-less frame kills the mux, a CLOSE for our id kills
-			// the session, and an unroutable write can die with the pipe.
-			fatal := len(data) < MuxHeaderBytes
+			// Acceptable only as a consequence the fuzz frame can cause: a
+			// CLOSE for our id kills the session, and an unroutable write can
+			// die with the pipe.
 			closed := err == nil && id == sessID && kind != muxKindData
-			if !fatal && !closed && !errors.Is(rerr, ErrMuxClosed) && !IsTimeout(rerr) {
+			if !closed && !errors.Is(rerr, ErrMuxClosed) && !IsTimeout(rerr) {
 				t.Fatalf("session read failed unexpectedly: %v", rerr)
 			}
 			return

@@ -210,7 +210,7 @@ func Retry(what string, cfg RetryConfig, stop <-chan struct{}, try func() (retry
 			select {
 			case <-stop:
 				return ErrLinkClosed
-			case <-time.After(jitterDuration(delay, cfg.Jitter)):
+			case <-time.After(jitterDuration(delay, retryJitter)):
 			}
 			delay = min(2*delay, cfg.MaxDelay)
 		}

@@ -58,9 +58,8 @@ type Framer interface {
 
 // VecFramer is the optional zero-copy extension of Framer: one frame
 // written from several non-contiguous parts (header + payload) without
-// assembling them first. *Conn implements it; wrappers that prefix frames
-// (the mpc request tagging) use it to avoid one full-frame copy per
-// write.
+// assembling them first. *Conn implements it; the mux writer uses it to put
+// its header in front of a payload without one full-frame copy per write.
 type VecFramer interface {
 	WriteFrameVec(parts ...[]byte) error
 }
@@ -194,8 +193,13 @@ func (fc *Conn) WriteFrame(frame []byte) error {
 	// One vectored write keeps header+body a single syscall on TCP; the
 	// mutex keeps the pair atomic on transports without writev. The header
 	// and vector scratch live on the Conn so steady-state writes do not
-	// allocate.
-	fc.wvec = append(fc.wvec[:0], fc.whdr[:], frame)
+	// allocate. An empty body is left out: on a synchronous transport
+	// (net.Pipe) it would be a second Write, waiting for a peer Read that
+	// may never come.
+	fc.wvec = append(fc.wvec[:0], fc.whdr[:])
+	if len(frame) > 0 {
+		fc.wvec = append(fc.wvec, frame)
+	}
 	fc.wnb = net.Buffers(fc.wvec)
 	if _, err := fc.wnb.WriteTo(fc.c); err != nil {
 		return fmt.Errorf("comm: write frame: %w", err)
@@ -224,10 +228,14 @@ func (fc *Conn) WriteFrameVec(parts ...[]byte) error {
 		fc.c.SetWriteDeadline(time.Now().Add(time.Duration(d)))
 	}
 	// Reuse the connection's scratch vector so steady-state writes do not
-	// allocate the net.Buffers backing array (guarded by wmu).
-	fc.wvec = fc.wvec[:0]
-	fc.wvec = append(fc.wvec, fc.whdr[:])
-	fc.wvec = append(fc.wvec, parts...)
+	// allocate the net.Buffers backing array (guarded by wmu). Empty parts
+	// are left out, as in WriteFrame.
+	fc.wvec = append(fc.wvec[:0], fc.whdr[:])
+	for _, p := range parts {
+		if len(p) > 0 {
+			fc.wvec = append(fc.wvec, p)
+		}
+	}
 	fc.wnb = net.Buffers(fc.wvec)
 	if _, err := fc.wnb.WriteTo(fc.c); err != nil {
 		return fmt.Errorf("comm: write frame: %w", err)
@@ -330,16 +338,19 @@ func Dial(addr string) (*Conn, error) {
 
 // RetryConfig bounds Retry and DialRetry. Zero fields take the stated defaults.
 type RetryConfig struct {
-	Attempts    int           // max attempts (default 5)
-	BaseDelay   time.Duration // backoff before the 2nd attempt, doubling after (default 50ms)
-	MaxDelay    time.Duration // backoff cap (default 2s)
-	DialTimeout time.Duration // DialRetry's per-attempt connect timeout (default 3s)
-	// Jitter is the ± fraction applied to every backoff sleep. Two
-	// servers restarted by the same supervisor otherwise retry in
-	// lockstep and hammer the peer listener at the same instants. 0
-	// selects 0.2; negative disables.
-	Jitter float64
+	Attempts  int           // max attempts (default 5)
+	BaseDelay time.Duration // backoff before the 2nd attempt, doubling after (default 50ms)
+	MaxDelay  time.Duration // backoff cap (default 2s)
 }
+
+const (
+	// dialTimeout is DialRetry's per-attempt connect timeout.
+	dialTimeout = 3 * time.Second
+	// retryJitter is the ± fraction applied to every backoff sleep. Two
+	// servers restarted by the same supervisor otherwise retry in lockstep
+	// and hammer the peer listener at the same instants.
+	retryJitter = 0.2
+)
 
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.Attempts <= 0 {
@@ -350,12 +361,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	}
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 2 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
 	}
 	return c
 }
@@ -368,7 +373,7 @@ func DialRetry(addr string, cfg RetryConfig) (*Conn, error) {
 	cfg = cfg.withDefaults()
 	var c net.Conn
 	err := Retry("dial "+addr, cfg, nil, func() (retry bool, err error) {
-		c, err = net.DialTimeout("tcp", addr, cfg.DialTimeout)
+		c, err = net.DialTimeout("tcp", addr, dialTimeout)
 		return err != nil, err
 	})
 	if err != nil {

@@ -33,6 +33,43 @@ func TestWriteFrameVecMatchesWriteFrame(t *testing.T) {
 	}
 }
 
+// TestEmptyFrameIsOneWrite holds that an empty body or part adds no Write to
+// a frame. On a synchronous transport an empty Write still waits for a peer
+// Read, so once the peer has read the frame and stopped, a frame that ended
+// in one would hang until its write deadline.
+func TestEmptyFrameIsOneWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(*Conn) error
+		want  []byte
+	}{
+		{"WriteFrame(nil)", func(c *Conn) error { return c.WriteFrame(nil) }, nil},
+		{"WriteFrameVec(hdr,nil)", func(c *Conn) error { return c.WriteFrameVec([]byte("hdr"), nil) }, []byte("hdr")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := Pipe()
+			defer a.Close()
+			defer b.Close()
+			got := make(chan []byte, 1)
+			go func() { // reads exactly one frame, then stops
+				f, err := b.ReadFrame()
+				if err != nil {
+					t.Error(err)
+				}
+				got <- f
+			}()
+			a.SetTimeouts(0, 200*time.Millisecond)
+			start := time.Now()
+			if err := tc.write(a); err != nil {
+				t.Fatalf("write: %v after %v", err, time.Since(start))
+			}
+			if f := <-got; !bytes.Equal(f, tc.want) {
+				t.Fatalf("peer read %q, want %q", f, tc.want)
+			}
+		})
+	}
+}
+
 func TestWriteFrameVecRespectsLimit(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()

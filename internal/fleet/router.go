@@ -47,9 +47,6 @@ type RouterConfig struct {
 	// It must comfortably exceed a replica's worst-case request time.
 	// Default 30s.
 	BackendTimeout time.Duration
-	// MaxAttempts bounds how many backends one request may be offered to
-	// (first try included) before the session fails. Default 4.
-	MaxAttempts int
 	// RetryAfter is the hint carried on retryable error frames — how long
 	// a client should wait before re-sending (registry churn settles,
 	// agents re-join). Default 50ms.
@@ -62,14 +59,15 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.BackendTimeout <= 0 {
 		c.BackendTimeout = 30 * time.Second
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 50 * time.Millisecond
 	}
 	return c
 }
+
+// maxAttempts bounds how many backends one request may be offered to (first
+// try included) before the session fails.
+const maxAttempts = 4
 
 // NewRouter constructs a Router over cfg.Registry.
 func NewRouter(cfg RouterConfig) *Router {
@@ -184,7 +182,7 @@ func (s *session) relay(frame, respBuf []byte) ([]byte, *mpc.RouteError) {
 	}
 	redialed := false
 	var lastErr error
-	for attempt := 0; attempt < cfg.MaxAttempts; {
+	for attempt := 0; attempt < maxAttempts; {
 		if hasBudget {
 			remaining := budget - time.Since(arrival)
 			if remaining <= floor {
@@ -246,6 +244,6 @@ func (s *session) relay(frame, respBuf []byte) ([]byte, *mpc.RouteError) {
 		redialed = true
 	}
 	cfg.Log.Event("retries_exhausted", "face", s.face, "key", fmt.Sprintf("%016x", s.key),
-		"attempts", fmt.Sprint(cfg.MaxAttempts), "last_err", fmt.Sprint(lastErr))
+		"attempts", fmt.Sprint(maxAttempts), "last_err", fmt.Sprint(lastErr))
 	return nil, &mpc.RouteError{Code: mpc.RouteRetriesExhausted, RetryAfter: cfg.RetryAfter}
 }

@@ -196,10 +196,11 @@ type RetryConfig struct {
 	// own elapsed time across retries, so routers and replicas can shed
 	// work that can no longer make it.
 	Budget time.Duration
-	// MaxRetryAfter caps how long one retry sleeps on the fleet's
-	// retry-after hint. <= 0 selects 250ms.
-	MaxRetryAfter time.Duration
 }
+
+// maxRetryAfter caps how long one RequestMulRetry retry sleeps on the
+// fleet's retry-after hint.
+const maxRetryAfter = 250 * time.Millisecond
 
 // RequestMulRetry is the session-level retry ladder on top of
 // RequestMulID: when every leg failure of an attempt is a retryable
@@ -214,10 +215,6 @@ func RequestMulRetry(s0, s1 comm.Framer, in0, in1 Shares, cfg RetryConfig) (*ten
 	attempts := cfg.Attempts
 	if attempts <= 0 {
 		attempts = 3
-	}
-	maxWait := cfg.MaxRetryAfter
-	if maxWait <= 0 {
-		maxWait = 250 * time.Millisecond
 	}
 	id := newRequestID()
 	start := time.Now()
@@ -241,11 +238,8 @@ func RequestMulRetry(s0, s1 comm.Framer, in0, in1 Shares, cfg RetryConfig) (*ten
 			return nil, err
 		}
 		metrics.clientRetries.Inc()
-		if wait > maxWait {
-			wait = maxWait
-		}
 		if wait > 0 {
-			time.Sleep(wait)
+			time.Sleep(min(wait, maxRetryAfter))
 		}
 	}
 }

@@ -36,8 +36,10 @@ import (
 //     accumulates independently.
 //
 // All per-request matrices — a served request's own decoded shares included
-// (serveMuxLoop) — come from a tensor.Pool and all frame buffers are
-// session-scoped scratch, so the steady-state serving path does near-zero
+// (serveMuxLoop) — come from a tensor.Pool. Request and reply frames are
+// lent by comm's frame pool, and so are the peer frames the mux and the
+// supervised link carry; the exchange encodes into and reads out of
+// session-scoped scratch. So the steady-state serving path does near-zero
 // allocations per request.
 
 // WireConfig tunes the exchange engine. The zero value selects

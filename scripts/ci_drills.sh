@@ -13,9 +13,7 @@
 #   fleet        multi-process router+dealer fleet, one pair SIGKILLed and evicted within 3 s; health link join/drain/reconnect/silence; operands across failover
 #   transformer  secure attention block: wire path vs plaintext, concurrent+codec, registered weights, derived halves
 #   dealer-chaos dealer SIGKILLed mid-run and restarted; resumed streams bit-identical
-#   flags        the three fleet binaries' -h flags == README's tables, within 18 / 6 / 3
 #   fp16-sweep   the F16C binary16 kernels == the portable conversion on all 2^32 float32 patterns (~40 s)
-#   layering     the fleet binaries link no simulator; comm imports nothing internal; one Serve*; the dealer hop and the health link are plain connections under one tick-and-silence loop, and the dealer hop has one request frame; one keyed expansion; one GEMM assembly strip; one unsafe file, one dense codec; one FP16 slice path, picked by one CPUID decision; no per-frame make([]byte in the mux or the supervised link
 #
 # PSML_DRILL_SCALE (default 1) multiplies the stress: go-test drills run
 # -count=$SCALE, the fleet drill runs 64*$SCALE sessions. Nightly sets 4.
@@ -143,39 +141,6 @@ dealer-chaos)
   # uninterrupted reference.
   SESSIONS=$((64 * SCALE)) scripts/dealer_chaos_drill.sh -race
   ;;
-flags)
-  # The flag surface is a contract: each binary's -h and its README table
-  # list the same flags, and the counts stay where the "nothing a pair
-  # must agree on is a flag" pass left them. A new flag needs a README row
-  # and — past the cap — a deletion; see README "Flags" for what qualifies.
-  work="$(mktemp -d)"
-  trap 'rm -rf "$work"' EXIT
-  fail=0
-  for spec in psml-server:18 psml-router:6 psml-dealer:3; do
-    bin="${spec%%:*}" max="${spec##*:}"
-    go build -o "$work/$bin" "./cmd/$bin"
-    have="$( ("$work/$bin" -h 2>&1 || true) | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' | sort -u)"
-    doc="$(awk -v h="### \`$bin\`" '$0 == h {on = 1; next} /^##/ {on = 0} on' README.md |
-      sed -n 's/^| `-\([a-z0-9-]*\)`.*/\1/p' | sort -u)"
-    n="$(grep -c . <<<"$have" || true)"
-    echo "$bin: $n flags (cap $max)"
-    if [ "$n" -eq 0 ] || [ "$n" -gt "$max" ]; then
-      echo "  $bin -h lists $n flags, want 1..$max" >&2
-      fail=1
-    fi
-    undocumented="$(comm -23 <(echo "$have") <(echo "$doc"))"
-    stale="$(comm -13 <(echo "$have") <(echo "$doc"))"
-    if [ -n "$undocumented" ]; then
-      echo "  flags missing from README's $bin table:" $undocumented >&2
-      fail=1
-    fi
-    if [ -n "$stale" ]; then
-      echo "  README's $bin table documents flags that no longer exist:" $stale >&2
-      fail=1
-    fi
-  done
-  exit "$fail"
-  ;;
 fp16-sweep)
   # The FP16 codec's hardware path must give the portable conversion's bits
   # on every input, NaN payloads included; go test checks the binades where
@@ -183,147 +148,8 @@ fp16-sweep)
   # It skips (and says so) on a host without F16C.
   FP16_FULL_SWEEP=1 go test -count=1 -timeout 15m -run 'TestFloat16Kernel' -v ./internal/tensor/
   ;;
-layering)
-  # internal/mpc is the serving plane and nothing else: the three fleet
-  # binaries link neither the paper-figure simulator nor what it stands on,
-  # the real transport depends on no other package of this module, the
-  # serving plane has exactly one Serve* entry point — the one deployed — and
-  # the dealer hop is frames on a plain connection: no supervised link, no
-  # mux, and neither the client-side pool nor the hook only that hop used. So
-  # is the router health link, and the supervisor's peer-restart mode and the
-  # health link's re-accept wait, which only it used, are gone. Both run
-  # comm.Watch, the one ticker under internal/ outside the supervised link,
-  # and party 1 asks the dealer one way: ASKs from the consumption floor,
-  # no WANT, no RESUME, no cursor on the dealer. A
-  # half that is generator output has one expansion — mpc.DeriveHalf, the only
-  # function outside internal/rng that calls rng.FillKeyed — which the dealer
-  # tier, a derived request's client and both its parties all reach, and the
-  # stacked pool draw it replaced is gone. The GEMM has one assembly strip,
-  # the FMA one: the multiply-then-add strip it replaced bit for bit is not
-  # kept beside it. The mux and the supervised link take every frame buffer
-  # from the frame pool, so per-frame allocation cannot come back by
-  # refactor. An FP16 payload converts through the slice helpers alone, and
-  # one CPUID decision (useV3, once at init) picks their path.
-  fail=0
-  sim="$(go list -deps ./cmd/psml-server ./cmd/psml-router ./cmd/psml-dealer |
-    grep -E '^parsecureml/internal/(simtime|gpu|mpcsim|secureml|bench|profile)$' || true)"
-  if [ -n "$sim" ]; then
-    echo "  the fleet binaries link simulator packages:" $sim >&2
-    fail=1
-  fi
-  internal="$(go list -f '{{join .Imports "\n"}}' ./internal/comm | grep '^parsecureml/' || true)"
-  if [ -n "$internal" ]; then
-    echo "  internal/comm imports:" $internal >&2
-    fail=1
-  fi
-  serve="$(cat $(ls internal/mpc/*.go | grep -v _test.go) | grep -c '^func Serve' || true)"
-  echo "internal/mpc: $serve Serve* entry points (want 1)"
-  if [ "$serve" -ne 1 ]; then
-    fail=1
-  fi
-  layers="$(grep -n 'SupervisedLink\|comm\.NewMux' $(ls internal/mpc/tripletpool/*.go | grep -v _test.go) || true)"
-  if [ -n "$layers" ]; then
-    echo "  internal/mpc/tripletpool puts a layer under the dealer hop:" >&2
-    echo "$layers" >&2
-    fail=1
-  fi
-  gone="$(grep -rn 'tripletpool\.New(\|NewLocalSource\|OnPeerReset' --include='*.go' . || true)"
-  if [ -n "$gone" ]; then
-    echo "  deleted with the client-side pool and the dealer's supervised link, but still named:" >&2
-    echo "$gone" >&2
-    fail=1
-  fi
-  gone="$(grep -rn 'ctlWant\|ctlResume\|encodeWant\|decodeWant\|encodeResume\|decodeResume' --include='*.go' . || true)"
-  if [ -n "$gone" ]; then
-    echo "  folded into the one ASK frame, but still named:" >&2
-    echo "$gone" >&2
-    fail=1
-  fi
-  tickers="$(grep -rn 'time\.NewTicker' --include='*.go' internal | grep -v '_test\.go:' | grep -v '^internal/comm/supervisor\.go:' || true)"
-  echo "internal/: $(grep -c . <<<"$tickers") non-test time.NewTicker outside supervisor.go (want 1: comm.Watch's)"
-  if [ "$(grep -c . <<<"$tickers")" -ne 1 ] || ! grep -q '^internal/comm/watch\.go:' <<<"$tickers"; then
-    echo "$tickers" >&2
-    fail=1
-  fi
-  health="$(grep -n 'SupervisedLink' $(ls internal/fleet/*.go | grep -v _test.go) || true)"
-  if [ -n "$health" ]; then
-    echo "  internal/fleet puts a supervised link under the health link:" >&2
-    echo "$health" >&2
-    fail=1
-  fi
-  gone="$(grep -rn 'AllowPeerRestart\|PeerResets\|AcceptWait' --include='*.go' . || true)"
-  if [ -n "$gone" ]; then
-    echo "  deleted with the health link's supervised link, but still named:" >&2
-    echo "$gone" >&2
-    fail=1
-  fi
-  keyed="$(grep -rn 'rng\.FillKeyed(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/rng/' || true)"
-  calls="$(grep -c . <<<"$keyed" || true)"
-  echo "rng.FillKeyed: $calls non-test call sites outside internal/rng (want 1)"
-  if [ "$calls" -ne 1 ]; then
-    echo "$keyed" >&2
-    fail=1
-  fi
-  stacked="$(grep -rn 'genGemmTriplets' --include='*.go' . || true)"
-  if [ -n "$stacked" ]; then
-    echo "  folded back into GenGemmTripletShares, but still named:" >&2
-    echo "$stacked" >&2
-    fail=1
-  fi
-  strips="$(cat internal/tensor/*.s | grep -c '^TEXT ·gemmStrip' || true)"
-  echo "internal/tensor: $strips assembly gemmStrip* routines (want 1)"
-  if [ "$strips" -ne 1 ]; then
-    fail=1
-  fi
-  unfused="$(grep -rn 'gemmStripAVX2\|VMULPD' --include='*.go' --include='*.s' . || true)"
-  if [ -n "$unfused" ]; then
-    echo "  replaced by the FMA strip, but still named:" >&2
-    echo "$unfused" >&2
-    fail=1
-  fi
-  # A dense payload has one codec: putFloat32s/getFloat32s, whose bulk form
-  # is the module's only unsafe. No dense function of codec.go loops over
-  # elements itself: the Float32frombits and Float32bits left are the CSR value loops.
-  unsafe="$(grep -rl '"unsafe"' --include='*.go' . || true)"
-  echo "unsafe is imported by:" $unsafe "(want ./internal/tensor/codec_le.go)"
-  if [ "$unsafe" != "./internal/tensor/codec_le.go" ]; then
-    fail=1
-  fi
-  churn="$(grep -n 'make(\[\]byte' internal/comm/mux.go internal/comm/supervisor.go || true)"
-  if [ -n "$churn" ]; then
-    echo "  frame buffers allocated outside the frame pool:" >&2
-    echo "$churn" >&2
-    fail=1
-  fi
-  loads="$(grep -c 'Float32frombits' internal/tensor/codec.go || true)"
-  stores="$(grep -c 'Float32bits' internal/tensor/codec.go || true)"
-  echo "internal/tensor/codec.go: $loads per-element float loads, $stores stores (want 2 and 2, all CSR)"
-  if [ "$loads" -ne 2 ] || [ "$stores" -ne 2 ]; then
-    fail=1
-  fi
-  scalar='Float32ToFloat16Bits\|Float16BitsToFloat32\|RoundFloat16('
-  perElem="$(grep -n "$scalar" internal/tensor/codec.go || true)
-$(awk '/^func RoundMatrixFloat16/,/^}/' internal/tensor/float16.go | grep "$scalar" || true)"
-  if [ -n "${perElem//[[:space:]]/}" ]; then
-    echo "  an FP16 matrix converted per element instead of through putFloat16s/getFloat16s/roundFloat16s:" >&2
-    echo "$perElem" >&2
-    fail=1
-  fi
-  nonTest="$(ls internal/tensor/*.go | grep -v _test.go)"
-  decided="$(grep -n 'useV3 =' $nonTest || true)"
-  probes="$(grep -n 'cpuid(' $nonTest | grep -v '^internal/tensor/cpu_amd64.go:' || true)"
-  knobs="$(grep -n 'os\.Getenv\|"flag"\|//go:build' $(ls internal/tensor/float16*.go internal/tensor/cpu_amd64.go | grep -v _test.go) |
-    grep -v '^internal/tensor/float16_other.go:1://go:build !amd64$' || true)"
-  echo "internal/tensor: useV3 decided at $(grep -c . <<<"$decided") site(s) (want 1: its declaration)"
-  if [ "$(grep -c . <<<"$decided")" -ne 1 ] || [ -n "$probes$knobs" ]; then
-    echo "  the FP16/GEMM kernel tier must be the one CPUID decision in cpu_amd64.go:" >&2
-    printf '%s\n' "$decided" "$probes" "$knobs" >&2
-    fail=1
-  fi
-  exit "$fail"
-  ;;
 *)
-  echo "usage: $0 {concurrent|engine|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|flags|fp16-sweep|layering}" >&2
+  echo "usage: $0 {concurrent|engine|chaos-link|codec|checkpoint|fleet|transformer|dealer-chaos|fp16-sweep}" >&2
   exit 2
   ;;
 esac
