@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"path"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -121,6 +122,7 @@ var zzTick = clock.Tick(clock.Second)
 `}}},
 			{"second-ticker-in-watch", []edit{{path: "internal/comm/watch.go", old: "t := time.NewTicker(tick)",
 				src: "t := time.NewTicker(tick)\n\t\tt2 := time.NewTicker(tick)\n\t\tdefer t2.Stop()"}}},
+			{"watch-loses-its-ticker", []edit{{path: "internal/comm/watch.go", old: "t := time.NewTicker(tick)", src: "t := newTicker(tick)"}}},
 		},
 	},
 	{
@@ -146,6 +148,7 @@ import "parsecureml/internal/rng"
 
 var zzFill = rng.FillKeyed
 `}}},
+			{"derive-half-expands-on-its-own", []edit{{path: "internal/mpc/offline.go", old: "rng.FillKeyed(buf, d.Seed, seq)", src: "fillOwn(buf, d.Seed, seq)"}}},
 		},
 	},
 	{
@@ -174,6 +177,7 @@ import "unsafe"
 
 func zzView(f []float32) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), 4*len(f)) }
 `}}},
+			{"codec-drops-unsafe", []edit{{path: "internal/tensor/codec_le.go", old: "import \"unsafe\"\n", src: ""}}},
 		},
 	},
 	{
@@ -230,6 +234,7 @@ func RoundMatrixFloat16Serial(m *Matrix) {
 
 func init() { useV3 = false }
 `}}},
+			{"useV3-undeclared", []edit{{path: "internal/tensor/cpu_amd64.go", old: "var useV3 = detectV3()", src: "var useV4 = detectV3()"}}},
 			{"second-cpuid-caller", []edit{{path: "internal/tensor/float16_amd64.go", src: "\nfunc zzF16C() bool { _, _, c, _ := cpuid(1, 0); return c&(1<<29) != 0 }\n"}}},
 			{"build-tag-on-the-cpu-file", []edit{{path: "internal/tensor/cpu_amd64.go", old: "package tensor\n", src: "//go:build !purego\n\npackage tensor\n"}}},
 			{"env-knob-in-an-fp16-file", []edit{{path: "internal/tensor/float16_knob.go", src: `package tensor
@@ -272,7 +277,7 @@ var zzPool = tripletpool.New
 	},
 	{
 		name:  "flags-match-readme",
-		why:   "each fleet binary defines exactly the flags its README \"Flags\" table lists, and at most 18 / 6 / 3 (psml-server / psml-router / psml-dealer): a new flag needs a row and, past the cap, a deletion",
+		why:   "each fleet binary defines exactly the flags its README \"Flags\" table lists, and at most 18 / 6 / 3 (psml-server / psml-router / psml-dealer): a new flag needs a row and, past the cap, a deletion; a binary uses package flag only through flag.Parse and the one-value forms (flag.Int, flag.String, …) with a literal name, so no flag escapes the count",
 		check: flagsMatchReadme,
 		mutations: []mutation{
 			{"flag-missing-from-readme", []edit{{path: "README.md", old: "| `-wire-codec` |", src: "| wire-codec |"}}},
@@ -286,7 +291,7 @@ var zzWindow = flag.Int("window", 64, "triplets held per stream")
 `},
 				{path: "README.md", old: "| `-listen` | `:9400` |", src: "| `-window` | `64` | triplets held per stream |\n| `-listen` | `:9400` |"},
 			}},
-			{"undocumented-var-form-flag", []edit{{path: "cmd/psml-router/zz_mutant.go", src: `package main
+			{"var-form-flag", []edit{{path: "cmd/psml-router/zz_mutant.go", src: `package main
 
 import (
 	"flag"
@@ -296,6 +301,18 @@ import (
 var zzDrain time.Duration
 
 func init() { flag.DurationVar(&zzDrain, "drain-timeout", 0, "") }
+`}}},
+			{"flag-on-the-command-line-set", []edit{{path: "cmd/psml-server/zz_mutant.go", src: `package main
+
+import "flag"
+
+var zzWorkers = flag.CommandLine.Int("workers", 2, "")
+`}}},
+			{"flag-set-in-a-fleet-binary", []edit{{path: "cmd/psml-dealer/zz_mutant.go", src: `package main
+
+import "flag"
+
+var zzFlags = flag.NewFlagSet("dealer", flag.ExitOnError)
 `}}},
 		},
 	},
@@ -418,52 +435,58 @@ func plainDealerAndHealthHops(tr *tree) []string {
 }
 
 func oneTicker(tr *tree) []string {
-	var out []string
-	first := "" // the ticker of comm.Watch
-	for _, gf := range tr.files(func(gf *goFile) bool {
+	return onlyFrom(tr, func(gf *goFile) bool {
 		return !gf.test && strings.HasPrefix(gf.path, "internal/") && gf.path != "internal/comm/supervisor.go"
-	}) {
-		gf.inspect(func(n ast.Node, fn *ast.FuncDecl) {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return
-			}
-			r := gf.ref(call.Fun)
-			if r.pkg != "time" || r.name != "NewTicker" && r.name != "Tick" {
-				return
-			}
-			switch {
-			case gf.dir != "internal/comm" || !isFunc(fn, "Watch"):
-				out = append(out, fmt.Sprintf("%s: time.%s in %s, outside comm.Watch", tr.at(call), r.name, where(fn)))
-			case first != "":
-				out = append(out, fmt.Sprintf("%s: a second ticker in comm.Watch (the first is at %s)", tr.at(call), first))
-			default:
-				first = tr.at(call)
-			}
-		})
-	}
-	return out
+	}, "internal/comm/watch.go", "Watch", ref{"time", "NewTicker"}, ref{"time", "Tick"})
 }
 
 func oneKeyedExpansion(tr *tree) []string {
+	return onlyFrom(tr, func(gf *goFile) bool { return !gf.test && gf.dir != "internal/rng" },
+		"internal/mpc/offline.go", "DeriveHalf", ref{tr.module + "/internal/rng", "FillKeyed"})
+}
+
+// onlyFrom checks that the files keep accepts reference targets at exactly
+// one site, inside the package-level function fn of home's package; home is
+// the file fn lives in.
+func onlyFrom(tr *tree, keep func(*goFile) bool, home, fn string, targets ...ref) []string {
+	var names []string
+	for _, t := range targets {
+		names = append(names, path.Base(t.pkg)+"."+t.name)
+	}
+	dir := path.Dir(home)
+	owner := path.Base(dir) + "." + fn
 	var out []string
-	first := "" // the call in mpc.DeriveHalf
-	fill := ref{tr.module + "/internal/rng", "FillKeyed"}
-	for _, gf := range tr.files(func(gf *goFile) bool { return !gf.test && gf.dir != "internal/rng" }) {
-		gf.inspect(func(n ast.Node, fn *ast.FuncDecl) {
+	site, decl := "", "" // the one reference, and fn's declaration
+	for _, gf := range tr.files(keep) {
+		gf.inspect(func(n ast.Node, f *ast.FuncDecl) {
+			inFn := gf.dir == dir && isFunc(f, fn)
+			if n == f && inFn {
+				decl = tr.at(f)
+			}
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || gf.ref(sel) != fill {
+			if !ok {
 				return
 			}
+			r := gf.ref(sel)
+			if !slices.Contains(targets, r) {
+				return
+			}
+			name := path.Base(r.pkg) + "." + r.name
 			switch {
-			case gf.dir != "internal/mpc" || !isFunc(fn, "DeriveHalf"):
-				out = append(out, fmt.Sprintf("%s: rng.FillKeyed in %s of %s, outside mpc.DeriveHalf", tr.at(sel), where(fn), gf.dir))
-			case first != "":
-				out = append(out, fmt.Sprintf("%s: a second rng.FillKeyed in mpc.DeriveHalf (the first is at %s)", tr.at(sel), first))
+			case !inFn:
+				out = append(out, fmt.Sprintf("%s: %s in %s of %s, outside %s", tr.at(sel), name, where(f), gf.dir, owner))
+			case site != "":
+				out = append(out, fmt.Sprintf("%s: a second %s in %s (the first is at %s)", tr.at(sel), name, owner, site))
 			default:
-				first = tr.at(sel)
+				site = tr.at(sel)
 			}
 		})
+	}
+	switch {
+	case decl == "":
+		out = append(out, fmt.Sprintf("%s:1: no func %s", home, owner))
+	case site == "":
+		out = append(out, fmt.Sprintf("%s: %s calls no %s", decl, owner, strings.Join(names, " or ")))
 	}
 	return out
 }
@@ -490,13 +513,22 @@ func oneGemmStrip(tr *tree) []string {
 }
 
 func oneUnsafeFile(tr *tree) []string {
+	const file = "internal/tensor/codec_le.go"
 	var out []string
+	found := false
 	for _, gf := range tr.files(all) {
 		for _, is := range gf.ast.Imports {
-			if importPath(is) == "unsafe" && gf.path != "internal/tensor/codec_le.go" {
+			switch {
+			case importPath(is) != "unsafe":
+			case gf.path == file:
+				found = true
+			default:
 				out = append(out, tr.at(is)+": imports unsafe")
 			}
 		}
+	}
+	if !found {
+		out = append(out, file+":1: does not import unsafe, so the dense codec's bulk copy has moved or gone")
 	}
 	return out
 }
@@ -626,6 +658,9 @@ func oneCPUIDDecision(tr *tree) []string {
 			}
 		}
 	}
+	if declared == "" {
+		out = append(out, "internal/tensor/cpu_amd64.go:1: no declaration of useV3")
+	}
 	return out
 }
 
@@ -673,11 +708,10 @@ func deletedNamesStayDeleted(tr *tree) []string {
 	return out
 }
 
-// flagNameArg is where each flag-defining function of package flag takes
-// the flag's name.
-var flagNameArg = map[string]int{
-	"Bool": 0, "Duration": 0, "Float64": 0, "Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0, "Func": 0, "BoolFunc": 0,
-	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1, "StringVar": 1, "UintVar": 1, "Uint64Var": 1, "Var": 1, "TextVar": 1,
+// oneValueFlags are the forms of package flag that define a flag and
+// return its value, taking the flag's name first.
+var oneValueFlags = map[string]bool{
+	"Bool": true, "Duration": true, "Float64": true, "Int": true, "Int64": true, "String": true, "Uint": true, "Uint64": true,
 }
 
 var readmeFlagRow = regexp.MustCompile("^\\| `-([a-z0-9-]+)`")
@@ -690,23 +724,25 @@ func flagsMatchReadme(tr *tree) []string {
 		var defs []def
 		defined := map[string]bool{}
 		for _, gf := range tr.files(nonTestIn("cmd/" + bin.name)) {
+			calls := map[ast.Expr]*ast.CallExpr{} // by the function called; a call is visited before it
 			gf.inspect(func(n ast.Node, _ *ast.FuncDecl) {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
+				if call, ok := n.(*ast.CallExpr); ok {
+					calls[call.Fun] = call
+				}
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || gf.ref(sel).pkg != "flag" || sel.Sel.Name == "Parse" {
 					return
 				}
-				r := gf.ref(call.Fun)
-				i, ok := flagNameArg[r.name]
-				if r.pkg != "flag" || !ok || len(call.Args) <= i {
-					return
+				var lit *ast.BasicLit
+				if call := calls[sel]; call != nil && oneValueFlags[sel.Sel.Name] && len(call.Args) > 0 {
+					lit, _ = call.Args[0].(*ast.BasicLit)
 				}
-				lit, ok := call.Args[i].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					out = append(out, fmt.Sprintf("%s: flag.%s names its flag with something other than a string literal", tr.at(call), r.name))
+				if lit == nil || lit.Kind != token.STRING {
+					out = append(out, fmt.Sprintf("%s: flag.%s, where a fleet binary may use only flag.Parse and a one-value form (flag.Int, flag.String, …) called with a literal name", tr.at(sel), sel.Sel.Name))
 					return
 				}
 				name, _ := strconv.Unquote(lit.Value) // the parser has checked the literal
-				defs = append(defs, def{name, tr.at(call)})
+				defs = append(defs, def{name, tr.at(sel)})
 				defined[name] = true
 			})
 		}
