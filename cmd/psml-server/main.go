@@ -13,15 +13,16 @@
 // handshake. Neither process ever holds more than additive shares of
 // the client's data.
 //
-// Failure behavior: the peer link is supervised — heartbeats detect a
-// dead peer within four -peer-heartbeat intervals, the link reconnects
-// with jittered exponential backoff (so start order doesn't matter and a
-// fabric blip is survived), and in-flight exchange frames are replayed
-// after the resync handshake, so client sessions see a link loss only as
-// latency. Per-frame deadlines bound every protocol step (so a client
-// killed mid-request times out instead of wedging the peer link), a failed
-// session never takes the process down, and SIGINT/SIGTERM drain into a
-// graceful shutdown.
+// Failure behavior: the peer link is supervised — ticks detect a dead
+// peer within four -peer-heartbeat intervals, and the link dials again with
+// jittered exponential backoff (so start order doesn't matter, and a fabric
+// blip or a restarted peer is the next connection). Nothing is replayed: a
+// request whose exchange was on a connection that ended is answered with
+// the retryable peer_link_lost error, its session lives on, and the client
+// sends it again. Per-frame deadlines bound every protocol step (so a
+// client killed mid-request times out instead of wedging the peer link), a
+// failed session never takes the process down, and SIGINT/SIGTERM drain
+// into a graceful shutdown.
 //
 // Nothing the two servers must agree on is a flag: the codec set and the
 // dealer feed (-dealer-dial) are each used when both servers turned them
@@ -49,8 +50,9 @@ import (
 )
 
 // Deadlines no deployment of this repo sets differently. peerTimeout bounds
-// how long a session waits out a peer-link outage, so it must comfortably
-// exceed the supervisor's worst-case detect + reconnect + resync time.
+// each inter-server frame of an exchange, and how long a request waits for a
+// peer connection to come up before it is answered peer_link_lost; a silent
+// peer is noticed sooner, after four -peer-heartbeat intervals.
 const (
 	clientTimeout = 30 * time.Second // per client frame; also the session idle timeout
 	peerTimeout   = 10 * time.Second // per inter-server frame
@@ -61,11 +63,11 @@ const (
 )
 
 // supervision is the profile of this server's two links — the supervised
-// inter-server link and the router health link, which reads only the
-// heartbeat, miss-budget and redial values — for one -peer-heartbeat value.
-// Its 0 means off, where comm.SupervisorConfig reads 0 as "default", so it
-// is mapped to "disabled" here, once, for both. Every other number is the
-// config's default, except that the health link outlasts a router restart.
+// inter-server link and the router health link — for one -peer-heartbeat
+// value. Its 0 means off, where comm.SupervisorConfig reads 0 as "default",
+// so it is mapped to "disabled" here, once, for both. Every other number is
+// the config's default, except that the health link outlasts a router
+// restart.
 func supervision(heartbeat time.Duration) (peer, health comm.SupervisorConfig) {
 	if heartbeat <= 0 {
 		heartbeat = -1
@@ -168,10 +170,10 @@ func main() {
 
 	// Establish the inter-server link first (the paper's server1<->server2
 	// InfiniBand edge), under supervision: connect runs again after every
-	// connection loss, the hello handshake re-verifies the peer's party on
-	// each incarnation, and unacknowledged frames are replayed after the
-	// resync. The listening side keeps its listener open for the life of
-	// the process so a restarted or disconnected peer can come back.
+	// connection loss, and the hello handshake re-verifies the peer's party
+	// on each connection. The listening side keeps its listener open for
+	// the life of the process so a restarted or disconnected peer can come
+	// back.
 	peerSup, healthSup := supervision(*peerHeartbeat)
 	var connect func() (*comm.Conn, error)
 	if *peerListen != "" {

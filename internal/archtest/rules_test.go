@@ -105,9 +105,12 @@ var zzDial = comm.NewSupervisedLink
 	},
 	{
 		name:  "one-ticker",
-		why:   "comm.Watch is the one tick-and-silence loop under internal/ (the supervised link keeps its own): a second ticker is a second liveness loop",
+		why:   "comm.Watch's tick loop (keepAlive) is the one tick-and-silence loop under internal/, the supervised peer link's included: a second ticker is a second liveness loop",
 		check: oneTicker,
 		mutations: []mutation{
+			{"ticker-in-the-link", []edit{{path: "internal/comm/supervisor.go", src: `
+func (s *SupervisedLink) zzBeat() { t := time.NewTicker(s.cfg.HeartbeatInterval); defer t.Stop() }
+`}}},
 			{"second-ticker-in-fleet", []edit{{path: "internal/fleet/zz_mutant.go", src: `package fleet
 
 import "time"
@@ -253,7 +256,7 @@ var zzPortable = flag.Bool("fp16-portable", false, "")
 	},
 	{
 		name:  "deleted-names-stay-deleted",
-		why:   "these went with the client-side triplet pool, the dealer's and the health link's supervised links, the one ASK frame, the folded triplet generator and the FMA strip; none comes back under its old name",
+		why:   "these went with the client-side triplet pool, the dealer's and the health link's supervised links, the one ASK frame, the folded triplet generator, the FMA strip and the peer link's replay; none comes back under its old name",
 		check: deletedNamesStayDeleted,
 		mutations: []mutation{
 			{"accept-wait-back", []edit{{path: "internal/fleet/zz_mutant.go", src: `package fleet
@@ -265,6 +268,12 @@ type zzHealth struct{ AcceptWait time.Duration }
 			{"test-names-allow-peer-restart", []edit{{path: "internal/comm/zz_mutant_test.go", src: `package comm
 
 var zzCfg = SupervisorConfig{AllowPeerRestart: true}
+`}}},
+			{"resync-timeout-back", []edit{{path: "internal/comm/zz_mutant.go", src: `package comm
+
+import "time"
+
+type zzLinkConfig struct{ ResyncTimeout time.Duration }
 `}}},
 			{"tripletpool-new-referenced", []edit{{path: "cmd/psml-server/zz_mutant.go", src: `package main
 
@@ -436,8 +445,8 @@ func plainDealerAndHealthHops(tr *tree) []string {
 
 func oneTicker(tr *tree) []string {
 	return onlyFrom(tr, func(gf *goFile) bool {
-		return !gf.test && strings.HasPrefix(gf.path, "internal/") && gf.path != "internal/comm/supervisor.go"
-	}, "internal/comm/watch.go", "Watch", ref{"time", "NewTicker"}, ref{"time", "Tick"})
+		return !gf.test && strings.HasPrefix(gf.path, "internal/")
+	}, "internal/comm/watch.go", "keepAlive", ref{"time", "NewTicker"}, ref{"time", "Tick"})
 }
 
 func oneKeyedExpansion(tr *tree) []string {
@@ -671,6 +680,7 @@ var deletedNames = []string{
 	"ctlWant", "ctlResume", "encodeWant", "decodeWant", "encodeResume", "decodeResume",
 	"AllowPeerRestart", "PeerResets", "AcceptWait",
 	"genGemmTriplets", "gemmStripAVX2",
+	"ErrPeerStateLost", "ErrReplayGap", "ResyncTimeout", "ReplayFrames", "ObserveRTT", "OnReconnect", "supKindResync",
 }
 
 func deletedNamesStayDeleted(tr *tree) []string {

@@ -76,9 +76,9 @@ type FaultConn struct {
 // n more complete length-prefixed frames have been written, the
 // underlying connection is closed — both directions die, as with a peer
 // crash or an RST — with the cut guaranteed to land between frames, not
-// inside one. This is the deterministic link-loss mode the supervised
-// link's chaos tests use: the receiver sees clean frames up to the cut,
-// so what is being exercised is reconnection and replay, not codec
+// inside one. This is the deterministic link-loss mode the peer link's
+// chaos tests use: the receiver sees clean frames up to the cut, so what is
+// being exercised is the redial and the re-sent requests, not codec
 // resynchronization.
 //
 // Must be called before traffic moves (fault fields are unsynchronized,

@@ -9,13 +9,13 @@ import (
 // Frame pool: one process-wide set of frame buffers, lent per frame and
 // given back at a stated point, so a steady serving path allocates no
 // frames. Without it a served 256³ request allocates its 1.3 MB request
-// frame and, per peer frame, the supervised link's receive buffer and replay
-// copy, and the collector runs every few requests.
+// frame and, per peer frame, the link's receive buffer, and the collector
+// runs every few requests.
 //
 // Classes are powers of two, one sync.Pool each, as tensor.Pool keys its
 // matrices. Only a buffer whose capacity is exactly its class size goes back:
-// a header-offset view (a payload behind the 17-byte link header or the
-// 9-byte mux header) has a capacity just under a power of two, and accepting
+// a header-offset view (a payload behind the 9-byte mux header) has a
+// capacity just under a power of two, and accepting
 // it one class down leaves every class holding buffers twice the size it
 // serves, each pinned by a view that lends only half of it (DESIGN.md
 // "Pooled frames" has the RSS this cost). Such a put is dropped, and the
@@ -25,8 +25,8 @@ import (
 // interface allocates its header on every Put. Emptied boxes wait in a pool
 // of their own for the next Put, so a Get/Put cycle allocates nothing.
 //
-// Frames under minPooledFrame — heartbeats, acks, 8-byte announces, mux
-// CLOSEs — stay plain allocations: the pool is for frames whose allocation
+// Frames under minPooledFrame — ticks, 8-byte announces, mux CLOSEs — stay
+// plain allocations: the pool is for frames whose allocation
 // and zeroing show in a profile.
 
 // minPooledFrame is the smallest frame the pool lends (its class floor).
@@ -98,12 +98,18 @@ func FramesLent(n int) int64 {
 	return framesLent[c].Load()
 }
 
-// readLent reads c's next frame into a buffer lent by the pool, the frame at
-// offset 0: a *Conn reads straight into it, any other Framer's frame is
-// copied in. Whoever ends up with the buffer gives it back with PutFrame.
+// pooledReader is a Framer that reads a frame straight into a buffer lent by
+// the pool: a *Conn, and a SupervisedLink's connection.
+type pooledReader interface {
+	ReadFramePooled() ([]byte, error)
+}
+
+// readLent reads c's next frame into a buffer lent by the pool: a
+// pooledReader reads straight into it, any other Framer's frame is copied
+// in. Whoever ends up with the buffer gives it back with PutFrame.
 func readLent(c Framer) ([]byte, error) {
-	if fc, ok := c.(*Conn); ok {
-		return fc.ReadFramePooled()
+	if pr, ok := c.(pooledReader); ok {
+		return pr.ReadFramePooled()
 	}
 	f, err := c.ReadFrame()
 	if err != nil {

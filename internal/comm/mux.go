@@ -37,8 +37,9 @@ import (
 //     every open session's reads and writes fail with the cause.
 //
 // Per-session frame reads are bounded by MuxConfig.ReadTimeout; the
-// underlying connection must NOT have a read deadline set (the demux
-// reader blocks on it while the link is idle).
+// underlying connection must NOT have a read deadline an idle link could
+// outlast (the demux reader blocks on it while the link is idle; a
+// SupervisedLink's connection has one, which the peer's ticks keep fed).
 
 // MuxHeaderBytes is the per-frame mux overhead: u64 session id
 // (little-endian) followed by one kind byte.
@@ -206,7 +207,7 @@ func putMuxHeader(dst []byte, id uint64, kind byte) {
 }
 
 // muxPending is one buffered frame for a session not yet opened locally,
-// in the lent buffer it was read into (see Mux.off).
+// in the lent buffer it was read into.
 type muxPending struct {
 	id  uint64
 	buf []byte
@@ -217,16 +218,6 @@ type muxPending struct {
 type Mux struct {
 	c   Framer
 	cfg MuxConfig
-
-	// read returns c's next frame in a buffer lent by the frame pool, the mux
-	// frame starting at off: a SupervisedLink's receive buffer with its link
-	// header still in front, any other transport's frame at offset 0. The
-	// buffer travels to the session the frame is for, whose ReadFrameInto
-	// gives it back once the payload is copied out; route gives back what it
-	// sheds. A session's queue holds these buffers as they are, one slice
-	// each.
-	read func() ([]byte, error)
-	off  int
 
 	done chan struct{} // closed on fatal error or Close
 	wake chan struct{} // writer wakeup, capacity 1
@@ -259,10 +250,6 @@ func NewMux(c Framer, cfg MuxConfig) *Mux {
 		tombs:    make(map[uint64]struct{}),
 	}
 	m.tombRing = make([]uint64, m.cfg.TombstoneIDs)
-	m.read = func() ([]byte, error) { return readLent(c) }
-	if sl, ok := c.(*SupervisedLink); ok {
-		m.read, m.off = sl.readPooled, supHeaderBytes
-	}
 	go m.readLoop()
 	go m.writeLoop()
 	return m
@@ -303,9 +290,9 @@ func (m *Mux) fail(err error) {
 	m.rr = nil
 	m.sessions = map[uint64]*MuxSession{}
 	for _, p := range m.pending {
-		m.pendingBytes -= m.frameBytes(p.buf)
+		m.pendingBytes -= int64(len(p.buf))
 		muxPendingFrames.Add(-1)
-		muxPendingBytes.Add(-m.frameBytes(p.buf))
+		muxPendingBytes.Add(-int64(len(p.buf)))
 		PutFrame(p.buf)
 	}
 	m.pending = nil
@@ -316,9 +303,6 @@ func (m *Mux) fail(err error) {
 		muxSessionsActive.Add(-1)
 	}
 }
-
-// frameBytes is the size of the mux frame in lent buffer b.
-func (m *Mux) frameBytes(b []byte) int64 { return int64(len(b) - m.off) }
 
 // notifyClose best-effort queues a CLOSE frame for id, telling the peer
 // its half of the session can fail fast. Fire-and-forget: when the
@@ -402,9 +386,9 @@ func (m *Mux) Open(id uint64) (*MuxSession, error) {
 				kept = append(kept, p)
 				continue
 			}
-			m.pendingBytes -= m.frameBytes(p.buf)
+			m.pendingBytes -= int64(len(p.buf))
 			muxPendingFrames.Add(-1)
-			muxPendingBytes.Add(-m.frameBytes(p.buf))
+			muxPendingBytes.Add(-int64(len(p.buf)))
 			if !s.enqueue(p.buf) { // backlog past the limit: shed the excess
 				muxStaleFrames.Add(1)
 				PutFrame(p.buf)
@@ -436,10 +420,13 @@ func (m *Mux) retire(s *MuxSession, reason error) {
 }
 
 // readLoop is the demux reader: it owns the connection's read side and
-// routes every arriving frame by the id its header carries.
+// routes every arriving frame by the id its header carries. Each frame is
+// read into a buffer lent by the frame pool, which travels to the session
+// the frame is for, whose ReadFrameInto gives it back once the payload is
+// copied out; route gives back what it sheds.
 func (m *Mux) readLoop() {
 	for {
-		f, err := m.read()
+		f, err := readLent(m.c)
 		if err != nil {
 			m.fail(fmt.Errorf("comm: mux read: %w", err))
 			return
@@ -450,17 +437,16 @@ func (m *Mux) readLoop() {
 	}
 }
 
-// route delivers one frame in its lent buffer f, the mux frame at m.off;
-// false means the mux died.
+// route delivers one frame in its lent buffer f; false means the mux died.
 func (m *Mux) route(f []byte) bool {
-	id, kind, _, err := parseMuxFrame(f[m.off:])
+	id, kind, _, err := parseMuxFrame(f)
 	if err != nil {
 		PutFrame(f)
 		m.fail(err)
 		return false
 	}
 	muxFramesIn.Add(1)
-	muxBytesIn.Add(m.frameBytes(f))
+	muxBytesIn.Add(int64(len(f)))
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -509,15 +495,15 @@ func (m *Mux) route(f []byte) bool {
 	// ours. Park it until Open claims the id, evicting oldest-first when
 	// the buffer is over budget.
 	m.pending = append(m.pending, muxPending{id: id, buf: f})
-	m.pendingBytes += m.frameBytes(f)
+	m.pendingBytes += int64(len(f))
 	muxPendingFrames.Add(1)
-	muxPendingBytes.Add(m.frameBytes(f))
+	muxPendingBytes.Add(int64(len(f)))
 	for len(m.pending) > m.cfg.PendingFrames || m.pendingBytes > muxPendingBytesMax {
 		ev := m.pending[0]
 		m.pending = m.pending[1:]
-		m.pendingBytes -= m.frameBytes(ev.buf)
+		m.pendingBytes -= int64(len(ev.buf))
 		muxPendingFrames.Add(-1)
-		muxPendingBytes.Add(-m.frameBytes(ev.buf))
+		muxPendingBytes.Add(-int64(len(ev.buf)))
 		muxEvictedFrames.Add(1)
 		PutFrame(ev.buf)
 	}
@@ -621,8 +607,7 @@ type MuxSession struct {
 	out chan muxWrite
 	ack chan error
 
-	// queue holds routed frames in their lent buffers, the mux frame at
-	// m.off, oldest at head. It starts on slots and grows by append only as
+	// queue holds routed frames in their lent buffers, oldest at head. It starts on slots and grows by append only as
 	// frames arrive: most sessions never hold more than a few at once.
 	qmu   sync.Mutex
 	queue [][]byte
@@ -806,7 +791,7 @@ func (s *MuxSession) ReadFrame() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f[s.m.off+MuxHeaderBytes:], nil
+	return f[MuxHeaderBytes:], nil
 }
 
 // ReadFrameInto returns the next frame's payload, copied into buf when it
@@ -818,7 +803,7 @@ func (s *MuxSession) ReadFrameInto(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := f[s.m.off+MuxHeaderBytes:]
+	payload := f[MuxHeaderBytes:]
 	if cap(buf) >= len(payload) {
 		out := buf[:len(payload)]
 		copy(out, payload)

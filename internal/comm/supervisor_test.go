@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,8 @@ import (
 	"time"
 )
 
-// fastSupCfg is a supervisor tuning tight enough for tests: 10ms
-// heartbeats, quick reconnects, generous budgets elsewhere.
+// fastSupCfg is a supervisor tuning tight enough for tests: 10ms ticks,
+// quick redials, a generous redial budget.
 func fastSupCfg() SupervisorConfig {
 	return SupervisorConfig{
 		HeartbeatInterval: 10 * time.Millisecond,
@@ -20,7 +21,6 @@ func fastSupCfg() SupervisorConfig {
 		ReconnectAttempts: 50,
 		ReconnectBase:     5 * time.Millisecond,
 		ReconnectMax:      50 * time.Millisecond,
-		ResyncTimeout:     2 * time.Second,
 	}
 }
 
@@ -109,7 +109,9 @@ func TestSupervisedLinkRoundTrip(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// And the other direction, with the vectored write path.
+	// And the other direction, with the vectored write path, after a few
+	// idle ticks: a reader sees none of them.
+	time.Sleep(5 * fastSupCfg().HeartbeatInterval)
 	if err := b.WriteFrameVec([]byte("hel"), []byte("lo")); err != nil {
 		t.Fatalf("write vec: %v", err)
 	}
@@ -120,6 +122,42 @@ func TestSupervisedLinkRoundTrip(t *testing.T) {
 	if string(f) != "hello" {
 		t.Fatalf("got %q", f)
 	}
+}
+
+// stream writes numbered frames on w, a write that meets a connection's end
+// lost with it, until frame n-1 or a later one has been read on r: what
+// arrives must be in order and without duplicates (a link replays nothing,
+// so frames may go missing at a cut, but nothing comes twice or out of
+// order), and reads that meet a connection's end fail and are read again.
+func stream(w, r *SupervisedLink, n int) error {
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+				w.WriteFrame(payload(i)) // an error is a frame lost with its connection
+			}
+		}
+	}()
+	last := -1
+	for deadline := time.Now().Add(10 * time.Second); last < n-1; {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("frame %d never arrived (last was %d)", n-1, last)
+		}
+		f, err := r.ReadFrame()
+		if err != nil {
+			continue // the connection ended; the next read runs on the next one
+		}
+		got := int(binary.LittleEndian.Uint64(f))
+		if got <= last {
+			return fmt.Errorf("frame %d after frame %d: a reorder or a replay across a redial", got, last)
+		}
+		last = got
+	}
+	return nil
 }
 
 func TestSupervisedLinkSurvivesFrameBoundaryDrops(t *testing.T) {
@@ -134,31 +172,12 @@ func TestSupervisedLinkSurvivesFrameBoundaryDrops(t *testing.T) {
 		}
 		return fc
 	})
-	const n = 200
-	errc := make(chan error, 1)
-	go func() {
-		for i := 0; i < n; i++ {
-			if err := b.WriteFrame(payload(i)); err != nil {
-				errc <- fmt.Errorf("write %d: %w", i, err)
-				return
-			}
-		}
-		errc <- nil
-	}()
-	for i := 0; i < n; i++ {
-		f, err := a.ReadFrame()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got := int(binary.LittleEndian.Uint64(f)); got != i {
-			t.Fatalf("frame %d: got payload %d (reorder or loss across reconnect)", i, got)
-		}
-	}
-	if err := <-errc; err != nil {
+	if err := stream(b, a, 200); err != nil {
 		t.Fatal(err)
 	}
-	if d := SupervisorTotals().Reconnects - before.Reconnects; d < 2 {
-		t.Fatalf("expected >= 2 reconnects, got %d", d)
+	// Both ends dial again after each cut.
+	if d := SupervisorTotals().Reconnects - before.Reconnects; d < 4 {
+		t.Fatalf("expected >= 4 redials (2 cuts × 2 ends), got %d", d)
 	}
 }
 
@@ -170,111 +189,48 @@ func TestSupervisedLinkBidirectionalUnderDrop(t *testing.T) {
 		}
 		return fc
 	})
-	const n = 60
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	send := func(s *SupervisedLink) {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			if err := s.WriteFrame(payload(i)); err != nil {
-				errs <- err
-				return
-			}
+	errs := make(chan error, 2)
+	go func() { errs <- stream(a, b, 60) }()
+	go func() { errs <- stream(b, a, 60) }()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
-	}
-	recv := func(s *SupervisedLink) {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			f, err := s.ReadFrame()
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got := int(binary.LittleEndian.Uint64(f)); got != i {
-				errs <- fmt.Errorf("frame %d: got %d", i, got)
-				return
-			}
-		}
-	}
-	wg.Add(4)
-	go send(a)
-	go send(b)
-	go recv(a)
-	go recv(b)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
 	}
 }
 
+// A restarted peer process is the next connection: the link reads what the
+// old one sent, fails the read that meets its end, and reads on from the
+// new one — no sequence state to disagree about.
 func TestSupervisedLinkDetectsPeerRestart(t *testing.T) {
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	cfg := fastSupCfg()
-	cfg.ReconnectAttempts = 3
-
-	// The "peer" is scripted by hand: first incarnation speaks the
-	// protocol and delivers one data frame; the restarted incarnation
-	// answers the resync with zeroed state, as a fresh process would.
+	// The "peer" is scripted by hand: each incarnation sends one frame and
+	// dies, as a process would.
 	peerDone := make(chan error, 1)
 	go func() {
 		peerDone <- func() error {
-			c, err := Accept(ln)
-			if err != nil {
-				return err
-			}
-			f, err := c.ReadFrame() // link's RESYNC
-			if err != nil {
-				return err
-			}
-			if f[0] != supKindResync {
-				return fmt.Errorf("expected resync, got kind 0x%02x", f[0])
-			}
-			var hdr [supHeaderBytes]byte
-			putSupHeader(hdr[:], supKindResync, 0, 0)
-			if err := c.WriteFrame(hdr[:]); err != nil {
-				return err
-			}
-			// Deliver data frame seq 1, then die.
-			putSupHeader(hdr[:], supKindData, 1, 0)
-			if err := c.WriteFrameVec(hdr[:], []byte("x")); err != nil {
-				return err
-			}
-			time.Sleep(50 * time.Millisecond)
-			c.Close()
-
-			// Restarted peer: resync claiming nothing sent, nothing
-			// delivered — while the link already delivered seq 1.
-			c2, err := Accept(ln)
-			if err != nil {
-				return err
-			}
-			defer c2.Close()
-			if _, err := c2.ReadFrame(); err != nil {
-				return err
-			}
-			putSupHeader(hdr[:], supKindResync, 0, 0)
-			if err := c2.WriteFrame(hdr[:]); err != nil {
-				return err
-			}
-			// The link should give up rather than resync; absorb reads
-			// until it closes.
-			for {
-				if _, err := c2.ReadFrame(); err != nil {
-					return nil
+			for _, say := range []string{"x", "y"} {
+				c, err := Accept(ln)
+				if err != nil {
+					return err
 				}
+				if err := c.WriteFrame([]byte(say)); err != nil {
+					return err
+				}
+				time.Sleep(20 * time.Millisecond)
+				c.Close()
 			}
+			return nil
 		}()
 	}()
-
+	before := SupervisorTotals().Reconnects
 	s, err := NewSupervisedLink(func() (Framer, error) {
 		return Dial(ln.Addr().String())
-	}, cfg)
+	}, fastSupCfg())
 	if err != nil {
 		t.Fatalf("connect: %v", err)
 	}
@@ -282,13 +238,17 @@ func TestSupervisedLinkDetectsPeerRestart(t *testing.T) {
 	if f, err := s.ReadFrame(); err != nil || string(f) != "x" {
 		t.Fatalf("first frame: %q, %v", f, err)
 	}
-	// The next read outlives the first connection; it must fail with
-	// ErrPeerStateLost once the restarted peer's resync is rejected.
-	if _, err := s.ReadFrame(); !errors.Is(err, ErrPeerStateLost) {
-		t.Fatalf("expected ErrPeerStateLost, got %v", err)
+	if _, err := s.ReadFrame(); err == nil {
+		t.Fatal("the read that met the first connection's end did not fail")
+	}
+	if f, err := s.ReadFrame(); err != nil || string(f) != "y" {
+		t.Fatalf("frame from the restarted peer: %q, %v", f, err)
 	}
 	if err := <-peerDone; err != nil {
 		t.Fatalf("scripted peer: %v", err)
+	}
+	if d := SupervisorTotals().Reconnects - before; d < 1 {
+		t.Fatalf("%d redials across a peer restart, want >= 1", d)
 	}
 }
 
@@ -301,24 +261,27 @@ func TestSupervisedLinkHeartbeatDetectsSilentPeer(t *testing.T) {
 
 	var connects atomic.Int64
 	secondConnect := make(chan struct{})
-	// Scripted peer: completes the resync handshake, then goes silent
-	// without closing — the TCP blackhole case keepalive takes minutes to
-	// notice. Runs for each incarnation so the reconnect also lands here.
+	// Scripted peer: accepts, then goes silent without closing — the TCP
+	// blackhole case keepalive takes minutes to notice. Runs for each
+	// incarnation so the redial also lands here.
+	var silent []*Conn
+	var mu sync.Mutex
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range silent {
+			c.Close()
+		}
+	}()
 	go func() {
 		for {
 			c, err := Accept(ln)
 			if err != nil {
 				return
 			}
-			go func(c *Conn) {
-				if _, err := c.ReadFrame(); err != nil {
-					return
-				}
-				var hdr [supHeaderBytes]byte
-				putSupHeader(hdr[:], supKindResync, 0, 0)
-				c.WriteFrame(hdr[:])
-				// Silent: never read or write again, never close.
-			}(c)
+			mu.Lock()
+			silent = append(silent, c)
+			mu.Unlock()
 		}
 	}()
 
@@ -334,141 +297,92 @@ func TestSupervisedLinkHeartbeatDetectsSilentPeer(t *testing.T) {
 		t.Fatalf("connect: %v", err)
 	}
 	defer s.Close()
+	// Silence is noticed by the read it bounds.
+	reading := make(chan struct{})
+	defer close(reading) // before the deferred Close ends the read
+	go func() {
+		for {
+			select {
+			case <-reading:
+				return
+			default:
+				s.ReadFrame()
+			}
+		}
+	}()
 
 	// With a 10ms interval and miss budget 3 the silent peer must be
 	// declared dead and a second connect attempted well within a second.
 	select {
 	case <-secondConnect:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("heartbeat expiry never triggered a reconnect (connects=%d)", connects.Load())
+		t.Fatalf("silence never triggered a redial (connects=%d)", connects.Load())
 	}
 }
 
-func TestSupervisedLinkCloseShedsBufferedFrames(t *testing.T) {
-	ln, err := Listen("127.0.0.1:0")
+// A connection handed out by Conn and closed by its user — a mux giving up
+// its connection — ends that connection only: the link dials the next, and
+// Conn hands that one out.
+func TestSupervisedLinkConnCloseRedials(t *testing.T) {
+	a, b := supPair(t, fastSupCfg(), fastSupCfg(), nil)
+	c1, err := b.Conn(nil)
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		t.Fatal(err)
 	}
-	defer ln.Close()
-	// Handshake-only peer: acknowledges the resync and then ignores the
-	// link (never acks), so written frames stay buffered.
-	go func() {
-		c, err := Accept(ln)
-		if err != nil {
-			return
-		}
-		if _, err := c.ReadFrame(); err != nil {
-			return
-		}
-		var hdr [supHeaderBytes]byte
-		putSupHeader(hdr[:], supKindResync, 0, 0)
-		c.WriteFrame(hdr[:])
-		for {
-			if _, err := c.ReadFrame(); err != nil {
-				return
+	c1.(io.Closer).Close()
+	if err := c1.WriteFrame([]byte("late")); err == nil {
+		t.Fatal("a write on a closed connection succeeded")
+	}
+	stop := make(chan struct{})
+	time.AfterFunc(5*time.Second, func() { close(stop) })
+	c2, err := b.Conn(stop)
+	if err != nil {
+		t.Fatalf("no next connection: %v", err)
+	}
+	if c2 == c1 {
+		t.Fatal("Conn handed out the closed connection again")
+	}
+	if err := c2.WriteFrame([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		f, err := a.ReadFrame()
+		if err == nil {
+			if string(f) != "next" {
+				t.Fatalf("got %q", f)
 			}
+			break
 		}
+	}
+}
+
+func TestSupervisedLinkCloseEndsReadsAndWrites(t *testing.T) {
+	a, b := supPair(t, fastSupCfg(), fastSupCfg(), nil)
+	read := make(chan error, 1)
+	go func() {
+		_, err := b.ReadFrame()
+		read <- err
 	}()
-	cfg := fastSupCfg()
-	cfg.HeartbeatInterval = -1 // no heartbeats: nothing inbound would reset the clock
-	s, err := NewSupervisedLink(func() (Framer, error) {
-		return Dial(ln.Addr().String())
-	}, cfg)
-	if err != nil {
-		t.Fatalf("connect: %v", err)
-	}
-	before := SupervisorTotals()
-	for i := 0; i < 5; i++ {
-		if err := s.WriteFrame(payload(i)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
+	time.Sleep(2 * fastSupCfg().HeartbeatInterval)
+	b.Close()
+	select {
+	case err := <-read:
+		if err == nil {
+			t.Fatal("a blocked read returned a frame after Close")
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock a read")
 	}
-	s.Close()
-	after := SupervisorTotals()
-	if d := after.ShedFrames - before.ShedFrames; d != 5 {
-		t.Fatalf("expected 5 shed frames, got %d", d)
-	}
-	if err := s.WriteFrame([]byte("late")); !errors.Is(err, ErrLinkClosed) {
+	if err := b.WriteFrame([]byte("late")); !errors.Is(err, ErrLinkClosed) {
 		t.Fatalf("write after close: %v", err)
 	}
-	if _, err := s.ReadFrame(); !errors.Is(err, ErrLinkClosed) {
+	if _, err := b.ReadFrame(); !errors.Is(err, ErrLinkClosed) {
 		t.Fatalf("read after close: %v", err)
 	}
-}
-
-func TestSupervisedLinkWriterBackpressure(t *testing.T) {
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
+	if _, err := b.Conn(nil); !errors.Is(err, ErrLinkClosed) {
+		t.Fatalf("Conn after close: %v", err)
 	}
-	defer ln.Close()
-	release := make(chan struct{})
-	// Peer that completes the handshake but only starts acking (by
-	// reading; acks ride its heartbeats) after release. Until then the
-	// link's replay buffer can only drain via acks — which never come.
-	go func() {
-		c, err := Accept(ln)
-		if err != nil {
-			return
-		}
-		if _, err := c.ReadFrame(); err != nil {
-			return
-		}
-		var hdr [supHeaderBytes]byte
-		putSupHeader(hdr[:], supKindResync, 0, 0)
-		c.WriteFrame(hdr[:])
-		var delivered uint64
-		<-release
-		for {
-			f, err := c.ReadFrame()
-			if err != nil {
-				return
-			}
-			kind, a, _, _, err := parseSupFrame(f)
-			if err != nil {
-				return
-			}
-			if kind == supKindData && a == delivered+1 {
-				delivered = a
-				putSupHeader(hdr[:], supKindHB, 1, delivered)
-				if err := c.WriteFrame(hdr[:]); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	cfg := fastSupCfg()
-	cfg.HeartbeatInterval = -1
-	cfg.ReplayFrames = 4
-	s, err := NewSupervisedLink(func() (Framer, error) {
-		return Dial(ln.Addr().String())
-	}, cfg)
-	if err != nil {
-		t.Fatalf("connect: %v", err)
-	}
-	defer s.Close()
-	wrote := make(chan struct{})
-	go func() {
-		for i := 0; i < 10; i++ {
-			if err := s.WriteFrame(payload(i)); err != nil {
-				t.Errorf("write %d: %v", i, err)
-				return
-			}
-		}
-		close(wrote)
-	}()
-	// The 5th write must park on the full replay buffer.
-	select {
-	case <-wrote:
-		t.Fatalf("writes finished with no acks and ReplayFrames=4")
-	case <-time.After(100 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-wrote:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("writer still parked after acks resumed")
-	}
+	_ = a
 }
 
 func TestJitterDurationBounds(t *testing.T) {
@@ -600,47 +514,4 @@ func TestFaultConnDropAfterFramesFragmented(t *testing.T) {
 
 func isClosedErr(err error) bool {
 	return err != nil && (errors.Is(err, net.ErrClosed) || errors.Is(err, ErrInjected))
-}
-
-// TestSupervisedLinkOnReconnectHook checks registered callbacks fire on
-// every successful reconnect — the hook stale-rate-estimate consumers
-// (the wire codec's bandwidth EWMA) use to reset per-link state when
-// the underlying connection is replaced.
-func TestSupervisedLinkOnReconnectHook(t *testing.T) {
-	var fired atomic.Int64
-	a, b := supPair(t, fastSupCfg(), fastSupCfg(), func(inc int, raw net.Conn) net.Conn {
-		fc := NewFaultConn(raw)
-		if inc == 0 {
-			fc.DropAfterFrames(5)
-		}
-		return fc
-	})
-	b.OnReconnect(func() { fired.Add(1) })
-	const n = 50
-	errc := make(chan error, 1)
-	go func() {
-		for i := 0; i < n; i++ {
-			if err := b.WriteFrame(payload(i)); err != nil {
-				errc <- fmt.Errorf("write %d: %w", i, err)
-				return
-			}
-		}
-		errc <- nil
-	}()
-	for i := 0; i < n; i++ {
-		if _, err := a.ReadFrame(); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	// Traffic resumes when the resync installs the new connection; the hooks
-	// run right after, on the supervisor's goroutine — so all fifty frames
-	// can be here before the callback is. Wait for the event.
-	for deadline := time.Now().Add(2 * time.Second); fired.Load() < 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("OnReconnect callback did not fire across a reconnect")
-		}
-	}
 }

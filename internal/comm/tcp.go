@@ -1,19 +1,21 @@
 // Package comm is the real transport of the two-server deployment: framed
 // byte streams over TCP or an in-memory pipe (Conn, Framer — the paper's MPI
 // layer, §6) and what the fleet layers on one such stream: per-request
-// sub-streams on the single inter-server link (Mux), heartbeats, reconnect
-// and replay (SupervisedLink), the accept loop under every listener
-// (ServeConns), capability frames and test fault injection (FaultConn). It
-// moves opaque frames and imports nothing else from this module; the
-// metered network of the paper-figure model is internal/mpcsim's Link.
+// sub-streams on one inter-server connection (Mux), ticks and a silence
+// deadline on a plain connection (Watch), a peer link that keeps one such
+// connection up and dials the next when it ends (SupervisedLink), the accept
+// loop under every listener (ServeConns), capability frames and test fault
+// injection (FaultConn). No transport here replays a frame: what a dead
+// connection loses, the layer above sends again. It moves opaque frames and
+// imports nothing else from this module; the metered network of the
+// paper-figure model is internal/mpcsim's Link.
 //
 // Frame buffers on the serving path are lent by one process-wide pool with
 // power-of-two size classes (GetFrame, PutFrame). A Conn reads a frame into
-// one (ReadFramePooled); a SupervisedLink hands that buffer up whole and
-// draws its replay copies from the pool; a Mux passes the buffer to the
-// session the frame is for, whose ReadFrameInto gives it back once the
-// payload is copied out. Whoever holds a lent buffer last gives it back, and
-// only the buffer as it was lent is taken back.
+// one (ReadFramePooled), and so does a SupervisedLink's connection; a Mux
+// passes the buffer to the session the frame is for, whose ReadFrameInto
+// gives it back once the payload is copied out. Whoever holds a lent buffer
+// last gives it back, and only the buffer as it was lent is taken back.
 package comm
 
 import (
@@ -21,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -363,6 +366,47 @@ func (c RetryConfig) withDefaults() RetryConfig {
 		c.MaxDelay = 2 * time.Second
 	}
 	return c
+}
+
+// Retry is this package's one retry schedule (DialRetry, a supervised link's
+// redial, the dealer feed's and the health agent's redials): it calls try
+// up to cfg.Attempts times, sleeping a jittered delay between calls that
+// starts at cfg.BaseDelay and doubles up to cfg.MaxDelay. try returns
+// retry=false to end the loop with its error as is (nil on success); when the
+// attempts run out its last error comes back wrapped, naming what was
+// retried. A closed stop channel — nil never closes — ends it with
+// ErrLinkClosed.
+func Retry(what string, cfg RetryConfig, stop <-chan struct{}, try func() (retry bool, err error)) error {
+	cfg = cfg.withDefaults()
+	var err error
+	for attempt, delay := 0, cfg.BaseDelay; attempt < cfg.Attempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-stop:
+				return ErrLinkClosed
+			case <-time.After(jitterDuration(delay, retryJitter)):
+			}
+			delay = min(2*delay, cfg.MaxDelay)
+		}
+		select {
+		case <-stop:
+			return ErrLinkClosed
+		default:
+		}
+		var retry bool
+		if retry, err = try(); !retry {
+			return err
+		}
+	}
+	return fmt.Errorf("comm: %s: %d attempts exhausted: %w", what, cfg.Attempts, err)
+}
+
+// jitterDuration scales d by a uniform factor in [1-f, 1+f].
+func jitterDuration(d time.Duration, f float64) time.Duration {
+	if f <= 0 || d <= 0 {
+		return d
+	}
+	return time.Duration(float64(d) * (1 - f + 2*f*rand.Float64()))
 }
 
 // DialRetry connects to a framed TCP peer, retrying with jittered

@@ -20,6 +20,27 @@ var ErrConnEnded = errors.New("comm: connection ended")
 // one. Watch returns when a read fails (an error wrapping ErrConnEnded) or
 // onFrame errs (that error), with c closed and the tick goroutine gone.
 func Watch(c *Conn, tick, silence time.Duration, onFrame func([]byte) error) error {
+	defer keepAlive(c, tick, silence)()
+	for {
+		f, err := c.ReadFrame()
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrConnEnded, err)
+		}
+		if len(f) == 0 && silence > 0 {
+			continue
+		}
+		if err := onFrame(f); err != nil {
+			return err
+		}
+	}
+}
+
+// keepAlive is Watch's liveness, for a caller that runs its own reads (a
+// SupervisedLink does): from here on every read of c must complete within
+// silence (0: no bound), and a goroutine writes a tick on c every tick (0 or
+// less: never). A tick that fails closes c, so the read fails with it. The
+// returned stop closes c and returns once the goroutine has; call it once.
+func keepAlive(c *Conn, tick, silence time.Duration) (stop func()) {
 	_, writeTO := c.Timeouts()
 	c.SetTimeouts(silence, writeTO)
 	done, ticked := make(chan struct{}), make(chan struct{})
@@ -36,24 +57,12 @@ func Watch(c *Conn, tick, silence time.Duration, onFrame func([]byte) error) err
 				return
 			case <-t.C:
 				if c.WriteFrame(nil) != nil {
-					c.Close() // the read below fails with it
+					c.Close() // the read fails with it
 					return
 				}
 			}
 		}
 	}()
 	// Closing first unblocks a tick write stuck on a peer that stopped reading.
-	defer func() { c.Close(); close(done); <-ticked }()
-	for {
-		f, err := c.ReadFrame()
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrConnEnded, err)
-		}
-		if len(f) == 0 && silence > 0 {
-			continue
-		}
-		if err := onFrame(f); err != nil {
-			return err
-		}
-	}
+	return func() { c.Close(); close(done); <-ticked }
 }

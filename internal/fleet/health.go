@@ -74,20 +74,11 @@ func decodeJoin(f []byte) (Replica, error) {
 	return rep, nil
 }
 
-// silence is how long a health connection may stay quiet before its other
-// end is taken for dead: MissBudget+1 ticks, or no bound with ticks off.
-func silence(sup comm.SupervisorConfig) time.Duration {
-	if sup.HeartbeatInterval <= 0 {
-		return 0
-	}
-	return time.Duration(sup.MissBudget+1) * sup.HeartbeatInterval
-}
-
 // HealthConfig tunes the router's health listener.
 type HealthConfig struct {
 	// Sup's heartbeat interval and miss budget set how long a replica's
 	// connection may stay silent, and how long after it ends the replica
-	// stays registered for a re-JOIN. Nothing else in it is read.
+	// stays registered for a re-JOIN.
 	Sup comm.SupervisorConfig
 	// Log receives structured health events; nil silences them.
 	Log *obs.Logger
@@ -139,7 +130,7 @@ func (h *HealthServer) handle(ctx context.Context, conn *comm.Conn) {
 		return
 	}
 	h.cfg.Log.Event("replica_joined", "replica", rep.Name, "addr0", rep.Addr[0], "addr1", rep.Addr[1])
-	cause := comm.Watch(conn, h.cfg.Sup.HeartbeatInterval, silence(h.cfg.Sup), func(f []byte) error {
+	cause := comm.Watch(conn, h.cfg.Sup.HeartbeatInterval, h.cfg.Sup.Silence(), func(f []byte) error {
 		// Anything but DRAIN is an announcement from a newer replica: ignored.
 		if bytes.Equal(f, drainFrame) && h.reg.Drain(rep.Name) {
 			h.cfg.Log.Event("replica_draining", "replica", rep.Name)
@@ -148,7 +139,7 @@ func (h *HealthServer) handle(ctx context.Context, conn *comm.Conn) {
 	})
 	select {
 	case <-ctx.Done():
-	case <-time.After(silence(h.cfg.Sup)):
+	case <-time.After(h.cfg.Sup.Silence()):
 		if h.reg.LeaveIf(rep.Name, tok) {
 			h.cfg.Log.Event("replica_lost", "replica", rep.Name, "cause", fmt.Sprint(cause))
 		}
@@ -185,7 +176,7 @@ func StartAgent(ctx context.Context, routerAddr string, rep Replica, sup comm.Su
 		defer close(a.done)
 		defer stop()
 		for {
-			comm.Watch(conn, a.sup.HeartbeatInterval, silence(a.sup), func([]byte) error { return nil }) // the router sends only ticks
+			comm.Watch(conn, a.sup.HeartbeatInterval, a.sup.Silence(), func([]byte) error { return nil }) // the router sends only ticks
 			if conn, err = a.dial(); err != nil {
 				if a.fail(err) {
 					log.Error("router_link", err, "router", routerAddr)
@@ -201,8 +192,7 @@ func StartAgent(ctx context.Context, routerAddr string, rep Replica, sup comm.Su
 // connection.
 func (a *Agent) dial() (*comm.Conn, error) {
 	var conn *comm.Conn
-	retry := comm.RetryConfig{Attempts: a.sup.ReconnectAttempts, BaseDelay: a.sup.ReconnectBase, MaxDelay: a.sup.ReconnectMax}
-	err := comm.Retry("router health dial", retry, a.stop, func() (bool, error) {
+	err := comm.Retry("router health dial", a.sup.Redial(), a.stop, func() (bool, error) {
 		c, err := comm.Dial(a.addr)
 		if err != nil {
 			return true, err

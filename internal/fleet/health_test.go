@@ -212,7 +212,7 @@ func TestHealthDrainSurvivesReconnect(t *testing.T) {
 	waitUntil(t, "the re-JOIN", func() bool { return reg.Generation() > gen })
 	waitUntil(t, "the replica to be out of the ring again", func() bool { _, ok := reg.Pick(42); return !ok })
 	// Past the old connection's eviction (silence + grace), many times over.
-	for end := time.Now().Add(10 * silence(healthSup.WithDefaults())); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
+	for end := time.Now().Add(10 * healthSup.WithDefaults().Silence()); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
 		if n := reg.Size(); n != 1 {
 			t.Fatalf("registry size %d after the reconnect, want 1 (draining)", n)
 		}
@@ -268,7 +268,7 @@ func TestHealthEvictsSilentReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	serveHealth(t, reg, ln)
-	budget := 2 * silence(healthSup.WithDefaults()) // silence, then the grace
+	budget := 2 * healthSup.WithDefaults().Silence() // silence, then the grace
 	join := func(name string) *comm.Conn {
 		t.Helper()
 		c, err := comm.Dial(ln.Addr().String())

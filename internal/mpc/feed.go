@@ -183,6 +183,13 @@ func (l *feedLease) settle() error {
 	return nil
 }
 
+// drop gives up the lease and a grant read off the peer, on a request the
+// peer connection failed under: neither may be in the peer's hands. The
+// halves are spent, as any unused lease's are.
+func (l *feedLease) drop() {
+	l.held, l.t, l.granted = false, TripletShares{}, noSeq
+}
+
 // appendTrailer appends what this party states on its first exchange frame.
 // A lease held while a request runs is the one party 0 granted in begin;
 // party 1 holds none until settle.

@@ -52,10 +52,6 @@ var metrics = struct {
 	deadlineShed  *obs.Counter
 	clientRetries *obs.Counter
 
-	// Supervised peer link: heartbeat round-trip time, observed once per
-	// acknowledged heartbeat (SupervisePeer wires it in).
-	linkRTT *obs.Histogram
-
 	// Dealer-fed triplet agreement (feed.go): requests that started with the
 	// triplet already agreed (a lease) against those that announced inside
 	// the request, indexed [agreeAhead|agreeAnnounce], and agreements the two
@@ -101,8 +97,6 @@ var metrics = struct {
 
 	deadlineShed:  obs.Default.Counter("psml_deadline_server_shed_total", "Requests refused at replica admission: remaining budget below the cost-model exchange floor."),
 	clientRetries: obs.Default.Counter("psml_client_retries_total", "RequestMulRetry attempts re-sent after a retryable route error."),
-
-	linkRTT: obs.Default.Histogram("psml_link_heartbeat_rtt_seconds", "Supervised peer-link heartbeat round-trip time."),
 
 	feedAgree: [2]*obs.Counter{
 		obs.Default.Counter(`psml_feed_agree_total{how="ahead"}`, "Dealer-fed requests by how the pair agreed on the triplet: a request ahead (lease) or announced inside the request."),
@@ -191,24 +185,12 @@ func init() {
 	obs.Default.FuncCounter("psml_mux_bytes_out_total", "Bytes written to peer links, mux headers included.", func() float64 {
 		return float64(comm.MuxTotals().BytesOut)
 	})
-	// Supervised peer link: reconnect/replay accounting from the comm
+	// Supervised peer link: redials and ended connections, from the comm
 	// layer's package totals (comm must not depend on obs).
-	obs.Default.FuncCounter("psml_link_reconnects_total", "Peer-link connections re-established by the supervisor after a failure.", func() float64 {
+	obs.Default.FuncCounter("psml_link_reconnects_total", "Peer-link connections dialled after one ended.", func() float64 {
 		return float64(comm.SupervisorTotals().Reconnects)
 	})
-	obs.Default.FuncCounter("psml_link_failures_total", "Peer-link connections declared dead (read/write error or heartbeat expiry).", func() float64 {
+	obs.Default.FuncCounter("psml_link_failures_total", "Peer-link connections that ended (read/write error, silence past the tick budget, or closed).", func() float64 {
 		return float64(comm.SupervisorTotals().LinkFailures)
-	})
-	obs.Default.FuncCounter("psml_exchange_replays_total", "Buffered exchange frames replayed to the peer after a link resync.", func() float64 {
-		return float64(comm.SupervisorTotals().ReplayedFrames)
-	})
-	obs.Default.FuncCounter("psml_exchange_replay_discards_total", "In-flight exchange frames discarded at resync because the peer already had them.", func() float64 {
-		return float64(comm.SupervisorTotals().ResyncDiscards)
-	})
-	obs.Default.FuncCounter("psml_link_shed_frames_total", "Buffered frames shed because a supervised link died for good.", func() float64 {
-		return float64(comm.SupervisorTotals().ShedFrames)
-	})
-	obs.Default.FuncGauge("psml_link_buffered_frames", "Unacknowledged frames currently buffered for replay on supervised links.", func() float64 {
-		return float64(comm.SupervisorTotals().BufferedFrames)
 	})
 }

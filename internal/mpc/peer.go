@@ -6,21 +6,17 @@ import (
 	"parsecureml/internal/comm"
 )
 
-// SupervisePeer wraps the inter-server link in a comm.SupervisedLink:
-// connect is the raw dial or accept (it runs again after every
-// connection loss), and each fresh connection re-runs the role handshake
-// (WriteHello/ReadHello) before the supervisor's resync, so a reconnect
-// can never silently attach to a process claiming the wrong party.
-// Heartbeat RTT samples land on psml_link_heartbeat_rtt_seconds unless
-// cfg.ObserveRTT is already set.
+// SupervisePeer puts the inter-server link under a comm.SupervisedLink:
+// connect is the raw dial or accept (it runs again after every connection
+// ends), and each fresh connection runs the role handshake
+// (WriteHello/ReadHello) first, so a redial can never silently attach to a
+// process claiming the wrong party. A restarted peer process is simply the
+// next connection.
 //
-// The returned link slots directly into ServeClients' peer parameter. The
-// supervised frame protocol is symmetric: a supervised end paired with a
-// bare one fails its first resync handshake, at link-up.
+// The returned link slots directly into ServeClients' peer parameter, which
+// runs one mux and one capability exchange per connection. Both ends must
+// run one: ticks are empty frames, which a bare end would hand its mux.
 func SupervisePeer(party int, connect func() (*comm.Conn, error), cfg comm.SupervisorConfig) (*comm.SupervisedLink, error) {
-	if cfg.ObserveRTT == nil {
-		cfg.ObserveRTT = metrics.linkRTT.Observe
-	}
 	return comm.NewSupervisedLink(func() (comm.Framer, error) {
 		c, err := connect()
 		if err != nil {

@@ -43,6 +43,11 @@ const (
 	// the registration (a router re-dial or re-route, a restarted pair). The
 	// same bytes fail anywhere: not retryable; the client registers again.
 	RouteUnknownOperand RouteErrorCode = 7
+	// RoutePeerLinkLost: the pair's peer connection ended under the request,
+	// or none came up within the peer timeout. The pair ran nothing for it
+	// that the client sees; retryable — a re-sent request runs on the next
+	// connection.
+	RoutePeerLinkLost RouteErrorCode = 8
 )
 
 func (c RouteErrorCode) String() string {
@@ -61,6 +66,8 @@ func (c RouteErrorCode) String() string {
 		return "bad_request"
 	case RouteUnknownOperand:
 		return "unknown_operand"
+	case RoutePeerLinkLost:
+		return "peer_link_lost"
 	}
 	return fmt.Sprintf("code_%d", uint32(c))
 }
@@ -92,7 +99,7 @@ func (e *RouteError) Is(target error) bool {
 // property of the request itself.
 func (e *RouteError) Retryable() bool {
 	switch e.Code {
-	case RouteNoReplicas, RouteRetriesExhausted, RouteDraining:
+	case RouteNoReplicas, RouteRetriesExhausted, RouteDraining, RoutePeerLinkLost:
 		return true
 	}
 	return false

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -205,18 +206,21 @@ const maxRetryAfter = 250 * time.Millisecond
 // RequestMulRetry is the session-level retry ladder on top of
 // RequestMulID: when every leg failure of an attempt is a retryable
 // RouteError (no replicas, a draining backend, an exhausted router
-// ladder — conditions where no backend ran the request), the SAME
-// request id is re-sent after the fleet's retry-after hint. The retried
-// multiplication is idempotent — the result is a deterministic function
-// of the input shares — so a duplicate execution is merely wasted work,
-// never a wrong answer. Non-retryable failures (transport errors,
-// decode failures, an exceeded deadline) surface immediately.
+// ladder, a pair whose peer connection ended under the request), the
+// request is sent again after the fleet's retry-after hint — the same
+// shares and header under a fresh request id, since a pair retires an id
+// on the connection it ran on. The retried multiplication is idempotent —
+// the result is a deterministic function of the input shares, and a
+// dealer-fed request draws a fresh triplet — so a duplicate execution is
+// merely wasted work, never a wrong answer. Non-retryable failures
+// (transport errors, decode failures, an exceeded deadline) surface
+// immediately.
 func RequestMulRetry(s0, s1 comm.Framer, in0, in1 Shares, cfg RetryConfig) (*tensor.Matrix, error) {
 	attempts := cfg.Attempts
 	if attempts <= 0 {
 		attempts = 3
 	}
-	id := newRequestID()
+	var id uint64
 	start := time.Now()
 	encode := func(in Shares) []byte {
 		if cfg.Budget > 0 {
@@ -229,6 +233,7 @@ func RequestMulRetry(s0, s1 comm.Framer, in0, in1 Shares, cfg RetryConfig) (*ten
 			return nil, &ServerError{Server: 0, Op: "route",
 				Err: &RouteError{Code: RouteDeadlineExceeded}}
 		}
+		id = newRequestID()
 		m, err := requestMulFrames(id, s0, s1, encode(in0), encode(in1))
 		if err == nil {
 			return m, nil
@@ -245,17 +250,21 @@ func RequestMulRetry(s0, s1 comm.Framer, in0, in1 Shares, cfg RetryConfig) (*ten
 }
 
 // retryHint reports whether EVERY leg failure inside err is a retryable
-// RouteError — the only condition under which re-sending the same id is
-// known safe and useful — and the largest retry-after hint among them.
+// RouteError — the only condition under which re-sending is known safe and
+// useful — and the largest retry-after hint among them. A duplicate_id leg
+// counts as retryable beside a peer_link_lost one: the party that lost its
+// connection retired the id on the next one too, to stop a half of it that
+// started there, and the other party met that.
 func retryHint(err error) (time.Duration, bool) {
 	legs := []error{err}
 	if j, ok := err.(interface{ Unwrap() []error }); ok {
 		legs = j.Unwrap()
 	}
+	lost := errors.Is(err, &RouteError{Code: RoutePeerLinkLost})
 	var wait time.Duration
 	for _, e := range legs {
 		var re *RouteError
-		if !errors.As(e, &re) || !re.Retryable() {
+		if !errors.As(e, &re) || !re.Retryable() && !(lost && re.Code == RouteDuplicateID) {
 			return 0, false
 		}
 		if re.RetryAfter > wait {
@@ -312,8 +321,8 @@ const DefaultMaxSessions = 16
 
 // ServeClients is the failure-contained accept loop of one computation
 // party: serve up to cfg.MaxSessions client sessions concurrently over
-// the single peer link until ctx is cancelled or the listener dies. The
-// peer link is multiplexed (comm.Mux) with one sub-stream per in-flight
+// the peer link until ctx is cancelled or the listener dies. The peer
+// connection is multiplexed (comm.Mux) with one sub-stream per in-flight
 // request, keyed by the request id both parties already share — the
 // paper's one MPI edge carrying every concurrent Beaver exchange.
 // Accepts beyond MaxSessions are shed immediately. A session that fails —
@@ -322,32 +331,24 @@ const DefaultMaxSessions = 16
 // aborted (notifying the peer's half) and its sibling sessions keep
 // running. Returns nil on graceful shutdown.
 //
-// The peer connection is owned by the mux for the duration of the call
-// and is closed on return. Shutdown is bounded: cancelling ctx closes
-// the listener AND every tracked client connection, so in-flight
-// sessions unblock immediately instead of running until ClientTimeout
-// (or forever when it is 0).
+// peer is any Framer: a *comm.Conn for a single connection, or a
+// *comm.SupervisedLink (see SupervisePeer), which dials the next connection
+// when one ends. Each connection gets a mux and a capability exchange of its
+// own, and nothing is replayed across them: a request whose exchange was on
+// a connection that ended is answered in-band with the retryable
+// RoutePeerLinkLost, its session goes on, and the client sends it again
+// (RequestMulRetry) — a client-dealt or derived request on the same shares,
+// a dealer-fed one on a seq party 0 draws afresh. A request that arrives
+// while no connection is up waits for the next for at most PeerTimeout,
+// then is answered the same way; once the link has ended for good (a
+// *comm.Conn that died, a link out of redials) requests end their sessions.
 //
-// peer is any Framer: a *comm.Conn for the classic single-connection
-// deployment, or a *comm.SupervisedLink (see SupervisePeer) when the
-// link should survive connection loss — sessions then see a reconnect
-// only as latency. Note PeerTimeout still bounds each session's peer
-// reads via the mux, so it must comfortably exceed the supervisor's
-// worst-case detect+reconnect+resync time.
+// The peer is ServeClients' for the duration of the call and is closed on
+// return. Shutdown is bounded: cancelling ctx closes the listener AND
+// every tracked client connection, so in-flight sessions unblock
+// immediately instead of running until ClientTimeout (or forever when it
+// is 0).
 func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Framer, cfg ServeConfig) error {
-	if cfg.PeerTimeout > 0 {
-		// The peer's read side belongs to the demux reader, which must
-		// idle freely between requests: per-session reads are bounded by
-		// the mux's ReadTimeout instead of a connection deadline. A
-		// supervised link has no deadline surface — its reads block until
-		// delivery or permanent link death, which preserves the same
-		// contract.
-		if d, ok := peer.(interface {
-			SetTimeouts(read, write time.Duration)
-		}); ok {
-			d.SetTimeouts(0, cfg.PeerTimeout)
-		}
-	}
 	maxSessions := cfg.MaxSessions
 	if maxSessions <= 0 {
 		maxSessions = DefaultMaxSessions
@@ -362,7 +363,6 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 	if tombstones < comm.DefaultTombstoneIDs {
 		tombstones = comm.DefaultTombstoneIDs
 	}
-	mux := comm.NewMux(peer, comm.MuxConfig{ReadTimeout: cfg.PeerTimeout, TombstoneIDs: tombstones})
 	// Concurrent sessions share one result-matrix pool (a private pool per
 	// session would defeat recycling across requests).
 	var wire WireConfig
@@ -372,37 +372,15 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 	if wire.Pool == nil {
 		wire.Pool = tensor.NewPool()
 	}
-	// A reconnected supervised link is a different network path: the
-	// bandwidth EWMA measured on the dead incarnation must not keep the
-	// codec selector pinned to a throttle (or a fast path) that no longer
-	// exists. Reset it (a no-op without a codec); fresh exchanges re-measure
-	// within a few requests.
-	if sl, ok := peer.(*comm.SupervisedLink); ok {
-		sl.OnReconnect(wire.Codec.ResetLink)
-	}
-	// Pair capability handshake: what the pair feeds and compresses is what
-	// BOTH parties advertise.
-	ctl := startPairCtl(party, mux, cfg, wire)
-	defer func() {
-		mux.Close() // also ends the control reader
-		<-ctl.done
-	}()
-
-	// Settle before the first accept, so the first requests do not start
-	// featureless. The wait is bounded, not a decision: a capability frame
-	// that arrives later still applies.
-	select {
-	case <-ctl.settled:
-	case <-ctl.done: // the link is dead; sessions will find out on their own
-	case <-ctx.Done(): // the accept below fails at once
-	case <-time.After(helloTimeout):
-		cfg.Log.Event("peer_caps_silent", "party", party, "waited", helloTimeout)
-	}
+	// Requests wait for the first connection as for any next one: it is up
+	// once the pair has settled its capabilities, so none starts featureless.
+	pl := startPairLink(party, peer, cfg, wire, comm.MuxConfig{ReadTimeout: cfg.PeerTimeout, TombstoneIDs: tombstones})
+	defer pl.stop(peer)
 	sem := make(chan struct{}, maxSessions)
 	err := comm.ServeConns(ctx, ln, func(client *comm.Conn) {
 		select {
 		case sem <- struct{}{}:
-			serveMuxSession(party, client, mux, ctl, wire, cfg)
+			serveMuxSession(party, client, pl, wire, cfg)
 			client.Close()
 			<-sem
 		default:
@@ -421,16 +399,134 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 	return nil
 }
 
+// errPeerLinkDown is a request's wait for a peer connection running out.
+var errPeerLinkDown = errors.New("mpc: no peer connection came up within the peer timeout")
+
+// pairLink is ServeClients' hold on the peer: the mux and capability session
+// of the connection that is up, a fresh pair of them per connection.
+type pairLink struct {
+	quit chan struct{} // closed by stop
+	done chan struct{} // closed when the loop has returned
+
+	mu   sync.Mutex
+	cur  *pairCtl      // nil while no connection is up
+	next chan struct{} // closed, and replaced, when cur changes or the link ends
+	err  error         // why no connection will come any more
+}
+
+// startPairLink starts the loop that puts a mux and a capability session on
+// each of peer's connections in turn.
+func startPairLink(party int, peer comm.Framer, cfg ServeConfig, wire WireConfig, mcfg comm.MuxConfig) *pairLink {
+	pl := &pairLink{quit: make(chan struct{}), done: make(chan struct{}), next: make(chan struct{})}
+	link, _ := peer.(*comm.SupervisedLink)
+	lone := peer // a Framer that is not a link is one connection, then none
+	next := func() (comm.Framer, error) {
+		if link != nil {
+			return link.Conn(pl.quit)
+		}
+		c := lone
+		if c == nil {
+			return nil, errors.New("mpc: the peer connection ended")
+		}
+		lone = nil
+		return c, nil
+	}
+	if c, ok := peer.(*comm.Conn); ok && cfg.PeerTimeout > 0 {
+		// The peer's read side belongs to the demux reader, which must idle
+		// freely between requests: per-session reads are bounded by the
+		// mux's ReadTimeout instead of a connection deadline.
+		c.SetTimeouts(0, cfg.PeerTimeout)
+	}
+	go func() {
+		defer close(pl.done)
+		for {
+			c, err := next()
+			if err != nil {
+				pl.set(nil, err)
+				return
+			}
+			// A new connection is a new path: what the codec measured on the
+			// last one no longer holds.
+			wire.Codec.ResetLink()
+			mux := comm.NewMux(c, mcfg)
+			ctl := startPairCtl(party, mux, cfg, wire)
+			select {
+			case <-ctl.settled:
+			case <-ctl.done: // the connection is dead; the next one will settle
+			case <-pl.quit:
+			case <-time.After(helloTimeout):
+				cfg.Log.Event("peer_caps_silent", "party", party, "waited", helloTimeout)
+			}
+			pl.set(ctl, nil)
+			select {
+			case <-ctl.done: // the control reader ends with the mux
+			case <-pl.quit:
+			}
+			pl.set(nil, nil)
+			mux.Close()
+			<-ctl.done
+		}
+	}()
+	return pl
+}
+
+// set publishes cur, or with err ends the link.
+func (pl *pairLink) set(cur *pairCtl, err error) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	pl.cur, pl.err = cur, err
+	close(pl.next)
+	pl.next = make(chan struct{})
+}
+
+// stop ends the loop and closes peer.
+func (pl *pairLink) stop(peer comm.Framer) {
+	close(pl.quit)
+	if c, ok := peer.(io.Closer); ok {
+		c.Close()
+	}
+	<-pl.done
+}
+
+// current returns the mux and capability session of the connection that is
+// up. While none is, it waits for the next for at most wait (0: no bound)
+// and then fails with errPeerLinkDown; once no connection will come it fails
+// with the reason.
+func (pl *pairLink) current(wait time.Duration) (*pairCtl, error) {
+	var timeout <-chan time.Time
+	for {
+		pl.mu.Lock()
+		cur, next, err := pl.cur, pl.next, pl.err
+		pl.mu.Unlock()
+		switch {
+		case cur != nil && cur.mux.Err() == nil:
+			return cur, nil
+		case err != nil:
+			return nil, err
+		}
+		if timeout == nil && wait > 0 {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-next:
+		case <-timeout:
+			return nil, errPeerLinkDown
+		}
+	}
+}
+
 // serveMuxSession runs one client session's request loop with its
 // lifecycle metrics and logging.
-func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wire WireConfig, cfg ServeConfig) {
+func serveMuxSession(party int, client *comm.Conn, pl *pairLink, wire WireConfig, cfg ServeConfig) {
 	if cfg.ClientTimeout > 0 {
 		client.SetTimeouts(cfg.ClientTimeout, cfg.ClientTimeout)
 	}
 	metrics.sessions.Inc()
 	metrics.sessionsActive.Add(1)
 	cfg.Log.Event("session_start", "party", party)
-	err := serveMuxLoop(party, client, mux, ctl, wire, cfg)
+	err := serveMuxLoop(party, client, pl, wire, cfg)
 	if err != nil && !isSessionEnd(err) {
 		metrics.sessionErrors.Inc()
 		cfg.Log.Error("session", err, "party", party)
@@ -451,7 +547,9 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, 
 // length-prefixed, so the next frame is intact). A torn-down session reads
 // as a backend failure to a router, which re-sends the frame and then
 // evicts a healthy pair. Only a frame too short to carry the id to echo
-// ends the session.
+// ends the session. A request the peer connection fails under — none up
+// within PeerTimeout, or one that ended mid-exchange — is refused the same
+// way, with the retryable RoutePeerLinkLost.
 //
 // The request latency histogram is observed on EVERY exit, error returns
 // included — an explicit start time instead of a Span so failures record
@@ -460,7 +558,7 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, 
 // Request and reply frames are lent by the comm frame pool: the request goes
 // back as soon as it is decoded — everything below reads the decoded copy —
 // and the reply once it is written.
-func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wire WireConfig, cfg ServeConfig) error {
+func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, cfg ServeConfig) error {
 	w := newWireMul(party, wire)
 	defer w.close()
 	lease := &feedLease{party: party, feed: cfg.Feed, log: cfg.Log}
@@ -487,24 +585,6 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 				drawn[i] = nil
 			}
 		}
-		// A derived half is expanded where it is used: offline-phase work moved
-		// to the server, observed with the rest of it.
-		if err == nil && f.derived {
-			tspan := metrics.phaseTriplet.Start()
-			in.expand(party)
-			tspan.Stop()
-		}
-		// What the pair has settled so far decides the dealer-fed form and
-		// every form that names an operand: the client's error like a frame
-		// that does not decode, and refused the same way by both parties.
-		if err == nil {
-			switch common := ctl.common.Load(); {
-			case f.feed && common&capFeed == 0:
-				err = errors.New("mpc: dealer-fed request on a pair with no settled triplet feed")
-			case in.Operand != 0 && common&capOperand == 0:
-				err = errors.New("mpc: operand request on a pair that has not settled registered operands")
-			}
-		}
 		// fail is the error the session ends on; refuse answers the request
 		// with a typed error frame instead, and the session goes on unless
 		// that write fails.
@@ -517,6 +597,60 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			release()
 			metrics.reqWire.ObserveSince(start)
 			return client.WriteFrame(EncodeRouteError(id, code, 0))
+		}
+		// lost refuses a request the peer connection failed under, for the
+		// client to send again. The engine's sender is waited out first: its
+		// write fails at once on the ended connection, and it may be reading
+		// the lease. Party 0's lease was drawn for a next request the peer may
+		// never hear of, so it is dropped; the retry announces a fresh seq.
+		// Then the refusal waits for a connection to be up (at most
+		// PeerTimeout) and retires the id on it with a CLOSE: a peer that took
+		// the request to that connection — it saw the old one end first, or
+		// got the request later — stops waiting for this party's half and
+		// refuses it too. By then the peer has seen the old connection end, so
+		// the retry finds both parties on the same one.
+		lost := func() error {
+			metrics.requestErrors.Inc()
+			w.drain()
+			lease.drop()
+			if next, err := pl.current(cfg.PeerTimeout); err == nil {
+				if sess, err := next.mux.Open(id); err == nil {
+					sess.Abort()
+				}
+			}
+			return refuse(RoutePeerLinkLost)
+		}
+		// A derived half is expanded where it is used: offline-phase work moved
+		// to the server, observed with the rest of it.
+		if err == nil && f.derived {
+			tspan := metrics.phaseTriplet.Start()
+			in.expand(party)
+			tspan.Stop()
+		}
+		// The request runs on the peer connection that is up, or waits for the
+		// next one.
+		var pc *pairCtl
+		if err == nil {
+			if pc, err = pl.current(cfg.PeerTimeout); errors.Is(err, errPeerLinkDown) {
+				metrics.requestErrors.Inc()
+				if err := refuse(RoutePeerLinkLost); err != nil {
+					return err
+				}
+				continue
+			} else if err != nil {
+				return fail(err)
+			}
+		}
+		// What the pair has settled so far decides the dealer-fed form and
+		// every form that names an operand: the client's error like a frame
+		// that does not decode, and refused the same way by both parties.
+		if err == nil {
+			switch common := pc.common.Load(); {
+			case f.feed && common&capFeed == 0:
+				err = errors.New("mpc: dealer-fed request on a pair with no settled triplet feed")
+			case in.Operand != 0 && common&capOperand == 0:
+				err = errors.New("mpc: operand request on a pair that has not settled registered operands")
+			}
 		}
 		if err != nil {
 			if !hasID {
@@ -532,6 +666,7 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			}
 			continue
 		}
+		mux := pc.mux
 		// A request that names an operand reads or fills the session's table.
 		// Unlike the refusals above, this one depends on what THIS session
 		// holds, which the peer's half may not (one leg re-dialled): the peer is
@@ -565,16 +700,19 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		}
 		sess, err := mux.Open(id)
 		if errors.Is(err, comm.ErrMuxSessionDup) || errors.Is(err, comm.ErrMuxSessionClosed) {
-			// The id is in flight or already retired on this pair (served,
-			// or aborted by the peer's half).
+			// The id is in flight or already retired on this connection
+			// (served, or aborted by the peer's half).
 			metrics.requestErrors.Inc()
 			if err := refuse(RouteDuplicateID); err != nil {
 				return err
 			}
 			continue
 		}
-		if err != nil {
-			return fail(err)
+		if err != nil { // the mux is dead: its connection ended
+			if err := lost(); err != nil {
+				return err
+			}
+			continue
 		}
 		// A dealer-fed request runs its exchange through the session's lease,
 		// which carries the triplet agreement on the exchange's own frames.
@@ -585,6 +723,12 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 			tspan.Stop()
 			if err != nil {
 				sess.Abort()
+				if linkLost(mux, err) {
+					if err := lost(); err != nil {
+						return err
+					}
+					continue
+				}
 				return fail(err)
 			}
 			conn = lease
@@ -594,9 +738,16 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 		ci, err := w.run(conn, in, op)
 		if err != nil {
 			// Notify the peer's half so it fails fast instead of waiting
-			// out its read deadline on frames that will never come. Nothing
-			// goes back to the pool: the poisoned engine's sender may still run.
+			// out its read deadline on frames that will never come.
 			sess.Abort()
+			if linkLost(mux, err) {
+				if err := lost(); err != nil {
+					return err
+				}
+				continue
+			}
+			// Nothing goes back to the pool: the poisoned engine's sender may
+			// still run.
 			return fail(err)
 		}
 		sess.Close()
@@ -625,6 +776,17 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, ctl *pairCtl, wir
 	}
 }
 
+// linkLost reports whether a request's exchange failed with its peer
+// connection rather than on its own: the connection ended (the mux is dead),
+// or the peer closed the request's id — what a peer that lost the request
+// on an earlier connection does (lost, in serveMuxLoop). A peer that closes
+// an id for any other reason refuses the request non-retryably or ends its
+// session, so the client sees that leg fail outright whatever this party
+// answers.
+func linkLost(mux *comm.Mux, err error) bool {
+	return mux.Err() != nil || errors.Is(err, comm.ErrMuxPeerClosed)
+}
+
 // ---- pair control session ----
 
 // ctlID is the one reserved mux session of a serving pair ("psmlcdc1").
@@ -646,10 +808,11 @@ const (
 	capOperand uint32 = 1 << 11
 )
 
-// pairCtl is what one party's control-session reader settles: a feature is
-// on iff both parties advertise it, and a peer that never answers leaves
-// everything optional off.
+// pairCtl is one peer connection's mux and what its control-session reader
+// settles: a feature is on iff both parties advertise it, and a peer that
+// never answers leaves everything optional off.
 type pairCtl struct {
+	mux     *comm.Mux
 	settled chan struct{} // closed once the peer's capabilities are applied
 	done    chan struct{} // closed when the reader has exited
 	// common is what both parties advertised, 0 until the peer's frame
@@ -663,7 +826,7 @@ type pairCtl struct {
 // arrives. Nothing else belongs on the session: any other frame is logged,
 // once, and dropped.
 func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *pairCtl {
-	p := &pairCtl{settled: make(chan struct{}), done: make(chan struct{})}
+	p := &pairCtl{mux: mux, settled: make(chan struct{}), done: make(chan struct{})}
 	mine := capOperand
 	if wire.Codec != nil {
 		mine |= uint32(wire.Codec.Enabled & codecMask)
@@ -696,10 +859,10 @@ func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *p
 		var buf []byte
 		for applied, logged := false, false; ; {
 			f, err := readFrameInto(sess, buf)
-			if comm.IsTimeout(err) {
+			if comm.IsTimeout(err) && mux.Err() == nil {
 				continue // idle control session; keep listening
 			} else if err != nil {
-				return // mux dead or shutdown
+				return // mux dead (a connection that fell silent ends in a timeout too) or shutdown
 			}
 			buf = f
 			if cf, err := comm.ParseCapabilityFrame(f, capsMagic); err == nil && !applied { // once per link

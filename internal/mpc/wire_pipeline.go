@@ -74,8 +74,9 @@ func readFrameInto(conn comm.Framer, buf []byte) ([]byte, error) {
 // encode/decode scratch, pooled band buffers, and the sender goroutine's
 // arguments. One wireMul serves a whole session; it is not safe for
 // concurrent use, and after any method returns an error it is poisoned —
-// the sender goroutine may still hold its scratch until the connection
-// closes — so the session must be torn down, not reused.
+// the sender goroutine may still hold its scratch until its write fails —
+// so the session must be torn down, or wait the sender out (drain) on a
+// connection that has ended.
 type wireMul struct {
 	party int
 	cfg   WireConfig
@@ -99,6 +100,7 @@ type wireMul struct {
 	sEKind    wireCodecKind
 	sentBytes int
 	sView     tensor.Matrix // sender-side band view (sender goroutine only)
+	sending   bool          // kicked, and done not yet drained
 
 	// run's member list and the row-view headers behind it (five per
 	// member), kept across requests so the per-request path allocates
@@ -171,7 +173,19 @@ func (w *wireMul) runSender() error {
 func (w *wireMul) launch(conn comm.Framer, head, bands *tensor.Matrix, bandRows int, headKind, bandKind wireCodecKind) {
 	w.sconn, w.sHead, w.sE, w.sBand = conn, head, bands, bandRows
 	w.sHeadKind, w.sEKind = headKind, bandKind
+	w.sending = true
 	w.kick <- struct{}{}
+}
+
+// drain waits for the sender of the last launch, if it has not been waited
+// for, and returns its error: after an exchange failed on a connection that
+// has ended (its write fails at once), the engine can run again.
+func (w *wireMul) drain() error {
+	if !w.sending {
+		return nil
+	}
+	w.sending = false
+	return <-w.done
 }
 
 // errBandFrame marks a peer E band whose self-describing header does not
@@ -425,7 +439,7 @@ func (w *wireMul) exchange(conn comm.Framer, members []Shares, band int, op *ope
 	// drains; a peer that died instead surfaces here as its write error
 	// (bounded by the connection's deadlines).
 	t0 := time.Now()
-	sendErr := <-w.done
+	sendErr := w.drain()
 	exchDur += time.Since(t0)
 	// The views into the members' own A and Z would pin those matrices for
 	// as long as the session idles before its next request; let them go.

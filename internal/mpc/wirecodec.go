@@ -167,11 +167,10 @@ func (wc *WireCodec) ObserveLink(bytes int, dur time.Duration) {
 }
 
 // ResetLink discards the measured bandwidth EWMA, returning budgetBps
-// to the static model until new samples arrive. Call it when the
-// underlying transport path may have changed — a SupervisedLink
-// reconnect lands on a new TCP connection (possibly a new route), and
-// a throttled estimate from the dead incarnation must not keep pinning
-// the codec selector against a link that no longer exists.
+// to the static model until new samples arrive. ServeClients calls it once
+// per peer connection: a redialled connection may take a new route, and a
+// throttled estimate from the dead one must not keep pinning the codec
+// selector against a connection that no longer exists.
 func (wc *WireCodec) ResetLink() {
 	if wc == nil {
 		return

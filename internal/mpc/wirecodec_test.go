@@ -375,10 +375,10 @@ func TestServeCodecMixedVersion(t *testing.T) {
 }
 
 // TestResetLinkRestoresStaticBudget is the regression for the stale
-// bandwidth EWMA: a throttled measurement from a dead link incarnation
-// must not survive a reconnect. ResetLink discards the estimate and the
+// bandwidth EWMA: a throttled measurement from a dead peer connection
+// must not survive a redial. ResetLink discards the estimate and the
 // byte budget returns to the static hardware model until fresh samples
-// arrive (ServeClients wires it to SupervisedLink.OnReconnect).
+// arrive (ServeClients calls it once per peer connection).
 func TestResetLinkRestoresStaticBudget(t *testing.T) {
 	wc := &WireCodec{Enabled: CodecFP16, HW: hw.Paper()}
 	static := wc.budgetBps()

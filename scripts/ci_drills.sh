@@ -7,7 +7,7 @@
 # Usage: scripts/ci_drills.sh <drill>
 #   concurrent   concurrent sessions survive a client kill, bit-identical; a leasing burst and a dealer outage never stall party 0; each ASK answered alone; a silent dealer is redialled; comm.Watch's ticks and silence bound
 #   engine       one exchange engine: any member count, band heights, held F == reference
-#   chaos-link   peer link killed mid-flight; supervised reconnect + replay; pooled frames never lent again mid-write; mux session queues: overflow isolated, close drains, backlog handed over, an idle session < 1 KiB
+#   chaos-link   peer link killed mid-flight and a peer process restarted; redial, in-flight requests refused retryable and re-sent; mux session queues: overflow isolated, close drains, backlog handed over, an idle session < 1 KiB
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
 #   checkpoint   kill-and-resume training: resumed run byte-identical
 #   fleet        multi-process router+dealer fleet, one pair SIGKILLed and evicted within 3 s; health link join/drain/reconnect/silence; operands across failover
@@ -65,17 +65,22 @@ engine)
   drill_test ./internal/mpc/tripletpool/ 'TestDealerClientConsumedSeqFailsAtOnce'
   ;;
 chaos-link)
-  # The inter-server link dies twice at deterministic frame boundaries
-  # under 8 concurrent sessions; the supervised link must reconnect and
-  # replay so every result stays bit-identical. Under it, the frame pool: no
-  # replay buffer is lent again while its write can still be running, and
-  # the pool's contract (exact-class puts only, small frames bypass, a cycle
-  # allocates nothing) holds. Above it, a mux session's queue: a flooded
-  # session dies alone, frames routed before a peer's CLOSE are still read, a
-  # backlog parked before Open is handed over in order up to InboxFrames and
-  # shed past it, and a session that receives nothing allocates under 1 KiB.
-  drill_test ./internal/mpc/ 'TestConcurrentSessionsSurviveLinkDrops|TestSupervisePeerStartupOrder'
-  drill_test ./internal/comm/ 'TestReplayBuffersNotReissuedMidWrite|TestFramePool|TestMuxInboxOverflowIsolated|TestMuxCloseDrainsBufferedFrames|TestMuxPendingClaim|TestMuxIdleSessionAllocatesLittle'
+  # The inter-server connection dies twice at deterministic frame boundaries
+  # under 8 concurrent sessions, client-dealt and dealer-fed. Nothing is
+  # replayed: both links dial again, a request whose exchange was on the dead
+  # connection is refused peer_link_lost, and the client re-sends it — every
+  # result bit-identical to the reference, none over 3 s, no triplet half
+  # handed out twice. A restarted party 1 process is the next connection:
+  # the pair serves again within 5 s; so is a connection that falls silent
+  # rather than closing. The link's own redial under cuts and
+  # silence is checked beneath it, and the frame pool's contract
+  # (exact-class puts only, small frames bypass, a cycle allocates nothing).
+  # Above it, a mux session's queue: a flooded session dies alone, frames
+  # routed before a peer's CLOSE are still read, a backlog parked before Open
+  # is handed over in order up to InboxFrames and shed past it, and a session
+  # that receives nothing allocates under 1 KiB.
+  drill_test ./internal/mpc/ 'TestConcurrentSessionsSurviveLinkDrops|TestFedSessionsSurviveLinkDrops|TestPeerProcessRestartHeals|TestSilentPeerConnectionIsReplaced|TestSupervisePeerStartupOrder'
+  drill_test ./internal/comm/ 'TestSupervisedLink|TestFramePool|TestMuxInboxOverflowIsolated|TestMuxCloseDrainsBufferedFrames|TestMuxPendingClaim|TestMuxIdleSessionAllocatesLittle'
   ;;
 codec)
   # Capability negotiation upgrades matching servers, mismatched pairs
