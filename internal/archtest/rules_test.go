@@ -137,13 +137,13 @@ var zzTick = clock.Tick(clock.Second)
 
 import "parsecureml/internal/rng"
 
-func zzExpand(out []float32, key, seq uint64) { rng.FillKeyed(out, key, seq) }
+func zzExpand(out []float32, key [16]byte, seq uint64) { rng.FillKeyed(out, key, seq) }
 `}}},
 			{"second-caller-in-mpc", []edit{{path: "internal/mpc/zz_mutant.go", src: `package mpc
 
 import "parsecureml/internal/rng"
 
-func zzDerive(buf []float32, key uint64) { rng.FillKeyed(buf, key, 0) }
+func zzDerive(buf []float32, key [16]byte) { rng.FillKeyed(buf, key, 0) }
 `}}},
 			{"function-value-in-fleet", []edit{{path: "internal/fleet/zz_mutant.go", src: `package fleet
 
@@ -152,6 +152,23 @@ import "parsecureml/internal/rng"
 var zzFill = rng.FillKeyed
 `}}},
 			{"derive-half-expands-on-its-own", []edit{{path: "internal/mpc/offline.go", old: "rng.FillKeyed(buf, d.Seed, seq)", src: "fillOwn(buf, d.Seed, seq)"}}},
+		},
+	},
+	{
+		name:  "keyed-fill-is-a-cipher",
+		why:   "rng.FillKeyed, the expansion of every derived half, is AES-128-CTR: it lives in internal/rng/keyed.go, which imports crypto/aes and crypto/cipher and names neither mt19937 nor gauss, the paper's §5.1 generator whose state 624 outputs give away",
+		check: keyedFillIsACipher,
+		mutations: []mutation{
+			{"keyed-fill-calls-mt19937", []edit{
+				{path: "internal/rng/keyed.go", old: "\t\"crypto/cipher\"\n", src: "\t\"crypto/cipher\"\n\t\"parsecureml/internal/mt19937\"\n"},
+				{path: "internal/rng/keyed.go", src: "\nfunc zzWord(seq uint64) uint32 { return mt19937.New(uint32(seq)).Uint32() }\n"},
+			}},
+			{"keyed-fill-draws-a-block-stream", []edit{{path: "internal/rng/keyed.go", src: "\nfunc zzStream(seq uint64) *gauss { return newBlockStream(seq, 0, 0) }\n"}}},
+			{"keyed-fill-drops-aes", []edit{{path: "internal/rng/keyed.go", old: "\t\"crypto/aes\"\n", src: ""}}},
+			{"keyed-fill-moves-out", []edit{
+				{path: "internal/rng/keyed.go", old: "func FillKeyed(", src: "func fillKeyedAES("},
+				{path: "internal/rng/rng.go", src: "\nfunc FillKeyed(out []float32, key [16]byte, seq uint64) { fillKeyedAES(out, key, seq) }\n"},
+			}},
 		},
 	},
 	{
@@ -452,6 +469,56 @@ func oneTicker(tr *tree) []string {
 func oneKeyedExpansion(tr *tree) []string {
 	return onlyFrom(tr, func(gf *goFile) bool { return !gf.test && gf.dir != "internal/rng" },
 		"internal/mpc/offline.go", "DeriveHalf", ref{tr.module + "/internal/rng", "FillKeyed"})
+}
+
+func keyedFillIsACipher(tr *tree) []string {
+	const file = "internal/rng/keyed.go"
+	gf := tr.gofs[file]
+	if gf == nil {
+		return []string{file + ":1: missing, so rng.FillKeyed has moved or gone"}
+	}
+	var out []string
+	imported := map[string]bool{}
+	for _, is := range gf.ast.Imports {
+		imported[importPath(is)] = true
+	}
+	for _, want := range []string{"crypto/aes", "crypto/cipher"} {
+		if !imported[want] {
+			out = append(out, fmt.Sprintf("%s: does not import %s", tr.at(gf.ast.Name), want))
+		}
+	}
+	ast.Inspect(gf.ast, func(n ast.Node) bool {
+		var name string
+		switch n := n.(type) {
+		case *ast.Ident:
+			name = n.Name
+		case *ast.ImportSpec:
+			name = importPath(n)
+		default:
+			return true
+		}
+		if name == "gauss" || strings.Contains(strings.ToLower(name), "mt19937") {
+			out = append(out, fmt.Sprintf("%s: %s names %s", tr.at(n), path.Base(file), name))
+		}
+		return true
+	})
+	declared := false
+	for _, f := range tr.files(nonTestIn("internal/rng")) {
+		for _, d := range f.ast.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			switch {
+			case !ok || !isFunc(fn, "FillKeyed"):
+			case f == gf:
+				declared = true
+			default:
+				out = append(out, fmt.Sprintf("%s: func FillKeyed outside %s", tr.at(fn), path.Base(file)))
+			}
+		}
+	}
+	if !declared {
+		out = append(out, fmt.Sprintf("%s: declares no func FillKeyed", tr.at(gf.ast.Name)))
+	}
+	return out
 }
 
 // onlyFrom checks that the files keep accepts reference targets at exactly

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -101,8 +102,8 @@ func TestRouterDuplicateIDKeepsReplica(t *testing.T) {
 }
 
 // TestRouterMalformedRequestKeepsReplica: a request frame the pair cannot
-// decode — garbage behind the id, or a grouped frame whose stacks disagree
-// with its member count — or will not run — the dealer-fed two-matrix form
+// decode — garbage behind the id, a grouped frame whose stacks disagree
+// with its member count, or a header of version 1 — or will not run — the dealer-fed two-matrix form
 // on a pair with no triplet feed — is the CLIENT's error. The pair answers it
 // in-band with a typed, non-retryable bad_request; before that it tore the
 // backend session down, which the router read as a replica failure,
@@ -127,7 +128,7 @@ func TestRouterMalformedRequestKeepsReplica(t *testing.T) {
 	g0.T.Z = tensor.New(5, 4) // one member's Z under a three-member header
 	dealerFed := mpc.EncodeRequest(id, mpc.Shares{A: tensor.New(5, 6), B: tensor.New(6, 4)})
 	retriesBefore := routerRetries.Value()
-	for i, frame := range [][]byte{garbage, mpc.EncodeRequest(id, g0), dealerFed} {
+	for i, frame := range [][]byte{garbage, mpc.EncodeRequest(id, g0), dealerFed, v1Request(id, 5, 6, 4)} {
 		for leg, c := range []*comm.Conn{c0, c1} {
 			if err := c.WriteFrame(frame); err != nil {
 				t.Fatal(err)
@@ -151,6 +152,22 @@ func TestRouterMalformedRequestKeepsReplica(t *testing.T) {
 	if err := routedRequest(t, p, c0, c1, id); err != nil {
 		t.Fatalf("session did not survive the malformed requests: %v", err)
 	}
+}
+
+// v1Request is a classic-form m×k×n request under version 1 of the request
+// header, which this build refuses: a 44-byte header whose seed is 8 bytes, a
+// budget riding.
+func v1Request(id uint64, m, k, n int) []byte {
+	le := binary.LittleEndian
+	f := append(le.AppendUint64(nil, id), 1, 1, 1, 0) // version 1, the classic form, a budget
+	for _, v := range []uint32{1e6, 1, 0, uint32(m), uint32(k), uint32(n)} {
+		f = le.AppendUint32(f, v)
+	}
+	f = le.AppendUint64(f, 0)
+	for _, s := range [][2]int{{m, k}, {k, n}, {m, k}, {k, n}, {m, n}} {
+		f = tensor.EncodeMatrix(f, tensor.New(s[0], s[1]))
+	}
+	return f
 }
 
 // TestRouterRelaysGroupedRequest: a grouped request is one frame in and

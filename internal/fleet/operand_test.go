@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -26,9 +27,10 @@ func threeForm(in mpc.Shares, h uint32) mpc.Shares {
 // its seed, party 1's ships A₁, [B₁], Z₁. v non-nil deals the three-matrix
 // form against the V stack b was registered with; the V stack is returned.
 func derivedShares(seed uint64, a, b, v *tensor.Matrix, c int) (in0, in1 mpc.Shares, vOut *tensor.Matrix) {
-	d0 := mpc.DerivedHalf{Seed: seed, Rows: a.Rows, K: a.Cols, N: b.Cols, Kept: v != nil}
+	d0 := mpc.DerivedHalf{Rows: a.Rows, K: a.Cols, N: b.Cols, Kept: v != nil}
+	binary.LittleEndian.PutUint64(d0.Seed[:], seed)
 	d1 := d0
-	d1.Seed = ^seed
+	binary.LittleEndian.PutUint64(d1.Seed[8:], ^seed)
 	h0, h1 := mpc.DeriveHalf(d0, 0, 0, c, true), mpc.DeriveHalf(d1, 0, 1, c, true)
 	u := tensor.AddTo(h0.T.U, h1.T.U)
 	if v == nil {

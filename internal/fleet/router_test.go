@@ -329,7 +329,8 @@ func TestServeFaceSurvivesTransientAcceptErrors(t *testing.T) {
 }
 
 // TestRouterRelaysUnreadableHeader: a frame whose header version this build
-// cannot read — one from before the header, or of a later version — reaches
+// cannot read — one from before the header, of version 1, or of a later
+// version — reaches
 // the backend byte for byte, unpriced and unshed (a later version's budget of
 // 0 is not read as expired), and the backend's reply comes back. Refusing
 // such a frame is the pair's to do.
@@ -371,7 +372,7 @@ func TestRouterRelaysUnreadableHeader(t *testing.T) {
 	later := mpc.EncodeRequestBudget(32, 0, mpc.Shares{A: tensor.New(4, 4), B: tensor.New(4, 4)})
 	later[8]++ // the version byte
 	shed := routerDeadlineShed.Value()
-	for _, frame := range [][]byte{headerless, later} {
+	for _, frame := range [][]byte{headerless, v1Request(33, 4, 4, 4), later} {
 		if err := c0.WriteFrame(frame); err != nil {
 			t.Fatal(err)
 		}

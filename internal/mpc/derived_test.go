@@ -27,9 +27,9 @@ import (
 
 // testSeeds keys test requests the way a client does, under a base of the
 // test's own.
-func testSeeds(base uint64) func() [2]uint64 {
+func testSeeds(base uint64) func() [2][16]byte {
 	var n uint64
-	return func() [2]uint64 { n++; return requestSeeds(base, n) }
+	return func() [2][16]byte { n++; return requestSeeds(base, n) }
 }
 
 // shippedInFull is the derived request (in0, in1) as the materialised frames
@@ -165,7 +165,7 @@ func TestDerivedSharesStayApart(t *testing.T) {
 			t.Fatalf("inference %d off plaintext by %v", i, got.MaxAbsDiff(want))
 		}
 	}
-	var seeds [2][]uint64
+	var seeds [2][][16]byte
 	for party, r := range rec {
 		if len(r.frames) != 6*inferences {
 			t.Fatalf("party %d was sent %d request frames for %d inferences, want 6 each", party, len(r.frames), inferences)
@@ -201,19 +201,18 @@ func TestDerivedSharesStayApart(t *testing.T) {
 			}
 		}
 	}
-	seen := map[uint64]bool{}
+	seen := map[[16]byte]bool{}
 	for i := range seeds[0] {
 		for party := range seeds {
 			s := seeds[party][i]
 			if seen[s] {
-				t.Errorf("request %d: party %d's seed %016x was used before", i, party, s)
+				t.Errorf("request %d: party %d's seed %x was used before", i, party, s)
 			}
 			seen[s] = true
 			// A seed on the other party's connection would hand that party
 			// both halves.
-			needle := binary.LittleEndian.AppendUint64(nil, s)
 			for j, frame := range rec[1-party].frames {
-				if bytes.Contains(frame, needle) {
+				if bytes.Contains(frame, s[:]) {
 					t.Errorf("request %d: party %d's seed is in frame %d of the other party's connection", i, party, j)
 				}
 			}
@@ -226,7 +225,7 @@ func TestDerivedSharesStayApart(t *testing.T) {
 // or grouped 2×3×4 request.
 func hostileDerivedFrames(id uint64) map[string][]byte {
 	half := func(party, members int, kept bool) Shares {
-		d := DerivedHalf{Seed: 0x5eed, Rows: 2 * members, K: 3, N: 4, Kept: kept}
+		d := DerivedHalf{Seed: [16]byte{0x5e, 0xed}, Rows: 2 * members, K: 3, N: 4, Kept: kept}
 		in := Shares{Members: members, Derived: &d}
 		if kept {
 			in.Operand = 1

@@ -15,20 +15,21 @@ import (
 // offsets inside the one frame the hops already relay (DESIGN.md "Request
 // header and form table").
 //
-//	[id u64][ver u8 = 1][form u8][flags u8][pad u8][budget-µs u32]
-//	[members u32][operand u32][rows u32][k u32][n u32][seed u64] [matrices...]
+//	[id u64][ver u8 = 2][form u8][flags u8][pad u8][budget-µs u32]
+//	[members u32][operand u32][rows u32][k u32][n u32][seed 16 B] [matrices...]
 //
-// 44 bytes with the id; any other version is refused. Flag bit 0 says a
+// 52 bytes with the id; any other version is refused. Flag bit 0 says a
 // budget rides: the time remaining, relative, which each hop decrements by
 // its own elapsed time, so no two hops need synchronized clocks; 0 is
 // "already expired", not "none". members counts the row-stacked products
 // (Shares.Members, 1 for a lone one), operand names a registered operand
 // (Shares.Operand), rows, k, n are the stacked geometry — A is rows×k, B
-// members·k × n, Z rows×n — and seed is what a derived half expands from
-// (Shares.Derived). The form byte names the row of forms that says the rest.
+// members·k × n, Z rows×n — and seed is the 128-bit AES key a derived half
+// expands from (Shares.Derived), zero in every other form. The form byte
+// names the row of forms that says the rest.
 const (
-	headerVersion = 1
-	headerBytes   = 44
+	headerVersion = 2
+	headerBytes   = 52
 	flagBudget    = 1 << 0
 	// The fields' offsets from the frame's start.
 	offVersion, offForm, offFlags, offBudget    = 8, 9, 10, 12
@@ -76,7 +77,7 @@ const MaxGroupMembers = 256
 const maxDim = 1 << 24
 
 // maxDerivedElems bounds each matrix a derived half makes a party expand — a
-// 44-byte frame sizes five — as tight as a session's kept operands
+// 52-byte frame sizes five — as tight as a session's kept operands
 // (maxOperandElems). Larger requests ship their matrices.
 const maxDerivedElems = 1 << 20
 
@@ -87,7 +88,8 @@ var ErrRequestHeader = errors.New("mpc: request header")
 
 // requestHeader is a request frame's header, read.
 type requestHeader struct {
-	id, seed            uint64
+	id                  uint64
+	seed                [16]byte
 	form                byte
 	budgeted            bool
 	budget              time.Duration
@@ -135,7 +137,7 @@ func EncodeRequestBudget(id uint64, budget time.Duration, in Shares) []byte {
 }
 
 func encodeRequest(id uint64, flags byte, budget time.Duration, in Shares) []byte {
-	form, rows, k, n, seed := byte(formClassic), 0, 0, 0, uint64(0)
+	form, rows, k, n, seed := byte(formClassic), 0, 0, 0, [16]byte{}
 	switch d := in.Derived; {
 	case d != nil:
 		form, rows, k, n, seed = formDerived5, d.Rows, d.K, d.N, d.Seed
@@ -155,7 +157,7 @@ func encodeRequest(id uint64, flags byte, budget time.Duration, in Shares) []byt
 	for _, v := range [...]uint32{budgetMicros(budget), uint32(in.members()), in.Operand, uint32(rows), uint32(k), uint32(n)} {
 		frame = le.AppendUint32(frame, v)
 	}
-	return appendShares(le.AppendUint64(frame, seed), in)
+	return appendShares(append(frame, seed[:]...), in)
 }
 
 // PeekBudget reads a request frame's budget. ok is false when no budget
@@ -220,7 +222,7 @@ func readHeader(frame []byte) (h requestHeader, err error) {
 	u32 := func(off int) int { return int(le.Uint32(frame[off:])) }
 	h.form, h.budgeted = frame[offForm], frame[offFlags]&flagBudget != 0
 	h.budget = time.Duration(u32(offBudget)) * time.Microsecond
-	h.operand, h.seed = le.Uint32(frame[offOperand:]), le.Uint64(frame[offSeed:])
+	h.operand, h.seed = le.Uint32(frame[offOperand:]), [16]byte(frame[offSeed:headerBytes])
 	h.members, h.rows, h.k, h.n = u32(offMembers), u32(offRows), u32(offK), u32(offN)
 	f := h.row()
 	switch {

@@ -87,6 +87,9 @@ func TestSetBudget(t *testing.T) {
 	if SetBudget(other, time.Millisecond) || binary.LittleEndian.Uint32(other[offBudget:]) != 800 {
 		t.Fatal("SetBudget wrote to a header of another version")
 	}
+	if _, ok := PeekBudget(v1Frame(EncodeRequestBudget(9, time.Second, in))); ok {
+		t.Fatal("PeekBudget read a version-1 header")
+	}
 }
 
 // envelopeGroup stacks three 5×6×4 products into one party's grouped
@@ -206,6 +209,7 @@ func TestPeekRequestShape(t *testing.T) {
 		EncodeRequest(5, in)[:12],
 		EncodeRouteError(5, RouteNoReplicas, 0),
 		badCount,
+		v1Frame(EncodeRequestBudget(5, time.Second, in)),
 	) {
 		if _, _, _, _, ok := PeekRequestShape(bad); ok {
 			t.Fatalf("PeekRequestShape accepted a non-request frame of %d bytes", len(bad))
@@ -398,6 +402,14 @@ func TestRetryHint(t *testing.T) {
 	}
 }
 
+// v1Frame is frame as version 1 of the header spelled it: the seed 8 bytes,
+// the header 44.
+func v1Frame(frame []byte) []byte {
+	v1 := append([]byte(nil), frame[:offSeed+8]...)
+	v1[offVersion] = 1
+	return append(v1, frame[headerBytes:]...)
+}
+
 // headerRefusal is a request frame refused on its header, and the faces it is
 // refused by: both, unless it is one face's derived half.
 type headerRefusal struct {
@@ -427,7 +439,9 @@ func hostileHeaders(id uint64) map[string]headerRefusal {
 	return map[string]headerRefusal{
 		"cut inside the header":     {EncodeRequest(id, validGeomShares())[:headerBytes-1], both},
 		"no header":                 {noHeader, both},
-		"version 2":                 {setByte(offVersion, headerVersion+1), both},
+		"a later version":           {setByte(offVersion, headerVersion+1), both},
+		"version 1":                 {v1Frame(EncodeRequest(id, validGeomShares())), both},
+		"version 1, a derived half": {v1Frame(EncodeRequest(id, d0)), both},
 		"form 0":                    {setByte(offForm, 0), both},
 		"form past the table":       {setByte(offForm, byte(len(forms))), both},
 		"members 0":                 {with(validGeomShares(), offMembers, 0), both},

@@ -20,9 +20,10 @@ import (
 //
 // The derived form (DeriveHalf, dealDerived) ships no share that is pure
 // generator output: whoever deals — the dealer tier for a triplet stream,
-// the client for a whole request — hands each party a key, and the party
-// expands its half where it uses it (the paper's Eqs. 10–12 applied to its
-// own §5.1 fills). DESIGN.md "Derived request halves".
+// the client for a whole request — hands each party a 128-bit key, and the
+// party expands its half where it uses it (the paper's Eqs. 10–12 applied to
+// its own random fills; the fill is AES-CTR, rng.FillKeyed). DESIGN.md
+// "Derived request halves".
 
 // SplitRand divides secret into two float shares (secret = s0 + s1)
 // using rp's uniform masks — the §2.2 partitioning step, without the
@@ -57,7 +58,7 @@ func GenGemmTripletShares(rp *rng.Pool, m, k, n int) (p0, p1 TripletShares) {
 // three-matrix form of a request against a registered operand
 // (Shares.Operand), which carries neither.
 type DerivedHalf struct {
-	Seed       uint64
+	Seed       [16]byte
 	Rows, K, N int
 	Kept       bool
 }
@@ -76,10 +77,10 @@ type DerivedHalf struct {
 // whoever dealt the half to compute and ship: party 1's Z₁ = U×V − Z₀ always,
 // and with masks its A₁ = A − A₀ and B₁ = B − B₀ (dealDerived; the dealer
 // tier's deriveTriplet). The triplet comes first and the masks last because
-// block streams are seeded by position: a maskless, one-member call — a
-// dealer stream's triplet seq — is a prefix of the same layout, which is what
-// keeps every dealer stream bit-identical to what it was before requests
-// were derived too. The matrices are views of one allocation.
+// a keyed fill's value i is a function of i alone: a maskless, one-member
+// call — a dealer stream's triplet seq — is a prefix of the same layout, so a
+// dealer stream and a derived request expand their triplets alike. The
+// matrices are views of one allocation.
 func DeriveHalf(d DerivedHalf, seq uint64, party, members int, masks bool) Shares {
 	rk, kn, rn := d.Rows*d.K, members*d.K*d.N, d.Rows*d.N
 	if d.Kept {
@@ -139,19 +140,19 @@ func (in *Shares) expand(party int) {
 }
 
 // requestSeeds are the two parties' seeds for the counter-th request a client
-// keys under base: SHA-256(base ‖ party ‖ counter)[:8], the dealer tier's
+// keys under base: SHA-256(base ‖ party ‖ counter)[:16], the dealer tier's
 // partyKey with a request counter. One-way, so a party holding its seed
 // learns nothing about base, the other party's seed or any other request's;
 // stateless, so a client names a half by sending its seed and there is
 // nothing for a party to hold, register or lose.
-func requestSeeds(base, counter uint64) (seeds [2]uint64) {
+func requestSeeds(base, counter uint64) (seeds [2][16]byte) {
 	var b [17]byte
 	binary.LittleEndian.PutUint64(b[:], base)
 	binary.LittleEndian.PutUint64(b[9:], counter)
 	for party := range seeds {
 		b[8] = byte(party)
 		sum := sha256.Sum256(b[:])
-		seeds[party] = binary.LittleEndian.Uint64(sum[:])
+		seeds[party] = [16]byte(sum[:16])
 	}
 	return seeds
 }
@@ -167,7 +168,7 @@ func requestSeeds(base, counter uint64) (seeds [2]uint64) {
 // the halves are of the three-matrix form, Z₁ = U×v − Z₀, and of b only the
 // width is read. The plaintext V stack is returned either way, for the
 // caller that registers b to keep.
-func dealDerived(seeds [2]uint64, a, b, v *tensor.Matrix, c int) (in0, in1 Shares, vOut *tensor.Matrix) {
+func dealDerived(seeds [2][16]byte, a, b, v *tensor.Matrix, c int) (in0, in1 Shares, vOut *tensor.Matrix) {
 	defer metrics.phaseTriplet.Start().Stop()
 	d0 := DerivedHalf{Seed: seeds[0], Rows: a.Rows, K: a.Cols, N: b.Cols, Kept: v != nil}
 	d1 := d0

@@ -34,7 +34,7 @@ import (
 // (ErrDealerReseeded) instead of combining halves of two streams.
 type Dealer struct {
 	cfg  DealerConfig
-	keys [2]uint64
+	keys [2][16]byte
 	tick time.Duration // dealerTick; a test shrinks it before Serve
 
 	mu    sync.Mutex
@@ -143,8 +143,9 @@ func (d *Dealer) serveConn(ctx context.Context, conn *comm.Conn) error {
 			return err
 		}
 		dealerAsks.Add(1)
+		streams := streamKeys(d.keys, s)
 		for seq := from; seq < from+uint64(count); seq++ {
-			_, p1 := deriveTriplet(d.keys, s, seq)
+			_, p1 := deriveTriplet(streams, s, seq)
 			dealerGenerated.Add(1)
 			frame = appendFeedFrame(frame[:0], s, seq, p1.Z)
 			if err := conn.WriteFrame(frame); err != nil {

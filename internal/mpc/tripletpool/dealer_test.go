@@ -225,7 +225,7 @@ func TestDealerProtoCodecs(t *testing.T) {
 	if _, _, _, err := decodeAsk(encodeAsk(shape{3, 0, 5}, 0, 1)); err == nil {
 		t.Fatal("degenerate ASK accepted")
 	}
-	if key, err := decodeKey(encodeKey(1<<63 | 5)); err != nil || key != 1<<63|5 {
+	if key, err := decodeKey(encodeKey([16]byte{0: 5, 15: 1 << 7})); err != nil || key != [16]byte{0: 5, 15: 1 << 7} {
 		t.Fatalf("KEY round trip: %x %v", key, err)
 	}
 	if _, err := decodeKey(encodeAsk(shape{3, 4, 5}, 0, 1)); err == nil {

@@ -28,9 +28,8 @@ import (
 type shape struct{ M, K, N int }
 
 // StreamSeed mixes a seed with a GEMM geometry (splitmix64 finalizer over the
-// packed dimensions) — how a party's stream key becomes the key of one
-// shape's fills (deriveHalf), and a general-purpose mixer for drill and
-// benchmark input seeds.
+// packed dimensions): a general-purpose mixer for drill and benchmark input
+// seeds. No key is made with it; streamKey is the keyed one.
 func StreamSeed(base uint64, m, k, n int) uint64 {
 	z := base ^ (uint64(m)<<42 + uint64(k)<<21 + uint64(n)) ^ 0x9e3779b97f4a7c15
 	z ^= z >> 30
@@ -40,39 +39,58 @@ func StreamSeed(base uint64, m, k, n int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// partyKey is party's stream key under base: SHA-256(base ‖ party)[:8].
+// partyKey is party's 128-bit stream key under base: SHA-256(base ‖ party)[:16].
 // One-way, so a party holding its key learns nothing about base or the other
-// party's key; the dealer, holding base, derives both. A hash and not the
-// MT19937 mix used everywhere else because this is the one value whose
-// pre-image must stay secret from a party that holds the image.
-func partyKey(base uint64, party int) uint64 {
+// party's key; the dealer, holding base, derives both. The 64-bit base widens
+// here, so every key below it is a full AES-128 key.
+func partyKey(base uint64, party int) [16]byte {
 	var b [9]byte
 	binary.LittleEndian.PutUint64(b[:], base)
 	b[8] = byte(party)
 	sum := sha256.Sum256(b[:])
-	return binary.LittleEndian.Uint64(sum[:])
+	return [16]byte(sum[:16])
 }
 
-func partyKeys(base uint64) [2]uint64 {
-	return [2]uint64{partyKey(base, 0), partyKey(base, 1)}
+func partyKeys(base uint64) [2][16]byte {
+	return [2][16]byte{partyKey(base, 0), partyKey(base, 1)}
+}
+
+// streamKey is the key of shape s's stream under a party's key:
+// SHA-256(key ‖ m ‖ k ‖ n)[:16], so no two shapes expand the same fills and a
+// shape's key says nothing of another's. Its holders compute it once per
+// (key, shape) and keep it beside the shape — the feed's feedShape, the
+// source's map, one per ASK on the dealer — not once per seq.
+func streamKey(key [16]byte, s shape) [16]byte {
+	var b [16 + 3*8]byte
+	copy(b[:], key[:])
+	binary.LittleEndian.PutUint64(b[16:], uint64(s.M))
+	binary.LittleEndian.PutUint64(b[24:], uint64(s.K))
+	binary.LittleEndian.PutUint64(b[32:], uint64(s.N))
+	sum := sha256.Sum256(b[:])
+	return [16]byte(sum[:16])
+}
+
+func streamKeys(keys [2][16]byte, s shape) [2][16]byte {
+	return [2][16]byte{streamKey(keys[0], s), streamKey(keys[1], s)}
 }
 
 // deriveHalf is what party holds of triplet seq of s's stream without being
 // sent anything: mpc.DeriveHalf — the one definition of a derived half, which
 // a derived request's parties expand too — for one member and with no input
-// masks, keyed by (the party's key, the shape, the full 64-bit seq), so any
-// seq can be drawn in any order. Uᵢ ‖ Vᵢ and, for party 0, ‖ Z₀; party 1's Z
+// masks, keyed by (the shape's stream key, the full 64-bit seq), so any seq
+// can be drawn in any order. Uᵢ ‖ Vᵢ and, for party 0, ‖ Z₀; party 1's Z
 // stays nil: it is the correction only the dealer can compute (deriveTriplet).
-func deriveHalf(key uint64, party int, s shape, seq uint64) mpc.TripletShares {
-	d := mpc.DerivedHalf{Seed: StreamSeed(key, s.M, s.K, s.N), Rows: s.M, K: s.K, N: s.N}
+func deriveHalf(stream [16]byte, party int, s shape, seq uint64) mpc.TripletShares {
+	d := mpc.DerivedHalf{Seed: stream, Rows: s.M, K: s.K, N: s.N}
 	return mpc.DeriveHalf(d, seq, party, 1, false).T
 }
 
-// deriveTriplet is the dealer's view of triplet seq: both derived halves and
-// the correction Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ that completes party 1's.
-func deriveTriplet(keys [2]uint64, s shape, seq uint64) (p0, p1 mpc.TripletShares) {
-	p0 = deriveHalf(keys[0], 0, s, seq)
-	p1 = deriveHalf(keys[1], 1, s, seq)
+// deriveTriplet is the dealer's view of triplet seq: both derived halves, from
+// the shape's two stream keys, and the correction Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀
+// that completes party 1's.
+func deriveTriplet(streams [2][16]byte, s shape, seq uint64) (p0, p1 mpc.TripletShares) {
+	p0 = deriveHalf(streams[0], 0, s, seq)
+	p1 = deriveHalf(streams[1], 1, s, seq)
 	p1.Z = tensor.MulTo(tensor.AddTo(p0.U, p1.U), tensor.AddTo(p0.V, p1.V))
 	tensor.Sub(p1.Z, p1.Z, p0.Z)
 	return p0, p1
@@ -83,9 +101,15 @@ func deriveTriplet(keys [2]uint64, s shape, seq uint64) (p0, p1 mpc.TripletShare
 // regardless of what other shapes were drawn in between. This is what makes
 // a dealer-fed fleet reproducible against a client-dealt reference run.
 type StreamSource struct {
-	keys [2]uint64
-	mu   sync.Mutex
-	next map[shape]uint64
+	keys    [2][16]byte
+	mu      sync.Mutex
+	streams map[shape]*sourceStream
+}
+
+// sourceStream is one shape's stream keys and its next seq.
+type sourceStream struct {
+	keys [2][16]byte
+	next uint64
 }
 
 // NewStreamSource returns a source whose triplet sequence per shape is
@@ -94,7 +118,7 @@ type StreamSource struct {
 // same base hands its parties. Use distinct bases for distinct server
 // pairs in deployments where triplet reuse across pairs matters.
 func NewStreamSource(base uint64) *StreamSource {
-	return &StreamSource{keys: partyKeys(base), next: make(map[shape]uint64)}
+	return &StreamSource{keys: partyKeys(base), streams: make(map[shape]*sourceStream)}
 }
 
 // Gen returns both parties' shares of the shape's next triplet. Safe for
@@ -102,8 +126,13 @@ func NewStreamSource(base uint64) *StreamSource {
 func (s *StreamSource) Gen(m, k, n int) (p0, p1 mpc.TripletShares) {
 	sh := shape{M: m, K: k, N: n}
 	s.mu.Lock()
-	seq := s.next[sh]
-	s.next[sh] = seq + 1
+	st, ok := s.streams[sh]
+	if !ok {
+		st = &sourceStream{keys: streamKeys(s.keys, sh)}
+		s.streams[sh] = st
+	}
+	seq := st.next
+	st.next++
 	s.mu.Unlock()
-	return deriveTriplet(s.keys, sh, seq)
+	return deriveTriplet(st.keys, sh, seq)
 }

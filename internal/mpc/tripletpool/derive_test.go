@@ -121,7 +121,7 @@ func (c *asyncConn) Close() error {
 // Gen call for the shape returns, reached without making the calls before it.
 func refTriplet(base uint64, sh shape, seq uint64) (p0, p1 mpc.TripletShares) {
 	src := NewStreamSource(base)
-	src.next[sh] = seq
+	src.streams[sh] = &sourceStream{keys: streamKeys(src.keys, sh), next: seq}
 	return src.Gen(sh.M, sh.K, sh.N)
 }
 
@@ -179,8 +179,12 @@ func TestStreamSourceDeterminism(t *testing.T) {
 	if c0.U.Equal(aT[0].U) {
 		t.Fatal("distinct bases produced the same stream")
 	}
-	// And StreamSeed separates shapes: packed dims must not collide for
-	// these near-miss geometries.
+	// And the stream keys and StreamSeed separate shapes: these near-miss
+	// geometries must not collide.
+	key := partyKey(99, 0)
+	if streamKey(key, shape{3, 4, 5}) == streamKey(key, shape{3, 5, 4}) || streamKey(key, shape{1, 1, 2}) == streamKey(key, shape{1, 2, 1}) {
+		t.Fatal("streamKey collides on transposed shapes")
+	}
 	if StreamSeed(99, 3, 4, 5) == StreamSeed(99, 3, 5, 4) || StreamSeed(99, 1, 1, 2) == StreamSeed(99, 1, 2, 1) {
 		t.Fatal("StreamSeed collides on transposed shapes")
 	}
@@ -277,7 +281,7 @@ func TestDerivedHalvesMatchStreamSource(t *testing.T) {
 // derived half has no Z of its own, and the two keys draw different halves.
 func TestDerivedTripletIsATriplet(t *testing.T) {
 	keys := partyKeys(77)
-	if keys[0] == keys[1] || keys[0] == 77 || keys != partyKeys(77) || keys == partyKeys(78) {
+	if keys[0] == keys[1] || keys[0] == [16]byte{77} || keys != partyKeys(77) || keys == partyKeys(78) {
 		t.Fatalf("party keys %x of base 77 are not two stable one-way values", keys)
 	}
 	within := func(m *tensor.Matrix, bound float32) bool {
@@ -290,7 +294,7 @@ func TestDerivedTripletIsATriplet(t *testing.T) {
 	}
 	for _, sh := range append(contractShapes, shape{8, 256, 8}) {
 		for _, seq := range contractSeqs {
-			p0, p1 := deriveTriplet(keys, sh, seq)
+			p0, p1 := deriveTriplet(streamKeys(keys, sh), sh, seq)
 			checkTriplet(t, p0, p1, sh.M, sh.K, sh.N)
 			want := tensor.MulNaive(tensor.AddTo(p0.U, p1.U), tensor.AddTo(p0.V, p1.V))
 			if got := tensor.AddTo(p0.Z, p1.Z); !got.ApproxEqual(want, 1e-3) {
@@ -299,7 +303,7 @@ func TestDerivedTripletIsATriplet(t *testing.T) {
 			if !within(p0.U, 1) || !within(p0.V, 1) || !within(p1.U, 1) || !within(p1.V, 1) || !within(p0.Z, mpc.ShareRange) {
 				t.Errorf("%v seq %d: a derived share left its range", sh, seq)
 			}
-			if h := deriveHalf(keys[1], 1, sh, seq); h.Z != nil || !h.U.Equal(p1.U) || !h.V.Equal(p1.V) {
+			if h := deriveHalf(streamKey(keys[1], sh), 1, sh, seq); h.Z != nil || !h.U.Equal(p1.U) || !h.V.Equal(p1.V) {
 				t.Errorf("%v seq %d: party 1's derived half is not U₁ ‖ V₁ and nothing else", sh, seq)
 			}
 			if p0.U.Equal(p1.U) || p0.V.Equal(p1.V) {
@@ -714,7 +718,7 @@ func TestDealerRestartedOnAnotherBase(t *testing.T) {
 
 // ---- hostile frames, both directions
 
-// TestDealerRejectsHostileFrames drives each end of the v5 protocol with
+// TestDealerRejectsHostileFrames drives each end of the v6 protocol with
 // frames the other end must never send, the test playing the far end on the
 // raw connection. The dealer ends the connection with an error that says why;
 // the client fails its feed — sticky, typed where the frame means something
@@ -735,16 +739,17 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 		ctl   []byte // written once the KEY arrived; nil: hello only
 		want  string
 	}{
-		{"v2 hello", oldHello(2), nil, "protocol version 2, want 5"},
-		{"v3 hello", oldHello(3), nil, "protocol version 3, want 5"},
-		{"v4 hello", oldHello(4), nil, "protocol version 4, want 5"},
+		{"v2 hello", oldHello(2), nil, "protocol version 2, want 6"},
+		{"v3 hello", oldHello(3), nil, "protocol version 3, want 6"},
+		{"v4 hello", oldHello(4), nil, "protocol version 4, want 6"},
+		{"v5 hello", oldHello(5), nil, "protocol version 5, want 6"},
 		{"hello from party 2", func() []byte {
 			h := encodeDealerHello(1, 1)
 			binary.LittleEndian.PutUint32(h[8:12], 2)
 			return h
 		}(), nil, "claims party 2"},
 		{"ASK from party 0", encodeDealerHello(0, 1), encodeAsk(sh, 0, 4), "from party 0"},
-		{"KEY from a party", encodeDealerHello(1, 1), encodeKey(0x0101010101010101), "bad ASK frame (8 bytes)"},
+		{"KEY from a party", encodeDealerHello(1, 1), encodeKey([16]byte{1}), "bad ASK frame (16 bytes)"},
 		{"tick from a party", encodeDealerHello(1, 1), []byte{}, "bad ASK frame (0 bytes)"},
 		{"ASK with count 0", encodeDealerHello(1, 1), encodeAsk(sh, 0, 0), "ASK frame with count 0"},
 		{"ASK whose count wraps the seq", encodeDealerHello(1, 1), encodeAsk(sh, ^uint64(0)-1, 5), "ASK frame with count 5"},
@@ -797,37 +802,40 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 		{"FEED before any KEY", 1, func(p *comm.Conn) {
 			p.WriteFrame(appendFeedFrame(nil, sh, 0, z))
 		}, nil, "bad KEY frame", true},
+		{"v5 KEY of 8 bytes", 1, func(p *comm.Conn) {
+			p.WriteFrame(make([]byte, 8))
+		}, nil, "bad KEY frame (8 bytes)", true},
 		{"second KEY with another key", 1, func(p *comm.Conn) {
-			p.WriteFrame(encodeKey(1))
-			p.WriteFrame(encodeKey(2))
+			p.WriteFrame(encodeKey([16]byte{1}))
+			p.WriteFrame(encodeKey([16]byte{2}))
 		}, ErrDealerReseeded, "", false},
 		{"second KEY with another key, party 0", 0, func(p *comm.Conn) {
-			p.WriteFrame(encodeKey(1))
-			p.WriteFrame(encodeKey(2))
+			p.WriteFrame(encodeKey([16]byte{1}))
+			p.WriteFrame(encodeKey([16]byte{2}))
 		}, ErrDealerReseeded, "", false},
 		{"FEED to party 0", 0, func(p *comm.Conn) {
-			p.WriteFrame(encodeKey(1))
+			p.WriteFrame(encodeKey([16]byte{1}))
 			p.WriteFrame(appendFeedFrame(nil, sh, 0, z))
 		}, nil, "did not ask for", false},
 		{"FEED of a shape never asked for", 1, func(p *comm.Conn) {
-			p.WriteFrame(encodeKey(1))
+			p.WriteFrame(encodeKey([16]byte{1}))
 			p.ReadFrame() // the ASK for sh
 			p.WriteFrame(appendFeedFrame(nil, shape{1, 1 << 20, 1}, 0, tensor.New(1, 1)))
 		}, nil, "did not ask for", false},
 		{"FEED whose matrix is not m×n", 1, func(p *comm.Conn) {
-			p.WriteFrame(encodeKey(1))
+			p.WriteFrame(encodeKey([16]byte{1}))
 			p.ReadFrame()
 			p.WriteFrame(appendFeedFrame(nil, sh, 0, tensor.New(sh.N, sh.M)))
 		}, nil, "not the Z of its", false},
 		{"v2 FEED carrying U and V again", 1, func(p *comm.Conn) {
-			p.WriteFrame(encodeKey(1))
+			p.WriteFrame(encodeKey([16]byte{1}))
 			p.ReadFrame()
 			f := appendFeedFrame(nil, sh, 0, tensor.New(sh.M, sh.K))
 			f = tensor.EncodeMatrix(f, tensor.New(sh.K, sh.N))
 			p.WriteFrame(tensor.EncodeMatrix(f, z))
 		}, nil, "trailing bytes", false},
 		{"non-empty frame shorter than a KEY", 1, func(p *comm.Conn) {
-			p.WriteFrame(encodeKey(1))
+			p.WriteFrame(encodeKey([16]byte{1}))
 			p.WriteFrame([]byte{1, 2, 3})
 		}, nil, "has no header", false},
 	}

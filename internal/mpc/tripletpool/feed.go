@@ -56,7 +56,7 @@ type DealerClient struct {
 	connect func() (*comm.Conn, error)
 	retry   comm.RetryConfig
 	tick    time.Duration  // dealerTick; a test shrinks it
-	key     uint64         // this party's stream key, as the first KEY frame stated it
+	key     [16]byte       // this party's stream key, as the first KEY frame stated it
 	stop    chan struct{}  // closed with the first failure: ends a redial's backoff
 	wg      sync.WaitGroup // readLoop and, on party 0, deriveLoop
 
@@ -77,6 +77,7 @@ type DealerClient struct {
 // in whatever order their exchanges land. floor is the lowest seq not
 // yet consumed and done records the consumed seqs above it.
 type feedShape struct {
+	key   [16]byte // the shape's stream key under the feed's (streamKey)
 	buf   map[uint64]mpc.TripletShares
 	next  uint64              // next seq Next will allocate
 	floor uint64              // lowest seq not yet consumed
@@ -318,7 +319,7 @@ func (c *DealerClient) readConn(conn *comm.Conn) error {
 			feedDups.Add(1)
 			return nil
 		}
-		t := deriveHalf(c.key, 1, s, seq)
+		t := deriveHalf(fs.key, 1, s, seq)
 		t.Z = z1
 		c.mu.Lock()
 		c.holdLocked(fs, seq, t)
@@ -367,7 +368,7 @@ func (c *DealerClient) deriveLoop() {
 			continue
 		}
 		c.mu.Unlock()
-		t := deriveHalf(c.key, 0, s, seq)
+		t := deriveHalf(fs.key, 0, s, seq)
 		c.mu.Lock()
 		c.holdLocked(fs, seq, t)
 	}
@@ -378,6 +379,7 @@ func (c *DealerClient) shape(s shape) *feedShape {
 	fs, ok := c.shapes[s]
 	if !ok {
 		fs = &feedShape{
+			key:  streamKey(c.key, s),
 			buf:  make(map[uint64]mpc.TripletShares),
 			done: make(map[uint64]struct{}),
 		}
@@ -512,7 +514,7 @@ func (c *DealerClient) waitLocked(s shape, fs *feedShape, seq uint64) (mpc.Tripl
 		}
 		if c.party == 0 {
 			c.mu.Unlock()
-			t := deriveHalf(c.key, 0, s, seq)
+			t := deriveHalf(fs.key, 0, s, seq)
 			c.mu.Lock()
 			c.holdLocked(fs, seq, t)
 			continue

@@ -9,7 +9,7 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// Dealer wire protocol, v5: frames on one connection per server party, nothing
+// Dealer wire protocol, v6: frames on one connection per server party, nothing
 // between. The party's hello says who is asking (party and pair) and the
 // dealer answers with KEY; from then on party 1 sends ASK frames one way, and
 // the dealer sends FEED frames and ticks the other. An ASK names a shape and
@@ -18,14 +18,15 @@ import (
 // them. So a connection that fails is not resumed but replaced: the party
 // dials again, says hello again and asks again for what it waits for.
 //
-// KEY is that party's 64-bit stream key K_i = SHA-256(base ‖ party)[:8].
+// KEY is that party's 128-bit stream key K_i = SHA-256(base ‖ party)[:16].
 // Triplet seq of shape (m,k,n) is from then on a pure, random-access function
-// (deriveHalf): party 0 expands U₀ ‖ V₀ ‖ Z₀ and party 1 expands U₁ ‖ V₁ from
-// its own key, and the dealer, who holds both keys, ships the one matrix
-// neither can compute — Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ — in a FEED frame, to party
-// 1 only, as party 1 asks. Party 0 is sent its key and nothing else, and
-// sends nothing. Length tells the dealer's frames apart: a tick is empty, a
-// KEY is 8 bytes, a FEED is longer than its 20-byte header.
+// of the shape's key under K_i (streamKey) and seq (deriveHalf): party 0
+// expands U₀ ‖ V₀ ‖ Z₀ and party 1 expands U₁ ‖ V₁ from its own key, and the
+// dealer, who holds both keys, ships the one matrix neither can compute —
+// Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ — in a FEED frame, to party 1 only, as party 1
+// asks. Party 0 is sent its key and nothing else, and sends nothing. Length
+// tells the dealer's frames apart: a tick is empty, a KEY is 16 bytes, a FEED
+// is longer than its 20-byte header.
 //
 // The tick tells a party a dead dealer from an idle one: an empty frame every
 // dealerTick, from a goroutine of its own (comm.Watch) so that generating a
@@ -57,9 +58,10 @@ const (
 	// v2: ctl frames grew a kind tag and the RESUME frame. v3: KEY frames,
 	// FEED frames carry Z₁ alone, party 0 has no ctl traffic. v4: the frames
 	// travel on the connection itself, and the dealer ticks. v5: one request
-	// frame, ASK, and no cursor on the dealer. One version is spoken; there
-	// is no negotiated fallback.
-	dealerProtoVersion = 5
+	// frame, ASK, and no cursor on the dealer. v6: KEY frames carry a
+	// 128-bit key, the AES-128 key the halves expand from. One version is
+	// spoken; there is no negotiated fallback.
+	dealerProtoVersion = 6
 	// The dealer writes an empty frame every dealerTick. A party gives up a
 	// connection silent for silentTicks of them (2 s), and allows a new one
 	// helloTicks (10 s, the dealer's bound on the hello) from hello to KEY.
@@ -145,18 +147,16 @@ func decodeCtlShape(b []byte) (shape, error) {
 	return s, nil
 }
 
-// keyBytes is a KEY frame: the party's 64-bit stream key and nothing else.
-const keyBytes = 8
+// keyBytes is a KEY frame: the party's 128-bit stream key and nothing else.
+const keyBytes = 16
 
-func encodeKey(key uint64) []byte {
-	return binary.LittleEndian.AppendUint64(make([]byte, 0, keyBytes), key)
-}
+func encodeKey(key [16]byte) []byte { return append([]byte(nil), key[:]...) }
 
-func decodeKey(f []byte) (uint64, error) {
+func decodeKey(f []byte) ([16]byte, error) {
 	if len(f) != keyBytes {
-		return 0, fmt.Errorf("tripletpool: bad KEY frame (%d bytes)", len(f))
+		return [16]byte{}, fmt.Errorf("tripletpool: bad KEY frame (%d bytes)", len(f))
 	}
-	return binary.LittleEndian.Uint64(f), nil
+	return [16]byte(f), nil
 }
 
 // feedHeaderBytes prefixes a FEED frame: shape dimensions plus the

@@ -11,8 +11,9 @@ import (
 // must come back as an error, never a panic, and whatever a decoder
 // does accept must re-encode to the same bytes (every frame but FEED is
 // fixed-layout) or survive a second decode unchanged (FEED frames). The
-// corpus under testdata holds the cases by name: a v2, a v3 and a v4 hello and
-// v2's three-matrix FEED frames (refused — one version is spoken), a Z that is
+// corpus under testdata holds the cases by name: a v2, a v3, a v4 and a v5
+// hello, v2's three-matrix FEED frames and v5's 8-byte KEY (refused — one
+// version is spoken), v6's 16-byte KEY, a Z that is
 // not m×n, a shape past the frame limit, ASKs for no seq, for a zero k, past
 // the frame limit and whose from + count wraps, and the tick — the empty
 // frame, which no decoder may take for one of its own.
@@ -22,7 +23,7 @@ func FuzzDealerProto(f *testing.F) {
 	f.Add(encodeAsk(shape{M: 5, K: 6, N: 4}, 97, 3))
 	f.Add(encodeAsk(shape{M: 5, K: 6, N: 4}, 1<<63, 2))
 	f.Add(appendFeedFrame(nil, shape{M: 2, K: 3, N: 2}, 11, p1.Z))
-	f.Add(encodeKey(0xfeedfacecafef00d))
+	f.Add(encodeKey([16]byte{0xfe, 0xed, 0xfa, 0xce, 0xca, 0xfe, 0xf0, 0x0d, 15: 0x80}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			_, _, hello := decodeDealerHello(data)

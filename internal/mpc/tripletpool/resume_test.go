@@ -273,7 +273,7 @@ func TestFeedGivesUpOnSilentDealer(t *testing.T) {
 	for n, slow := 256, false; !slow; n += 256 {
 		big = shape{n, n, n}
 		start := time.Now()
-		_, want = deriveTriplet(partyKeys(base), big, 0)
+		_, want = deriveTriplet(streamKeys(partyKeys(base), big), big, 0)
 		slow = time.Since(start) >= 2*silentTicks*busyTick
 	}
 	start = time.Now()

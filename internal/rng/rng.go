@@ -7,7 +7,10 @@
 // fixed-size block of the output matrix is generated by an independently
 // seeded MT19937 stream, which makes fills bit-deterministic for a given
 // seed regardless of worker count — a stronger property than the paper's
-// (time+thread-hash seeding) that the tests rely on.
+// (time+thread-hash seeding) that the tests rely on. The one fill that is not
+// the paper's is FillKeyed (keyed.go): the expansion of a secret key into a
+// party's half, which is AES-128-CTR, because an MT19937 stream gives its
+// seed away.
 package rng
 
 import (
@@ -52,32 +55,19 @@ func NewRand(seed uint64) *Rand {
 // state array is the dominant steady-state garbage.
 var streamPool = sync.Pool{New: func() any { return &gauss{MT19937: &mt19937.MT19937{}} }}
 
-// fillKey names the family of block streams one fill draws from: a Pool's
-// fills are keyed by (pool seed, fill counter), FillKeyed's by its caller's
-// 64-bit key and 64-bit sequence number.
-type fillKey struct {
-	seed  uint64
-	id    uint64
-	keyed bool
-}
-
-// newBlockStream seeds a recycled stream for block `block` of fill k.
+// newBlockStream seeds a recycled stream for block `block` of a Pool's fill
+// fillID under seed.
 //
-// A Pool fill's low 16 id bits share a key word with the block index — the
+// The fill id's low 16 bits share a key word with the block index — the
 // layout every golden value and checkpoint cursor was drawn under — and its
 // high 16 bits join the key as a fifth word only when set. Shifting the whole
 // id into that one word, as this did, dropped them: fill 65 536 seeded fill
 // 0's streams and every pool repeated itself from there. Fills below 65 536
-// keep their streams bit for bit. A keyed fill spells both 64-bit words and
-// the block out in full, under a tag and a key length no Pool fill has.
-func newBlockStream(k fillKey, block uint32) *gauss {
+// keep their streams bit for bit.
+func newBlockStream(seed uint64, fillID, block uint32) *gauss {
 	g := streamPool.Get().(*gauss)
 	g.spare, g.hasSpare = 0, false
-	if k.keyed {
-		g.SeedSlice([]uint32{uint32(k.seed), uint32(k.seed >> 32), uint32(k.id), uint32(k.id >> 32), block, 0x85ebca6b})
-		return g
-	}
-	key := [5]uint32{uint32(k.seed), uint32(k.seed >> 32), uint32(k.id)<<16 ^ block, 0x9e3779b9, uint32(k.id) >> 16}
+	key := [5]uint32{uint32(seed), uint32(seed >> 32), fillID<<16 ^ block, 0x9e3779b9, fillID >> 16}
 	n := 4
 	if key[4] != 0 {
 		n = 5
@@ -199,32 +189,37 @@ func (p *Pool) nextFill() (uint64, uint32) {
 	return p.seed, c
 }
 
-// fill runs gen over the matrix under the pool's next fill id. In dry-run
-// mode (tensor.SetCompute(false)) it still reserves the fill ID — keeping fill
-// sequences aligned between dry and real runs — but generates nothing.
+// fill runs gen over the matrix under the pool's next fill id, each
+// BlockSize block on its own stream. In dry-run mode (tensor.SetCompute(false))
+// it still reserves the fill ID — keeping fill sequences aligned between dry
+// and real runs — but generates nothing.
 func (p *Pool) fill(m *tensor.Matrix, gen func(g *gauss, out []float32)) {
 	seed, fillID := p.nextFill()
 	if !tensor.ComputeEnabled() {
 		return
 	}
-	fillBlocks(m.Data, fillKey{seed: seed, id: uint64(fillID)}, gen)
+	forBlocks(len(m.Data), func(lo, hi int) {
+		g := newBlockStream(seed, fillID, uint32(lo/BlockSize))
+		gen(g, m.Data[lo:hi])
+		putBlockStream(g)
+	})
 }
 
-// fillBlocks runs gen over data in BlockSize chunks, in parallel, each chunk
-// on its own stream of k's family.
-func fillBlocks(data []float32, k fillKey, gen func(g *gauss, out []float32)) {
-	blocks := (len(data) + BlockSize - 1) / BlockSize
+// forBlocks calls fill on every BlockSize chunk [lo, hi) of n elements, in
+// parallel. A chunk's values must depend on its own bounds alone — a Pool
+// fill seeds a stream per block, a keyed fill starts its counter at the
+// block — so the output is the same for every worker count.
+func forBlocks(n int, fill func(lo, hi int)) {
+	blocks := (n + BlockSize - 1) / BlockSize
 	if blocks == 0 {
 		return
 	}
 	workers := min(tensor.MaxWorkers(), blocks)
 	// Single-worker fills (small matrices, or a 1-worker configuration)
-	// run inline: no goroutine, mutex, or WaitGroup escapes. Block b's
-	// values depend only on its own freshly seeded stream, so the inline
-	// path is bit-identical to the parallel one.
+	// run inline: no goroutine, mutex, or WaitGroup escapes.
 	if workers == 1 {
-		for b := 0; b < blocks; b++ {
-			fillBlock(data, k, b, gen)
+		for lo := 0; lo < n; lo += BlockSize {
+			fill(lo, min(lo+BlockSize, n))
 		}
 		return
 	}
@@ -235,33 +230,11 @@ func fillBlocks(data []float32, k fillKey, gen func(g *gauss, out []float32)) {
 		go func() {
 			defer wg.Done()
 			for b := int(next.Add(1)) - 1; b < blocks; b = int(next.Add(1)) - 1 {
-				fillBlock(data, k, b, gen)
+				fill(b*BlockSize, min((b+1)*BlockSize, n))
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-func fillBlock(data []float32, k fillKey, b int, gen func(g *gauss, out []float32)) {
-	lo := b * BlockSize
-	g := newBlockStream(k, uint32(b))
-	gen(g, data[lo:min(lo+BlockSize, len(data))])
-	putBlockStream(g)
-}
-
-// FillKeyed fills out with uniform values in [-1, 1) that are a pure function
-// of (key, seq): no pool, no cursor, any seq in any order from any process —
-// the random-access fill a dealer and a party that share key both expand
-// instead of one shipping it to the other (paper Eqs. 10–12: do not send what
-// the receiver can compute). The generator is the paper's block-seeded MT19937
-// (§5.1), whose state is recoverable from 624 outputs; a cipher stream
-// (ROADMAP 2(e)) swaps in behind this signature.
-func FillKeyed(out []float32, key, seq uint64) {
-	fillBlocks(out, fillKey{seed: key, id: seq, keyed: true}, func(g *gauss, out []float32) {
-		for i := range out {
-			out[i] = 2*g.Float32() - 1
-		}
-	})
 }
 
 // FillUniform fills m with uniform values in [lo, hi).
@@ -323,7 +296,7 @@ func FillUniformSerial(m *tensor.Matrix, seed uint64, fillID uint32, lo, hi floa
 		if bhi > n {
 			bhi = n
 		}
-		g := newBlockStream(fillKey{seed: seed, id: uint64(fillID)}, uint32(b))
+		g := newBlockStream(seed, fillID, uint32(b))
 		out := m.Data[blo:bhi]
 		for i := range out {
 			out[i] = lo + span*g.Float32()

@@ -1,6 +1,10 @@
 package rng
 
 import (
+	"crypto/aes"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -71,19 +75,21 @@ func TestFillSequenceDoesNotRepeat(t *testing.T) {
 }
 
 // TestFillKeyedIsRandomAccess: a keyed fill is a pure function of (key, seq) —
-// any order, any worker count, the full 64 bits of both — in [-1, 1), and
-// shares no stream with a Pool fill of the same numbers.
+// any order, any worker count, all 128 bits of the key and 64 of seq — in
+// [-1, 1); a shorter fill is a prefix of a longer one, and it shares no stream
+// with a Pool fill of the same numbers.
 func TestFillKeyedIsRandomAccess(t *testing.T) {
-	draw := func(key, seq uint64, n int) []float32 {
+	draw := func(key [16]byte, seq uint64, n int) []float32 {
 		out := make([]float32, n)
 		FillKeyed(out, key, seq)
 		return out
 	}
+	key := [16]byte{9}
 	const n = 2*BlockSize + 17
 	seqs := []uint64{0, 1, 7, 65536, 1 << 40, 1<<40 + 65536, 1 << 63}
 	first := make(map[uint64][]float32)
 	for _, seq := range seqs {
-		first[seq] = draw(9, seq, n)
+		first[seq] = draw(key, seq, n)
 		for _, v := range first[seq] {
 			if v < -1 || v >= 1 {
 				t.Fatalf("keyed value %v out of [-1,1)", v)
@@ -92,7 +98,7 @@ func TestFillKeyedIsRandomAccess(t *testing.T) {
 	}
 	prev := tensor.SetMaxWorkers(1)
 	for i := len(seqs) - 1; i >= 0; i-- { // descending, single worker
-		if !slices.Equal(draw(9, seqs[i], n), first[seqs[i]]) {
+		if !slices.Equal(draw(key, seqs[i], n), first[seqs[i]]) {
 			t.Errorf("seq %d differs when drawn again in another order", seqs[i])
 		}
 	}
@@ -104,8 +110,15 @@ func TestFillKeyedIsRandomAccess(t *testing.T) {
 			}
 		}
 	}
-	if slices.Equal(draw(9, 3, 64), draw(9|1<<40, 3, 64)) {
-		t.Error("keys that differ above bit 32 draw the same values")
+	if !slices.Equal(draw(key, 7, BlockSize+5), first[7][:BlockSize+5]) {
+		t.Error("a shorter keyed fill is not a prefix of a longer one")
+	}
+	for _, bit := range []int{33, 64, 127} { // above a 32-bit and a 64-bit key
+		other := key
+		other[bit/8] ^= 1 << (bit % 8)
+		if slices.Equal(draw(key, 3, 64), draw(other, 3, 64)) {
+			t.Errorf("keys that differ only in bit %d draw the same values", bit)
+		}
 	}
 	if slices.Equal(first[7][:BlockSize], first[7][BlockSize:2*BlockSize]) {
 		t.Error("two blocks of one keyed fill are equal")
@@ -114,6 +127,47 @@ func TestFillKeyedIsRandomAccess(t *testing.T) {
 	pool.SetCursor(9, 7)
 	if slices.Equal(pool.NewUniform(1, 64, -1, 1).Data, first[7][:64]) {
 		t.Error("a keyed fill replays the Pool fill of the same seed and id")
+	}
+}
+
+// TestKeyedFillKnownAnswer holds the keystream FillKeyed expands to NIST SP
+// 800-38A F.5.1 (CTR-AES128): its key, its initial counter block read as
+// seq ‖ block index, and its four output blocks, each 32-bit little-endian
+// word put through the float map 2·(w>>8)·2⁻²⁴ − 1. The counter crosses a byte
+// boundary (…feff → …ff00), so the block index is counted as NIST counts it.
+func TestKeyedFillKnownAnswer(t *testing.T) {
+	key, _ := hex.DecodeString("2b7e151628aed2a6abf7158809cf4f3c")
+	keystream, _ := hex.DecodeString("ec8cdf7398607cb0f2d21675ea9ea1e4" +
+		"362b7c3c6773516318a077d7fc5073ae" +
+		"6a2cc3787889374fbeb4c81b17ba6c44" +
+		"e89c399ff0f198c6d40a31db156cabfe")
+	c, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float32, len(keystream)/4)
+	keystreamFloats(got, c, 0xf0f1f2f3f4f5f6f7, 0xf8f9fafbfcfdfeff)
+	for i := range got {
+		w := binary.LittleEndian.Uint32(keystream[4*i:])
+		if want := 2*(float32(w>>8)/(1<<24)) - 1; got[i] != want {
+			t.Errorf("value %d = %v, want %v from keystream word %#08x", i, got[i], want, w)
+		}
+	}
+}
+
+// TestKeyedFillGolden pins the first values of one keyed fill, as float bits
+// (the same ones `openssl enc -aes-128-ctr` gives, through the float map): a
+// dealer and a party on different hosts — AES-NI or software AES, either byte
+// order — must expand the same half bit for bit.
+func TestKeyedFillGolden(t *testing.T) {
+	key := [16]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	out := make([]float32, 8)
+	FillKeyed(out, key, 7)
+	golden := [8]uint32{0xbe41e7a0, 0xbee5841c, 0x3f6bddc2, 0x3ea70894, 0x3f055fb0, 0x3f1a66da, 0x3dc0ad20, 0xbf6d7d60}
+	for i, w := range golden {
+		if b := math.Float32bits(out[i]); b != w {
+			t.Errorf("value %d = %#08x, want %#08x", i, b, w)
+		}
 	}
 }
 
@@ -315,5 +369,22 @@ func BenchmarkFillUniformLockedAntiPattern(b *testing.B) {
 	b.SetBytes(int64(m.Bytes()))
 	for i := 0; i < b.N; i++ {
 		FillUniformLocked(m, l, 0, 1)
+	}
+}
+
+// BenchmarkFillKeyed times one keyed fill at sizes a 32³ request expands: one
+// 32×32 matrix (party 1's U₁ against a registered operand), party 0's triplet
+// half U₀ ‖ V₀ ‖ Z₀, and a derived request's party-0 half, which adds the
+// input masks A₀ ‖ B₀.
+func BenchmarkFillKeyed(b *testing.B) {
+	for _, n := range []int{1024, 3072, 5120} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			out := make([]float32, n)
+			b.SetBytes(int64(4 * n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				FillKeyed(out, [16]byte{1}, uint64(i))
+			}
+		})
 	}
 }
