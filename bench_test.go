@@ -19,8 +19,7 @@ func benchExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	opts := bench.DefaultOptions()
-	opts.QuickBatches = 2
+	opts := bench.Options{Quick: true, QuickBatches: 2, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb := e.Run(opts)

@@ -156,14 +156,14 @@ var zzFill = rng.FillKeyed
 	},
 	{
 		name:  "keyed-fill-is-a-cipher",
-		why:   "rng.FillKeyed, the expansion of every derived half, is AES-128-CTR: it lives in internal/rng/keyed.go, which imports crypto/aes and crypto/cipher and names neither mt19937 nor gauss, the paper's §5.1 generator whose state 624 outputs give away",
+		why:   "rng.FillKeyed, the expansion of every derived half, is AES-128-CTR: it lives in internal/rng/keyed.go, which imports crypto/aes and crypto/cipher and names neither mt19937 nor mtStream, the paper's §5.1 generator whose state 624 outputs give away",
 		check: keyedFillIsACipher,
 		mutations: []mutation{
 			{"keyed-fill-calls-mt19937", []edit{
 				{path: "internal/rng/keyed.go", old: "\t\"crypto/cipher\"\n", src: "\t\"crypto/cipher\"\n\t\"parsecureml/internal/mt19937\"\n"},
-				{path: "internal/rng/keyed.go", src: "\nfunc zzWord(seq uint64) uint32 { return mt19937.New(uint32(seq)).Uint32() }\n"},
+				{path: "internal/rng/keyed.go", src: "\nfunc zzWord(seq uint64) uint32 { var g mt19937.MT19937; g.SeedSlice([]uint32{uint32(seq)}); return g.Uint32() }\n"},
 			}},
-			{"keyed-fill-draws-a-block-stream", []edit{{path: "internal/rng/keyed.go", src: "\nfunc zzStream(seq uint64) *gauss { return newBlockStream(seq, 0, 0) }\n"}}},
+			{"keyed-fill-draws-a-block-stream", []edit{{path: "internal/rng/keyed.go", src: "\nfunc zzStream(seq uint64) *mtStream { return newBlockStream(seq, 0, 0) }\n"}}},
 			{"keyed-fill-drops-aes", []edit{{path: "internal/rng/keyed.go", old: "\t\"crypto/aes\"\n", src: ""}}},
 			{"keyed-fill-moves-out", []edit{
 				{path: "internal/rng/keyed.go", old: "func FillKeyed(", src: "func fillKeyedAES("},
@@ -235,11 +235,11 @@ func zzStore(b []byte, in []float32) {
 		why:   "an FP16 matrix converts through putFloat16s/getFloat16s/roundFloat16s alone, so the wire codec and internal/gpu take the F16C kernels",
 		check: fp16ThroughSliceHelpers,
 		mutations: []mutation{
-			{"scalar-in-codec", []edit{{path: "internal/tensor/codec.go", src: "\nfunc zzHalf(v float32) uint16 { return Float32ToFloat16Bits(v) }\n"}}},
+			{"scalar-in-codec", []edit{{path: "internal/tensor/codec.go", src: "\nfunc zzHalf(v float32) uint16 { return float32ToFloat16Bits(v) }\n"}}},
 			{"scalar-in-round-matrix", []edit{{path: "internal/tensor/float16.go", src: `
 func RoundMatrixFloat16Serial(m *Matrix) {
 	for i, v := range m.Data {
-		m.Data[i] = RoundFloat16(v)
+		m.Data[i] = roundFloat16(v)
 	}
 }
 `}}},
@@ -340,6 +340,41 @@ import "flag"
 
 var zzFlags = flag.NewFlagSet("dealer", flag.ExitOnError)
 `}}},
+		},
+	},
+	{
+		name:  "exported-is-used",
+		why:   "every exported name under internal/ is used by non-test code outside its own file (cmd/, examples/, benchmark/ and the root package count), or unusedExports gives the one-line reason it is kept; an entry there names a declaration that exists and that nothing uses",
+		check: exportedIsUsed,
+		mutations: []mutation{
+			{"unused-exported-func", []edit{{path: "internal/tensor/zz_mutant.go", src: `package tensor
+
+func ZZUnused() {}
+`}}},
+			{"exported-func-used-only-in-its-file", []edit{{path: "internal/fleet/zz_mutant.go", src: `package fleet
+
+func ZZHelper() int { return 1 }
+
+func zzCaller() int { return ZZHelper() }
+`}}},
+			{"unused-exported-method", []edit{{path: "internal/tensor/matrix.go", src: "\nfunc (m *Matrix) ZZTrace() float32 { return 0 }\n"}}},
+			{"allowlisted-declaration-deleted", []edit{{path: "internal/tensor/parallel.go", old: "func SetMaxWorkers(", src: "func setMaxWorkers("}}},
+			{"allowlisted-name-gains-a-referrer", []edit{{path: "cmd/psml-server/zz_mutant.go", src: `package main
+
+import "parsecureml/internal/comm"
+
+var zzWrap = comm.Wrap
+`}}},
+		},
+	},
+	{
+		name:  "drills-name-real-tests",
+		why:   "every -run pattern in scripts/ci_drills.sh and .github/workflows (but '^$') names tests that exist: each | alternative matches a Test, Fuzz or Benchmark function of the package it runs, so deleting or renaming a drilled test fails here instead of passing silently in CI",
+		check: drillsNameRealTests,
+		mutations: []mutation{
+			{"drilled-test-renamed", []edit{{path: "internal/mpc/tripletpool/derive_test.go", old: "func TestDealerAnswersEachAskAlone(", src: "func TestDealerAnswersEveryAsk("}}},
+			{"drill-names-a-missing-test", []edit{{path: "scripts/ci_drills.sh", old: "'TestWatch'", src: "'TestWatch|TestWatchdogGone'"}}},
+			{"workflow-gate-names-a-missing-test", []edit{{path: ".github/workflows/ci.yml", old: "-run TestWireAllocsBaseline ", src: "-run TestWireAllocBaseline "}}},
 		},
 	},
 	{
@@ -497,7 +532,7 @@ func keyedFillIsACipher(tr *tree) []string {
 		default:
 			return true
 		}
-		if name == "gauss" || strings.Contains(strings.ToLower(name), "mt19937") {
+		if name == "mtStream" || strings.Contains(strings.ToLower(name), "mt19937") {
 			out = append(out, fmt.Sprintf("%s: %s names %s", tr.at(n), path.Base(file), name))
 		}
 		return true
@@ -662,7 +697,7 @@ func oneDenseCodec(tr *tree) []string {
 }
 
 // scalarFP16 are the one-value FP16 conversions.
-var scalarFP16 = map[string]bool{"Float32ToFloat16Bits": true, "Float16BitsToFloat32": true, "RoundFloat16": true}
+var scalarFP16 = map[string]bool{"float32ToFloat16Bits": true, "float16BitsToFloat32": true, "roundFloat16": true}
 
 func fp16ThroughSliceHelpers(tr *tree) []string {
 	var out []string
@@ -885,4 +920,120 @@ func flagsAndEnvOnlyInMain(tr *tree) []string {
 		})
 	}
 	return out
+}
+
+// drillRuns are the files whose go test -run patterns drillsNameRealTests
+// reads: the drill script, whose drill_test PKG 'PATTERN' lines wrap go
+// test, and the workflows.
+func drillRuns(p string) bool {
+	return p == "scripts/ci_drills.sh" || strings.HasPrefix(p, ".github/workflows/")
+}
+
+func drillsNameRealTests(tr *tree) []string {
+	tests := map[string][]string{} // package dir → its Test, Fuzz and Benchmark functions
+	for _, gf := range tr.files(func(gf *goFile) bool { return gf.test }) {
+		for _, d := range gf.ast.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Fuzz", "Benchmark"} {
+				if strings.HasPrefix(fn.Name.Name, prefix) {
+					tests[gf.dir] = append(tests[gf.dir], fn.Name.Name)
+				}
+			}
+		}
+	}
+	var out []string
+	found := false
+	var cmd []string // one command, its continuation lines joined
+	start := ""
+	tr.lines(drillRuns, func(line, at string) {
+		if len(cmd) == 0 {
+			start = at
+		}
+		cont := strings.HasSuffix(line, "\\")
+		cmd = append(cmd, shellWords(strings.TrimSuffix(line, "\\"))...)
+		if cont {
+			return
+		}
+		words := cmd
+		cmd = nil
+		for i, w := range words {
+			var pkg, pattern string
+			switch {
+			case w == "drill_test" && i+2 < len(words):
+				pkg, pattern = words[i+1], words[i+2]
+			case w == "-run" && i+1 < len(words):
+				pattern = words[i+1]
+			case strings.HasPrefix(w, "-run="):
+				pattern = strings.TrimPrefix(w, "-run=")
+			default:
+				continue
+			}
+			if pattern == "^$" || strings.Contains(pattern, "$") || pattern == "" {
+				continue // runs no test, or a shell variable: drill_test's own body
+			}
+			for _, rest := range words[i+1:] {
+				if pkg == "" && strings.HasPrefix(rest, "./") {
+					pkg = rest
+				}
+			}
+			dir := path.Clean(strings.TrimPrefix(pkg, "./"))
+			if pkg == "" || tests[dir] == nil {
+				out = append(out, fmt.Sprintf("%s: -run %q runs in %q, a package with no tests", start, pattern, pkg))
+				continue
+			}
+			found = true
+			for _, alt := range strings.Split(pattern, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					out = append(out, fmt.Sprintf("%s: -run alternative %q: %v", start, alt, err))
+					continue
+				}
+				if !slices.ContainsFunc(tests[dir], re.MatchString) {
+					out = append(out, fmt.Sprintf("%s: -run alternative %q matches no Test, Fuzz or Benchmark function of %s", start, alt, dir))
+				}
+			}
+		}
+	})
+	if !found {
+		out = append(out, "scripts/ci_drills.sh:1: no go test -run pattern read, so the drills have moved or the reader is broken")
+	}
+	return out
+}
+
+// shellWords splits a line of shell into words the way the shell would for
+// the simple commands the drill files hold: quotes group and are removed,
+// and a # that starts a word starts a comment.
+func shellWords(line string) []string {
+	var words []string
+	var w strings.Builder
+	inWord := false
+	var quote rune
+	for _, r := range line {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			w.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, inWord = r, true
+		case r == ' ' || r == '\t':
+			if inWord {
+				words = append(words, w.String())
+				w.Reset()
+				inWord = false
+			}
+		case r == '#' && !inWord:
+			return words
+		default:
+			w.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, w.String())
+	}
+	return words
 }

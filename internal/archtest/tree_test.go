@@ -30,7 +30,8 @@ type goFile struct {
 }
 
 // tree is the module as the rules read it: every Go file parsed, whatever
-// its build constraints, and the assembly files and README.md as text.
+// its build constraints, and the assembly files, README.md, the shell scripts
+// and the CI workflows as text.
 // Rules only read a tree, so a mutated copy shares every file it does not
 // replace.
 type tree struct {
@@ -51,9 +52,10 @@ func load(t *testing.T) *tree {
 	return tr
 }
 
-// loadTree reads the module the working directory is in: every .go and .s
-// file outside what the go tool ignores (testdata, vendor, nested modules,
-// names starting with a dot or an underscore), and the root README.md.
+// loadTree reads the module the working directory is in: every .go, .s and
+// .sh file outside what the go tool ignores (testdata, vendor, nested
+// modules, names starting with a dot or an underscore), the root README.md,
+// and the workflows under .github/workflows.
 func loadTree() (*tree, error) {
 	root, err := moduleRoot()
 	if err != nil {
@@ -80,7 +82,8 @@ func loadTree() (*tree, error) {
 		if rel == "." {
 			return nil
 		}
-		if name := d.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if name := d.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, "_") ||
+			strings.HasPrefix(name, ".") && rel != ".github" {
 			if d.IsDir() {
 				return filepath.SkipDir
 			}
@@ -92,7 +95,8 @@ func loadTree() (*tree, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(rel, ".go") && !strings.HasSuffix(rel, ".s") && rel != "README.md" {
+		workflow := path.Dir(rel) == ".github/workflows" && strings.HasSuffix(rel, ".yml")
+		if !strings.HasSuffix(rel, ".go") && !strings.HasSuffix(rel, ".s") && !strings.HasSuffix(rel, ".sh") && rel != "README.md" && !workflow {
 			return nil
 		}
 		b, err := os.ReadFile(p)

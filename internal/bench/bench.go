@@ -98,11 +98,6 @@ type Options struct {
 	Seed uint64
 }
 
-// DefaultOptions returns quick-mode settings.
-func DefaultOptions() Options {
-	return Options{Quick: true, QuickBatches: 4, Seed: 1}
-}
-
 // Experiment is one reproducible artifact generator.
 type Experiment struct {
 	ID    string
@@ -151,10 +146,10 @@ func ByID(id string) (Experiment, bool) {
 // PaperBatch is the evaluation batch size (§7.1).
 const PaperBatch = 128
 
-// ConvFilters is the CNN's output-channel count (the paper leaves it
+// convFilters is the CNN's output-channel count (the paper leaves it
 // unspecified; 8 keeps the largest workload, NIST 512×512, inside V100
 // memory exactly as any real run would require).
-const ConvFilters = 8
+const convFilters = 8
 
 // workload names one (model, dataset) cell of the evaluation matrix.
 type workload struct {
@@ -181,7 +176,7 @@ func evaluationMatrix() []workload {
 func buildModel(name string, spec dataset.Spec, r *rng.Rand) *ml.Model {
 	switch name {
 	case "CNN":
-		return ml.NewCNNCh(spec.H, spec.W, spec.InChannels(), ConvFilters, r)
+		return ml.NewCNNCh(spec.H, spec.W, spec.InChannels(), convFilters, r)
 	case "MLP":
 		return ml.NewMLP(spec.InDim(), r)
 	case "RNN":

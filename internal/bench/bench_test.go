@@ -23,7 +23,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	for _, e := range All() {
 		tb := e.Run(opts)
@@ -54,7 +54,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tb := Table1(DefaultOptions())
+	tb := Table1(quickOptions())
 	if len(tb.Rows) != 4 {
 		t.Fatalf("Table1 rows: %d", len(tb.Rows))
 	}
@@ -80,7 +80,7 @@ func TestFigure10SpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	tb := Figure10(opts)
 	avg := cellFloat(t, lastRow(tb)[4])
@@ -100,7 +100,7 @@ func TestFigure11OnlineExceedsOverall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	overall := cellFloat(t, lastRow(Figure10(opts))[4])
 	online := cellFloat(t, lastRow(Figure11(opts))[4])
@@ -113,7 +113,7 @@ func TestFigure12OfflineModest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	tb := Figure12(opts)
 	avg := cellFloat(t, lastRow(tb)[4])
@@ -124,7 +124,7 @@ func TestFigure12OfflineModest(t *testing.T) {
 }
 
 func TestFigure7Crossover(t *testing.T) {
-	tb := Figure7(DefaultOptions())
+	tb := Figure7(quickOptions())
 	first, last := tb.Rows[0], tb.Rows[len(tb.Rows)-1]
 	if first[3] != "CPU" {
 		t.Fatalf("small matrices should favor CPU: %v", first)
@@ -135,7 +135,7 @@ func TestFigure7Crossover(t *testing.T) {
 }
 
 func TestFigure8GemmShareGrows(t *testing.T) {
-	tb := Figure8(DefaultOptions())
+	tb := Figure8(quickOptions())
 	prev := -1.0
 	for _, row := range tb.Rows {
 		share := cellFloat(t, row[1])
@@ -153,7 +153,7 @@ func TestTable3OccupancyDrops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	tb := Table3(opts)
 	last := lastRow(tb)
@@ -168,7 +168,7 @@ func TestTable3OccupancyDrops(t *testing.T) {
 }
 
 func TestFigure16SavesTraffic(t *testing.T) {
-	tb := Figure16(DefaultOptions())
+	tb := Figure16(quickOptions())
 	avg := cellFloat(t, lastRow(tb)[4])
 	if avg <= 0 {
 		t.Fatalf("compression saved nothing: %v%%", avg)
@@ -179,7 +179,7 @@ func TestFigure16SavesTraffic(t *testing.T) {
 }
 
 func TestFigure17SpeedupGrowsWithSize(t *testing.T) {
-	tb := Figure17(DefaultOptions())
+	tb := Figure17(quickOptions())
 	first := cellFloat(t, tb.Rows[0][4])
 	last := cellFloat(t, tb.Rows[len(tb.Rows)-1][4])
 	if last <= first {
@@ -191,7 +191,7 @@ func TestAblationPipelineNonNegative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	tb := AblationPipeline(opts)
 	for _, row := range tb.Rows {
@@ -202,7 +202,7 @@ func TestAblationPipelineNonNegative(t *testing.T) {
 }
 
 func TestAblationAdaptiveChoices(t *testing.T) {
-	tb := AblationAdaptive(DefaultOptions())
+	tb := AblationAdaptive(quickOptions())
 	if tb.Rows[0][3] != "CPU" {
 		t.Fatalf("n=16 should run on CPU: %v", tb.Rows[0])
 	}
@@ -213,7 +213,7 @@ func TestAblationAdaptiveChoices(t *testing.T) {
 }
 
 func TestAblationActivationShape(t *testing.T) {
-	tb := AblationActivation(DefaultOptions())
+	tb := AblationActivation(quickOptions())
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
@@ -240,7 +240,7 @@ func TestAblationNetworkShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network ablation in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	tb := AblationNetwork(opts)
 	if len(tb.Rows) != 4 {
@@ -266,7 +266,7 @@ func TestAblationMultiGPUMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GPU ablation in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	tb := AblationMultiGPU(opts)
 	for _, row := range tb.Rows {
@@ -286,7 +286,7 @@ func TestAblationGPUGenerationOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gpu-generation ablation in -short mode")
 	}
-	opts := DefaultOptions()
+	opts := quickOptions()
 	opts.QuickBatches = 2
 	tb := AblationGPUGeneration(opts)
 	for _, row := range tb.Rows {
@@ -310,4 +310,9 @@ func TestTableCSV(t *testing.T) {
 	if csv != want {
 		t.Fatalf("CSV:\n%q\nwant\n%q", csv, want)
 	}
+}
+
+// quickOptions is the quick-mode setting every experiment test runs under.
+func quickOptions() Options {
+	return Options{Quick: true, QuickBatches: 4, Seed: 1}
 }

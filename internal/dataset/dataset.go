@@ -52,17 +52,17 @@ var (
 	MNIST = Spec{Name: "MNIST", Samples: 60000, H: 28, W: 28, Classes: 10, Density: 0.20}
 	// VGGFace2: 40 000 face images processed to 200×200 (dense).
 	VGGFace2 = Spec{Name: "VGGFace2", Samples: 40000, H: 200, W: 200, Classes: 10, Density: 0.95}
-	// NIST: 4 000 fingerprint images of 512×512 (ridge patterns, ~50 %).
-	NIST = Spec{Name: "NIST", Samples: 4000, H: 512, W: 512, Classes: 10, Density: 0.50}
-	// CIFAR10: 50 000 train images of 32×32×3 (three dense color planes).
-	CIFAR10 = Spec{Name: "CIFAR-10", Samples: 50000, H: 32, W: 32, Channels: 3, Classes: 10, Density: 0.98}
+	// nist: 4 000 fingerprint images of 512×512 (ridge patterns, ~50 %).
+	nist = Spec{Name: "NIST", Samples: 4000, H: 512, W: 512, Classes: 10, Density: 0.50}
+	// cifar10: 50 000 train images of 32×32×3 (three dense color planes).
+	cifar10 = Spec{Name: "CIFAR-10", Samples: 50000, H: 32, W: 32, Channels: 3, Classes: 10, Density: 0.98}
 	// Synthetic: 640 000 matrices of 32×64 used for the workload-size
 	// studies (Figs. 7, 17); also the RNN dataset (32 timesteps × 64).
 	Synthetic = Spec{Name: "SYNTHETIC", Samples: 640000, H: 32, W: 64, Classes: 10, Density: 0.60, SeqSteps: 32}
 )
 
 // All lists the five specs in the paper's presentation order.
-func All() []Spec { return []Spec{VGGFace2, NIST, Synthetic, MNIST, CIFAR10} }
+func All() []Spec { return []Spec{VGGFace2, nist, Synthetic, MNIST, cifar10} }
 
 // ByName resolves a spec from its name (case-sensitive).
 func ByName(name string) (Spec, error) {

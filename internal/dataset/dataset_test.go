@@ -6,7 +6,25 @@ import (
 
 	"parsecureml/internal/ml"
 	"parsecureml/internal/rng"
+	"parsecureml/internal/tensor"
 )
+
+// fit runs epochs of in-order mini-batch SGD over the rows of x and returns
+// each epoch's mean loss.
+func fit(m *ml.Model, x, y *tensor.Matrix, batch, epochs int, lr float32) []float64 {
+	losses := make([]float64, 0, epochs)
+	for e := 0; e < epochs; e++ {
+		var total float64
+		batches := 0
+		for lo := 0; lo < x.Rows; lo += batch {
+			hi := min(lo+batch, x.Rows)
+			total += m.TrainBatch(x.SliceRows(lo, hi), y.SliceRows(lo, hi), lr)
+			batches++
+		}
+		losses = append(losses, total/float64(batches))
+	}
+	return losses
+}
 
 func TestSpecGeometry(t *testing.T) {
 	if MNIST.InDim() != 784 {
@@ -15,8 +33,8 @@ func TestSpecGeometry(t *testing.T) {
 	if VGGFace2.InDim() != 40000 {
 		t.Fatalf("VGGFace2 dim %d", VGGFace2.InDim())
 	}
-	if NIST.InDim() != 262144 {
-		t.Fatalf("NIST dim %d", NIST.InDim())
+	if nist.InDim() != 262144 {
+		t.Fatalf("NIST dim %d", nist.InDim())
 	}
 	if Synthetic.InDim() != 2048 || Synthetic.SeqSteps != 32 {
 		t.Fatalf("Synthetic %+v", Synthetic)
@@ -91,7 +109,7 @@ func TestClassificationLearnable(t *testing.T) {
 	x, labels := Classification(MNIST, 400, 3)
 	y := OneHotLabels(labels, 10)
 	m := ml.NewMLP(784, r)
-	m.Fit(x, y, 64, 30, 0.3)
+	fit(m, x, y, 64, 30, 0.3)
 	if acc := ml.Accuracy(m.Predict(x), y); acc < 0.9 {
 		t.Fatalf("template data should be easily learnable; accuracy %v", acc)
 	}
@@ -102,7 +120,7 @@ func TestRegressionLearnable(t *testing.T) {
 	spec := Spec{Name: "toy", H: 4, W: 4, Classes: 2, Density: 1}
 	x, y := Regression(spec, 300, 4)
 	m := ml.NewLinearRegression(16, r)
-	losses := m.Fit(x, y, 32, 150, 0.2)
+	losses := fit(m, x, y, 32, 150, 0.2)
 	if losses[len(losses)-1] > 1e-2 {
 		t.Fatalf("regression loss %v", losses[len(losses)-1])
 	}
@@ -127,7 +145,7 @@ func TestBinarySeparable(t *testing.T) {
 	}
 	r := rng.NewRand(6)
 	m := ml.NewSVM(9, r)
-	m.Fit(x, y, 32, 150, 0.3)
+	fit(m, x, y, 32, 150, 0.3)
 	if acc := ml.BinaryAccuracy(m.Predict(x), y, false); acc < 0.93 {
 		t.Fatalf("separable SVM accuracy %v", acc)
 	}

@@ -95,12 +95,12 @@ func TestRouterRelaysOperandRequest(t *testing.T) {
 		}
 		// Under a budget the router floors both forms; both are relayed and
 		// answered.
-		if _, _, _, members, ok := mpc.PeekRequestShape(mpc.EncodeRequestBudget(id, time.Second, in0)); !ok || members != c {
-			t.Fatalf("group of %d: the relay cannot read the registering frame's shape", c)
+		if got, want := mpc.PeekFloor(mpc.EncodeRequestBudget(id, time.Second, in0)), mpc.DeadlineEstimate(5*c, 6, 4*c); got != want {
+			t.Fatalf("group of %d: the relay prices the registering frame at %v, want (5,6,4)×%d's %v", c, got, c, want)
 		}
 		three := [2]mpc.Shares{threeForm(in0, h), threeForm(in1, h)}
-		if m, k, n, members, ok := mpc.PeekRequestShape(mpc.EncodeRequestBudget(id, time.Second, three[0])); !ok || m != 5 || k != 6 || n != 0 || members != c {
-			t.Fatalf("group of %d: the relay reads (%d,%d,%d)×%d ok=%v off a three-matrix frame, want (5,6,0)×%d", c, m, k, n, members, ok, c)
+		if got, want := mpc.PeekFloor(mpc.EncodeRequestBudget(id, time.Second, three[0])), mpc.DeadlineEstimate(5*c, 6, 0); got != want {
+			t.Fatalf("group of %d: the relay prices a three-matrix frame at %v, want (5,6,0)×%d's %v", c, got, c, want)
 		}
 		shed := routerDeadlineShed.Value()
 		got, err := mpc.RequestMulRetry(c0, c1, three[0], three[1], mpc.RetryConfig{Attempts: 1, Budget: 5 * time.Second})
@@ -137,8 +137,8 @@ func TestRouterRelaysOperandRequest(t *testing.T) {
 				}
 			}
 			for face, half := range in {
-				if m, k, n, members, ok := mpc.PeekRequestShape(mpc.EncodeRequestBudget(id, time.Second, half)); !ok || m != 5 || k != 6 || n != 4*(1-form) || members != c {
-					t.Fatalf("group of %d, derived form %d: face %d reads (%d,%d,%d)×%d ok=%v off the frame, want (5,6,%d)×%d", c, form, face, m, k, n, members, ok, 4*(1-form), c)
+				if got, want := mpc.PeekFloor(mpc.EncodeRequestBudget(id, time.Second, half)), mpc.DeadlineEstimate(5*c, 6, 4*(1-form)*c); got != want {
+					t.Fatalf("group of %d, derived form %d: face %d is priced at %v, want (5,6,%d)×%d's %v", c, form, face, got, 4*(1-form), c, want)
 				}
 			}
 		}

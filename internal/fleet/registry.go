@@ -41,7 +41,6 @@ type Registry struct {
 	mu      sync.RWMutex
 	members map[string]*member
 	ring    *Ring
-	gen     uint64 // bumped on every membership change
 	tokens  uint64 // registration token counter
 }
 
@@ -65,7 +64,6 @@ func (r *Registry) rebuildLocked() {
 	}
 	sort.Strings(names)
 	r.ring = BuildRing(names, r.vnodes)
-	r.gen++
 	routerReplicas.Set(int64(len(names)))
 	routerDraining.Set(int64(draining))
 }
@@ -97,18 +95,6 @@ func (r *Registry) JoinToken(rep Replica) (uint64, error) {
 		routerJoins.Inc()
 	}
 	return token, nil
-}
-
-// Leave removes a replica unconditionally; a no-op if it is not a
-// member.
-func (r *Registry) Leave(name string) {
-	r.mu.Lock()
-	if _, ok := r.members[name]; ok {
-		delete(r.members, name)
-		r.rebuildLocked()
-		routerLeaves.Inc()
-	}
-	r.mu.Unlock()
 }
 
 // LeaveIf removes name only while its current registration token is
@@ -174,24 +160,4 @@ func (r *Registry) Size() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.members)
-}
-
-// Generation returns the membership change counter — cheap staleness
-// checks for callers that cache a pick.
-func (r *Registry) Generation() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
-}
-
-// Snapshot returns the members sorted by name, draining included.
-func (r *Registry) Snapshot() []Replica {
-	r.mu.RLock()
-	out := make([]Replica, 0, len(r.members))
-	for _, m := range r.members {
-		out = append(out, m.rep)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

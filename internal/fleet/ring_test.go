@@ -116,8 +116,8 @@ func TestRegistryConvergence(t *testing.T) {
 	}
 }
 
-// TestRegistryLifecycle covers validation, refresh, leave and the
-// generation counter.
+// TestRegistryLifecycle covers validation, a refresh that keeps the ring,
+// and leave.
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry(0)
 	if err := r.Join(Replica{Name: "x"}); err == nil {
@@ -130,24 +130,40 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err := r.Join(rep); err != nil {
 		t.Fatal(err)
 	}
-	g := r.Generation()
+	ring := ringOf(r)
 	// A refresh (same name, new addresses) must not churn the ring.
 	rep.Addr[0] = "h:9"
-	if err := r.Join(rep); err != nil {
+	tok, err := r.JoinToken(rep)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Generation() != g {
+	if ringOf(r) != ring {
 		t.Fatal("address refresh rebuilt the ring")
 	}
 	if got, _ := r.Pick(1); got.Addr[0] != "h:9" {
 		t.Fatalf("Pick returns stale address %q", got.Addr[0])
 	}
-	r.Leave("x")
-	r.Leave("x") // idempotent
+	if !r.LeaveIf("x", tok) || !r.LeaveIf("x", tok) { // idempotent
+		t.Fatal("LeaveIf with the current token kept the replica")
+	}
 	if r.Size() != 0 {
 		t.Fatalf("size %d after leave", r.Size())
 	}
-	if len(r.Snapshot()) != 0 {
-		t.Fatal("snapshot nonempty after leave")
+	if _, ok := r.Pick(1); ok {
+		t.Fatal("registry claims an owner after leave")
 	}
+}
+
+// ringOf is r's current ring, which every membership change replaces.
+func ringOf(r *Registry) *Ring {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.ring
+}
+
+// isMember reports whether name is registered, draining or not.
+func isMember(r *Registry, name string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.members[name] != nil
 }

@@ -1,10 +1,10 @@
 // Package gpu simulates a discrete CUDA-class accelerator: device-resident
 // buffers, host↔device copies charged to PCIe channel timelines, compute
-// kernels (GEMM, element-wise, im2col, activation) that execute for real on
-// the host (bit-exact results) while charging modeled V100 kernel times to
-// a device compute timeline, a Tensor-Core mode that rounds GEMM inputs
-// through binary16 exactly like the hardware's FP16-multiply/FP32-accumulate
-// pipe, a one-time warm-up cost, and an nvprof-style profiler.
+// kernels (GEMM, element-wise) that execute for real on the host (bit-exact
+// results) while charging modeled V100 kernel times to a device compute
+// timeline, a Tensor-Core mode that rounds GEMM inputs through binary16
+// exactly like the hardware's FP16-multiply/FP32-accumulate pipe, a one-time
+// warm-up cost, and an nvprof-style profiler.
 //
 // Timing semantics come from the simtime engine: kernels on the same device
 // serialize; copies ride separate H2D and D2H channels, so a kernel can
@@ -26,8 +26,8 @@ import (
 // ErrOutOfMemory is returned by Alloc when the device memory is exhausted.
 var ErrOutOfMemory = errors.New("gpu: out of device memory")
 
-// DefaultMemBytes is the device memory capacity (a 16 GB V100).
-const DefaultMemBytes = 16 << 30
+// defaultMemBytes is the device memory capacity (a 16 GB V100).
+const defaultMemBytes = 16 << 30
 
 // Device is one simulated GPU.
 type Device struct {
@@ -58,17 +58,8 @@ type Buffer struct {
 	freed bool
 }
 
-// Rows returns the buffer's row count.
-func (b *Buffer) Rows() int { return b.data.Rows }
-
-// Cols returns the buffer's column count.
-func (b *Buffer) Cols() int { return b.data.Cols }
-
 // Bytes returns the buffer size in bytes.
 func (b *Buffer) Bytes() int { return b.data.Bytes() }
-
-// Ready returns the task that last wrote the buffer (may be nil).
-func (b *Buffer) Ready() *simtime.Task { return b.ready }
 
 // New creates a device on the given platform, attached to eng's timelines.
 // The name prefixes the device's simtime resources ("gpu0.compute", ...).
@@ -81,7 +72,7 @@ func New(name string, p hw.Platform, eng *simtime.Engine) *Device {
 		compute: eng.Resource(name + ".compute"),
 		h2d:     eng.Resource(name + ".h2d"),
 		d2h:     eng.Resource(name + ".d2h"),
-		memCap:  DefaultMemBytes,
+		memCap:  defaultMemBytes,
 		prof:    NewProfiler(),
 	}
 }
@@ -101,17 +92,11 @@ func (d *Device) MemUsed() int64 { return d.memUsed }
 // uses the Tensor-Core throughput curve.
 func (d *Device) EnableTensorCores(on bool) { d.tensorCores = on }
 
-// TensorCoresEnabled reports the current math mode.
-func (d *Device) TensorCoresEnabled() bool { return d.tensorCores }
-
 // Profiler returns the device's profiler.
 func (d *Device) Profiler() *Profiler { return d.prof }
 
 // Engine returns the simtime engine the device charges.
 func (d *Device) Engine() *simtime.Engine { return d.eng }
-
-// ComputeResource exposes the compute timeline (for schedulers).
-func (d *Device) ComputeResource() *simtime.Resource { return d.compute }
 
 // warm charges the one-time warm-up on first use and returns its task (nil
 // afterwards).
@@ -172,21 +157,6 @@ func (d *Device) H2DInto(b *Buffer, host *tensor.Matrix, deps ...*simtime.Task) 
 	dur := d.pcie.TransferTime(host.Bytes())
 	t := d.eng.Schedule(d.h2d, "h2d", fmt.Sprintf("H2D %dB", host.Bytes()), dur, deps...)
 	d.prof.record("h2d", dur, host.Bytes())
-	b.ready = t
-	return t
-}
-
-// H2DRows copies host rows [lo,hi) into the same rows of b, charging only
-// those bytes — the chunked transfer primitive behind the Fig. 5 pipeline.
-func (d *Device) H2DRows(b *Buffer, host *tensor.Matrix, lo, hi int, deps ...*simtime.Task) *simtime.Task {
-	if b.data.Rows != host.Rows || b.data.Cols != host.Cols {
-		panic("gpu: H2DRows shape mismatch")
-	}
-	chunk := host.SliceRows(lo, hi)
-	b.data.SliceRows(lo, hi).CopyFrom(chunk)
-	dur := d.pcie.TransferTime(chunk.Bytes())
-	t := d.eng.Schedule(d.h2d, "h2d", fmt.Sprintf("H2D rows[%d:%d] %dB", lo, hi, chunk.Bytes()), dur, deps...)
-	d.prof.record("h2d", dur, chunk.Bytes())
 	b.ready = t
 	return t
 }

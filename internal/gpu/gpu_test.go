@@ -154,28 +154,6 @@ func TestElementwiseKernels(t *testing.T) {
 	if got, _ := d.D2H(dc); got.At(0, 0) != 11 {
 		t.Fatalf("AXPY: %v", got)
 	}
-	d.ReLU(dc, da)
-	if got, _ := d.D2H(dc); got.At(0, 1) != 0 || got.At(0, 2) != 3 {
-		t.Fatalf("ReLU: %v", got)
-	}
-	d.PiecewiseActivation(dc, da)
-	if got, _ := d.D2H(dc); got.At(0, 0) != 1 || got.At(0, 1) != 0 {
-		t.Fatalf("Piecewise: %v", got)
-	}
-}
-
-func TestPiecewiseLinearFunction(t *testing.T) {
-	cases := []struct{ x, want float32 }{
-		{-10, 0}, {-0.51, 0}, {-0.5, 0}, {-0.25, 0.25}, {0, 0.5}, {0.25, 0.75}, {0.5, 1}, {3, 1},
-	}
-	for _, c := range cases {
-		if got := PiecewiseLinear(c.x); math.Abs(float64(got-c.want)) > 1e-6 {
-			t.Errorf("f(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if PiecewiseLinearDeriv(0) != 1 || PiecewiseLinearDeriv(0.6) != 0 || PiecewiseLinearDeriv(-0.6) != 0 {
-		t.Fatal("derivative wrong")
-	}
 }
 
 func TestMemoryAccounting(t *testing.T) {
@@ -212,26 +190,6 @@ func TestDoubleFreePanics(t *testing.T) {
 	d.Free(b)
 }
 
-func TestH2DRowsChunking(t *testing.T) {
-	d, _ := newTestDevice()
-	p := rng.NewPool(3)
-	host := p.NewUniform(100, 8, 0, 1)
-	buf := d.MustAlloc(100, 8)
-	t1 := d.H2DRows(buf, host, 0, 50)
-	t2 := d.H2DRows(buf, host, 50, 100)
-	if t2.Start < t1.End {
-		t.Fatal("chunked copies must serialize on the H2D channel")
-	}
-	got, _ := d.D2H(buf)
-	if !got.Equal(host) {
-		t.Fatal("chunked copy corrupted data")
-	}
-	// Each chunk charges half the bytes.
-	if t1.Duration() <= 0 || math.Abs(t1.Duration()-t2.Duration()) > 1e-12 {
-		t.Fatalf("chunk durations %v vs %v", t1.Duration(), t2.Duration())
-	}
-}
-
 func TestH2DOverlapWithCompute(t *testing.T) {
 	// Fig. 5 in miniature: a kernel on buffer A may overlap the H2D of B.
 	d, _ := newTestDevice()
@@ -243,20 +201,6 @@ func TestH2DOverlapWithCompute(t *testing.T) {
 	_, tb, _ := d.H2D(b)
 	if tb.Start >= k.End {
 		t.Fatalf("independent H2D (start %v) must overlap the kernel (end %v)", tb.Start, k.End)
-	}
-}
-
-func TestIm2ColKernel(t *testing.T) {
-	d, _ := newTestDevice()
-	p := rng.NewPool(4)
-	shape := tensor.NewConvShape(8, 8, 3, 3, 1, 0)
-	host := p.NewUniform(2, 64, -1, 1)
-	src, _, _ := d.H2D(host)
-	dst := d.MustAlloc(2*shape.Patches(), shape.PatchSize())
-	d.Im2Col(dst, src, shape)
-	got, _ := d.D2H(dst)
-	if !got.Equal(tensor.Im2Col(host, shape)) {
-		t.Fatal("device im2col differs from host im2col")
 	}
 }
 
@@ -296,22 +240,6 @@ func TestGemmAcc(t *testing.T) {
 	got, _ := d.D2H(dc)
 	if got.At(0, 0) != 24 {
 		t.Fatalf("GemmAcc: %v", got.At(0, 0))
-	}
-}
-
-func TestDeviceRand(t *testing.T) {
-	d, _ := newTestDevice()
-	p := rng.NewPool(9)
-	buf := d.MustAlloc(64, 64)
-	d.Rand(buf, func(m *tensor.Matrix) { p.FillUniform(m, 0, 1) })
-	host, _ := d.D2H(buf)
-	for _, v := range host.Data {
-		if v < 0 || v >= 1 {
-			t.Fatalf("rand value %v", v)
-		}
-	}
-	if d.Profiler().Share("curand") <= 0 {
-		t.Fatal("curand not profiled")
 	}
 }
 

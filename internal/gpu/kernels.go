@@ -116,66 +116,3 @@ func (d *Device) Hadamard(dst, a, b *Buffer, deps ...*simtime.Task) *simtime.Tas
 	tensor.Hadamard(dst.data, a.data, b.data)
 	return d.elementwise("elem", "hadamard", dst, 3*dst.Bytes(), deps, a, b)
 }
-
-// Im2Col lowers a batch of images into the patch matrix on the device.
-// The destination buffer must have shape (batch·patches)×(patchSize).
-func (d *Device) Im2Col(dst, src *Buffer, shape tensor.ConvShape, deps ...*simtime.Task) *simtime.Task {
-	lowered := tensor.Im2Col(src.data, shape)
-	if !lowered.SameShape(dst.data) {
-		panic(fmt.Sprintf("gpu: Im2Col dst %dx%d, want %dx%d", dst.data.Rows, dst.data.Cols, lowered.Rows, lowered.Cols))
-	}
-	dst.data.CopyFrom(lowered)
-	// im2col reads each input element up to KH*KW times; charge the write
-	// volume (dominant for stride 1).
-	return d.elementwise("im2col", "im2col", dst, 2*dst.Bytes(), deps, src)
-}
-
-// PiecewiseActivation applies the paper's Eq. (9) activation
-// f(x) = 0 (x<-½), x+½ (|x|≤½), 1 (x>½) on the device.
-func (d *Device) PiecewiseActivation(dst, a *Buffer, deps ...*simtime.Task) *simtime.Task {
-	tensor.Apply(dst.data, a.data, PiecewiseLinear)
-	return d.elementwise("activation", "piecewise", dst, 2*dst.Bytes(), deps, a)
-}
-
-// ReLU applies max(0,x) on the device.
-func (d *Device) ReLU(dst, a *Buffer, deps ...*simtime.Task) *simtime.Task {
-	tensor.Apply(dst.data, a.data, func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-	return d.elementwise("activation", "relu", dst, 2*dst.Bytes(), deps, a)
-}
-
-// Rand fills the buffer with uniform [0,1) values on the device (cuRAND
-// analogue); fill is a host-side generator used for the real values.
-func (d *Device) Rand(dst *Buffer, fill func(*tensor.Matrix), deps ...*simtime.Task) *simtime.Task {
-	fill(dst.data)
-	dur := d.model.RandTime(dst.data.Rows * dst.data.Cols)
-	t := d.eng.Schedule(d.compute, "curand", fmt.Sprintf("cuRAND %d", dst.data.Rows*dst.data.Cols), dur, d.kernelDeps(deps)...)
-	d.prof.record("curand", dur, 0)
-	dst.ready = t
-	return t
-}
-
-// PiecewiseLinear is Eq. (9) of the paper, the MPC-friendly activation used
-// instead of sigmoid/softmax.
-func PiecewiseLinear(x float32) float32 {
-	switch {
-	case x < -0.5:
-		return 0
-	case x > 0.5:
-		return 1
-	default:
-		return x + 0.5
-	}
-}
-
-// PiecewiseLinearDeriv is the derivative of Eq. (9): 1 inside (-½,½), else 0.
-func PiecewiseLinearDeriv(x float32) float32 {
-	if x > -0.5 && x < 0.5 {
-		return 1
-	}
-	return 0
-}

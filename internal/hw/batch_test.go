@@ -7,8 +7,8 @@ import "testing"
 func TestBatchCrossoverQueries(t *testing.T) {
 	p := Paper()
 
-	if got := MulExchangeBytes(32, 16, 8); got != 4*(32*16+16*8) {
-		t.Fatalf("MulExchangeBytes(32,16,8) = %d", got)
+	if got := mulExchangeBytes(32, 16, 8); got != 4*(32*16+16*8) {
+		t.Fatalf("mulExchangeBytes(32,16,8) = %d", got)
 	}
 
 	f1, f4 := p.ExchangeFixedCost(1), p.ExchangeFixedCost(4)

@@ -155,10 +155,10 @@ type Platform struct {
 // size-dependent transfer term and a fixed per-frame term (link latency,
 // syscalls, scheduler handoffs) that does NOT shrink with the payload.
 
-// MulExchangeBytes returns the bytes one party ships per direction in one
+// mulExchangeBytes returns the bytes one party ships per direction in one
 // m×k × k×n online exchange: the E share (m×k) plus the F share (k×n),
 // 4 bytes per FP32 element.
-func MulExchangeBytes(m, k, n int) int { return 4 * (m*k + k*n) }
+func mulExchangeBytes(m, k, n int) int { return 4 * (m*k + k*n) }
 
 // ExchangeFixedCost returns the modeled fixed overhead of one online
 // exchange carried in frames frames per direction: the per-frame latency
@@ -174,7 +174,7 @@ func (p Platform) ExchangeFixedCost(frames int) float64 {
 // one m×k × k×n exchange (one direction; the duplex link carries both
 // concurrently). It scales with payload bytes however they are framed.
 func (p Platform) ExchangeTransferTime(m, k, n int) float64 {
-	return float64(MulExchangeBytes(m, k, n)) / p.Net.Bandwidth
+	return float64(mulExchangeBytes(m, k, n)) / p.Net.Bandwidth
 }
 
 // Wire-codec crossover queries: the cost-model side of the serving layer's

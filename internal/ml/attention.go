@@ -16,15 +16,15 @@ import (
 // approximation, and re-share — see "Softmax approximation contract" in
 // DESIGN.md for the error bound.
 
-// SoftmaxCutoff is the piecewise range-reduction cutoff: after the
-// row-max shift every score is ≤ 0, and entries below -SoftmaxCutoff
+// softmaxCutoff is the piecewise range-reduction cutoff: after the
+// row-max shift every score is ≤ 0, and entries below -softmaxCutoff
 // get weight exactly 0 (e^-16 ≈ 1.1e-7 is below FP32 resolution of the
 // row sum anyway).
-const SoftmaxCutoff = 16
+const softmaxCutoff = 16
 
-// expNegTable holds e^-k for k = 0..SoftmaxCutoff, the coarse half of
+// expNegTable holds e^-k for k = 0..softmaxCutoff, the coarse half of
 // the piecewise range reduction.
-var expNegTable [SoftmaxCutoff + 1]float32
+var expNegTable [softmaxCutoff + 1]float32
 
 func init() {
 	for k := range expNegTable {
@@ -33,11 +33,11 @@ func init() {
 }
 
 // approxExpNeg evaluates e^x for x ≤ 0 as e^-k · P₇(f) with x = -k + f,
-// k ∈ {0..SoftmaxCutoff}, f ∈ (-1, 0], and P₇ the degree-7 Taylor
+// k ∈ {0..softmaxCutoff}, f ∈ (-1, 0], and P₇ the degree-7 Taylor
 // polynomial of eˣ (Horner form, like sigmoidTaylor). The polynomial
 // remainder on (-1, 0] is below 1/8! ≈ 2.5e-5 relative.
 func approxExpNeg(x float32) float32 {
-	if x <= -SoftmaxCutoff {
+	if x <= -softmaxCutoff {
 		return 0
 	}
 	if x > 0 {
@@ -53,7 +53,7 @@ func approxExpNeg(x float32) float32 {
 // dst. When causal is true, row r attends only to columns 0..r (later
 // columns get probability exactly 0); src must then be square. The
 // row max is subtracted first, so absolute score magnitude never
-// reaches the polynomial — only score *spread* beyond SoftmaxCutoff is
+// reaches the polynomial — only score *spread* beyond softmaxCutoff is
 // truncated to 0.
 func ApproxSoftmax(dst, src *tensor.Matrix, causal bool) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
@@ -90,10 +90,10 @@ func ApproxSoftmax(dst, src *tensor.Matrix, causal bool) {
 	}
 }
 
-// SoftmaxBackward writes ∂L/∂scores into dst given the softmax output p
+// softmaxBackward writes ∂L/∂scores into dst given the softmax output p
 // and ∂L/∂p: dS = p ⊙ (dp − rowsum(dp ⊙ p)). Masked entries have p = 0
 // and therefore dS = 0 automatically.
-func SoftmaxBackward(dst, p, dp *tensor.Matrix) {
+func softmaxBackward(dst, p, dp *tensor.Matrix) {
 	for r := 0; r < p.Rows; r++ {
 		pr, dr, or := p.Row(r), dp.Row(r), dst.Row(r)
 		var dot float32
@@ -131,8 +131,8 @@ type Attention struct {
 	probs           []*tensor.Matrix // per-head T×T softmax outputs
 }
 
-// NewAttention builds a multi-head attention block of model width d.
-func NewAttention(d, heads int, causal bool, r *rng.Rand) *Attention {
+// newAttention builds a multi-head attention block of model width d.
+func newAttention(d, heads int, causal bool, r *rng.Rand) *Attention {
 	if heads <= 0 || d%heads != 0 {
 		panic(fmt.Sprintf("ml: attention width %d not divisible by %d heads", d, heads))
 	}
@@ -269,7 +269,7 @@ func (a *Attention) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		dvh := tensor.New(p.Rows, dh)
 		tensor.MulATB(dvh, p, dch)
 		ds := tensor.New(p.Rows, p.Cols)
-		SoftmaxBackward(ds, p, dp)
+		softmaxBackward(ds, p, dp)
 		tensor.Scale(ds, ds, scale)
 		dqh := tensor.MulTo(ds, kh)
 		dkh := tensor.New(p.Rows, dh)
@@ -365,7 +365,7 @@ type TransformerBlock struct {
 // head count and feed-forward hidden width.
 func NewTransformerBlock(d, heads, ff int, act Activation, causal bool, r *rng.Rand) *TransformerBlock {
 	return &TransformerBlock{
-		Att: NewAttention(d, heads, causal, r),
+		Att: newAttention(d, heads, causal, r),
 		FF1: NewDense(d, ff, act, r),
 		FF2: NewDense(ff, d, Identity, r),
 	}

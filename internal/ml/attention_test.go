@@ -89,7 +89,7 @@ func TestApproxSoftmaxCausalMask(t *testing.T) {
 
 func TestAttentionGradientCheck(t *testing.T) {
 	r := rng.NewRand(5)
-	layer := NewAttention(8, 2, true, r)
+	layer := newAttention(8, 2, true, r)
 	// Scale the weights up so softmax-path gradients clear the flat-region
 	// skip threshold below.
 	for _, w := range []*tensor.Matrix{layer.Wq, layer.Wk, layer.Wv, layer.Wo} {

@@ -59,7 +59,7 @@ func TestDenseGradientCheck(t *testing.T) {
 
 func TestConvGradientCheck(t *testing.T) {
 	r := rng.NewRand(2)
-	shape := tensor.NewConvShape(6, 6, 3, 3, 1, 0)
+	shape := tensor.NewConvShapeCh(6, 6, 1, 3, 3, 1, 0)
 	conv := NewConv2D(shape, 2, ReLU, r)
 	model := NewModel("g", MSE{}, conv)
 	x := tensor.New(2, 36)
@@ -146,7 +146,7 @@ func TestLinearRegressionConverges(t *testing.T) {
 		y.Set(i, 0, acc+0.7)
 	}
 	m := NewLinearRegression(4, r)
-	losses := m.Fit(x, y, 32, 200, 0.1)
+	losses := fit(m, x, y, 32, 200, 0.1)
 	if final := losses[len(losses)-1]; final > 1e-3 {
 		t.Fatalf("linear regression did not converge: final loss %v", final)
 	}
@@ -167,7 +167,7 @@ func TestLogisticRegressionSeparable(t *testing.T) {
 		}
 	}
 	m := NewLogisticRegression(2, r)
-	m.Fit(x, y, 32, 300, 0.5)
+	fit(m, x, y, 32, 300, 0.5)
 	acc := BinaryAccuracy(m.Predict(x), y, true)
 	if acc < 0.95 {
 		t.Fatalf("logistic accuracy %v on separable data", acc)
@@ -193,7 +193,7 @@ func TestMLPLearnsXORish(t *testing.T) {
 	}
 	y := OneHot(labels, 10)
 	m := NewMLP(16, r)
-	m.Fit(x, y, 64, 60, 0.5)
+	fit(m, x, y, 64, 60, 0.5)
 	if acc := Accuracy(m.Predict(x), y); acc < 0.7 {
 		t.Fatalf("MLP training accuracy %v, want >= 0.7", acc)
 	}
@@ -257,41 +257,9 @@ func TestSVMSGDSeparable(t *testing.T) {
 		}
 	}
 	m := NewSVM(3, r)
-	m.Fit(x, y, 32, 200, 0.2)
+	fit(m, x, y, 32, 200, 0.2)
 	if acc := BinaryAccuracy(m.Predict(x), y, false); acc < 0.95 {
 		t.Fatalf("SVM-SGD accuracy %v", acc)
-	}
-}
-
-func TestSMOSeparable(t *testing.T) {
-	r := rng.NewRand(11)
-	n := 120
-	x := tensor.New(n, 2)
-	y := make([]float32, n)
-	for i := 0; i < n; i++ {
-		x.Set(i, 0, r.Float32()*2-1)
-		x.Set(i, 1, r.Float32()*2-1)
-		// Margin-separated classes.
-		if x.At(i, 0)+x.At(i, 1) > 0.2 {
-			y[i] = 1
-		} else if x.At(i, 0)+x.At(i, 1) < -0.2 {
-			y[i] = -1
-		} else {
-			x.Set(i, 0, x.At(i, 0)+1)
-			x.Set(i, 1, x.At(i, 1)+1)
-			y[i] = 1
-		}
-	}
-	s := NewSMO(1.0)
-	s.Train(x, y)
-	if acc := s.Accuracy(x, y); acc < 0.97 {
-		t.Fatalf("SMO accuracy %v", acc)
-	}
-	// Dual feasibility: 0 <= alpha <= C.
-	for i, a := range s.Alphas {
-		if a < -1e-9 || a > s.C+1e-9 {
-			t.Fatalf("alpha[%d] = %v outside [0, C]", i, a)
-		}
 	}
 }
 
@@ -305,14 +273,14 @@ func TestModelOpsMetadata(t *testing.T) {
 	if fops[0].Kind != OpGemm || fops[0].M != 64 || fops[0].K != 128 || fops[0].N != 128 {
 		t.Fatalf("first op %+v", fops[0])
 	}
-	if TotalFLOPs(fops) <= 0 {
+	if totalFLOPs(fops) <= 0 {
 		t.Fatal("zero FLOPs")
 	}
 	tops := m.TrainOps(64)
 	if len(tops) <= len(fops) {
 		t.Fatal("train ops must include backward")
 	}
-	if TotalFLOPs(m.BackwardOps(64)) < TotalFLOPs(fops) {
+	if totalFLOPs(m.BackwardOps(64)) < totalFLOPs(fops) {
 		t.Fatal("backward is cheaper than forward — wrong for dense nets")
 	}
 }
@@ -384,4 +352,38 @@ func TestMultiChannelCNNTrains(t *testing.T) {
 	if !(lN < l0) {
 		t.Fatalf("multi-channel CNN loss did not decrease: %v -> %v", l0, lN)
 	}
+}
+
+// fit runs epochs of mini-batch SGD over the dataset (rows of x), visiting
+// batches in order, and returns each epoch's mean loss.
+func fit(m *Model, x, y *tensor.Matrix, batch int, epochs int, lr float32) []float64 {
+	losses := make([]float64, 0, epochs)
+	for e := 0; e < epochs; e++ {
+		var total float64
+		var batches int
+		for lo := 0; lo < x.Rows; lo += batch {
+			hi := lo + batch
+			if hi > x.Rows {
+				hi = x.Rows
+			}
+			total += m.TrainBatch(x.SliceRows(lo, hi), y.SliceRows(lo, hi), lr)
+			batches++
+		}
+		losses = append(losses, total/float64(batches))
+	}
+	return losses
+}
+
+// totalFLOPs sums the arithmetic work of ops: 2mkn per GEMM, bytes/4 per
+// element-wise pass.
+func totalFLOPs(ops []Op) float64 {
+	var s float64
+	for _, o := range ops {
+		if o.Kind == OpGemm {
+			s += 2 * float64(o.M) * float64(o.K) * float64(o.N)
+		} else {
+			s += float64(o.Bytes) / 4
+		}
+	}
+	return s
 }

@@ -103,29 +103,6 @@ func (m *Model) TrainBatch(x, y *tensor.Matrix, lr float32) float64 {
 	return loss
 }
 
-// Fit runs epochs of mini-batch SGD over the dataset (rows of x), visiting
-// batches in order (deterministic).
-func (m *Model) Fit(x, y *tensor.Matrix, batch int, epochs int, lr float32) []float64 {
-	if x.Rows != y.Rows {
-		panic("ml: Fit sample count mismatch")
-	}
-	losses := make([]float64, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		var total float64
-		var batches int
-		for lo := 0; lo < x.Rows; lo += batch {
-			hi := lo + batch
-			if hi > x.Rows {
-				hi = x.Rows
-			}
-			total += m.TrainBatch(x.SliceRows(lo, hi), y.SliceRows(lo, hi), lr)
-			batches++
-		}
-		losses = append(losses, total/float64(batches))
-	}
-	return losses
-}
-
 // ForwardOps aggregates one forward pass's operations at the given batch.
 func (m *Model) ForwardOps(batch int) []Op {
 	var ops []Op

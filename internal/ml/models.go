@@ -76,7 +76,7 @@ func NewLogisticRegression(inDim int, r *rng.Rand) *Model {
 
 // NewSVM is a linear SVM trained by hinge-loss subgradient descent (the
 // gradient formulation whose per-iteration cost matches the triplet
-// pattern the secure framework protects; plaintext SMO lives in smo.go).
+// pattern the secure framework protects).
 func NewSVM(inDim int, r *rng.Rand) *Model {
 	return NewModel("SVM", Hinge{},
 		NewDense(inDim, 1, Identity, r),

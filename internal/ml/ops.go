@@ -5,18 +5,18 @@ package ml
 // workload to any hardware model (plain CPU, plain GPU, or the secure
 // protocol's cost structure) without re-deriving shapes.
 
-// OpKind classifies an operation.
-type OpKind int
+// opKind classifies an operation.
+type opKind int
 
 // Operation kinds.
 const (
-	OpGemm OpKind = iota // dense m×k × k×n multiplication
+	OpGemm opKind = iota // dense m×k × k×n multiplication
 	OpElem               // memory-bound element-wise pass
 )
 
 // Op is one operation of a pass.
 type Op struct {
-	Kind    OpKind
+	Kind    opKind
 	M, K, N int // GEMM geometry (Kind == OpGemm)
 	Bytes   int // streamed bytes (Kind == OpElem)
 }
@@ -26,21 +26,3 @@ func GemmOp(m, k, n int) Op { return Op{Kind: OpGemm, M: m, K: k, N: n} }
 
 // ElemOp builds element-wise metadata.
 func ElemOp(bytes int) Op { return Op{Kind: OpElem, Bytes: bytes} }
-
-// FLOPs returns the arithmetic work of the op (2mkn for GEMM, bytes/4 for
-// element-wise).
-func (o Op) FLOPs() float64 {
-	if o.Kind == OpGemm {
-		return 2 * float64(o.M) * float64(o.K) * float64(o.N)
-	}
-	return float64(o.Bytes) / 4
-}
-
-// TotalFLOPs sums FLOPs over ops.
-func TotalFLOPs(ops []Op) float64 {
-	var s float64
-	for _, o := range ops {
-		s += o.FLOPs()
-	}
-	return s
-}

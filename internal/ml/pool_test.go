@@ -65,7 +65,7 @@ func TestAvgPoolAdjoint(t *testing.T) {
 func TestAvgPoolInModel(t *testing.T) {
 	r := rng.NewRand(2)
 	// conv(8x8 -> 6x6 x2 filters) -> pool(6x6 -> 3x3) -> dense
-	shape := tensor.NewConvShape(8, 8, 3, 3, 1, 0)
+	shape := tensor.NewConvShapeCh(8, 8, 1, 3, 3, 1, 0)
 	conv := NewConv2D(shape, 2, ReLU, r)
 	pool := NewAvgPool(6, 6, 2, 2)
 	m := NewModel("cnn-pool", MSE{},
@@ -83,7 +83,7 @@ func TestAvgPoolInModel(t *testing.T) {
 	if !(lN < l0) {
 		t.Fatalf("pooled CNN loss did not decrease: %v -> %v", l0, lN)
 	}
-	if len(m.ForwardOps(5)) == 0 || TotalFLOPs(m.TrainOps(5)) <= 0 {
+	if len(m.ForwardOps(5)) == 0 || totalFLOPs(m.TrainOps(5)) <= 0 {
 		t.Fatal("ops metadata missing")
 	}
 }

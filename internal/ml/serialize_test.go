@@ -45,7 +45,7 @@ func TestSaveLoadMLP(t *testing.T) {
 
 func TestSaveLoadCNNWithPoolAndRNN(t *testing.T) {
 	r := rng.NewRand(2)
-	shape := tensor.NewConvShape(8, 8, 3, 3, 1, 0)
+	shape := tensor.NewConvShapeCh(8, 8, 1, 3, 3, 1, 0)
 	conv := NewConv2D(shape, 2, ReLU, r)
 	pool := NewAvgPool(6, 6, 2, 2)
 	cnn := NewModel("cnn", MSE{}, conv, pool, NewDense(pool.OutDim(), 3, Piecewise, r))

@@ -68,10 +68,10 @@ type wireOperand struct {
 // share: clients taking turns on a connection pair never collide (write-once).
 var operandCounter atomic.Uint32
 
-// NewWireAttention wraps a plaintext attention block for wire-path
+// newWireAttention wraps a plaintext attention block for wire-path
 // inference. seed keys every share split and triplet (requestSeeds), so two
 // runs with the same seed issue bit-identical requests.
-func NewWireAttention(a *ml.Attention, seed uint64) *WireTransformer {
+func newWireAttention(a *ml.Attention, seed uint64) *WireTransformer {
 	return &WireTransformer{
 		Heads: a.Heads, Causal: a.Causal,
 		Wq: a.Wq, Wk: a.Wk, Wv: a.Wv, Wo: a.Wo,
@@ -83,7 +83,7 @@ func NewWireAttention(a *ml.Attention, seed uint64) *WireTransformer {
 // NewWireTransformer wraps a full plaintext transformer block
 // (attention + feed-forward) for wire-path inference.
 func NewWireTransformer(b *ml.TransformerBlock, seed uint64) *WireTransformer {
-	t := NewWireAttention(b.Att, seed)
+	t := newWireAttention(b.Att, seed)
 	t.FF1W, t.FF1B, t.FF2W, t.FF2B = b.FF1.W, b.FF1.B, b.FF2.W, b.FF2.B
 	t.FF1Act = b.FF1.Act
 	t.HasFF = true

@@ -83,7 +83,7 @@ func TestWireTransformerMatchesPlain(t *testing.T) {
 // (no feed-forward stack) against ml.Attention.
 func TestWireAttentionOnlyMatchesPlain(t *testing.T) {
 	r := rng.NewRand(41)
-	att := ml.NewAttention(16, 2, false, r)
+	att := ml.NewTransformerBlock(16, 2, 1, ml.Identity, false, r).Att
 	x := tensor.New(8, 16)
 	for i := range x.Data {
 		x.Data[i] = r.Float32() - 0.5
@@ -100,7 +100,7 @@ func TestWireAttentionOnlyMatchesPlain(t *testing.T) {
 	defer c0.Close()
 	defer c1.Close()
 
-	wa := NewWireAttention(att, 5)
+	wa := newWireAttention(att, 5)
 	got, err := wa.Infer(c0, c1, x)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestWireAttentionOnlyMatchesPlain(t *testing.T) {
 	if wa.Muls() != 6 || wa.RoundTrips() != 4 {
 		t.Fatalf("%d products in %d round trips, want 6 in 4", wa.Muls(), wa.RoundTrips())
 	}
-	if again, err := NewWireAttention(att, 5).Infer(c0, c1, x); err != nil || !again.Equal(got) {
+	if again, err := newWireAttention(att, 5).Infer(c0, c1, x); err != nil || !again.Equal(got) {
 		t.Fatalf("same seed not bit-stable across runs: %v", err)
 	}
 }

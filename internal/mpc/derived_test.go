@@ -261,7 +261,7 @@ func hostileDerivedFrames(id uint64) map[string][]byte {
 		"k 0":                             with(half(0, 1, false), func(_ *Shares, d *DerivedHalf) { d.K = 0 }),
 		"n 0":                             with(half(0, 1, false), func(_ *Shares, d *DerivedHalf) { d.N = 0 }),
 		"rows not a multiple of members":  with(half(0, 3, false), func(_ *Shares, d *DerivedHalf) { d.Rows = 7 }),
-		"members over the cap":            with(half(0, 3, false), func(s *Shares, d *DerivedHalf) { s.Members, d.Rows = MaxGroupMembers+1, MaxGroupMembers+1 }),
+		"members over the cap":            with(half(0, 3, false), func(s *Shares, d *DerivedHalf) { s.Members, d.Rows = maxGroupMembers+1, maxGroupMembers+1 }),
 		"rows·k over the bound":           with(half(0, 1, false), func(_ *Shares, d *DerivedHalf) { d.Rows, d.K = 1<<10+1, 1<<10 }),
 		"c·k·n over the bound":            with(half(0, 4, false), func(_ *Shares, d *DerivedHalf) { d.K, d.N = 1<<9+1, 1<<9 }),
 		"rows·n over the bound":           with(half(0, 1, false), func(_ *Shares, d *DerivedHalf) { d.Rows, d.N = 1<<10, 1<<10+1 }),

@@ -68,9 +68,9 @@ var forms = [...]formRow{
 	formDerived3: {ships: [2]uint8{0, shipA | shipZ}, kept: true, derived: true},
 }
 
-// MaxGroupMembers caps a header's member count: far above any layer's
+// maxGroupMembers caps a header's member count: far above any layer's
 // independent products, and a bound on what a hostile count makes a server size.
-const MaxGroupMembers = 256
+const maxGroupMembers = 256
 
 // maxDim bounds every dimension a header gives, so no size computed from one
 // overflows; a dense matrix that long and not empty would not fit in a frame.
@@ -179,19 +179,6 @@ func SetBudget(frame []byte, budget time.Duration) bool {
 	return true
 }
 
-// PeekRequestShape reads a request's geometry off its header: each member's
-// (m, k, n) as the exchange moves it — n = 0 against a kept operand (the kept
-// and derived-3 forms), where no F moves — and the member count. ok is false
-// when the pair would refuse the header.
-func PeekRequestShape(frame []byte) (m, k, n, members int, ok bool) {
-	h, err := readHeader(frame)
-	if err != nil {
-		return 0, 0, 0, 0, false
-	}
-	m, k, n, members = h.shape()
-	return m, k, n, members, true
-}
-
 // PeekFloor is the exchange floor a request frame's budget must cover, read
 // off its header; 0 when the pair would refuse the header, which a relay then
 // sheds only once its budget has run out.
@@ -228,8 +215,8 @@ func readHeader(frame []byte) (h requestHeader, err error) {
 	switch {
 	case max(h.rows, h.k, h.n) > maxDim:
 		return h, fmt.Errorf("%w: geometry %dx%dx%d, a dimension over %d", ErrRequestHeader, h.rows, h.k, h.n, maxDim)
-	case h.members < 1 || h.members > MaxGroupMembers:
-		return h, fmt.Errorf("%w: a group of %d members, want 1..%d", ErrRequestHeader, h.members, MaxGroupMembers)
+	case h.members < 1 || h.members > maxGroupMembers:
+		return h, fmt.Errorf("%w: a group of %d members, want 1..%d", ErrRequestHeader, h.members, maxGroupMembers)
 	case h.rows%h.members != 0:
 		return h, fmt.Errorf("%w: %d stacked rows do not divide into %d members", ErrRequestHeader, h.rows, h.members)
 	case f.feed && (h.members > 1 || h.operand != 0):

@@ -104,10 +104,23 @@ func envelopeGroup(seed uint64) Shares {
 		T: TripletShares{U: share(15, 6), V: share(18, 4), Z: share(15, 4)}}
 }
 
-// TestPeekRequestShape checks the router's header-only geometry read on
-// every form — lone and grouped, with and without a budget — and that a frame
-// whose header the pair would refuse, or that is no request, reads nothing.
-func TestPeekRequestShape(t *testing.T) {
+// headerShape is the geometry a request frame's header gives each member, as
+// the pair reads it and PeekFloor prices it; ok is false when the pair would
+// refuse the header.
+func headerShape(frame []byte) (m, k, n, members int, ok bool) {
+	h, err := readHeader(frame)
+	if err != nil {
+		return 0, 0, 0, 0, false
+	}
+	m, k, n, members = h.shape()
+	return m, k, n, members, true
+}
+
+// TestRequestHeaderShape checks the header-only geometry read on every form —
+// lone and grouped, with and without a budget — that a relay's PeekFloor
+// prices it, and that a frame whose header the pair would refuse, or that is
+// no request, reads nothing.
+func TestRequestHeaderShape(t *testing.T) {
 	in, grp := envelopeShares(33), envelopeGroup(34)
 	for _, tc := range []struct {
 		frame   []byte
@@ -118,9 +131,12 @@ func TestPeekRequestShape(t *testing.T) {
 		{EncodeRequest(5, grp), 3},
 		{EncodeRequestBudget(5, time.Millisecond, grp), 3},
 	} {
-		m, k, n, c, ok := PeekRequestShape(tc.frame)
+		m, k, n, c, ok := headerShape(tc.frame)
 		if !ok || m != 5 || k != 6 || n != 4 || c != tc.members {
-			t.Fatalf("PeekRequestShape = (%d,%d,%d)×%d ok=%v, want (5,6,4)×%d", m, k, n, c, ok, tc.members)
+			t.Fatalf("header shape = (%d,%d,%d)×%d ok=%v, want (5,6,4)×%d", m, k, n, c, ok, tc.members)
+		}
+		if got, want := PeekFloor(tc.frame), DeadlineEstimate(5*c, 6, 4*c); got != want {
+			t.Fatalf("PeekFloor = %v, want %v for (5,6,4)×%d", got, want, c)
 		}
 	}
 	// The header's fields compose: budget peek and in-place rewrite leave a
@@ -145,9 +161,9 @@ func TestPeekRequestShape(t *testing.T) {
 		{EncodeRequest(5, inOp), 1},
 		{EncodeRequestBudget(5, time.Millisecond, grpOp), 3},
 	} {
-		m, k, n, c, ok := PeekRequestShape(tc.frame)
+		m, k, n, c, ok := headerShape(tc.frame)
 		if !ok || m != 5 || k != 6 || n != 4 || c != tc.members {
-			t.Fatalf("PeekRequestShape on a registering frame = (%d,%d,%d)×%d ok=%v, want (5,6,4)×%d", m, k, n, c, ok, tc.members)
+			t.Fatalf("header shape of a registering frame = (%d,%d,%d)×%d ok=%v, want (5,6,4)×%d", m, k, n, c, ok, tc.members)
 		}
 		if h, dec, err := decodeRequest(tc.frame, 0, nil); err != nil || h.id != 5 || dec.Operand != 9 || dec.Members != tc.members || dec.T.V == nil {
 			t.Fatalf("registering frame decoded to id %d, operand %d, %d members: %v", h.id, dec.Operand, dec.Members, err)
@@ -164,8 +180,8 @@ func TestPeekRequestShape(t *testing.T) {
 		{EncodeRequestBudget(5, time.Millisecond, threeForm(grp, 9)), 5, 3},
 		{EncodeRequest(5, square), 6, 1},
 	} {
-		if m, k, n, c, ok := PeekRequestShape(tc.frame); !ok || m != tc.m || k != 6 || n != 0 || c != tc.members {
-			t.Fatalf("PeekRequestShape on kept-form frame %d = (%d,%d,%d)×%d ok=%v, want (%d,6,0)×%d", i, m, k, n, c, ok, tc.m, tc.members)
+		if m, k, n, c, ok := headerShape(tc.frame); !ok || m != tc.m || k != 6 || n != 0 || c != tc.members {
+			t.Fatalf("header shape of kept-form frame %d = (%d,%d,%d)×%d ok=%v, want (%d,6,0)×%d", i, m, k, n, c, ok, tc.m, tc.members)
 		}
 		if h, dec, err := decodeRequest(tc.frame, 0, nil); err != nil || h.id != 5 || dec.Operand != 9 || dec.B != nil || dec.T.V != nil || dec.T.U == nil {
 			t.Fatalf("kept-form frame %d decoded to id %d, operand %d: %v", i, h.id, dec.Operand, err)
@@ -184,8 +200,8 @@ func TestPeekRequestShape(t *testing.T) {
 			n  int
 		}{{d0, 4}, {d1, 4}, {k0, 0}, {k1, 0}} {
 			for _, frame := range [][]byte{EncodeRequest(5, tc.in), EncodeRequestBudget(5, time.Millisecond, tc.in)} {
-				if m, k, n, members, ok := PeekRequestShape(frame); !ok || m != 5 || k != 6 || n != tc.n || members != c {
-					t.Fatalf("PeekRequestShape on derived frame %d = (%d,%d,%d)×%d ok=%v, want (5,6,%d)×%d", i, m, k, n, members, ok, tc.n, c)
+				if m, k, n, members, ok := headerShape(frame); !ok || m != 5 || k != 6 || n != tc.n || members != c {
+					t.Fatalf("header shape of derived frame %d = (%d,%d,%d)×%d ok=%v, want (5,6,%d)×%d", i, m, k, n, members, ok, tc.n, c)
 				}
 			}
 		}
@@ -211,8 +227,8 @@ func TestPeekRequestShape(t *testing.T) {
 		badCount,
 		v1Frame(EncodeRequestBudget(5, time.Second, in)),
 	) {
-		if _, _, _, _, ok := PeekRequestShape(bad); ok {
-			t.Fatalf("PeekRequestShape accepted a non-request frame of %d bytes", len(bad))
+		if _, _, _, _, ok := headerShape(bad); ok {
+			t.Fatalf("the header read accepted a non-request frame of %d bytes", len(bad))
 		}
 		if floor := PeekFloor(bad); floor != 0 {
 			t.Fatalf("PeekFloor priced a non-request frame of %d bytes at %v", len(bad), floor)
@@ -234,7 +250,6 @@ func TestRouteErrorRoundTrip(t *testing.T) {
 		{RouteNoReplicas, true},
 		{RouteRetriesExhausted, true},
 		{RouteDeadlineExceeded, false},
-		{RouteDraining, true},
 		{RouteUnknownOperand, false},
 	} {
 		frame := EncodeRouteError(77, tc.code, 50*time.Millisecond)
@@ -445,7 +460,7 @@ func hostileHeaders(id uint64) map[string]headerRefusal {
 		"form 0":                    {setByte(offForm, 0), both},
 		"form past the table":       {setByte(offForm, byte(len(forms))), both},
 		"members 0":                 {with(validGeomShares(), offMembers, 0), both},
-		"members over the cap":      {with(validGroupShares(), offMembers, MaxGroupMembers+1), both},
+		"members over the cap":      {with(validGroupShares(), offMembers, maxGroupMembers+1), both},
 		"rows not a multiple":       {with(validGroupShares(), offMembers, 4), both},
 		"dealer-fed group":          {EncodeRequest(id, fed), both},
 		"kept form, no operand":     {EncodeRequest(id, threeForm(validGeomShares(), 0)), both},

@@ -106,7 +106,7 @@ func hostileGroupFrames(id uint64) map[string][]byte {
 	return map[string][]byte{
 		"count 0":             count(0),
 		"count not a divisor": count(4),
-		"count over the cap":  count(MaxGroupMembers + 1),
+		"count over the cap":  count(maxGroupMembers + 1),
 		"count 2^32-1":        count(1<<32 - 1),
 		"dealer-fed group":    EncodeRequest(id, twoStack),
 		"B stack short":       with(func(s *Shares) { s.B = tensor.New(3, 4) }),

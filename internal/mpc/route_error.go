@@ -26,9 +26,7 @@ const (
 	// the cost-model estimate for its shape; not retryable within the
 	// same budget.
 	RouteDeadlineExceeded RouteErrorCode = 3
-	// RouteDraining: the replica is draining and accepts no new work;
-	// retryable against a re-picked replica.
-	RouteDraining RouteErrorCode = 4
+	// Code 4 is unassigned.
 	// RouteDuplicateID: the request's id is already in flight, or was
 	// already served, on this pair — ids must be unique for the pair's
 	// lifetime. The client's error; not retryable under the same id.
@@ -58,8 +56,6 @@ func (c RouteErrorCode) String() string {
 		return "retries_exhausted"
 	case RouteDeadlineExceeded:
 		return "deadline_exceeded"
-	case RouteDraining:
-		return "draining"
 	case RouteDuplicateID:
 		return "duplicate_id"
 	case RouteBadRequest:
@@ -99,7 +95,7 @@ func (e *RouteError) Is(target error) bool {
 // property of the request itself.
 func (e *RouteError) Retryable() bool {
 	switch e.Code {
-	case RouteNoReplicas, RouteRetriesExhausted, RouteDraining, RoutePeerLinkLost:
+	case RouteNoReplicas, RouteRetriesExhausted, RoutePeerLinkLost:
 		return true
 	}
 	return false

@@ -2,11 +2,13 @@ package mpc
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"parsecureml/internal/comm"
+	"parsecureml/internal/obs"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -37,7 +39,7 @@ func TestErroredRequestStillObservesLatency(t *testing.T) {
 			}
 			defer c.Close()
 			c.SetTimeouts(5*time.Second, 5*time.Second)
-			before := metrics.reqWire.Count()
+			before := reqWireSamples(t)
 			if err := c.WriteFrame(garbage); err != nil {
 				t.Fatal(err)
 			}
@@ -48,11 +50,30 @@ func TestErroredRequestStillObservesLatency(t *testing.T) {
 			if _, re, ok := DecodeRouteError(reply); !ok || re.Code != RouteBadRequest {
 				t.Fatalf("malformed request answered with %x, want a bad_request error frame", reply)
 			}
-			if got := metrics.reqWire.Count(); got != before+1 {
+			if got := reqWireSamples(t); got != before+1 {
 				t.Fatalf("reqWire samples %d, want %d: failed request left no latency sample", got, before+1)
 			}
 		})
 	}
+}
+
+// reqWireSamples reads the mul_wire request histogram's sample count off
+// the process registry, as a scrape of /metrics would.
+func reqWireSamples(t *testing.T) uint64 {
+	t.Helper()
+	var b strings.Builder
+	obs.Default.WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, `psml_request_seconds_count{path="mul_wire"} `); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("sample count %q: %v", v, err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no mul_wire request histogram in the registry")
+	return 0
 }
 
 // validGeomShares builds a mutually consistent shares payload:

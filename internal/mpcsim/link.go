@@ -27,15 +27,6 @@ type Stats struct {
 	Seconds         float64 // modeled transfer time charged
 }
 
-// SavedFraction returns the fraction of dense traffic avoided by
-// compression (0 when nothing was sent).
-func (s Stats) SavedFraction() float64 {
-	if s.DenseBytes == 0 {
-		return 0
-	}
-	return 1 - float64(s.WireBytes)/float64(s.DenseBytes)
-}
-
 // Link is one directed server→server channel, metered by a LinkModel and
 // serialized on its own simtime resource.
 type Link struct {
@@ -53,9 +44,6 @@ func NewLink(name string, model hw.LinkModel, eng *simtime.Engine) *Link {
 // Stats returns a copy of the link's accounting.
 func (l *Link) Stats() Stats { return l.stats }
 
-// ResetStats zeroes the accounting.
-func (l *Link) ResetStats() { l.stats = Stats{} }
-
 // sendBytes charges one framed payload and returns its completion task.
 func (l *Link) sendBytes(label string, wire, dense int, compressed bool, deps ...*simtime.Task) *simtime.Task {
 	dur := l.model.TransferTime(wire)
@@ -68,14 +56,6 @@ func (l *Link) sendBytes(label string, wire, dense int, compressed bool, deps ..
 		l.stats.CompressedSends++
 	}
 	return t
-}
-
-// SendMatrix transmits a dense matrix, returning the encoded frame (for a
-// paired real transport) and the completion task.
-func (l *Link) SendMatrix(m *tensor.Matrix, deps ...*simtime.Task) ([]byte, *simtime.Task) {
-	frame := tensor.EncodeMatrix(nil, m)
-	t := l.sendBytes("dense", len(frame), len(frame), false, deps...)
-	return frame, t
 }
 
 // SendRaw transmits pre-encoded bytes (e.g. scalars, control messages).

@@ -16,8 +16,8 @@ func newTestLink() (*Link, *simtime.Engine) {
 
 func TestSendMatrixChargesTimeAndBytes(t *testing.T) {
 	l, eng := newTestLink()
-	m := tensor.New(100, 100)
-	frame, task := l.SendMatrix(m)
+	frame := tensor.EncodeMatrix(nil, tensor.New(100, 100))
+	task := l.SendRaw(frame)
 	if len(frame) != tensor.EncodedSizeDense(100, 100) {
 		t.Fatalf("frame %d bytes", len(frame))
 	}
@@ -36,9 +36,9 @@ func TestSendMatrixChargesTimeAndBytes(t *testing.T) {
 
 func TestLinkSerializesMessages(t *testing.T) {
 	l, _ := newTestLink()
-	m := tensor.New(10, 10)
-	_, t1 := l.SendMatrix(m)
-	_, t2 := l.SendMatrix(m)
+	frame := tensor.EncodeMatrix(nil, tensor.New(10, 10))
+	t1 := l.SendRaw(frame)
+	t2 := l.SendRaw(frame)
 	if t2.Start < t1.End {
 		t.Fatal("messages on one link must serialize")
 	}
@@ -117,7 +117,7 @@ func TestDeltaCompressionKicksIn(t *testing.T) {
 	if st.CompressedSends != 1 {
 		t.Fatalf("CompressedSends = %d", st.CompressedSends)
 	}
-	if st.SavedFraction() <= 0 {
+	if st.WireBytes >= st.DenseBytes {
 		t.Fatalf("no savings recorded: %+v", st)
 	}
 }
@@ -142,7 +142,7 @@ func TestDeltaDisabledNeverCompresses(t *testing.T) {
 			t.Fatal("disabled-sender stream diverged")
 		}
 	}
-	if l.Stats().SavedFraction() != 0 {
+	if st := l.Stats(); st.WireBytes != st.DenseBytes {
 		t.Fatal("disabled sender must save nothing")
 	}
 }
@@ -181,12 +181,5 @@ func TestReceiverRejectsGarbage(t *testing.T) {
 	c := tensor.FromDense(tensor.New(2, 2))
 	if _, err := r.Receive(tensor.EncodeCSR(nil, c)); err == nil {
 		t.Fatal("CSR base frame must error")
-	}
-}
-
-func TestStatsSavedFractionEmpty(t *testing.T) {
-	var s Stats
-	if s.SavedFraction() != 0 {
-		t.Fatal("empty stats must report 0 savings")
 	}
 }

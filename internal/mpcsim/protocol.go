@@ -155,9 +155,6 @@ func (d *Deployment) Download(bytesPerServer int, deps ...*simtime.Task) *simtim
 	return d.down.SendSized("download", 2*bytesPerServer, deps...)
 }
 
-// UploadLinks exposes the client->server links (traffic accounting).
-func (d *Deployment) UploadLinks() (*Link, *Link) { return d.up0, d.up1 }
-
 // site returns the cached multiplication site for stream, creating it (and
 // charging the offline costs: mask generation + triplet) on first use.
 func (d *Deployment) site(stream, kind string, m, k, n int) (*mulSite, *simtime.Task) {

@@ -18,15 +18,6 @@ var refDefaultSeed32 = []uint32{
 	3499211612, 581869302, 3890346734, 3586334585, 545404204,
 }
 
-// Reference vectors from mt19937-64.c test output
-// (init_by_array64 with {0x12345, 0x23456, 0x34567, 0x45678}).
-var refArraySeeded64 = []uint64{
-	7266447313870364031, 4946485549665804864, 16945909448695747420,
-	16394063075524226720, 4873882236456199058, 14877448043947020171,
-	6740343660852211943, 13857871200353263164, 5249110015610582907,
-	10205081126064480383,
-}
-
 func TestMT19937ReferenceVectorArraySeed(t *testing.T) {
 	mt := &MT19937{}
 	mt.SeedSlice([]uint32{0x123, 0x234, 0x345, 0x456})
@@ -38,7 +29,7 @@ func TestMT19937ReferenceVectorArraySeed(t *testing.T) {
 }
 
 func TestMT19937ReferenceVectorDefaultSeed(t *testing.T) {
-	mt := New(DefaultSeed)
+	mt := newSeeded(5489)
 	for i, want := range refDefaultSeed32 {
 		if got := mt.Uint32(); got != want {
 			t.Fatalf("output %d: got %d, want %d", i, got, want)
@@ -46,18 +37,8 @@ func TestMT19937ReferenceVectorDefaultSeed(t *testing.T) {
 	}
 }
 
-func TestMT19937x64ReferenceVector(t *testing.T) {
-	mt := &MT19937_64{}
-	mt.SeedSlice([]uint64{0x12345, 0x23456, 0x34567, 0x45678})
-	for i, want := range refArraySeeded64 {
-		if got := mt.Uint64(); got != want {
-			t.Fatalf("output %d: got %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestSameSeedSameStream(t *testing.T) {
-	a, b := New(12345), New(12345)
+	a, b := newSeeded(12345), newSeeded(12345)
 	for i := 0; i < 10000; i++ {
 		if a.Uint32() != b.Uint32() {
 			t.Fatalf("streams diverged at step %d", i)
@@ -66,7 +47,7 @@ func TestSameSeedSameStream(t *testing.T) {
 }
 
 func TestDifferentSeedsDiverge(t *testing.T) {
-	a, b := New(1), New(2)
+	a, b := newSeeded(1), newSeeded(2)
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if a.Uint32() == b.Uint32() {
@@ -79,7 +60,7 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 }
 
 func TestReseedResetsStream(t *testing.T) {
-	mt := New(99)
+	mt := newSeeded(99)
 	first := make([]uint32, 100)
 	for i := range first {
 		first[i] = mt.Uint32()
@@ -93,24 +74,17 @@ func TestReseedResetsStream(t *testing.T) {
 }
 
 func TestFloat64Range(t *testing.T) {
-	mt := New(7)
+	mt := newSeeded(7)
 	for i := 0; i < 100000; i++ {
 		f := mt.Float64()
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
 	}
-	mt64 := New64(7)
-	for i := 0; i < 100000; i++ {
-		f := mt64.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("64-bit Float64 out of range: %v", f)
-		}
-	}
 }
 
 func TestFloat32Range(t *testing.T) {
-	mt := New(11)
+	mt := newSeeded(11)
 	for i := 0; i < 100000; i++ {
 		f := mt.Float32()
 		if f < 0 || f >= 1 {
@@ -120,7 +94,7 @@ func TestFloat32Range(t *testing.T) {
 }
 
 func TestFloat64Mean(t *testing.T) {
-	mt := New(123)
+	mt := newSeeded(123)
 	const iters = 200000
 	var sum float64
 	for i := 0; i < iters; i++ {
@@ -132,10 +106,10 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-// MT19937 satisfies math/rand.Source so it can drive the standard library's
-// distributions when needed.
+// MT19937 can drive the standard library's distributions through a
+// math/rand.Source adapter.
 func TestRandSourceCompatibility(t *testing.T) {
-	var src rand.Source = &sourceAdapter{mt: New(42)}
+	var src rand.Source = &sourceAdapter{mt: newSeeded(42)}
 	r := rand.New(src)
 	for i := 0; i < 1000; i++ {
 		v := r.Intn(10)
@@ -147,28 +121,9 @@ func TestRandSourceCompatibility(t *testing.T) {
 
 type sourceAdapter struct{ mt *MT19937 }
 
-func (s *sourceAdapter) Int63() int64    { return s.mt.Int63() }
-func (s *sourceAdapter) Seed(seed int64) { s.mt.Seed64(seed) }
-
-func TestInt63NonNegative(t *testing.T) {
-	f := func(seed uint32) bool {
-		mt := New(seed)
-		for i := 0; i < 50; i++ {
-			if mt.Int63() < 0 {
-				return false
-			}
-		}
-		mt64 := New64(uint64(seed))
-		for i := 0; i < 50; i++ {
-			if mt64.Int63() < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+func (s *sourceAdapter) Int63() int64 { return int64(s.mt.Uint64() >> 1) }
+func (s *sourceAdapter) Seed(seed int64) {
+	s.mt.SeedSlice([]uint32{uint32(seed), uint32(uint64(seed) >> 32)})
 }
 
 // Property: SeedSlice with a single-element key is deterministic and distinct
@@ -191,7 +146,7 @@ func TestSeedSliceDeterministic(t *testing.T) {
 }
 
 func TestUint64Composition(t *testing.T) {
-	a, b := New(2024), New(2024)
+	a, b := newSeeded(2024), newSeeded(2024)
 	for i := 0; i < 100; i++ {
 		hi := uint64(b.Uint32())
 		lo := uint64(b.Uint32())
@@ -202,23 +157,15 @@ func TestUint64Composition(t *testing.T) {
 }
 
 func BenchmarkMT19937Uint32(b *testing.B) {
-	mt := New(1)
+	mt := newSeeded(1)
 	b.SetBytes(4)
 	for i := 0; i < b.N; i++ {
 		_ = mt.Uint32()
 	}
 }
 
-func BenchmarkMT19937x64Uint64(b *testing.B) {
-	mt := New64(1)
-	b.SetBytes(8)
-	for i := 0; i < b.N; i++ {
-		_ = mt.Uint64()
-	}
-}
-
 func BenchmarkMT19937Float32(b *testing.B) {
-	mt := New(1)
+	mt := newSeeded(1)
 	for i := 0; i < b.N; i++ {
 		_ = mt.Float32()
 	}

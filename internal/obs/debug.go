@@ -14,14 +14,14 @@ import (
 // so importing this package cannot leak pprof onto an application
 // listener.
 
-// DebugMux returns a mux serving:
+// debugMux returns a mux serving:
 //
 //	/metrics        – reg in the Prometheus text exposition format
 //	/healthz        – 200 "ok" (503 with the error text when health fails)
 //	/debug/pprof/…  – the stdlib profiler (CPU, heap, goroutine, trace)
 //
 // health may be nil, which means always healthy.
-func DebugMux(reg *Registry, health func() error) *http.ServeMux {
+func debugMux(reg *Registry, health func() error) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -45,7 +45,7 @@ func DebugMux(reg *Registry, health func() error) *http.ServeMux {
 	return mux
 }
 
-// ServeDebug listens on addr and serves DebugMux(reg, health) until ctx
+// ServeDebug listens on addr and serves debugMux(reg, health) until ctx
 // is cancelled, then shuts the server down. It returns the bound
 // listener address (useful with ":0") and a channel that closes when the
 // server has fully stopped. Errors after a successful bind are
@@ -56,7 +56,7 @@ func ServeDebug(ctx context.Context, addr string, reg *Registry, health func() e
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: DebugMux(reg, health)}
+	srv := &http.Server{Handler: debugMux(reg, health)}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -85,12 +85,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveSince records the time elapsed since t0.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // histSnapshot is one relaxed read of every bucket.
 type histSnapshot struct {
 	counts []uint64
@@ -106,47 +100,6 @@ func (h *Histogram) snapshot() histSnapshot {
 	s.sum = time.Duration(h.sum.Load())
 	s.count = h.count.Load()
 	return s
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) from the bucket
-// counts: find the bucket holding the target rank, interpolate linearly
-// inside it. Observations in the +Inf bucket report the largest finite
-// bound. Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	s := h.snapshot()
-	total := uint64(0)
-	for _, c := range s.counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	cum := uint64(0)
-	for i, c := range s.counts {
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		if i == len(h.bounds) {
-			// +Inf bucket: the best bounded estimate is the last edge.
-			return h.bounds[len(h.bounds)-1]
-		}
-		lower := time.Duration(0)
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		upper := h.bounds[i]
-		frac := float64(rank-cum) / float64(c)
-		return lower + time.Duration(frac*float64(upper-lower))
-	}
-	return h.bounds[len(h.bounds)-1] // unreachable: rank <= total
 }
 
 // Span is an in-flight phase measurement. It is a value type so starting

@@ -79,14 +79,14 @@ type Registry struct {
 	byKey   map[string]*entry
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{byKey: make(map[string]*entry)}
 }
 
 // Default is the process-wide registry; package-level instrumentation
-// registers here and cmd binaries expose it via DebugMux.
-var Default = NewRegistry()
+// registers here and cmd binaries expose it via ServeDebug.
+var Default = newRegistry()
 
 // splitName separates `family{labels}` into its parts. Panics on a
 // malformed name — registration happens at init time, so this is a

@@ -5,18 +5,11 @@
 // than the GPU acceleration benefits, we cannot obtain overall performance
 // benefits" (§3.3, challenge 2).
 //
-// Two sources feed the decision: the analytic hardware models (internal/hw)
-// and optional measured corrections from probe runs (Calibrate), mirroring
-// the paper's use of nvprof profiles to fix the placement of each phase.
+// The analytic hardware models (internal/hw) stand in for the paper's nvprof
+// profiles, which fix the placement of each phase.
 package profile
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"parsecureml/internal/hw"
-)
+import "parsecureml/internal/hw"
 
 // Placement says where an operation should run.
 type Placement int
@@ -35,46 +28,25 @@ func (p Placement) String() string {
 	return "CPU"
 }
 
-// Decision records one placement choice with its modeled costs, for the
-// decision log the adaptive engine exposes.
-type Decision struct {
-	Op      string
-	CPUCost float64
-	GPUCost float64
-	Choice  Placement
-}
-
 // Advisor makes placement decisions for a node.
 type Advisor struct {
 	P           hw.Platform
 	TensorCores bool
-	// CPUScale multiplies modeled CPU costs (set by Calibrate to reconcile
-	// the model with measured throughput on this machine).
-	CPUScale float64
 	// GPUBias multiplies modeled GPU costs; >1 penalizes the GPU (e.g. to
 	// account for contention the model misses).
 	GPUBias float64
-
-	mu  sync.Mutex
-	log []Decision
 }
 
 // NewAdvisor returns an advisor over platform p.
 func NewAdvisor(p hw.Platform, tensorCores bool) *Advisor {
-	return &Advisor{P: p, TensorCores: tensorCores, CPUScale: 1, GPUBias: 1}
+	return &Advisor{P: p, TensorCores: tensorCores, GPUBias: 1}
 }
 
-func (a *Advisor) decide(op string, cpu, gpu float64) Placement {
-	cpu *= a.CPUScale
-	gpu *= a.GPUBias
-	choice := CPU
-	if gpu < cpu {
-		choice = GPU
+func (a *Advisor) decide(cpu, gpu float64) Placement {
+	if gpu*a.GPUBias < cpu {
+		return GPU
 	}
-	a.mu.Lock()
-	a.log = append(a.log, Decision{Op: op, CPUCost: cpu, GPUCost: gpu, Choice: choice})
-	a.mu.Unlock()
-	return choice
+	return CPU
 }
 
 // Gemm places an m×k × k×n multiplication whose operands must be shipped
@@ -83,22 +55,7 @@ func (a *Advisor) Gemm(m, k, n int) Placement {
 	cpu := a.P.CPU.GemmTime(m, k, n, true)
 	xfer := a.P.PCIe.TransferTime(4*(m*k+k*n)) + a.P.PCIe.TransferTime(4*m*n)
 	gpu := a.P.GPU.GemmTime(m, k, n, a.TensorCores) + xfer
-	return a.decide(fmt.Sprintf("gemm %dx%dx%d", m, k, n), cpu, gpu)
-}
-
-// TripletZ places the offline Z = U×V computation (the >90 % offline step).
-func (a *Advisor) TripletZ(m, k, n int) Placement {
-	return a.Gemm(m, k, n)
-}
-
-// Elemwise places an element-wise pass over the given bytes. The paper
-// keeps these on the CPU ("distributing the rest operations on GPUs could
-// cause extra 4.5 percent performance degradation", §4.2); the model
-// reproduces that: transfer alone exceeds the CPU pass.
-func (a *Advisor) Elemwise(bytes int) Placement {
-	cpu := a.P.CPU.ElemwiseTime(3*bytes, true)
-	gpu := a.P.GPU.ElemwiseTime(3*bytes) + 2*a.P.PCIe.TransferTime(bytes) + a.P.PCIe.TransferTime(bytes)
-	return a.decide(fmt.Sprintf("elemwise %dB", bytes), cpu, gpu)
+	return a.decide(cpu, gpu)
 }
 
 // Rand places generation of n random values that must end up in host
@@ -106,64 +63,7 @@ func (a *Advisor) Elemwise(bytes int) Placement {
 func (a *Advisor) Rand(n int) Placement {
 	cpu := a.P.CPU.RandTime(n, true)
 	gpu := a.P.GPU.RandTime(n) + a.P.PCIe.TransferTime(4*n)
-	return a.decide(fmt.Sprintf("rand %d", n), cpu, gpu)
-}
-
-// Log returns a copy of the decision log.
-func (a *Advisor) Log() []Decision {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Decision, len(a.log))
-	copy(out, a.log)
-	return out
-}
-
-// ResetLog clears the decision log.
-func (a *Advisor) ResetLog() {
-	a.mu.Lock()
-	a.log = nil
-	a.mu.Unlock()
-}
-
-// Summary aggregates the log into per-op-class GPU fractions, the view the
-// paper's profiling stage produces.
-func (a *Advisor) Summary() string {
-	type agg struct{ gpu, total int }
-	classes := map[string]*agg{}
-	for _, d := range a.Log() {
-		var class string
-		fmt.Sscanf(d.Op, "%s", &class)
-		c, ok := classes[class]
-		if !ok {
-			c = &agg{}
-			classes[class] = c
-		}
-		c.total++
-		if d.Choice == GPU {
-			c.gpu++
-		}
-	}
-	names := make([]string, 0, len(classes))
-	for n := range classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	s := ""
-	for _, n := range names {
-		c := classes[n]
-		s += fmt.Sprintf("%-10s %4d ops, %5.1f%% on GPU\n", n, c.total, 100*float64(c.gpu)/float64(c.total))
-	}
-	return s
-}
-
-// Calibrate adjusts CPUScale from a measured CPU GEMM throughput
-// (FLOP/s): the paper's profiling step, reduced to one scalar. Callers
-// measure a probe GEMM with real wall time and pass the achieved rate.
-func (a *Advisor) Calibrate(measuredCPUGemmFlops float64) {
-	modeled := a.P.CPU.GemmFlopsPerCore * float64(a.P.CPU.Cores) * a.P.CPU.ParallelEff
-	if measuredCPUGemmFlops > 0 {
-		a.CPUScale = modeled / measuredCPUGemmFlops
-	}
+	return a.decide(cpu, gpu)
 }
 
 // CrossoverDim finds the smallest square GEMM dimension (within [lo,hi])

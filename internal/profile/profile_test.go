@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"strings"
 	"testing"
 
 	"parsecureml/internal/hw"
@@ -17,17 +16,6 @@ func TestGemmPlacementBySize(t *testing.T) {
 	}
 }
 
-func TestElemwiseStaysOnCPU(t *testing.T) {
-	a := NewAdvisor(hw.Paper(), false)
-	// The paper keeps the add/sub reconstruct work on the CPU at every
-	// size it evaluates: PCIe alone costs more than the CPU pass.
-	for _, bytes := range []int{1 << 10, 1 << 20, 1 << 28} {
-		if got := a.Elemwise(bytes); got != CPU {
-			t.Fatalf("elemwise %dB placed on %v, want CPU", bytes, got)
-		}
-	}
-}
-
 func TestRandCrossover(t *testing.T) {
 	a := NewAdvisor(hw.Paper(), false)
 	if got := a.Rand(512 * 512); got != CPU {
@@ -35,30 +23,6 @@ func TestRandCrossover(t *testing.T) {
 	}
 	if got := a.Rand(16384 * 16384); got != GPU {
 		t.Fatalf("huge rand on %v, want GPU (Fig. 7)", got)
-	}
-}
-
-func TestDecisionLogAndSummary(t *testing.T) {
-	a := NewAdvisor(hw.Paper(), false)
-	a.Gemm(10, 10, 10)
-	a.Gemm(2048, 2048, 2048)
-	a.Rand(100)
-	log := a.Log()
-	if len(log) != 3 {
-		t.Fatalf("log has %d entries", len(log))
-	}
-	for _, d := range log {
-		if d.CPUCost <= 0 || d.GPUCost <= 0 {
-			t.Fatalf("non-positive modeled cost: %+v", d)
-		}
-	}
-	s := a.Summary()
-	if !strings.Contains(s, "gemm") || !strings.Contains(s, "rand") {
-		t.Fatalf("summary missing classes:\n%s", s)
-	}
-	a.ResetLog()
-	if len(a.Log()) != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -71,19 +35,6 @@ func TestGPUBiasFlipsDecision(t *testing.T) {
 	a.GPUBias = 1e6
 	if a.Gemm(2048, 2048, 2048) != CPU {
 		t.Fatal("large GPU bias must force CPU")
-	}
-}
-
-func TestCalibrate(t *testing.T) {
-	a := NewAdvisor(hw.Paper(), false)
-	modeled := a.P.CPU.GemmFlopsPerCore * float64(a.P.CPU.Cores) * a.P.CPU.ParallelEff
-	a.Calibrate(modeled / 2) // machine half as fast as modeled
-	if a.CPUScale < 1.99 || a.CPUScale > 2.01 {
-		t.Fatalf("CPUScale = %v, want 2", a.CPUScale)
-	}
-	a.Calibrate(0) // ignored
-	if a.CPUScale < 1.99 {
-		t.Fatal("zero measurement must not reset scale")
 	}
 }
 
@@ -112,25 +63,5 @@ func TestTensorCoresShiftCrossoverDown(t *testing.T) {
 func TestPlacementString(t *testing.T) {
 	if CPU.String() != "CPU" || GPU.String() != "GPU" {
 		t.Fatal("Placement.String")
-	}
-}
-
-func TestMeasureHostGemmFlops(t *testing.T) {
-	flops := MeasureHostGemmFlops(128, 2)
-	// Any functioning machine lands between 10 MFLOPS and 10 TFLOPS.
-	if flops < 1e7 || flops > 1e13 {
-		t.Fatalf("measured %v FLOP/s implausible", flops)
-	}
-}
-
-func TestCalibrateFromProbe(t *testing.T) {
-	a := NewAdvisor(hw.Paper(), false)
-	measured := a.CalibrateFromProbe(96, 2)
-	if measured <= 0 || a.CPUScale <= 0 {
-		t.Fatalf("calibration failed: measured %v scale %v", measured, a.CPUScale)
-	}
-	// The advisor must still make sane boundary decisions afterwards.
-	if a.Gemm(8, 8, 8) != CPU {
-		t.Fatal("tiny GEMM must stay on CPU after calibration")
 	}
 }

@@ -31,7 +31,7 @@ func TestSecureTransformerForwardMatchesPlaintext(t *testing.T) {
 
 func TestSecureAttentionForwardMatchesPlaintext(t *testing.T) {
 	r := rng.NewRand(22)
-	att := ml.NewAttention(8, 2, true, r)
+	att := ml.NewTransformerBlock(8, 2, 1, ml.Identity, true, r).Att
 	plain := ml.NewModel("att", ml.MSE{}, att)
 	x := tensor.New(6, 8)
 	for i := range x.Data {

@@ -91,8 +91,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if info.Epoch != 2 || info.LR != lr {
 				t.Fatalf("restore info = %+v", info)
 			}
-			if mB.EpochsDone() != 2 {
-				t.Fatalf("EpochsDone after restore = %d", mB.EpochsDone())
+			if mB.epochsDone != 2 {
+				t.Fatalf("epochs done after restore = %d", mB.epochsDone)
 			}
 			if err := mB.TrainEpochsCheckpointed(total, lr, every, func(int, []byte) error { return nil }); err != nil {
 				t.Fatalf("resumed run: %v", err)
@@ -158,8 +158,8 @@ func TestCheckpointRoundTripAndValidation(t *testing.T) {
 		t.Fatalf("mismatched model accepted the checkpoint")
 	}
 	// om is untouched by the failed restore.
-	if om.EpochsDone() != 0 {
-		t.Fatalf("failed restore advanced EpochsDone to %d", om.EpochsDone())
+	if om.epochsDone != 0 {
+		t.Fatalf("failed restore advanced the epoch count to %d", om.epochsDone)
 	}
 }
 

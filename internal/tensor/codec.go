@@ -377,7 +377,7 @@ func DecodeMatrixPooled(p *Pool, buf []byte) (*Matrix, int, error) {
 // DecodeCSR decodes a CSR matrix, returning it and the bytes consumed.
 // Beyond length checks, the structural invariants are validated — row
 // pointers monotone within [0, nnz], column indices within [0, cols) — so
-// a hostile frame cannot produce a CSR that panics ToDense or AddInto.
+// a hostile frame cannot produce a CSR that panics AddInto.
 func DecodeCSR(buf []byte) (*CSR, int, error) {
 	if len(buf) < 13 || buf[0] != tagCSR {
 		return nil, 0, ErrCodecShort

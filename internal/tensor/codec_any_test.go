@@ -23,7 +23,7 @@ func TestEncodeMatrixFP16RoundTrip(t *testing.T) {
 		t.Fatalf("DecodeMatrixFP16Into: n=%d err=%v", n, err)
 	}
 	for i, v := range m.Data {
-		if want := RoundFloat16(v); dst.Data[i] != want {
+		if want := roundFloat16(v); dst.Data[i] != want {
 			t.Fatalf("element %d: %v, want binary16-rounded %v", i, dst.Data[i], want)
 		}
 	}

@@ -37,7 +37,7 @@ func TestDecodeMatrixInto(t *testing.T) {
 	}
 
 	// Reuse must overwrite stale contents.
-	dst.Fill(42)
+	fill(dst, 42)
 	if _, err := DecodeMatrixInto(dst, frame); err != nil {
 		t.Fatal(err)
 	}

@@ -39,18 +39,6 @@ func FromDense(m *Matrix) *CSR {
 	return c
 }
 
-// ToDense expands the CSR matrix back to dense form.
-func (c *CSR) ToDense() *Matrix {
-	m := New(c.Rows, c.Cols)
-	for r := 0; r < c.Rows; r++ {
-		row := m.Row(r)
-		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
-			row[c.ColIdx[p]] = c.Values[p]
-		}
-	}
-	return m
-}
-
 // AddInto accumulates the sparse matrix into dst (dst += c), the operation
 // a receiver applies to reconstruct E_{i,j+1} = E_{i,j} + Δ (Eq. 11).
 func (c *CSR) AddInto(dst *Matrix) {
@@ -65,16 +53,6 @@ func (c *CSR) AddInto(dst *Matrix) {
 	}
 }
 
-// NNZ returns the stored non-zero count.
-func (c *CSR) NNZ() int { return len(c.Values) }
-
-// Bytes returns the encoded payload size in bytes: row pointers, column
-// indices and values at 4 bytes each. This is what the network model is
-// charged when a delta is sent compressed.
-func (c *CSR) Bytes() int {
-	return 4 * (len(c.RowPtr) + len(c.ColIdx) + len(c.Values))
-}
-
 // CompressionWorthwhile reports whether encoding m as CSR is smaller than
 // sending it dense — the run-time check behind the ≥75 % rule. The
 // sparsity threshold alone is not sufficient: the (rows+1) row pointers
@@ -85,19 +63,4 @@ func (c *CSR) Bytes() int {
 func CompressionWorthwhile(m *Matrix, sparsityThreshold float64) bool {
 	return m.Sparsity() >= sparsityThreshold &&
 		EncodedSizeCSR(m.Rows, m.Cols, m.NNZ()) < EncodedSizeDense(m.Rows, m.Cols)
-}
-
-// SpMV computes dst = c × x for a dense vector x (length Cols); dst must
-// have length Rows. Included for completeness of the CSR substrate.
-func (c *CSR) SpMV(dst, x []float32) {
-	if len(x) != c.Cols || len(dst) != c.Rows {
-		panic(fmt.Sprintf("tensor: SpMV dimensions: matrix %dx%d, x %d, dst %d", c.Rows, c.Cols, len(x), len(dst)))
-	}
-	for r := 0; r < c.Rows; r++ {
-		var acc float32
-		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
-			acc += c.Values[p] * x[c.ColIdx[p]]
-		}
-		dst[r] = acc
-	}
 }

@@ -141,28 +141,3 @@ func Apply(dst, a *Matrix, f func(float32) float32) {
 		}
 	})
 }
-
-// AddSerial is the single-threaded reference used by the Fig. 14 CPU
-// optimization-benefit experiment and by tests as a parallelism oracle.
-func AddSerial(dst, a, b *Matrix) {
-	a.mustSameShape(b, "AddSerial")
-	dst.mustSameShape(a, "AddSerial")
-	if !ComputeEnabled() {
-		return
-	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
-// SubSerial is the single-threaded counterpart of Sub.
-func SubSerial(dst, a, b *Matrix) {
-	a.mustSameShape(b, "SubSerial")
-	dst.mustSameShape(a, "SubSerial")
-	if !ComputeEnabled() {
-		return
-	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}

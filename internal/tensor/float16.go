@@ -18,14 +18,14 @@ import (
 // the CPU has them (float16_amd64.go) and the scalar functions over the
 // rest; the two give the same bits for every input.
 
-// Float32ToFloat16Bits converts f to its nearest binary16 representation.
+// float32ToFloat16Bits converts f to its nearest binary16 representation.
 // It is branch-free but for the final selects, in Giesen's "fast3_rtne"
 // layout: a half-subnormal result is the float32 addition of 0.5, whose ulp
 // is the smallest half subnormal, so the FPU's own round-to-nearest-even
 // does the rounding; a normal result is the rebiased bits plus a rounding
 // bias of 0xfff and the kept mantissa's low bit, whose carry runs into the
 // exponent and on to Inf exactly as rounding up should.
-func Float32ToFloat16Bits(f float32) uint16 {
+func float32ToFloat16Bits(f float32) uint16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
 	b &= 0x7fffffff
@@ -42,9 +42,9 @@ func Float32ToFloat16Bits(f float32) uint16 {
 	return sign | h
 }
 
-// Float16BitsToFloat32 expands a binary16 bit pattern to float32; a NaN
+// float16BitsToFloat32 expands a binary16 bit pattern to float32; a NaN
 // comes back quiet with its payload in the top mantissa bits.
-func Float16BitsToFloat32(h uint16) float32 {
+func float16BitsToFloat32(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h>>10) & 0x1f
 	man := uint32(h & 0x3ff)
@@ -60,16 +60,16 @@ func Float16BitsToFloat32(h uint16) float32 {
 	return math.Float32frombits(sign | (exp+112)<<23 | man<<13)
 }
 
-// RoundFloat16 rounds f through binary16 precision and back.
-func RoundFloat16(f float32) float32 {
-	return Float16BitsToFloat32(Float32ToFloat16Bits(f))
+// roundFloat16 rounds f through binary16 precision and back.
+func roundFloat16(f float32) float32 {
+	return float16BitsToFloat32(float32ToFloat16Bits(f))
 }
 
 // putFloat16s writes src as little-endian binary16 to the first
 // 2*len(src) bytes of dst.
 func putFloat16s(dst []byte, src []float32) {
 	for i := putFloat16sF16C(dst, src); i < len(src); i++ {
-		binary.LittleEndian.PutUint16(dst[2*i:], Float32ToFloat16Bits(src[i]))
+		binary.LittleEndian.PutUint16(dst[2*i:], float32ToFloat16Bits(src[i]))
 	}
 }
 
@@ -77,7 +77,7 @@ func putFloat16s(dst []byte, src []float32) {
 // at the front of src.
 func getFloat16s(dst []float32, src []byte) {
 	for i := getFloat16sF16C(dst, src); i < len(dst); i++ {
-		dst[i] = Float16BitsToFloat32(binary.LittleEndian.Uint16(src[2*i:]))
+		dst[i] = float16BitsToFloat32(binary.LittleEndian.Uint16(src[2*i:]))
 	}
 }
 
@@ -85,7 +85,7 @@ func getFloat16s(dst []float32, src []byte) {
 // be src.
 func roundFloat16s(dst, src []float32) {
 	for i := roundFloat16sF16C(dst, src); i < len(src); i++ {
-		dst[i] = RoundFloat16(src[i])
+		dst[i] = roundFloat16(src[i])
 	}
 }
 

@@ -16,7 +16,7 @@ func skipWithoutF16C(t *testing.T) {
 }
 
 // TestFloat16KernelMatchesPortable holds the F16C encode and round kernels
-// to Float32ToFloat16Bits and RoundFloat16, bit for bit. Every float32 of
+// to float32ToFloat16Bits and roundFloat16, bit for bit. Every float32 of
 // both signs is checked in the binades where the conversion has a case to
 // get wrong — 100–114 (underflow, the subnormal halves, the smallest
 // normal), 141–143 (the largest normals, overflow to Inf) and 255 (Inf and
@@ -38,9 +38,9 @@ func TestFloat16KernelMatchesPortable(t *testing.T) {
 	check := func() {
 		n := len(src)
 		for i, v := range src {
-			h := Float32ToFloat16Bits(v)
+			h := float32ToFloat16Bits(v)
 			binary.LittleEndian.PutUint16(want[2*i:], h)
-			wantRounded[i] = Float16BitsToFloat32(h) // RoundFloat16(v), converting v once
+			wantRounded[i] = float16BitsToFloat32(h) // roundFloat16(v), converting v once
 		}
 		putFloat16s(wire, src)
 		roundFloat16s(rounded, src)
@@ -71,7 +71,7 @@ func TestFloat16KernelMatchesPortable(t *testing.T) {
 }
 
 // TestFloat16KernelDecodesEveryHalf: the F16C decode kernel expands all
-// 65 536 halves to Float16BitsToFloat32's bits.
+// 65 536 halves to float16BitsToFloat32's bits.
 func TestFloat16KernelDecodesEveryHalf(t *testing.T) {
 	skipWithoutF16C(t)
 	wire := make([]byte, 2<<16)
@@ -81,7 +81,7 @@ func TestFloat16KernelDecodesEveryHalf(t *testing.T) {
 	got := make([]float32, 1<<16)
 	getFloat16s(got, wire)
 	for h, v := range got {
-		if want := math.Float32bits(Float16BitsToFloat32(uint16(h))); math.Float32bits(v) != want {
+		if want := math.Float32bits(float16BitsToFloat32(uint16(h))); math.Float32bits(v) != want {
 			t.Fatalf("decode %#04x: kernel %#08x, portable %#08x", h, math.Float32bits(v), want)
 		}
 	}
@@ -105,7 +105,7 @@ func TestFloat16SlicesTails(t *testing.T) {
 			}
 			want := make([]byte, 2*n)
 			for i, v := range src {
-				binary.LittleEndian.PutUint16(want[2*i:], Float32ToFloat16Bits(v))
+				binary.LittleEndian.PutUint16(want[2*i:], float32ToFloat16Bits(v))
 			}
 			wire := bytes.Repeat([]byte{guard}, 2*n+16)
 			putFloat16s(wire[off:off+2*n], src)
@@ -122,7 +122,7 @@ func TestFloat16SlicesTails(t *testing.T) {
 			inPlace := append([]float32(nil), src...)
 			roundFloat16s(inPlace, inPlace)
 			for i, v := range src {
-				r := math.Float32bits(RoundFloat16(v))
+				r := math.Float32bits(roundFloat16(v))
 				if g := math.Float32bits(back[i]); g != r {
 					t.Fatalf("getFloat16s n=%d off=%d: value %d is %#08x, want %#08x", n, off, i, g, r)
 				}

@@ -41,29 +41,29 @@ func TestFloat16KnownValues(t *testing.T) {
 		{math.Float32frombits(0x7fbfe000), 0x7fff}, // signalling, every kept bit set
 	}
 	for _, c := range cases {
-		if got := Float32ToFloat16Bits(c.f); got != c.bits {
-			t.Errorf("Float32ToFloat16Bits(%v) = %#04x, want %#04x", c.f, got, c.bits)
+		if got := float32ToFloat16Bits(c.f); got != c.bits {
+			t.Errorf("float32ToFloat16Bits(%v) = %#04x, want %#04x", c.f, got, c.bits)
 		}
 	}
 }
 
 func TestFloat16BitsToFloat32KnownValues(t *testing.T) {
-	if got := Float16BitsToFloat32(0x3c00); got != 1 {
+	if got := float16BitsToFloat32(0x3c00); got != 1 {
 		t.Fatalf("0x3c00 -> %v", got)
 	}
-	if got := Float16BitsToFloat32(0x7bff); got != 65504 {
+	if got := float16BitsToFloat32(0x7bff); got != 65504 {
 		t.Fatalf("0x7bff -> %v", got)
 	}
-	if got := Float16BitsToFloat32(0x0001); got != 5.9604645e-8 {
+	if got := float16BitsToFloat32(0x0001); got != 5.9604645e-8 {
 		t.Fatalf("0x0001 -> %v", got)
 	}
-	if !math.IsInf(float64(Float16BitsToFloat32(0x7c00)), 1) {
+	if !math.IsInf(float64(float16BitsToFloat32(0x7c00)), 1) {
 		t.Fatal("0x7c00 must decode to +Inf")
 	}
-	if !math.IsNaN(float64(Float16BitsToFloat32(0x7e00))) {
+	if !math.IsNaN(float64(float16BitsToFloat32(0x7e00))) {
 		t.Fatal("0x7e00 must decode to NaN")
 	}
-	if got := Float16BitsToFloat32(0x8000); got != 0 || math.Signbit(float64(got)) == false {
+	if got := float16BitsToFloat32(0x8000); got != 0 || math.Signbit(float64(got)) == false {
 		t.Fatalf("0x8000 must decode to -0, got %v", got)
 	}
 	// NaN: quieted, the payload shifted into the top mantissa bits.
@@ -71,7 +71,7 @@ func TestFloat16BitsToFloat32KnownValues(t *testing.T) {
 		h    uint16
 		bits uint32
 	}{{0x7e00, 0x7fc00000}, {0x7c01, 0x7fc02000}, {0xfdff, 0xffffe000}, {0xfe09, 0xffc12000}} {
-		if got := math.Float32bits(Float16BitsToFloat32(c.h)); got != c.bits {
+		if got := math.Float32bits(float16BitsToFloat32(c.h)); got != c.bits {
 			t.Errorf("%#04x -> %#08x, want %#08x", c.h, got, c.bits)
 		}
 	}
@@ -81,15 +81,15 @@ func TestFloat16BitsToFloat32KnownValues(t *testing.T) {
 func TestFloat16ExactRoundTrip(t *testing.T) {
 	for bits := 0; bits <= 0xffff; bits++ {
 		h := uint16(bits)
-		f := Float16BitsToFloat32(h)
+		f := float16BitsToFloat32(h)
 		if math.IsNaN(float64(f)) {
 			// A NaN keeps its sign and payload and comes back quiet.
-			if got := Float32ToFloat16Bits(f); got != h|0x0200 {
+			if got := float32ToFloat16Bits(f); got != h|0x0200 {
 				t.Fatalf("NaN half %#04x -> %#08x -> %#04x, want %#04x", h, math.Float32bits(f), got, h|0x0200)
 			}
 			continue
 		}
-		if got := Float32ToFloat16Bits(f); got != h {
+		if got := float32ToFloat16Bits(f); got != h {
 			// -0 and +0 both encode fine; anything else is a bug.
 			t.Fatalf("half %#04x -> %v -> %#04x", h, f, got)
 		}
@@ -107,7 +107,7 @@ func TestFloat16RelativeError(t *testing.T) {
 		if ax < 6.2e-5 || ax > 65000 {
 			return true // outside the half normal range
 		}
-		r := RoundFloat16(x)
+		r := roundFloat16(x)
 		rel := math.Abs(float64(r)-float64(x)) / ax
 		return rel <= 1.0/2048
 	}
@@ -120,8 +120,8 @@ func TestRoundFloat16Idempotent(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	for i := 0; i < 1000; i++ {
 		x := float32(r.NormFloat64() * 100)
-		once := RoundFloat16(x)
-		if RoundFloat16(once) != once {
+		once := roundFloat16(x)
+		if roundFloat16(once) != once {
 			t.Fatalf("rounding not idempotent for %v", x)
 		}
 	}
@@ -133,8 +133,8 @@ func TestRoundMatrixFloat16(t *testing.T) {
 	dst := New(20, 20)
 	RoundMatrixFloat16(dst, m)
 	for i, v := range m.Data {
-		if dst.Data[i] != RoundFloat16(v) {
-			t.Fatalf("element %d: %v vs %v", i, dst.Data[i], RoundFloat16(v))
+		if dst.Data[i] != roundFloat16(v) {
+			t.Fatalf("element %d: %v vs %v", i, dst.Data[i], roundFloat16(v))
 		}
 	}
 	// In-place aliasing works too.
@@ -149,12 +149,12 @@ func TestFloat16RoundToNearestEven(t *testing.T) {
 	// 1 + 2^-11 is exactly halfway between 1.0 (0x3c00) and 1+2^-10
 	// (0x3c01); ties round to even -> 0x3c00.
 	x := float32(1) + float32(math.Pow(2, -11))
-	if got := Float32ToFloat16Bits(x); got != 0x3c00 {
+	if got := float32ToFloat16Bits(x); got != 0x3c00 {
 		t.Fatalf("tie not rounded to even: %#04x", got)
 	}
 	// 1 + 3*2^-11 is halfway between 0x3c01 and 0x3c02 -> rounds to 0x3c02.
 	x = float32(1) + 3*float32(math.Pow(2, -11))
-	if got := Float32ToFloat16Bits(x); got != 0x3c02 {
+	if got := float32ToFloat16Bits(x); got != 0x3c02 {
 		t.Fatalf("tie not rounded to even: %#04x", got)
 	}
 	// Below the smallest subnormal 2^-24: 2^-25 is the tie between 0 and
@@ -170,8 +170,8 @@ func TestFloat16RoundToNearestEven(t *testing.T) {
 		{3 * float32(math.Pow(2, -25)), 0x0002},
 		{5 * float32(math.Pow(2, -25)), 0x0002},
 	} {
-		if got := Float32ToFloat16Bits(c.x); got != c.bits {
-			t.Errorf("Float32ToFloat16Bits(%g) = %#04x, want %#04x", c.x, got, c.bits)
+		if got := float32ToFloat16Bits(c.x); got != c.bits {
+			t.Errorf("float32ToFloat16Bits(%g) = %#04x, want %#04x", c.x, got, c.bits)
 		}
 	}
 }

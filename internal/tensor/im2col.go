@@ -19,13 +19,8 @@ type ConvShape struct {
 	OutH, OutW int // derived output size
 }
 
-// NewConvShape computes the output geometry for a single-channel input,
+// NewConvShapeCh computes the output geometry for a channels-deep input,
 // panicking on impossible configurations.
-func NewConvShape(inH, inW, kh, kw, stride, pad int) ConvShape {
-	return NewConvShapeCh(inH, inW, 1, kh, kw, stride, pad)
-}
-
-// NewConvShapeCh is NewConvShape with an input-channel count.
 func NewConvShapeCh(inH, inW, channels, kh, kw, stride, pad int) ConvShape {
 	if stride < 1 {
 		panic("tensor: conv stride must be >= 1")

@@ -6,15 +6,15 @@ import (
 )
 
 func TestConvShape(t *testing.T) {
-	s := NewConvShape(28, 28, 5, 5, 1, 0)
+	s := NewConvShapeCh(28, 28, 1, 5, 5, 1, 0)
 	if s.OutH != 24 || s.OutW != 24 {
 		t.Fatalf("28x28 conv5 out %dx%d, want 24x24", s.OutH, s.OutW)
 	}
-	s = NewConvShape(28, 28, 5, 5, 1, 2)
+	s = NewConvShapeCh(28, 28, 1, 5, 5, 1, 2)
 	if s.OutH != 28 || s.OutW != 28 {
 		t.Fatalf("same-pad conv out %dx%d", s.OutH, s.OutW)
 	}
-	s = NewConvShape(32, 32, 3, 3, 2, 1)
+	s = NewConvShapeCh(32, 32, 1, 3, 3, 2, 1)
 	if s.OutH != 16 || s.OutW != 16 {
 		t.Fatalf("strided conv out %dx%d", s.OutH, s.OutW)
 	}
@@ -26,7 +26,7 @@ func TestConvShapePanics(t *testing.T) {
 			t.Fatal("expected panic for empty output")
 		}
 	}()
-	NewConvShape(2, 2, 5, 5, 1, 0)
+	NewConvShapeCh(2, 2, 1, 5, 5, 1, 0)
 }
 
 // Direct (nested-loop) convolution oracle.
@@ -53,10 +53,10 @@ func convDirect(img []float32, s ConvShape, kernel []float32) []float32 {
 func TestIm2ColMatchesDirectConv(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	configs := []ConvShape{
-		NewConvShape(8, 8, 3, 3, 1, 0),
-		NewConvShape(8, 8, 3, 3, 1, 1),
-		NewConvShape(12, 10, 5, 5, 1, 2),
-		NewConvShape(16, 16, 5, 5, 2, 0),
+		NewConvShapeCh(8, 8, 1, 3, 3, 1, 0),
+		NewConvShapeCh(8, 8, 1, 3, 3, 1, 1),
+		NewConvShapeCh(12, 10, 1, 5, 5, 1, 2),
+		NewConvShapeCh(16, 16, 1, 5, 5, 2, 0),
 	}
 	for _, s := range configs {
 		batch := 3
@@ -83,7 +83,7 @@ func TestIm2ColMatchesDirectConv(t *testing.T) {
 // <Im2Col(x), y> == <x, Col2Im(y)> for all x, y.
 func TestCol2ImAdjoint(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	s := NewConvShape(9, 9, 3, 3, 1, 1)
+	s := NewConvShapeCh(9, 9, 1, 3, 3, 1, 1)
 	batch := 2
 	x := randomMatrix(r, batch, s.InH*s.InW)
 	y := randomMatrix(r, batch*s.Patches(), s.PatchSize())
@@ -109,12 +109,12 @@ func TestIm2ColShapePanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Im2Col(New(1, 10), NewConvShape(8, 8, 3, 3, 1, 0))
+	Im2Col(New(1, 10), NewConvShapeCh(8, 8, 1, 3, 3, 1, 0))
 }
 
 func BenchmarkIm2ColMNISTBatch(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	s := NewConvShape(28, 28, 5, 5, 1, 0)
+	s := NewConvShapeCh(28, 28, 1, 5, 5, 1, 0)
 	in := randomMatrix(r, 128, 28*28)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -134,7 +134,7 @@ func TestIm2ColMultiChannelMatchesDirect(t *testing.T) {
 	kernel := randomMatrix(r, s.PatchSize(), 1)
 	out := MulTo(Im2Col(in, s), kernel)
 
-	single := NewConvShape(6, 6, 3, 3, 1, 1)
+	single := NewConvShapeCh(6, 6, 1, 3, 3, 1, 1)
 	for b := 0; b < batch; b++ {
 		for pos := 0; pos < s.Patches(); pos++ {
 			var want float32

@@ -71,26 +71,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Fill sets all elements to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
-// FillFunc sets element (r,c) to f(r,c).
-func (m *Matrix) FillFunc(f func(r, c int) float32) {
-	if m.shapeOnly() {
-		return
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			row[c] = f(r, c)
-		}
-	}
-}
-
 // SameShape reports whether m and o have identical dimensions.
 func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
@@ -167,24 +147,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// Sum returns the sum of all elements in float64 precision.
-func (m *Matrix) Sum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// FrobeniusNorm returns the Frobenius norm in float64 precision.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // NNZ returns the number of non-zero elements.
@@ -264,21 +226,6 @@ func (m *Matrix) SliceRowsInto(view *Matrix, lo, hi int) *Matrix {
 	}
 	view.Data = m.Data[lo*m.Cols : hi*m.Cols]
 	return view
-}
-
-// ConcatRows stacks a and b vertically into a new matrix ([A ; B] in the
-// paper's Eq. 8 notation). Column counts must match.
-func ConcatRows(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: ConcatRows column mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	out := New(a.Rows+b.Rows, a.Cols)
-	if out.shapeOnly() {
-		return out
-	}
-	copy(out.Data, a.Data)
-	copy(out.Data[a.Rows*a.Cols:], b.Data)
-	return out
 }
 
 // ConcatCols places a and b side by side into a new matrix ([A | B] in the

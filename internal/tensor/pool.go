@@ -14,9 +14,8 @@ import (
 // rows×cols request is satisfied by any retired buffer of the same class.
 //
 // Get returns a matrix with UNINITIALIZED contents: callers must fully
-// overwrite it (every kernel writing dst with beta=0 semantics does; use
-// GetZeroed when accumulating). A Pool is safe for concurrent use; a nil
-// *Pool is no pool — its Get allocates and its Put drops.
+// overwrite it (every kernel writing dst with beta=0 semantics does). A
+// Pool is safe for concurrent use; a nil *Pool is no pool — its Get allocates and its Put drops.
 type Pool struct {
 	classes [maxPoolClass]sync.Pool
 	// Recycling accounting: a hit is a Get satisfied by a retired buffer,
@@ -87,33 +86,6 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 	p.misses.Add(1)
 	poolMisses.Add(1)
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, need, 1<<c)}
-}
-
-// GetZeroed is Get with the contents cleared — for destinations that are
-// accumulated into rather than overwritten.
-func (p *Pool) GetZeroed(rows, cols int) *Matrix {
-	m := p.Get(rows, cols)
-	m.Zero()
-	return m
-}
-
-// Preallocate seeds the pool with count retired buffers sized for
-// rows×cols matrices, so a serving process can pay its steady-state
-// allocations at startup instead of on the first requests — with N
-// concurrent sessions sharing one pool, the cold-start burst is N× the
-// single-session one. Shapes in the same capacity class share the seeded
-// buffers. No-ops in dry-run mode and on out-of-class sizes.
-func (p *Pool) Preallocate(rows, cols, count int) {
-	if rows <= 0 || cols <= 0 || !ComputeEnabled() {
-		return
-	}
-	c := poolClass(rows * cols)
-	if c >= maxPoolClass {
-		return
-	}
-	for i := 0; i < count; i++ {
-		p.classes[c].Put(&Matrix{Rows: rows, Cols: cols, Data: make([]float32, 1<<c)})
-	}
 }
 
 // Put retires m's backing store for reuse. m must not be used (nor any

@@ -2,7 +2,7 @@
 # Coverage gate for the secure-compute core: runs the secureml + mpcsim + mpc
 # test suites with statement coverage and fails if the combined figure
 # drops below the floor. The floor is deliberately below the measured
-# value (83.7% at the time of writing) so routine refactors don't
+# value (90.1% at the time of writing) so routine refactors don't
 # bounce, while a change that lands a meaningfully untested subsystem
 # does.
 #
