@@ -151,7 +151,7 @@ import "parsecureml/internal/rng"
 
 var zzFill = rng.FillKeyed
 `}}},
-			{"derive-half-expands-on-its-own", []edit{{path: "internal/mpc/offline.go", old: "rng.FillKeyed(buf, d.Seed, seq)", src: "fillOwn(buf, d.Seed, seq)"}}},
+			{"derive-half-expands-on-its-own", []edit{{path: "internal/mpc/offline.go", old: "rng.FillKeyed(out.T.U.Data, d.Seed, seq, run[:n]...)", src: "fillOwn(out.T.U.Data, d.Seed, seq, run[:n]...)"}}},
 		},
 	},
 	{
@@ -167,7 +167,7 @@ var zzFill = rng.FillKeyed
 			{"keyed-fill-drops-aes", []edit{{path: "internal/rng/keyed.go", old: "\t\"crypto/aes\"\n", src: ""}}},
 			{"keyed-fill-moves-out", []edit{
 				{path: "internal/rng/keyed.go", old: "func FillKeyed(", src: "func fillKeyedAES("},
-				{path: "internal/rng/rng.go", src: "\nfunc FillKeyed(out []float32, key [16]byte, seq uint64) { fillKeyedAES(out, key, seq) }\n"},
+				{path: "internal/rng/rng.go", src: "\nfunc FillKeyed(out []float32, key [16]byte, seq uint64, more ...[]float32) { fillKeyedAES(out, key, seq, more...) }\n"},
 			}},
 		},
 	},

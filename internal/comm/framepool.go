@@ -104,10 +104,11 @@ type pooledReader interface {
 	ReadFramePooled() ([]byte, error)
 }
 
-// readLent reads c's next frame into a buffer lent by the pool: a
-// pooledReader reads straight into it, any other Framer's frame is copied
-// in. Whoever ends up with the buffer gives it back with PutFrame.
-func readLent(c Framer) ([]byte, error) {
+// ReadLent reads c's next frame into a buffer lent by the pool: a
+// pooledReader (a *Conn, a SupervisedLink's connection) reads straight into
+// it, any other Framer's frame is copied in. Whoever ends up with the buffer
+// gives it back with PutFrame.
+func ReadLent(c Framer) ([]byte, error) {
 	if pr, ok := c.(pooledReader); ok {
 		return pr.ReadFramePooled()
 	}

@@ -426,7 +426,7 @@ func (m *Mux) retire(s *MuxSession, reason error) {
 // copied out; route gives back what it sheds.
 func (m *Mux) readLoop() {
 	for {
-		f, err := readLent(m.c)
+		f, err := ReadLent(m.c)
 		if err != nil {
 			m.fail(fmt.Errorf("comm: mux read: %w", err))
 			return

@@ -19,17 +19,22 @@ var ErrConnEnded = errors.New("comm: connection ended")
 // empty frame too, since no tick is owed to an end that does not wait for
 // one. Watch returns when a read fails (an error wrapping ErrConnEnded) or
 // onFrame errs (that error), with c closed and the tick goroutine gone.
+//
+// The frame is lent: Watch reads it into a buffer of the frame pool and
+// gives it back when onFrame returns, so onFrame keeps nothing of it.
 func Watch(c *Conn, tick, silence time.Duration, onFrame func([]byte) error) error {
 	defer keepAlive(c, tick, silence)()
 	for {
-		f, err := c.ReadFrame()
+		f, err := c.ReadFramePooled()
 		if err != nil {
 			return fmt.Errorf("%w: %w", ErrConnEnded, err)
 		}
 		if len(f) == 0 && silence > 0 {
 			continue
 		}
-		if err := onFrame(f); err != nil {
+		err = onFrame(f)
+		PutFrame(f)
+		if err != nil {
 			return err
 		}
 	}

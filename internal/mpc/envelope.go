@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"parsecureml/internal/comm"
 	"parsecureml/internal/hw"
 	"parsecureml/internal/tensor"
 )
@@ -127,16 +128,26 @@ func budgetMicros(d time.Duration) uint32 {
 // EncodeRequest serializes one multiplication request: the id, the header —
 // the form that in's nil matrices and Derived name, its geometry, group and
 // operand — and the matrices in holds, in wireMatrices order.
-func EncodeRequest(id uint64, in Shares) []byte { return encodeRequest(id, 0, 0, in) }
+func EncodeRequest(id uint64, in Shares) []byte {
+	return appendRequest(make([]byte, 0, headerBytes+sharesSize(in)), id, 0, 0, in)
+}
 
 // EncodeRequestBudget is EncodeRequest with a budget in the header: the
 // request's remaining time, which each hop decrements and checks against the
 // cost model before doing work.
 func EncodeRequestBudget(id uint64, budget time.Duration, in Shares) []byte {
-	return encodeRequest(id, flagBudget, budget, in)
+	return appendRequest(make([]byte, 0, headerBytes+sharesSize(in)), id, flagBudget, budget, in)
 }
 
-func encodeRequest(id uint64, flags byte, budget time.Duration, in Shares) []byte {
+// lendRequest is the request frame of EncodeRequest (flags 0, budget 0) or
+// EncodeRequestBudget (flagBudget), in a buffer lent by comm's frame pool:
+// the caller gives it back with comm.PutFrame once it is written.
+func lendRequest(id uint64, flags byte, budget time.Duration, in Shares) []byte {
+	return appendRequest(comm.GetFrame(headerBytes + sharesSize(in))[:0], id, flags, budget, in)
+}
+
+// appendRequest appends the request frame of id and in to frame.
+func appendRequest(frame []byte, id uint64, flags byte, budget time.Duration, in Shares) []byte {
 	form, rows, k, n, seed := byte(formClassic), 0, 0, 0, [16]byte{}
 	switch d := in.Derived; {
 	case d != nil:
@@ -152,7 +163,7 @@ func encodeRequest(id uint64, flags byte, budget time.Duration, in Shares) []byt
 		rows, k, n = in.A.Rows, in.A.Cols, in.B.Cols
 	}
 	le := binary.LittleEndian
-	frame := le.AppendUint64(make([]byte, 0, headerBytes+sharesSize(in)), id)
+	frame = le.AppendUint64(frame, id)
 	frame = append(frame, headerVersion, form, flags, 0)
 	for _, v := range [...]uint32{budgetMicros(budget), uint32(in.members()), in.Operand, uint32(rows), uint32(k), uint32(n)} {
 		frame = le.AppendUint32(frame, v)

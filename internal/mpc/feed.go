@@ -25,8 +25,10 @@ import (
 // dealer emits identically to both parties; the sequence number is how
 // the two serving loops agree on WHICH triplet a request consumes when
 // concurrent sessions interleave their draws. A half is handed out once:
-// a mask that left the feed twice could be revealed twice. Implementations
-// must be safe for concurrent use.
+// a mask that left the feed twice could be revealed twice. A half's stores
+// pass to the caller with it — the serving loop gives them to Lender once the
+// request's reply is written — so a feed keeps no reference to what it hands
+// out. Implementations must be safe for concurrent use.
 type TripletFeed interface {
 	// Next pops this party's share of the next ready triplet for the
 	// shape and returns its stream sequence number. The leading party

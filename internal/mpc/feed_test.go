@@ -99,7 +99,13 @@ func (f partyFeed) hand(shape [3]int, seq uint64, alloc bool) (uint64, TripletSh
 		return seq, TripletShares{}, fmt.Errorf("stream feed: seq %d: %w", seq, ErrTripletConsumed)
 	}
 	st.handed[f.party][seq] = true
-	return seq, st.gen[seq][f.party], nil
+	return seq, handOut(st.gen[seq][f.party]), nil
+}
+
+// handOut copies a half the oracle keeps: the serving loop gives the stores
+// of every half it is handed to Lender once its reply is out.
+func handOut(t TripletShares) TripletShares {
+	return TripletShares{U: t.U.Clone(), V: t.V.Clone(), Z: t.Z.Clone()}
 }
 
 func (f partyFeed) Next(m, k, n int) (uint64, TripletShares, error) {
@@ -408,7 +414,7 @@ type staleFeed struct{ partyFeed }
 
 func (f staleFeed) Next(m, k, n int) (uint64, TripletShares, error) {
 	t0, _ := f.d.triplet([3]int{m, k, n}, 0)
-	return 0, t0, nil
+	return 0, handOut(t0), nil
 }
 
 // TestFeedConsumedSeqFailsRequest: a seq party 1 has already consumed comes

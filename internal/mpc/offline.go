@@ -65,7 +65,7 @@ type DerivedHalf struct {
 
 // DeriveHalf is the one definition of a half that is pure generator output:
 // one keyed fill — rng.FillKeyed's only caller, keyed by (d.Seed, seq), so
-// any half can be drawn in any order by anyone who holds the key — cut into
+// any half can be drawn in any order by anyone who holds the key — laid over
 //
 //	party 0:  U₀ ‖ [V₀] ‖ Z₀ ‖ A₀ ‖ [B₀]     (A₀, B₀ only with masks)
 //	party 1:  U₁ ‖ [V₁]
@@ -79,63 +79,73 @@ type DerivedHalf struct {
 // tier's deriveTriplet). The triplet comes first and the masks last because
 // a keyed fill's value i is a function of i alone: a maskless, one-member
 // call — a dealer stream's triplet seq — is a prefix of the same layout, so a
-// dealer stream and a derived request expand their triplets alike. The
-// matrices are views of one allocation.
+// dealer stream and a derived request expand their triplets alike.
+//
+// Each matrix is a whole store of its own, lent by Lender: whoever is done
+// with the half gives it back (GiveBack for the triplet, Lender().Put for the
+// masks), or keeps it for good.
 func DeriveHalf(d DerivedHalf, seq uint64, party, members int, masks bool) Shares {
-	rk, kn, rn := d.Rows*d.K, members*d.K*d.N, d.Rows*d.N
-	if d.Kept {
-		kn = 0
+	out := Shares{Members: members}
+	out.T.U = lender.Get(d.Rows, d.K)
+	if !d.Kept {
+		out.T.V = lender.Get(members*d.K, d.N)
 	}
-	n := rk + kn
 	if party == 0 {
-		n += rn
+		out.T.Z = lender.Get(d.Rows, d.N)
 		if masks {
-			n += rk + kn
+			out.A = lender.Get(d.Rows, d.K)
+			if !d.Kept {
+				out.B = lender.Get(members*d.K, d.N)
+			}
 		}
 	}
-	buf := make([]float32, n)
-	rng.FillKeyed(buf, d.Seed, seq)
-	cut := func(rows, cols int) *tensor.Matrix {
-		sz := rows * cols
-		m := tensor.FromSlice(rows, cols, buf[:sz:sz])
-		buf = buf[sz:]
-		return m
+	var run [4][]float32 // what follows U, in the fill's order
+	n := 0
+	for _, m := range [...]*tensor.Matrix{out.T.V, out.T.Z, out.A, out.B} {
+		if m != nil {
+			run[n] = m.Data
+			n++
+		}
 	}
-	out := Shares{Members: members}
-	out.T.U = cut(d.Rows, d.K)
-	if !d.Kept {
-		out.T.V = cut(members*d.K, d.N)
-	}
-	if party == 1 {
-		return out
-	}
-	for i := range buf { // what is left masks a secret
-		buf[i] *= ShareRange
-	}
-	out.T.Z = cut(d.Rows, d.N)
-	if masks {
-		out.A = cut(d.Rows, d.K)
-		if !d.Kept {
-			out.B = cut(members*d.K, d.N)
+	rng.FillKeyed(out.T.U.Data, d.Seed, seq, run[:n]...)
+	for _, m := range [...]*tensor.Matrix{out.T.Z, out.A, out.B} { // they mask a secret
+		if m != nil {
+			for i := range m.Data {
+				m.Data[i] *= ShareRange
+			}
 		}
 	}
 	return out
 }
 
+// lender lends every per-request store whose life is one request: triplet
+// halves (DeriveHalf, a dealer feed's Z₁), a derived request's input masks,
+// and a client's reply shares. One pool for the process, as comm's frame
+// pool is one: a store given back by one session is lent to the next.
+var lender = tensor.NewPool()
+
+// Lender returns the process's pool of triplet stores: what DeriveHalf draws
+// from, a dealer feed decodes Z₁ into, and GiveBack returns to. A view is
+// never put to it: a view of a class-size capacity would be lent twice.
+func Lender() *tensor.Pool { return lender }
+
+// GiveBack returns t's stores to Lender. Nothing may read t, or any view of
+// its matrices, after the call.
+func (t TripletShares) GiveBack() {
+	lender.Put(t.U)
+	lender.Put(t.V)
+	lender.Put(t.Z)
+}
+
 // expand completes a derived half (Shares.Derived) into the classic or kept
 // form it stands for, as party reads it: one DeriveHalf, laid over what was
-// shipped — which decodeRequest already held to the header. A B that the
-// session may keep (a registering request) is moved into an allocation of its
-// own: as a view it would pin the whole expansion, five times its size, for
-// the session's life.
+// shipped — which decodeRequest already held to the header. Every matrix it
+// adds is a store Lender lent, for the caller to give back.
 func (in *Shares) expand(party int) {
 	h := DeriveHalf(*in.Derived, 0, party, in.members(), true)
 	in.T.U, in.T.V = h.T.U, h.T.V
 	if party == 0 {
 		in.A, in.B, in.T.Z = h.A, h.B, h.T.Z
-		if in.Operand != 0 && in.B != nil {
-			in.B = in.B.Clone()
-		}
 	}
 }
 
@@ -189,5 +199,9 @@ func dealDerived(seeds [2][16]byte, a, b, v *tensor.Matrix, c int) (in0, in1 Sha
 	if !d0.Kept {
 		in1.B = tensor.SubTo(b, h0.B)
 	}
+	h0.T.GiveBack()
+	h1.T.GiveBack()
+	lender.Put(h0.A)
+	lender.Put(h0.B)
 	return in0, in1, v
 }

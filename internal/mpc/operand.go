@@ -51,11 +51,14 @@ func (t *operandTable) resolve(in *Shares, keptForm bool) (*operand, RouteErrorC
 	return kept, 0
 }
 
-// keep stores the entry resolve made for handle h, now filled.
+// keep stores the entry resolve made for handle h, now filled. Its B becomes
+// an allocation of its own: the request's is a pool's store — of up to twice
+// the elements the table counts — and goes back with the rest of the request.
 func (t *operandTable) keep(h uint32, op *operand) {
 	if t.ops == nil {
 		t.ops = make(map[uint32]*operand)
 	}
+	op.b = op.b.Clone()
 	t.ops[h] = op
 	t.elems += op.b.Rows * op.b.Cols
 	metrics.operandRequests[operandStored].Inc()

@@ -127,65 +127,99 @@ func RequestMul(s0, s1 comm.Framer, in0, in1 Shares) (*tensor.Matrix, error) {
 // session router also rely on it as the routing key, so both legs of
 // one call must carry the same id — which this guarantees.
 func RequestMulID(id uint64, s0, s1 comm.Framer, in0, in1 Shares) (*tensor.Matrix, error) {
-	return requestMulFrames(id, s0, s1, EncodeRequest(id, in0), EncodeRequest(id, in1))
+	return requestMulLent(id, s0, s1, lendRequest(id, 0, 0, in0), lendRequest(id, 0, 0, in1))
+}
+
+// requestMulLent is requestMulFrames on request frames lent by comm's frame
+// pool (lendRequest), which it gives back once both legs have run.
+func requestMulLent(id uint64, s0, s1 comm.Framer, f0, f1 []byte) (*tensor.Matrix, error) {
+	prod, err := requestMulFrames(id, s0, s1, f0, f1)
+	comm.PutFrame(f0)
+	comm.PutFrame(f1)
+	return prod, err
 }
 
 // requestMulFrames runs both legs of one multiplication with prebuilt
 // request frames (EncodeRequest or EncodeRequestBudget output; both must
-// carry id).
+// carry id). Each reply is read into a lent frame and decoded into a share
+// Lender lends; both go back once the product is combined, and the product
+// is the caller's.
 func requestMulFrames(id uint64, s0, s1 comm.Framer, f0, f1 []byte) (*tensor.Matrix, error) {
-	results := make(chan *ServerError, 2)
-	shares := [2]*tensor.Matrix{}
-	leg := func(server int, c comm.Framer, req []byte) *ServerError {
-		if err := c.WriteFrame(req); err != nil {
-			return &ServerError{Server: server, Op: "upload", Err: err}
-		}
-		for tries := 0; tries < maxStaleFrames; tries++ {
-			f, err := c.ReadFrame()
-			if err != nil {
-				return &ServerError{Server: server, Op: "result", Err: err}
-			}
-			if len(f) < requestIDBytes {
-				return &ServerError{Server: server, Op: "decode",
-					Err: fmt.Errorf("mpc: result frame of %d bytes has no request id", len(f))}
-			}
-			if binary.LittleEndian.Uint64(f) != id {
-				// Orphaned result of an aborted earlier request: shed it,
-				// like the peer link sheds stale exchange frames.
-				metrics.staleFrames.Inc()
-				continue
-			}
-			// A typed error frame instead of a result: the fleet refused or
-			// failed this request in-band. Surface it through the usual
-			// ServerError wrapper (errors.As finds the *RouteError).
-			if _, re, ok := DecodeRouteError(f); ok {
-				return &ServerError{Server: server, Op: "route", Err: re}
-			}
-			m, _, err := tensor.DecodeMatrix(f[requestIDBytes:])
-			if err != nil {
-				return &ServerError{Server: server, Op: "decode", Err: err}
-			}
-			shares[server] = m
-			return nil
-		}
-		metrics.desyncs.Inc()
-		return &ServerError{Server: server, Op: "result", Err: ErrPeerDesync}
+	type leg struct {
+		share *tensor.Matrix
+		err   *ServerError
 	}
-	go func() { results <- leg(0, s0, f0) }()
-	go func() { results <- leg(1, s1, f1) }()
+	second := make(chan leg, 1)
+	go func() {
+		share, err := requestLeg(1, id, s1, f1)
+		second <- leg{share, err}
+	}()
 	// Always collect both legs — returning on the first failure would
 	// leave the survivor mid-protocol on a connection the caller may
 	// reuse.
+	share0, err0 := requestLeg(0, id, s0, f0)
+	l1 := <-second
 	var legErrs [2]error
-	for i := 0; i < 2; i++ {
-		if se := <-results; se != nil {
-			legErrs[se.Server] = se
+	if err0 != nil {
+		legErrs[0] = err0
+	}
+	if l1.err != nil {
+		legErrs[1] = l1.err
+	}
+	var prod *tensor.Matrix
+	err := errors.Join(legErrs[0], legErrs[1])
+	if err == nil {
+		prod = RemoteCombine(share0, l1.share)
+	}
+	lender.Put(share0)
+	lender.Put(l1.share)
+	return prod, err
+}
+
+// requestLeg writes request frame req to server on c and reads its reply to
+// id, shedding orphaned results of aborted earlier requests on the way.
+func requestLeg(server int, id uint64, c comm.Framer, req []byte) (*tensor.Matrix, *ServerError) {
+	if err := c.WriteFrame(req); err != nil {
+		return nil, &ServerError{Server: server, Op: "upload", Err: err}
+	}
+	for tries := 0; tries < maxStaleFrames; tries++ {
+		f, err := comm.ReadLent(c)
+		if err != nil {
+			return nil, &ServerError{Server: server, Op: "result", Err: err}
+		}
+		share, se := decodeReply(server, id, f)
+		comm.PutFrame(f)
+		if share != nil || se != nil {
+			return share, se
 		}
 	}
-	if err := errors.Join(legErrs[0], legErrs[1]); err != nil {
-		return nil, err
+	metrics.desyncs.Inc()
+	return nil, &ServerError{Server: server, Op: "result", Err: ErrPeerDesync}
+}
+
+// decodeReply decodes server's reply frame f to request id into a share that
+// Lender lends. A typed error frame instead of a result — the fleet refused
+// or failed this request in-band — comes back through the usual ServerError
+// wrapper (errors.As finds the *RouteError). Neither comes back for an
+// orphaned result of an aborted earlier request, which the caller sheds, as
+// the peer link sheds stale exchange frames.
+func decodeReply(server int, id uint64, f []byte) (*tensor.Matrix, *ServerError) {
+	if len(f) < requestIDBytes {
+		return nil, &ServerError{Server: server, Op: "decode",
+			Err: fmt.Errorf("mpc: result frame of %d bytes has no request id", len(f))}
 	}
-	return RemoteCombine(shares[0], shares[1]), nil
+	if binary.LittleEndian.Uint64(f) != id {
+		metrics.staleFrames.Inc()
+		return nil, nil
+	}
+	if _, re, ok := DecodeRouteError(f); ok {
+		return nil, &ServerError{Server: server, Op: "route", Err: re}
+	}
+	m, _, err := tensor.DecodeMatrixPooled(lender, f[requestIDBytes:])
+	if err != nil {
+		return nil, &ServerError{Server: server, Op: "decode", Err: err}
+	}
+	return m, nil
 }
 
 // RetryConfig tunes RequestMulRetry.
@@ -224,9 +258,9 @@ func RequestMulRetry(s0, s1 comm.Framer, in0, in1 Shares, cfg RetryConfig) (*ten
 	start := time.Now()
 	encode := func(in Shares) []byte {
 		if cfg.Budget > 0 {
-			return EncodeRequestBudget(id, cfg.Budget-time.Since(start), in)
+			return lendRequest(id, flagBudget, cfg.Budget-time.Since(start), in)
 		}
-		return EncodeRequest(id, in)
+		return lendRequest(id, 0, 0, in)
 	}
 	for attempt := 1; ; attempt++ {
 		if cfg.Budget > 0 && time.Since(start) >= cfg.Budget {
@@ -234,7 +268,7 @@ func RequestMulRetry(s0, s1 comm.Framer, in0, in1 Shares, cfg RetryConfig) (*ten
 				Err: &RouteError{Code: RouteDeadlineExceeded}}
 		}
 		id = newRequestID()
-		m, err := requestMulFrames(id, s0, s1, encode(in0), encode(in1))
+		m, err := requestMulLent(id, s0, s1, encode(in0), encode(in1))
 		if err == nil {
 			return m, nil
 		}
@@ -363,14 +397,9 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 	if tombstones < comm.DefaultTombstoneIDs {
 		tombstones = comm.DefaultTombstoneIDs
 	}
-	// Concurrent sessions share one result-matrix pool (a private pool per
-	// session would defeat recycling across requests).
 	var wire WireConfig
 	if cfg.Wire != nil {
 		wire = *cfg.Wire
-	}
-	if wire.Pool == nil {
-		wire.Pool = tensor.NewPool()
 	}
 	// Requests wait for the first connection as for any next one: it is up
 	// once the pair has settled its capabilities, so none starts featureless.
@@ -557,7 +586,12 @@ func serveMuxSession(party int, client *comm.Conn, pl *pairLink, wire WireConfig
 //
 // Request and reply frames are lent by the comm frame pool: the request goes
 // back as soon as it is decoded — everything below reads the decoded copy —
-// and the reply once it is written.
+// and the reply once it is written. A request's matrices — decoded, expanded
+// from a derived half, or leased from the feed — are lent by one pool,
+// Lender unless WireConfig names another, and go back to it once the reply is
+// written, or when the request is refused before its exchange or after the
+// engine's sender is waited out. A request that fails leaves them to the
+// collector: a poisoned engine's sender may still read them.
 func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, cfg ServeConfig) error {
 	w := newWireMul(party, wire)
 	defer w.close()
@@ -574,10 +608,17 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 		h, in, err := decodeRequest(frame, party, w.cfg.Pool)
 		id, hasID, f := h.id, len(frame) >= requestIDBytes, h.row()
 		comm.PutFrame(frame)
-		// drawn is what the decode took from the pair's pool, listed before
-		// anything below points in at a matrix of another origin (an expansion,
-		// a kept operand, a leased triplet). This loop gives it back: on every
-		// refusal, and once the reply is written.
+		// A derived half is expanded where it is used: offline-phase work moved
+		// to the server, observed with the rest of it.
+		if err == nil && f.derived {
+			tspan := metrics.phaseTriplet.Start()
+			in.expand(party)
+			tspan.Stop()
+		}
+		// drawn is what the request was lent — its decoded matrices and its
+		// expansion, and the leased triplet below — listed before anything
+		// points in at a matrix the session keeps (a kept operand). This loop
+		// gives it back: on every refusal, and once the reply is written.
 		drawn := wireMatrices(in)
 		release := func() {
 			for i, m := range drawn {
@@ -619,13 +660,6 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 				}
 			}
 			return refuse(RoutePeerLinkLost)
-		}
-		// A derived half is expanded where it is used: offline-phase work moved
-		// to the server, observed with the rest of it.
-		if err == nil && f.derived {
-			tspan := metrics.phaseTriplet.Start()
-			in.expand(party)
-			tspan.Stop()
 		}
 		// The request runs on the peer connection that is up, or waits for the
 		// next one.
@@ -731,6 +765,7 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 				}
 				return fail(err)
 			}
+			drawn[2], drawn[3], drawn[4] = in.T.U, in.T.V, in.T.Z
 			conn = lease
 		}
 		// U and V are read once, by Eq. 4: the engine retires them there.
@@ -753,7 +788,6 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 		sess.Close()
 		if store {
 			ops.keep(in.Operand, op)
-			drawn[1] = nil // kept: the session's from here on, not the pool's
 		}
 		reply := comm.GetFrame(requestIDBytes + tensor.EncodedSize(ci))[:0]
 		reply = binary.LittleEndian.AppendUint64(reply, id)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"parsecureml/internal/comm"
+	"parsecureml/internal/mpc"
 	"parsecureml/internal/obs"
 )
 
@@ -144,15 +145,20 @@ func (d *Dealer) serveConn(ctx context.Context, conn *comm.Conn) error {
 		}
 		dealerAsks.Add(1)
 		streams := streamKeys(d.keys, s)
+		// The ASK's corrections run in stores mpc.Lender lends for its run.
+		lend := mpc.Lender()
+		c := newCorrection(s, lend)
 		for seq := from; seq < from+uint64(count); seq++ {
-			_, p1 := deriveTriplet(streams, s, seq)
+			frame = c.appendFeed(frame[:0], streams, s, seq)
 			dealerGenerated.Add(1)
-			frame = appendFeedFrame(frame[:0], s, seq, p1.Z)
 			if err := conn.WriteFrame(frame); err != nil {
 				return fmt.Errorf("tripletpool: dealer FEED: %w", err)
 			}
 			dealerTripletsSent.Add(1)
 		}
+		lend.Put(c.u)
+		lend.Put(c.v)
+		lend.Put(c.z1)
 		return nil
 	})
 	if ctx.Err() != nil {

@@ -86,14 +86,43 @@ func deriveHalf(stream [16]byte, party int, s shape, seq uint64) mpc.TripletShar
 }
 
 // deriveTriplet is the dealer's view of triplet seq: both derived halves, from
-// the shape's two stream keys, and the correction Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀
-// that completes party 1's.
+// the shape's two stream keys, and the correction that completes party 1's.
 func deriveTriplet(streams [2][16]byte, s shape, seq uint64) (p0, p1 mpc.TripletShares) {
 	p0 = deriveHalf(streams[0], 0, s, seq)
 	p1 = deriveHalf(streams[1], 1, s, seq)
-	p1.Z = tensor.MulTo(tensor.AddTo(p0.U, p1.U), tensor.AddTo(p0.V, p1.V))
-	tensor.Sub(p1.Z, p1.Z, p0.Z)
+	p1.Z = newCorrection(s, nil).of(p0, p1)
 	return p0, p1
+}
+
+// correction is the arithmetic of party 1's correction
+// Z₁ = (U₀+U₁)×(V₀+V₁) − Z₀ and its stores: the U and V sums and Z₁ itself,
+// which the dealer reuses triplet after triplet of one ASK.
+type correction struct{ u, v, z1 *tensor.Matrix }
+
+// newCorrection draws s's stores from p (nil: fresh allocations).
+func newCorrection(s shape, p *tensor.Pool) correction {
+	return correction{u: p.Get(s.M, s.K), v: p.Get(s.K, s.N), z1: p.Get(s.M, s.N)}
+}
+
+// of computes the correction of the halves p0 and p1 into c.z1 and returns it.
+func (c correction) of(p0, p1 mpc.TripletShares) *tensor.Matrix {
+	tensor.Add(c.u, p0.U, p1.U)
+	tensor.Add(c.v, p0.V, p1.V)
+	tensor.Mul(c.z1, c.u, c.v)
+	tensor.Sub(c.z1, c.z1, p0.Z)
+	return c.z1
+}
+
+// appendFeed appends the FEED frame of triplet seq to buf: the dealer's step
+// per triplet. Both halves are derived, corrected in c and, once Z₁ is
+// encoded, given back to mpc.Lender — the frame is all the dealer keeps.
+func (c correction) appendFeed(buf []byte, streams [2][16]byte, s shape, seq uint64) []byte {
+	p0 := deriveHalf(streams[0], 0, s, seq)
+	p1 := deriveHalf(streams[1], 1, s, seq)
+	buf = appendFeedFrame(buf, s, seq, c.of(p0, p1))
+	p0.GiveBack()
+	p1.GiveBack()
+	return buf
 }
 
 // StreamSource replays a dealer's streams in process: the j-th Gen call for

@@ -827,12 +827,24 @@ func TestDealerRejectsHostileFrames(t *testing.T) {
 			p.ReadFrame()
 			p.WriteFrame(appendFeedFrame(nil, sh, 0, tensor.New(sh.N, sh.M)))
 		}, nil, "not the Z of its", false},
+		{"FEED whose matrix header claims more than its shape header", 1, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey([16]byte{1}))
+			p.ReadFrame()
+			p.WriteFrame(appendFeedFrame(nil, sh, 0, tensor.New(64*sh.M, 64*sh.N)))
+		}, nil, "not the Z of its", false},
 		{"v2 FEED carrying U and V again", 1, func(p *comm.Conn) {
 			p.WriteFrame(encodeKey([16]byte{1}))
 			p.ReadFrame()
 			f := appendFeedFrame(nil, sh, 0, tensor.New(sh.M, sh.K))
 			f = tensor.EncodeMatrix(f, tensor.New(sh.K, sh.N))
 			p.WriteFrame(tensor.EncodeMatrix(f, z))
+		}, nil, "not the Z of its", false},
+		{"FEED with matrices behind its Z", 1, func(p *comm.Conn) {
+			p.WriteFrame(encodeKey([16]byte{1}))
+			p.ReadFrame()
+			f := appendFeedFrame(nil, sh, 0, z)
+			f = tensor.EncodeMatrix(f, tensor.New(sh.M, sh.K))
+			p.WriteFrame(tensor.EncodeMatrix(f, tensor.New(sh.K, sh.N)))
 		}, nil, "trailing bytes", false},
 		{"non-empty frame shorter than a KEY", 1, func(p *comm.Conn) {
 			p.WriteFrame(encodeKey([16]byte{1}))

@@ -317,6 +317,7 @@ func (c *DealerClient) readConn(conn *comm.Conn) error {
 		c.mu.Unlock()
 		if dup {
 			feedDups.Add(1)
+			mpc.Lender().Put(z1)
 			return nil
 		}
 		t := deriveHalf(fs.key, 1, s, seq)

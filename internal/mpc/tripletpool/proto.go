@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"parsecureml/internal/comm"
+	"parsecureml/internal/mpc"
 	"parsecureml/internal/tensor"
 )
 
@@ -172,7 +173,9 @@ func appendFeedFrame(buf []byte, s shape, seq uint64, z1 *tensor.Matrix) []byte 
 }
 
 // decodeFeedFrame accepts exactly one m×n matrix behind the header: a frame
-// that carries more — U or V again — or another geometry is refused.
+// that carries more — U or V again — or another geometry is refused. The
+// matrix header is held to the shape header before anything is sized, and Z₁
+// is decoded into a store mpc.Lender lends, which goes back with the half.
 func decodeFeedFrame(f []byte) (shape, uint64, *tensor.Matrix, error) {
 	if len(f) < feedHeaderBytes {
 		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame of %d bytes has no header", len(f))
@@ -182,15 +185,19 @@ func decodeFeedFrame(f []byte) (shape, uint64, *tensor.Matrix, error) {
 		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame: %w", err)
 	}
 	seq := binary.LittleEndian.Uint64(f[12:20])
-	z1, n, err := tensor.DecodeMatrix(f[feedHeaderBytes:])
+	body := f[feedHeaderBytes:]
+	if rows, cols, err := tensor.PeekShape(body); err != nil {
+		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame matrix: %w", err)
+	} else if rows != s.M || cols != s.N {
+		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame carries %dx%d, not the Z of its %dx%dx%d header", rows, cols, s.M, s.K, s.N)
+	}
+	z1, n, err := tensor.DecodeMatrixPooled(mpc.Lender(), body)
 	if err != nil {
 		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame matrix: %w", err)
 	}
-	if feedHeaderBytes+n != len(f) {
-		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame has %d trailing bytes", len(f)-feedHeaderBytes-n)
-	}
-	if z1.Rows != s.M || z1.Cols != s.N {
-		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame carries %dx%d, not the Z of its %dx%dx%d header", z1.Rows, z1.Cols, s.M, s.K, s.N)
+	if n != len(body) {
+		mpc.Lender().Put(z1)
+		return shape{}, 0, nil, fmt.Errorf("tripletpool: FEED frame has %d trailing bytes", len(body)-n)
 	}
 	return s, seq, z1, nil
 }

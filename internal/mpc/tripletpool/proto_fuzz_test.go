@@ -14,7 +14,8 @@ import (
 // corpus under testdata holds the cases by name: a v2, a v3, a v4 and a v5
 // hello, v2's three-matrix FEED frames and v5's 8-byte KEY (refused — one
 // version is spoken), v6's 16-byte KEY, a Z that is
-// not m×n, a shape past the frame limit, ASKs for no seq, for a zero k, past
+// not m×n, a matrix header that claims more than the shape header (refused
+// before anything is sized), a shape past the frame limit, ASKs for no seq, for a zero k, past
 // the frame limit and whose from + count wraps, and the tick — the empty
 // frame, which no decoder may take for one of its own.
 func FuzzDealerProto(f *testing.F) {

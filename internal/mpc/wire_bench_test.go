@@ -379,10 +379,12 @@ func TestEmitWireBenchBaseline(t *testing.T) {
 //
 // The reading is taken with the collector paused: a collection drains the
 // path's sync.Pools, and each refill is an allocation the host's GC timing
-// caused, not the path (37 paused against a bar of 37, 39 before a mux
-// session's queue stopped being a 1 024-slot channel made at Open; with the
-// collector on, a reading wandered up to 1.7 above the paused one and failed
-// the gate about every other run).
+// caused, not the path (23–25 paused against a bar of 25; 36–37 before the
+// client's request and reply frames and reply shares were lent, and its first
+// leg ran on the caller's goroutine; 39 before a mux session's queue stopped
+// being a 1 024-slot channel made at Open; with the collector on, a reading
+// wandered up to 1.7 above the paused one and failed the gate about every
+// other run).
 func TestWireAllocsBaseline(t *testing.T) {
 	path := os.Getenv("BENCH_WIRE_BASELINE")
 	if path == "" {

@@ -43,8 +43,7 @@ import (
 // allocations per request.
 
 // WireConfig tunes the exchange engine. The zero value selects
-// whole-matrix bands (one frame each way per exchange) and a private pool
-// per serving loop.
+// whole-matrix bands (one frame each way per exchange) and Lender's pool.
 type WireConfig struct {
 	// ChunkRows is the row-band height this party SENDS the E stream in:
 	// it ships band k while fusing the peer's band k−1 into the GEMM. <= 0
@@ -52,8 +51,8 @@ type WireConfig struct {
 	// height off the frame, so the two parties may differ. Raised where
 	// needed so no band is under minBandBytes (see chunkBand).
 	ChunkRows int
-	// Pool recycles per-request matrices. nil lets each serving loop
-	// create its own.
+	// Pool recycles per-request matrices. nil uses Lender, the process's
+	// pool of per-request stores.
 	Pool *tensor.Pool
 	// Codec, when non-nil, adaptively compresses the revealed E/F tensors
 	// on the wire (FP16/CSR, see wirecodec.go) when the link byte budget
@@ -107,9 +106,9 @@ type wireMul struct {
 	// neither.
 	members []Shares
 	views   []tensor.Matrix
-	// retire is the next run's U and V stacks when its caller drew them from
-	// cfg.Pool and reads them no more: exchange puts them once E_i and F_i
-	// exist. Empty for a caller that keeps its Shares (RemoteParty*).
+	// retire is the next run's U and V stacks when they are whole pool stores
+	// its caller reads no more: exchange puts them to cfg.Pool once E_i and
+	// F_i exist. Empty for a caller that keeps its Shares (RemoteParty*).
 	retire [2]*tensor.Matrix
 
 	// Persistent view headers (main goroutine only): retargeted with
@@ -119,7 +118,7 @@ type wireMul struct {
 
 func newWireMul(party int, cfg WireConfig) *wireMul {
 	if cfg.Pool == nil {
-		cfg.Pool = tensor.NewPool()
+		cfg.Pool = lender
 	}
 	w := &wireMul{party: party, cfg: cfg, kick: make(chan struct{}, 1), done: make(chan error, 1)}
 	// One persistent sender goroutine per session: spawning one per

@@ -130,6 +130,37 @@ func TestFillKeyedIsRandomAccess(t *testing.T) {
 	}
 }
 
+// TestFillKeyedRunsOnAcrossStores: a fill over several slices is the fill of
+// one slice of their total length cut at the same places — at boundaries
+// inside an AES block, past a keystream chunk and across blocks that fill in
+// parallel — so a half laid over separate stores expands bit-identically.
+func TestFillKeyedRunsOnAcrossStores(t *testing.T) {
+	key := [16]byte{5, 1, 9}
+	for _, cuts := range [][]int{
+		{1},
+		{3, 1, 5},
+		{0, 7, 0, 2},
+		{1024, 1024, 1024, 1024, 1024},
+		{255, 257, 511},
+		{blockSize - 3, 6, blockSize + 1, 17},
+	} {
+		n := 0
+		for _, c := range cuts {
+			n += c
+		}
+		whole := make([]float32, n)
+		FillKeyed(whole, key, 11)
+		parts := make([][]float32, len(cuts))
+		for i, c := range cuts {
+			parts[i] = make([]float32, c)
+		}
+		FillKeyed(parts[0], key, 11, parts[1:]...)
+		if got := slices.Concat(parts...); !slices.Equal(got, whole) {
+			t.Errorf("cut at %v: the run over separate slices differs from one slice", cuts)
+		}
+	}
+}
+
 // TestKeyedFillKnownAnswer holds the keystream FillKeyed expands to NIST SP
 // 800-38A F.5.1 (CTR-AES128): its key, its initial counter block read as
 // seq ‖ block index, and its four output blocks, each 32-bit little-endian
