@@ -170,12 +170,12 @@ func main() {
 
 	// Establish the inter-server link first (the paper's server1<->server2
 	// InfiniBand edge), under supervision: connect runs again after every
-	// connection loss, and the hello handshake re-verifies the peer's party
-	// on each connection. The listening side keeps its listener open for
-	// the life of the process so a restarted or disconnected peer can come
-	// back.
+	// connection loss, and ServeClients' pair hello checks the peer's build
+	// and party on each connection. The listening side keeps its listener
+	// open for the life of the process so a restarted or disconnected peer
+	// can come back.
 	peerSup, healthSup := supervision(*peerHeartbeat)
-	var connect func() (*comm.Conn, error)
+	var connect func() (comm.Framer, error)
 	if *peerListen != "" {
 		ln, err := comm.Listen(*peerListen)
 		if err != nil {
@@ -184,7 +184,7 @@ func main() {
 		// Closing the listener on shutdown unblocks a pending (re)accept.
 		context.AfterFunc(ctx, func() { ln.Close() })
 		log.Printf("party %d waiting for peer on %s", *party, *peerListen)
-		connect = func() (*comm.Conn, error) {
+		connect = func() (comm.Framer, error) {
 			c, err := comm.Accept(ln)
 			if err != nil {
 				return nil, err
@@ -193,7 +193,7 @@ func main() {
 			return c, nil
 		}
 	} else {
-		connect = func() (*comm.Conn, error) {
+		connect = func() (comm.Framer, error) {
 			c, err := comm.Dial(*peerDial)
 			if err != nil {
 				return nil, err
@@ -202,7 +202,7 @@ func main() {
 			return c, nil
 		}
 	}
-	peer, err := mpc.SupervisePeer(*party, connect, peerSup)
+	peer, err := comm.NewSupervisedLink(connect, peerSup)
 	if err != nil {
 		if ctx.Err() != nil {
 			log.Printf("party %d: shutdown before peer connected", *party)

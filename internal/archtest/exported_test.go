@@ -20,6 +20,7 @@ var unusedExports = map[string]string{
 	"mpc.EncodeRequestBudget":        "test fixture: the budgeted request frame the mpc and fleet deadline tests write by hand; RequestMulRetry lends its frames instead",
 	"comm.FramesLent":                "test fixture: the frame pool's outstanding count, which the mpc and comm leak tests read",
 	"comm.muxTimeoutError.Temporary": "completes net.Error; deleting it changes what errors.As finds",
+	"comm.muxTimeoutError.Timeout":   "completes net.Error: a session read deadline reads as a timeout, as a connection deadline does",
 	"tensor.SetMaxWorkers":           "test fixture: pins the worker count for the parallel-kernel tests in tensor and rng",
 	"tensor.DecodeMatrixFP16":        "ROADMAP item 3 decides the FP16 codec's fate",
 	"tensor.DecodeCSR":               "ROADMAP item 3 decides the CSR codec's fate",

@@ -104,6 +104,23 @@ var zzDial = comm.NewSupervisedLink
 		},
 	},
 	{
+		name:  "first-frame-is-versioned",
+		why:   "every hop refuses a peer of another build at its first frame: the readers of the pair hello, the dealer hello, the health JOIN and the request header each refuse a frame whose version is not their package's version constant",
+		check: firstFrameIsVersioned,
+		mutations: []mutation{
+			{"pair-hello-reads-any-version", []edit{{path: "internal/mpc/peer.go",
+				old: "\tcase le.Uint32(f[4:]) != helloVersion:\n\t\treturn 0, fmt.Errorf(\"%w: version %d, want %d\", errPairHello, le.Uint32(f[4:]), helloVersion)\n", src: ""}}},
+			{"dealer-hello-reads-any-version", []edit{{path: "internal/mpc/tripletpool/proto.go",
+				old: "\tif v := binary.LittleEndian.Uint32(f[4:8]); v != dealerProtoVersion {\n\t\treturn 0, 0, fmt.Errorf(\"tripletpool: dealer protocol version %d, want %d\", v, dealerProtoVersion)\n\t}\n", src: ""}}},
+			{"join-reads-any-version", []edit{{path: "internal/fleet/health.go",
+				old: "\tif v := binary.LittleEndian.Uint32(f[4:8]); v != joinProtoVersion {\n\t\treturn rep, fmt.Errorf(\"fleet: JOIN protocol version %d, want %d\", v, joinProtoVersion)\n\t}\n", src: ""}}},
+			{"request-header-reads-any-version", []edit{{path: "internal/mpc/envelope.go",
+				old: "\tcase frame[offVersion] != headerVersion:\n\t\treturn h, fmt.Errorf(\"%w: version %d, want %d\", ErrRequestHeader, frame[offVersion], headerVersion)\n", src: ""}}},
+			{"pair-hello-version-a-var", []edit{{path: "internal/mpc/peer.go", old: "\thelloVersion = 1\n", src: ""},
+				{path: "internal/mpc/peer.go", src: "\nvar helloVersion uint32 = 1\n"}}},
+		},
+	},
+	{
 		name:  "one-ticker",
 		why:   "comm.Watch's tick loop (keepAlive) is the one tick-and-silence loop under internal/, the supervised peer link's included: a second ticker is a second liveness loop",
 		check: oneTicker,
@@ -273,7 +290,7 @@ var zzPortable = flag.Bool("fp16-portable", false, "")
 	},
 	{
 		name:  "deleted-names-stay-deleted",
-		why:   "these went with the client-side triplet pool, the dealer's and the health link's supervised links, the one ASK frame, the folded triplet generator, the FMA strip and the peer link's replay; none comes back under its old name",
+		why:   "these went with the client-side triplet pool, the dealer's and the health link's supervised links, the one ASK frame, the folded triplet generator, the FMA strip, the peer link's replay and the pair's capability control session with its unversioned hello; none comes back under its old name",
 		check: deletedNamesStayDeleted,
 		mutations: []mutation{
 			{"accept-wait-back", []edit{{path: "internal/fleet/zz_mutant.go", src: `package fleet
@@ -297,6 +314,10 @@ type zzLinkConfig struct{ ResyncTimeout time.Duration }
 import "parsecureml/internal/mpc/tripletpool"
 
 var zzPool = tripletpool.New
+`}}},
+			{"capability-frame-back", []edit{{path: "internal/comm/zz_mutant.go", src: `package comm
+
+type CapabilityFrame struct{ Version byte }
 `}}},
 			{"avx2-strip-named-in-assembly", []edit{{path: "internal/tensor/gemm_amd64.s", src: "// gemmStripAVX2 lives on below.\n"}}},
 		},
@@ -493,6 +514,101 @@ func plainDealerAndHealthHops(tr *tree) []string {
 		})
 	}
 	return out
+}
+
+// versionedReaders are the readers of each hop's first frame, and the
+// version constant each holds the frame to.
+var versionedReaders = []struct{ file, fn, version string }{
+	{"internal/mpc/peer.go", "readPairHello", "helloVersion"},
+	{"internal/mpc/tripletpool/proto.go", "decodeDealerHello", "dealerProtoVersion"},
+	{"internal/fleet/health.go", "decodeJoin", "joinProtoVersion"},
+	{"internal/mpc/envelope.go", "readHeader", "headerVersion"},
+}
+
+func firstFrameIsVersioned(tr *tree) []string {
+	var out []string
+	for _, r := range versionedReaders {
+		gf := tr.gofs[r.file]
+		if gf == nil {
+			out = append(out, fmt.Sprintf("%s:1: missing, so %s has moved or gone", r.file, r.fn))
+			continue
+		}
+		var reader *ast.FuncDecl
+		for _, d := range gf.ast.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && isFunc(fn, r.fn) {
+				reader = fn
+			}
+		}
+		switch {
+		case reader == nil:
+			out = append(out, fmt.Sprintf("%s: declares no func %s", tr.at(gf.ast.Name), r.fn))
+		case !declaresConst(tr, gf.dir, r.version):
+			out = append(out, fmt.Sprintf("%s: %s is not a constant of %s", tr.at(reader), r.version, gf.dir))
+		case !refusesOtherVersion(reader, r.version):
+			out = append(out, fmt.Sprintf("%s: %s has no branch that refuses a version other than %s", tr.at(reader), r.fn, r.version))
+		}
+	}
+	return out
+}
+
+// declaresConst reports whether a non-test file of dir declares name const.
+func declaresConst(tr *tree, dir, name string) bool {
+	for _, gf := range tr.files(nonTestIn(dir)) {
+		for _, d := range gf.ast.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					if slices.ContainsFunc(spec.(*ast.ValueSpec).Names, func(id *ast.Ident) bool { return id.Name == name }) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// refusesOtherVersion reports whether fn has an if or a switch case taken
+// when something != version, whose branch returns an error: a last result
+// that is not nil.
+func refusesOtherVersion(fn *ast.FuncDecl, version string) bool {
+	found := false
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		var cond ast.Expr
+		var body []ast.Stmt
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			cond, body = n.Cond, n.Body.List
+		case *ast.CaseClause:
+			if len(n.List) == 1 {
+				cond, body = n.List[0], n.Body
+			}
+		}
+		if cond != nil && len(body) > 0 && comparesNotEqual(cond, version) {
+			if ret, ok := body[len(body)-1].(*ast.ReturnStmt); ok && len(ret.Results) > 0 {
+				last, isIdent := ret.Results[len(ret.Results)-1].(*ast.Ident)
+				found = found || !isIdent || last.Name != "nil"
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// comparesNotEqual reports whether e holds a != with the identifier name on
+// one side.
+func comparesNotEqual(e ast.Expr, name string) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok && b.Op == token.NEQ {
+			for _, side := range []ast.Expr{b.X, b.Y} {
+				if id, ok := side.(*ast.Ident); ok && id.Name == name {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 func oneTicker(tr *tree) []string {
@@ -778,6 +894,7 @@ func oneCPUIDDecision(tr *tree) []string {
 // deletedNames may not be declared or referenced anywhere, test files and
 // assembly included.
 var deletedNames = []string{
+	"CapabilityFrame", "AppendCapabilityFrame", "ParseCapabilityFrame", "startPairCtl", "ctlID", "capsMagic", "capOperand", "WriteHello", "ReadHello",
 	"NewLocalSource", "OnPeerReset",
 	"ctlWant", "ctlResume", "encodeWant", "decodeWant", "encodeResume", "decodeResume",
 	"AllowPeerRestart", "PeerResets", "AcceptWait",

@@ -1,12 +1,21 @@
 package comm
 
 import (
+	"errors"
+	"net"
 	"sync"
 	"testing"
 
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
+
+// isTimeout reports whether err (from WriteFrame/ReadFrame) is a deadline
+// expiry rather than a peer failure.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
 
 func TestPipeFrameRoundTrip(t *testing.T) {
 	a, b := Pipe()

@@ -84,8 +84,8 @@ func TestReadFrameTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("read with silent peer must time out")
 	}
-	if !IsTimeout(err) {
-		t.Fatalf("IsTimeout(%v) = false", err)
+	if !isTimeout(err) {
+		t.Fatalf("isTimeout(%v) = false", err)
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatalf("timeout took %v", time.Since(start))
@@ -104,7 +104,7 @@ func TestWriteFrameTimeout(t *testing.T) {
 	defer b.Close()
 	a.SetTimeouts(0, 50*time.Millisecond)
 	err := a.WriteFrame([]byte("stuck"))
-	if err == nil || !IsTimeout(err) {
+	if err == nil || !isTimeout(err) {
 		t.Fatalf("write with absent reader: got %v, want timeout", err)
 	}
 }

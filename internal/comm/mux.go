@@ -71,8 +71,8 @@ var (
 	ErrMuxHeader = errors.New("comm: mux frame has no header")
 )
 
-// muxTimeoutError satisfies net.Error so IsTimeout classifies session
-// read deadline expiries like connection deadline expiries.
+// muxTimeoutError satisfies net.Error so a session read deadline expiry
+// reads as a timeout, like a connection deadline expiry.
 type muxTimeoutError struct{}
 
 func (muxTimeoutError) Error() string   { return "comm: mux session read timeout" }
@@ -264,6 +264,9 @@ func (m *Mux) Err() error {
 	}
 	return m.err
 }
+
+// Done is closed once the mux has failed or been closed.
+func (m *Mux) Done() <-chan struct{} { return m.done }
 
 // Close tears down the mux: every open session fails with ErrMuxClosed,
 // both goroutines stop, and the underlying connection is closed when it

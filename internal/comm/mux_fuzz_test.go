@@ -78,7 +78,7 @@ func FuzzMuxFrameHeader(f *testing.F) {
 			// CLOSE for our id kills the session, and an unroutable write can
 			// die with the pipe.
 			closed := err == nil && id == sessID && kind != muxKindData
-			if !closed && !errors.Is(rerr, ErrMuxClosed) && !IsTimeout(rerr) {
+			if !closed && !errors.Is(rerr, ErrMuxClosed) && !isTimeout(rerr) {
 				t.Fatalf("session read failed unexpectedly: %v", rerr)
 			}
 			return

@@ -238,7 +238,7 @@ func TestMuxReopenClosedIDFails(t *testing.T) {
 }
 
 // TestMuxReadTimeout checks a session read is bounded by ReadTimeout and
-// classified as a timeout by IsTimeout.
+// classified as a timeout by isTimeout.
 func TestMuxReadTimeout(t *testing.T) {
 	ma, _ := muxPair(t, MuxConfig{ReadTimeout: 50 * time.Millisecond})
 	s, err := ma.Open(2)
@@ -250,8 +250,8 @@ func TestMuxReadTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("ReadFrame succeeded with no peer data")
 	}
-	if !IsTimeout(err) {
-		t.Fatalf("err=%v, want a timeout per IsTimeout", err)
+	if !isTimeout(err) {
+		t.Fatalf("err=%v, want a timeout per isTimeout", err)
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("read took %v, want ~50ms", el)

@@ -4,8 +4,8 @@
 // sub-streams on one inter-server connection (Mux), ticks and a silence
 // deadline on a plain connection (Watch), a peer link that keeps one such
 // connection up and dials the next when it ends (SupervisedLink), the accept
-// loop under every listener (ServeConns), capability frames and test fault
-// injection (FaultConn). No transport here replays a frame: what a dead
+// loop under every listener (ServeConns) and test fault injection
+// (FaultConn). No transport here replays a frame: what a dead
 // connection loses, the layer above sends again. It moves opaque frames and
 // imports nothing else from this module; the metered network of the
 // paper-figure model is internal/mpcsim's Link.
@@ -132,7 +132,7 @@ func Wrap(c net.Conn) *Conn { return newConn(c) }
 
 // SetTimeouts configures per-frame deadlines: every subsequent WriteFrame
 // (ReadFrame) must complete within write (read) or fail with a timeout
-// error (see IsTimeout). Zero disables the corresponding deadline.
+// error (a net.Error whose Timeout is true). Zero disables the corresponding deadline.
 // Prefer calling this before the connection is in active use.
 func (fc *Conn) SetTimeouts(read, write time.Duration) {
 	fc.readTO.Store(int64(read))
@@ -146,8 +146,7 @@ func (fc *Conn) SetTimeouts(read, write time.Duration) {
 }
 
 // Timeouts returns the per-frame deadlines last set with SetTimeouts
-// (zero meaning disabled), so a caller can scope a temporary deadline —
-// the handshake path does — and restore the previous configuration.
+// (zero meaning disabled), so a caller can change one and keep the other.
 func (fc *Conn) Timeouts() (read, write time.Duration) {
 	return time.Duration(fc.readTO.Load()), time.Duration(fc.writeTO.Load())
 }
@@ -169,13 +168,6 @@ func (fc *Conn) countWrite(n int) {
 	fc.framesOut.Add(1)
 	totalBytesWritten.Add(int64(n) + 4)
 	totalFramesWritten.Add(1)
-}
-
-// IsTimeout reports whether err (from WriteFrame/ReadFrame) is a deadline
-// expiry rather than a peer failure.
-func IsTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // WriteFrame sends one length-prefixed frame atomically: concurrent

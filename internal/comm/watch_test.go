@@ -59,7 +59,7 @@ func TestWatchSilenceEndsTheRead(t *testing.T) {
 	select {
 	case err := <-watchAsync(a, tick, silence, ignore):
 		took := time.Since(start)
-		if !errors.Is(err, ErrConnEnded) || !IsTimeout(err) {
+		if !errors.Is(err, ErrConnEnded) || !isTimeout(err) {
 			t.Fatalf("Watch on a silent peer: %v, want a timeout wrapping ErrConnEnded", err)
 		}
 		if took < silence || took > silence+tick {

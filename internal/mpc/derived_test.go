@@ -358,7 +358,9 @@ func TestDerivedRejectsHostileFrames(t *testing.T) {
 
 // TestDerivedKeptOperandOwnsMemory is contract (d): the B a registering
 // derived request leaves in party 0's table is an allocation of its own, not
-// a view that pins the request's whole expansion for the session's life.
+// a view that pins the request's whole expansion for the session's life — and
+// so is the F stack its exchange reconstructed into a pool's store, which
+// goes back to the pool.
 func TestDerivedKeptOperandOwnsMemory(t *testing.T) {
 	p := rng.NewPool(2504)
 	a, b := p.NewUniform(6, 5, -1, 1), p.NewUniform(15, 4, -1, 1)
@@ -374,10 +376,26 @@ func TestDerivedKeptOperandOwnsMemory(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("registering request refused: %s", code)
 	}
-	ops.keep(in.Operand, op)
+	// The exchange leaves the public F stack in a store of the engine's pool,
+	// rounded up to its size class.
+	f := tensor.NewPool().Get(15, 4)
+	p.FillUniform(f, -1, 1)
+	op.f = f
+	var back *tensor.Matrix
+	ops.keep(in.Operand, op, func(m *tensor.Matrix) { back = m })
 	kept := ops.ops[9].b
 	if len(kept.Data) != 15*4 || cap(kept.Data) != len(kept.Data) {
 		t.Fatalf("the kept B is %d elements of a %d-element allocation: it pins the request's expansion", len(kept.Data), cap(kept.Data))
+	}
+	keptF := ops.ops[9].f
+	if cap(f.Data) == len(f.Data) {
+		t.Fatalf("the pool's F store holds exactly %d elements: nothing to check", cap(f.Data))
+	}
+	if len(keptF.Data) != 15*4 || cap(keptF.Data) != len(keptF.Data) {
+		t.Fatalf("the kept F is %d elements of a %d-element allocation: it pins the pool's store", len(keptF.Data), cap(keptF.Data))
+	}
+	if back != f || !keptF.Equal(f) {
+		t.Fatal("the kept F is not a copy of the exchange's, or its store did not go back to the pool")
 	}
 	if !kept.Equal(DeriveHalf(*in0.Derived, 0, 0, 3, true).B) {
 		t.Fatal("the kept B is not the B the request expands to")

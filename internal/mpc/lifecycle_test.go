@@ -17,7 +17,7 @@ import (
 
 // Regression tests for the connection-lifecycle sweep: orphaned result
 // frames on the client<->server conns, the unbounded-shutdown path in
-// ServeClients, and the unbounded role handshake.
+// ServeClients, and the unbounded role handshake (peer_test.go).
 
 // startServePipes runs a serving pair and returns one client's conn ends.
 func startServePipes(t *testing.T) (c0, c1 *comm.Conn, shutdown func()) {
@@ -192,42 +192,4 @@ func TestServeClientsBoundedShutdown(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("ServeClients did not return within 2s of cancellation")
 	}
-}
-
-// The role handshake must bound itself on a silent or non-reading peer
-// and put the caller's own deadlines back afterwards.
-func TestHelloBoundedAndRestoresTimeouts(t *testing.T) {
-	old := helloTimeout
-	helloTimeout = 150 * time.Millisecond
-	defer func() { helloTimeout = old }()
-
-	a, b := comm.Pipe()
-	defer a.Close()
-	defer b.Close()
-	a.SetTimeouts(5*time.Second, 7*time.Second)
-
-	checkRestored := func(op string) {
-		t.Helper()
-		if r, w := a.Timeouts(); r != 5*time.Second || w != 7*time.Second {
-			t.Fatalf("%s left timeouts read=%v write=%v, want 5s/7s", op, r, w)
-		}
-	}
-
-	start := time.Now()
-	if _, err := ReadHello(a); err == nil { // b never speaks
-		t.Fatal("ReadHello from a silent peer must fail")
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("ReadHello blocked %v with a %v hello timeout", el, helloTimeout)
-	}
-	checkRestored("ReadHello")
-
-	start = time.Now()
-	if err := WriteHello(a, 0); err == nil { // b never reads
-		t.Fatal("WriteHello to a non-reading peer must fail")
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("WriteHello blocked %v with a %v hello timeout", el, helloTimeout)
-	}
-	checkRestored("WriteHello")
 }

@@ -29,8 +29,8 @@ var metrics = struct {
 
 	// Adaptive wire compression (wirecodec.go): per-tensor codec picks
 	// indexed [tensorE|tensorF][codecRaw|codecFP16|codecCSR], dense bytes
-	// the chosen encodings avoided, and the peer's negotiated capability
-	// set (-1 is never reported; 0 means raw-only or not yet negotiated).
+	// the chosen encodings avoided, and the codec set of the peer's pair
+	// hello (0 means raw-only or no hello yet).
 	wireCodecPicks      [2][3]*obs.Counter
 	wireBytesSaved      *obs.Counter
 	wireCodecNegotiated *obs.Gauge
@@ -83,7 +83,7 @@ var metrics = struct {
 		},
 	},
 	wireBytesSaved:      obs.Default.Counter("psml_wire_bytes_saved_total", "Dense-encoding bytes avoided by compressed wire frames (FP16/CSR)."),
-	wireCodecNegotiated: obs.Default.Gauge("psml_wire_codec_negotiated", "Peer's negotiated codec capability bitmask (bit0 FP16, bit1 CSR); 0 until the peer advertises."),
+	wireCodecNegotiated: obs.Default.Gauge("psml_wire_codec_negotiated", "Codec bits of the peer's pair hello (bit0 FP16, bit1 CSR); 0 until the first hello."),
 
 	requests:       obs.Default.Counter("psml_requests_total", "Requests served (all paths)."),
 	requestErrors:  obs.Default.Counter("psml_request_errors_total", "Requests that failed mid-protocol."),

@@ -8,7 +8,8 @@ import "parsecureml/internal/tensor"
 // table belongs to one session's handler, like its lease, and goes with it.
 
 // A session's table is bounded by constants: handles, and elements of kept
-// B stacks (the F stacks are as large again: 8 MiB a session at most).
+// B stacks. The F stacks are as large again, and keep copies both out of the
+// pool's stores, so 8 MiB a session is what a table holds at most.
 const (
 	maxOperands     = 64
 	maxOperandElems = 1 << 20
@@ -51,14 +52,17 @@ func (t *operandTable) resolve(in *Shares, keptForm bool) (*operand, RouteErrorC
 	return kept, 0
 }
 
-// keep stores the entry resolve made for handle h, now filled. Its B becomes
-// an allocation of its own: the request's is a pool's store — of up to twice
-// the elements the table counts — and goes back with the rest of the request.
-func (t *operandTable) keep(h uint32, op *operand) {
+// keep stores the entry resolve made for handle h, now filled. Its B and F
+// become allocations of their own: the request's B and the F stack its
+// exchange reconstructed are pool stores — of up to twice the elements the
+// table counts. B goes back with the rest of the request, F to put here.
+func (t *operandTable) keep(h uint32, op *operand, put func(*tensor.Matrix)) {
 	if t.ops == nil {
 		t.ops = make(map[uint32]*operand)
 	}
-	op.b = op.b.Clone()
+	f := op.f
+	op.b, op.f = op.b.Clone(), f.Clone()
+	put(f)
 	t.ops[h] = op
 	t.elems += op.b.Rows * op.b.Cols
 	metrics.operandRequests[operandStored].Inc()

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -142,24 +141,15 @@ func (r *frameRecorder) WriteFrame(frame []byte) error {
 
 func (r *frameRecorder) Close() error { return closeFramer(r.Framer) }
 
-// closeFramer closes the link end under a test decorator, which ServeClients
-// owns and closes through the decorator.
-func closeFramer(f comm.Framer) error {
-	if c, ok := f.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
 // exchangeTensors returns, for every exchange frame the recorder saw (mux
-// data frames outside the control session), the raw tensors it carries.
+// data frames after the pair hello), the raw tensors it carries.
 func (r *frameRecorder) exchangeTensors(t *testing.T) [][][]byte {
 	t.Helper()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out [][][]byte
-	for _, f := range r.frames {
-		if len(f) < comm.MuxHeaderBytes || f[8] != 0 || binary.LittleEndian.Uint64(f) == ctlID {
+	for _, f := range r.frames[1:] {
+		if len(f) < comm.MuxHeaderBytes || f[8] != 0 {
 			continue
 		}
 		var tensors [][]byte

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -366,9 +367,10 @@ const DefaultMaxSessions = 16
 // running. Returns nil on graceful shutdown.
 //
 // peer is any Framer: a *comm.Conn for a single connection, or a
-// *comm.SupervisedLink (see SupervisePeer), which dials the next connection
-// when one ends. Each connection gets a mux and a capability exchange of its
-// own, and nothing is replayed across them: a request whose exchange was on
+// *comm.SupervisedLink, which dials the next connection when one ends. Each
+// connection opens with the pair hello (peer.go) — a connection it refuses
+// is closed, and the link dials the next — and gets a mux of its own, and
+// nothing is replayed across them: a request whose exchange was on
 // a connection that ended is answered in-band with the retryable
 // RoutePeerLinkLost, its session goes on, and the client sends it again
 // (RequestMulRetry) — a client-dealt or derived request on the same shares,
@@ -402,7 +404,7 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 		wire = *cfg.Wire
 	}
 	// Requests wait for the first connection as for any next one: it is up
-	// once the pair has settled its capabilities, so none starts featureless.
+	// once the pair hellos have crossed on it, so none starts featureless.
 	pl := startPairLink(party, peer, cfg, wire, comm.MuxConfig{ReadTimeout: cfg.PeerTimeout, TombstoneIDs: tombstones})
 	defer pl.stop(peer)
 	sem := make(chan struct{}, maxSessions)
@@ -431,20 +433,36 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 // errPeerLinkDown is a request's wait for a peer connection running out.
 var errPeerLinkDown = errors.New("mpc: no peer connection came up within the peer timeout")
 
-// pairLink is ServeClients' hold on the peer: the mux and capability session
-// of the connection that is up, a fresh pair of them per connection.
+// helloRetry paces the peer connections the pair hello refuses: a peer of
+// another build is refused on every one, and the link dials the next at
+// once. The pause stays a fifth of helloTimeout at most, so the peer's hello
+// on the next connection is still waiting when this party's comes. It never
+// runs out; the link's own redial budget ends a peer that is gone.
+func helloRetry() comm.RetryConfig {
+	return comm.RetryConfig{Attempts: math.MaxInt, BaseDelay: helloTimeout / 200, MaxDelay: helloTimeout / 5}
+}
+
+// pairLink is ServeClients' hold on the peer: the connection that is up, past
+// its hello, a fresh one for each connection.
 type pairLink struct {
 	quit chan struct{} // closed by stop
 	done chan struct{} // closed when the loop has returned
 
 	mu   sync.Mutex
-	cur  *pairCtl      // nil while no connection is up
+	cur  *pairConn     // nil while no connection is up
 	next chan struct{} // closed, and replaced, when cur changes or the link ends
 	err  error         // why no connection will come any more
 }
 
-// startPairLink starts the loop that puts a mux and a capability session on
-// each of peer's connections in turn.
+// pairConn is one peer connection past its pair hello: its mux, and the caps
+// both hellos carry.
+type pairConn struct {
+	mux    *comm.Mux
+	common uint32
+}
+
+// startPairLink starts the loop that says the pair hello on each of peer's
+// connections in turn and puts a mux on each the hello does not refuse.
 func startPairLink(party int, peer comm.Framer, cfg ServeConfig, wire WireConfig, mcfg comm.MuxConfig) *pairLink {
 	pl := &pairLink{quit: make(chan struct{}), done: make(chan struct{}), next: make(chan struct{})}
 	link, _ := peer.(*comm.SupervisedLink)
@@ -466,41 +484,52 @@ func startPairLink(party int, peer comm.Framer, cfg ServeConfig, wire WireConfig
 		// mux's ReadTimeout instead of a connection deadline.
 		c.SetTimeouts(0, cfg.PeerTimeout)
 	}
+	var mine uint32
+	if wire.Codec != nil {
+		mine = uint32(wire.Codec.Enabled & codecMask)
+	}
+	if cfg.Feed != nil {
+		mine |= capFeed
+	}
 	go func() {
 		defer close(pl.done)
 		for {
-			c, err := next()
+			var pc *pairConn
+			err := comm.Retry("pair hello", helloRetry(), pl.quit, func() (bool, error) {
+				c, err := next()
+				if err != nil {
+					return false, err
+				}
+				peerCaps, err := pairHello(c, party, mine)
+				if err != nil {
+					cfg.Log.Error("peer_hello", err, "party", party)
+					return true, err
+				}
+				// A new connection is a new path: what the codec measured on the
+				// last one no longer holds.
+				wire.Codec.ResetLink()
+				wire.Codec.setPeer(peerCaps)
+				pc = &pairConn{mux: comm.NewMux(c, mcfg), common: mine & peerCaps}
+				return false, nil
+			})
 			if err != nil {
 				pl.set(nil, err)
 				return
 			}
-			// A new connection is a new path: what the codec measured on the
-			// last one no longer holds.
-			wire.Codec.ResetLink()
-			mux := comm.NewMux(c, mcfg)
-			ctl := startPairCtl(party, mux, cfg, wire)
+			pl.set(pc, nil)
 			select {
-			case <-ctl.settled:
-			case <-ctl.done: // the connection is dead; the next one will settle
-			case <-pl.quit:
-			case <-time.After(helloTimeout):
-				cfg.Log.Event("peer_caps_silent", "party", party, "waited", helloTimeout)
-			}
-			pl.set(ctl, nil)
-			select {
-			case <-ctl.done: // the control reader ends with the mux
+			case <-pc.mux.Done():
 			case <-pl.quit:
 			}
 			pl.set(nil, nil)
-			mux.Close()
-			<-ctl.done
+			pc.mux.Close()
 		}
 	}()
 	return pl
 }
 
 // set publishes cur, or with err ends the link.
-func (pl *pairLink) set(cur *pairCtl, err error) {
+func (pl *pairLink) set(cur *pairConn, err error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.cur, pl.err = cur, err
@@ -511,17 +540,14 @@ func (pl *pairLink) set(cur *pairCtl, err error) {
 // stop ends the loop and closes peer.
 func (pl *pairLink) stop(peer comm.Framer) {
 	close(pl.quit)
-	if c, ok := peer.(io.Closer); ok {
-		c.Close()
-	}
+	closeFramer(peer)
 	<-pl.done
 }
 
-// current returns the mux and capability session of the connection that is
-// up. While none is, it waits for the next for at most wait (0: no bound)
-// and then fails with errPeerLinkDown; once no connection will come it fails
-// with the reason.
-func (pl *pairLink) current(wait time.Duration) (*pairCtl, error) {
+// current returns the connection that is up. While none is, it waits for the
+// next for at most wait (0: no bound) and then fails with errPeerLinkDown;
+// once no connection will come it fails with the reason.
+func (pl *pairLink) current(wait time.Duration) (*pairConn, error) {
 	var timeout <-chan time.Time
 	for {
 		pl.mu.Lock()
@@ -663,7 +689,7 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 		}
 		// The request runs on the peer connection that is up, or waits for the
 		// next one.
-		var pc *pairCtl
+		var pc *pairConn
 		if err == nil {
 			if pc, err = pl.current(cfg.PeerTimeout); errors.Is(err, errPeerLinkDown) {
 				metrics.requestErrors.Inc()
@@ -675,16 +701,11 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 				return fail(err)
 			}
 		}
-		// What the pair has settled so far decides the dealer-fed form and
-		// every form that names an operand: the client's error like a frame
-		// that does not decode, and refused the same way by both parties.
-		if err == nil {
-			switch common := pc.common.Load(); {
-			case f.feed && common&capFeed == 0:
-				err = errors.New("mpc: dealer-fed request on a pair with no settled triplet feed")
-			case in.Operand != 0 && common&capOperand == 0:
-				err = errors.New("mpc: operand request on a pair that has not settled registered operands")
-			}
+		// A dealer-fed request to a pair whose hellos do not both carry the
+		// feed is the client's error like a frame that does not decode, and
+		// refused the same way by both parties.
+		if err == nil && f.feed && pc.common&capFeed == 0 {
+			err = errors.New("mpc: dealer-fed request on a pair without a triplet feed on both parties")
 		}
 		if err != nil {
 			if !hasID {
@@ -787,7 +808,7 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 		}
 		sess.Close()
 		if store {
-			ops.keep(in.Operand, op)
+			ops.keep(in.Operand, op, w.put)
 		}
 		reply := comm.GetFrame(requestIDBytes + tensor.EncodedSize(ci))[:0]
 		reply = binary.LittleEndian.AppendUint64(reply, id)
@@ -819,142 +840,4 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 // answers.
 func linkLost(mux *comm.Mux, err error) bool {
 	return mux.Err() != nil || errors.Is(err, comm.ErrMuxPeerClosed)
-}
-
-// ---- pair control session ----
-
-// ctlID is the one reserved mux session of a serving pair ("psmlcdc1").
-// Request ids start from a random 64-bit base, so a collision with a live
-// request id is as likely as any other id reuse.
-const ctlID uint64 = 0x70736d6c63646331
-
-// The capability frame each party sends first on the control session
-// carries its codec set in the low bits (CodecSet) and the feed above. The
-// feed bit names the agreement framing, not just the feed: it moved off bit
-// 9 with the lease trailer, so a pair of mixed builds settles on "no feed"
-// and refuses the two-matrix form in-band instead of mis-framing it.
-const (
-	capsMagic   uint32 = 0x43444350 // "PCDC"
-	capsVersion byte   = 2
-	capFeed     uint32 = 1 << 10
-	// capOperand: this build keeps registered operands (operand.go). A peer
-	// without the bit leaves both operand forms refused in-band on both parties.
-	capOperand uint32 = 1 << 11
-)
-
-// pairCtl is one peer connection's mux and what its control-session reader
-// settles: a feature is on iff both parties advertise it, and a peer that
-// never answers leaves everything optional off.
-type pairCtl struct {
-	mux     *comm.Mux
-	settled chan struct{} // closed once the peer's capabilities are applied
-	done    chan struct{} // closed when the reader has exited
-	// common is what both parties advertised, 0 until the peer's frame
-	// arrives.
-	common atomic.Uint32
-}
-
-// startPairCtl opens the control session, advertises this party's
-// capabilities and starts the session's only reader, which settles the
-// common set on the peer's first valid capability frame — whenever it
-// arrives. Nothing else belongs on the session: any other frame is logged,
-// once, and dropped.
-func startPairCtl(party int, mux *comm.Mux, cfg ServeConfig, wire WireConfig) *pairCtl {
-	p := &pairCtl{mux: mux, settled: make(chan struct{}), done: make(chan struct{})}
-	mine := capOperand
-	if wire.Codec != nil {
-		mine |= uint32(wire.Codec.Enabled & codecMask)
-	}
-	if cfg.Feed != nil {
-		mine |= capFeed
-	}
-	sess, err := mux.Open(ctlID)
-	settle := func(peer comm.CapabilityFrame) {
-		wire.Codec.setPeer(peer.Caps)
-		common := mine & peer.Caps
-		cfg.Log.Event("caps_settled", "party", party, "peer_version", int(peer.Version), "common", common)
-		for _, f := range []struct {
-			name string
-			mask uint32
-		}{{"codec", uint32(codecMask)}, {"feed", capFeed}, {"operand", capOperand}} {
-			if l, r := mine&f.mask, peer.Caps&f.mask; l != r {
-				cfg.Log.Event("feature_disabled", "party", party, "feature", f.name, "local", l, "peer", r)
-			}
-		}
-		p.common.Store(common)
-		close(p.settled)
-	}
-	go func() {
-		defer close(p.done)
-		caps := comm.CapabilityFrame{Version: capsVersion, Caps: mine}
-		if err != nil || sess.WriteFrame(comm.AppendCapabilityFrame(nil, capsMagic, caps)) != nil {
-			return // the link is already dead
-		}
-		var buf []byte
-		for applied, logged := false, false; ; {
-			f, err := readFrameInto(sess, buf)
-			if comm.IsTimeout(err) && mux.Err() == nil {
-				continue // idle control session; keep listening
-			} else if err != nil {
-				return // mux dead (a connection that fell silent ends in a timeout too) or shutdown
-			}
-			buf = f
-			if cf, err := comm.ParseCapabilityFrame(f, capsMagic); err == nil && !applied { // once per link
-				applied = true
-				settle(cf)
-			} else if !logged {
-				logged = true
-				if err == nil {
-					err = errors.New("mpc: capability frame after the pair settled")
-				}
-				cfg.Log.Error("pair_ctl_frame", err, "party", party)
-			}
-		}
-	}()
-	return p
-}
-
-// handshake tags so two psml-server processes can agree on who they are.
-const (
-	helloMagic = 0x50534d4c // "PSML"
-)
-
-// helloTimeout bounds each half of the role handshake and ServeClients' wait
-// for the peer's capabilities. Without it the hello runs with the deadlines
-// the connection already has — often none on a freshly dialed conn — and a
-// silent or wedged peer blocks startup forever. A var so tests can shrink it.
-var helloTimeout = 10 * time.Second
-
-// WriteHello sends a role handshake (party index) on a fresh connection.
-// The write runs under a bounded deadline (helloTimeout) regardless of
-// the connection's configured timeouts, which are restored afterwards.
-func WriteHello(c *comm.Conn, party int) error {
-	r0, w0 := c.Timeouts()
-	c.SetTimeouts(r0, helloTimeout)
-	defer c.SetTimeouts(r0, w0)
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], helloMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(party))
-	if err := c.WriteFrame(buf[:]); err != nil {
-		return fmt.Errorf("mpc: hello: %w", err)
-	}
-	return nil
-}
-
-// ReadHello validates the handshake and returns the peer's party index.
-// The read runs under a bounded deadline (helloTimeout) regardless of
-// the connection's configured timeouts, which are restored afterwards —
-// a silent peer fails the handshake instead of hanging startup.
-func ReadHello(c *comm.Conn) (int, error) {
-	r0, w0 := c.Timeouts()
-	c.SetTimeouts(helloTimeout, w0)
-	defer c.SetTimeouts(r0, w0)
-	frame, err := c.ReadFrame()
-	if err != nil {
-		return 0, fmt.Errorf("mpc: hello: %w", err)
-	}
-	if len(frame) != 8 || binary.LittleEndian.Uint32(frame[:4]) != helloMagic {
-		return 0, fmt.Errorf("mpc: bad hello frame")
-	}
-	return int(binary.LittleEndian.Uint32(frame[4:])), nil
 }

@@ -1,19 +1,14 @@
 package mpc
 
 import (
-	"encoding/binary"
+	"context"
 	"errors"
 	"fmt"
-	"io"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/hw"
-	"parsecureml/internal/obs"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -32,58 +27,14 @@ func (f unusedFeed) Take(m, k, n int, seq uint64) (TripletShares, error) {
 	return t, err
 }
 
-// countEvents returns a logger that counts the lines it is given by event
-// name (every line carries its party already).
-func countEvents(t *testing.T, counts map[string]*atomic.Int32) *obs.Logger {
-	return obs.LogfLogger(func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		for event, n := range counts {
-			if strings.Contains(line, "event="+event+" ") {
-				n.Add(1)
-			}
-		}
-		t.Log(line)
-	})
-}
-
-// capStripper is one party's end of the peer link as a build that has never
-// heard of the capability bits in mask drives it: they never leave in this
-// party's capability frame and never arrive in the peer's.
-type capStripper struct {
-	comm.Framer
-	mask uint32
-}
-
-// strip clears the masked bits in place if frame is a capability frame on
-// the control session: mux header, then magic u32, version u8, caps u32.
-func (c capStripper) strip(frame []byte) []byte {
-	const capsOff = comm.MuxHeaderBytes + 5
-	if len(frame) >= capsOff+4 && binary.LittleEndian.Uint64(frame) == ctlID &&
-		binary.LittleEndian.Uint32(frame[comm.MuxHeaderBytes:]) == capsMagic {
-		binary.LittleEndian.PutUint32(frame[capsOff:], binary.LittleEndian.Uint32(frame[capsOff:])&^c.mask)
-	}
-	return frame
-}
-
-func (c capStripper) WriteFrame(frame []byte) error {
-	return c.Framer.WriteFrame(c.strip(append([]byte(nil), frame...)))
-}
-
-func (c capStripper) ReadFrame() ([]byte, error) {
-	frame, err := c.Framer.ReadFrame()
-	return c.strip(frame), err
-}
-
-func (c capStripper) Close() error { return closeFramer(c.Framer) }
-
 // TestServeMismatchedPairSettles is the misconfiguration drill: a feature
-// turned on at one party only is not a failure mode. The capability
-// handshake leaves it off on both, each party says so once, and the pair
-// serves at full speed — bit-identical to the serial reference, every
-// request far under a second — or, for the two-matrix form on a pair with
-// half a feed and both operand forms on a pair one build of which keeps no
-// operands, refuses in-band on both parties with the session intact.
-// Before the handshake a one-sided feed tore the session down.
+// turned on at one party only is not a failure mode. The pair hellos leave it
+// off on both, and the pair serves at full speed — bit-identical to the
+// serial reference, every request far under a second — or, for the
+// two-matrix form on a pair with half a feed, refuses in-band on both parties
+// with the session intact. Before the handshake a one-sided feed tore the
+// session down. A peer of another build is not configuration: the hello
+// refuses it (TestPairHelloRefusals).
 func TestServeMismatchedPairSettles(t *testing.T) {
 	p := rng.NewPool(1701)
 	a := p.NewUniform(24, 16, -1, 1)
@@ -96,45 +47,29 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 	want := serialReference(t, in0, in1)
 	const bound = time.Second
 
-	// A feature is turned on in one party's config — or, when every build
-	// that has it advertises it, turned off by putting the other party behind
-	// a link that strips its bit.
 	features := []struct {
 		name   string
 		enable func(t *testing.T, cfg *ServeConfig)
-		strip  uint32
 	}{
 		{name: "feed", enable: func(t *testing.T, cfg *ServeConfig) { cfg.Feed = unusedFeed{t} }},
 		{name: "codec", enable: func(t *testing.T, cfg *ServeConfig) {
 			cfg.Wire.Codec = &WireCodec{Enabled: CodecFP16 | CodecCSR, HW: hw.Paper(), Negotiate: true}
 		}},
-		{name: "operand", strip: capOperand},
 	}
 	for _, f := range features {
 		for side := 0; side < 2; side++ {
 			f, side := f, side
 			t.Run(fmt.Sprintf("%s on party %d only", f.name, side), func(t *testing.T) {
-				var events [2]atomic.Int32
 				var cfgs [2]ServeConfig
 				for party := range cfgs {
 					cfgs[party] = ServeConfig{
 						ClientTimeout: 10 * time.Second,
 						PeerTimeout:   10 * time.Second,
 						Wire:          &WireConfig{ChunkRows: 8},
-						Log:           countEvents(t, map[string]*atomic.Int32{"feature_disabled": &events[party]}),
 					}
 				}
-				var addr0, addr1 string
-				var shutdown func()
-				if f.strip != 0 {
-					var peers [2]comm.Framer
-					peers[0], peers[1] = comm.Pipe()
-					peers[1-side] = capStripper{peers[1-side], f.strip}
-					addr0, addr1, shutdown = startServePairOn(t, peers[0], peers[1], cfgs[0], cfgs[1])
-				} else {
-					f.enable(t, &cfgs[side])
-					addr0, addr1, shutdown = startServePairCfgs(t, cfgs[0], cfgs[1])
-				}
+				f.enable(t, &cfgs[side])
+				addr0, addr1, shutdown := startServePairCfgs(t, cfgs[0], cfgs[1])
 				defer shutdown()
 				c0, c1 := dialPair(t, addr0, addr1)
 				defer c0.Close()
@@ -183,37 +118,9 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 				if f.name == "feed" {
 					refusedInBand(id, EncodeRequest(id, Shares{A: tensor.New(4, 5), B: tensor.New(5, 3)}))
 				}
-				if f.name == "operand" {
-					storing := in0
-					storing.Operand = 1
-					refusedInBand(id, EncodeRequest(id, storing))
-					refusedInBand(id+1, EncodeRequest(id+1, threeForm(in0, 1)))
-					// A client that registers its weights falls back to shipping
-					// them: right answers, every inference far under the bound.
-					blk, x := wireTransformerFixture(43)
-					wt := NewWireTransformer(blk, 14)
-					for i := 0; i < 2; i++ {
-						start := time.Now()
-						got, err := wt.Infer(c0, c1, x)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !got.ApproxEqual(blk.Forward(x), wireTransformerTol) {
-							t.Fatalf("inference %d off plaintext by %v", i, got.MaxAbsDiff(blk.Forward(x)))
-						}
-						if el := time.Since(start); el > bound {
-							t.Errorf("inference %d took %v, want under %v", i, el, bound)
-						}
-					}
-				}
 				if f.name == "codec" {
 					if got := cfgs[side].Wire.Codec.usable(); got != 0 {
 						t.Errorf("codec upgraded to %b against a peer with none", got)
-					}
-				}
-				for party := range events {
-					if got := events[party].Load(); got != 1 {
-						t.Errorf("party %d logged %d feature_disabled events, want 1", party, got)
 					}
 				}
 			})
@@ -221,98 +128,98 @@ func TestServeMismatchedPairSettles(t *testing.T) {
 	}
 }
 
-// TestServeLatePeerStillSettles: the wait before the first accept is
-// bounded, not a decision. A party whose peer shows up after it started
-// serving featureless applies the peer's capability frame when it does
-// arrive, so the pair ends up with everything both sides turned on — here
-// the (lossless) CSR codec, so results stay comparable bit for bit.
+// TestServeLatePeerStillSettles: a party whose peer reaches ServeClients
+// late serves nothing meanwhile. Its hello on the link's connection finds no
+// answer within helloTimeout, the connection is closed and the link dials the
+// next, and requests wait. Once the hellos cross, every request is served
+// with everything both parties turned on — a triplet feed, without which the
+// pair would refuse the two-matrix form, and the (lossless) CSR codec — and
+// the five-matrix form bit-identical to the serial reference.
 func TestServeLatePeerStillSettles(t *testing.T) {
 	old := helloTimeout
 	helloTimeout = 50 * time.Millisecond
 	defer func() { helloTimeout = old }()
 
 	const clients = 4
+	shape := [3]int{12, 10, 8}
 	p := rng.NewPool(1702)
 	jobs := makeBatchJobs(t, p, clients, 24, 16, 20)
-	var silent, settled atomic.Int32
+	d := newStreamDealer(1702)
+	logs := &partyLines{t: t}
 	var cfgs [2]ServeConfig
 	for party := range cfgs {
 		cfgs[party] = ServeConfig{
 			ClientTimeout: 10 * time.Second,
 			PeerTimeout:   10 * time.Second,
 			MaxSessions:   clients,
+			Feed:          partyFeed{d: d, party: party},
 			Wire:          &WireConfig{Codec: &WireCodec{Enabled: CodecCSR, HW: hw.Paper(), Negotiate: true}},
-			Log:           countEvents(t, map[string]*atomic.Int32{"peer_caps_silent": &silent, "caps_settled": &settled}),
+			Log:           logs.logger(party),
 		}
 	}
-	peer0, peer1 := comm.Pipe()
-	late := &lateFramer{Framer: peer1, release: make(chan struct{})}
-	release := sync.OnceFunc(func() { close(late.release) })
-	addr0, addr1, shutdown := startServePairOn(t, peer0, late, cfgs[0], cfgs[1])
-	defer shutdown()
-	defer release()
-	waitFor := func(n *atomic.Int32, what string) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); n.Load() < 2; time.Sleep(5 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s on %d of 2 parties", what, n.Load())
-			}
-		}
+	peerLn, err := comm.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	usable := func(want CodecSet, when string) {
-		t.Helper()
-		for party := range cfgs {
-			if got := cfgs[party].Wire.Codec.usable(); got != want {
-				t.Errorf("party %d may emit codec set %b %s, want %b", party, got, when, want)
-			}
-		}
+	addr0, stop0 := linkedParty(t, 0, func() (*comm.Conn, error) { return comm.Accept(peerLn) }, cfgs[0])
+	defer func() { peerLn.Close(); stop0() }()
+	// Party 1's process is up — its link and its client listener — but has
+	// not reached ServeClients.
+	link1, err := SupervisePeer(1, func() (*comm.Conn, error) { return comm.Dial(peerLn.Addr().String()) }, chaosSup)
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(&silent, "gave up waiting for the peer's capabilities")
-	usable(0, "before the peer's capabilities arrived")
-	release()
-	waitFor(&settled, "settled the late capabilities")
-	usable(CodecCSR, "after the late peer's capabilities arrived")
+	ln1, err := comm.Listen("127.0.0.1:0")
+	if err != nil {
+		link1.Close()
+		t.Fatal(err)
+	}
 
-	errs := make(chan error, clients)
-	for _, j := range jobs {
-		go func(j batchJob) {
-			c0, c1 := dialPair(t, addr0, addr1)
+	errs := make(chan error, 2*clients)
+	for i, j := range jobs {
+		go func(j batchJob, in fedInput) {
+			c0, c1 := dialPair(t, addr0, ln1.Addr().String())
 			defer c0.Close()
 			defer c1.Close()
-			got, err := RequestMul(c0, c1, j.in0, j.in1)
+			got, err := RequestMulRetry(c0, c1, j.in0, j.in1, RetryConfig{Attempts: 4})
 			if err == nil && !got.Equal(j.want) {
 				err = fmt.Errorf("result differs from the serial reference by %v", got.MaxAbsDiff(j.want))
 			}
 			errs <- err
-		}(j)
+			got, err = RequestMulRetry(c0, c1, in.in0, in.in1, RetryConfig{Attempts: 4})
+			if err == nil && !got.ApproxEqual(tensor.MulNaive(in.a, in.b), 1e-3) {
+				err = fmt.Errorf("dealer-fed product off the plaintext by %v", got.MaxAbsDiff(tensor.MulNaive(in.a, in.b)))
+			}
+			errs <- err
+		}(j, newFedInput(rng.NewPool(uint64(1800+i)), shape))
 	}
-	for range jobs {
+	time.Sleep(6 * helloTimeout)
+	select {
+	case err := <-errs:
+		t.Fatalf("a request ended before party 1 served: %v", err)
+	default:
+	}
+	if n := logs.count(0, "event=peer_hello", "no hello crossed"); n == 0 {
+		t.Error("party 0 logged no hello that went unanswered")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- ServeClients(ctx, 1, ln1, link1, cfgs[1]) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("server 1: %v", err)
+		}
+	}()
+	for range 2 * clients {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
 	}
-}
-
-// lateFramer holds every frame of one link end back until release closes:
-// a peer whose process is up but has not reached ServeClients yet.
-type lateFramer struct {
-	comm.Framer
-	release chan struct{}
-}
-
-func (l *lateFramer) ReadFrame() ([]byte, error) {
-	<-l.release
-	return l.Framer.ReadFrame()
-}
-
-func (l *lateFramer) WriteFrame(frame []byte) error {
-	<-l.release
-	return l.Framer.WriteFrame(frame)
-}
-
-func (l *lateFramer) Close() error {
-	if c, ok := l.Framer.(io.Closer); ok {
-		return c.Close()
+	for party := range cfgs {
+		if got := cfgs[party].Wire.Codec.usable(); got != CodecCSR {
+			t.Errorf("party %d may emit codec set %b, want %b", party, got, CodecCSR)
+		}
 	}
-	return nil
 }

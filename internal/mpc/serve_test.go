@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"parsecureml/internal/comm"
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
@@ -71,28 +70,5 @@ func TestServeLoopEndToEnd(t *testing.T) {
 		if !got.ApproxEqual(tensor.MulNaive(a, b), 1e-3) {
 			t.Fatalf("round %d: served product off by %v", round, got.MaxAbsDiff(tensor.MulNaive(a, b)))
 		}
-	}
-}
-
-func TestHelloHandshake(t *testing.T) {
-	a, b := comm.Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() { done <- WriteHello(a, 1) }()
-	party, err := ReadHello(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if party != 1 {
-		t.Fatalf("party = %d", party)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// Bad hello
-	go a.WriteFrame([]byte{1, 2, 3})
-	if _, err := ReadHello(b); err == nil {
-		t.Fatal("bad hello must error")
 	}
 }

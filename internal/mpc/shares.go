@@ -2,8 +2,8 @@
 // the request/reply wire format (envelope.go), the one implementation of the
 // online Beaver exchange between two concurrent parties (wire_pipeline.go,
 // Eqs. 4/5/8 with the Fig. 5 transfer/compute overlap on the wall clock),
-// the ServeClients accept loop with its pair capability handshake and
-// dealer-fed triplet lease (serve.go, feed.go), the client side of a remote
+// the ServeClients accept loop with its pair hello and dealer-fed triplet
+// lease (serve.go, peer.go, feed.go), the client side of a remote
 // multiplication (RequestMul and friends) and the wall-clock offline phase
 // (offline.go). cmd/psml-server, cmd/psml-router, cmd/psml-dealer,
 // internal/fleet, tripletpool and benchmark/ build on it; it schedules no

@@ -61,14 +61,6 @@ type WireConfig struct {
 	Codec *WireCodec
 }
 
-// readFrameInto reads a frame, reusing buf when the transport supports it.
-func readFrameInto(conn comm.Framer, buf []byte) ([]byte, error) {
-	if ri, ok := conn.(comm.FramerInto); ok {
-		return ri.ReadFrameInto(buf)
-	}
-	return conn.ReadFrame()
-}
-
 // wireMul is the reusable state for exchanges over one peer link:
 // encode/decode scratch, pooled band buffers, and the sender goroutine's
 // arguments. One wireMul serves a whole session; it is not safe for
@@ -205,11 +197,15 @@ func peekBand(frame []byte, k, owed int) (int, error) {
 	return rows, nil
 }
 
-// recv reads the next peer frame into the session's receive scratch,
-// adding the time it blocked to *waited.
-func (w *wireMul) recv(conn comm.Framer, waited *time.Duration) ([]byte, error) {
+// recv reads the next peer frame, into the session's receive scratch when the
+// transport can, adding the time it blocked to *waited.
+func (w *wireMul) recv(conn comm.Framer, waited *time.Duration) (frame []byte, err error) {
 	t0 := time.Now()
-	frame, err := readFrameInto(conn, w.recvBuf)
+	if ri, ok := conn.(comm.FramerInto); ok {
+		frame, err = ri.ReadFrameInto(w.recvBuf)
+	} else {
+		frame, err = conn.ReadFrame()
+	}
 	*waited += time.Since(t0)
 	if err == nil {
 		w.recvBuf = frame

@@ -29,7 +29,7 @@ import (
 // place before the sender goroutine starts. Both parties then reconstruct
 // the identical public E' from whatever mix of codecs the two directions
 // chose, which keeps codec choice sender-local: no per-tensor agreement,
-// only the capability handshake below. The resulting product is
+// only the pair hello. The resulting product is
 // C = A×B + U·γ + δ·V − δ·γ for the rounding perturbations δ, γ of E and
 // F — a bounded, documented tolerance (see DESIGN.md) paid only when a
 // lossy codec is picked, which the selector only does for revealed
@@ -38,13 +38,12 @@ import (
 //
 // Frames are self-describing (tensor.DecodeAnyInto follows the tag), so
 // the receive path is codec-oblivious; negotiation only gates what a
-// sender may EMIT. The codec set is the low bits of the capability frame
-// the pair exchanges at link-up (pairCtl in serve.go); until the peer's
-// frame arrives the sender stays raw, so a server paired with one that
-// never answers degrades to raw forever instead of desyncing.
+// sender may EMIT. The codec set is the low bits of the caps in the pair
+// hello (peer.go), said on every peer connection before its mux starts, so
+// a server paired with one that enabled no codec stays raw.
 
-// CodecSet is a bitmask of optional wire codecs, as advertised in the
-// capability handshake.
+// CodecSet is a bitmask of optional wire codecs, as carried in the pair
+// hello's caps.
 type CodecSet uint32
 
 const (
@@ -98,16 +97,14 @@ type WireCodec struct {
 	// Link, when its Bandwidth is set, overrides HW.Net as the static
 	// byte budget — e.g. a known-throttled deployment link.
 	Link hw.LinkModel
-	// Negotiate gates Enabled on the capability handshake: no codec is
-	// emitted until the peer has advertised its own set, and only the
-	// intersection is used. Leave false only when both endpoints are
-	// known to decode every enabled codec (e.g. single-process tests).
+	// Negotiate gates Enabled on the codec bits of the peer's pair hello:
+	// only the intersection is emitted, nothing before the hello. Leave
+	// false only when both endpoints are known to decode every enabled
+	// codec (e.g. single-process tests).
 	Negotiate bool
 
-	// negotiated holds the peer's masked capability set + 1; 0 means the
-	// peer's frame has not arrived yet. The +1 lets the zero value mean
-	// "not negotiated" so WireCodec literals need no constructor.
-	negotiated atomic.Uint32
+	// peer is the codec set of the peer's last hello; 0 before the first.
+	peer atomic.Uint32
 	// linkBps is the measured link bandwidth EWMA as float64 bits; 0
 	// means no measurement yet.
 	linkBps atomic.Uint64
@@ -121,20 +118,16 @@ func (wc *WireCodec) usable() CodecSet {
 	if !wc.Negotiate {
 		return wc.Enabled & codecMask
 	}
-	n := wc.negotiated.Load()
-	if n == 0 {
-		return 0 // peer capabilities unknown: raw only
-	}
-	return wc.Enabled & CodecSet(n-1)
+	return wc.Enabled & CodecSet(wc.peer.Load())
 }
 
-// setPeer records the peer's advertised capability set (its codec bits).
+// setPeer records the caps of the peer's pair hello (its codec bits).
 func (wc *WireCodec) setPeer(caps uint32) {
 	if wc == nil {
 		return
 	}
 	masked := caps & uint32(codecMask)
-	wc.negotiated.Store(masked + 1)
+	wc.peer.Store(masked)
 	metrics.wireCodecNegotiated.Set(int64(masked))
 }
 

@@ -337,12 +337,11 @@ func TestServeCodecNegotiationUpgrades(t *testing.T) {
 	}
 }
 
-// TestServeCodecMixedVersion is the mixed-pair proof: a codec-capable
-// server paired with a codec-less one serves requests bit-identically to
-// the serial path and NEVER upgrades — the peer's capability frame
-// advertises an empty codec set, so the sender stays raw forever instead
-// of emitting frames the handshake didn't clear.
-func TestServeCodecMixedVersion(t *testing.T) {
+// TestServeCodecOffOnOneParty is `-wire-codec raw` on one party: the
+// codec-enabled server serves requests bit-identically to the serial path
+// and NEVER upgrades — the peer's hello carries an empty codec set, so the
+// sender stays raw instead of emitting frames the hello did not clear.
+func TestServeCodecOffOnOneParty(t *testing.T) {
 	p := rng.NewPool(78)
 	a := p.NewUniform(24, 16, -1, 1)
 	b := p.NewUniform(16, 20, -1, 1)
@@ -353,8 +352,8 @@ func TestServeCodecMixedVersion(t *testing.T) {
 	in1 := Shares{A: a1, B: b1, T: t1}
 	want := serialReference(t, in0, in1)
 
-	cfg0 := codecServeConfig(CodecFP16 | CodecCSR) // codec-capable
-	cfg1 := codecServeConfig(0)                    // advertises no codec at all
+	cfg0 := codecServeConfig(CodecFP16 | CodecCSR)
+	cfg1 := codecServeConfig(0) // -wire-codec raw
 	addr0, addr1, shutdown := startServePairCfgs(t, cfg0, cfg1)
 	defer shutdown()
 	c0, c1 := dialPair(t, addr0, addr1)
@@ -366,11 +365,11 @@ func TestServeCodecMixedVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("mixed-version result differs from serial path by %v", got.MaxAbsDiff(want))
+			t.Fatalf("result differs from serial path by %v", got.MaxAbsDiff(want))
 		}
 	}
 	if got := cfg0.Wire.Codec.usable(); got != 0 {
-		t.Fatalf("new server upgraded to %b against a codec-less peer", got)
+		t.Fatalf("the codec-enabled server upgraded to %b against a codec-less peer", got)
 	}
 }
 

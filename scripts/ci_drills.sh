@@ -51,8 +51,11 @@ engine)
   # frames in-band, and the 16 KiB band floor must hold on the ChunkRows
   # path and leave a band handed straight to the engine alone. A pair with
   # a feed or codecs on one party only must settle on serving without
-  # them — at full speed, one log line each — and a peer that answers late
-  # must still settle. Dealer-fed requests must run on the seq the lease
+  # them, at full speed, and a peer that reaches its hello late must be
+  # waited for, then served with everything both turned on. The pair hello
+  # must refuse a peer of another build, the same party, a party out of
+  # range, a silent and a deaf peer, typed on both ends, within its bound.
+  # Dealer-fed requests must run on the seq the lease
   # rules name on both parties, fail on both with the typed mismatch when
   # the parties' leases differ, and fail at once on a consumed seq.
   # Registered operands: hostile operand frames and a table over its bounds
@@ -61,7 +64,7 @@ engine)
   # error well inside PeerTimeout, after which the client registers again.
   # Every way a request header can be wrong is refused in-band on the face it
   # reaches, and the session lives on.
-  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestRequestHeaderRefusals|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles|TestFeedLeaseAgreement|TestFeedLeaseMismatchFailsBothParties|TestFeedConsumedSeqFailsRequest|TestOperandRejectsHostileFrames|TestOperandLostOnOneParty|TestOperandLostOnBoth'
+  drill_test ./internal/mpc/ 'TestExchangeMatchesRef|TestServeClientsMismatchedBands|TestGroupMatchesLone|TestGroupRejectsHostileFrames|TestRequestHeaderRefusals|TestServeBadRequestKeepsSession|TestChunkRowsFloor|TestServeMismatchedPairSettles|TestServeLatePeerStillSettles|TestPairHelloRefusals|TestHelloHandshake|TestFeedLeaseAgreement|TestFeedLeaseMismatchFailsBothParties|TestFeedConsumedSeqFailsRequest|TestOperandRejectsHostileFrames|TestOperandLostOnOneParty|TestOperandLostOnBoth'
   drill_test ./internal/mpc/tripletpool/ 'TestDealerClientConsumedSeqFailsAtOnce'
   ;;
 chaos-link)
@@ -83,12 +86,12 @@ chaos-link)
   drill_test ./internal/comm/ 'TestSupervisedLink|TestFramePool|TestMuxInboxOverflowIsolated|TestMuxCloseDrainsBufferedFrames|TestMuxPendingClaim|TestMuxIdleSessionAllocatesLittle'
   ;;
 codec)
-  # Capability negotiation upgrades matching servers, mismatched pairs
-  # (codec or feed on one party only) stay on the common subset
+  # The pair hello upgrades matching servers, mismatched pairs (codec or
+  # feed on one party, -wire-codec raw on one) stay on the common subset
   # forever, and both lossless CSR identity and the FP16 error
   # bound hold on the wire — on the one engine, whose raw-codec contract
   # (any member count, any two band heights == the reference) runs here too.
-  drill_test ./internal/mpc/ 'TestServeCodecNegotiationUpgrades|TestServeCodecMixedVersion|TestServeMismatchedPairSettles|TestWireMulCodecCSRBitIdentical|TestWireMulCodecFP16Tolerance|TestExchangeMatchesRef|TestServeClientsMismatchedBands'
+  drill_test ./internal/mpc/ 'TestServeCodecNegotiationUpgrades|TestServeCodecOffOnOneParty|TestServeMismatchedPairSettles|TestWireMulCodecCSRBitIdentical|TestWireMulCodecFP16Tolerance|TestExchangeMatchesRef|TestServeClientsMismatchedBands'
   ;;
 checkpoint)
   # An interrupted training run (-die-after-epoch exits with code 3 after
