@@ -24,9 +24,10 @@
 // failed session never takes the process down, and SIGINT/SIGTERM drain
 // into a graceful shutdown.
 //
-// Nothing the two servers must agree on is a flag: the codec set and the
-// dealer feed (-dealer-dial) are each used when both servers turned them
-// on, settled by one capability exchange at link-up.
+// The codec set and the dealer feed (-dealer-dial) need not be flagged alike:
+// each is used when both servers turned it on, as the pair hello that opens
+// every peer connection says. -pair-id, which names the pair at the dealer,
+// is the one flag the two servers must be given the same.
 package main
 
 import (

@@ -17,7 +17,6 @@ var unusedExports = map[string]string{
 	"comm.NewFaultConn":              "test fixture: the fault-injecting net.Conn the comm and mpc chaos tests wrap links in",
 	"comm.FaultConn.DropAfterFrames": "test fixture: the frame-boundary cut the peer-link chaos tests arm",
 	"comm.Wrap":                      "test fixture: wraps an arbitrary net.Conn (a pipe, a FaultConn) as a framed Conn",
-	"mpc.EncodeRequestBudget":        "test fixture: the budgeted request frame the mpc and fleet deadline tests write by hand; RequestMulRetry lends its frames instead",
 	"comm.FramesLent":                "test fixture: the frame pool's outstanding count, which the mpc and comm leak tests read",
 	"comm.muxTimeoutError.Temporary": "completes net.Error; deleting it changes what errors.As finds",
 	"comm.muxTimeoutError.Timeout":   "completes net.Error: a session read deadline reads as a timeout, as a connection deadline does",

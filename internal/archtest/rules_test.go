@@ -290,7 +290,7 @@ var zzPortable = flag.Bool("fp16-portable", false, "")
 	},
 	{
 		name:  "deleted-names-stay-deleted",
-		why:   "these went with the client-side triplet pool, the dealer's and the health link's supervised links, the one ASK frame, the folded triplet generator, the FMA strip, the peer link's replay and the pair's capability control session with its unversioned hello; none comes back under its old name",
+		why:   "these went with the client-side triplet pool, the dealer's and the health link's supervised links, the one ASK frame, the folded triplet generator, the FMA strip, the peer link's replay, the pair's capability control session with its unversioned hello and the request header's deadline budget with both its shed points; none comes back under its old name",
 		check: deletedNamesStayDeleted,
 		mutations: []mutation{
 			{"accept-wait-back", []edit{{path: "internal/fleet/zz_mutant.go", src: `package fleet
@@ -320,6 +320,21 @@ var zzPool = tripletpool.New
 type CapabilityFrame struct{ Version byte }
 `}}},
 			{"avx2-strip-named-in-assembly", []edit{{path: "internal/tensor/gemm_amd64.s", src: "// gemmStripAVX2 lives on below.\n"}}},
+			{"budget-rewritten-at-the-relay", []edit{{path: "internal/fleet/router.go", old: "\tcfg := s.r.cfg\n", src: "\tcfg := s.r.cfg\n\tmpc.SetBudget(frame, cfg.BackendTimeout)\n"}}},
+		},
+	},
+	{
+		name:  "router-reads-only-the-id",
+		why:   "the router relays a request by the id in its first 8 bytes and reads nothing else of it: non-test internal/fleet code selects nothing from mpc but RouteError, EncodeRouteError and the RouteErrorCode constants, so the request header is mpc's alone",
+		check: routerReadsOnlyTheID,
+		mutations: []mutation{
+			{"fleet-prices-a-request", []edit{{path: "internal/fleet/zz_mutant.go", src: `package fleet
+
+import "parsecureml/internal/mpc"
+
+func zzFloor(m, k, n int) bool { return mpc.DeadlineEstimate(m, k, n) > 0 }
+`}}},
+			{"relay-decodes-the-request", []edit{{path: "internal/fleet/router.go", old: "\tcfg := s.r.cfg\n", src: "\tcfg := s.r.cfg\n\tmpc.DecodeRouteError(frame)\n"}}},
 		},
 	},
 	{
@@ -894,6 +909,7 @@ func oneCPUIDDecision(tr *tree) []string {
 // deletedNames may not be declared or referenced anywhere, test files and
 // assembly included.
 var deletedNames = []string{
+	"EncodeRequestBudget", "PeekBudget", "SetBudget", "PeekFloor", "flagBudget", "budgetMicros", "RouteDeadlineExceeded", "deadlineShed", "routerDeadlineShed",
 	"CapabilityFrame", "AppendCapabilityFrame", "ParseCapabilityFrame", "startPairCtl", "ctlID", "capsMagic", "capOperand", "WriteHello", "ReadHello",
 	"NewLocalSource", "OnPeerReset",
 	"ctlWant", "ctlResume", "encodeWant", "decodeWant", "encodeResume", "decodeResume",
@@ -934,6 +950,39 @@ func deletedNamesStayDeleted(tr *tree) []string {
 			}
 		}
 	})
+	return out
+}
+
+// routerReadsOnlyTheID holds non-test internal/fleet code to the mpc names a
+// relay answers with: RouteError, EncodeRouteError and the constants internal/mpc
+// declares of type RouteErrorCode.
+func routerReadsOnlyTheID(tr *tree) []string {
+	mpcPkg := tr.module + "/internal/mpc"
+	allowed := map[string]bool{"RouteError": true, "EncodeRouteError": true}
+	for _, gf := range tr.files(nonTestIn("internal/mpc")) {
+		for _, d := range gf.ast.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					if typ, ok := vs.Type.(*ast.Ident); ok && typ.Name == "RouteErrorCode" {
+						for _, id := range vs.Names {
+							allowed[id.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	var out []string
+	for _, gf := range tr.files(nonTestIn("internal/fleet")) {
+		gf.inspect(func(n ast.Node, fn *ast.FuncDecl) {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if r := gf.ref(sel); r.pkg == mpcPkg && !allowed[r.name] {
+					out = append(out, fmt.Sprintf("%s: mpc.%s in %s of %s", tr.at(sel), r.name, where(fn), gf.dir))
+				}
+			}
+		})
+	}
 	return out
 }
 

@@ -152,13 +152,17 @@ func (s *SupervisedLink) dial() error {
 	if err != nil {
 		return err
 	}
-	lc := &linkConn{c: c, link: s, stop: keepAlive(c, s.cfg.HeartbeatInterval, s.cfg.Silence())}
+	lc := &linkConn{c: c, link: s}
 	s.mu.Lock()
 	if err := s.err; err != nil {
 		s.mu.Unlock()
-		lc.stop()
+		c.Close()
 		return err
 	}
+	// A failed tick ends the connection, so the link dials the next though
+	// nothing reads or writes through it. end waits for the tick goroutine, so
+	// it runs on one of its own, which s.mu holds off until lc is installed.
+	lc.stop = keepAlive(c, s.cfg.HeartbeatInterval, s.cfg.Silence(), func() { go lc.end() })
 	s.cur = lc
 	close(s.next)
 	s.next = make(chan struct{})
@@ -259,15 +263,15 @@ func (s *SupervisedLink) ReadFrameInto(buf []byte) ([]byte, error) {
 type linkConn struct {
 	c    *Conn
 	link *SupervisedLink
-	stop func() // keepAlive's
+	stop func() // keepAlive's, set under the link's mu
 	once sync.Once
 }
 
 // end gives the connection up, once: it is closed, its ticks stop, and while
-// the link lives it dials the next — a dial that fails ends the link.
+// the link lives it dials the next — a dial that fails ends the link. lc.stop
+// is read after s.mu, which dial set it under.
 func (lc *linkConn) end() {
 	lc.once.Do(func() {
-		lc.stop()
 		s := lc.link
 		s.mu.Lock()
 		current := s.cur == lc
@@ -275,6 +279,7 @@ func (lc *linkConn) end() {
 			s.cur = nil
 		}
 		s.mu.Unlock()
+		lc.stop()
 		if !current {
 			return
 		}

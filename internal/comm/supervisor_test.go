@@ -356,6 +356,64 @@ func TestSupervisedLinkConnCloseRedials(t *testing.T) {
 	}
 }
 
+// A connection whose peer closed, while nothing reads or writes through the
+// link, ends at its first failed tick: the link dials the next within a few
+// ticks, and Conn stops handing out the dead one.
+func TestSupervisedLinkRedialsWhenATickFails(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	// The scripted peer closes its first connection at once and keeps the
+	// later ones open until the listener closes.
+	accepted := make(chan struct{}, 2)
+	go func() {
+		var kept []*Conn
+		defer func() {
+			for _, c := range kept {
+				c.Close()
+			}
+		}()
+		for i := 0; ; i++ {
+			c, err := Accept(ln)
+			if err != nil {
+				return
+			}
+			if i == 0 {
+				c.Close()
+			} else {
+				kept = append(kept, c)
+			}
+			select {
+			case accepted <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	cfg := fastSupCfg()
+	s, err := NewSupervisedLink(func() (Framer, error) { return Dial(ln.Addr().String()) }, cfg)
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	defer s.Close()
+	first, err := s.Conn(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-accepted
+	select {
+	case <-accepted:
+	case <-time.After(50 * cfg.HeartbeatInterval):
+		t.Fatalf("no second connection dialled within %v of the peer closing the first", 50*cfg.HeartbeatInterval)
+	}
+	stop := make(chan struct{})
+	time.AfterFunc(5*time.Second, func() { close(stop) })
+	if next, err := s.Conn(stop); err != nil || next == first {
+		t.Fatalf("Conn after the redial: the dead connection again %v, %v", next == first, err)
+	}
+}
+
 func TestSupervisedLinkCloseEndsReadsAndWrites(t *testing.T) {
 	a, b := supPair(t, fastSupCfg(), fastSupCfg(), nil)
 	read := make(chan error, 1)
@@ -481,15 +539,20 @@ func TestFaultConnDropAfterFramesFragmented(t *testing.T) {
 	w := Wrap(fc)
 	r := Wrap(right)
 
-	got := make(chan []byte, 1)
+	// The first read's outcome and the second read's error come on channels
+	// of their own, so a select cannot take the second for the first.
+	type read struct {
+		f   []byte
+		err error
+	}
+	got := make(chan read, 1)
 	readErr := make(chan error, 1)
 	go func() {
 		f, err := r.ReadFrame()
+		got <- read{append([]byte(nil), f...), err}
 		if err != nil {
-			readErr <- err
 			return
 		}
-		got <- append([]byte(nil), f...)
 		_, err = r.ReadFrame()
 		readErr <- err
 	}()
@@ -498,12 +561,13 @@ func TestFaultConnDropAfterFramesFragmented(t *testing.T) {
 		t.Fatalf("frame 1: %v", err)
 	}
 	select {
-	case f := <-got:
-		if string(f) != "only frame" {
-			t.Fatalf("got %q", f)
+	case res := <-got:
+		if res.err != nil {
+			t.Fatalf("read: %v", res.err)
 		}
-	case err := <-readErr:
-		t.Fatalf("read: %v", err)
+		if string(res.f) != "only frame" {
+			t.Fatalf("got %q", res.f)
+		}
 	case <-time.After(2 * time.Second):
 		t.Fatalf("frame never arrived")
 	}

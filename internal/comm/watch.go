@@ -23,7 +23,7 @@ var ErrConnEnded = errors.New("comm: connection ended")
 // The frame is lent: Watch reads it into a buffer of the frame pool and
 // gives it back when onFrame returns, so onFrame keeps nothing of it.
 func Watch(c *Conn, tick, silence time.Duration, onFrame func([]byte) error) error {
-	defer keepAlive(c, tick, silence)()
+	defer keepAlive(c, tick, silence, nil)()
 	for {
 		f, err := c.ReadFramePooled()
 		if err != nil {
@@ -43,9 +43,11 @@ func Watch(c *Conn, tick, silence time.Duration, onFrame func([]byte) error) err
 // keepAlive is Watch's liveness, for a caller that runs its own reads (a
 // SupervisedLink does): from here on every read of c must complete within
 // silence (0: no bound), and a goroutine writes a tick on c every tick (0 or
-// less: never). A tick that fails closes c, so the read fails with it. The
-// returned stop closes c and returns once the goroutine has; call it once.
-func keepAlive(c *Conn, tick, silence time.Duration) (stop func()) {
+// less: never). A tick that fails closes c, so the read fails with it, and
+// then calls failed (nil: nothing) — on the tick goroutine, so failed must not
+// wait for stop. The returned stop closes c and returns once the goroutine
+// has; call it once.
+func keepAlive(c *Conn, tick, silence time.Duration, failed func()) (stop func()) {
 	_, writeTO := c.Timeouts()
 	c.SetTimeouts(silence, writeTO)
 	done, ticked := make(chan struct{}), make(chan struct{})
@@ -63,6 +65,9 @@ func keepAlive(c *Conn, tick, silence time.Duration) (stop func()) {
 			case <-t.C:
 				if c.WriteFrame(nil) != nil {
 					c.Close() // the read fails with it
+					if failed != nil {
+						failed()
+					}
 					return
 				}
 			}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,8 +101,9 @@ func TestRouterDuplicateIDKeepsReplica(t *testing.T) {
 
 // TestRouterMalformedRequestKeepsReplica: a request frame the pair cannot
 // decode — garbage behind the id, a grouped frame whose stacks disagree
-// with its member count, or a header of version 1 — or will not run — the dealer-fed two-matrix form
-// on a pair with no triplet feed — is the CLIENT's error. The pair answers it
+// with its member count, or a header of version 1 or 2 — or will not run —
+// the dealer-fed two-matrix form on a pair with no triplet feed — is the
+// CLIENT's error. The pair answers it
 // in-band with a typed, non-retryable bad_request; before that it tore the
 // backend session down, which the router read as a replica failure,
 // re-sent the same bad frame, and on the second failure evicted a healthy
@@ -128,7 +127,7 @@ func TestRouterMalformedRequestKeepsReplica(t *testing.T) {
 	g0.T.Z = tensor.New(5, 4) // one member's Z under a three-member header
 	dealerFed := mpc.EncodeRequest(id, mpc.Shares{A: tensor.New(5, 6), B: tensor.New(6, 4)})
 	retriesBefore := routerRetries.Value()
-	for i, frame := range [][]byte{garbage, mpc.EncodeRequest(id, g0), dealerFed, v1Request(id, 5, 6, 4)} {
+	for i, frame := range [][]byte{garbage, mpc.EncodeRequest(id, g0), dealerFed, oldRequest(1, id, 5, 6, 4), oldRequest(2, id, 5, 6, 4)} {
 		for leg, c := range []*comm.Conn{c0, c1} {
 			if err := c.WriteFrame(frame); err != nil {
 				t.Fatal(err)
@@ -154,16 +153,17 @@ func TestRouterMalformedRequestKeepsReplica(t *testing.T) {
 	}
 }
 
-// v1Request is a classic-form m×k×n request under version 1 of the request
-// header, which this build refuses: a 44-byte header whose seed is 8 bytes, a
-// budget riding.
-func v1Request(id uint64, m, k, n int) []byte {
+// oldRequest is a classic-form m×k×n request under version 1 or 2 of the
+// request header, which this build refuses: a flag byte and a budget after
+// the form (here a budget rides), then a seed of 8 bytes in version 1 and 16
+// in version 2 — a 44- or 52-byte header.
+func oldRequest(version byte, id uint64, m, k, n int) []byte {
 	le := binary.LittleEndian
-	f := append(le.AppendUint64(nil, id), 1, 1, 1, 0) // version 1, the classic form, a budget
+	f := append(le.AppendUint64(nil, id), version, 1, 1, 0) // the classic form, a budget
 	for _, v := range []uint32{1e6, 1, 0, uint32(m), uint32(k), uint32(n)} {
 		f = le.AppendUint32(f, v)
 	}
-	f = le.AppendUint64(f, 0)
+	f = append(f, make([]byte, 8*int(version))...) // the seed
 	for _, s := range [][2]int{{m, k}, {k, n}, {m, k}, {k, n}, {m, n}} {
 		f = tensor.EncodeMatrix(f, tensor.New(s[0], s[1]))
 	}
@@ -350,105 +350,6 @@ func TestRouterClientRetry(t *testing.T) {
 	}
 	if retries.Value() == before {
 		t.Fatal("recovery took no counted retries — the fleet was never empty?")
-	}
-}
-
-// countingListener accepts and immediately closes connections, counting
-// them: a stand-in backend that proves the router never dialed.
-func countingListener(t *testing.T) (addr string, hits *atomic.Int64, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits = new(atomic.Int64)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			hits.Add(1)
-			c.Close()
-		}
-	}()
-	return ln.Addr().String(), hits, func() { ln.Close(); <-done }
-}
-
-// TestRouterDeadlineShed pins the acceptance criterion for deadline
-// budgets: a request whose remaining budget cannot cover the cost-model
-// exchange floor is refused at the router with a typed error — counted
-// on psml_deadline_shed_total and never dialed to a backend.
-func TestRouterDeadlineShed(t *testing.T) {
-	addr0, hits0, stop0 := countingListener(t)
-	defer stop0()
-	addr1, hits1, stop1 := countingListener(t)
-	defer stop1()
-	reg := NewRegistry(0)
-	if err := reg.Join(Replica{Name: "pair-a", Addr: [2]string{addr0, addr1}}); err != nil {
-		t.Fatal(err)
-	}
-	face := startRouter(t, reg)
-	c0, c1 := dialFaces(t, face)
-	defer c0.Close()
-	defer c1.Close()
-
-	// 2µs cannot cover the ~4µs exchange floor of a 5×6×4 request, with
-	// margin on both sides of the comparison regardless of scheduling.
-	p := rng.NewPool(5)
-	a := p.NewUniform(5, 6, -1, 1)
-	b := p.NewUniform(6, 4, -1, 1)
-	a0, a1 := mpc.SplitRand(p, a)
-	b0, b1 := mpc.SplitRand(p, b)
-	t0, t1 := mpc.GenGemmTripletShares(p, 5, 6, 4)
-	const id = uint64(11)
-	before := routerDeadlineShed.Value()
-	for i, leg := range []struct {
-		c  *comm.Conn
-		in mpc.Shares
-	}{
-		{c0, mpc.Shares{A: a0, B: b0, T: t0}},
-		{c1, mpc.Shares{A: a1, B: b1, T: t1}},
-	} {
-		if err := leg.c.WriteFrame(mpc.EncodeRequestBudget(id, 2*time.Microsecond, leg.in)); err != nil {
-			t.Fatalf("leg %d upload: %v", i, err)
-		}
-		f, err := leg.c.ReadFrame()
-		if err != nil {
-			t.Fatalf("leg %d reply: %v", i, err)
-		}
-		gotID, re, ok := mpc.DecodeRouteError(f)
-		if !ok {
-			t.Fatalf("leg %d: expired request got a non-error frame (%d bytes)", i, len(f))
-		}
-		if gotID != id || re.Code != mpc.RouteDeadlineExceeded {
-			t.Fatalf("leg %d: id %d code %s, want id %d %s", i, gotID, re.Code, id, mpc.RouteDeadlineExceeded)
-		}
-	}
-	if got := routerDeadlineShed.Value(); got != before+2 {
-		t.Fatalf("deadline sheds counted %d, want %d", got-before, 2)
-	}
-	// The floor prices what the frame stacks: 10µs covers one 64³ member's
-	// ~7µs exchange but not the ~15µs of a group of four, so the group is
-	// shed here however promptly the relay runs.
-	g0, _, _ := groupedShares(p, 4, 64, 64, 64)
-	if lone, group := mpc.DeadlineEstimate(64, 64, 64), mpc.DeadlineEstimate(4*64, 64, 4*64); !(lone < 10*time.Microsecond && 10*time.Microsecond < group) {
-		t.Fatalf("10µs does not separate the lone floor %v from the group floor %v", lone, group)
-	}
-	if err := c0.WriteFrame(mpc.EncodeRequestBudget(id+1, 10*time.Microsecond, g0)); err != nil {
-		t.Fatal(err)
-	}
-	f, err := c0.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, re, ok := mpc.DecodeRouteError(f); !ok || re.Code != mpc.RouteDeadlineExceeded {
-		t.Fatalf("group under its stacked floor got %d bytes back, want %s", len(f), mpc.RouteDeadlineExceeded)
-	}
-	if h0, h1 := hits0.Load(), hits1.Load(); h0 != 0 || h1 != 0 {
-		t.Fatalf("expired request reached a backend (dials: %d, %d), want none", h0, h1)
 	}
 }
 

@@ -23,10 +23,7 @@ var (
 	routerDrains   = obs.Default.Counter("psml_drain_total", "Replica DRAIN announcements honored (taken out of the ring).")
 	routerDraining = obs.Default.Gauge("psml_draining_replicas", "Replicas currently draining: registered but out of the ring.")
 
-	// Deadline budgets and in-band failures: requests shed at the router
-	// because their remaining budget could not cover the cost-model floor
-	// (never dialed), and typed error frames returned to clients instead
-	// of closing their connections.
-	routerDeadlineShed = obs.Default.Counter("psml_deadline_shed_total", "Requests shed at the router: remaining deadline budget below the cost-model exchange floor (never dialed).")
-	routerErrorFrames  = obs.Default.Counter("psml_router_error_frames_total", "Typed route-error frames returned to clients in-band (session kept open).")
+	// In-band failures: typed error frames returned to clients instead of
+	// closing their connections.
+	routerErrorFrames = obs.Default.Counter("psml_router_error_frames_total", "Typed route-error frames returned to clients in-band (session kept open).")
 )

@@ -3,9 +3,7 @@ package fleet
 import (
 	"encoding/binary"
 	"testing"
-	"time"
 
-	"parsecureml/internal/comm"
 	"parsecureml/internal/ml"
 	"parsecureml/internal/mpc"
 	"parsecureml/internal/rng"
@@ -13,9 +11,9 @@ import (
 )
 
 // Registered operands through the fleet (mpc.Shares.Operand): the router
-// relays by the id in a frame's first 8 bytes and reads no more of the header
-// behind it than its budget and the floor it prices — and a session it moves
-// to another replica finds no operand there, which the client rides out.
+// relays by the id in a frame's first 8 bytes and reads nothing of the header
+// behind it — and a session it moves to another replica finds no operand
+// there, which the client rides out.
 
 // threeForm is the request against handle h that carries in's A, U and Z.
 func threeForm(in mpc.Shares, h uint32) mpc.Shares {
@@ -52,9 +50,8 @@ func derivedShares(seed uint64, a, b, v *tensor.Matrix, c int) (in0, in1 mpc.Sha
 
 // TestRouterRelaysOperandRequest: both operand forms are one frame in and
 // one frame out like any other, so the relay carries them untouched — each
-// reply bit-identical to the same shares sent straight to the pair. Under a
-// budget the router prices both forms off the header, the three-matrix one at
-// its E stack (n = 0), and relays both with time to spare.
+// reply bit-identical to the same shares sent straight to the pair, and so is
+// the derived form of both.
 func TestRouterRelaysOperandRequest(t *testing.T) {
 	reg := NewRegistry(0)
 	addr, kill := startReplicaPair(t)
@@ -93,28 +90,8 @@ func TestRouterRelaysOperandRequest(t *testing.T) {
 				}
 			}
 		}
-		// Under a budget the router floors both forms; both are relayed and
-		// answered.
-		if got, want := mpc.PeekFloor(mpc.EncodeRequestBudget(id, time.Second, in0)), mpc.DeadlineEstimate(5*c, 6, 4*c); got != want {
-			t.Fatalf("group of %d: the relay prices the registering frame at %v, want (5,6,4)×%d's %v", c, got, c, want)
-		}
-		three := [2]mpc.Shares{threeForm(in0, h), threeForm(in1, h)}
-		if got, want := mpc.PeekFloor(mpc.EncodeRequestBudget(id, time.Second, three[0])), mpc.DeadlineEstimate(5*c, 6, 0); got != want {
-			t.Fatalf("group of %d: the relay prices a three-matrix frame at %v, want (5,6,0)×%d's %v", c, got, c, want)
-		}
-		shed := routerDeadlineShed.Value()
-		got, err := mpc.RequestMulRetry(c0, c1, three[0], three[1], mpc.RetryConfig{Attempts: 1, Budget: 5 * time.Second})
-		if err != nil || !got.SliceRows(0, 5).ApproxEqual(want[0], 1e-3) {
-			t.Fatalf("group of %d: budgeted three-matrix request: %v", c, err)
-		}
-		if routerDeadlineShed.Value() != shed {
-			t.Fatalf("group of %d: the relay shed a three-matrix frame with 5 s to spare", c)
-		}
 		// The derived form of both: party 0's frame is its header and nothing
-		// else, and crosses the relay like any other. Its geometry is in the
-		// header, so under a budget both faces floor one request alike — the
-		// three-matrix form at the E stack's price, as the materialised form
-		// above.
+		// else, and crosses the relay like any other.
 		a, b := p.NewUniform(c*5, 6, -1, 1), p.NewUniform(c*6, 4, -1, 1)
 		reg0, reg1, v := derivedShares(id, a, b, nil, c)
 		kept0, kept1, _ := derivedShares(id+1, a, b, v, c)
@@ -136,18 +113,6 @@ func TestRouterRelaysOperandRequest(t *testing.T) {
 					t.Fatalf("group of %d, derived form %d, member %d off by %v", c, form, j, member.MaxAbsDiff(w))
 				}
 			}
-			for face, half := range in {
-				if got, want := mpc.PeekFloor(mpc.EncodeRequestBudget(id, time.Second, half)), mpc.DeadlineEstimate(5*c, 6, 4*(1-form)*c); got != want {
-					t.Fatalf("group of %d, derived form %d: face %d is priced at %v, want (5,6,%d)×%d's %v", c, form, face, got, 4*(1-form), c, want)
-				}
-			}
-		}
-		shed = routerDeadlineShed.Value()
-		if got, err = mpc.RequestMulRetry(c0, c1, kept0, kept1, mpc.RetryConfig{Attempts: 1, Budget: 5 * time.Second}); err != nil {
-			t.Fatalf("group of %d: budgeted derived three-matrix request: %v", c, err)
-		}
-		if routerDeadlineShed.Value() != shed {
-			t.Fatalf("group of %d: the relay shed a derived three-matrix frame with 5 s to spare", c)
 		}
 	}
 }
@@ -165,55 +130,3 @@ func transformerFixture(seed uint64) (*ml.TransformerBlock, *tensor.Matrix) {
 // wireTransformerTol is mpc's raw-path secure-vs-plaintext tolerance at
 // this geometry (DESIGN.md "Softmax approximation contract").
 const wireTransformerTol = 0.02
-
-// TestRouterShedsKeptFormUnderItsFloor: a three-matrix request carries its
-// geometry in its header, so a budget under its E stack's exchange floor is
-// shed at the router like any other request's — counted on
-// psml_deadline_shed_total and never dialed to a backend — instead of being
-// relayed with a floor of 0 for the pair to refuse.
-func TestRouterShedsKeptFormUnderItsFloor(t *testing.T) {
-	addr0, hits0, stop0 := countingListener(t)
-	defer stop0()
-	addr1, hits1, stop1 := countingListener(t)
-	defer stop1()
-	reg := NewRegistry(0)
-	if err := reg.Join(Replica{Name: "pair-a", Addr: [2]string{addr0, addr1}}); err != nil {
-		t.Fatal(err)
-	}
-	face := startRouter(t, reg)
-	c0, c1 := dialFaces(t, face)
-	defer c0.Close()
-	defer c1.Close()
-
-	// Four 256×1024 members against a kept 1024×4 operand: no F moves, and
-	// the 1024×1024 E stack alone costs more than twice the budget.
-	const c, m, k, n = 4, 256, 1024, 4
-	budget := 150 * time.Microsecond
-	if floor := mpc.DeadlineEstimate(c*m, k, 0); floor < 2*budget {
-		t.Fatalf("budget %v is not under half the E stack's floor %v", budget, floor)
-	}
-	three := mpc.Shares{Members: c, Operand: 1, A: tensor.New(c*m, k), T: mpc.TripletShares{U: tensor.New(c*m, k), Z: tensor.New(c*m, n)}}
-	frame := mpc.EncodeRequestBudget(21, budget, three)
-	if got := mpc.PeekFloor(frame); got != mpc.DeadlineEstimate(c*m, k, 0) {
-		t.Fatalf("the relay prices the three-matrix frame at %v, want its E stack's %v", got, mpc.DeadlineEstimate(c*m, k, 0))
-	}
-	before := routerDeadlineShed.Value()
-	for leg, conn := range []*comm.Conn{c0, c1} {
-		if err := conn.WriteFrame(frame); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := conn.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id, re, ok := mpc.DecodeRouteError(reply); !ok || id != 21 || re.Code != mpc.RouteDeadlineExceeded {
-			t.Fatalf("leg %d: a three-matrix request under its floor got %d bytes back, want %s", leg, len(reply), mpc.RouteDeadlineExceeded)
-		}
-	}
-	if got := routerDeadlineShed.Value() - before; got != 2 {
-		t.Fatalf("deadline sheds counted %d, want 2", got)
-	}
-	if h0, h1 := hits0.Load(), hits1.Load(); h0 != 0 || h1 != 0 {
-		t.Fatalf("the shed request reached a backend (dials: %d, %d), want none", h0, h1)
-	}
-}

@@ -165,34 +165,14 @@ func (r *Router) serveConn(client *comm.Conn, face int) {
 // let the key re-hash.
 //
 // Failures come back as a typed *mpc.RouteError instead of closing the
-// session. Requests carrying a budget in their header are budget-checked
-// before every dial: the moment the remaining budget cannot cover the
-// exchange floor the header prices (mpc.PeekFloor, the pair's own), the
-// request is shed without touching a backend, and the budget each backend
-// sees has the router's own elapsed time already subtracted. A frame whose
-// header this build cannot read is relayed byte for byte: refusing it is the
-// pair's to do.
+// session. The relay reads nothing of a request but its id: every frame,
+// whatever its header says, reaches the backend byte for byte, and refusing
+// one is the pair's to do.
 func (s *session) relay(frame, respBuf []byte) ([]byte, *mpc.RouteError) {
 	cfg := s.r.cfg
-	arrival := time.Now()
-	budget, hasBudget := mpc.PeekBudget(frame)
-	var floor time.Duration
-	if hasBudget {
-		floor = mpc.PeekFloor(frame)
-	}
 	redialed := false
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; {
-		if hasBudget {
-			remaining := budget - time.Since(arrival)
-			if remaining <= floor {
-				routerDeadlineShed.Inc()
-				cfg.Log.Event("deadline_shed", "face", s.face, "key", fmt.Sprintf("%016x", s.key),
-					"remaining", remaining.String(), "floor", floor.String())
-				return nil, &mpc.RouteError{Code: mpc.RouteDeadlineExceeded}
-			}
-			mpc.SetBudget(frame, remaining)
-		}
 		if s.backend == nil {
 			rep, token, ok := cfg.Registry.PickToken(s.key)
 			if !ok {

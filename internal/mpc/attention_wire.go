@@ -132,8 +132,8 @@ func (t *WireTransformer) proj(s0, s1 comm.Framer, x, w, b *tensor.Matrix) (*ten
 // time a connection pair sees it and in the three-matrix form after that.
 // Two refusals are answered by drawing the request again, each at most once:
 // RouteUnknownOperand (a leg's session is younger than the registration)
-// forgets what the pair held and registers again; a refused store (no
-// operand support settled, a full table) leaves the pair on five matrices.
+// forgets what the pair held and registers again; a refused store (its handle
+// already held, or the session's table full) leaves the pair on five matrices.
 func (t *WireTransformer) request(s0, s1 comm.Framer, a, b *tensor.Matrix, c int, weight bool) (*tensor.Matrix, error) {
 	t.muls += c
 	t.trips++

@@ -12,36 +12,32 @@ import (
 )
 
 // The request header: one fixed-size record right after the request id, so
-// a request's metadata crosses every hop (client → router → replica) at fixed
-// offsets inside the one frame the hops already relay (DESIGN.md "Request
-// header and form table").
+// a request's metadata crosses every hop (client → router → replica) inside
+// the one frame the hops already relay; a relay reads only the id (DESIGN.md
+// "Request header and form table").
 //
-//	[id u64][ver u8 = 2][form u8][flags u8][pad u8][budget-µs u32]
+//	[id u64][ver u8 = 3][form u8][pad 2]
 //	[members u32][operand u32][rows u32][k u32][n u32][seed 16 B] [matrices...]
 //
-// 52 bytes with the id; any other version is refused. Flag bit 0 says a
-// budget rides: the time remaining, relative, which each hop decrements by
-// its own elapsed time, so no two hops need synchronized clocks; 0 is
-// "already expired", not "none". members counts the row-stacked products
-// (Shares.Members, 1 for a lone one), operand names a registered operand
-// (Shares.Operand), rows, k, n are the stacked geometry — A is rows×k, B
-// members·k × n, Z rows×n — and seed is the 128-bit AES key a derived half
-// expands from (Shares.Derived), zero in every other form. The form byte
-// names the row of forms that says the rest.
+// 48 bytes with the id; any other version is refused. members counts the
+// row-stacked products (Shares.Members, 1 for a lone one), operand names a
+// registered operand (Shares.Operand), rows, k, n are the stacked geometry —
+// A is rows×k, B members·k × n, Z rows×n — and seed is the 128-bit AES key a
+// derived half expands from (Shares.Derived), zero in every other form. The
+// form byte names the row of forms that says the rest.
 const (
-	headerVersion = 2
-	headerBytes   = 52
-	flagBudget    = 1 << 0
+	headerVersion = 3
+	headerBytes   = 48
 	// The fields' offsets from the frame's start.
-	offVersion, offForm, offFlags, offBudget    = 8, 9, 10, 12
-	offMembers, offOperand, offRows, offK, offN = 16, 20, 24, 28, 32
-	offSeed                                     = 36
+	offVersion, offForm                         = 8, 9
+	offMembers, offOperand, offRows, offK, offN = 12, 16, 20, 24, 28
+	offSeed                                     = 32
 )
 
 // formRow is one form of request. ships is, per face, the wireMatrices slots
 // that face's frame carries, each at the shape the header gives its slot.
 // kept: the request runs against a registered operand — it needs a handle,
-// ships no B or V and moves no F, which is what its exchange floor prices.
+// ships no B or V and moves no F.
 // feed: the triplet comes from the pair's feed — no handle and no group.
 // derived: the rest of the half expands from the seed (Shares.expand).
 type formRow struct {
@@ -78,7 +74,7 @@ const maxGroupMembers = 256
 const maxDim = 1 << 24
 
 // maxDerivedElems bounds each matrix a derived half makes a party expand — a
-// 52-byte frame sizes five — as tight as a session's kept operands
+// 48-byte frame sizes five — as tight as a session's kept operands
 // (maxOperandElems). Larger requests ship their matrices.
 const maxDerivedElems = 1 << 20
 
@@ -92,8 +88,6 @@ type requestHeader struct {
 	id                  uint64
 	seed                [16]byte
 	form                byte
-	budgeted            bool
-	budget              time.Duration
 	operand             uint32
 	members, rows, k, n int
 }
@@ -101,53 +95,21 @@ type requestHeader struct {
 // row is h's form; the zero row until a header has been read.
 func (h requestHeader) row() formRow { return forms[h.form] }
 
-// shape is each member's (m, k, n) as the exchange moves it — n = 0 when no F
-// moves — and the member count.
-func (h requestHeader) shape() (m, k, n, members int) {
-	if n = h.n; h.row().kept {
-		n = 0
-	}
-	return h.rows / h.members, h.k, n, h.members
-}
-
-// floor is the exchange floor h's budget must cover: DeadlineEstimate of what
-// the request stacks, members·(m·k + k·n) elements each way. The router and
-// the pair both price a request here.
-func (h requestHeader) floor() time.Duration {
-	m, k, n, c := h.shape()
-	return DeadlineEstimate(c*m, k, c*n)
-}
-
-// budgetMicros clamps a duration into a u32 microsecond field: sub-microsecond
-// remainders round to zero (already expired for scheduling purposes) and
-// anything over ~71 minutes saturates.
-func budgetMicros(d time.Duration) uint32 {
-	return uint32(min(max(d, 0)/time.Microsecond, 1<<32-1))
-}
-
 // EncodeRequest serializes one multiplication request: the id, the header —
 // the form that in's nil matrices and Derived name, its geometry, group and
 // operand — and the matrices in holds, in wireMatrices order.
 func EncodeRequest(id uint64, in Shares) []byte {
-	return appendRequest(make([]byte, 0, headerBytes+sharesSize(in)), id, 0, 0, in)
+	return appendRequest(make([]byte, 0, headerBytes+sharesSize(in)), id, in)
 }
 
-// EncodeRequestBudget is EncodeRequest with a budget in the header: the
-// request's remaining time, which each hop decrements and checks against the
-// cost model before doing work.
-func EncodeRequestBudget(id uint64, budget time.Duration, in Shares) []byte {
-	return appendRequest(make([]byte, 0, headerBytes+sharesSize(in)), id, flagBudget, budget, in)
-}
-
-// lendRequest is the request frame of EncodeRequest (flags 0, budget 0) or
-// EncodeRequestBudget (flagBudget), in a buffer lent by comm's frame pool:
-// the caller gives it back with comm.PutFrame once it is written.
-func lendRequest(id uint64, flags byte, budget time.Duration, in Shares) []byte {
-	return appendRequest(comm.GetFrame(headerBytes + sharesSize(in))[:0], id, flags, budget, in)
+// lendRequest is the request frame of EncodeRequest in a buffer lent by comm's
+// frame pool: the caller gives it back with comm.PutFrame once it is written.
+func lendRequest(id uint64, in Shares) []byte {
+	return appendRequest(comm.GetFrame(headerBytes + sharesSize(in))[:0], id, in)
 }
 
 // appendRequest appends the request frame of id and in to frame.
-func appendRequest(frame []byte, id uint64, flags byte, budget time.Duration, in Shares) []byte {
+func appendRequest(frame []byte, id uint64, in Shares) []byte {
 	form, rows, k, n, seed := byte(formClassic), 0, 0, 0, [16]byte{}
 	switch d := in.Derived; {
 	case d != nil:
@@ -164,41 +126,11 @@ func appendRequest(frame []byte, id uint64, flags byte, budget time.Duration, in
 	}
 	le := binary.LittleEndian
 	frame = le.AppendUint64(frame, id)
-	frame = append(frame, headerVersion, form, flags, 0)
-	for _, v := range [...]uint32{budgetMicros(budget), uint32(in.members()), in.Operand, uint32(rows), uint32(k), uint32(n)} {
+	frame = append(frame, headerVersion, form, 0, 0)
+	for _, v := range [...]uint32{uint32(in.members()), in.Operand, uint32(rows), uint32(k), uint32(n)} {
 		frame = le.AppendUint32(frame, v)
 	}
 	return appendShares(append(frame, seed[:]...), in)
-}
-
-// PeekBudget reads a request frame's budget. ok is false when no budget
-// rides, or the header is not one this build reads.
-func PeekBudget(frame []byte) (budget time.Duration, ok bool) {
-	if len(frame) < headerBytes || frame[offVersion] != headerVersion || frame[offFlags]&flagBudget == 0 {
-		return 0, false
-	}
-	return time.Duration(binary.LittleEndian.Uint32(frame[offBudget:])) * time.Microsecond, true
-}
-
-// SetBudget rewrites a request frame's budget in place — a relay's "subtract
-// my elapsed time" step — and reports false if PeekBudget reads none.
-func SetBudget(frame []byte, budget time.Duration) bool {
-	if _, ok := PeekBudget(frame); !ok {
-		return false
-	}
-	binary.LittleEndian.PutUint32(frame[offBudget:], budgetMicros(budget))
-	return true
-}
-
-// PeekFloor is the exchange floor a request frame's budget must cover, read
-// off its header; 0 when the pair would refuse the header, which a relay then
-// sheds only once its budget has run out.
-func PeekFloor(frame []byte) time.Duration {
-	h, err := readHeader(frame)
-	if err != nil {
-		return 0
-	}
-	return h.floor()
 }
 
 // readHeader reads a request frame's header and checks its fields against
@@ -218,8 +150,7 @@ func readHeader(frame []byte) (h requestHeader, err error) {
 		return h, fmt.Errorf("%w: form %d", ErrRequestHeader, frame[offForm])
 	}
 	u32 := func(off int) int { return int(le.Uint32(frame[off:])) }
-	h.form, h.budgeted = frame[offForm], frame[offFlags]&flagBudget != 0
-	h.budget = time.Duration(u32(offBudget)) * time.Microsecond
+	h.form = frame[offForm]
 	h.operand, h.seed = le.Uint32(frame[offOperand:]), [16]byte(frame[offSeed:headerBytes])
 	h.members, h.rows, h.k, h.n = u32(offMembers), u32(offRows), u32(offK), u32(offN)
 	f := h.row()
@@ -288,11 +219,10 @@ func decodeRequest(frame []byte, party int, pool *tensor.Pool) (h requestHeader,
 	return h, in, nil
 }
 
-// DeadlineEstimate is the floor a request's remaining budget must cover for
-// shape (m, k, n): the paper platform's online exchange — the E/F transfer plus
-// the fixed latency of the two peer rounds. It prices only that, not compute or
-// queueing: a budget below it CANNOT be met, so shedding on it never drops a
-// request that had a chance.
+// DeadlineEstimate is the paper platform's online exchange for shape (m, k, n):
+// the E/F transfer plus the fixed latency of the two peer rounds, not compute
+// or queueing. Nothing in the serving path reads it; benchmark/ladder.go's
+// hw.exchange_ratio rung divides the measured 256³ exchange by it.
 func DeadlineEstimate(m, k, n int) time.Duration {
 	p := hw.Paper()
 	secs := p.ExchangeTransferTime(m, k, n) + p.ExchangeFixedCost(2)

@@ -204,7 +204,7 @@ func TestFeedLeaseAgreement(t *testing.T) {
 	type step struct {
 		sess  int    // the client session that sends it
 		shape [3]int // its GEMM shape
-		shed  bool   // sent with a budget both parties refuse at admission
+		reuse bool   // sent under the id before it, which both parties refuse at admission
 		seq   uint64 // the stream seq it must run on
 		ahead bool   // agreed a request ahead instead of announced
 	}
@@ -225,9 +225,9 @@ func TestFeedLeaseAgreement(t *testing.T) {
 			{shape: S, seq: 0}, {shape: T, seq: 0}, {shape: S, seq: 1},
 			{shape: T, seq: 1}, {shape: S, seq: 2}, {shape: T, seq: 2},
 		}, map[[3]int]int{S: 3, T: 3}, 0},
-		{"a shed request keeps the lease", []step{
-			{shape: S, seq: 0}, {shape: S, seq: 1}, {shape: S, shed: true},
-			{shape: S, seq: 2, ahead: true}, {shape: S, shed: true}, {shape: S, seq: 3, ahead: true},
+		{"a refused request keeps the lease", []step{
+			{shape: S, seq: 0}, {shape: S, seq: 1}, {shape: S, reuse: true},
+			{shape: S, seq: 2, ahead: true}, {shape: S, reuse: true}, {shape: S, seq: 3, ahead: true},
 		}, map[[3]int]int{S: 5}, 0},
 		{"a shape change drops the lease", []step{
 			// S2 is leased by the second request and dropped at T; the next S
@@ -261,12 +261,11 @@ func TestFeedLeaseAgreement(t *testing.T) {
 				in := newFedInput(p, st.shape)
 				id := uint64(0xfeed0000 + i)
 				c0, c1 := conns[st.sess][0], conns[st.sess][1]
-				if st.shed {
-					_, err := requestMulFrames(id, c0, c1,
-						EncodeRequestBudget(id, time.Microsecond, in.in0), EncodeRequestBudget(id, time.Microsecond, in.in1))
+				if st.reuse {
+					_, err := RequestMulID(id-1, c0, c1, in.in0, in.in1)
 					var re *RouteError
-					if !errors.As(err, &re) || re.Code != RouteDeadlineExceeded {
-						t.Fatalf("step %d: a 1 µs budget answered %v, want deadline_exceeded", i, err)
+					if !errors.As(err, &re) || re.Code != RouteDuplicateID {
+						t.Fatalf("step %d: a re-used id answered %v, want duplicate_id", i, err)
 					}
 					continue
 				}

@@ -114,7 +114,7 @@ func hostileGroupFrames(id uint64) map[string][]byte {
 		"V stack shape":       with(func(s *Shares) { s.T.V = tensor.New(3, 4) }),
 		"Z stack shape":       with(func(s *Shares) { s.T.Z = tensor.New(2, 4) }),
 		"trailing bytes":      append(EncodeRequest(id, valid()), 0xFF),
-		"under a deadline":    append(EncodeRequestBudget(id, time.Second, valid()), 0xFF),
+		"version 2":           v2Frame(EncodeRequest(id, valid())),
 	}
 }
 

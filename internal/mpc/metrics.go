@@ -46,10 +46,7 @@ var metrics = struct {
 	staleFrames *obs.Counter
 	desyncs     *obs.Counter
 
-	// Deadline budgets: requests refused at admission because the
-	// remaining budget cannot cover the cost model's exchange floor, and
-	// client-side retries of retryable route errors.
-	deadlineShed  *obs.Counter
+	// Client-side retries of retryable route errors.
 	clientRetries *obs.Counter
 
 	// Dealer-fed triplet agreement (feed.go): requests that started with the
@@ -95,7 +92,6 @@ var metrics = struct {
 	staleFrames: obs.Default.Counter("psml_stale_frames_total", "Orphaned result frames a client discarded by their echoed request id."),
 	desyncs:     obs.Default.Counter("psml_peer_desync_total", "Client connections declared desynchronized after the stale-frame bound."),
 
-	deadlineShed:  obs.Default.Counter("psml_deadline_server_shed_total", "Requests refused at replica admission: remaining budget below the cost-model exchange floor."),
 	clientRetries: obs.Default.Counter("psml_client_retries_total", "RequestMulRetry attempts re-sent after a retryable route error."),
 
 	feedAgree: [2]*obs.Counter{

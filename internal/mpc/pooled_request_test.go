@@ -126,8 +126,8 @@ func TestRefusedRequestReturnsMatrices(t *testing.T) {
 		drawn  int // matrices per party per refused request
 		frames func(id, served uint64) (id0 uint64, f0, f1 []byte)
 	}{
-		{"shed", RouteDeadlineExceeded, 5, func(id, _ uint64) (uint64, []byte, []byte) {
-			return id, EncodeRequestBudget(id, time.Microsecond, job.in0), EncodeRequestBudget(id, time.Microsecond, job.in1)
+		{"no feed", RouteBadRequest, 2, func(id, _ uint64) (uint64, []byte, []byte) {
+			return id, EncodeRequest(id, Shares{A: job.in0.A, B: job.in0.B}), EncodeRequest(id, Shares{A: job.in1.A, B: job.in1.B})
 		}},
 		{"duplicate id", RouteDuplicateID, 5, func(_, served uint64) (uint64, []byte, []byte) {
 			return served, EncodeRequest(served, job.in0), EncodeRequest(served, job.in1)

@@ -6,7 +6,8 @@ import (
 	"time"
 )
 
-// A typed error frame: [id u64] "PSER" [code u32] [retry-after-micros u32].
+// A typed error frame: [id u64] "PSER" [code u32] [retry-after-micros u32];
+// the retry-after saturates at ~71 minutes.
 const (
 	routeErrMagic  = 0x50534552 // "PSER"
 	routeErrFrameB = requestIDBytes + 12
@@ -22,19 +23,16 @@ const (
 	// RouteRetriesExhausted: every relay attempt in the router's ladder
 	// failed; retryable — the next attempt re-picks on a refreshed ring.
 	RouteRetriesExhausted RouteErrorCode = 2
-	// RouteDeadlineExceeded: the request's remaining budget cannot cover
-	// the cost-model estimate for its shape; not retryable within the
-	// same budget.
-	RouteDeadlineExceeded RouteErrorCode = 3
-	// Code 4 is unassigned.
+	// Codes 3 and 4 are unassigned.
 	// RouteDuplicateID: the request's id is already in flight, or was
 	// already served, on this pair — ids must be unique for the pair's
 	// lifetime. The client's error; not retryable under the same id.
 	RouteDuplicateID RouteErrorCode = 5
 	// RouteBadRequest: the request frame does not decode — a malformed
-	// header (ErrRequestHeader) or payload, or a form the pair has not
-	// settled. The client's error, and the same bytes fail anywhere: not
-	// retryable.
+	// header (ErrRequestHeader) or payload — or the pair will not run what
+	// it says: dealer-fed with no feed on both parties, a store under a
+	// handle already held or into a full table, a kept form whose geometry
+	// is not its operand's. The client's error: not retryable.
 	RouteBadRequest RouteErrorCode = 6
 	// RouteUnknownOperand: a kept-form request names an operand handle
 	// this party's session does not hold — the connection is younger than
@@ -54,8 +52,6 @@ func (c RouteErrorCode) String() string {
 		return "no_replicas"
 	case RouteRetriesExhausted:
 		return "retries_exhausted"
-	case RouteDeadlineExceeded:
-		return "deadline_exceeded"
 	case RouteDuplicateID:
 		return "duplicate_id"
 	case RouteBadRequest:
@@ -109,7 +105,7 @@ func EncodeRouteError(id uint64, code RouteErrorCode, retryAfter time.Duration) 
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = binary.LittleEndian.AppendUint32(frame, routeErrMagic)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(code))
-	return binary.LittleEndian.AppendUint32(frame, budgetMicros(retryAfter))
+	return binary.LittleEndian.AppendUint32(frame, uint32(min(max(retryAfter, 0)/time.Microsecond, 1<<32-1)))
 }
 
 // DecodeRouteError recognizes a typed error frame. ok is false for any

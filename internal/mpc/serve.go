@@ -128,7 +128,7 @@ func RequestMul(s0, s1 comm.Framer, in0, in1 Shares) (*tensor.Matrix, error) {
 // session router also rely on it as the routing key, so both legs of
 // one call must carry the same id — which this guarantees.
 func RequestMulID(id uint64, s0, s1 comm.Framer, in0, in1 Shares) (*tensor.Matrix, error) {
-	return requestMulLent(id, s0, s1, lendRequest(id, 0, 0, in0), lendRequest(id, 0, 0, in1))
+	return requestMulLent(id, s0, s1, lendRequest(id, in0), lendRequest(id, in1))
 }
 
 // requestMulLent is requestMulFrames on request frames lent by comm's frame
@@ -141,10 +141,9 @@ func requestMulLent(id uint64, s0, s1 comm.Framer, f0, f1 []byte) (*tensor.Matri
 }
 
 // requestMulFrames runs both legs of one multiplication with prebuilt
-// request frames (EncodeRequest or EncodeRequestBudget output; both must
-// carry id). Each reply is read into a lent frame and decoded into a share
-// Lender lends; both go back once the product is combined, and the product
-// is the caller's.
+// request frames (EncodeRequest output; both must carry id). Each reply is
+// read into a lent frame and decoded into a share Lender lends; both go back
+// once the product is combined, and the product is the caller's.
 func requestMulFrames(id uint64, s0, s1 comm.Framer, f0, f1 []byte) (*tensor.Matrix, error) {
 	type leg struct {
 		share *tensor.Matrix
@@ -227,11 +226,6 @@ func decodeReply(server int, id uint64, f []byte) (*tensor.Matrix, *ServerError)
 type RetryConfig struct {
 	// Attempts bounds the total tries, the first included. <= 0 selects 3.
 	Attempts int
-	// Budget, when positive, rides the header of every request
-	// frame: the end-to-end time remaining, decremented by the client's
-	// own elapsed time across retries, so routers and replicas can shed
-	// work that can no longer make it.
-	Budget time.Duration
 }
 
 // maxRetryAfter caps how long one RequestMulRetry retry sleeps on the
@@ -248,28 +242,16 @@ const maxRetryAfter = 250 * time.Millisecond
 // the result is a deterministic function of the input shares, and a
 // dealer-fed request draws a fresh triplet — so a duplicate execution is
 // merely wasted work, never a wrong answer. Non-retryable failures
-// (transport errors, decode failures, an exceeded deadline) surface
+// (transport errors, decode failures, a refused request) surface
 // immediately.
 func RequestMulRetry(s0, s1 comm.Framer, in0, in1 Shares, cfg RetryConfig) (*tensor.Matrix, error) {
 	attempts := cfg.Attempts
 	if attempts <= 0 {
 		attempts = 3
 	}
-	var id uint64
-	start := time.Now()
-	encode := func(in Shares) []byte {
-		if cfg.Budget > 0 {
-			return lendRequest(id, flagBudget, cfg.Budget-time.Since(start), in)
-		}
-		return lendRequest(id, 0, 0, in)
-	}
 	for attempt := 1; ; attempt++ {
-		if cfg.Budget > 0 && time.Since(start) >= cfg.Budget {
-			return nil, &ServerError{Server: 0, Op: "route",
-				Err: &RouteError{Code: RouteDeadlineExceeded}}
-		}
-		id = newRequestID()
-		m, err := requestMulLent(id, s0, s1, encode(in0), encode(in1))
+		id := newRequestID()
+		m, err := requestMulLent(id, s0, s1, lendRequest(id, in0), lendRequest(id, in1))
 		if err == nil {
 			return m, nil
 		}
@@ -596,13 +578,12 @@ func serveMuxSession(party int, client *comm.Conn, pl *pairLink, wire WireConfig
 // sub-stream keyed by the request id.
 //
 // A request this party will not run — undecodable, dealer-fed on a pair
-// with no feed, against an operand the session does not hold, past its
-// deadline, a re-used id — is the client's error: it is refused in-band with
-// a typed error frame and the session continues (framing is
-// length-prefixed, so the next frame is intact). A torn-down session reads
-// as a backend failure to a router, which re-sends the frame and then
-// evicts a healthy pair. Only a frame too short to carry the id to echo
-// ends the session. A request the peer connection fails under — none up
+// with no feed, against an operand the session does not hold, a re-used
+// id — is the client's error: it is refused in-band with a typed error
+// frame and the session continues (framing is length-prefixed, so the next
+// frame is intact). A torn-down session reads as a backend failure to a
+// router, which re-sends the frame and then evicts a healthy pair. Only a
+// frame too short to carry the id to echo ends the session. A request the peer connection fails under — none up
 // within PeerTimeout, or one that ended mid-exchange — is refused the same
 // way, with the retryable RoutePeerLinkLost.
 //
@@ -740,18 +721,6 @@ func serveMuxLoop(party int, client *comm.Conn, pl *pairLink, wire WireConfig, c
 				}
 				continue
 			}
-		}
-		// Deadline admission: a budgeted request whose remaining time cannot
-		// cover the exchange floor its header prices — the router's floor —
-		// is refused, deterministic in the header, so both parties of a pair
-		// decide identically.
-		if h.budgeted && h.budget < h.floor() {
-			metrics.deadlineShed.Inc()
-			if err := refuse(RouteDeadlineExceeded); err != nil {
-				metrics.requestErrors.Inc()
-				return err
-			}
-			continue
 		}
 		sess, err := mux.Open(id)
 		if errors.Is(err, comm.ErrMuxSessionDup) || errors.Is(err, comm.ErrMuxSessionClosed) {

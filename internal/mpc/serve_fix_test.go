@@ -118,7 +118,7 @@ func TestDecodeSharesValidatesGeometry(t *testing.T) {
 }
 
 // formFrames is one request frame per form — both faces' of the derived
-// forms — lone and grouped, with and without a budget: the fuzz seeds.
+// forms — lone and grouped: the fuzz seeds.
 func formFrames(id uint64) (frames [][]byte) {
 	var ins []Shares
 	for _, in := range []Shares{validGeomShares(), validGroupShares()} {
@@ -134,13 +134,17 @@ func formFrames(id uint64) (frames [][]byte) {
 		ins = append(ins, d0, d1, k0, k1)
 	}
 	for _, in := range ins {
-		frames = append(frames, EncodeRequest(id, in), EncodeRequestBudget(id, time.Second, in))
+		frames = append(frames, EncodeRequest(id, in))
 	}
 	return frames
 }
 
-// hostileFrames is every request frame the hostile-frame tests refuse.
+// hostileFrames is every request frame the hostile-frame tests refuse, and
+// every form's frame under version 2 of the header.
 func hostileFrames(id uint64) (frames [][]byte) {
+	for _, f := range formFrames(id) {
+		frames = append(frames, v2Frame(f))
+	}
 	for _, f := range hostileGroupFrames(id) {
 		frames = append(frames, f)
 	}
@@ -212,8 +216,8 @@ func multiply(t *testing.T, in Shares, kept bool) {
 
 // FuzzDecodeRequest: any request frame that decodes cleanly, as either face,
 // must be safe to multiply — whatever its header says of form, group, operand
-// and geometry. Seeded with one frame per form, lone and grouped, with and
-// without a budget, and every frame the hostile-frame tests refuse.
+// and geometry. Seeded with one frame per form, lone and grouped, and every
+// frame the hostile-frame tests refuse, each form's version-2 frame among them.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, frame := range append(formFrames(7), hostileFrames(7)...) {
 		f.Add(frame)
@@ -236,9 +240,7 @@ func FuzzDecodeRequest(f *testing.F) {
 func FuzzDecodeShares(f *testing.F) {
 	var headers [][]byte
 	for _, frame := range formFrames(7) {
-		if frame[offFlags] == 0 {
-			headers = append(headers, frame[:headerBytes])
-		}
+		headers = append(headers, frame[:headerBytes])
 	}
 	for _, frame := range append(formFrames(7), hostileFrames(7)...) {
 		if len(frame) >= headerBytes {
@@ -256,9 +258,9 @@ func FuzzDecodeShares(f *testing.F) {
 // request frames of ≈ 2.4 MB — a frame-pool class no other frame of the test
 // falls in — and then a small request. Every oversized frame must be back in
 // the pool once its request is answered: served, or refused as a bad
-// request, past its deadline, on a duplicate id or against an operand the
-// session does not hold. The session lives through all of it and both
-// results are exact.
+// request, as dealer-fed on a pair without a feed, on a duplicate id or
+// against an operand the session does not hold. The session lives through
+// all of it and both results are exact.
 func TestServingLoopReturnsOversizedFrame(t *testing.T) {
 	addr0, addr1, shutdown := startServePair(t, ServeConfig{
 		ClientTimeout: 20 * time.Second,
@@ -300,8 +302,10 @@ func TestServingLoopReturnsOversizedFrame(t *testing.T) {
 			trailing := func(in Shares) []byte { return append(EncodeRequest(id, in), 0) }
 			return id, trailing(big.in0), trailing(big.in1)
 		}},
-		{"a deadline shed", RouteDeadlineExceeded, func(id uint64) (uint64, []byte, []byte) {
-			return id, EncodeRequestBudget(id, time.Microsecond, big.in0), EncodeRequestBudget(id, time.Microsecond, big.in1)
+		{"a dealer-fed request", RouteBadRequest, func(id uint64) (uint64, []byte, []byte) {
+			// A 1200×500 A: the two-matrix frame is as long as the classic one.
+			fed := Shares{A: tensor.New(1200, 500), B: tensor.New(500, 1)}
+			return id, EncodeRequest(id, fed), EncodeRequest(id, fed)
 		}},
 		{"a duplicate id", RouteDuplicateID, func(uint64) (uint64, []byte, []byte) {
 			return served, EncodeRequest(served, big.in0), EncodeRequest(served, big.in1)

@@ -75,8 +75,8 @@ chaos-link)
   # result bit-identical to the reference, none over 3 s, no triplet half
   # handed out twice. A restarted party 1 process is the next connection:
   # the pair serves again within 5 s; so is a connection that falls silent
-  # rather than closing. The link's own redial under cuts and
-  # silence is checked beneath it, and the frame pool's contract
+  # rather than closing. The link's own redial under cuts, silence and a
+  # failed tick is checked beneath it, and the frame pool's contract
   # (exact-class puts only, small frames bypass, a cycle allocates nothing).
   # Above it, a mux session's queue: a flooded session dies alone, frames
   # routed before a peer's CLOSE are still read, a backlog parked before Open
@@ -113,14 +113,13 @@ fleet)
   # router a healthy replica; both registered-operand forms cross the relay
   # untouched, a session re-routed to a replica that holds none of its
   # operands completes its inference, and so does one whose first attempt
-  # met a draining fleet. A budgeted three-matrix request under its E stack's
-  # floor is shed at the router, and a frame whose header version the router
-  # cannot read reaches the backend byte for byte. The health link — a plain connection ticking both
+  # met a draining fleet. A frame whose header version the router cannot
+  # read reaches the backend byte for byte. The health link — a plain connection ticking both
   # ways — registers, drains and evicts; a drained replica stays drained
   # across a reconnect, a restarted router is re-JOINed, a restarted replica
   # is not evicted by its old connection, and a JOINed connection that falls
   # silent is evicted while one that ticks is not.
-  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica|TestRouterRelaysOperandRequest|TestRouterShedsKeptFormUnderItsFloor|TestRouterRelaysUnreadableHeader|TestRouterFailoverReregistersOperands|TestRouterDrainingFirstAttempt|TestHealth'
+  drill_test ./internal/fleet/ 'TestRouterMalformedRequestKeepsReplica|TestRouterRelaysGroupedRequest|TestRouterDuplicateIDKeepsReplica|TestRouterRelaysOperandRequest|TestRouterRelaysUnreadableHeader|TestRouterFailoverReregistersOperands|TestRouterDrainingFirstAttempt|TestHealth'
   SESSIONS=$((64 * SCALE)) scripts/fleet_drill.sh -race
   ;;
 transformer)
